@@ -232,8 +232,8 @@ def _load_collection(paths: list[str]) -> tuple[list, tuple[str, ...]]:
     items = []
     ids = []
     for path in paths:
-        kind, payload = read_signal_csv(path)
-        items.append(payload if kind == "pair" else payload)
+        _, payload = read_signal_csv(path)
+        items.append(payload)
         ids.append(os.path.splitext(os.path.basename(path))[0])
     if len(set(ids)) != len(ids):
         raise ValidationError("signal file names must be unique after dropping directories")

@@ -168,6 +168,15 @@ def agglomerative_cluster(
     Labels are numbered by first appearance. Merge heights are returned for
     diagnostics; with single, complete, or average linkage they are
     non-decreasing.
+
+    Each step merges the closest pair of clusters. Clusters are kept in
+    order of their first member, and a merged cluster takes the place of
+    its first part; on a tie the first pair (a, b), a < b, in this cluster
+    order is merged, and labels follow the same order. A table of the current linkage distances is kept, and a
+    merge recomputes only the merged cluster's row: O(n) linkage
+    evaluations per merge and O(n^2) in all. A merge at an infinite
+    linkage distance is refused with ValidationError, because k cannot be
+    reached at a finite height then.
     """
     if linkage not in LINKAGES:
         raise ValidationError(f"linkage must be one of {LINKAGES}, got {linkage!r}")
@@ -188,31 +197,52 @@ def agglomerative_cluster(
 
     dist = matrix.values[np.ix_(usable, usable)].astype(float)
     clusters: list[list[int]] = [[i] for i in range(m)]
+    # link[a, b] for a < b is the linkage distance between clusters a and b.
+    # Between singletons it is the distance itself, except that the mean of
+    # a 1x1 block is summed from +0.0 and so turns -0.0 into +0.0. The
+    # diagonal and lower triangle hold inf, so the first minimum in
+    # row-major order is the first closest pair in cluster order.
+    start = dist + 0.0 if linkage == "average" else dist
+    link = np.where(np.triu(np.ones((m, m), dtype=bool), 1), start, np.inf)
     heights: list[float] = []
     while len(clusters) > k:
-        best = (np.inf, -1, -1)
-        for a in range(len(clusters)):
-            for b in range(a + 1, len(clusters)):
-                d = _linkage_distance(dist, clusters[a], clusters[b], linkage)
-                if d < best[0]:
-                    best = (d, a, b)
-        d, a, b = best
-        heights.append(float(d))
-        clusters[a] = clusters[a] + clusters[b]
+        a, b = divmod(int(np.argmin(link)), len(clusters))
+        height = float(link[a, b])
+        if not np.isfinite(height):
+            raise ValidationError(
+                f"k={k} cannot be reached at a finite linkage distance "
+                f"({len(clusters)} clusters remain)"
+            )
+        heights.append(height)
+        merged = clusters[a] + clusters[b]
+        if linkage == "average":
+            # A running mean would change the last bits of the heights, so
+            # each cell is the mean over its whole block, with the earlier
+            # cluster's members as rows, as in a scan over pairs.
+            row = np.full(len(clusters), np.inf)
+            for c, members in enumerate(clusters):
+                if c not in (a, b):
+                    rows, cols = (members, merged) if c < a else (merged, members)
+                    row[c] = float(np.mean(dist[np.ix_(rows, cols)]))
+        else:
+            # The min or max over a union of blocks is exactly the min or
+            # max of the two blocks' results.
+            combine = np.minimum if linkage == "single" else np.maximum
+            row = combine(_table_row(link, a), _table_row(link, b))
+        clusters[a] = merged
         clusters.pop(b)
+        link = np.delete(np.delete(link, b, axis=0), b, axis=1)
+        row = np.delete(row, b)
+        link[:a, a] = row[:a]
+        link[a, a + 1 :] = row[a + 1 :]
 
     labels = [-1] * n
-    order = sorted(range(len(clusters)), key=lambda c: min(clusters[c]))
-    for rank, c in enumerate(order):
-        for local in clusters[c]:
+    for rank, members in enumerate(clusters):
+        for local in members:
             labels[usable[local]] = rank
     return ClusterResult(tuple(labels), tuple(heights), linkage)
 
 
-def _linkage_distance(dist: np.ndarray, members_a: list, members_b: list, linkage: str) -> float:
-    block = dist[np.ix_(members_a, members_b)]
-    if linkage == "single":
-        return float(np.min(block))
-    if linkage == "complete":
-        return float(np.max(block))
-    return float(np.mean(block))
+def _table_row(link: np.ndarray, a: int) -> np.ndarray:
+    """Linkage distances from cluster a to every cluster, inf at a itself."""
+    return np.minimum(link[a], link[:, a])

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cepdist import (
     DistanceMatrix,
@@ -24,6 +26,62 @@ DEMO_CONFIG = RunConfig(method="welch", window_len=64, fft_length=512, K=128, se
 POLE_HALF = ZeroPoleGain.from_roots([0.5], [], 1.0)
 POLE_NINETY_FIVE = ZeroPoleGain.from_roots([0.95], [], 1.0)
 MIXED_SYSTEM = ZeroPoleGain.from_roots([0.9], [2.5], 1.0)
+
+
+def _reference_cluster(matrix, k, linkage="average"):
+    """The O(n^3) pair scan that the linkage table replaced, kept as the oracle.
+
+    Every merge recomputes the linkage of every cluster pair and keeps the
+    first strict minimum in (a, b), a < b, order.
+    """
+    n = matrix.size
+    nan_mask = np.isnan(matrix.values) & ~np.eye(n, dtype=bool)
+    usable = list(range(n))
+    while usable:
+        counts = nan_mask[np.ix_(usable, usable)].sum(axis=1)
+        worst = int(np.argmax(counts))
+        if counts[worst] == 0:
+            break
+        usable.pop(worst)
+    dist = matrix.values[np.ix_(usable, usable)].astype(float)
+    reduce = {"single": np.min, "complete": np.max, "average": np.mean}[linkage]
+    clusters = [[i] for i in range(len(usable))]
+    heights = []
+    while len(clusters) > k:
+        best = (np.inf, -1, -1)
+        for a in range(len(clusters)):
+            for b in range(a + 1, len(clusters)):
+                d = float(reduce(dist[np.ix_(clusters[a], clusters[b])]))
+                if d < best[0]:
+                    best = (d, a, b)
+        d, a, b = best
+        heights.append(float(d))
+        clusters[a] = clusters[a] + clusters[b]
+        clusters.pop(b)
+    labels = [-1] * n
+    order = sorted(range(len(clusters)), key=lambda c: min(clusters[c]))
+    for rank, c in enumerate(order):
+        for local in clusters[c]:
+            labels[usable[local]] = rank
+    return tuple(labels), tuple(heights)
+
+
+def _symmetric(upper):
+    values = np.triu(upper, 1)
+    return values + values.T
+
+
+def _assert_matches_reference(values):
+    """Labels and merge heights equal the reference exactly, for every linkage."""
+    n = values.shape[0]
+    matrix = DistanceMatrix(values, tuple(f"x{i}" for i in range(n)), "euclidean")
+    usable = sum(label >= 0 for label in _reference_cluster(matrix, k=1)[0])
+    for linkage in ("single", "complete", "average"):
+        for k in sorted({1, 2, usable - 1, usable} & set(range(1, usable + 1))):
+            result = agglomerative_cluster(matrix, k, linkage)
+            labels, heights = _reference_cluster(matrix, k, linkage)
+            assert result.labels == labels, (linkage, k)
+            assert result.merge_heights == heights, (linkage, k)
 
 
 def random_signals(count, length=64, seed=0):
@@ -180,3 +238,79 @@ def test_matrix_shape_and_symmetry_validation():
         DistanceMatrix(np.zeros((2, 3)), ("a", "b"), "euclidean")
     with pytest.raises(ValidationError):
         DistanceMatrix(np.array([[0.0, 1.0], [2.0, 0.0]]), ("a", "b"), "euclidean")
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_linkage_table_matches_the_pair_scan_on_continuous_matrices(seed):
+    rng = np.random.default_rng(seed)
+    points = rng.standard_normal((40, 3))
+    values = np.sqrt(((points[:, None, :] - points[None, :, :]) ** 2).sum(axis=-1))
+    _assert_matches_reference(values)
+    _assert_matches_reference(_symmetric(rng.random((23, 23))))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_linkage_table_matches_the_pair_scan_on_tied_matrices(seed):
+    rng = np.random.default_rng(100 + seed)
+    _assert_matches_reference(_symmetric(rng.integers(1, 4, (24, 24)).astype(float)))
+    _assert_matches_reference(_symmetric(np.ones((9, 9))))
+
+
+def test_linkage_table_matches_the_pair_scan_with_an_excluded_row():
+    rng = np.random.default_rng(7)
+    values = _symmetric(rng.integers(0, 5, (15, 15)).astype(float))
+    values[4, [1, 9, 12]] = values[[1, 9, 12], 4] = np.nan
+    assert agglomerative_cluster(
+        DistanceMatrix(values, tuple("abcdefghijklmno"), "euclidean"), k=1
+    ).labels[4] == -1
+    _assert_matches_reference(values)
+
+
+@given(
+    size=st.integers(min_value=1, max_value=9),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    levels=st.integers(min_value=1, max_value=4),
+)
+def test_linkage_table_matches_the_pair_scan_property(size, seed, levels):
+    rng = np.random.default_rng(seed)
+    _assert_matches_reference(_symmetric(rng.integers(0, levels, (size, size)).astype(float)))
+
+
+def test_infinite_linkage_distance_is_refused():
+    values = np.array(
+        [
+            [0.0, 1.0, np.inf, np.inf],
+            [1.0, 0.0, np.inf, np.inf],
+            [np.inf, np.inf, 0.0, 2.0],
+            [np.inf, np.inf, 2.0, 0.0],
+        ]
+    )
+    matrix = DistanceMatrix(values, ("a", "b", "c", "d"), "subspace")
+    for linkage in ("single", "complete", "average"):
+        result = agglomerative_cluster(matrix, k=2, linkage=linkage)
+        assert result.labels == (0, 0, 1, 1)
+        assert result.merge_heights == (1.0, 2.0)
+        with pytest.raises(ValidationError, match="finite linkage distance"):
+            agglomerative_cluster(matrix, k=1, linkage=linkage)
+
+
+def test_negative_zero_cells_keep_the_reference_heights():
+    # -0.0 cells come only from hand-built matrices. Average and complete
+    # linkage keep the sign of every zero height; under single linkage the
+    # sign of a tied zero follows NumPy's reduction order, so only the
+    # values are compared there.
+    rng = np.random.default_rng(11)
+    upper = np.triu(rng.integers(0, 3, (14, 14)).astype(float), 1)
+    upper[(upper == 0) & (rng.random((14, 14)) < 0.5)] = -0.0
+    values = np.zeros((14, 14))
+    rows, cols = np.triu_indices(14, 1)
+    values[rows, cols] = values[cols, rows] = upper[rows, cols]
+    matrix = DistanceMatrix(values, tuple(f"x{i}" for i in range(14)), "euclidean")
+    for linkage in ("single", "complete", "average"):
+        for k in (1, 2, 13):
+            result = agglomerative_cluster(matrix, k, linkage)
+            labels, heights = _reference_cluster(matrix, k, linkage)
+            assert result.labels == labels
+            assert result.merge_heights == heights
+            if linkage != "single":
+                assert [repr(h) for h in result.merge_heights] == [repr(h) for h in heights]
