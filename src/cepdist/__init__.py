@@ -106,8 +106,6 @@ from .subspace import (
     angle_convergence_bound,
     build_hankel,
     principal_angles,
-    principal_angles_eigen,
-    project_complement,
     projected_bases,
     subspace_distance_between_models,
     subspace_distance_from_bases,

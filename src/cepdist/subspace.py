@@ -6,8 +6,10 @@ two Vandermonde matrices, one built on the poles and one on the zeros, in
 the limit of infinitely many rows. The same angles can be reached from
 input/output data alone: Hankel matrices of the output with the input's
 row space projected out (and vice versa, which is the inverse system's
-Hankel picture) span the corresponding ranges. Maximum phase models go
-through the same computation on reflected roots.
+Hankel picture) span the corresponding ranges. Both projections come from
+one LQ factorization of the stacked Hankel blocks, as in MOESP (Verhaegen
+& Dewilde 1992), and the order is read from the singular-value gap.
+Maximum phase models go through the same computation on reflected roots.
 """
 
 from __future__ import annotations
@@ -23,14 +25,22 @@ from .errors import (
     DimensionMismatch,
     InsufficientData,
     MixedPhaseUnsupported,
+    NonSimpleRoot,
     RankDeficient,
     ValidationError,
 )
 from .lti import TAU_MULT, Signal, ZeroPoleGain
 from .metrics import cascade, closed_form_norm_mixed
 
-# Relative singular-value cutoff when extracting a basis from data Hankels.
+# Relative singular-value floor of the projected data Hankel blocks, and the
+# rank cutoff of the spans combined from their bases.
 HANKEL_RANK_RTOL = 1e-8
+# Smallest ratio between the last kept and the first dropped singular value
+# of a projected Hankel block; a record with no such gap has no clear order.
+ORDER_GAP_MIN = 1e3
+# Hankel columns folded into the triangular factor per QR step. Streaming
+# keeps the working set near LQ_BLOCK x 2 rows floats for any record length.
+LQ_BLOCK = 2048
 # Relative cutoff under which matrix columns count as dependent.
 TAU_RANK = 1e-10
 # Doubling the Vandermonde depth must move the norm less than this.
@@ -58,37 +68,26 @@ class PrincipalAngleSet:
         return tuple(c * c for c in self.cosines)
 
 
-def build_hankel(signal: Signal, rows: int, cols: int | None = None) -> HankelMatrix:
-    """Hankel matrix with entries x(r + c) for r < rows, c < cols."""
-    x = signal.samples
-    n = x.size
+def _hankel_cols(length: int, rows: int, cols: int | None) -> int:
+    """Column count of a rows-row Hankel block over ``length`` samples,
+    defaulting to every full window; raises when the block does not fit."""
     if rows < 1:
         raise ValidationError(f"rows must be positive, got {rows}")
     if cols is None:
-        cols = n - rows + 1
-    if cols < 1 or rows + cols - 1 > n:
+        cols = length - rows + 1
+    if cols < 1 or rows + cols - 1 > length:
         raise InsufficientData(
-            f"a {rows} x {cols} Hankel block needs {rows + cols - 1} samples, got {n}"
+            f"a {rows} x {cols} Hankel block needs {rows + cols - 1} samples, got {length}"
         )
+    return cols
+
+
+def build_hankel(signal: Signal, rows: int, cols: int | None = None) -> HankelMatrix:
+    """Hankel matrix with entries x(r + c) for r < rows, c < cols."""
+    x = signal.samples
+    cols = _hankel_cols(x.size, rows, cols)
     idx = np.arange(rows)[:, None] + np.arange(cols)[None, :]
     return HankelMatrix(x[idx] / np.sqrt(cols), rows, cols)
-
-
-def project_complement(matrix: np.ndarray, onto: np.ndarray) -> np.ndarray:
-    """Project the columns of ``matrix`` onto the orthogonal complement of
-    the column space of ``onto``."""
-    a = np.asarray(matrix, dtype=float)
-    b = np.asarray(onto, dtype=float)
-    if a.ndim != 2 or b.ndim != 2:
-        raise DimensionMismatch("project_complement needs two-dimensional arrays")
-    if a.shape[0] != b.shape[0]:
-        raise DimensionMismatch(
-            f"row counts differ: {a.shape[0]} vs {b.shape[0]}; columns live in different spaces"
-        )
-    basis = _column_basis(b, HANKEL_RANK_RTOL)
-    if basis.shape[1] == 0:
-        return a.copy()
-    return a - basis @ (basis.T @ a)
 
 
 def _column_basis(matrix: np.ndarray, rtol: float) -> np.ndarray:
@@ -137,43 +136,6 @@ def principal_angles(a: np.ndarray, b: np.ndarray) -> PrincipalAngleSet:
     qa = np.linalg.qr(a)[0]
     qb = np.linalg.qr(b)[0]
     cosines = np.clip(np.linalg.svd(qa.conj().T @ qb, compute_uv=False), 0.0, 1.0)
-    angles = np.arccos(cosines)
-    return PrincipalAngleSet(tuple(float(t) for t in angles), tuple(float(c) for c in cosines))
-
-
-def principal_angles_eigen(a: np.ndarray, b: np.ndarray) -> PrincipalAngleSet:
-    """Same angles as ``principal_angles``, via the Gram-matrix pencil.
-
-    The symmetric generalized eigenvalue problem on the blocks A^H B and
-    diag(A^H A, B^H B) has eigenvalues +-cos(theta) padded with zeros. It
-    avoids orthonormalizing the inputs, at the cost of squaring their
-    conditioning, and is kept as an independent cross-check of the QR/SVD
-    route.
-    """
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.ndim != 2 or b.ndim != 2:
-        raise DimensionMismatch("principal_angles_eigen needs two-dimensional arrays")
-    if a.shape[0] != b.shape[0]:
-        raise DimensionMismatch(f"ambient dimensions differ: {a.shape[0]} vs {b.shape[0]}")
-    na, nb = a.shape[1], b.shape[1]
-    if na == 0 or nb == 0:
-        return PrincipalAngleSet((), ())
-    for m, name in ((a, "first"), (b, "second")):
-        s = np.linalg.svd(m, compute_uv=False)
-        if s[-1] <= TAU_RANK * s[0]:
-            raise RankDeficient(f"{name} matrix is numerically rank deficient")
-    cross = np.zeros((na + nb, na + nb), dtype=complex)
-    cross[:na, na:] = a.conj().T @ b
-    cross[na:, :na] = cross[:na, na:].conj().T
-    gram = np.zeros_like(cross)
-    gram[:na, :na] = a.conj().T @ a
-    gram[na:, na:] = b.conj().T @ b
-    chol = np.linalg.cholesky(gram)
-    half = np.linalg.solve(chol, cross)
-    sym = np.linalg.solve(chol, half.conj().T).conj().T
-    eigenvalues = np.linalg.eigvalsh(sym)
-    cosines = np.clip(np.sort(eigenvalues)[::-1][: min(na, nb)], 0.0, 1.0)
     angles = np.arccos(cosines)
     return PrincipalAngleSet(tuple(float(t) for t in angles), tuple(float(c) for c in cosines))
 
@@ -273,6 +235,33 @@ def subspace_distance_between_models(
     return subspace_norm_from_model(cascade(first, second), depth)
 
 
+def _ordered_basis(lower: np.ndarray, rows: int, side: str) -> np.ndarray:
+    """Basis of the second block of a stacked pair with the first block's
+    row space projected out, from the pair's lower triangular LQ factor.
+
+    That projection's left singular vectors and values are those of the
+    L22 block. The values are clipped to a floor of HANKEL_RANK_RTOL times
+    the norm of the second block (its rows of ``lower``); the kept order is
+    the largest n with s[n-1] / s[n] >= ORDER_GAP_MIN, and zero when s[0]
+    sits at the floor.
+    """
+    u, s, _ = np.linalg.svd(lower[rows:, rows:], full_matrices=False)
+    floor = HANKEL_RANK_RTOL * np.linalg.norm(lower[rows:], 2)
+    s = np.maximum(s, floor)
+    if s[0] <= floor:
+        return u[:, :0]
+    ratios = s[:-1] / s[1:]
+    gaps = np.flatnonzero(ratios >= ORDER_GAP_MIN)
+    if gaps.size == 0:
+        largest = f"{ratios.max():.3g}" if ratios.size else "undefined"
+        raise RankDeficient(
+            f"no singular-value gap of {ORDER_GAP_MIN:g} fixes the {side} order "
+            f"(largest ratio {largest}); the record is too noisy, or the order "
+            f"reaches the {s.size} usable dimensions"
+        )
+    return u[:, : gaps[-1] + 1]
+
+
 def projected_bases(
     input_signal: Signal, output_signal: Signal, rows: int, cols: int | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -283,18 +272,55 @@ def projected_bases(
     input Hankel row space is projected out of its rows: for noise-free
     data this is the extended observability range of the generating system.
     The second swaps the roles and yields the inverse system's range.
+
+    Both come from one LQ factorization [U; Y] = L Q^T of the stacked
+    Hankel blocks: the L22 block of L spans Y with U's row space projected
+    out, and re-triangularizing the small factor with its blocks swapped
+    gives the same for U. The triangular factor is accumulated LQ_BLOCK
+    Hankel columns at a time from windows over the samples, so the full
+    Hankel blocks are never built and memory stays of order
+    LQ_BLOCK x rows whatever the record length.
+
+    Each basis keeps the order at the largest singular-value gap of at
+    least ORDER_GAP_MIN above a floor of HANKEL_RANK_RTOL times the block
+    norm; a block at the floor gives an empty basis. Raises RankDeficient
+    when no gap clears the constant (too much noise, or an order that
+    fills every dimension), and InsufficientData unless there are more
+    Hankel columns than rows: with cols <= rows the input row space covers
+    every column and nothing of the output survives the projection.
     """
     if len(input_signal) != len(output_signal):
         raise ValidationError(
             f"input and output lengths differ: {len(input_signal)} vs {len(output_signal)}"
         )
-    uh = build_hankel(input_signal, rows, cols).entries
-    yh = build_hankel(output_signal, rows, cols).entries
-    y_proj = project_complement(yh.T, uh.T).T
-    u_proj = project_complement(uh.T, yh.T).T
+    cols = _hankel_cols(len(input_signal), rows, cols)
+    if cols <= rows:
+        raise InsufficientData(
+            f"{cols} Hankel columns cannot separate the output from the input at {rows} "
+            f"rows; need more columns than rows, that is at least {2 * rows} samples"
+        )
+    windows = [
+        np.lib.stride_tricks.sliding_window_view(s.samples, rows)[:cols]
+        for s in (input_signal, output_signal)
+    ]
+    # One buffer holds the running triangular factor on top of the next
+    # block of Hankel columns (as rows of [U^T Y^T]); filling it in place
+    # saves the copies a stack of separate arrays would make per step.
+    stack = np.empty((2 * rows + min(cols, LQ_BLOCK), 2 * rows))
+    top = 0
+    for start in range(0, cols, LQ_BLOCK):
+        stop = min(start + LQ_BLOCK, cols)
+        end = top + stop - start
+        stack[top:end, :rows] = windows[0][start:stop]
+        stack[top:end, rows:] = windows[1][start:stop]
+        r = np.linalg.qr(stack[:end], mode="r")
+        top = r.shape[0]
+        stack[:top] = r
+    swapped = np.linalg.qr(np.hstack([r[:, rows:], r[:, :rows]]), mode="r")
+    scale = np.sqrt(cols)
     return (
-        _column_basis(y_proj, HANKEL_RANK_RTOL),
-        _column_basis(u_proj, HANKEL_RANK_RTOL),
+        _ordered_basis(r.T / scale, rows, "output"),
+        _ordered_basis(swapped.T / scale, rows, "input"),
     )
 
 
@@ -304,8 +330,12 @@ def subspace_norm_from_data(
     """Model norm estimated from one input/output record.
 
     Principal angles between the two projected Hankel ranges play the role
-    the pole and zero Vandermonde ranges play for a known model. An
-    identity-like record (output basis empty after projection) has norm 0.
+    the pole and zero Vandermonde ranges play for a known model. The ranges
+    come from ``projected_bases`` (one streamed LQ factorization, memory of
+    order LQ_BLOCK x rows, orders chosen at the singular-value gap). An
+    identity-like record has empty bases after projection and norm 0. A
+    record without a clear order gap raises RankDeficient, and one with no
+    more Hankel columns than rows raises InsufficientData.
     """
     basis_y, basis_u = projected_bases(input_signal, output_signal, rows, cols)
     return _norm_from_cosines(principal_angles(basis_y, basis_u))
@@ -314,14 +344,28 @@ def subspace_norm_from_data(
 def subspace_distance_from_bases(
     bases_a: tuple[np.ndarray, np.ndarray], bases_b: tuple[np.ndarray, np.ndarray]
 ) -> float:
-    """Subspace distance from two precomputed (output, input) projected bases."""
+    """Subspace distance from two precomputed (output, input) projected bases.
+
+    Raises NonSimpleRoot when either combined span is rank deficient, which
+    happens when a pole of one system equals a zero of the other.
+    """
     ya, ua = bases_a
     yb, ub = bases_b
     if ya.shape[0] != yb.shape[0]:
         raise DimensionMismatch("the two records must use the same Hankel row count")
-    span_one = _column_basis(np.hstack([ya, ub]), HANKEL_RANK_RTOL)
-    span_two = _column_basis(np.hstack([ua, yb]), HANKEL_RANK_RTOL)
-    return _norm_from_cosines(principal_angles(span_one, span_two))
+    spans = []
+    for parts in ((ya, ub), (ua, yb)):
+        stacked = np.hstack(parts)
+        span = _column_basis(stacked, HANKEL_RANK_RTOL)
+        if span.shape[1] < stacked.shape[1]:
+            # A pole of one system equal to a zero of the other: the cascade
+            # has a repeated root, which metrics.cascade refuses as well.
+            raise NonSimpleRoot(
+                f"a combined span keeps {span.shape[1]} of {stacked.shape[1]} columns; "
+                "the two systems share a root between one's poles and the other's zeros"
+            )
+        spans.append(span)
+    return _norm_from_cosines(principal_angles(*spans))
 
 
 def subspace_distance_from_data(

@@ -4,36 +4,127 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cepdist import (
     DimensionMismatch,
     InsufficientData,
     MixedPhaseUnsupported,
+    NonSimpleRoot,
+    PrincipalAngleSet,
     RankDeficient,
+    RunConfig,
     Signal,
     ValidationError,
     ZeroPoleGain,
     angle_convergence_bound,
     build_hankel,
+    cascade,
     closed_form_norm_max_phase,
     closed_form_norm_min_phase,
     closed_form_norm_mixed,
     example_systems,
+    format_pair_csv,
     principal_angles,
-    principal_angles_eigen,
-    project_complement,
+    projected_bases,
     subspace_distance_between_models,
+    subspace_distance_from_bases,
     subspace_distance_from_data,
     subspace_norm_from_data,
     subspace_norm_from_model,
     vandermonde_range,
 )
+from cepdist.cli import main
+from cepdist.subspace import HANKEL_RANK_RTOL, LQ_BLOCK, ORDER_GAP_MIN, TAU_RANK
 from conftest import draw_roots, random_min_phase, white_record
 
 POLE_HALF = ZeroPoleGain.from_roots([0.5], [], 1.0)
 POLE_NINE = ZeroPoleGain.from_roots([0.9], [], 1.0)
+MIN_PHASE_DEMO = example_systems()["minimum_phase"]
+# A pole of the first system (0.3) is a zero of the second, so their
+# cascade has a repeated root.
+SHARED_ROOT_A = ZeroPoleGain.from_roots([0.9, 0.5], [0.3, -0.4], 1.0)
+SHARED_ROOT_B = ZeroPoleGain.from_roots([-0.8, 0.3], [0.7, 0.0], 1.0)
+
+
+def _svd_basis(matrix, rtol):
+    u, s, _ = np.linalg.svd(matrix, full_matrices=False)
+    if s.size == 0 or s[0] == 0.0:
+        return u[:, :0]
+    return u[:, s > rtol * s[0]]
+
+
+def project_complement(matrix, onto):
+    """Project the columns of ``matrix`` onto the orthogonal complement of
+    the column space of ``onto``."""
+    a = np.asarray(matrix, dtype=float)
+    b = np.asarray(onto, dtype=float)
+    if a.ndim != 2 or b.ndim != 2:
+        raise DimensionMismatch("project_complement needs two-dimensional arrays")
+    if a.shape[0] != b.shape[0]:
+        raise DimensionMismatch(
+            f"row counts differ: {a.shape[0]} vs {b.shape[0]}; columns live in different spaces"
+        )
+    basis = _svd_basis(b, HANKEL_RANK_RTOL)
+    if basis.shape[1] == 0:
+        return a.copy()
+    return a - basis @ (basis.T @ a)
+
+
+def _reference_projected_bases(input_signal, output_signal, rows, cols=None):
+    """Test-only oracle: the projected bases from the full Hankel blocks,
+    by two explicit projections and four SVDs, with a relative rank cutoff.
+
+    The library computes the same ranges from one streamed LQ
+    factorization and picks the order at a singular-value gap instead.
+    """
+    uh = build_hankel(input_signal, rows, cols).entries
+    yh = build_hankel(output_signal, rows, cols).entries
+    y_proj = project_complement(yh.T, uh.T).T
+    u_proj = project_complement(uh.T, yh.T).T
+    return _svd_basis(y_proj, HANKEL_RANK_RTOL), _svd_basis(u_proj, HANKEL_RANK_RTOL)
+
+
+def principal_angles_eigen(a, b):
+    """Same angles as ``principal_angles``, via the Gram-matrix pencil.
+
+    The symmetric generalized eigenvalue problem on the blocks A^H B and
+    diag(A^H A, B^H B) has eigenvalues +-cos(theta) padded with zeros. It
+    avoids orthonormalizing the inputs, at the cost of squaring their
+    conditioning, and serves as an independent cross-check of the QR/SVD
+    route.
+    """
+    a = np.asarray(a)
+    b = np.asarray(b)
+    if a.ndim != 2 or b.ndim != 2:
+        raise DimensionMismatch("principal_angles_eigen needs two-dimensional arrays")
+    if a.shape[0] != b.shape[0]:
+        raise DimensionMismatch(f"ambient dimensions differ: {a.shape[0]} vs {b.shape[0]}")
+    na, nb = a.shape[1], b.shape[1]
+    if na == 0 or nb == 0:
+        return PrincipalAngleSet((), ())
+    for m, name in ((a, "first"), (b, "second")):
+        s = np.linalg.svd(m, compute_uv=False)
+        if s[-1] <= TAU_RANK * s[0]:
+            raise RankDeficient(f"{name} matrix is numerically rank deficient")
+    cross = np.zeros((na + nb, na + nb), dtype=complex)
+    cross[:na, na:] = a.conj().T @ b
+    cross[na:, :na] = cross[:na, na:].conj().T
+    gram = np.zeros_like(cross)
+    gram[:na, :na] = a.conj().T @ a
+    gram[na:, na:] = b.conj().T @ b
+    chol = np.linalg.cholesky(gram)
+    half = np.linalg.solve(chol, cross)
+    sym = np.linalg.solve(chol, half.conj().T).conj().T
+    eigenvalues = np.linalg.eigvalsh(sym)
+    cosines = np.clip(np.sort(eigenvalues)[::-1][: min(na, nb)], 0.0, 1.0)
+    angles = np.arccos(cosines)
+    return PrincipalAngleSet(tuple(float(t) for t in angles), tuple(float(c) for c in cosines))
+
+
+def _bases_norm(bases):
+    return -float(np.sum(np.log(principal_angles(*bases).cos_squared)))
 
 
 def test_hankel_single_row():
@@ -250,7 +341,9 @@ def test_data_norm_of_single_pole_record():
 
 def test_data_norm_of_identity_record_is_zero():
     u = Signal(np.random.default_rng(5).standard_normal(2048))
-    assert abs(subspace_norm_from_data(u, u, rows=40)) <= 1e-10
+    basis_y, basis_u = projected_bases(u, u, rows=40)
+    assert basis_y.shape == (40, 0) and basis_u.shape == (40, 0)
+    assert subspace_norm_from_data(u, u, rows=40) == 0.0
 
 
 def test_data_distance_of_a_record_with_itself_is_zero():
@@ -277,3 +370,120 @@ def test_model_norm_matches_closed_form_on_random_systems(seed):
         warnings.simplefilter("ignore")
         value = subspace_norm_from_model(zpk, depth=400)
     assert abs(value - closed_form_norm_min_phase(zpk)) <= 1e-9
+
+
+# (rows, record length, explicit cols or None): both row counts in use, the
+# default and an explicit column count, column counts straddling one
+# streamed block, and fewer than 2 * rows columns.
+EQUIVALENCE_CASES = [
+    (40, 2048, None),
+    (150, 4096, None),
+    (40, 4096, 3000),
+    (40, 4096, LQ_BLOCK - 1),
+    (40, 4096, LQ_BLOCK),
+    (40, 4096, LQ_BLOCK + 1),
+    (40, 4096, 70),
+]
+
+
+@pytest.mark.parametrize("rows,length,cols", EQUIVALENCE_CASES)
+def test_lq_bases_match_the_reference_projections(rows, length, cols):
+    systems = (MIN_PHASE_DEMO, POLE_NINE, random_min_phase(np.random.default_rng(13), 3))
+    new, old = [], []
+    for seed, system in enumerate(systems):
+        u, y = white_record(system, length, seed)
+        new.append(projected_bases(u, y, rows, cols))
+        old.append(_reference_projected_bases(u, y, rows, cols))
+        assert [b.shape for b in new[-1]] == [b.shape for b in old[-1]]
+        assert abs(_bases_norm(new[-1]) - _bases_norm(old[-1])) <= 1e-10
+    for i in range(len(systems)):
+        for j in range(len(systems)):
+            by_lq = subspace_distance_from_bases(new[i], new[j])
+            by_reference = subspace_distance_from_bases(old[i], old[j])
+            assert abs(by_lq - by_reference) <= 1e-10
+
+
+NOISE_RECORD = white_record(MIN_PHASE_DEMO, 4096, 3)
+
+
+@given(st.floats(-9.0, -1.0), st.integers(0, 10**6))
+@settings(max_examples=25)
+# Noise 1e-3 lands within tol_model only because ORDER_GAP_MIN refuses it:
+# a gap constant of 10 keeps the order there and misses by about 4e-3.
+@example(-3.0, 0)
+@example(-6.0, 0)
+def test_data_norm_under_output_noise_is_accurate_or_refused(log_noise, seed):
+    u, y = NOISE_RECORD
+    noise = 10.0**log_noise * np.random.default_rng(seed).standard_normal(len(y))
+    try:
+        value = subspace_norm_from_data(u, Signal(y.samples + noise), rows=60)
+    except RankDeficient as exc:
+        assert f"{ORDER_GAP_MIN:g}" in str(exc)
+        return
+    assert abs(value - closed_form_norm_min_phase(MIN_PHASE_DEMO)) <= RunConfig().tol_model
+
+
+def test_data_norm_under_small_noise_keeps_the_model_order():
+    u, y = white_record(MIN_PHASE_DEMO, 2**14, 0)
+    noisy = Signal(y.samples + 1e-6 * np.random.default_rng(7).standard_normal(len(y)))
+    basis_y, basis_u = projected_bases(u, noisy, rows=150)
+    assert basis_y.shape[1] == 3 and basis_u.shape[1] == 3
+    value = _bases_norm((basis_y, basis_u))
+    closed = closed_form_norm_min_phase(MIN_PHASE_DEMO)
+    assert abs(value - closed) <= 1e-6 * closed
+
+
+def test_data_bases_refuse_a_record_without_an_order_gap():
+    u, y = NOISE_RECORD
+    noisy = Signal(y.samples + 1e-2 * np.random.default_rng(1).standard_normal(len(y)))
+    with pytest.raises(RankDeficient, match="gap"):
+        projected_bases(u, noisy, rows=60)
+
+
+def test_data_bases_refuse_no_more_columns_than_rows():
+    u, y = white_record(POLE_HALF, 260, 0)
+    with pytest.raises(InsufficientData, match="more columns than rows"):
+        projected_bases(u, y, rows=150)
+    with pytest.raises(InsufficientData, match="more columns than rows"):
+        projected_bases(u, y, rows=40, cols=40)
+    assert [b.shape for b in projected_bases(u, y, rows=40, cols=43)] == [(40, 1), (40, 1)]
+
+
+def test_data_bases_keep_the_hankel_size_checks():
+    u, y = white_record(POLE_HALF, 64, 0)
+    with pytest.raises(ValidationError, match="rows must be positive"):
+        projected_bases(u, y, rows=0)
+    with pytest.raises(InsufficientData, match="Hankel block needs 80 samples, got 64"):
+        projected_bases(u, y, rows=20, cols=61)
+    with pytest.raises(ValidationError, match="lengths differ"):
+        projected_bases(u, Signal(y.samples[:-1]), rows=20)
+
+
+def test_data_distance_refuses_systems_sharing_a_root():
+    with pytest.raises(NonSimpleRoot):
+        cascade(SHARED_ROOT_A, SHARED_ROOT_B)
+    pair_a = white_record(SHARED_ROOT_A, 4096, 0)
+    pair_b = white_record(SHARED_ROOT_B, 4096, 1)
+    with pytest.raises(NonSimpleRoot, match="3 of 4 columns"):
+        subspace_distance_from_data(pair_a, pair_b, rows=60)
+
+
+@pytest.mark.parametrize(
+    "systems,length,message",
+    [
+        ((SHARED_ROOT_A, SHARED_ROOT_B), 4096, "share a root"),
+        ((POLE_HALF, POLE_NINE), 260, "more columns than rows"),
+    ],
+)
+def test_cli_subspace_distance_refusals_exit_with_validation_code(
+    tmp_path, capsys, systems, length, message
+):
+    paths = []
+    for seed, system in enumerate(systems):
+        path = tmp_path / f"record{seed}.csv"
+        path.write_text(format_pair_csv(*white_record(system, length, seed)))
+        paths.append(str(path))
+    assert main(["distance", *paths, "--metric", "subspace"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
