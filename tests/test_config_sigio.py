@@ -1,12 +1,18 @@
 """Configuration resolution and the CSV/JSON file formats."""
 
+import csv
+import io
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cepdist import (
     CepdistError,
+    CepstrumSequence,
     ConfigError,
     RunConfig,
     Signal,
@@ -25,8 +31,154 @@ from cepdist import (
     read_model_json,
     read_signal_csv,
 )
+from cepdist.cli import main
+from cepdist.sigio import CSV_CHUNK_ROWS, TIME_JITTER_RTOL
 
 POLE_HALF = ZeroPoleGain.from_roots([0.5], [], 1.0)
+
+# Record lengths around the reader's and the formatters' chunk size.
+CHUNK_LENGTHS = (1, CSV_CHUNK_ROWS - 1, CSV_CHUNK_ROWS, CSV_CHUNK_ROWS + 1, 3 * CSV_CHUNK_ROWS + 5)
+
+
+# The per-row reader and the per-value formatters that the chunked code in
+# cepdist.sigio replaced, kept as the oracles it must match.
+
+
+def _reference_parse_float(text, where):
+    try:
+        return float(text)
+    except ValueError as exc:
+        raise ValidationError(f"{where}: {text!r} is not a number") from exc
+
+
+def _reference_sample_period(times, path):
+    if len(times) < 2:
+        return 1.0
+    dt = times[1] - times[0]
+    if dt <= 0.0:
+        raise ValidationError(f"{path}: time column must be strictly increasing")
+    for idx in range(1, len(times)):
+        step = times[idx] - times[idx - 1]
+        if abs(step - dt) > TIME_JITTER_RTOL * max(abs(dt), 1e-12):
+            raise ValidationError(
+                f"{path}: row {idx + 2}: non-uniform time step {step} (expected {dt})"
+            )
+    return dt
+
+
+def _reference_read_signal_csv(path):
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            rows = [row for row in csv.reader(fh) if row and any(cell.strip() for cell in row)]
+    except OSError as exc:
+        raise ValidationError(f"cannot read signal file {path}: {exc}") from exc
+    if not rows:
+        raise ValidationError(f"{path}: file contains no data")
+
+    def _numeric_row(row):
+        try:
+            for cell in row:
+                float(cell)
+        except ValueError:
+            return False
+        return True
+
+    start = 0 if _numeric_row(rows[0]) else 1
+    if start == 1 and len(rows) == 1:
+        raise ValidationError(f"{path}: file contains a header but no data")
+    width = len(rows[start])
+    if width not in (2, 3):
+        raise ValidationError(f"{path}: expected 2 (t,value) or 3 (t,u,y) columns, got {width}")
+    columns = [[] for _ in range(width)]
+    for offset, row in enumerate(rows[start:], start=start + 1):
+        if len(row) != width:
+            raise ValidationError(f"{path}: row {offset}: expected {width} cells, got {len(row)}")
+        for cidx, cell in enumerate(row):
+            columns[cidx].append(_reference_parse_float(cell.strip(), f"{path}: row {offset}"))
+    period = _reference_sample_period(columns[0], path)
+    if width == 2:
+        return "single", Signal(np.asarray(columns[1]), period)
+    return "pair", (Signal(np.asarray(columns[1]), period), Signal(np.asarray(columns[2]), period))
+
+
+def _reference_format_signal_csv(signal):
+    out = io.StringIO()
+    out.write("t,value\n")
+    for idx, value in enumerate(signal.samples):
+        out.write(f"{idx * signal.sample_period:.12g},{value:.17g}\n")
+    return out.getvalue()
+
+
+def _reference_format_pair_csv(input_signal, output_signal):
+    out = io.StringIO()
+    out.write("t,u,y\n")
+    dt = input_signal.sample_period
+    for idx in range(len(input_signal)):
+        out.write(
+            f"{idx * dt:.12g},{input_signal.samples[idx]:.17g},{output_signal.samples[idx]:.17g}\n"
+        )
+    return out.getvalue()
+
+
+def _reference_format_cepstrum_csv(cepstrum):
+    out = io.StringIO()
+    out.write("k,value\n")
+    if cepstrum.kind == "complex":
+        for k in range(-cepstrum.order, cepstrum.order + 1):
+            out.write(f"{k},{cepstrum.coefficient(k):.17g}\n")
+    else:
+        for k in range(0, cepstrum.order + 1):
+            out.write(f"{k},{cepstrum.coefficient(k):.17g}\n")
+    return out.getvalue()
+
+
+def _reference_format_matrix_csv(ids, values):
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["id", *ids])
+    for idx, name in enumerate(ids):
+        row = [name]
+        for value in values[idx]:
+            row.append("" if math.isnan(value) else f"{value:.17g}")
+        writer.writerow(row)
+    return out.getvalue()
+
+
+def _same_floats(a, b):
+    """Bit-identical arrays: equal values, equal signs of zero, equal dtypes."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _read_both(path):
+    """Read with the reader and the oracle; require bit-identical results."""
+    kind, payload = read_signal_csv(path)
+    ref_kind, ref_payload = _reference_read_signal_csv(path)
+    assert kind == ref_kind
+    signals = payload if kind == "pair" else (payload,)
+    ref_signals = ref_payload if kind == "pair" else (ref_payload,)
+    for got, want in zip(signals, ref_signals):
+        assert _same_floats(got.samples, want.samples)
+        assert got.sample_period == want.sample_period
+    return kind, payload
+
+
+def _raw_values(rng, size):
+    """Floats of many magnitudes, with signed zeros, subnormals and integers."""
+    values = rng.standard_normal(size) * 10.0 ** rng.integers(-300, 300, size)
+    pick = rng.random(size)
+    values[pick < 0.02] = 0.0
+    values[(pick >= 0.02) & (pick < 0.04)] = -0.0
+    values[(pick >= 0.04) & (pick < 0.06)] = 5e-324 * rng.integers(1, 1000)
+    values[(pick >= 0.06) & (pick < 0.12)] = np.round(rng.standard_normal(1) * 100)
+    return values
+
+
+def _cell_texts(rng, values):
+    """Each value written in one of several spellings that float() reads."""
+    spellings = (repr, "{:.17g}".format, "{:.6e}".format, " {!r} ".format, "{:.3f}".format)
+    choice = rng.integers(0, len(spellings), values.size)
+    return [spellings[c](v) for c, v in zip(choice.tolist(), values.tolist())]
 
 
 def test_defaults_validate():
@@ -166,6 +318,11 @@ def test_headerless_numeric_rows_are_accepted(tmp_path):
     assert np.array_equal(signal.samples, [1.5, 2.5, 3.5])
 
 
+# A header, then CSV_CHUNK_ROWS + 2 good rows: a row after them is row
+# CSV_CHUNK_ROWS + 4, in the reader's second chunk of lines.
+_LONG_PREFIX = "t,value\n" + "".join(f"{k},{k}\n" for k in range(CSV_CHUNK_ROWS + 2))
+
+
 @pytest.mark.parametrize(
     "content,fragment",
     [
@@ -176,13 +333,145 @@ def test_headerless_numeric_rows_are_accepted(tmp_path):
         ("t,value\n0,1\n1,oops\n", "row 3"),
         ("t,value\n0,1\n1,2\n2.5,3\n", "non-uniform"),
         ("t,value\n2,1\n1,2\n", "increasing"),
+        # Blank, whitespace-only and comma-only rows are not counted.
+        ("\n , \nt,value\n\n0,1\n,\n1\n", "row 3:"),
+        ("t,value\r\n0,1\r\n\t\r\n1,2\r\n2,oops\r\n", "row 4:"),
+        ('t,value\n"0","1"\n"1",oops\n', "row 3:"),
+        ("0,1\n1,2,3\n", "row 2:"),
+        ("t,u,y\n0,1\n1,2\n2,3,4\n", "row 4:"),
+        (" , \nt,value\n\n", "header but no data"),
+        ("t,value\n0,1,2,3\n", "columns"),
+        pytest.param(_LONG_PREFIX + "oops,1\n", f"row {CSV_CHUNK_ROWS + 4}:", id="cell-in-chunk-2"),
+        pytest.param(_LONG_PREFIX + "1\n", f"row {CSV_CHUNK_ROWS + 4}:", id="width-in-chunk-2"),
+        pytest.param(_LONG_PREFIX + "1e9,1\n", "non-uniform", id="step-in-chunk-2"),
     ],
 )
 def test_signal_file_validation(tmp_path, content, fragment):
     path = tmp_path / "bad.csv"
-    path.write_text(content)
-    with pytest.raises(ValidationError, match=fragment):
+    path.write_bytes(content.encode())
+    with pytest.raises(ValidationError, match=fragment) as raised:
         read_signal_csv(str(path))
+    with pytest.raises(ValidationError) as reference:
+        _reference_read_signal_csv(str(path))
+    assert str(raised.value) == str(reference.value)
+
+
+def test_non_uniform_step_names_its_row_in_headerless_files(tmp_path):
+    # The per-row reader named the row after it when there was no header.
+    path = tmp_path / "raw.csv"
+    path.write_text("0,1\n1,2\n2.5,3\n")
+    with pytest.raises(ValidationError, match=r"raw\.csv: row 3: non-uniform time step 1\.5"):
+        read_signal_csv(str(path))
+
+
+@pytest.mark.parametrize(
+    "content,row",
+    [
+        ("t,value\n0,1\n1,2\nnan,3\n", 4),
+        ("t,value\nnan,1\n1,2\n", 2),
+        ("t,value\n0,1\ninf,2\n", 3),
+        ("t,value\n0,1\n1,nan\n", 3),
+        ("t,u,y\n0,1,2\n1,2,-inf\n", 3),
+        ("t,value\n0,1\n1,1e999\n", 3),
+        ('0,1\n1,"NaN"\n', 2),
+        pytest.param(_LONG_PREFIX + "nan,1\n", CSV_CHUNK_ROWS + 4, id="nan-in-chunk-2"),
+    ],
+)
+def test_non_finite_values_are_refused_with_their_row(tmp_path, content, row):
+    path = tmp_path / "bad.csv"
+    path.write_text(content)
+    with pytest.raises(ValidationError, match=rf"bad\.csv: row {row}: .* is not a finite number"):
+        read_signal_csv(str(path))
+
+
+def test_non_finite_time_stamp_exits_with_validation_code(tmp_path, capsys):
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({"poles": [0.5], "zeros": [], "gain": 1.0}))
+    record = tmp_path / "input.csv"
+    record.write_text("t,value\n0,1\n1,2\nnan,3\n")
+    assert main(["simulate", "--model", str(model), "--input", str(record)]) == 2
+    assert "input.csv: row 4:" in capsys.readouterr().err
+
+
+@settings(max_examples=30)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    length=st.sampled_from(CHUNK_LENGTHS),
+    width=st.sampled_from((2, 3)),
+    header=st.booleans(),
+    newline=st.sampled_from(("\n", "\r\n")),
+    final_newline=st.booleans(),
+    blank_rows=st.booleans(),
+    quoted=st.booleans(),
+)
+def test_reader_matches_the_reference(
+    tmp_path_factory, seed, length, width, header, newline, final_newline, blank_rows, quoted
+):
+    rng = np.random.default_rng(seed)
+    period = float(rng.choice([1.0, 0.01, 0.25, 1e-3]))
+    columns = [["%.12g" % (k * period) for k in range(length)]]
+    columns += [_cell_texts(rng, _raw_values(rng, length)) for _ in range(width - 1)]
+    rows = [",".join(cells) for cells in zip(*columns)]
+    if quoted:
+        for idx in rng.choice(length, size=min(length, 50), replace=False).tolist():
+            rows[idx] = ",".join(f'"{cell}"' for cell in rows[idx].split(","))
+    if header:
+        rows.insert(0, '"t","u","y"' if width == 3 and quoted else ",".join("tuy"[:width]))
+    if blank_rows:
+        for blank in rng.choice(["", "  ", ",", " , ,", "\t", '""'], size=8).tolist():
+            rows.insert(int(rng.integers(0, len(rows) + 1)), blank)
+    text = newline.join(rows) + (newline if final_newline else "")
+    path = tmp_path_factory.mktemp("records") / "record.csv"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+    kind, _ = _read_both(str(path))
+    assert kind == ("pair" if width == 3 else "single")
+
+
+@settings(max_examples=20)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    length=st.sampled_from(CHUNK_LENGTHS),
+    period=st.sampled_from((1.0, 0.01, 1.0 / 3.0, 2.5e-7, 1e6)),
+)
+def test_formatters_match_the_reference(seed, length, period):
+    rng = np.random.default_rng(seed)
+    u = Signal(_raw_values(rng, length), period)
+    y = Signal(_raw_values(rng, length), period)
+    assert format_signal_csv(u) == _reference_format_signal_csv(u)
+    assert format_pair_csv(u, y) == _reference_format_pair_csv(u, y)
+    positive = _raw_values(rng, length)
+    power = CepstrumSequence("power", positive, None, float(rng.standard_normal()))
+    assert format_cepstrum_csv(power) == _reference_format_cepstrum_csv(power)
+    mixed = CepstrumSequence("complex", positive, _raw_values(rng, length), -0.0)
+    assert format_cepstrum_csv(mixed) == _reference_format_cepstrum_csv(mixed)
+
+
+def test_formatted_records_read_back_bit_identical(tmp_path):
+    rng = np.random.default_rng(7)
+    u = Signal(_raw_values(rng, 3 * CSV_CHUNK_ROWS + 5), 0.01)
+    y = Signal(_raw_values(rng, 3 * CSV_CHUNK_ROWS + 5), 0.01)
+    path = tmp_path / "pair.csv"
+    path.write_text(format_pair_csv(u, y))
+    _, (u_back, y_back) = _read_both(str(path))
+    assert _same_floats(u_back.samples, u.samples)
+    assert _same_floats(y_back.samples, y.samples)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 5, CSV_CHUNK_ROWS])
+@pytest.mark.parametrize("seed", range(4))
+def test_matrix_csv_matches_the_reference(monkeypatch, chunk, seed):
+    monkeypatch.setattr("cepdist.sigio.CSV_CHUNK_ROWS", chunk)
+    rng = np.random.default_rng(seed)
+    names = ["a", "b,c", 'q"uote', "per%cent", "%s", "new\nline", "cr\rret", "", " pad ",
+             "nan", "x,nan,y"]
+    size = int(rng.integers(0, len(names) + 1))
+    ids = tuple(rng.permutation(names)[:size].tolist())
+    values = _raw_values(rng, size * size).reshape(size, size)
+    values[rng.random((size, size)) < 0.2] = np.nan
+    values[rng.random((size, size)) < 0.05] = np.inf
+    values[rng.random((size, size)) < 0.05] = -np.inf
+    assert format_matrix_csv(ids, values) == _reference_format_matrix_csv(ids, values)
 
 
 def test_state_space_model_json(tmp_path):

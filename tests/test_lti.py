@@ -26,6 +26,7 @@ from cepdist import (
     spectral_radius,
     state_space_from_roots,
 )
+from cepdist.lti import SIM_BLOCK
 from conftest import draw_roots, random_balanced_min_phase
 
 GRID_64 = 2.0 * np.pi * np.arange(64) / 64
@@ -33,10 +34,55 @@ GRID_64 = 2.0 * np.pi * np.arange(64) / 64
 ONE_POLE = StateSpaceModel(A=[[0.5]], B=[1.0], C=[1.0], D=0.0)
 
 
+# Record lengths around the block size of the lifted recursion.
+BLOCK_LENGTHS = (1, SIM_BLOCK - 1, SIM_BLOCK, SIM_BLOCK + 1, 3 * SIM_BLOCK + 5)
+EPS = np.finfo(float).eps
+
+
 def impulse(n: int) -> Signal:
     samples = np.zeros(n)
     samples[0] = 1.0
     return Signal(samples)
+
+
+def _reference_simulate(model, input_signal, initial_state=None):
+    """The per-sample recursion that the block-lifted simulate replaced."""
+    u = input_signal.samples
+    n = model.order
+    if initial_state is None:
+        x = np.zeros(n)
+    else:
+        x = np.asarray(initial_state, dtype=float).copy()
+    a, b, c, d = model.A, model.B, model.C, model.D
+    y = np.empty(len(u))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(len(u)):
+            y[k] = c @ x + d * u[k]
+            x = a @ x + b * u[k]
+    if not np.all(np.isfinite(y)):
+        raise SimulationOverflow("simulation output left the finite range")
+    return Signal(y, input_signal.sample_period)
+
+
+def _stable_model(rng, order):
+    """A seeded stable model: a controllable canonical realization, turned
+    into a dense one by a random orthogonal change of state coordinates."""
+    if order == 0:
+        return StateSpaceModel(np.zeros((0, 0)), np.zeros(0), np.zeros(0), rng.standard_normal())
+    gain = 1.0 + rng.random()
+    model = state_space_from_roots(
+        ZeroPoleGain.from_roots(draw_roots(rng, order), draw_roots(rng, order), gain)
+    )
+    q, _ = np.linalg.qr(rng.standard_normal((order, order)))
+    return StateSpaceModel(q @ model.A @ q.T, q @ model.B, model.C @ q.T, model.D)
+
+
+def _reached_state(model, rng):
+    """A state the model reaches from rest under 200 samples of unit noise."""
+    x = np.zeros(model.order)
+    for value in rng.standard_normal(200):
+        x = model.A @ x + model.B * value
+    return x
 
 
 def test_simulate_zero_input_gives_zero_output():
@@ -73,6 +119,45 @@ def test_simulate_overflow_is_reported():
     growing = StateSpaceModel(A=[[2.0]], B=[1.0], C=[1.0], D=0.0)
     with pytest.raises(SimulationOverflow):
         simulate(growing, Signal(np.ones(1200)))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("order", [0, 1, 2, 8])
+@pytest.mark.parametrize("length", BLOCK_LENGTHS)
+@pytest.mark.parametrize("with_state", [False, True])
+def test_lifted_simulation_matches_the_recursion(order, length, with_state):
+    for seed in range(5):
+        rng = np.random.default_rng([order, length, seed])
+        model = _stable_model(rng, order)
+        u = Signal(rng.standard_normal(length), 0.5)
+        x0 = _reached_state(model, rng) if with_state else None
+        got = simulate(model, u, initial_state=x0)
+        want = _reference_simulate(model, u, x0)
+        assert got.sample_period == 0.5
+        h = _reference_simulate(model, impulse(4096)).samples
+        bound = 64 * order * EPS * np.sum(np.abs(h)) * np.max(np.abs(u.samples))
+        assert np.max(np.abs(got.samples - want.samples)) <= bound
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("pole", [1.5, 1e5])
+@pytest.mark.parametrize(
+    "length", [*BLOCK_LENGTHS, SIM_BLOCK // 2 - 1, SIM_BLOCK // 2 + 1, 700, 2000]
+)
+def test_growing_models_give_the_recursion_output_or_its_refusal(pole, length):
+    model = StateSpaceModel(A=[[pole]], B=[1.0], C=[1.0], D=0.5)
+    u = Signal(np.random.default_rng(length).uniform(0.5, 1.0, length))
+    try:
+        want = _reference_simulate(model, u).samples
+    except SimulationOverflow:
+        with pytest.raises(SimulationOverflow):
+            simulate(model, u)
+        return
+    got = simulate(model, u).samples
+    # Rounding is relative to the sizes of the terms each output sums.
+    h = _reference_simulate(model, impulse(length)).samples
+    scale = np.convolve(np.abs(h), np.abs(u.samples))[:length]
+    assert np.all(np.abs(got - want) <= 64 * EPS * scale)
 
 
 def test_invert_direct_one_state_case():
