@@ -15,7 +15,13 @@ import sys
 
 import numpy as np
 
-from .cluster import METRIC_ALIASES, METRICS, agglomerative_cluster, distance_matrix
+from .cluster import (
+    METRIC_ALIASES,
+    METRICS,
+    agglomerative_cluster,
+    distance_matrix,
+    item_features,
+)
 from .config import CONFIG_KEYS, LINKAGES, RunConfig, load_config
 from .errors import (
     CepdistError,
@@ -39,7 +45,7 @@ from .metrics import (
     euclidean_distance,
     weighted_cepstral_distance,
 )
-from .phase import INDETERMINATE, MINIMUM_PHASE, classify_from_io, classify_from_model
+from .phase import classify_from_io, classify_from_model
 from .sigio import (
     canonical_json,
     format_cepstrum_csv,
@@ -56,7 +62,7 @@ from .spectral import (
     transfer_cepstrum_from_io,
     transfer_complex_cepstrum_from_io,
 )
-from .subspace import subspace_distance_from_data
+from .subspace import subspace_distance_from_bases
 from .verify import CASES, run_verify
 
 GENERATED_INPUTS = ("white", "impulse", "step")
@@ -168,6 +174,8 @@ def cmd_cepstrum(args: argparse.Namespace, config: RunConfig) -> int:
 
 def _distance_report(path_a: str, path_b: str, metric: str, config: RunConfig) -> dict:
     metric = METRIC_ALIASES.get(metric, metric)
+    if metric not in METRICS:
+        raise ValidationError(f"metric must be one of {METRICS}, got {metric!r}")
     kind_a, payload_a = read_signal_csv(path_a)
     kind_b, payload_b = read_signal_csv(path_b)
     report = {
@@ -176,43 +184,25 @@ def _distance_report(path_a: str, path_b: str, metric: str, config: RunConfig) -
         "metric": metric,
         "inputs": [os.path.basename(path_a), os.path.basename(path_b)],
     }
-
-    def _output_part(kind: str, payload):
-        return payload[1] if kind == "pair" else payload
+    if metric == "subspace" and (kind_a != "pair" or kind_b != "pair"):
+        raise ValidationError("the subspace metric needs t,u,y pair files")
+    feats = []
+    for path, payload in ((path_a, payload_a), (path_b, payload_b)):
+        try:
+            feats.append(item_features(payload, metric, config))
+        except MixedPhaseUnsupported as exc:
+            raise MixedPhaseUnsupported(f"{path}: {exc}") from None
 
     if metric == "cepstral":
-        feats = []
-        for kind, payload in ((kind_a, payload_a), (kind_b, payload_b)):
-            if kind == "pair":
-                feats.append(transfer_cepstrum_from_io(payload[0], payload[1], config))
-            else:
-                feats.append(power_cepstrum_of_signal(payload, config))
         result = weighted_cepstral_distance(feats[0], feats[1])
         report.update(value=result.value, order=result.order, tail_bound=result.tail_bound)
     elif metric == "euclidean":
-        report["value"] = euclidean_distance(
-            _output_part(kind_a, payload_a), _output_part(kind_b, payload_b)
-        )
+        report["value"] = euclidean_distance(feats[0], feats[1])
     elif metric == "cosine":
-        similarity = cosine_similarity(
-            _output_part(kind_a, payload_a), _output_part(kind_b, payload_b)
-        )
+        similarity = cosine_similarity(feats[0], feats[1])
         report.update(value=1.0 - similarity, similarity=similarity)
-    elif metric == "subspace":
-        if kind_a != "pair" or kind_b != "pair":
-            raise ValidationError("the subspace metric needs t,u,y pair files")
-        for path, payload in ((path_a, payload_a), (path_b, payload_b)):
-            verdict = classify_from_io(payload[0], payload[1], config)
-            if verdict.kind not in (MINIMUM_PHASE, INDETERMINATE):
-                raise MixedPhaseUnsupported(
-                    f"{path}: record classified as {verdict.kind}; the subspace "
-                    "route needs minimum phase records"
-                )
-        report["value"] = subspace_distance_from_data(
-            payload_a, payload_b, config.hankel_rows
-        )
     else:
-        raise ValidationError(f"metric must be one of {METRICS}, got {metric!r}")
+        report["value"] = subspace_distance_from_bases(feats[0], feats[1])
     return report
 
 

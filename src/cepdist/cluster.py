@@ -17,7 +17,7 @@ import numpy as np
 from .config import LINKAGES, RunConfig
 from .errors import CepdistError, MixedPhaseUnsupported, ValidationError
 from .lti import Signal
-from .metrics import cosine_similarity, euclidean_distance, weighted_cepstral_distance
+from .metrics import cosine_similarity, euclidean_distance, weighted_cepstral_matrix
 from .phase import INDETERMINATE, MINIMUM_PHASE, classify_from_io
 from .spectral import power_cepstrum_of_signal, transfer_cepstrum_from_io
 from .subspace import projected_bases, subspace_distance_from_bases
@@ -89,7 +89,15 @@ def distance_matrix(
     ``cepstral`` compares weighted power cepstra (transfer cepstra when
     pairs are given), ``subspace`` needs pairs and compares projected
     Hankel ranges, ``euclidean`` and ``cosine`` compare output samples
-    pointwise.
+    pointwise. Each item's features come from ``item_features``; an item
+    whose features fail makes every cell it touches NaN, with one failure
+    entry per cell in row-major (i, j) order.
+
+    The cepstral matrix is computed in one batch by
+    ``weighted_cepstral_matrix``, row by row, with cells bit-identical to
+    ``weighted_cepstral_distance`` and no tail bounds. The other metrics
+    call their pair function once per cell, and a failed pair makes only
+    its own cell NaN.
     """
     metric = METRIC_ALIASES.get(metric, metric)
     if metric not in METRICS:
@@ -107,51 +115,69 @@ def distance_matrix(
     if metric == "subspace" and not paired:
         raise ValidationError("the subspace metric needs (input, output) pairs")
 
-    failures: list[tuple[str, str, str]] = []
     features: list = [None] * n
     broken: dict[int, str] = {}
     for idx, item in enumerate(items):
         try:
-            if metric == "cepstral":
-                if paired:
-                    features[idx] = transfer_cepstrum_from_io(item[0], item[1], config)
-                else:
-                    features[idx] = power_cepstrum_of_signal(item, config)
-            elif metric == "subspace":
-                # The data-driven subspace route is only valid behind stable
-                # minimum phase generators; gate each record on its verdict.
-                verdict = classify_from_io(item[0], item[1], config)
-                if verdict.kind not in (MINIMUM_PHASE, INDETERMINATE):
-                    raise MixedPhaseUnsupported(
-                        f"record classified as {verdict.kind}; the subspace metric "
-                        "needs minimum phase records"
-                    )
-                features[idx] = projected_bases(item[0], item[1], config.hankel_rows)
-            else:
-                features[idx] = item[1] if paired else item
+            features[idx] = item_features(item, metric, config)
         except CepdistError as exc:
             broken[idx] = str(exc)
 
     values = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            if i in broken or j in broken:
-                values[i, j] = values[j, i] = np.nan
-                failures.append((ids[i], ids[j], broken.get(i) or broken.get(j)))
-                continue
-            try:
-                values[i, j] = values[j, i] = _pair_distance(
-                    metric, features[i], features[j]
-                )
-            except CepdistError as exc:
-                values[i, j] = values[j, i] = np.nan
-                failures.append((ids[i], ids[j], str(exc)))
+    if metric == "cepstral":
+        # No cepstral pair can fail on its own, so only the cells that touch
+        # a broken item are visited below, in the same row-major order.
+        bad = np.isin(np.arange(n), list(broken))
+        good = np.flatnonzero(~bad)
+        if good.size > 1:
+            values[np.ix_(good, good)] = weighted_cepstral_matrix([features[i] for i in good])
+        rows, cols = np.nonzero(np.triu(bad[:, None] | bad, 1))
+        cells = zip(rows.tolist(), cols.tolist())
+    else:
+        cells = ((i, j) for i in range(n) for j in range(i + 1, n))
+
+    failures: list[tuple[str, str, str]] = []
+    for i, j in cells:
+        if i in broken or j in broken:
+            values[i, j] = values[j, i] = np.nan
+            failures.append((ids[i], ids[j], broken.get(i) or broken.get(j)))
+            continue
+        try:
+            values[i, j] = values[j, i] = _pair_distance(metric, features[i], features[j])
+        except CepdistError as exc:
+            values[i, j] = values[j, i] = np.nan
+            failures.append((ids[i], ids[j], str(exc)))
     return DistanceMatrix(values, ids, metric, tuple(failures))
 
 
-def _pair_distance(metric: str, feat_i, feat_j) -> float:
+def item_features(item, metric: str, config: RunConfig):
+    """What one item contributes to its distances under ``metric``.
+
+    ``item`` is a signal or an (input, output) pair. ``cepstral`` gives the
+    transfer cepstrum of a pair or the power cepstrum of a signal;
+    ``subspace`` gives the projected Hankel bases of a pair, and refuses
+    with MixedPhaseUnsupported a record whose phase verdict is neither
+    minimum phase nor indeterminate, because the data route is only valid
+    behind stable minimum phase generators; ``euclidean`` and ``cosine``
+    use the output samples themselves.
+    """
+    paired = isinstance(item, tuple)
     if metric == "cepstral":
-        return weighted_cepstral_distance(feat_i, feat_j).value
+        if paired:
+            return transfer_cepstrum_from_io(item[0], item[1], config)
+        return power_cepstrum_of_signal(item, config)
+    if metric == "subspace":
+        verdict = classify_from_io(item[0], item[1], config)
+        if verdict.kind not in (MINIMUM_PHASE, INDETERMINATE):
+            raise MixedPhaseUnsupported(
+                f"record classified as {verdict.kind}; the subspace metric "
+                "needs minimum phase records"
+            )
+        return projected_bases(item[0], item[1], config.hankel_rows)
+    return item[1] if paired else item
+
+
+def _pair_distance(metric: str, feat_i, feat_j) -> float:
     if metric == "euclidean":
         return euclidean_distance(feat_i, feat_j)
     if metric == "cosine":
@@ -172,11 +198,15 @@ def agglomerative_cluster(
     Each step merges the closest pair of clusters. Clusters are kept in
     order of their first member, and a merged cluster takes the place of
     its first part; on a tie the first pair (a, b), a < b, in this cluster
-    order is merged, and labels follow the same order. A table of the current linkage distances is kept, and a
-    merge recomputes only the merged cluster's row: O(n) linkage
-    evaluations per merge and O(n^2) in all. A merge at an infinite
-    linkage distance is refused with ValidationError, because k cannot be
-    reached at a finite height then.
+    order is merged, and labels follow the same order. A table of the
+    current linkage distances is kept, and a merge recomputes only the
+    merged cluster's row: O(n) linkage evaluations per merge and O(n^2) in
+    all. Single and complete linkage combine the two old rows elementwise.
+    Average linkage takes each cell's mean over its whole block, in a few
+    batched reductions per merge (one per block shape), with the same bits
+    as a separate mean per block. A merge at an infinite linkage distance
+    is refused with ValidationError, because k cannot be reached at a
+    finite height then.
     """
     if linkage not in LINKAGES:
         raise ValidationError(f"linkage must be one of {LINKAGES}, got {linkage!r}")
@@ -216,14 +246,7 @@ def agglomerative_cluster(
         heights.append(height)
         merged = clusters[a] + clusters[b]
         if linkage == "average":
-            # A running mean would change the last bits of the heights, so
-            # each cell is the mean over its whole block, with the earlier
-            # cluster's members as rows, as in a scan over pairs.
-            row = np.full(len(clusters), np.inf)
-            for c, members in enumerate(clusters):
-                if c not in (a, b):
-                    rows, cols = (members, merged) if c < a else (merged, members)
-                    row[c] = float(np.mean(dist[np.ix_(rows, cols)]))
+            row = _average_row(dist, clusters, a, b, merged)
         else:
             # The min or max over a union of blocks is exactly the min or
             # max of the two blocks' results.
@@ -241,6 +264,35 @@ def agglomerative_cluster(
         for local in members:
             labels[usable[local]] = rank
     return ClusterResult(tuple(labels), tuple(heights), linkage)
+
+
+def _average_row(
+    dist: np.ndarray, clusters: list[list[int]], a: int, b: int, merged: list[int]
+) -> np.ndarray:
+    """Average linkage from ``merged``, the union of clusters a and b, to every cluster.
+
+    A running mean would change the last bits of the heights, so each cell
+    is the mean over its whole block, with the earlier cluster's members as
+    rows, as in a scan over pairs. Blocks of one shape (the same side of a,
+    the same member count) are gathered by one fancy index into a
+    C-contiguous (count, r*s) array, laid out as each block alone, and
+    ``np.mean`` over its rows reduces each in the order it reduces the
+    block alone. Cells at a and b stay inf.
+    """
+    target = np.asarray(merged)
+    groups: dict[tuple[bool, int], list[int]] = {}
+    for c, members in enumerate(clusters):
+        if c != a and c != b:
+            groups.setdefault((c < a, len(members)), []).append(c)
+    row = np.full(len(clusters), np.inf)
+    for (before, _), cs in groups.items():
+        others = np.array([clusters[c] for c in cs])
+        if before:
+            blocks = dist[others[:, :, None], target[None, None, :]]
+        else:
+            blocks = dist[target[None, :, None], others[:, None, :]]
+        row[cs] = np.mean(blocks.reshape(len(cs), -1), axis=1)
+    return row
 
 
 def _table_row(link: np.ndarray, a: int) -> np.ndarray:

@@ -12,7 +12,7 @@ what the verification front end checks numerically.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -48,6 +48,17 @@ def _power_lags(c: CepstrumSequence) -> np.ndarray:
         return c.positive
     # A complex cepstrum folds to the power one by adding the two halves.
     return c.positive + c.negative
+
+
+def _weighted_square_sum(delta: np.ndarray) -> np.ndarray:
+    """Sum over the last axis of k * delta(k)^2, k = 1..K.
+
+    NumPy reduces each contiguous row of a stacked array on its own, in the
+    same pairwise order as a 1-D array, so a row gives the same bits
+    whether it is reduced alone or with others.
+    """
+    k = np.arange(1, delta.shape[-1] + 1)
+    return np.sum(k * delta**2, axis=-1)
 
 
 def _geometric_tail(amplitude: float, radius: float, order: int) -> float:
@@ -87,16 +98,38 @@ def weighted_cepstral_distance(
         raise KindMismatch(f"cannot mix cepstrum kinds {c1.kind!r} and {c2.kind!r}")
     order = min(c1.order, c2.order)
     delta = _power_lags(c1)[:order] - _power_lags(c2)[:order]
-    k = np.arange(1, delta.size + 1)
-    value = float(np.sum(k * delta**2))
+    value = float(_weighted_square_sum(delta))
     return WeightedCepstralResult(value, delta.size, _tail_bound(delta, c1, c2))
+
+
+def weighted_cepstral_matrix(cepstra: Sequence[CepstrumSequence]) -> np.ndarray:
+    """Weighted cepstral distances between all pairs of cepstra, as a matrix.
+
+    The cepstra must share one kind and one order. Each cell equals
+    ``weighted_cepstral_distance(...).value`` bit for bit: the lags are
+    stacked once, and row i is reduced against all later rows in one call.
+    The difference is taken directly, because the Gram expansion
+    |a|^2 + |b|^2 - 2 a.b cancels near zero distance. No tail bound is
+    computed.
+    """
+    kinds = {c.kind for c in cepstra}
+    if len(kinds) > 1:
+        raise KindMismatch(f"cannot mix cepstrum kinds {sorted(kinds)}")
+    orders = {c.order for c in cepstra}
+    if len(orders) > 1:
+        raise ValidationError(f"cepstra must share one order, got {sorted(orders)}")
+    lags = np.stack([_power_lags(c) for c in cepstra])
+    n = lags.shape[0]
+    values = np.zeros((n, n))
+    for i in range(n - 1):
+        values[i, i + 1 :] = values[i + 1 :, i] = _weighted_square_sum(lags[i] - lags[i + 1 :])
+    return values
 
 
 def weighted_cepstral_norm(c: CepstrumSequence) -> WeightedCepstralResult:
     """Weighted cepstral distance from the all-pass class: sum of k * c(k)^2."""
     lags = _power_lags(c)
-    k = np.arange(1, lags.size + 1)
-    value = float(np.sum(k * lags**2))
+    value = float(_weighted_square_sum(lags))
     return WeightedCepstralResult(value, lags.size, _tail_bound(lags, c, None))
 
 

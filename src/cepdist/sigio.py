@@ -139,7 +139,7 @@ def read_signal_csv(path: str) -> tuple[str, Signal | tuple[Signal, Signal]]:
     among the non-blank rows, header included; every value must be finite.
     """
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             table, first_row = _read_table(fh, path)
     except OSError as exc:
         raise ValidationError(f"cannot read signal file {path}: {exc}") from exc
@@ -224,7 +224,7 @@ def _parse_root(entry, where: str) -> complex:
 def read_model_json(path: str) -> StateSpaceModel | ZeroPoleGain:
     """Read a model file in state-space or root form."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             data = json.load(fh)
     except OSError as exc:
         raise ValidationError(f"cannot read model file {path}: {exc}") from exc

@@ -7,8 +7,15 @@ import sys
 import numpy as np
 import pytest
 
-from cepdist import Signal, format_pair_csv, format_signal_csv, make_example_signals
+from cepdist import (
+    Signal,
+    ZeroPoleGain,
+    format_pair_csv,
+    format_signal_csv,
+    make_example_signals,
+)
 from cepdist.cli import main
+from conftest import white_record
 
 MIN_PHASE_MODEL = {"poles": [0.9, 0.7, 0.4], "zeros": [0.8, 0.6, 0.0], "gain": 1.0}
 MAX_PHASE_MODEL = {
@@ -104,6 +111,19 @@ def test_distance_rejects_length_mismatch(tmp_path, capsys):
     b = write_signal(tmp_path, "b.csv", np.ones(9))
     assert main(["distance", a, b, "--metric", "euclidean"]) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_subspace_distance_gate_names_the_refused_file(tmp_path, capsys):
+    good = tmp_path / "good.csv"
+    bad = tmp_path / "bad.csv"
+    minimum = ZeroPoleGain.from_roots([0.5], [], 1.0)
+    mixed = ZeroPoleGain.from_roots([0.9], [2.5], 1.0)
+    good.write_text(format_pair_csv(*white_record(minimum, 4096, 0)))
+    bad.write_text(format_pair_csv(*white_record(mixed, 4096, 1)))
+    assert main(["distance", str(good), str(bad), "--metric", "subspace"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: record classified as ")
+    assert "the subspace metric needs minimum phase records" in err
 
 
 def test_classify_models_and_records(tmp_path, capsys):

@@ -6,14 +6,20 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cepdist import (
+    CepdistError,
     DistanceMatrix,
     RunConfig,
     Signal,
     ValidationError,
     ZeroPoleGain,
     agglomerative_cluster,
+    cosine_similarity,
     distance_matrix,
+    euclidean_distance,
     make_example_signals,
+    power_cepstrum_of_signal,
+    transfer_cepstrum_from_io,
+    weighted_cepstral_distance,
 )
 from conftest import white_record
 
@@ -28,12 +34,50 @@ POLE_NINETY_FIVE = ZeroPoleGain.from_roots([0.95], [], 1.0)
 MIXED_SYSTEM = ZeroPoleGain.from_roots([0.9], [2.5], 1.0)
 
 
-def _reference_cluster(matrix, k, linkage="average"):
-    """The O(n^3) pair scan that the linkage table replaced, kept as the oracle.
+def _reference_distance_matrix(items, metric, config):
+    """The per-pair loop that the batched cepstral kernel replaced, kept as the oracle.
 
-    Every merge recomputes the linkage of every cluster pair and keeps the
-    first strict minimum in (a, b), a < b, order.
+    Covers the cepstral, euclidean and cosine metrics. Returns the values
+    and the failures, with the default ids.
     """
+    n = len(items)
+    ids = tuple(f"item{idx:03d}" for idx in range(n))
+    features = [None] * n
+    broken = {}
+    for idx, item in enumerate(items):
+        paired = isinstance(item, tuple)
+        try:
+            if metric != "cepstral":
+                features[idx] = item[1] if paired else item
+            elif paired:
+                features[idx] = transfer_cepstrum_from_io(item[0], item[1], config)
+            else:
+                features[idx] = power_cepstrum_of_signal(item, config)
+        except CepdistError as exc:
+            broken[idx] = str(exc)
+    pair = {
+        "cepstral": lambda a, b: weighted_cepstral_distance(a, b).value,
+        "euclidean": euclidean_distance,
+        "cosine": lambda a, b: 1.0 - cosine_similarity(a, b),
+    }[metric]
+    values = np.zeros((n, n))
+    failures = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            if i in broken or j in broken:
+                values[i, j] = values[j, i] = np.nan
+                failures.append((ids[i], ids[j], broken.get(i) or broken.get(j)))
+                continue
+            try:
+                values[i, j] = values[j, i] = pair(features[i], features[j])
+            except CepdistError as exc:
+                values[i, j] = values[j, i] = np.nan
+                failures.append((ids[i], ids[j], str(exc)))
+    return values, tuple(failures)
+
+
+def _usable_block(matrix):
+    """Indices left after peeling off the worst NaN rows, and their block."""
     n = matrix.size
     nan_mask = np.isnan(matrix.values) & ~np.eye(n, dtype=bool)
     usable = list(range(n))
@@ -43,8 +87,29 @@ def _reference_cluster(matrix, k, linkage="average"):
         if counts[worst] == 0:
             break
         usable.pop(worst)
-    dist = matrix.values[np.ix_(usable, usable)].astype(float)
-    reduce = {"single": np.min, "complete": np.max, "average": np.mean}[linkage]
+    return usable, matrix.values[np.ix_(usable, usable)].astype(float)
+
+
+def _labels(n, usable, clusters):
+    labels = [-1] * n
+    order = sorted(range(len(clusters)), key=lambda c: min(clusters[c]))
+    for rank, c in enumerate(order):
+        for local in clusters[c]:
+            labels[usable[local]] = rank
+    return tuple(labels)
+
+
+_REDUCE = {"single": np.min, "complete": np.max, "average": np.mean}
+
+
+def _reference_cluster(matrix, k, linkage="average"):
+    """The O(n^3) pair scan that the linkage table replaced, kept as the oracle.
+
+    Every merge recomputes the linkage of every cluster pair and keeps the
+    first strict minimum in (a, b), a < b, order.
+    """
+    usable, dist = _usable_block(matrix)
+    reduce = _REDUCE[linkage]
     clusters = [[i] for i in range(len(usable))]
     heights = []
     while len(clusters) > k:
@@ -58,12 +123,40 @@ def _reference_cluster(matrix, k, linkage="average"):
         heights.append(float(d))
         clusters[a] = clusters[a] + clusters[b]
         clusters.pop(b)
-    labels = [-1] * n
-    order = sorted(range(len(clusters)), key=lambda c: min(clusters[c]))
-    for rank, c in enumerate(order):
-        for local in clusters[c]:
-            labels[usable[local]] = rank
-    return tuple(labels), tuple(heights)
+    return _labels(matrix.size, usable, clusters), tuple(heights)
+
+
+def _reference_table_cluster(matrix, k, linkage="average"):
+    """The linkage table with one reduction per recomputed cell, kept as an oracle.
+
+    Same merges as ``_reference_cluster`` in O(n^2) reductions instead of
+    O(n^3), so it can check a few hundred items: each cell of the merged
+    cluster's row is reduced from its whole block, the earlier cluster's
+    members as rows. It is the form the grouped average update replaced.
+    """
+    usable, dist = _usable_block(matrix)
+    reduce = _REDUCE[linkage]
+    m = len(usable)
+    clusters = [[i] for i in range(m)]
+    start = dist + 0.0 if linkage == "average" else dist
+    link = np.where(np.triu(np.ones((m, m), dtype=bool), 1), start, np.inf)
+    heights = []
+    while len(clusters) > k:
+        a, b = divmod(int(np.argmin(link)), len(clusters))
+        heights.append(float(link[a, b]))
+        merged = clusters[a] + clusters[b]
+        row = np.full(len(clusters), np.inf)
+        for c, members in enumerate(clusters):
+            if c not in (a, b):
+                rows, cols = (members, merged) if c < a else (merged, members)
+                row[c] = float(reduce(dist[np.ix_(rows, cols)]))
+        clusters[a] = merged
+        clusters.pop(b)
+        link = np.delete(np.delete(link, b, axis=0), b, axis=1)
+        row = np.delete(row, b)
+        link[:a, a] = row[:a]
+        link[a, a + 1 :] = row[a + 1 :]
+    return _labels(matrix.size, usable, clusters), tuple(heights)
 
 
 def _symmetric(upper):
@@ -71,15 +164,15 @@ def _symmetric(upper):
     return values + values.T
 
 
-def _assert_matches_reference(values):
+def _assert_matches_reference(values, reference=_reference_cluster):
     """Labels and merge heights equal the reference exactly, for every linkage."""
     n = values.shape[0]
     matrix = DistanceMatrix(values, tuple(f"x{i}" for i in range(n)), "euclidean")
-    usable = sum(label >= 0 for label in _reference_cluster(matrix, k=1)[0])
+    usable = len(_usable_block(matrix)[0])
     for linkage in ("single", "complete", "average"):
         for k in sorted({1, 2, usable - 1, usable} & set(range(1, usable + 1))):
             result = agglomerative_cluster(matrix, k, linkage)
-            labels, heights = _reference_cluster(matrix, k, linkage)
+            labels, heights = reference(matrix, k, linkage)
             assert result.labels == labels, (linkage, k)
             assert result.merge_heights == heights, (linkage, k)
 
@@ -314,3 +407,100 @@ def test_negative_zero_cells_keep_the_reference_heights():
             assert result.merge_heights == heights
             if linkage != "single":
                 assert [repr(h) for h in result.merge_heights] == [repr(h) for h in heights]
+
+
+def _kernel_config(order):
+    # fft_length 512 covers every order up to 256; K_test may not exceed K.
+    return RunConfig(method="welch", window_len=64, fft_length=512, K=order, K_test=1)
+
+
+def _cepstral_items(count, paired, seed, broken=()):
+    """Records of random one-pole systems; those at ``broken`` have an all-zero
+    output, whose spectrum has zero bins, so their features fail."""
+    rng = np.random.default_rng(seed)
+    items = []
+    for idx in range(count):
+        pole = ZeroPoleGain.from_roots([rng.uniform(-0.9, 0.9)], [], 1.0)
+        u, y = white_record(pole, 512, int(rng.integers(2**31)))
+        if idx in broken:
+            y = Signal(np.zeros(len(y)))
+        items.append((u, y) if paired else y)
+    return items
+
+
+def _assert_matrix_matches_reference(items, metric, config):
+    matrix = distance_matrix(items, metric, config)
+    values, failures = _reference_distance_matrix(items, metric, config)
+    assert np.array_equal(matrix.values, values, equal_nan=True)
+    assert matrix.failures == failures
+    return matrix
+
+
+@pytest.mark.parametrize("paired", [False, True])
+@pytest.mark.parametrize("order", [1, 7, 8, 9, 127, 128, 129, 256])
+def test_cepstral_matrix_equals_the_pair_loop(order, paired):
+    # The orders straddle NumPy's 8-way unrolled sum and its 128-element
+    # pairwise block.
+    items = _cepstral_items(9, paired, seed=order)
+    matrix = _assert_matrix_matches_reference(items, "cepstral", _kernel_config(order))
+    assert matrix.failures == ()
+
+
+@pytest.mark.parametrize("paired", [False, True])
+@pytest.mark.parametrize("position", [0, 4, 8])
+def test_cepstral_matrix_marks_a_broken_item_like_the_pair_loop(position, paired):
+    items = _cepstral_items(9, paired, seed=position, broken={position})
+    matrix = _assert_matrix_matches_reference(items, "cepstral", _kernel_config(64))
+    assert len(matrix.failures) == 8
+    assert np.isnan(np.delete(matrix.values[position], position)).all()
+    assert np.isfinite(np.delete(np.delete(matrix.values, position, 0), position, 1)).all()
+
+
+@given(
+    count=st.integers(min_value=2, max_value=10),
+    order=st.integers(min_value=1, max_value=256),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    paired=st.booleans(),
+)
+def test_cepstral_matrix_equals_the_pair_loop_property(count, order, seed, paired):
+    broken = set(np.random.default_rng(seed).choice(count, size=seed % 3, replace=True).tolist())
+    items = _cepstral_items(count, paired, seed, broken)
+    _assert_matrix_matches_reference(items, "cepstral", _kernel_config(order))
+
+
+@pytest.mark.parametrize("metric", ["euclidean", "cosine"])
+def test_per_cell_metrics_keep_their_pair_failures(metric):
+    # A short signal fails its pairs on length, an all-zero one its cosine
+    # pairs; each failure stays on its own cell.
+    signals = random_signals(6, seed=8)
+    signals[2] = Signal(np.zeros(64))
+    signals[4] = random_signals(1, length=32)[0]
+    matrix = _assert_matrix_matches_reference(signals, metric, CLUSTER_CONFIG)
+    assert len(matrix.failures) == (9 if metric == "cosine" else 5)
+
+
+def _clustered_cloud(n, seed):
+    """Distances between points drawn around 8 centres in 3-D."""
+    rng = np.random.default_rng(seed)
+    centres = 6.0 * rng.standard_normal((8, 3))
+    points = centres[rng.integers(0, 8, n)] + rng.standard_normal((n, 3))
+    return np.sqrt(((points[:, None, :] - points[None, :, :]) ** 2).sum(axis=-1))
+
+
+@pytest.mark.parametrize("n", [105, 300])
+def test_grouped_average_matches_the_per_cell_table_on_clustered_clouds(n):
+    # Merges inside the clouds leave many clusters of each small size on
+    # both sides of the merged one, so the grouped update gathers several
+    # blocks per reduction in both orientations.
+    _assert_matches_reference(_clustered_cloud(n, seed=n), _reference_table_cluster)
+
+
+def test_grouped_average_matches_when_every_cluster_has_its_own_size():
+    # Clumps of 1, 2, 4, 8 and 16 points with widening gaps, in shuffled
+    # order: once the clumps have formed they merge in a chain, and no two
+    # clusters ever share a size, so every group holds one block.
+    rng = np.random.default_rng(21)
+    centres = (0.0, 10.0, 30.0, 70.0, 150.0)
+    positions = np.concatenate([c + rng.random(2**j) for j, c in enumerate(centres)])
+    points = positions[rng.permutation(positions.size)]
+    _assert_matches_reference(np.abs(points[:, None] - points[None, :]))

@@ -318,6 +318,30 @@ def test_headerless_numeric_rows_are_accepted(tmp_path):
     assert np.array_equal(signal.samples, [1.5, 2.5, 3.5])
 
 
+@pytest.mark.parametrize(
+    "content,samples",
+    [("0,1\n1,2\n2,3\n", [1.0, 2.0, 3.0]), ("t,value\n0,1\n1,2\n", [1.0, 2.0])],
+)
+def test_byte_order_mark_is_not_part_of_the_first_row(tmp_path, content, samples):
+    # A UTF-8 byte-order mark used to stick to the first cell, so a
+    # headerless file lost its first row to header detection.
+    path = tmp_path / "bom.csv"
+    path.write_bytes(b"\xef\xbb\xbf" + content.encode())
+    kind, signal = read_signal_csv(str(path))
+    assert kind == "single"
+    assert np.array_equal(signal.samples, samples)
+
+
+def test_simulate_reads_an_input_file_with_a_byte_order_mark(tmp_path, capsys):
+    model = tmp_path / "model.json"
+    identity = {"A": [[0.0]], "B": [0.0], "C": [0.0], "D": 1.0}
+    model.write_bytes(b"\xef\xbb\xbf" + json.dumps(identity).encode())
+    record = tmp_path / "input.csv"
+    record.write_bytes(b"\xef\xbb\xbf0,1\n1,2\n2,3\n")
+    assert main(["simulate", "--model", str(model), "--input", str(record)]) == 0
+    assert capsys.readouterr().out == "t,u,y\n0,1,1\n1,2,2\n2,3,3\n"
+
+
 # A header, then CSV_CHUNK_ROWS + 2 good rows: a row after them is row
 # CSV_CHUNK_ROWS + 4, in the reader's second chunk of lines.
 _LONG_PREFIX = "t,value\n" + "".join(f"{k},{k}\n" for k in range(CSV_CHUNK_ROWS + 2))

@@ -27,6 +27,7 @@ from cepdist import (
     weighted_cepstral_distance,
     weighted_cepstral_norm,
 )
+from cepdist.metrics import weighted_cepstral_matrix
 from conftest import draw_roots, random_any_phase, random_min_phase
 
 POLE_HALF = ZeroPoleGain.from_roots([0.5], [], 1.0)
@@ -71,6 +72,26 @@ def test_distance_rejects_mixed_kinds():
     two_sided = complex_cepstrum_from_zpk(POLE_HALF, 16)
     with pytest.raises(KindMismatch):
         weighted_cepstral_distance(power, two_sided)
+
+
+def test_matrix_rejects_mixed_kinds_and_orders():
+    power = power_cepstrum_from_zpk(POLE_HALF, 16)
+    with pytest.raises(KindMismatch):
+        weighted_cepstral_matrix([power, complex_cepstrum_from_zpk(POLE_NINE, 16)])
+    with pytest.raises(ValidationError):
+        weighted_cepstral_matrix([power, power_cepstrum_from_zpk(POLE_NINE, 8)])
+
+
+@pytest.mark.parametrize("route", [power_cepstrum_from_zpk, complex_cepstrum_from_zpk])
+def test_matrix_equals_the_pair_distances(route):
+    # Complex cepstra are folded to power form first, as in the pair route.
+    rng = np.random.default_rng(12)
+    cepstra = [route(random_any_phase(rng), 64) for _ in range(6)]
+    values = weighted_cepstral_matrix(cepstra)
+    expected = np.array(
+        [[weighted_cepstral_distance(a, b).value for b in cepstra] for a in cepstra]
+    )
+    assert np.array_equal(values, expected)
 
 
 @given(st.integers(0, 10**6))
