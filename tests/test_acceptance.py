@@ -19,8 +19,8 @@ from cepdist import (
     cosine_similarity,
     euclidean_distance,
     hs_hankel_norm,
+    invert,
     make_example_signals,
-    power_cepstrum_from_state_space,
     power_cepstrum_from_zpk,
     power_cepstrum_of_signal,
     roots_from_state_space,
@@ -63,6 +63,20 @@ def grid_system(rng):
     signs = rng.choice([-1.0, 1.0], size=total)
     roots = [complex(m * s) for m, s in zip(magnitudes, signs)]
     return ZeroPoleGain.from_roots(roots[:n_poles], roots[n_poles:], 1.0)
+
+
+def trace_cepstrum(model, order):
+    """Positive power-cepstrum lags (tr(A^k) - tr(A_inv^k)) / k of a stable,
+    minimum phase state-space model, with A_inv the inverse system's A.
+    Matrix powers only: no eigenvalue is computed."""
+    a = model.A
+    a_inv = invert(model).A
+    power, power_inv = np.eye(model.order), np.eye(model.order)
+    lags = np.empty(order)
+    for k in range(1, order + 1):
+        power, power_inv = power @ a, power_inv @ a_inv
+        lags[k - 1] = (np.trace(power) - np.trace(power_inv)) / k
+    return lags
 
 
 def invert_roots(zpk, mask):
@@ -151,11 +165,9 @@ def test_criterion_4_closed_form_and_trace_oracles():
     for _ in range(100):
         zpk = random_balanced_min_phase(rng)
         model = state_space_from_roots(zpk)
-        by_trace = power_cepstrum_from_state_space(model, 20)
+        by_trace = trace_cepstrum(model, 20)
         by_roots = power_cepstrum_from_zpk(roots_from_state_space(model), 20)
-        worst_trace = max(
-            worst_trace, float(np.max(np.abs(by_trace.positive - by_roots.positive)))
-        )
+        worst_trace = max(worst_trace, float(np.max(np.abs(by_trace - by_roots.positive))))
     ok = series_ok and worst_trace <= 1e-10
     record_acceptance(
         f"{'PASS' if ok else 'FAIL'} criterion 4 (closed-form and trace oracles): "

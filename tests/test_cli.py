@@ -8,11 +8,18 @@ import numpy as np
 import pytest
 
 from cepdist import (
+    RunConfig,
     Signal,
     ZeroPoleGain,
+    complex_cepstrum,
+    format_cepstrum_csv,
     format_pair_csv,
     format_signal_csv,
     make_example_signals,
+    power_cepstrum_of_signal,
+    read_signal_csv,
+    transfer_cepstrum_from_io,
+    transfer_complex_cepstrum_from_io,
 )
 from cepdist.cli import main
 from conftest import white_record
@@ -185,6 +192,28 @@ def test_signal_cepstrum_rows(tmp_path, capsys):
     assert main(["cepstrum", path, "--K", "16", "--K-test", "4"]) == 0
     rows = read_rows(capsys.readouterr().out)
     assert sorted(rows) == list(range(0, 17))
+
+
+@pytest.mark.parametrize("kind", ["power", "complex"])
+@pytest.mark.parametrize("paired", [True, False])
+def test_signal_cepstrum_matches_the_library_routes(tmp_path, capsys, paired, kind):
+    config = RunConfig(K=32)
+    minimum = ZeroPoleGain.from_roots([0.9, 0.5], [0.3, -0.4], 1.0)
+    u, y = white_record(minimum, 1024, 2)
+    path = tmp_path / "record.csv"
+    path.write_text(format_pair_csv(u, y) if paired else format_signal_csv(y))
+    _, payload = read_signal_csv(str(path))
+    u, y = payload if paired else (None, payload)
+    if paired and kind == "power":
+        expected = transfer_cepstrum_from_io(u, y, config)
+    elif paired:
+        expected = transfer_complex_cepstrum_from_io(u, y, config.K, config.fft_length)
+    elif kind == "power":
+        expected = power_cepstrum_of_signal(y, config)
+    else:
+        expected = complex_cepstrum(y, config.fft_length, config.K)
+    assert main(["cepstrum", str(path), "--kind", kind, "--K", "32"]) == 0
+    assert capsys.readouterr().out == format_cepstrum_csv(expected)
 
 
 def test_cepstrum_rejects_two_sources(tmp_path, capsys):
