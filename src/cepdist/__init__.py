@@ -42,7 +42,6 @@ from .lti import (
     ZeroPoleGain,
     example_systems,
     frequency_response,
-    frequency_response_state_space,
     invert,
     make_example_signals,
     roots_from_state_space,
@@ -91,20 +90,15 @@ from .spectral import (
     complex_cepstrum_from_zpk,
     estimate_spectrum,
     power_cepstrum_from_psd,
-    power_cepstrum_from_state_space,
     power_cepstrum_from_zpk,
     power_cepstrum_of_signal,
     psd_periodogram,
     psd_welch,
     transfer_cepstrum_from_io,
     transfer_complex_cepstrum_from_io,
-    unwrap_phase,
 )
 from .subspace import (
-    HankelMatrix,
     PrincipalAngleSet,
-    angle_convergence_bound,
-    build_hankel,
     principal_angles,
     projected_bases,
     subspace_distance_between_models,
@@ -117,5 +111,3 @@ from .subspace import (
 from .verify import run_verify
 
 __version__ = "0.1.0"
-
-__all__ = [name for name in dir() if not name.startswith("_")]

@@ -34,7 +34,6 @@ from .lti import (
     EPS_CIRCLE,
     Signal,
     StateSpaceModel,
-    ZeroPoleGain,
     roots_from_state_space,
     simulate,
     spectral_radius,
@@ -58,8 +57,6 @@ from .spectral import (
     complex_cepstrum,
     complex_cepstrum_from_zpk,
     power_cepstrum_from_zpk,
-    power_cepstrum_of_signal,
-    transfer_cepstrum_from_io,
     transfer_complex_cepstrum_from_io,
 )
 from .subspace import subspace_distance_from_bases
@@ -111,12 +108,6 @@ def _read_single(path: str) -> Signal:
     return payload
 
 
-def _as_zpk(model: StateSpaceModel | ZeroPoleGain) -> ZeroPoleGain:
-    if isinstance(model, StateSpaceModel):
-        return roots_from_state_space(model)
-    return model
-
-
 def cmd_simulate(args: argparse.Namespace, config: RunConfig) -> int:
     model = read_model_json(args.model)
     state_space = model if isinstance(model, StateSpaceModel) else state_space_from_roots(model)
@@ -149,24 +140,21 @@ def cmd_cepstrum(args: argparse.Namespace, config: RunConfig) -> int:
     if (args.signal is None) == (args.model is None):
         raise ValidationError("give exactly one of a signal file or --model")
     if args.model is not None:
-        zpk = _as_zpk(read_model_json(args.model))
+        model = read_model_json(args.model)
+        zpk = roots_from_state_space(model) if isinstance(model, StateSpaceModel) else model
         if args.kind == "power":
             cepstrum = power_cepstrum_from_zpk(zpk, config.K)
         else:
             cepstrum = complex_cepstrum_from_zpk(zpk, config.K)
     else:
         kind, payload = read_signal_csv(args.signal)
-        if kind == "pair":
+        if args.kind == "power":
+            cepstrum = item_features(payload, "cepstral", config)
+        elif kind == "pair":
             u, y = payload
-            if args.kind == "power":
-                cepstrum = transfer_cepstrum_from_io(u, y, config)
-            else:
-                cepstrum = transfer_complex_cepstrum_from_io(u, y, config.K, config.fft_length)
+            cepstrum = transfer_complex_cepstrum_from_io(u, y, config.K, config.fft_length)
         else:
-            if args.kind == "power":
-                cepstrum = power_cepstrum_of_signal(payload, config)
-            else:
-                cepstrum = complex_cepstrum(payload, config.fft_length, config.K)
+            cepstrum = complex_cepstrum(payload, config.fft_length, config.K)
     # Cepstra are emitted as tidy lag/value CSV, the plotting format.
     _emit(format_cepstrum_csv(cepstrum), args.output)
     return 0
@@ -277,7 +265,7 @@ def cmd_classify(args: argparse.Namespace, config: RunConfig) -> int:
     if sum(sources) != 1:
         raise ValidationError("give either signal file(s) or --model")
     if args.model is not None:
-        verdict = classify_from_model(_as_zpk(read_model_json(args.model)), config)
+        verdict = classify_from_model(read_model_json(args.model), config)
         origin = os.path.basename(args.model)
     elif len(args.files) == 1:
         u, y = _read_pair(args.files[0])

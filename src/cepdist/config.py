@@ -41,7 +41,6 @@ class RunConfig:
     hankel_rows: int = 150
     vandermonde_cols: int = 400
     seed: int = 44
-    damping: float = 0.995
     output_format: str = "json"
 
     def validate(self) -> "RunConfig":
@@ -67,15 +66,14 @@ class RunConfig:
         for name in ("tol_model", "tol_estimated"):
             if not (0.0 < getattr(self, name) < 1.0):
                 raise ConfigError(f"{name} must lie in (0, 1), got {getattr(self, name)}")
-        if not (0.0 < self.damping < 1.0):
-            raise ConfigError(f"damping must lie in (0, 1), got {self.damping}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be a nonnegative integer, got {self.seed}")
         return self
 
 
 _OPTIONAL_INT_FIELDS = {"window_len", "fft_length"}
 _INT_FIELDS = {"K", "K_test", "hankel_rows", "vandermonde_cols", "seed"}
-_FLOAT_FIELDS = {"overlap", "tol_model", "tol_estimated", "damping"}
-_STR_FIELDS = {"method", "output_format"}
+_FLOAT_FIELDS = {"overlap", "tol_model", "tol_estimated"}
 CONFIG_KEYS = tuple(f.name for f in fields(RunConfig))
 
 
@@ -105,7 +103,7 @@ def parse_config_value(key: str, text: str):
 def _parse_config_file(path: str) -> dict:
     values = {}
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             lines = fh.readlines()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc

@@ -321,7 +321,7 @@ def roots_from_state_space(model: StateSpaceModel) -> ZeroPoleGain:
         raise NotInvertible(f"|D| = {abs(model.D)} is below {TAU_D}; zeros are undefined")
     poles = np.linalg.eigvals(model.A) if model.order else np.array([], dtype=complex)
     if model.order:
-        zeros = np.linalg.eigvals(model.A - np.outer(model.B, model.C) / model.D)
+        zeros = np.linalg.eigvals(invert(model).A)
     else:
         zeros = np.array([], dtype=complex)
     return ZeroPoleGain.from_roots(poles, zeros, gain=model.D)
@@ -372,23 +372,6 @@ def frequency_response(zpk: ZeroPoleGain, grid: np.ndarray) -> np.ndarray:
     for p in zpk.poles:
         den *= 1.0 - p * zinv
     return num / den
-
-
-def frequency_response_state_space(model: StateSpaceModel, grid: np.ndarray) -> np.ndarray:
-    """Evaluate D + C (zI - A)^(-1) B on the unit circle."""
-    w = _to_vector(grid, "grid")
-    if np.any(w < 0.0) or np.any(w >= 2.0 * np.pi):
-        raise ValidationError("frequency grid points must lie in [0, 2*pi)")
-    n = model.order
-    out = np.empty(w.size, dtype=complex)
-    eye = np.eye(n)
-    for k, wk in enumerate(w):
-        z = np.exp(1j * wk)
-        if n:
-            out[k] = model.D + model.C @ np.linalg.solve(z * eye - model.A, model.B)
-        else:
-            out[k] = model.D
-    return out
 
 
 def example_systems() -> dict[str, ZeroPoleGain]:

@@ -269,6 +269,8 @@ def _plain(obj):
         return bool(obj)
     if isinstance(obj, (np.floating, float)):
         value = float(obj)
+        if math.isinf(value):
+            raise ValidationError(f"cannot write the non-finite value {value} into a report")
         return None if math.isnan(value) else value
     if isinstance(obj, (np.integer, int)):
         return int(obj)

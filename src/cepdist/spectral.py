@@ -27,12 +27,10 @@ from .errors import (
     KindMismatch,
     LengthMismatch,
     LogOfNonpositive,
-    NotInvertible,
-    NotMinimumPhaseStable,
     SpectralNull,
     ValidationError,
 )
-from .lti import Signal, StateSpaceModel, ZeroPoleGain
+from .lti import Signal, ZeroPoleGain
 
 SPECTRUM_KINDS = ("periodogram", "welch", "model")
 CEPSTRUM_KINDS = ("power", "complex")
@@ -145,7 +143,7 @@ class CepstrumSequence:
         return float(self.negative[-k - 1])
 
 
-def psd_periodogram(signal: Signal, fft_length: int | None = None) -> SpectrumEstimate:
+def psd_periodogram(signal: Signal, fft_length: int) -> SpectrumEstimate:
     """Plain squared-FFT spectrum estimate, |FFT(x, L)|^2 / L.
 
     With this scaling the mean over frequency bins equals the mean square
@@ -153,7 +151,7 @@ def psd_periodogram(signal: Signal, fft_length: int | None = None) -> SpectrumEs
     """
     x = signal.samples
     n = x.size
-    length = next_pow2(n) if fft_length is None else int(fft_length)
+    length = int(fft_length)
     if length < n:
         raise ValidationError(f"fft_length {length} is shorter than the signal ({n})")
     if length < 2 or length & (length - 1):
@@ -164,9 +162,9 @@ def psd_periodogram(signal: Signal, fft_length: int | None = None) -> SpectrumEs
 
 def psd_welch(
     signal: Signal,
-    window_len: int | None = None,
-    overlap: float = 0.5,
-    fft_length: int | None = None,
+    window_len: int,
+    overlap: float,
+    fft_length: int,
 ) -> SpectrumEstimate:
     """Averaged tapered-segment spectrum estimate.
 
@@ -177,14 +175,14 @@ def psd_welch(
     """
     x = signal.samples
     n = x.size
-    wl = default_window_length(n) if window_len is None else int(window_len)
+    wl = int(window_len)
     if wl < 8:
         raise ValidationError(f"window_len must be at least 8, got {wl}")
     if wl > n:
         raise InsufficientData(f"window_len {wl} exceeds the signal length {n}")
     if not (0.0 <= overlap < 1.0):
         raise ValidationError(f"overlap must lie in [0, 1), got {overlap}")
-    length = next_pow2(wl) if fft_length is None else int(fft_length)
+    length = int(fft_length)
     if length < wl:
         raise ValidationError(f"fft_length {length} is shorter than the window ({wl})")
     if length < 2 or length & (length - 1):
@@ -325,51 +323,6 @@ def power_cepstrum_from_zpk(zpk: ZeroPoleGain, order: int) -> CepstrumSequence:
         root_radius=zpk.folded_radius(),
         root_count=len(zpk.poles) + len(zpk.zeros),
     )
-
-
-def power_cepstrum_from_state_space(model: StateSpaceModel, order: int) -> CepstrumSequence:
-    """Exact power cepstrum from state-space matrices.
-
-    Valid only for stable, minimum phase, invertible models: the positive
-    lags are the difference of eigenvalue power sums of A and of the
-    inverse system's A, divided by the lag.
-    """
-    if not model.is_invertible:
-        raise NotInvertible("state-space cepstrum needs an invertible model (nonzero D)")
-    n = model.order
-    eig_a = np.linalg.eigvals(model.A) if n else np.array([], dtype=complex)
-    a_inv = model.A - np.outer(model.B, model.C) / model.D if n else model.A
-    eig_z = np.linalg.eigvals(a_inv) if n else np.array([], dtype=complex)
-    mags = np.abs(np.concatenate([eig_a, eig_z])) if n else np.array([0.0])
-    if n and np.max(mags) >= 1.0:
-        raise NotMinimumPhaseStable(
-            "an eigenvalue of A or of the inverse system lies on or outside the unit circle; "
-            "use the root form route for non minimum phase models"
-        )
-    if order < 1:
-        raise ValidationError(f"order must be positive, got {order}")
-    k = np.arange(1, order + 1)
-    positive = (
-        _root_power_sums(tuple(eig_a), order) - _root_power_sums(tuple(eig_z), order)
-    ) / k
-    return CepstrumSequence(
-        "power",
-        positive,
-        None,
-        2.0 * np.log(abs(model.D)),
-        root_radius=float(np.max(mags)),
-        root_count=2 * n,
-    )
-
-
-def unwrap_phase(values: np.ndarray) -> np.ndarray:
-    """Continuous phase from principal values in [-pi, pi]."""
-    arr = np.asarray(values, dtype=float)
-    if arr.ndim != 1:
-        raise DimensionMismatch(f"phase must be one-dimensional, got shape {arr.shape}")
-    if arr.size and np.max(np.abs(arr)) > np.pi + 1e-9:
-        raise ValidationError("wrapped phase values must lie within [-pi, pi]")
-    return np.unwrap(arr)
 
 
 def _winding_free_phase(spectrum: np.ndarray) -> np.ndarray:

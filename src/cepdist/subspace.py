@@ -48,15 +48,6 @@ TAU_CONV = 1e-10
 
 
 @dataclass(frozen=True)
-class HankelMatrix:
-    """Block of delayed copies of a signal, scaled by 1/sqrt(columns)."""
-
-    entries: np.ndarray
-    rows: int
-    cols: int
-
-
-@dataclass(frozen=True)
 class PrincipalAngleSet:
     """Principal angles (ascending) between two subspaces, with cosines."""
 
@@ -68,26 +59,17 @@ class PrincipalAngleSet:
         return tuple(c * c for c in self.cosines)
 
 
-def _hankel_cols(length: int, rows: int, cols: int | None) -> int:
-    """Column count of a rows-row Hankel block over ``length`` samples,
-    defaulting to every full window; raises when the block does not fit."""
+def _hankel_cols(length: int, rows: int) -> int:
+    """Column count of a rows-row Hankel block over every full window of
+    ``length`` samples; raises when the block does not fit."""
     if rows < 1:
         raise ValidationError(f"rows must be positive, got {rows}")
-    if cols is None:
-        cols = length - rows + 1
-    if cols < 1 or rows + cols - 1 > length:
+    cols = length - rows + 1
+    if cols < 1:
         raise InsufficientData(
             f"a {rows} x {cols} Hankel block needs {rows + cols - 1} samples, got {length}"
         )
     return cols
-
-
-def build_hankel(signal: Signal, rows: int, cols: int | None = None) -> HankelMatrix:
-    """Hankel matrix with entries x(r + c) for r < rows, c < cols."""
-    x = signal.samples
-    cols = _hankel_cols(x.size, rows, cols)
-    idx = np.arange(rows)[:, None] + np.arange(cols)[None, :]
-    return HankelMatrix(x[idx] / np.sqrt(cols), rows, cols)
 
 
 def _column_basis(matrix: np.ndarray, rtol: float) -> np.ndarray:
@@ -153,19 +135,6 @@ def _model_angle_norm(poles: tuple[complex, ...], zeros: tuple[complex, ...], de
     vp = vandermonde_range(poles, depth)
     vz = vandermonde_range(zeros, depth)
     return _norm_from_cosines(principal_angles(vp, vz))
-
-
-def angle_convergence_bound(radius: float, count: int, depth: int) -> float:
-    """Decay scale of the angle-product norm in the Vandermonde depth.
-
-    Proportional to radius^(2 depth); used by tests to check that doubling
-    the depth moves the norm by no more than a modest multiple of this.
-    """
-    if radius <= 0.0:
-        return 0.0
-    if radius >= 1.0:
-        raise ValidationError(f"radius must be below one, got {radius}")
-    return count**2 * radius ** (2 * depth) / (1.0 - radius**2) ** 2
 
 
 def subspace_norm_from_model(zpk: ZeroPoleGain, depth: int = 400) -> float:
@@ -263,7 +232,7 @@ def _ordered_basis(lower: np.ndarray, rows: int, side: str) -> np.ndarray:
 
 
 def projected_bases(
-    input_signal: Signal, output_signal: Signal, rows: int, cols: int | None = None
+    input_signal: Signal, output_signal: Signal, rows: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Orthonormal bases of the output-after-input and input-after-output
     projected Hankel column spaces.
@@ -293,7 +262,7 @@ def projected_bases(
         raise ValidationError(
             f"input and output lengths differ: {len(input_signal)} vs {len(output_signal)}"
         )
-    cols = _hankel_cols(len(input_signal), rows, cols)
+    cols = _hankel_cols(len(input_signal), rows)
     if cols <= rows:
         raise InsufficientData(
             f"{cols} Hankel columns cannot separate the output from the input at {rows} "
@@ -325,7 +294,7 @@ def projected_bases(
 
 
 def subspace_norm_from_data(
-    input_signal: Signal, output_signal: Signal, rows: int = 150, cols: int | None = None
+    input_signal: Signal, output_signal: Signal, rows: int = 150
 ) -> float:
     """Model norm estimated from one input/output record.
 
@@ -337,7 +306,7 @@ def subspace_norm_from_data(
     record without a clear order gap raises RankDeficient, and one with no
     more Hankel columns than rows raises InsufficientData.
     """
-    basis_y, basis_u = projected_bases(input_signal, output_signal, rows, cols)
+    basis_y, basis_u = projected_bases(input_signal, output_signal, rows)
     return _norm_from_cosines(principal_angles(basis_y, basis_u))
 
 
@@ -372,7 +341,6 @@ def subspace_distance_from_data(
     pair_a: tuple[Signal, Signal],
     pair_b: tuple[Signal, Signal],
     rows: int = 150,
-    cols: int | None = None,
 ) -> float:
     """Subspace distance between the systems behind two input/output records.
 
@@ -380,6 +348,6 @@ def subspace_distance_from_data(
     record's projected input range, and measures the angles between the two
     combined spans; for records of the same system the spans coincide.
     """
-    bases_a = projected_bases(pair_a[0], pair_a[1], rows, cols)
-    bases_b = projected_bases(pair_b[0], pair_b[1], rows, cols)
+    bases_a = projected_bases(pair_a[0], pair_a[1], rows)
+    bases_b = projected_bases(pair_b[0], pair_b[1], rows)
     return subspace_distance_from_bases(bases_a, bases_b)

@@ -14,8 +14,10 @@ from hypothesis import HealthCheck, settings
 
 from cepdist import (
     Signal,
+    StateSpaceModel,
     ZeroPoleGain,
     frequency_response,
+    invert,
     simulate,
     state_space_from_roots,
 )
@@ -152,6 +154,22 @@ def white_record(zpk: ZeroPoleGain, length: int, seed: int) -> tuple[Signal, Sig
     """Simulate one white-noise input/output record of the given system."""
     u = Signal(np.random.default_rng(seed).standard_normal(length))
     return u, simulate(state_space_from_roots(zpk), u)
+
+
+def trace_cepstrum(model: StateSpaceModel, order: int) -> np.ndarray:
+    """Positive power-cepstrum lags (tr(A^k) - tr(A_inv^k)) / k of a stable,
+    minimum phase state-space model, with A_inv the inverse system's A.
+
+    Independent of the root route: matrix powers only, no eigenvalues.
+    """
+    a = model.A
+    a_inv = invert(model).A
+    power, power_inv = np.eye(model.order), np.eye(model.order)
+    lags = np.empty(order)
+    for k in range(1, order + 1):
+        power, power_inv = power @ a, power_inv @ a_inv
+        lags[k - 1] = (np.trace(power) - np.trace(power_inv)) / k
+    return lags
 
 
 def grid_power_cepstrum(zpk: ZeroPoleGain, order: int, grid_length: int = 8192) -> np.ndarray:

@@ -113,6 +113,17 @@ def test_demo_signals_are_close_in_dynamics_but_orthogonal_in_samples(tmp_path, 
     assert cosine_report["value"] == pytest.approx(1.0 - cosine_report["similarity"])
 
 
+@pytest.mark.parametrize("verb", ["distance", "distmat"])
+def test_infinite_distance_is_refused_in_json_reports(tmp_path, capsys, verb):
+    a = write_signal(tmp_path, "a.csv", [1e308])
+    b = write_signal(tmp_path, "b.csv", [-1e308])
+    with np.errstate(over="ignore"):
+        assert main([verb, a, b, "--metric", "euclidean"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: cannot write the non-finite value inf into a report\n"
+
+
 def test_distance_rejects_length_mismatch(tmp_path, capsys):
     a = write_signal(tmp_path, "a.csv", np.ones(8))
     b = write_signal(tmp_path, "b.csv", np.ones(9))

@@ -205,8 +205,7 @@ def test_defaults_validate():
         ("vandermonde_cols", 0),
         ("tol_model", 0.0),
         ("tol_estimated", 1.0),
-        ("damping", 1.0),
-        ("damping", 0.0),
+        ("seed", -1),
     ],
 )
 def test_validate_rejects_bad_values(field, value):
@@ -271,6 +270,22 @@ def test_config_file_errors_carry_line_numbers(tmp_path):
         load_config(str(bad_value), env={})
     with pytest.raises(ConfigError):
         load_config(str(tmp_path / "missing.cfg"), env={})
+
+
+def test_config_file_with_a_byte_order_mark(tmp_path):
+    path = tmp_path / "bom.cfg"
+    path.write_bytes(b"\xef\xbb\xbfK = 64\n")
+    assert load_config(str(path), env={}).K == 64
+
+
+def test_negative_seed_exits_with_validation_code(tmp_path, capsys):
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({"poles": [0.5], "zeros": [], "gain": 1.0}))
+    assert main(["simulate", "--model", str(model), "--seed", "-1"]) == 2
+    assert main(["verify", "--case", "min-phase", "--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("error: seed must be a nonnegative integer, got -1") == 2
 
 
 def test_load_config_validates_the_merged_result():
@@ -549,6 +564,9 @@ def test_canonical_json_special_values():
     assert data["flag"] is True
     with pytest.raises(ValidationError):
         canonical_json({"x": {1, 2}})
+    for value in (float("inf"), -np.inf):
+        with pytest.raises(ValidationError, match=f"non-finite value {value}"):
+            canonical_json({"x": [value]})
 
 
 def test_cepstrum_csv_layouts():

@@ -7,12 +7,10 @@ from hypothesis import strategies as st
 
 from cepdist import (
     CepstrumSequence,
-    DimensionMismatch,
     InsufficientData,
     KindMismatch,
     LengthMismatch,
     LogOfNonpositive,
-    NotMinimumPhaseStable,
     RunConfig,
     Signal,
     SpectrumEstimate,
@@ -27,7 +25,6 @@ from cepdist import (
     example_systems,
     frequency_response,
     power_cepstrum_from_psd,
-    power_cepstrum_from_state_space,
     power_cepstrum_from_zpk,
     power_cepstrum_of_signal,
     psd_periodogram,
@@ -36,7 +33,6 @@ from cepdist import (
     simulate,
     state_space_from_roots,
     transfer_cepstrum_from_io,
-    unwrap_phase,
 )
 from cepdist.spectral import transfer_complex_cepstrum_from_io
 from conftest import (
@@ -44,6 +40,7 @@ from conftest import (
     grid_power_cepstrum,
     random_any_phase,
     random_balanced_min_phase,
+    trace_cepstrum,
     white_record,
 )
 
@@ -57,14 +54,14 @@ def white(length: int, seed: int) -> Signal:
 
 
 def test_periodogram_of_constant_is_a_zero_frequency_spike():
-    psd = psd_periodogram(Signal(np.ones(64)))
+    psd = psd_periodogram(Signal(np.ones(64)), 64)
     assert psd.values[0] == pytest.approx(64.0)
     assert np.max(np.abs(psd.values[1:])) <= 1e-9
     assert psd.method == "periodogram"
 
 
 def test_zero_signal_spectrum_is_flagged_downstream():
-    psd = psd_periodogram(Signal(np.zeros(32)))
+    psd = psd_periodogram(Signal(np.zeros(32)), 32)
     assert np.array_equal(psd.values, np.zeros(32))
     with pytest.raises(LogOfNonpositive):
         power_cepstrum_from_psd(psd, 4)
@@ -105,18 +102,18 @@ def test_welch_variance_is_below_periodogram_variance():
     for seed in range(20):
         x = white(2**14, seed)
         var_welch = float(np.var(psd_welch(x, 1024, 0.5, 1024).values))
-        var_full = float(np.var(psd_periodogram(x).values))
+        var_full = float(np.var(psd_periodogram(x, 2**14).values))
         assert var_welch < var_full
 
 
 def test_welch_rejects_window_longer_than_signal():
     with pytest.raises(InsufficientData):
-        psd_welch(white(64, 0), window_len=128)
+        psd_welch(white(64, 0), window_len=128, overlap=0.5, fft_length=128)
 
 
 def test_welch_rejects_bad_overlap():
     with pytest.raises(ValidationError):
-        psd_welch(white(256, 0), window_len=64, overlap=1.0)
+        psd_welch(white(256, 0), window_len=64, overlap=1.0, fft_length=64)
 
 
 def test_estimate_spectrum_falls_back_for_short_signals():
@@ -247,14 +244,14 @@ def test_power_cepstrum_from_roots_matches_grid_oracle(seed):
 
 def test_power_cepstrum_from_state_space_one_state():
     model = StateSpaceModel(A=[[0.5]], B=[1.0], C=[1.0], D=1.0)
-    cepstrum = power_cepstrum_from_state_space(model, 4)
+    cepstrum = power_cepstrum_from_zpk(roots_from_state_space(model), 4)
     # Pole 0.5 against zero -0.5: 0.5 - (-0.5) = 1 at the first lag.
     assert cepstrum.coefficient(1) == pytest.approx(1.0)
 
 
 def test_power_cepstrum_from_state_space_feedthrough_only():
     model = StateSpaceModel(A=[[0.5]], B=[0.0], C=[1.0], D=2.0)
-    cepstrum = power_cepstrum_from_state_space(model, 8)
+    cepstrum = power_cepstrum_from_zpk(roots_from_state_space(model), 8)
     assert np.max(np.abs(cepstrum.positive)) <= 1e-15
 
 
@@ -263,46 +260,30 @@ def test_power_cepstrum_from_state_space_feedthrough_only():
 def test_state_space_cepstrum_matches_root_route(seed):
     zpk = random_balanced_min_phase(np.random.default_rng(seed))
     model = state_space_from_roots(zpk)
-    by_trace = power_cepstrum_from_state_space(model, 20)
+    by_trace = trace_cepstrum(model, 20)
     by_roots = power_cepstrum_from_zpk(roots_from_state_space(model), 20)
-    assert np.max(np.abs(by_trace.positive - by_roots.positive)) <= 1e-10
-
-
-def test_state_space_cepstrum_rejects_non_minimum_phase():
-    unstable = StateSpaceModel(A=[[1.5]], B=[1.0], C=[1.0], D=1.0)
-    with pytest.raises(NotMinimumPhaseStable):
-        power_cepstrum_from_state_space(unstable, 4)
-    with_outside_zero = state_space_from_roots(ZeroPoleGain.from_roots([0.5], [2.5], 1.0))
-    with pytest.raises(NotMinimumPhaseStable):
-        power_cepstrum_from_state_space(with_outside_zero, 4)
+    assert np.max(np.abs(by_trace - by_roots.positive)) <= 1e-10
 
 
 def test_unwrap_leaves_continuous_sequences_alone():
     values = np.array([0.0, 0.5, 1.2, 0.4, -0.9])
-    assert np.array_equal(unwrap_phase(values), values)
+    assert np.array_equal(np.unwrap(values), values)
 
 
 def test_unwrap_corrects_a_single_jump():
-    out = unwrap_phase(np.array([3.0, -3.0]))
+    out = np.unwrap(np.array([3.0, -3.0]))
     assert out == pytest.approx([3.0, 2.0 * np.pi - 3.0])
 
 
 @given(st.integers(0, 10**6))
 def test_unwrap_anchors_first_element_and_bounds_steps(seed):
     values = np.random.default_rng(seed).uniform(-np.pi, np.pi, size=32)
-    out = unwrap_phase(values)
+    out = np.unwrap(values)
     assert out[0] == values[0]
     steps = np.diff(out)
     assert np.all(steps > -np.pi - 1e-12) and np.all(steps <= np.pi + 1e-12)
     shifts = (out - values) / (2.0 * np.pi)
     assert np.max(np.abs(shifts - np.round(shifts))) <= 1e-9
-
-
-def test_unwrap_validation():
-    with pytest.raises(ValidationError):
-        unwrap_phase(np.array([4.0]))
-    with pytest.raises(DimensionMismatch):
-        unwrap_phase(np.zeros((2, 2)))
 
 
 def test_complex_cepstrum_of_impulse_is_zero():

@@ -18,8 +18,6 @@ from cepdist import (
     Signal,
     ValidationError,
     ZeroPoleGain,
-    angle_convergence_bound,
-    build_hankel,
     cascade,
     closed_form_norm_max_phase,
     closed_form_norm_min_phase,
@@ -72,15 +70,39 @@ def project_complement(matrix, onto):
     return a - basis @ (basis.T @ a)
 
 
-def _reference_projected_bases(input_signal, output_signal, rows, cols=None):
+def build_hankel(signal, rows, cols=None):
+    """Test-only oracle: the full Hankel block with entries x(r + c) for
+    r < rows, c < cols, scaled by 1/sqrt(cols), which the library never
+    builds. Without ``cols``, every full window of the signal."""
+    x = signal.samples
+    if cols is None:
+        cols = x.size - rows + 1
+    idx = np.arange(rows)[:, None] + np.arange(cols)[None, :]
+    return x[idx] / np.sqrt(cols)
+
+
+def angle_convergence_bound(radius, count, depth):
+    """Decay scale of the angle-product norm in the Vandermonde depth.
+
+    Proportional to radius^(2 depth); doubling the depth should move the
+    norm by no more than a modest multiple of this.
+    """
+    if radius <= 0.0:
+        return 0.0
+    if radius >= 1.0:
+        raise ValidationError(f"radius must be below one, got {radius}")
+    return count**2 * radius ** (2 * depth) / (1.0 - radius**2) ** 2
+
+
+def _reference_projected_bases(input_signal, output_signal, rows):
     """Test-only oracle: the projected bases from the full Hankel blocks,
     by two explicit projections and four SVDs, with a relative rank cutoff.
 
     The library computes the same ranges from one streamed LQ
     factorization and picks the order at a singular-value gap instead.
     """
-    uh = build_hankel(input_signal, rows, cols).entries
-    yh = build_hankel(output_signal, rows, cols).entries
+    uh = build_hankel(input_signal, rows)
+    yh = build_hankel(output_signal, rows)
     y_proj = project_complement(yh.T, uh.T).T
     u_proj = project_complement(uh.T, yh.T).T
     return _svd_basis(y_proj, HANKEL_RANK_RTOL), _svd_basis(u_proj, HANKEL_RANK_RTOL)
@@ -123,20 +145,28 @@ def principal_angles_eigen(a, b):
     return PrincipalAngleSet(tuple(float(t) for t in angles), tuple(float(c) for c in cosines))
 
 
+def first_windows(pair, rows, cols):
+    """The record cut to the first rows + cols - 1 samples, so that its
+    rows-row Hankel blocks have cols columns; the whole record for None."""
+    if cols is None:
+        return pair
+    return tuple(Signal(s.samples[: rows + cols - 1]) for s in pair)
+
+
 def _bases_norm(bases):
     return -float(np.sum(np.log(principal_angles(*bases).cos_squared)))
 
 
 def test_hankel_single_row():
     block = build_hankel(Signal(np.arange(1.0, 6.0)), rows=1)
-    assert block.entries.shape == (1, 5)
-    assert np.allclose(block.entries[0], np.arange(1.0, 6.0) / np.sqrt(5.0))
+    assert block.shape == (1, 5)
+    assert np.allclose(block[0], np.arange(1.0, 6.0) / np.sqrt(5.0))
 
 
 def test_hankel_two_by_three_literal():
     block = build_hankel(Signal(np.array([1.0, 2.0, 3.0, 4.0])), rows=2, cols=3)
     expected = np.array([[1.0, 2.0, 3.0], [2.0, 3.0, 4.0]]) / np.sqrt(3.0)
-    assert np.allclose(block.entries, expected, atol=1e-15)
+    assert np.allclose(block, expected, atol=1e-15)
 
 
 @given(st.integers(0, 10**6))
@@ -144,7 +174,7 @@ def test_hankel_antidiagonals_are_constant(seed):
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(32)
     block = build_hankel(Signal(x), rows=5, cols=20)
-    scaled = block.entries * np.sqrt(20.0)
+    scaled = block * np.sqrt(20.0)
     for r in range(5):
         for c in range(20):
             assert abs(scaled[r, c] - x[r + c]) <= 1e-12
@@ -152,7 +182,7 @@ def test_hankel_antidiagonals_are_constant(seed):
 
 def test_hankel_needs_enough_samples():
     with pytest.raises(InsufficientData):
-        build_hankel(Signal(np.ones(4)), rows=3, cols=3)
+        projected_bases(Signal(np.ones(4)), Signal(np.ones(4)), rows=5)
 
 
 def test_project_complement_two_dimensional_case():
@@ -372,9 +402,10 @@ def test_model_norm_matches_closed_form_on_random_systems(seed):
     assert abs(value - closed_form_norm_min_phase(zpk)) <= 1e-9
 
 
-# (rows, record length, explicit cols or None): both row counts in use, the
-# default and an explicit column count, column counts straddling one
-# streamed block, and fewer than 2 * rows columns.
+# (rows, record length, column count or None for every full window): both
+# row counts in use, column counts straddling one streamed block, and fewer
+# than 2 * rows columns. A column count c is had by keeping the first
+# rows + c - 1 samples.
 EQUIVALENCE_CASES = [
     (40, 2048, None),
     (150, 4096, None),
@@ -391,9 +422,9 @@ def test_lq_bases_match_the_reference_projections(rows, length, cols):
     systems = (MIN_PHASE_DEMO, POLE_NINE, random_min_phase(np.random.default_rng(13), 3))
     new, old = [], []
     for seed, system in enumerate(systems):
-        u, y = white_record(system, length, seed)
-        new.append(projected_bases(u, y, rows, cols))
-        old.append(_reference_projected_bases(u, y, rows, cols))
+        u, y = first_windows(white_record(system, length, seed), rows, cols)
+        new.append(projected_bases(u, y, rows))
+        old.append(_reference_projected_bases(u, y, rows))
         assert [b.shape for b in new[-1]] == [b.shape for b in old[-1]]
         assert abs(_bases_norm(new[-1]) - _bases_norm(old[-1])) <= 1e-10
     for i in range(len(systems)):
@@ -445,16 +476,17 @@ def test_data_bases_refuse_no_more_columns_than_rows():
     with pytest.raises(InsufficientData, match="more columns than rows"):
         projected_bases(u, y, rows=150)
     with pytest.raises(InsufficientData, match="more columns than rows"):
-        projected_bases(u, y, rows=40, cols=40)
-    assert [b.shape for b in projected_bases(u, y, rows=40, cols=43)] == [(40, 1), (40, 1)]
+        projected_bases(*first_windows((u, y), 40, 40), rows=40)
+    bases = projected_bases(*first_windows((u, y), 40, 43), rows=40)
+    assert [b.shape for b in bases] == [(40, 1), (40, 1)]
 
 
 def test_data_bases_keep_the_hankel_size_checks():
     u, y = white_record(POLE_HALF, 64, 0)
     with pytest.raises(ValidationError, match="rows must be positive"):
         projected_bases(u, y, rows=0)
-    with pytest.raises(InsufficientData, match="Hankel block needs 80 samples, got 64"):
-        projected_bases(u, y, rows=20, cols=61)
+    with pytest.raises(InsufficientData, match="Hankel block needs"):
+        projected_bases(u, y, rows=65)
     with pytest.raises(ValidationError, match="lengths differ"):
         projected_bases(u, Signal(y.samples[:-1]), rows=20)
 
