@@ -11,6 +11,7 @@ what the verification front end checks numerically.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -231,15 +232,29 @@ def euclidean_distance(s1: Signal, s2: Signal) -> float:
     return float(np.linalg.norm(s1.samples - s2.samples))
 
 
+def _product_and_norms(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
+    """The inner product of x and y, and the product of their L2 norms."""
+    return float(x @ y), float(np.linalg.norm(x)) * float(np.linalg.norm(y))
+
+
 def cosine_similarity(s1: Signal, s2: Signal) -> float:
-    """Inner product of the signals normalized by their L2 norms."""
+    """Inner product of the signals normalized by their L2 norms.
+
+    Where the inner product or a norm leaves the floating-point range, each
+    signal is first scaled by the power of two that brings its largest
+    magnitude into [0.5, 1). That scaling is exact and cancels in the ratio.
+    """
     if len(s1) != len(s2):
         raise LengthMismatch(f"signal lengths differ: {len(s1)} vs {len(s2)}")
-    n1 = float(np.linalg.norm(s1.samples))
-    n2 = float(np.linalg.norm(s2.samples))
-    if n1 == 0.0 or n2 == 0.0:
+    x, y = s1.samples, s2.samples
+    with np.errstate(over="ignore", invalid="ignore"):
+        product, norms = _product_and_norms(x, y)
+    if not (math.isfinite(product) and 0.0 < norms < math.inf):
+        x, y = (np.ldexp(v, -np.frexp(np.max(np.abs(v)))[1]) for v in (x, y))
+        product, norms = _product_and_norms(x, y)
+    if norms == 0.0:
         raise ValidationError("cosine similarity is undefined for an all-zero signal")
-    return float(s1.samples @ s2.samples / (n1 * n2))
+    return product / norms
 
 
 class SignalStats(NamedTuple):

@@ -6,6 +6,12 @@ spaced. Models travel as JSON, either state-space ``{"A","B","C","D"}`` or
 root form ``{"poles","zeros","gain"}`` where each root is a real number or
 a ``[re, im]`` pair. Report JSON is canonical: sorted keys, two-space
 indent, trailing newline, no timestamps, NaN encoded as null.
+
+Signal rows are parsed by NumPy's C reader, which converts each cell as
+Python's ``float`` does. A file it refuses, or that holds a non-finite
+value, is parsed again in chunks of rows with ``float`` itself. That parse
+also reads what the C reader refuses (quoted cells, underscores in numbers,
+rows of only blanks and commas) and names the first row at fault.
 """
 
 from __future__ import annotations
@@ -16,6 +22,7 @@ import io
 import json
 import math
 import re
+import warnings
 from itertools import chain, islice
 from typing import Iterator
 
@@ -26,8 +33,9 @@ from .lti import Signal, StateSpaceModel, ZeroPoleGain
 
 # Relative jitter allowed in the time column before it counts as non-uniform.
 TIME_JITTER_RTOL = 1e-6
-# Rows parsed or formatted per step. It bounds the intermediate strings and
-# lists to a few hundred kilobytes whatever the record length.
+# Rows formatted per step, and rows parsed per step when a file falls back
+# from NumPy's reader. It bounds the intermediate strings and lists to a few
+# hundred kilobytes whatever the record length.
 CSV_CHUNK_ROWS = 4096
 # A cell wrapped in double quotes, as CSV writers emit it. Only a quoted
 # cell free of commas and quotes is unwrapped, so any other quote leaves its
@@ -80,21 +88,63 @@ def _bad_row(rows: list[str], width: int, first_row: int, path: str) -> Validati
 def _parse_rows(rows: list[str], width: int, first_row: int, path: str) -> np.ndarray:
     """The values of one chunk of rows, shape (len(rows), width).
 
-    Every value is Python's ``float`` of its cell. ``first_row`` is the row
-    number of ``rows[0]`` in error messages.
+    Every value is Python's ``float`` of its cell stripped of whitespace,
+    which also drops the separators U+001C..U+001F that ``float`` keeps.
+    ``first_row`` is the row number of ``rows[0]`` in error messages.
     """
     values = None
     if all(row.count(",") == width - 1 for row in rows):
         cells = ",".join(rows).split(",")
         with contextlib.suppress(ValueError):
-            values = np.fromiter(map(float, cells), dtype=float, count=len(cells))
+            values = np.fromiter(map(float, map(str.strip, cells)), dtype=float, count=len(cells))
     if values is None or not np.isfinite(values).all():
         raise _bad_row(rows, width, first_row, path)
     return values.reshape(len(rows), width)
 
 
+def _loadtxt_table(fh) -> tuple[np.ndarray, int] | None:
+    """The data rows as NumPy's C reader parses them, with the row number
+    of the first; None when it refuses them or finds no finite table.
+
+    The header is detected as ``_parse_table`` does. The reader gets no
+    quote character: it would let a quoted cell run on over line ends,
+    where the row-wise parse refuses the row, so a quote sends the file to
+    that parse instead.
+    """
+    for line in fh:
+        first = _QUOTED_CELL.sub(r"\1", line)
+        if first.replace(",", " ").strip():
+            break
+    else:
+        return None
+    header = not _is_numeric(first)
+    with warnings.catch_warnings():
+        # A header-only file makes loadtxt warn "input contained no data";
+        # the row-wise parse refuses it with its own message.
+        warnings.simplefilter("ignore", UserWarning)
+        try:
+            table = np.loadtxt(
+                fh if header else chain([line], fh), delimiter=",", comments=None, ndmin=2
+            )
+        except ValueError:
+            return None
+    if table.size and table.shape[1] in (2, 3) and np.isfinite(table).all():
+        return table, 2 if header else 1
+    return None
+
+
 def _read_table(fh, path: str) -> tuple[np.ndarray, int]:
     """All data rows of an open signal file, and the row number of the first."""
+    if fh.seekable():
+        parsed = _loadtxt_table(fh)
+        if parsed is not None:
+            return parsed
+        fh.seek(0)
+    return _parse_table(fh, path)
+
+
+def _parse_table(fh, path: str) -> tuple[np.ndarray, int]:
+    """``_read_table`` by Python's ``float``, CSV_CHUNK_ROWS rows at a time."""
     chunks = _row_chunks(fh)
     head = next(chunks, None)
     if head is None:

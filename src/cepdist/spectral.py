@@ -40,6 +40,9 @@ TAU_SPEC = 1e-12
 # Minimum signal length for segment averaging; below this fall back to a
 # plain periodogram.
 MIN_WELCH_LENGTH = 128
+# Spectrum values computed per FFT call in ``psd_welch``: blocks of segments
+# keep its memory near a megabyte whatever the record length.
+WELCH_BLOCK_VALUES = 2**16
 
 
 def next_pow2(n: int) -> int:
@@ -189,13 +192,16 @@ def psd_welch(
         raise ValidationError(f"fft_length must be a power of two, got {length}")
     hop = max(1, int(round(wl * (1.0 - overlap))))
     window = np.hanning(wl)
-    acc = np.zeros(length)
-    count = 0
-    for start in range(0, n - wl + 1, hop):
-        seg = window * x[start : start + wl]
-        acc += np.abs(np.fft.fft(seg, length)) ** 2
-        count += 1
-    values = acc / (count * length)
+    segments = np.lib.stride_tricks.sliding_window_view(x, wl)[::hop]
+    # One FFT call per block of segments. The running sum rides as the
+    # first row of each block, and an axis-0 sum adds the rows in order, so
+    # the total is the segment-by-segment sum bit for bit.
+    block = max(1, WELCH_BLOCK_VALUES // length)
+    total = np.zeros(length)
+    for start in range(0, len(segments), block):
+        spectra = np.fft.fft(window * segments[start : start + block], length, axis=1)
+        total = np.sum(np.concatenate([total[None], np.abs(spectra) ** 2]), axis=0)
+    values = total / (len(segments) * length)
     return SpectrumEstimate(values, "welch")
 
 

@@ -59,19 +59,6 @@ class PrincipalAngleSet:
         return tuple(c * c for c in self.cosines)
 
 
-def _hankel_cols(length: int, rows: int) -> int:
-    """Column count of a rows-row Hankel block over every full window of
-    ``length`` samples; raises when the block does not fit."""
-    if rows < 1:
-        raise ValidationError(f"rows must be positive, got {rows}")
-    cols = length - rows + 1
-    if cols < 1:
-        raise InsufficientData(
-            f"a {rows} x {cols} Hankel block needs {rows + cols - 1} samples, got {length}"
-        )
-    return cols
-
-
 def _column_basis(matrix: np.ndarray, rtol: float) -> np.ndarray:
     u, s, _ = np.linalg.svd(matrix, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
@@ -262,11 +249,14 @@ def projected_bases(
         raise ValidationError(
             f"input and output lengths differ: {len(input_signal)} vs {len(output_signal)}"
         )
-    cols = _hankel_cols(len(input_signal), rows)
+    if rows < 1:
+        raise ValidationError(f"rows must be positive, got {rows}")
+    cols = len(input_signal) - rows + 1
     if cols <= rows:
         raise InsufficientData(
-            f"{cols} Hankel columns cannot separate the output from the input at {rows} "
-            f"rows; need more columns than rows, that is at least {2 * rows} samples"
+            f"{rows} Hankel rows cannot separate the output from the input; they need "
+            f"more columns than rows, that is at least {2 * rows} samples, "
+            f"got {len(input_signal)}"
         )
     windows = [
         np.lib.stride_tricks.sliding_window_view(s.samples, rows)[:cols]

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -122,6 +123,20 @@ def test_infinite_distance_is_refused_in_json_reports(tmp_path, capsys, verb):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: cannot write the non-finite value inf into a report\n"
+
+
+def test_cosine_of_overflowing_records_is_reported(tmp_path, capsys):
+    # The norms and the inner product of these records overflow; the
+    # reports used to carry null with exit 0.
+    a = write_signal(tmp_path, "a.csv", [1e308])
+    b = write_signal(tmp_path, "b.csv", [-1e308])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["distance", a, b, "--metric", "cosine"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert (report["similarity"], report["value"]) == (-1.0, 2.0)
+        assert main(["distmat", a, b, "--metric", "cosine"]) == 0
+        assert json.loads(capsys.readouterr().out)["values"] == [[0.0, 2.0], [2.0, 0.0]]
 
 
 def test_distance_rejects_length_mismatch(tmp_path, capsys):

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from cepdist import (
     read_model_json,
     read_signal_csv,
 )
+from cepdist import sigio
 from cepdist.cli import main
 from cepdist.sigio import CSV_CHUNK_ROWS, TIME_JITTER_RTOL
 
@@ -379,6 +381,9 @@ _LONG_PREFIX = "t,value\n" + "".join(f"{k},{k}\n" for k in range(CSV_CHUNK_ROWS 
         ("0,1\n1,2,3\n", "row 2:"),
         ("t,u,y\n0,1\n1,2\n2,3,4\n", "row 4:"),
         (" , \nt,value\n\n", "header but no data"),
+        # NumPy's reader refuses the underscore or the blank row first.
+        ("t,value\n0,1_0\n1,2\n2,3,4\n", "row 4:"),
+        ("t,value\n0,1\n \n1,x_1\n", "row 3:"),
         ("t,value\n0,1,2,3\n", "columns"),
         pytest.param(_LONG_PREFIX + "oops,1\n", f"row {CSV_CHUNK_ROWS + 4}:", id="cell-in-chunk-2"),
         pytest.param(_LONG_PREFIX + "1\n", f"row {CSV_CHUNK_ROWS + 4}:", id="width-in-chunk-2"),
@@ -393,6 +398,61 @@ def test_signal_file_validation(tmp_path, content, fragment):
     with pytest.raises(ValidationError) as reference:
         _reference_read_signal_csv(str(path))
     assert str(raised.value) == str(reference.value)
+
+
+@pytest.mark.parametrize(
+    "content,fallback",
+    [
+        pytest.param("t,value\n0,1\n\n1,2\n", False, id="empty-row"),
+        pytest.param("t,value\n0,1\n \t\n1,2\n", True, id="whitespace-row"),
+        pytest.param("t,value\n0,1\n,\n1,2\n", True, id="comma-row"),
+        pytest.param('t,value\n0,1\n""\n1,2\n', True, id="quoted-empty-row"),
+        pytest.param("t,value\n0,1_0\n1,2_5\n", True, id="underscore"),
+        pytest.param('"0","1"\n1,2\n', True, id="quoted-first-row-no-header"),
+        pytest.param("\ufefft,u,y\r\n0,1,2\r\n1,3,4\r\n", False, id="bom-crlf"),
+        pytest.param("\nt,value\n0,1\n1,2\n", False, id="blank-first-line"),
+        pytest.param('t,value\n"0" ,1\n"1" ,2\n', True, id="space-after-quote"),
+        # U+001C..U+001F count as whitespace for str.strip but not for float.
+        pytest.param("t,value\n0,1\x1c\n1,\x1f2\n", False, id="separator-padding"),
+        pytest.param('t,value\n"0",1\x1c\n1,2\n', True, id="separator-padding-quoted"),
+    ],
+)
+def test_reader_edge_cases_match_the_reference(tmp_path, monkeypatch, content, fallback):
+    # Each example either passes NumPy's reader or falls back to the
+    # row-wise parse, as marked; both must read what the oracle reads.
+    fallbacks = []
+    parse_table = sigio._parse_table
+    monkeypatch.setattr(sigio, "_parse_table", lambda *a: fallbacks.append(a) or parse_table(*a))
+    path = tmp_path / "edge.csv"
+    path.write_bytes(content.encode())
+    _read_both(str(path))
+    assert bool(fallbacks) == fallback
+
+
+@pytest.mark.parametrize(
+    "content,message",
+    [
+        ("", "file contains no data"),
+        ("t,value\n", "header but no data"),
+        ("t,value\n\n\n", "header but no data"),
+    ],
+)
+def test_files_without_data_are_refused_without_a_warning(tmp_path, content, message):
+    path = tmp_path / "empty.csv"
+    path.write_text(content)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match=message):
+            read_signal_csv(str(path))
+
+
+def test_a_quoted_cell_does_not_run_on_over_a_line_end(tmp_path):
+    # The csv module, and NumPy's reader given a quote character, would
+    # join these lines into one row; the reader refuses the open quote.
+    path = tmp_path / "open.csv"
+    path.write_text('t,value\n0,1\n"1\n",2\n')
+    with pytest.raises(ValidationError, match="row 3: expected 2 cells, got 1"):
+        read_signal_csv(str(path))
 
 
 def test_non_uniform_step_names_its_row_in_headerless_files(tmp_path):

@@ -1,5 +1,7 @@
 """Weighted cepstral distances, closed forms, cascades, and baselines."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -294,6 +296,30 @@ def test_cosine_similarity_basics():
     assert cosine_similarity(a, b) == 0.0
     with pytest.raises(ValidationError):
         cosine_similarity(a, Signal(np.zeros(2)))
+
+
+@pytest.mark.parametrize("shift_a,shift_b", [(0, 0), (600, 600), (-600, -600), (600, -600)])
+@pytest.mark.parametrize("seed", range(3))
+def test_cosine_similarity_is_exact_under_power_of_two_scaling(seed, shift_a, shift_b):
+    # A shift of 600 overflows the squared norms and -600 flushes them to
+    # zero; the rescaled route must give the unscaled value bit for bit,
+    # and the unscaled value is the plain formula's.
+    rng = np.random.default_rng(seed)
+    x, y = rng.standard_normal(64), rng.standard_normal(64)
+    plain = float(x @ y / (float(np.linalg.norm(x)) * float(np.linalg.norm(y))))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scaled = cosine_similarity(Signal(np.ldexp(x, shift_a)), Signal(np.ldexp(y, shift_b)))
+    assert scaled == plain
+
+
+def test_cosine_similarity_at_the_edges_of_the_range():
+    # Both norms and the inner product overflow; the ratio is exactly -1.
+    assert cosine_similarity(Signal([1e308]), Signal([-1e308])) == -1.0
+    # Only a norm overflows, so the plain quotient would read 0.
+    assert cosine_similarity(Signal([2.0**600, 1.0]), Signal([2.0**-600, 1.0])) == 2.0**-599
+    with pytest.raises(ValidationError, match="all-zero"):
+        cosine_similarity(Signal([1e308]), Signal([0.0]))
 
 
 @given(st.integers(0, 10**6))

@@ -34,7 +34,11 @@ from cepdist import (
     state_space_from_roots,
     transfer_cepstrum_from_io,
 )
-from cepdist.spectral import transfer_complex_cepstrum_from_io
+from cepdist.spectral import (
+    WELCH_BLOCK_VALUES,
+    next_pow2,
+    transfer_complex_cepstrum_from_io,
+)
 from conftest import (
     draw_roots,
     grid_power_cepstrum,
@@ -79,6 +83,44 @@ def test_periodogram_fft_length_validation():
         psd_periodogram(white(64, 0), 32)
     with pytest.raises(ValidationError):
         psd_periodogram(white(64, 0), 100)
+
+
+def _reference_psd_welch(signal, window_len, overlap, fft_length):
+    """The segment-by-segment loop that the batched Welch estimate replaced,
+    kept as the oracle it must match bit for bit."""
+    x = signal.samples
+    hop = max(1, int(round(window_len * (1.0 - overlap))))
+    window = np.hanning(window_len)
+    acc = np.zeros(fft_length)
+    count = 0
+    for start in range(0, x.size - window_len + 1, hop):
+        acc += np.abs(np.fft.fft(window * x[start : start + window_len], fft_length)) ** 2
+        count += 1
+    return acc / (count * fft_length)
+
+
+@pytest.mark.parametrize("overlap", [0.0, 0.25, 0.3, 0.5, 0.75, 0.9])
+@pytest.mark.parametrize("length", [8, 100, 1000, 4097])
+def test_welch_matches_the_segment_loop(length, overlap):
+    # Window lengths include one whose hop does not divide the record and
+    # the whole record; FFT lengths include twice the padded window.
+    x = Signal(white(length, length).samples * 1e3)
+    for window_len in sorted({w for w in (8, 64, 100, length) if w <= length}):
+        for fft_length in (next_pow2(window_len), 2 * next_pow2(window_len)):
+            got = psd_welch(x, window_len, overlap, fft_length).values
+            want = _reference_psd_welch(x, window_len, overlap, fft_length)
+            assert got.tobytes() == want.tobytes(), (window_len, fft_length)
+
+
+@pytest.mark.parametrize("fft_length", [64, 1024])
+def test_welch_matches_the_segment_loop_across_blocks(fft_length):
+    # Enough segments for several FFT blocks, and a last block part full.
+    per_block = WELCH_BLOCK_VALUES // fft_length
+    hop = fft_length // 4
+    x = white(hop * (3 * per_block + 7) + fft_length, 5)
+    got = psd_welch(x, fft_length, 0.75, fft_length).values
+    want = _reference_psd_welch(x, fft_length, 0.75, fft_length)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_welch_single_full_window_is_a_tapered_periodogram():

@@ -485,7 +485,7 @@ def test_data_bases_keep_the_hankel_size_checks():
     u, y = white_record(POLE_HALF, 64, 0)
     with pytest.raises(ValidationError, match="rows must be positive"):
         projected_bases(u, y, rows=0)
-    with pytest.raises(InsufficientData, match="Hankel block needs"):
+    with pytest.raises(InsufficientData, match="at least 130 samples, got 64$"):
         projected_bases(u, y, rows=65)
     with pytest.raises(ValidationError, match="lengths differ"):
         projected_bases(u, Signal(y.samples[:-1]), rows=20)
@@ -505,6 +505,8 @@ def test_data_distance_refuses_systems_sharing_a_root():
     [
         ((SHARED_ROOT_A, SHARED_ROOT_B), 4096, "share a root"),
         ((POLE_HALF, POLE_NINE), 260, "more columns than rows"),
+        # Fewer samples than rows: one message, not a block of negative width.
+        ((POLE_HALF, POLE_NINE), 100, "at least 300 samples, got 100"),
     ],
 )
 def test_cli_subspace_distance_refusals_exit_with_validation_code(
