@@ -19,7 +19,12 @@ from .errors import CepdistError, MixedPhaseUnsupported, ValidationError
 from .lti import Signal
 from .metrics import cosine_similarity, euclidean_distance, weighted_cepstral_matrix
 from .phase import INDETERMINATE, MINIMUM_PHASE, classify_from_io
-from .spectral import power_cepstrum_of_signal, transfer_cepstrum_from_io
+from .spectral import (
+    plan_record,
+    power_cepstra,
+    power_cepstrum_of_signal,
+    transfer_cepstrum_from_io,
+)
 from .subspace import projected_bases, subspace_distance_from_bases
 
 METRICS = ("cepstral", "subspace", "euclidean", "cosine")
@@ -89,9 +94,12 @@ def distance_matrix(
     ``cepstral`` compares weighted power cepstra (transfer cepstra when
     pairs are given), ``subspace`` needs pairs and compares projected
     Hankel ranges, ``euclidean`` and ``cosine`` compare output samples
-    pointwise. Each item's features come from ``item_features``; an item
-    whose features fail makes every cell it touches NaN, with one failure
-    entry per cell in row-major (i, j) order.
+    pointwise. Each item's features are those of ``item_features``; an
+    item whose features fail makes every cell it touches NaN, with one
+    failure entry per cell in row-major (i, j) order. Cepstral features
+    are estimated in one ``power_cepstra`` batch per group of items with
+    the same resolved spectrum plan (record length, method, window, hop
+    and FFT length), bit-identical to the items' own.
 
     The cepstral matrix is computed in one batch by
     ``weighted_cepstral_matrix``, row by row, with cells bit-identical to
@@ -117,11 +125,25 @@ def distance_matrix(
 
     features: list = [None] * n
     broken: dict[int, str] = {}
-    for idx, item in enumerate(items):
-        try:
-            features[idx] = item_features(item, metric, config)
-        except CepdistError as exc:
-            broken[idx] = str(exc)
+    if metric == "cepstral":
+        groups: dict = {}
+        for idx, item in enumerate(items):
+            try:
+                groups.setdefault(plan_record(item, config), []).append(idx)
+            except CepdistError as exc:
+                broken[idx] = str(exc)
+        for plan, members in groups.items():
+            for idx, result in zip(members, power_cepstra([items[i] for i in members], plan, config.K)):
+                if isinstance(result, CepdistError):
+                    broken[idx] = str(result)
+                else:
+                    features[idx] = result
+    else:
+        for idx, item in enumerate(items):
+            try:
+                features[idx] = item_features(item, metric, config)
+            except CepdistError as exc:
+                broken[idx] = str(exc)
 
     values = np.zeros((n, n))
     if metric == "cepstral":
@@ -199,7 +221,8 @@ def agglomerative_cluster(
     order of their first member, and a merged cluster takes the place of
     its first part; on a tie the first pair (a, b), a < b, in this cluster
     order is merged, and labels follow the same order. A table of the
-    current linkage distances is kept, and a merge recomputes only the
+    current linkage distances is kept at full size, with a merged-away
+    cluster's row and column set to inf, and a merge recomputes only the
     merged cluster's row: O(n) linkage evaluations per merge and O(n^2) in
     all. Single and complete linkage combine the two old rows elementwise.
     Average linkage takes each cell's mean over its whole block, in a few
@@ -226,17 +249,20 @@ def agglomerative_cluster(
         raise ValidationError(f"k must lie in [1, {m}] (usable items), got {k}")
 
     dist = matrix.values[np.ix_(usable, usable)].astype(float)
-    clusters: list[list[int]] = [[i] for i in range(m)]
-    # link[a, b] for a < b is the linkage distance between clusters a and b.
-    # Between singletons it is the distance itself, except that the mean of
-    # a 1x1 block is summed from +0.0 and so turns -0.0 into +0.0. The
-    # diagonal and lower triangle hold inf, so the first minimum in
-    # row-major order is the first closest pair in cluster order.
+    # Each cluster sits in the slot of its first member, so slot order is
+    # cluster order, and the dict keeps the live slots in that order.
+    clusters: dict[int, list[int]] = {i: [i] for i in range(m)}
+    # link[a, b] for live slots a < b is the linkage distance between
+    # clusters a and b. Between singletons it is the distance itself,
+    # except that the mean of a 1x1 block is summed from +0.0 and so turns
+    # -0.0 into +0.0. The diagonal, the lower triangle and the rows and
+    # columns of retired slots hold inf, so the first minimum in row-major
+    # order is the first closest pair in cluster order.
     start = dist + 0.0 if linkage == "average" else dist
     link = np.where(np.triu(np.ones((m, m), dtype=bool), 1), start, np.inf)
     heights: list[float] = []
     while len(clusters) > k:
-        a, b = divmod(int(np.argmin(link)), len(clusters))
+        a, b = divmod(int(np.argmin(link)), m)
         height = float(link[a, b])
         if not np.isfinite(height):
             raise ValidationError(
@@ -252,24 +278,24 @@ def agglomerative_cluster(
             # max of the two blocks' results.
             combine = np.minimum if linkage == "single" else np.maximum
             row = combine(_table_row(link, a), _table_row(link, b))
+            row[b] = np.inf
         clusters[a] = merged
-        clusters.pop(b)
-        link = np.delete(np.delete(link, b, axis=0), b, axis=1)
-        row = np.delete(row, b)
+        del clusters[b]
+        link[b] = link[:, b] = np.inf
         link[:a, a] = row[:a]
         link[a, a + 1 :] = row[a + 1 :]
 
     labels = [-1] * n
-    for rank, members in enumerate(clusters):
+    for rank, members in enumerate(clusters.values()):
         for local in members:
             labels[usable[local]] = rank
     return ClusterResult(tuple(labels), tuple(heights), linkage)
 
 
 def _average_row(
-    dist: np.ndarray, clusters: list[list[int]], a: int, b: int, merged: list[int]
+    dist: np.ndarray, clusters: dict[int, list[int]], a: int, b: int, merged: list[int]
 ) -> np.ndarray:
-    """Average linkage from ``merged``, the union of clusters a and b, to every cluster.
+    """Average linkage from ``merged``, the union of clusters a and b, to every slot.
 
     A running mean would change the last bits of the heights, so each cell
     is the mean over its whole block, with the earlier cluster's members as
@@ -277,14 +303,14 @@ def _average_row(
     the same member count) are gathered by one fancy index into a
     C-contiguous (count, r*s) array, laid out as each block alone, and
     ``np.mean`` over its rows reduces each in the order it reduces the
-    block alone. Cells at a and b stay inf.
+    block alone. Cells at a, b and retired slots stay inf.
     """
     target = np.asarray(merged)
     groups: dict[tuple[bool, int], list[int]] = {}
-    for c, members in enumerate(clusters):
+    for c, members in clusters.items():
         if c != a and c != b:
             groups.setdefault((c < a, len(members)), []).append(c)
-    row = np.full(len(clusters), np.inf)
+    row = np.full(len(dist), np.inf)
     for (before, _), cs in groups.items():
         others = np.array([clusters[c] for c in cs])
         if before:
@@ -296,5 +322,5 @@ def _average_row(
 
 
 def _table_row(link: np.ndarray, a: int) -> np.ndarray:
-    """Linkage distances from cluster a to every cluster, inf at a itself."""
+    """Linkage distances from cluster a to every slot, inf at a itself."""
     return np.minimum(link[a], link[:, a])

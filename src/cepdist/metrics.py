@@ -226,10 +226,27 @@ def hs_hankel_norm(cepstrum: CepstrumSequence, m: int) -> float:
 
 
 def euclidean_distance(s1: Signal, s2: Signal) -> float:
-    """Plain pointwise L2 distance between equal-length signals."""
+    """Plain pointwise L2 distance between equal-length signals.
+
+    Where the difference or its norm leaves the floating-point range, both
+    signals are first scaled by the one power of two that brings the
+    largest magnitude of either into [0.5, 1), and the norm is scaled
+    back. That scaling is exact. A distance beyond the floating-point
+    range is refused with ValidationError.
+    """
     if len(s1) != len(s2):
         raise LengthMismatch(f"signal lengths differ: {len(s1)} vs {len(s2)}")
-    return float(np.linalg.norm(s1.samples - s2.samples))
+    x, y = s1.samples, s2.samples
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = float(np.linalg.norm(x - y))
+    if not math.isfinite(value):
+        exponent = int(np.frexp(max(np.max(np.abs(x)), np.max(np.abs(y))))[1])
+        scaled = np.linalg.norm(np.ldexp(x, -exponent) - np.ldexp(y, -exponent))
+        with np.errstate(over="ignore"):
+            value = float(np.ldexp(scaled, exponent))
+    if not math.isfinite(value):
+        raise ValidationError("the euclidean distance exceeds the floating-point range")
+    return value
 
 
 def _product_and_norms(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:

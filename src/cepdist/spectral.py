@@ -11,17 +11,26 @@ Estimated spectra of finite signals carry a global phase trend (an integer
 number of windings across the frequency axis, from delays and from roots
 outside the circle). That trend is removed before the inverse transform so
 the log stays single-valued; only the winding-free part is reported.
+
+Power and transfer cepstra of a collection are estimated in batches:
+records with one resolved ``SpectrumPlan`` (record length, method,
+window, hop and FFT length) are stacked a block at a time and go through
+each FFT, log and inverse FFT call together. A single record is a batch
+of one through the same code, and every row is transformed and reduced
+as it would be alone, so the batch changes no bit of any estimate.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .config import RunConfig
 from .errors import (
+    CepdistError,
     DimensionMismatch,
     InsufficientData,
     KindMismatch,
@@ -40,8 +49,10 @@ TAU_SPEC = 1e-12
 # Minimum signal length for segment averaging; below this fall back to a
 # plain periodogram.
 MIN_WELCH_LENGTH = 128
-# Spectrum values computed per FFT call in ``psd_welch``: blocks of segments
-# keep its memory near a megabyte whatever the record length.
+# Spectrum values computed per FFT call: a block holds the segments of
+# several records that share a plan, or a block of segments of one long
+# record, so a call's memory stays near a megabyte whatever the record
+# length or the collection size.
 WELCH_BLOCK_VALUES = 2**16
 
 
@@ -146,21 +157,145 @@ class CepstrumSequence:
         return float(self.negative[-k - 1])
 
 
+class SpectrumPlan(NamedTuple):
+    """The resolved settings of a spectrum estimate of one record.
+
+    ``samples`` is the record length. ``window_len`` and ``hop`` are None
+    for a periodogram, which takes the whole record as one untapered
+    segment. Records with equal plans are estimated in one batch.
+    """
+
+    method: str
+    samples: int
+    window_len: int | None
+    hop: int | None
+    fft_length: int
+
+    @property
+    def segments(self) -> int:
+        if self.window_len is None:
+            return 1
+        return (self.samples - self.window_len) // self.hop + 1
+
+
+def _periodogram_plan(n: int, fft_length: int) -> SpectrumPlan:
+    length = int(fft_length)
+    if length < n:
+        raise ValidationError(f"fft_length {length} is shorter than the signal ({n})")
+    if length < 2 or length & (length - 1):
+        raise ValidationError(f"fft_length must be a power of two, got {length}")
+    return SpectrumPlan("periodogram", n, None, None, length)
+
+
+def _welch_plan(n: int, window_len: int, overlap: float, fft_length: int) -> SpectrumPlan:
+    wl = int(window_len)
+    if wl < 8:
+        raise ValidationError(f"window_len must be at least 8, got {wl}")
+    if wl > n:
+        raise InsufficientData(f"window_len {wl} exceeds the signal length {n}")
+    if not (0.0 <= overlap < 1.0):
+        raise ValidationError(f"overlap must lie in [0, 1), got {overlap}")
+    length = int(fft_length)
+    if length < wl:
+        raise ValidationError(f"fft_length {length} is shorter than the window ({wl})")
+    if length < 2 or length & (length - 1):
+        raise ValidationError(f"fft_length must be a power of two, got {length}")
+    hop = max(1, int(round(wl * (1.0 - overlap))))
+    return SpectrumPlan("welch", n, wl, hop, length)
+
+
+def _plan_spectrum(n: int, config: RunConfig) -> SpectrumPlan:
+    """The plan of ``estimate_spectrum`` for a record of n samples.
+
+    Settings the record cannot take are refused as ``psd_welch`` and
+    ``psd_periodogram`` refuse them.
+    """
+    method = config.method
+    if method == "welch" and n < MIN_WELCH_LENGTH:
+        warnings.warn(
+            "signal too short for segment averaging; falling back to a periodogram",
+            stacklevel=3,
+        )
+        method = "periodogram"
+    if method == "periodogram":
+        length = config.fft_length
+        if length is None:
+            length = next_pow2(max(n, 2 * config.K))
+        return _periodogram_plan(n, length)
+    wl = config.window_len if config.window_len is not None else default_window_length(n)
+    length = config.fft_length
+    if length is None:
+        length = next_pow2(max(wl, 2 * config.K))
+    return _welch_plan(n, wl, config.overlap, length)
+
+
+def plan_record(record, config: RunConfig) -> SpectrumPlan:
+    """The spectrum plan of a signal, or of an (input, output) pair.
+
+    The two signals of a pair must agree in length and sample period, and
+    share one plan, so that the realized input spectrum cancels. The plan
+    is the one ``estimate_spectrum`` runs, with its periodogram fallback
+    and warning for short records.
+    """
+    if isinstance(record, tuple):
+        input_signal, output_signal = record
+        if len(input_signal) != len(output_signal):
+            raise LengthMismatch(
+                f"input and output lengths differ: {len(input_signal)} vs {len(output_signal)}"
+            )
+        if input_signal.sample_period != output_signal.sample_period:
+            raise ValidationError("input and output sample periods differ")
+        record = input_signal
+    return _plan_spectrum(len(record), config)
+
+
+def _spectra(stack: np.ndarray, plan: SpectrumPlan) -> np.ndarray:
+    """Spectrum estimates of the rows of a stack of records, one row each.
+
+    Welch estimates average |FFT|^2 / fft_length over Hann-tapered
+    segments of ``window_len`` samples, ``hop`` apart, each padded to
+    ``fft_length``; a periodogram is the one-segment case without taper.
+    Each FFT call takes at most WELCH_BLOCK_VALUES spectrum values (or one
+    segment, if a segment alone has more): all segments of several rows,
+    or a block of segments of one row. The running sums are added into the
+    first segment of each block, and a sum over the segment axis adds the
+    segments in order, so every row is its own segment-by-segment sum bit
+    for bit.
+    """
+    length = plan.fft_length
+    if plan.method == "periodogram":
+        segments, taper = stack[:, None, :], 1.0
+    else:
+        view = np.lib.stride_tricks.sliding_window_view(stack, plan.window_len, axis=-1)
+        segments, taper = view[:, :: plan.hop], np.hanning(plan.window_len)
+    count = plan.segments
+    per_call = max(1, WELCH_BLOCK_VALUES // length)
+    rows = max(1, per_call // count)
+    values = np.empty((len(stack), length))
+    for first in range(0, len(stack), rows):
+        block = segments[first : first + rows]
+        step = max(1, per_call // len(block))
+        total = np.zeros((len(block), length))
+        for start in range(0, count, step):
+            power = np.abs(np.fft.fft(taper * block[:, start : start + step], length, axis=-1))
+            np.square(power, out=power)
+            power[:, 0] += total
+            total = np.sum(power, axis=1)
+        values[first : first + rows] = total / (count * length)
+    return values
+
+
+def _estimate(signal: Signal, plan: SpectrumPlan) -> SpectrumEstimate:
+    return SpectrumEstimate(_spectra(signal.samples[None], plan)[0], plan.method)
+
+
 def psd_periodogram(signal: Signal, fft_length: int) -> SpectrumEstimate:
     """Plain squared-FFT spectrum estimate, |FFT(x, L)|^2 / L.
 
     With this scaling the mean over frequency bins equals the mean square
     of the zero-padded signal.
     """
-    x = signal.samples
-    n = x.size
-    length = int(fft_length)
-    if length < n:
-        raise ValidationError(f"fft_length {length} is shorter than the signal ({n})")
-    if length < 2 or length & (length - 1):
-        raise ValidationError(f"fft_length must be a power of two, got {length}")
-    values = np.abs(np.fft.fft(x, length)) ** 2 / length
-    return SpectrumEstimate(values, "periodogram")
+    return _estimate(signal, _periodogram_plan(len(signal), fft_length))
 
 
 def psd_welch(
@@ -176,33 +311,7 @@ def psd_welch(
     averaged as |FFT|^2 / fft_length. A window covering the whole signal
     reduces to the periodogram of the tapered signal.
     """
-    x = signal.samples
-    n = x.size
-    wl = int(window_len)
-    if wl < 8:
-        raise ValidationError(f"window_len must be at least 8, got {wl}")
-    if wl > n:
-        raise InsufficientData(f"window_len {wl} exceeds the signal length {n}")
-    if not (0.0 <= overlap < 1.0):
-        raise ValidationError(f"overlap must lie in [0, 1), got {overlap}")
-    length = int(fft_length)
-    if length < wl:
-        raise ValidationError(f"fft_length {length} is shorter than the window ({wl})")
-    if length < 2 or length & (length - 1):
-        raise ValidationError(f"fft_length must be a power of two, got {length}")
-    hop = max(1, int(round(wl * (1.0 - overlap))))
-    window = np.hanning(wl)
-    segments = np.lib.stride_tricks.sliding_window_view(x, wl)[::hop]
-    # One FFT call per block of segments. The running sum rides as the
-    # first row of each block, and an axis-0 sum adds the rows in order, so
-    # the total is the segment-by-segment sum bit for bit.
-    block = max(1, WELCH_BLOCK_VALUES // length)
-    total = np.zeros(length)
-    for start in range(0, len(segments), block):
-        spectra = np.fft.fft(window * segments[start : start + block], length, axis=1)
-        total = np.sum(np.concatenate([total[None], np.abs(spectra) ** 2]), axis=0)
-    values = total / (len(segments) * length)
-    return SpectrumEstimate(values, "welch")
+    return _estimate(signal, _welch_plan(len(signal), window_len, overlap, fft_length))
 
 
 def estimate_spectrum(signal: Signal, config: RunConfig) -> SpectrumEstimate:
@@ -212,60 +321,109 @@ def estimate_spectrum(signal: Signal, config: RunConfig) -> SpectrumEstimate:
     averaging, so the welch method falls back to a periodogram with a
     warning. Automatic FFT lengths always cover twice the cepstrum order.
     """
-    n = len(signal)
-    method = config.method
-    if method == "welch" and n < MIN_WELCH_LENGTH:
-        warnings.warn(
-            "signal too short for segment averaging; falling back to a periodogram",
-            stacklevel=2,
-        )
-        method = "periodogram"
-    if method == "periodogram":
-        length = config.fft_length
-        if length is None:
-            length = next_pow2(max(n, 2 * config.K))
-        return psd_periodogram(signal, length)
-    wl = config.window_len if config.window_len is not None else default_window_length(n)
-    length = config.fft_length
-    if length is None:
-        length = next_pow2(max(wl, 2 * config.K))
-    return psd_welch(signal, wl, config.overlap, length)
+    return _estimate(signal, _plan_spectrum(len(signal), config))
 
 
-def _fold_ifft_log(log_values: np.ndarray, order: int) -> tuple[np.ndarray, float]:
-    length = log_values.size
+def _refuse_log(spectra: np.ndarray, method: str, order: int) -> None:
+    """Raise what stops the log cepstrum of one record's spectra.
+
+    ``spectra`` holds one row for a signal, or the input and output rows
+    of a pair. A spectrum must be finite, the order positive, every bin
+    strictly positive, and the FFT length at least twice the order.
+    """
+    for values in spectra:
+        SpectrumEstimate(values, method)
+    if order < 1:
+        raise ValidationError(f"order must be positive, got {order}")
+    if len(spectra) == 1:
+        values = spectra[0]
+        if np.any(values <= 0.0):
+            bad = int(np.argmin(values))
+            raise LogOfNonpositive(
+                f"spectrum bin {bad} is {values[bad]}; "
+                "the log spectrum needs strictly positive values"
+            )
+    else:
+        for name, values in zip(("input", "output"), spectra):
+            if np.any(values <= 0.0):
+                raise LogOfNonpositive(f"{name} spectrum has a nonpositive bin; cannot take its log")
+    length = spectra.shape[-1]
     if 2 * order > length:
         raise ValidationError(
             f"cepstrum order {order} needs a spectrum of at least {2 * order} samples, got {length}"
         )
-    c = np.fft.ifft(log_values).real
+
+
+def _fold_ifft_log(log_values: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Cepstra of the rows of a log spectrum: lags 1..order and lag 0."""
+    length = log_values.shape[-1]
+    c = np.fft.ifft(log_values, axis=-1).real
     # The log spectrum of a real signal is even, so c(k) = c(L - k) up to
     # estimation noise; averaging the two halves symmetrizes exactly.
-    positive = 0.5 * (c[1 : order + 1] + c[length - order :][::-1])
-    return positive, float(c[0])
+    positive = 0.5 * (c[..., 1 : order + 1] + c[..., length - order :][..., ::-1])
+    return positive, c[..., 0]
 
 
 def power_cepstrum_from_psd(psd: SpectrumEstimate, order: int) -> CepstrumSequence:
     """Inverse DFT of the log spectrum, truncated to ``order`` lags."""
-    if order < 1:
-        raise ValidationError(f"order must be positive, got {order}")
-    values = psd.values
-    if np.any(values <= 0.0):
-        bad = int(np.argmin(values))
-        raise LogOfNonpositive(
-            f"spectrum bin {bad} is {values[bad]}; the log spectrum needs strictly positive values"
-        )
-    positive, zeroth = _fold_ifft_log(np.log(values), order)
+    _refuse_log(psd.values[None], psd.method, order)
+    positive, zeroth = _fold_ifft_log(np.log(psd.values), order)
     return CepstrumSequence("power", positive, None, zeroth)
+
+
+def power_cepstra(records: Sequence, plan: SpectrumPlan, order: int) -> list:
+    """Power cepstra of signals, or transfer cepstra of (input, output) pairs, under one plan.
+
+    A transfer cepstrum comes from the difference of the output and input
+    log spectra, so the realized input spectrum cancels instead of being
+    modeled. Each entry is the record's cepstrum, or the CepdistError that
+    refused it, so one broken record fails alone.
+
+    The records go through in blocks: as many as fit WELCH_BLOCK_VALUES
+    spectrum values are stacked and transformed together (one at a time
+    when a record's segments alone exceed it), and the logs and inverse
+    FFTs of a block's good records take one call each. Every row is
+    transformed and reduced as it would be alone, so each cepstrum equals
+    the record's own, computed by itself, bit for bit.
+    """
+    paired = isinstance(records[0], tuple)
+    width = 2 if paired else 1
+    per_call = max(1, WELCH_BLOCK_VALUES // plan.fft_length)
+    chunk = max(1, per_call // (plan.segments * width))
+    results: list = [None] * len(records)
+    for start in range(0, len(records), chunk):
+        block = records[start : start + chunk]
+        stack = np.stack([s.samples for record in block for s in (record if paired else (record,))])
+        spectra = _spectra(stack, plan).reshape(len(block), width, -1)
+        good = []
+        for offset, record_spectra in enumerate(spectra):
+            try:
+                _refuse_log(record_spectra, plan.method, order)
+                good.append(offset)
+            except CepdistError as exc:
+                results[start + offset] = exc
+        if not good:
+            continue
+        logs = np.log(spectra[good])
+        positive, zeroth = _fold_ifft_log(logs[:, 1] - logs[:, 0] if paired else logs[:, 0], order)
+        for row, offset in enumerate(good):
+            results[start + offset] = CepstrumSequence("power", positive[row], None, zeroth[row])
+    return results
+
+
+def _record_cepstrum(record, config: RunConfig, order: int | None) -> CepstrumSequence:
+    cfg = config if order is None else replace(config, K=order)
+    (result,) = power_cepstra([record], plan_record(record, cfg), cfg.K)
+    if isinstance(result, CepdistError):
+        raise result
+    return result
 
 
 def power_cepstrum_of_signal(
     signal: Signal, config: RunConfig, order: int | None = None
 ) -> CepstrumSequence:
     """Power cepstrum of one signal through the configured spectrum estimate."""
-    cfg = config if order is None else replace(config, K=order)
-    psd = estimate_spectrum(signal, cfg)
-    return power_cepstrum_from_psd(psd, cfg.K)
+    return _record_cepstrum(signal, config, order)
 
 
 def transfer_cepstrum_from_io(
@@ -280,20 +438,7 @@ def transfer_cepstrum_from_io(
     are subtracted, so the realized input spectrum cancels instead of being
     modeled.
     """
-    if len(input_signal) != len(output_signal):
-        raise LengthMismatch(
-            f"input and output lengths differ: {len(input_signal)} vs {len(output_signal)}"
-        )
-    if input_signal.sample_period != output_signal.sample_period:
-        raise ValidationError("input and output sample periods differ")
-    cfg = config if order is None else replace(config, K=order)
-    psd_in = estimate_spectrum(input_signal, cfg)
-    psd_out = estimate_spectrum(output_signal, cfg)
-    for name, est in (("input", psd_in), ("output", psd_out)):
-        if np.any(est.values <= 0.0):
-            raise LogOfNonpositive(f"{name} spectrum has a nonpositive bin; cannot take its log")
-    positive, zeroth = _fold_ifft_log(np.log(psd_out.values) - np.log(psd_in.values), cfg.K)
-    return CepstrumSequence("power", positive, None, zeroth)
+    return _record_cepstrum((input_signal, output_signal), config, order)
 
 
 def _root_power_sums(roots: tuple[complex, ...], order: int) -> np.ndarray:

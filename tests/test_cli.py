@@ -116,13 +116,52 @@ def test_demo_signals_are_close_in_dynamics_but_orthogonal_in_samples(tmp_path, 
 
 @pytest.mark.parametrize("verb", ["distance", "distmat"])
 def test_infinite_distance_is_refused_in_json_reports(tmp_path, capsys, verb):
+    # The distance 2e308 is beyond the floating-point range: the pair verb
+    # refuses, and the matrix records a failed cell.
     a = write_signal(tmp_path, "a.csv", [1e308])
     b = write_signal(tmp_path, "b.csv", [-1e308])
-    with np.errstate(over="ignore"):
-        assert main([verb, a, b, "--metric", "euclidean"]) == 2
+    refusal = "the euclidean distance exceeds the floating-point range"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main([verb, a, b, "--metric", "euclidean"])
     captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: cannot write the non-finite value inf into a report\n"
+    if verb == "distance":
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: {refusal}\n"
+    else:
+        assert code == 0
+        report = json.loads(captured.out)
+        assert report["values"] == [[0.0, None], [None, 0.0]]
+        assert report["failures"] == [["a", "b", refusal]]
+        assert captured.err == f"warning: a vs b: {refusal}\n"
+
+
+def test_infinite_distance_is_an_empty_cell_in_csv_matrices(tmp_path, capsys):
+    a = write_signal(tmp_path, "a.csv", [1e308])
+    b = write_signal(tmp_path, "b.csv", [-1e308])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["distmat", a, b, "--metric", "euclidean", "--output-format", "csv"]) == 0
+    assert capsys.readouterr().out == "id,a,b\na,0,\nb,,0\n"
+
+
+def test_representable_euclidean_distance_of_large_records_is_reported(tmp_path, capsys):
+    # The squared norm of the difference overflows, the distance 2e200 does
+    # not; every form used to give inf or refuse.
+    a = write_signal(tmp_path, "a.csv", [1e200])
+    b = write_signal(tmp_path, "b.csv", [-1e200])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["distance", a, b, "--metric", "euclidean"]) == 0
+        assert json.loads(capsys.readouterr().out)["value"] == 2e200
+        assert main(["distmat", a, b, "--metric", "euclidean"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["values"] == [[0.0, 2e200], [2e200, 0.0]]
+        assert report["failures"] == []
+        assert main(["distmat", a, b, "--metric", "euclidean", "--output-format", "csv"]) == 0
+        _, csv_values = capsys.readouterr().out.splitlines()[1].split(",", 1)
+        assert [float(v) for v in csv_values.split(",")] == [0.0, 2e200]
 
 
 def test_cosine_of_overflowing_records_is_reported(tmp_path, capsys):

@@ -17,11 +17,10 @@ from cepdist import (
     distance_matrix,
     euclidean_distance,
     make_example_signals,
-    power_cepstrum_of_signal,
-    transfer_cepstrum_from_io,
     weighted_cepstral_distance,
 )
 from conftest import white_record
+from test_spectral import reference_cepstrum
 
 # Single Welch window per record keeps the estimates deterministic and cheap.
 CLUSTER_CONFIG = RunConfig(
@@ -37,22 +36,20 @@ MIXED_SYSTEM = ZeroPoleGain.from_roots([0.9], [2.5], 1.0)
 def _reference_distance_matrix(items, metric, config):
     """The per-pair loop that the batched cepstral kernel replaced, kept as the oracle.
 
-    Covers the cepstral, euclidean and cosine metrics. Returns the values
-    and the failures, with the default ids.
+    Covers the cepstral, euclidean and cosine metrics, with the cepstra
+    of the per-record oracles. Returns the values and the failures, with
+    the default ids.
     """
     n = len(items)
     ids = tuple(f"item{idx:03d}" for idx in range(n))
     features = [None] * n
     broken = {}
     for idx, item in enumerate(items):
-        paired = isinstance(item, tuple)
         try:
-            if metric != "cepstral":
-                features[idx] = item[1] if paired else item
-            elif paired:
-                features[idx] = transfer_cepstrum_from_io(item[0], item[1], config)
+            if metric == "cepstral":
+                features[idx] = reference_cepstrum(item, config)
             else:
-                features[idx] = power_cepstrum_of_signal(item, config)
+                features[idx] = item[1] if isinstance(item, tuple) else item
         except CepdistError as exc:
             broken[idx] = str(exc)
     pair = {
@@ -466,6 +463,31 @@ def test_cepstral_matrix_equals_the_pair_loop_property(count, order, seed, paire
     broken = set(np.random.default_rng(seed).choice(count, size=seed % 3, replace=True).tolist())
     items = _cepstral_items(count, paired, seed, broken)
     _assert_matrix_matches_reference(items, "cepstral", _kernel_config(order))
+
+
+def test_cepstral_matrix_keeps_the_per_record_failures():
+    # One record too short for the window, one with an all-zero input, one
+    # whose input spectrum overflows and one with unequal lengths, among
+    # good records of two lengths; each fails only its own cells, with the
+    # per-record text, in row-major order.
+    items = _cepstral_items(8, paired=True, seed=12)
+    items[1] = (items[1][0], Signal(items[1][1].samples[:500]))
+    items[3] = (Signal(np.zeros(512)), items[3][1])
+    items[4] = (Signal(items[4][0].samples[:200]), Signal(items[4][1].samples[:200]))
+    items[6] = (Signal(np.full(512, 1e200)), items[6][1])
+    items[7] = (Signal(items[7][0].samples[:400]), Signal(items[7][1].samples[:400]))
+    config = RunConfig(window_len=256, K=64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        matrix = _assert_matrix_matches_reference(items, "cepstral", config)
+    reasons = {(id_a, id_b): reason for id_a, id_b, reason in matrix.failures}
+    assert {b: reasons["item000", b] for b in ("item001", "item003", "item004", "item006")} == {
+        "item001": "input and output lengths differ: 512 vs 500",
+        "item003": "input spectrum has a nonpositive bin; cannot take its log",
+        "item004": "window_len 256 exceeds the signal length 200",
+        "item006": "spectrum values must be finite",
+    }
+    assert len(matrix.failures) == 7 + 6 + 5 + 4
+    assert np.isfinite(matrix.values[np.ix_([0, 2, 5, 7], [0, 2, 5, 7])]).all()
 
 
 @pytest.mark.parametrize("metric", ["euclidean", "cosine"])

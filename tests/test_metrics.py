@@ -289,6 +289,25 @@ def test_euclidean_distance_basics():
         euclidean_distance(a, Signal(np.zeros(3)))
 
 
+@pytest.mark.parametrize("shift", [0, 600, 1000])
+@pytest.mark.parametrize("seed", range(3))
+def test_euclidean_distance_is_exact_under_power_of_two_scaling(seed, shift):
+    # Shifts of 600 and 1000 overflow the squared norm of the difference;
+    # the rescaled route must give the unscaled value shifted, bit for bit.
+    rng = np.random.default_rng(seed)
+    x, y = rng.standard_normal(64), rng.standard_normal(64)
+    plain = float(np.linalg.norm(x - y))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = euclidean_distance(Signal(np.ldexp(x, shift)), Signal(np.ldexp(y, shift)))
+    assert got == np.ldexp(plain, shift)
+
+
+def test_euclidean_distance_beyond_the_range_is_refused():
+    with pytest.raises(ValidationError, match="exceeds the floating-point range"):
+        euclidean_distance(Signal(np.array([1e308])), Signal(np.array([-1e308])))
+
+
 def test_cosine_similarity_basics():
     a = Signal(np.array([1.0, 0.0]))
     b = Signal(np.array([0.0, 1.0]))

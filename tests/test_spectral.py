@@ -1,5 +1,7 @@
 """Spectrum estimation, power and complex cepstra, and phase unwrapping."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -35,8 +37,12 @@ from cepdist import (
     transfer_cepstrum_from_io,
 )
 from cepdist.spectral import (
+    MIN_WELCH_LENGTH,
     WELCH_BLOCK_VALUES,
+    default_window_length,
     next_pow2,
+    plan_record,
+    power_cepstra,
     transfer_complex_cepstrum_from_io,
 )
 from conftest import (
@@ -97,6 +103,65 @@ def _reference_psd_welch(signal, window_len, overlap, fft_length):
         acc += np.abs(np.fft.fft(window * x[start : start + window_len], fft_length)) ** 2
         count += 1
     return acc / (count * fft_length)
+
+
+def _reference_spectrum(signal, config):
+    """The per-record spectrum estimate that the batch replaced, kept as the
+    oracle: the short-record periodogram fallback with its warning, the
+    automatic sizes, and the segment loop. Raises as it did for a window
+    longer than the record and for a non-finite spectrum."""
+    x = signal.samples
+    n = x.size
+    method = config.method
+    if method == "welch" and n < MIN_WELCH_LENGTH:
+        warnings.warn("signal too short for segment averaging; falling back to a periodogram")
+        method = "periodogram"
+    if method == "periodogram":
+        length = config.fft_length or next_pow2(max(n, 2 * config.K))
+        values = np.abs(np.fft.fft(x, length)) ** 2 / length
+    else:
+        window_len = config.window_len or default_window_length(n)
+        if window_len > n:
+            raise InsufficientData(f"window_len {window_len} exceeds the signal length {n}")
+        length = config.fft_length or next_pow2(max(window_len, 2 * config.K))
+        values = _reference_psd_welch(signal, window_len, config.overlap, length)
+    return SpectrumEstimate(values, method).values
+
+
+def _reference_fold(log_values, order):
+    c = np.fft.ifft(log_values).real
+    positive = 0.5 * (c[1 : order + 1] + c[c.size - order :][::-1])
+    return CepstrumSequence("power", positive, None, float(c[0]))
+
+
+def reference_power_cepstrum(signal, config):
+    """``power_cepstrum_of_signal`` one record at a time: the batch's oracle."""
+    values = _reference_spectrum(signal, config)
+    if np.any(values <= 0.0):
+        bad = int(np.argmin(values))
+        raise LogOfNonpositive(
+            f"spectrum bin {bad} is {values[bad]}; the log spectrum needs strictly positive values"
+        )
+    return _reference_fold(np.log(values), config.K)
+
+
+def reference_transfer_cepstrum(input_signal, output_signal, config):
+    """``transfer_cepstrum_from_io`` one record at a time: the batch's oracle."""
+    if len(input_signal) != len(output_signal):
+        raise LengthMismatch(
+            f"input and output lengths differ: {len(input_signal)} vs {len(output_signal)}"
+        )
+    spectra = [_reference_spectrum(s, config) for s in (input_signal, output_signal)]
+    for name, values in zip(("input", "output"), spectra):
+        if np.any(values <= 0.0):
+            raise LogOfNonpositive(f"{name} spectrum has a nonpositive bin; cannot take its log")
+    return _reference_fold(np.log(spectra[1]) - np.log(spectra[0]), config.K)
+
+
+def reference_cepstrum(record, config):
+    if isinstance(record, tuple):
+        return reference_transfer_cepstrum(record[0], record[1], config)
+    return reference_power_cepstrum(record, config)
 
 
 @pytest.mark.parametrize("overlap", [0.0, 0.25, 0.3, 0.5, 0.75, 0.9])
@@ -255,6 +320,109 @@ def test_log_spectrum_factorization_splits_into_system_and_input():
 def test_transfer_cepstrum_validates_lengths():
     with pytest.raises(LengthMismatch):
         transfer_cepstrum_from_io(white(128, 0), white(256, 0), RunConfig())
+
+
+def _records(lengths, paired, seed):
+    """Records of a two-pole system driven by white noise, one per length."""
+    system = ZeroPoleGain.from_roots([0.6, -0.3], [0.2], 1.0)
+    records = []
+    for idx, length in enumerate(lengths):
+        u, y = white_record(system, length, seed + idx)
+        records.append((u, y) if paired else y)
+    return records
+
+
+def _batch_cepstra(records, config):
+    """Cepstra of a collection from one ``power_cepstra`` call per plan, in record order."""
+    groups = {}
+    for idx, record in enumerate(records):
+        groups.setdefault(plan_record(record, config), []).append(idx)
+    results = [None] * len(records)
+    for plan, members in groups.items():
+        for idx, result in zip(members, power_cepstra([records[i] for i in members], plan, config.K)):
+            results[idx] = result
+    return results, groups
+
+
+def _assert_bit_equal(got, want):
+    assert got.positive.tobytes() == want.positive.tobytes()
+    assert repr(got.zeroth) == repr(want.zeroth)
+
+
+def _single_cepstrum(record, config):
+    if isinstance(record, tuple):
+        return transfer_cepstrum_from_io(record[0], record[1], config)
+    return power_cepstrum_of_signal(record, config)
+
+
+@pytest.mark.parametrize("method", ["welch", "periodogram"])
+@pytest.mark.parametrize("paired", [False, True])
+def test_batch_matches_the_per_record_oracle_on_mixed_lengths(paired, method):
+    # Lengths with different automatic windows, two records per length so
+    # that a block holds several records, and one under the Welch minimum.
+    lengths = [300, 1024, 100, 4096, 1024, 300, 5000, 100, 20000, 4096]
+    records = _records(lengths, paired, seed=3)
+    config = RunConfig(method=method, K=64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        results, groups = _batch_cepstra(records, config)
+        for record, got in zip(records, results):
+            want = reference_cepstrum(record, config)
+            _assert_bit_equal(got, want)
+            _assert_bit_equal(_single_cepstrum(record, config), want)
+    assert len(groups) == len(set(lengths))
+    if method == "welch":
+        assert len({plan.window_len for plan in groups}) >= 4
+
+
+@pytest.mark.parametrize("paired", [False, True])
+def test_batch_falls_back_to_a_periodogram_for_short_records(paired):
+    records = _records([MIN_WELCH_LENGTH - 1, 64], paired, seed=8)
+    config = RunConfig(K=16)
+    for record in records:
+        with pytest.warns(UserWarning, match="falling back"):
+            plan = plan_record(record, config)
+        assert plan.method == "periodogram"
+        (got,) = power_cepstra([record], plan, config.K)
+        with pytest.warns(UserWarning, match="falling back"):
+            want = reference_cepstrum(record, config)
+        _assert_bit_equal(got, want)
+
+
+@pytest.mark.parametrize("paired", [False, True])
+def test_batch_matches_the_oracle_across_welch_blocks(paired):
+    # Each 100k-sample record has more segments than one FFT block holds,
+    # so its running sums cross several blocks.
+    records = _records([100_000, 100_000], paired, seed=11)
+    config = RunConfig()
+    results, groups = _batch_cepstra(records, config)
+    (plan,) = groups
+    assert plan.segments * plan.fft_length > 3 * WELCH_BLOCK_VALUES
+    for record, got in zip(records, results):
+        _assert_bit_equal(got, reference_cepstrum(record, config))
+
+
+@pytest.mark.parametrize("paired", [False, True])
+def test_a_broken_record_fails_alone_in_its_block(paired):
+    records = _records([1024] * 6, paired, seed=4)
+    zero, huge = Signal(np.zeros(1024)), Signal(np.full(1024, 1e200))
+    records[1] = (zero, records[1][1]) if paired else zero
+    records[4] = (huge, records[4][1]) if paired else huge
+    config = RunConfig(K=64)
+    plan = plan_record(records[0], config)
+    assert WELCH_BLOCK_VALUES // (plan.segments * plan.fft_length * (1 + paired)) >= 6
+    with np.errstate(over="ignore", invalid="ignore"):
+        results = power_cepstra(records, plan, config.K)
+    zero_text = (
+        "input spectrum has a nonpositive bin; cannot take its log"
+        if paired
+        else "spectrum bin 0 is 0.0; the log spectrum needs strictly positive values"
+    )
+    assert isinstance(results[1], LogOfNonpositive) and str(results[1]) == zero_text
+    assert isinstance(results[4], ValidationError)
+    assert str(results[4]) == "spectrum values must be finite"
+    for idx in (0, 2, 3, 5):
+        _assert_bit_equal(results[idx], reference_cepstrum(records[idx], config))
 
 
 def test_power_cepstrum_from_roots_single_pole():
