@@ -19,8 +19,10 @@ from .cluster import (
     METRIC_ALIASES,
     METRICS,
     agglomerative_cluster,
+    collection_features,
     distance_matrix,
-    item_features,
+    pair_report,
+    resolve_metric,
 )
 from .config import CONFIG_KEYS, LINKAGES, RunConfig, load_config
 from .errors import (
@@ -39,11 +41,6 @@ from .lti import (
     spectral_radius,
     state_space_from_roots,
 )
-from .metrics import (
-    cosine_similarity,
-    euclidean_distance,
-    weighted_cepstral_distance,
-)
 from .phase import classify_from_io, classify_from_model
 from .sigio import (
     canonical_json,
@@ -59,7 +56,6 @@ from .spectral import (
     power_cepstrum_from_zpk,
     transfer_complex_cepstrum_from_io,
 )
-from .subspace import subspace_distance_from_bases
 from .verify import CASES, run_verify
 
 GENERATED_INPUTS = ("white", "impulse", "step")
@@ -149,7 +145,9 @@ def cmd_cepstrum(args: argparse.Namespace, config: RunConfig) -> int:
     else:
         kind, payload = read_signal_csv(args.signal)
         if args.kind == "power":
-            cepstrum = item_features(payload, "cepstral", config)
+            (cepstrum,) = collection_features([payload], "cepstral", config)
+            if isinstance(cepstrum, CepdistError):
+                raise cepstrum
         elif kind == "pair":
             u, y = payload
             cepstrum = transfer_complex_cepstrum_from_io(u, y, config.K, config.fft_length)
@@ -161,37 +159,24 @@ def cmd_cepstrum(args: argparse.Namespace, config: RunConfig) -> int:
 
 
 def _distance_report(path_a: str, path_b: str, metric: str, config: RunConfig) -> dict:
-    metric = METRIC_ALIASES.get(metric, metric)
-    if metric not in METRICS:
-        raise ValidationError(f"metric must be one of {METRICS}, got {metric!r}")
+    metric = resolve_metric(metric)
     kind_a, payload_a = read_signal_csv(path_a)
     kind_b, payload_b = read_signal_csv(path_b)
-    report = {
+    if metric == "subspace" and (kind_a != "pair" or kind_b != "pair"):
+        raise ValidationError("the subspace metric needs t,u,y pair files")
+    feats = collection_features([payload_a, payload_b], metric, config)
+    for path, feat in zip((path_a, path_b), feats):
+        if isinstance(feat, MixedPhaseUnsupported):
+            raise MixedPhaseUnsupported(f"{path}: {feat}") from None
+        if isinstance(feat, CepdistError):
+            raise feat
+    return {
         "schema_version": 1,
         "command": "distance",
         "metric": metric,
         "inputs": [os.path.basename(path_a), os.path.basename(path_b)],
+        **pair_report(metric, *feats),
     }
-    if metric == "subspace" and (kind_a != "pair" or kind_b != "pair"):
-        raise ValidationError("the subspace metric needs t,u,y pair files")
-    feats = []
-    for path, payload in ((path_a, payload_a), (path_b, payload_b)):
-        try:
-            feats.append(item_features(payload, metric, config))
-        except MixedPhaseUnsupported as exc:
-            raise MixedPhaseUnsupported(f"{path}: {exc}") from None
-
-    if metric == "cepstral":
-        result = weighted_cepstral_distance(feats[0], feats[1])
-        report.update(value=result.value, order=result.order, tail_bound=result.tail_bound)
-    elif metric == "euclidean":
-        report["value"] = euclidean_distance(feats[0], feats[1])
-    elif metric == "cosine":
-        similarity = cosine_similarity(feats[0], feats[1])
-        report.update(value=1.0 - similarity, similarity=similarity)
-    else:
-        report["value"] = subspace_distance_from_bases(feats[0], feats[1])
-    return report
 
 
 def cmd_distance(args: argparse.Namespace, config: RunConfig) -> int:

@@ -5,6 +5,11 @@ unlock the transfer-function metrics that cancel whatever was realized on
 the input side. Pair failures do not abort the whole matrix: the offending
 cell becomes NaN and the failure is recorded, and items with failed cells
 are excluded (label -1) when clustering.
+
+Every distance takes two steps: ``collection_features`` turns items into
+features, or the error that refused each one, and ``pair_report`` turns
+two features into a distance and the fields that qualify it. The cepstral
+cells of ``distance_matrix`` come from a batched kernel with the same bits.
 """
 
 from __future__ import annotations
@@ -17,14 +22,14 @@ import numpy as np
 from .config import LINKAGES, RunConfig
 from .errors import CepdistError, MixedPhaseUnsupported, ValidationError
 from .lti import Signal
-from .metrics import cosine_similarity, euclidean_distance, weighted_cepstral_matrix
-from .phase import INDETERMINATE, MINIMUM_PHASE, classify_from_io
-from .spectral import (
-    plan_record,
-    power_cepstra,
-    power_cepstrum_of_signal,
-    transfer_cepstrum_from_io,
+from .metrics import (
+    cosine_similarity,
+    euclidean_distance,
+    weighted_cepstral_distance,
+    weighted_cepstral_matrix,
 )
+from .phase import INDETERMINATE, MINIMUM_PHASE, classify_from_io
+from .spectral import power_cepstra
 from .subspace import projected_bases, subspace_distance_from_bases
 
 METRICS = ("cepstral", "subspace", "euclidean", "cosine")
@@ -83,6 +88,14 @@ def _split_items(items: Sequence) -> tuple[list, bool]:
     return checked, paired
 
 
+def resolve_metric(metric: str) -> str:
+    """The name in METRICS of a metric or its alias; refuses any other name."""
+    metric = METRIC_ALIASES.get(metric, metric)
+    if metric not in METRICS:
+        raise ValidationError(f"metric must be one of {METRICS}, got {metric!r}")
+    return metric
+
+
 def distance_matrix(
     items: Sequence,
     metric: str,
@@ -94,22 +107,17 @@ def distance_matrix(
     ``cepstral`` compares weighted power cepstra (transfer cepstra when
     pairs are given), ``subspace`` needs pairs and compares projected
     Hankel ranges, ``euclidean`` and ``cosine`` compare output samples
-    pointwise. Each item's features are those of ``item_features``; an
-    item whose features fail makes every cell it touches NaN, with one
-    failure entry per cell in row-major (i, j) order. Cepstral features
-    are estimated in one ``power_cepstra`` batch per group of items with
-    the same resolved spectrum plan (record length, method, window, hop
-    and FFT length), bit-identical to the items' own.
+    pointwise. Each item's features are those of ``collection_features``;
+    an item whose features fail makes every cell it touches NaN, with one
+    failure entry per cell in row-major (i, j) order.
 
     The cepstral matrix is computed in one batch by
     ``weighted_cepstral_matrix``, row by row, with cells bit-identical to
-    ``weighted_cepstral_distance`` and no tail bounds. The other metrics
-    call their pair function once per cell, and a failed pair makes only
-    its own cell NaN.
+    the ``value`` of ``pair_report`` and no tail bounds. The other metrics
+    take each cell's ``value`` from ``pair_report``, and a failed pair
+    makes only its own cell NaN.
     """
-    metric = METRIC_ALIASES.get(metric, metric)
-    if metric not in METRICS:
-        raise ValidationError(f"metric must be one of {METRICS}, got {metric!r}")
+    metric = resolve_metric(metric)
     items, paired = _split_items(items)
     n = len(items)
     if ids is None:
@@ -123,27 +131,8 @@ def distance_matrix(
     if metric == "subspace" and not paired:
         raise ValidationError("the subspace metric needs (input, output) pairs")
 
-    features: list = [None] * n
-    broken: dict[int, str] = {}
-    if metric == "cepstral":
-        groups: dict = {}
-        for idx, item in enumerate(items):
-            try:
-                groups.setdefault(plan_record(item, config), []).append(idx)
-            except CepdistError as exc:
-                broken[idx] = str(exc)
-        for plan, members in groups.items():
-            for idx, result in zip(members, power_cepstra([items[i] for i in members], plan, config.K)):
-                if isinstance(result, CepdistError):
-                    broken[idx] = str(result)
-                else:
-                    features[idx] = result
-    else:
-        for idx, item in enumerate(items):
-            try:
-                features[idx] = item_features(item, metric, config)
-            except CepdistError as exc:
-                broken[idx] = str(exc)
+    features = collection_features(items, metric, config)
+    broken = {idx: str(f) for idx, f in enumerate(features) if isinstance(f, CepdistError)}
 
     values = np.zeros((n, n))
     if metric == "cepstral":
@@ -165,46 +154,59 @@ def distance_matrix(
             failures.append((ids[i], ids[j], broken.get(i) or broken.get(j)))
             continue
         try:
-            values[i, j] = values[j, i] = _pair_distance(metric, features[i], features[j])
+            values[i, j] = values[j, i] = pair_report(metric, features[i], features[j])["value"]
         except CepdistError as exc:
             values[i, j] = values[j, i] = np.nan
             failures.append((ids[i], ids[j], str(exc)))
     return DistanceMatrix(values, ids, metric, tuple(failures))
 
 
-def item_features(item, metric: str, config: RunConfig):
-    """What one item contributes to its distances under ``metric``.
+def collection_features(items: Sequence, metric: str, config: RunConfig) -> list:
+    """What each item contributes to its distances under ``metric``.
 
-    ``item`` is a signal or an (input, output) pair. ``cepstral`` gives the
-    transfer cepstrum of a pair or the power cepstrum of a signal;
-    ``subspace`` gives the projected Hankel bases of a pair, and refuses
-    with MixedPhaseUnsupported a record whose phase verdict is neither
-    minimum phase nor indeterminate, because the data route is only valid
-    behind stable minimum phase generators; ``euclidean`` and ``cosine``
-    use the output samples themselves.
+    Items are signals or (input, output) pairs; each entry is the item's
+    features or the CepdistError that refused it. ``cepstral`` gives the
+    ``power_cepstra`` of the collection; ``subspace`` needs pairs, gives
+    their projected Hankel bases, and refuses with MixedPhaseUnsupported a
+    record whose phase verdict is neither minimum phase nor indeterminate,
+    because the data route is only valid behind stable minimum phase
+    generators; ``euclidean`` and ``cosine`` use the output samples.
     """
-    paired = isinstance(item, tuple)
     if metric == "cepstral":
-        if paired:
-            return transfer_cepstrum_from_io(item[0], item[1], config)
-        return power_cepstrum_of_signal(item, config)
-    if metric == "subspace":
-        verdict = classify_from_io(item[0], item[1], config)
-        if verdict.kind not in (MINIMUM_PHASE, INDETERMINATE):
-            raise MixedPhaseUnsupported(
-                f"record classified as {verdict.kind}; the subspace metric "
-                "needs minimum phase records"
-            )
-        return projected_bases(item[0], item[1], config.hankel_rows)
-    return item[1] if paired else item
+        return power_cepstra(items, config)
+    if metric != "subspace":
+        return [item[1] if isinstance(item, tuple) else item for item in items]
+    features: list = []
+    for u, y in items:
+        try:
+            verdict = classify_from_io(u, y, config)
+            if verdict.kind not in (MINIMUM_PHASE, INDETERMINATE):
+                raise MixedPhaseUnsupported(
+                    f"record classified as {verdict.kind}; the subspace metric "
+                    "needs minimum phase records"
+                )
+            features.append(projected_bases(u, y, config.hankel_rows))
+        except CepdistError as exc:
+            features.append(exc)
+    return features
 
 
-def _pair_distance(metric: str, feat_i, feat_j) -> float:
-    if metric == "euclidean":
-        return euclidean_distance(feat_i, feat_j)
+def pair_report(metric: str, a, b) -> dict:
+    """The distance between two items' features, as the fields of a report.
+
+    Every metric gives ``value``; ``cepstral`` adds the truncation ``order``
+    and ``tail_bound`` of the weighted cepstral distance, and ``cosine``
+    the ``similarity`` whose complement the value is.
+    """
+    if metric == "cepstral":
+        result = weighted_cepstral_distance(a, b)
+        return {"value": result.value, "order": result.order, "tail_bound": result.tail_bound}
     if metric == "cosine":
-        return 1.0 - cosine_similarity(feat_i, feat_j)
-    return subspace_distance_from_bases(feat_i, feat_j)
+        similarity = cosine_similarity(a, b)
+        return {"value": 1.0 - similarity, "similarity": similarity}
+    if metric == "euclidean":
+        return {"value": euclidean_distance(a, b)}
+    return {"value": subspace_distance_from_bases(a, b)}
 
 
 def agglomerative_cluster(

@@ -255,12 +255,13 @@ def _spectra(stack: np.ndarray, plan: SpectrumPlan) -> np.ndarray:
     Welch estimates average |FFT|^2 / fft_length over Hann-tapered
     segments of ``window_len`` samples, ``hop`` apart, each padded to
     ``fft_length``; a periodogram is the one-segment case without taper.
-    Each FFT call takes at most WELCH_BLOCK_VALUES spectrum values (or one
-    segment, if a segment alone has more): all segments of several rows,
-    or a block of segments of one row. The running sums are added into the
-    first segment of each block, and a sum over the segment axis adds the
-    segments in order, so every row is its own segment-by-segment sum bit
-    for bit.
+    Each FFT call takes the same block of segments of every row, at most
+    WELCH_BLOCK_VALUES spectrum values (or one segment a row, if that
+    alone has more), so a stack sized to one block, as ``power_cepstra``
+    sizes it, goes through in one call. The running sums are added into
+    the first segment of each block, and a sum over the segment axis adds
+    the segments in order, so every row is its own segment-by-segment sum
+    bit for bit whatever the block.
     """
     length = plan.fft_length
     if plan.method == "periodogram":
@@ -269,20 +270,17 @@ def _spectra(stack: np.ndarray, plan: SpectrumPlan) -> np.ndarray:
         view = np.lib.stride_tricks.sliding_window_view(stack, plan.window_len, axis=-1)
         segments, taper = view[:, :: plan.hop], np.hanning(plan.window_len)
     count = plan.segments
-    per_call = max(1, WELCH_BLOCK_VALUES // length)
-    rows = max(1, per_call // count)
-    values = np.empty((len(stack), length))
-    for first in range(0, len(stack), rows):
-        block = segments[first : first + rows]
-        step = max(1, per_call // len(block))
-        total = np.zeros((len(block), length))
+    step = max(1, max(1, WELCH_BLOCK_VALUES // length) // len(stack))
+    total = np.zeros((len(stack), length))
+    # An overflowing record gives a non-finite spectrum, which the caller
+    # refuses with a typed error; NumPy's own warnings would only repeat it.
+    with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, count, step):
-            power = np.abs(np.fft.fft(taper * block[:, start : start + step], length, axis=-1))
+            power = np.abs(np.fft.fft(taper * segments[:, start : start + step], length, axis=-1))
             np.square(power, out=power)
             power[:, 0] += total
             total = np.sum(power, axis=1)
-        values[first : first + rows] = total / (count * length)
-    return values
+        return total / (count * length)
 
 
 def _estimate(signal: Signal, plan: SpectrumPlan) -> SpectrumEstimate:
@@ -371,49 +369,59 @@ def power_cepstrum_from_psd(psd: SpectrumEstimate, order: int) -> CepstrumSequen
     return CepstrumSequence("power", positive, None, zeroth)
 
 
-def power_cepstra(records: Sequence, plan: SpectrumPlan, order: int) -> list:
-    """Power cepstra of signals, or transfer cepstra of (input, output) pairs, under one plan.
+def power_cepstra(records: Sequence, config: RunConfig) -> list:
+    """Power cepstra of signals, and transfer cepstra of (input, output) pairs.
 
     A transfer cepstrum comes from the difference of the output and input
     log spectra, so the realized input spectrum cancels instead of being
-    modeled. Each entry is the record's cepstrum, or the CepdistError that
-    refused it, so one broken record fails alone.
+    modeled. Each entry is the record's cepstrum of order ``config.K``, or
+    the CepdistError that refused it, so one broken record fails alone.
 
-    The records go through in blocks: as many as fit WELCH_BLOCK_VALUES
-    spectrum values are stacked and transformed together (one at a time
-    when a record's segments alone exceed it), and the logs and inverse
-    FFTs of a block's good records take one call each. Every row is
-    transformed and reduced as it would be alone, so each cepstrum equals
-    the record's own, computed by itself, bit for bit.
+    Records of one ``plan_record`` plan and one kind (signal or pair) go
+    through in blocks: as many as fit WELCH_BLOCK_VALUES spectrum values
+    are stacked and transformed together (one at a time when a record's
+    segments alone exceed it), and the logs and inverse FFTs of a block's
+    good records take one call each. Every row is transformed and reduced
+    as it would be alone, so each cepstrum equals the record's own bit for bit.
     """
-    paired = isinstance(records[0], tuple)
-    width = 2 if paired else 1
-    per_call = max(1, WELCH_BLOCK_VALUES // plan.fft_length)
-    chunk = max(1, per_call // (plan.segments * width))
     results: list = [None] * len(records)
-    for start in range(0, len(records), chunk):
-        block = records[start : start + chunk]
-        stack = np.stack([s.samples for record in block for s in (record if paired else (record,))])
-        spectra = _spectra(stack, plan).reshape(len(block), width, -1)
-        good = []
-        for offset, record_spectra in enumerate(spectra):
-            try:
-                _refuse_log(record_spectra, plan.method, order)
-                good.append(offset)
-            except CepdistError as exc:
-                results[start + offset] = exc
-        if not good:
+    groups: dict = {}
+    for idx, record in enumerate(records):
+        try:
+            plan = plan_record(record, config)
+        except CepdistError as exc:
+            results[idx] = exc
             continue
-        logs = np.log(spectra[good])
-        positive, zeroth = _fold_ifft_log(logs[:, 1] - logs[:, 0] if paired else logs[:, 0], order)
-        for row, offset in enumerate(good):
-            results[start + offset] = CepstrumSequence("power", positive[row], None, zeroth[row])
+        signals = record if isinstance(record, tuple) else (record,)
+        groups.setdefault((plan, len(signals)), []).append((idx, signals))
+    for (plan, width), members in groups.items():
+        per_call = max(1, WELCH_BLOCK_VALUES // plan.fft_length)
+        chunk = max(1, per_call // (plan.segments * width))
+        for start in range(0, len(members), chunk):
+            block = members[start : start + chunk]
+            stack = np.stack([s.samples for _, signals in block for s in signals])
+            spectra = _spectra(stack, plan).reshape(len(block), width, -1)
+            good = []
+            for offset, (idx, _) in enumerate(block):
+                try:
+                    _refuse_log(spectra[offset], plan.method, config.K)
+                    good.append(offset)
+                except CepdistError as exc:
+                    results[idx] = exc
+            if not good:
+                continue
+            logs = np.log(spectra[good])
+            log_spectra = logs[:, 1] - logs[:, 0] if width == 2 else logs[:, 0]
+            positive, zeroth = _fold_ifft_log(log_spectra, config.K)
+            for row, offset in enumerate(good):
+                idx = block[offset][0]
+                results[idx] = CepstrumSequence("power", positive[row], None, zeroth[row])
     return results
 
 
 def _record_cepstrum(record, config: RunConfig, order: int | None) -> CepstrumSequence:
     cfg = config if order is None else replace(config, K=order)
-    (result,) = power_cepstra([record], plan_record(record, cfg), cfg.K)
+    (result,) = power_cepstra([record], cfg)
     if isinstance(result, CepdistError):
         raise result
     return result
@@ -488,7 +496,11 @@ def _winding_free_phase(spectrum: np.ndarray) -> np.ndarray:
 
 
 def _complex_cepstrum_core(spectrum: np.ndarray, order: int) -> CepstrumSequence:
+    # The complex routes take their FFTs with overflow warnings off: an
+    # overflowing record is refused here by type instead.
     length = spectrum.size
+    if not np.all(np.isfinite(spectrum)):
+        raise ValidationError("spectrum values must be finite")
     if 2 * order > length:
         raise ValidationError(
             f"cepstrum order {order} needs at least {2 * order} spectrum samples, got {length}"
@@ -516,7 +528,8 @@ def complex_cepstrum(
         raise ValidationError(f"fft_length {length} is shorter than the signal ({x.size})")
     if length < 2 or length & (length - 1):
         raise ValidationError(f"fft_length must be a power of two, got {length}")
-    return _complex_cepstrum_core(np.fft.fft(x, length), order)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _complex_cepstrum_core(np.fft.fft(x, length), order)
 
 
 def complex_cepstrum_from_response(values: np.ndarray, order: int) -> CepstrumSequence:
@@ -553,13 +566,14 @@ def transfer_complex_cepstrum_from_io(
             f"fft_length must be a power of two at least the signal length, got {length}"
         )
     window = np.hanning(u.size)
-    spec_u = np.fft.fft(window * u, length)
-    spec_y = np.fft.fft(window * y, length)
-    for name, spec in (("input", spec_u), ("output", spec_y)):
-        mags = np.abs(spec)
-        if float(np.min(mags)) <= TAU_SPEC * float(np.max(mags)):
-            raise SpectralNull(f"{name} spectrum touches zero on the grid")
-    return _complex_cepstrum_core(spec_y / spec_u, order)
+    with np.errstate(over="ignore", invalid="ignore"):
+        spec_u = np.fft.fft(window * u, length)
+        spec_y = np.fft.fft(window * y, length)
+        for name, spec in (("input", spec_u), ("output", spec_y)):
+            mags = np.abs(spec)
+            if float(np.min(mags)) <= TAU_SPEC * float(np.max(mags)):
+                raise SpectralNull(f"{name} spectrum touches zero on the grid")
+        return _complex_cepstrum_core(spec_y / spec_u, order)
 
 
 def complex_cepstrum_from_zpk(zpk: ZeroPoleGain, order: int) -> CepstrumSequence:

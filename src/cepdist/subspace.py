@@ -32,11 +32,11 @@ from .errors import (
 from .lti import TAU_MULT, Signal, ZeroPoleGain
 from .metrics import cascade, closed_form_norm_mixed
 
-# Relative singular-value floor of the projected data Hankel blocks, and the
-# rank cutoff of the spans combined from their bases.
+# Relative singular-value floor of the projected data Hankel blocks.
 HANKEL_RANK_RTOL = 1e-8
 # Smallest ratio between the last kept and the first dropped singular value
 # of a projected Hankel block; a record with no such gap has no clear order.
+# A span combined from two records' bases with such a gap is rank deficient.
 ORDER_GAP_MIN = 1e3
 # Hankel columns folded into the triangular factor per QR step. Streaming
 # keeps the working set near LQ_BLOCK x 2 rows floats for any record length.
@@ -57,13 +57,6 @@ class PrincipalAngleSet:
     @property
     def cos_squared(self) -> tuple[float, ...]:
         return tuple(c * c for c in self.cosines)
-
-
-def _column_basis(matrix: np.ndarray, rtol: float) -> np.ndarray:
-    u, s, _ = np.linalg.svd(matrix, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        return u[:, :0]
-    return u[:, s > rtol * s[0]]
 
 
 def vandermonde_range(roots: Sequence[complex], depth: int) -> np.ndarray:
@@ -305,8 +298,10 @@ def subspace_distance_from_bases(
 ) -> float:
     """Subspace distance from two precomputed (output, input) projected bases.
 
-    Raises NonSimpleRoot when either combined span is rank deficient, which
-    happens when a pole of one system equals a zero of the other.
+    A combined span (one record's output basis next to the other's input
+    basis) is rank deficient by the gap rule of the record orders when any
+    adjacent singular-value ratio reaches ORDER_GAP_MIN, and NonSimpleRoot
+    is raised: a pole of one system equals a zero of the other, noisy or not.
     """
     ya, ua = bases_a
     yb, ub = bases_b
@@ -315,15 +310,18 @@ def subspace_distance_from_bases(
     spans = []
     for parts in ((ya, ub), (ua, yb)):
         stacked = np.hstack(parts)
-        span = _column_basis(stacked, HANKEL_RANK_RTOL)
-        if span.shape[1] < stacked.shape[1]:
+        u, s, _ = np.linalg.svd(stacked, full_matrices=False)
+        # s[0] >= 1 (orthonormal blocks); a ratio 0/0 is nan and no gap.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            gaps = np.flatnonzero(s[:-1] / s[1:] >= ORDER_GAP_MIN)
+        if gaps.size:
             # A pole of one system equal to a zero of the other: the cascade
             # has a repeated root, which metrics.cascade refuses as well.
             raise NonSimpleRoot(
-                f"a combined span keeps {span.shape[1]} of {stacked.shape[1]} columns; "
+                f"a combined span keeps {gaps[-1] + 1} of {stacked.shape[1]} columns; "
                 "the two systems share a root between one's poles and the other's zeros"
             )
-        spans.append(span)
+        spans.append(u)
     return _norm_from_cosines(principal_angles(*spans))
 
 

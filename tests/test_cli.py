@@ -21,6 +21,7 @@ from cepdist import (
     read_signal_csv,
     transfer_cepstrum_from_io,
     transfer_complex_cepstrum_from_io,
+    weighted_cepstral_distance,
 )
 from cepdist.cli import main
 from conftest import white_record
@@ -287,6 +288,123 @@ def test_cepstrum_rejects_two_sources(tmp_path, capsys):
     assert main(["cepstrum", path, "--model", model]) == 2
     assert main(["cepstrum"]) == 2
     capsys.readouterr()
+
+
+def _two_records(tmp_path, paired):
+    """Records of two minimum phase systems, as t,u,y pair files or t,value output files."""
+    paths = []
+    for seed, poles in enumerate(([0.5], [0.8, -0.3])):
+        u, y = white_record(ZeroPoleGain.from_roots(poles, [0.2], 1.0), 2048, seed)
+        path = tmp_path / f"record{seed}.csv"
+        path.write_text(format_pair_csv(u, y) if paired else format_signal_csv(y))
+        paths.append(str(path))
+    return paths
+
+
+@pytest.mark.parametrize(
+    "metric,paired",
+    [
+        ("cepstral", False),
+        ("cepstral", True),
+        ("euclidean", False),
+        ("euclidean", True),
+        ("cosine", False),
+        ("cosine", True),
+        ("subspace", True),
+    ],
+)
+def test_distance_value_is_the_distmat_cell(tmp_path, capsys, metric, paired):
+    paths = _two_records(tmp_path, paired)
+    assert main(["distance", *paths, "--metric", metric]) == 0
+    value = json.loads(capsys.readouterr().out)["value"]
+    assert main(["distmat", *paths, "--metric", metric]) == 0
+    matrix = json.loads(capsys.readouterr().out)
+    assert matrix["failures"] == []
+    assert repr(value) == repr(matrix["values"][0][1]) == repr(matrix["values"][1][0])
+
+
+def test_distance_compares_a_signal_with_a_pair_but_distmat_refuses(tmp_path, capsys):
+    signal_path = tmp_path / "signal.csv"
+    pair_path = tmp_path / "pair.csv"
+    _, output = white_record(ZeroPoleGain.from_roots([0.6], [], 1.0), 2048, 0)
+    signal_path.write_text(format_signal_csv(output))
+    pair_path.write_text(
+        format_pair_csv(*white_record(ZeroPoleGain.from_roots([-0.4], [0.3], 1.0), 2048, 1))
+    )
+    assert main(["distance", str(signal_path), str(pair_path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    config = RunConfig()
+    _, y = read_signal_csv(str(signal_path))
+    _, (u, y_pair) = read_signal_csv(str(pair_path))
+    want = weighted_cepstral_distance(
+        power_cepstrum_of_signal(y, config), transfer_cepstrum_from_io(u, y_pair, config)
+    )
+    assert (report["value"], report["order"], report["tail_bound"]) == (
+        want.value,
+        want.order,
+        want.tail_bound,
+    )
+    assert main(["distmat", str(signal_path), str(pair_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: items must be all signals or all (input, output) pairs\n"
+
+
+def _records_with_a_huge_input(tmp_path, scale):
+    """Two ordinary t,u,y records and one, huge.csv, whose input is scaled by ``scale``."""
+    system = ZeroPoleGain.from_roots([0.5], [0.2], 1.0)
+    for seed in range(2):
+        (tmp_path / f"ok{seed}.csv").write_text(format_pair_csv(*white_record(system, 2048, seed)))
+    u, y = white_record(system, 2048, 2)
+    huge = tmp_path / "huge.csv"
+    huge.write_text(format_pair_csv(Signal(scale * u.samples), y))
+    return str(huge)
+
+
+def _main_without_warnings(argv):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return main(argv)
+
+
+# Near 1e200 the squared FFT magnitudes overflow; near 1e307 the FFT itself
+# does. Either way the record is refused by type, and no NumPy warning
+# reaches the command line.
+@pytest.mark.parametrize("scale", [1e200, 1e307])
+def test_overflowing_power_spectrum_is_refused_without_warnings(tmp_path, capsys, scale):
+    huge = _records_with_a_huge_input(tmp_path, scale)
+    refusal = "spectrum values must be finite"
+    assert _main_without_warnings(["distance", huge, str(tmp_path / "ok0.csv")]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {refusal}\n")
+    assert _main_without_warnings(["distmat", str(tmp_path), "--metric", "cepstral"]) == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["failures"] == [
+        ["huge", "ok0", refusal],
+        ["huge", "ok1", refusal],
+    ]
+    assert captured.err == f"warning: huge vs ok0: {refusal}\nwarning: huge vs ok1: {refusal}\n"
+
+
+@pytest.mark.parametrize(
+    "argv", [["classify"], ["cepstrum", "--kind", "complex"]], ids=["classify", "cepstrum"]
+)
+def test_overflowing_complex_spectrum_is_refused_without_warnings(tmp_path, capsys, argv):
+    huge = _records_with_a_huge_input(tmp_path, 1e307)
+    assert _main_without_warnings([*argv, huge]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: spectrum values must be finite\n")
+
+
+def test_overflowing_record_fails_only_its_subspace_cells(tmp_path, capsys):
+    _records_with_a_huge_input(tmp_path, 1e307)
+    assert _main_without_warnings(["distmat", str(tmp_path), "--metric", "subspace"]) == 0
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    refusal = "spectrum values must be finite"
+    assert report["failures"] == [["huge", "ok0", refusal], ["huge", "ok1", refusal]]
+    assert np.isfinite(report["values"][1][2])
+    assert captured.err == f"warning: huge vs ok0: {refusal}\nwarning: huge vs ok1: {refusal}\n"
 
 
 def test_distmat_json_and_csv(tmp_path, capsys):

@@ -333,15 +333,8 @@ def _records(lengths, paired, seed):
 
 
 def _batch_cepstra(records, config):
-    """Cepstra of a collection from one ``power_cepstra`` call per plan, in record order."""
-    groups = {}
-    for idx, record in enumerate(records):
-        groups.setdefault(plan_record(record, config), []).append(idx)
-    results = [None] * len(records)
-    for plan, members in groups.items():
-        for idx, result in zip(members, power_cepstra([records[i] for i in members], plan, config.K)):
-            results[idx] = result
-    return results, groups
+    """Cepstra of a collection from one ``power_cepstra`` call, and the set of their plans."""
+    return power_cepstra(records, config), {plan_record(record, config) for record in records}
 
 
 def _assert_bit_equal(got, want):
@@ -365,14 +358,14 @@ def test_batch_matches_the_per_record_oracle_on_mixed_lengths(paired, method):
     config = RunConfig(method=method, K=64)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
-        results, groups = _batch_cepstra(records, config)
+        results, plans = _batch_cepstra(records, config)
         for record, got in zip(records, results):
             want = reference_cepstrum(record, config)
             _assert_bit_equal(got, want)
             _assert_bit_equal(_single_cepstrum(record, config), want)
-    assert len(groups) == len(set(lengths))
+    assert len(plans) == len(set(lengths))
     if method == "welch":
-        assert len({plan.window_len for plan in groups}) >= 4
+        assert len({plan.window_len for plan in plans}) >= 4
 
 
 @pytest.mark.parametrize("paired", [False, True])
@@ -383,7 +376,8 @@ def test_batch_falls_back_to_a_periodogram_for_short_records(paired):
         with pytest.warns(UserWarning, match="falling back"):
             plan = plan_record(record, config)
         assert plan.method == "periodogram"
-        (got,) = power_cepstra([record], plan, config.K)
+        with pytest.warns(UserWarning, match="falling back"):
+            (got,) = power_cepstra([record], config)
         with pytest.warns(UserWarning, match="falling back"):
             want = reference_cepstrum(record, config)
         _assert_bit_equal(got, want)
@@ -395,10 +389,18 @@ def test_batch_matches_the_oracle_across_welch_blocks(paired):
     # so its running sums cross several blocks.
     records = _records([100_000, 100_000], paired, seed=11)
     config = RunConfig()
-    results, groups = _batch_cepstra(records, config)
-    (plan,) = groups
+    results, plans = _batch_cepstra(records, config)
+    (plan,) = plans
     assert plan.segments * plan.fft_length > 3 * WELCH_BLOCK_VALUES
     for record, got in zip(records, results):
+        _assert_bit_equal(got, reference_cepstrum(record, config))
+
+
+def test_a_collection_may_mix_signals_and_pairs():
+    pairs = _records([1024, 4096, 1024], True, seed=5)
+    records = [pairs[0], pairs[1][1], pairs[2], pairs[0][1], pairs[1]]
+    config = RunConfig(K=64)
+    for record, got in zip(records, power_cepstra(records, config)):
         _assert_bit_equal(got, reference_cepstrum(record, config))
 
 
@@ -411,8 +413,10 @@ def test_a_broken_record_fails_alone_in_its_block(paired):
     config = RunConfig(K=64)
     plan = plan_record(records[0], config)
     assert WELCH_BLOCK_VALUES // (plan.segments * plan.fft_length * (1 + paired)) >= 6
-    with np.errstate(over="ignore", invalid="ignore"):
-        results = power_cepstra(records, plan, config.K)
+    with warnings.catch_warnings():
+        # The overflowing record is refused by type, without NumPy warnings.
+        warnings.simplefilter("error")
+        results = power_cepstra(records, config)
     zero_text = (
         "input spectrum has a nonpositive bin; cannot take its log"
         if paired

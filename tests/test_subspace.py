@@ -500,6 +500,39 @@ def test_data_distance_refuses_systems_sharing_a_root():
         subspace_distance_from_data(pair_a, pair_b, rows=60)
 
 
+def _noisy_shared_root_records(noise):
+    """Records of the two shared-root systems, 16384 samples, with white output noise."""
+    pairs = []
+    for seed, system in enumerate((SHARED_ROOT_A, SHARED_ROOT_B)):
+        u, y = white_record(system, 16384, seed)
+        noisy = y.samples + noise * np.random.default_rng(10 + seed).standard_normal(len(y))
+        pairs.append((u, Signal(noisy)))
+    return pairs
+
+
+# With a little output noise the two bases are no longer exactly dependent:
+# a fixed rank cutoff kept all four columns and returned about 9.9 against
+# a series distance of 8.97. The largest adjacent singular-value ratio of
+# the span is still about 5e6 at 1e-7 and 5e5 at 1e-6.
+@pytest.mark.parametrize("noise", [1e-7, 1e-6])
+def test_data_distance_refuses_shared_roots_under_small_noise(noise):
+    with pytest.raises(NonSimpleRoot, match="3 of 4 columns"):
+        subspace_distance_from_data(*_noisy_shared_root_records(noise), rows=150)
+
+
+@pytest.mark.parametrize("noise", [1e-7, 1e-6])
+def test_cli_subspace_distance_refuses_shared_roots_under_small_noise(tmp_path, capsys, noise):
+    paths = []
+    for seed, pair in enumerate(_noisy_shared_root_records(noise)):
+        path = tmp_path / f"record{seed}.csv"
+        path.write_text(format_pair_csv(*pair))
+        paths.append(str(path))
+    assert main(["distance", *paths, "--metric", "subspace"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: a combined span keeps 3 of 4 columns")
+
+
 @pytest.mark.parametrize(
     "systems,length,message",
     [
