@@ -49,6 +49,12 @@ TAU_SPEC = 1e-12
 # Minimum signal length for segment averaging; below this fall back to a
 # plain periodogram.
 MIN_WELCH_LENGTH = 128
+# A record whose peak magnitude lies outside [1 / SAFE_PEAK, SAFE_PEAK] is
+# scaled by a power of two before the single-record routes take its
+# spectrum: the squared FFT magnitudes of a larger record overflow, and
+# those of a much smaller one underflow. The scale returns as a log gain in
+# c(0), so records inside the range keep every bit.
+SAFE_PEAK = 2.0**128
 # Spectrum values computed per FFT call: a block holds the segments of
 # several records that share a plan, or a block of segments of one long
 # record, so a call's memory stays near a megabyte whatever the record
@@ -376,6 +382,8 @@ def power_cepstra(records: Sequence, config: RunConfig) -> list:
     log spectra, so the realized input spectrum cancels instead of being
     modeled. Each entry is the record's cepstrum of order ``config.K``, or
     the CepdistError that refused it, so one broken record fails alone.
+    Records are transformed as given, so one whose squared spectrum
+    overflows is refused here; the single-record routes rescale it first.
 
     Records of one ``plan_record`` plan and one kind (signal or pair) go
     through in blocks: as many as fit WELCH_BLOCK_VALUES spectrum values
@@ -419,18 +427,40 @@ def power_cepstra(records: Sequence, config: RunConfig) -> list:
     return results
 
 
+def _range_exponent(signal: Signal) -> int:
+    """The power of two that brings a peak outside the safe range to [0.5, 1)."""
+    peak = float(np.max(np.abs(signal.samples)))
+    if 1.0 / SAFE_PEAK <= peak <= SAFE_PEAK:
+        return 0
+    return int(np.frexp(peak)[1])
+
+
 def _record_cepstrum(record, config: RunConfig, order: int | None) -> CepstrumSequence:
     cfg = config if order is None else replace(config, K=order)
-    (result,) = power_cepstra([record], cfg)
+    signals = record if isinstance(record, tuple) else (record,)
+    exponents = [_range_exponent(s) for s in signals]
+    scaled = tuple(
+        Signal(np.ldexp(s.samples, -e), s.sample_period) if e else s
+        for s, e in zip(signals, exponents)
+    )
+    (result,) = power_cepstra([scaled if isinstance(record, tuple) else scaled[0]], cfg)
     if isinstance(result, CepdistError):
         raise result
+    # c(0) is the mean log spectrum: output minus input for a pair.
+    shift = exponents[-1] - (exponents[0] if len(signals) == 2 else 0)
+    if shift:
+        result = replace(result, zeroth=result.zeroth + 2.0 * shift * np.log(2.0))
     return result
 
 
 def power_cepstrum_of_signal(
     signal: Signal, config: RunConfig, order: int | None = None
 ) -> CepstrumSequence:
-    """Power cepstrum of one signal through the configured spectrum estimate."""
+    """Power cepstrum of one signal through the configured spectrum estimate.
+
+    A signal whose peak lies outside [1 / SAFE_PEAK, SAFE_PEAK] is scaled
+    by a power of two first, and its log gain added back to c(0).
+    """
     return _record_cepstrum(signal, config, order)
 
 
@@ -444,7 +474,10 @@ def transfer_cepstrum_from_io(
 
     Both signals are estimated with identical settings and the log spectra
     are subtracted, so the realized input spectrum cancels instead of being
-    modeled.
+    modeled. A signal whose peak lies outside [1 / SAFE_PEAK, SAFE_PEAK] is
+    scaled by a power of two first, and the log gain between the two
+    scales added back to c(0), so the squared FFT magnitudes stay finite
+    for any representable record.
     """
     return _record_cepstrum((input_signal, output_signal), config, order)
 

@@ -6,9 +6,13 @@ two Vandermonde matrices, one built on the poles and one on the zeros, in
 the limit of infinitely many rows. The same angles can be reached from
 input/output data alone: Hankel matrices of the output with the input's
 row space projected out (and vice versa, which is the inverse system's
-Hankel picture) span the corresponding ranges. Both projections come from
-one LQ factorization of the stacked Hankel blocks, as in MOESP (Verhaegen
-& Dewilde 1992), and the order is read from the singular-value gap.
+Hankel picture) span the corresponding ranges. Both projections follow
+from the rows x rows Gram blocks of the input and output Hankel matrices
+(the covariance form of Van Overschee & De Moor 1996), whose entries are
+lag-product sums along diagonals (the displacement structure used by
+Mastronardi et al. 2001); the order is read from the singular-value gap,
+and one subspace-iteration step against the samples makes each basis as
+accurate as an LQ factorization of the Hankel blocks would.
 Maximum phase models go through the same computation on reflected roots.
 """
 
@@ -16,7 +20,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -31,6 +35,7 @@ from .errors import (
 )
 from .lti import TAU_MULT, Signal, ZeroPoleGain
 from .metrics import cascade, closed_form_norm_mixed
+from .spectral import next_pow2
 
 # Relative singular-value floor of the projected data Hankel blocks.
 HANKEL_RANK_RTOL = 1e-8
@@ -38,9 +43,6 @@ HANKEL_RANK_RTOL = 1e-8
 # of a projected Hankel block; a record with no such gap has no clear order.
 # A span combined from two records' bases with such a gap is rank deficient.
 ORDER_GAP_MIN = 1e3
-# Hankel columns folded into the triangular factor per QR step. Streaming
-# keeps the working set near LQ_BLOCK x 2 rows floats for any record length.
-LQ_BLOCK = 2048
 # Relative cutoff under which matrix columns count as dependent.
 TAU_RANK = 1e-10
 # Doubling the Vandermonde depth must move the norm less than this.
@@ -184,21 +186,60 @@ def subspace_distance_between_models(
     return subspace_norm_from_model(cascade(first, second), depth)
 
 
-def _ordered_basis(lower: np.ndarray, rows: int, side: str) -> np.ndarray:
-    """Basis of the second block of a stacked pair with the first block's
-    row space projected out, from the pair's lower triangular LQ factor.
+def _lag_gram(x: np.ndarray, y: np.ndarray, rows: int) -> np.ndarray:
+    """Gram block G[i, j] = sum over t < cols of x[i + t] * y[j + t] of the
+    rows-row Hankel matrices of x and y, with cols = len(x) - rows + 1.
 
-    That projection's left singular vectors and values are those of the
-    L22 block. The values are clipped to a floor of HANKEL_RANK_RTOL times
-    the norm of the second block (its rows of ``lower``); the kept order is
-    the largest n with s[n-1] / s[n] >= ORDER_GAP_MIN, and zero when s[0]
-    sits at the floor.
+    Row 0 of each triangle is a correlation over the samples. Along a
+    diagonal, G[i + 1, j + 1] = G[i, j] - x[i] y[j] + x[i + cols] y[j + cols],
+    so the rest of the triangle is one cumulative sum down a sheared block
+    of those updates: O(rows * len(x)) work in all, and no Hankel block.
     """
-    u, s, _ = np.linalg.svd(lower[rows:, rows:], full_matrices=False)
-    floor = HANKEL_RANK_RTOL * np.linalg.norm(lower[rows:], 2)
+    cols = x.size - rows + 1
+    windows = np.lib.stride_tricks.sliding_window_view
+    # sheared[k, d] = G[k, k + d] of the upper triangle, then of the transpose.
+    triangles = []
+    for a, b in ((x, y), (y, x))[: 1 if x is y else 2]:
+        sheared = np.empty((rows, rows))
+        sheared[0] = np.correlate(b, a[:cols], "valid")
+        # Updates past the last diagonal entry read the zero padding; the
+        # entries they reach lie outside the triangle and are never read.
+        tail = np.concatenate([b[cols:], np.zeros(rows)])
+        sheared[1:] = (
+            a[cols:, None] * windows(tail, rows)[: rows - 1]
+            - a[: rows - 1, None] * windows(b, rows)[: rows - 1]
+        )
+        triangles.append(np.cumsum(sheared, axis=0))
+    index = np.arange(rows)
+    lag = index[None, :] - index[:, None]
+    start = np.minimum(index[:, None], index[None, :])
+    return np.where(
+        lag >= 0, triangles[0][start, np.abs(lag)], triangles[-1][start, np.abs(lag)]
+    )
+
+
+def _correlate(spectrum: np.ndarray, weights: np.ndarray, count: int) -> np.ndarray:
+    """sum over t of x[i + t] * weights[t, m] for i < count, per column m,
+    from spectrum = rfft(x, length).
+
+    The products of a Hankel matrix of x, and of its transpose, with a
+    block of vectors are such correlations. length must reach past
+    count + len(weights) - 2, so that no product wraps around.
+    """
+    length = 2 * (spectrum.size - 1)
+    products = spectrum[:, None] * np.conj(np.fft.rfft(weights, length, axis=0))
+    return np.fft.irfft(products, length, axis=0)[:count]
+
+
+def _gap_order(s: np.ndarray, floor: float, side: str, rows: int) -> int:
+    """The kept order of descending singular values clipped to ``floor``.
+
+    It is the largest n with s[n-1] / s[n] >= ORDER_GAP_MIN, and zero when
+    s[0] sits at the floor; RankDeficient when no ratio clears the gap.
+    """
     s = np.maximum(s, floor)
     if s[0] <= floor:
-        return u[:, :0]
+        return 0
     ratios = s[:-1] / s[1:]
     gaps = np.flatnonzero(ratios >= ORDER_GAP_MIN)
     if gaps.size == 0:
@@ -206,9 +247,77 @@ def _ordered_basis(lower: np.ndarray, rows: int, side: str) -> np.ndarray:
         raise RankDeficient(
             f"no singular-value gap of {ORDER_GAP_MIN:g} fixes the {side} order "
             f"(largest ratio {largest}); the record is too noisy, or the order "
-            f"reaches the {s.size} usable dimensions"
+            f"reaches the {rows} usable dimensions"
         )
-    return u[:, : gaps[-1] + 1]
+    return int(gaps[-1]) + 1
+
+
+class _HankelSide(NamedTuple):
+    """One record of an input/output pair, as the Gram route reads it."""
+
+    name: str
+    gram: np.ndarray  # the Gram block of its rows-row Hankel matrix
+    eigenvalues: np.ndarray  # of ``gram``, ascending
+    spectrum: np.ndarray  # rfft of its samples, for Hankel products
+
+
+def _projected_basis(
+    first: _HankelSide, second: _HankelSide, cross: np.ndarray, cols: int
+) -> np.ndarray:
+    """Basis of the second record's Hankel column space with the first
+    record's Hankel row space projected out; ``cross`` is the Gram block
+    of the first by the second.
+
+    The projection's left singular pairs are the eigenpairs of the Schur
+    complement of the first Gram block, which must be numerically positive
+    definite. Eigenvalues square the conditioning, so singular values under
+    sqrt(rows * eps) of the block norm are not resolved there: an order gap
+    whose lower side falls under that is measured on the data instead, by
+    the step that refines the basis.
+    """
+    rows = first.gram.shape[0]
+    resolution = max(HANKEL_RANK_RTOL, np.sqrt(rows * np.finfo(float).eps))
+    low, high = first.eigenvalues[0], first.eigenvalues[-1]
+    if not low > resolution**2 * high:
+        raise RankDeficient(
+            f"the {first.name} is not persistently exciting of order {rows}: its Hankel "
+            f"Gram matrix is numerically singular (eigenvalue ratio "
+            f"{low / high if high > 0.0 else 0.0:.3g}), as for an impulse, a step, a few "
+            f"sines or an all-zero record, so the {second.name} cannot be separated from it"
+        )
+    schur = second.gram - cross.T @ np.linalg.solve(first.gram, cross)
+    values, vectors = np.linalg.eigh(0.5 * (schur + schur.T))
+    s = np.sqrt(np.maximum(values[::-1], 0.0))
+    vectors = vectors[:, ::-1]
+    top = np.sqrt(second.eigenvalues[-1])
+    floor, unresolved = HANKEL_RANK_RTOL * top, resolution * top
+
+    def refine(basis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # One subspace-iteration step, B <- orth(A orth(P A^T B)), with A
+        # the second Hankel block and P the projection, both applied
+        # through correlations against the samples. The projection runs
+        # twice: the second pass removes what rounding left of the first
+        # record's row space.
+        v = _correlate(second.spectrum, basis, cols)
+        for _ in range(2):
+            weights = np.linalg.solve(first.gram, _correlate(first.spectrum, v, rows))
+            v -= _correlate(first.spectrum, weights, cols)
+        q = np.linalg.qr(v)[0]
+        left, sigma, _ = np.linalg.svd(_correlate(second.spectrum, q, rows), full_matrices=False)
+        return left, sigma
+
+    # Values under ``unresolved`` lie within a factor ORDER_GAP_MIN of the
+    # floor, so only the gap below the last resolved value (or, with none
+    # resolved, whether the first value clears the floor) can depend on
+    # them; then the first unresolved value is measured on the data.
+    resolved = int(np.count_nonzero(s > unresolved))
+    if resolved < rows and (
+        resolved == 0 or ORDER_GAP_MIN * floor <= s[resolved - 1] < ORDER_GAP_MIN * unresolved
+    ):
+        basis, refined = refine(vectors[:, : resolved + 1])
+        return basis[:, : _gap_order(refined, floor, second.name, rows)]
+    order = _gap_order(s, unresolved, second.name, rows)
+    return refine(vectors[:, :order])[0] if order else vectors[:, :0]
 
 
 def projected_bases(
@@ -222,21 +331,22 @@ def projected_bases(
     data this is the extended observability range of the generating system.
     The second swaps the roles and yields the inverse system's range.
 
-    Both come from one LQ factorization [U; Y] = L Q^T of the stacked
-    Hankel blocks: the L22 block of L spans Y with U's row space projected
-    out, and re-triangularizing the small factor with its blocks swapped
-    gives the same for U. The triangular factor is accumulated LQ_BLOCK
-    Hankel columns at a time from windows over the samples, so the full
-    Hankel blocks are never built and memory stays of order
-    LQ_BLOCK x rows whatever the record length.
+    Both come from the rows x rows Gram blocks of the two Hankel matrices,
+    built from lag products of the samples, and from correlations of the
+    samples with the few basis vectors. The Hankel matrices are never
+    built: working memory is a few rows x rows blocks plus a few
+    record-length FFT buffers. Each record is first scaled by a power of
+    two, which changes no angle and keeps the lag products in range.
 
     Each basis keeps the order at the largest singular-value gap of at
     least ORDER_GAP_MIN above a floor of HANKEL_RANK_RTOL times the block
     norm; a block at the floor gives an empty basis. Raises RankDeficient
     when no gap clears the constant (too much noise, or an order that
-    fills every dimension), and InsufficientData unless there are more
-    Hankel columns than rows: with cols <= rows the input row space covers
-    every column and nothing of the output survives the projection.
+    fills every dimension) or when the input (or the output, for the
+    second basis) is not persistently exciting, and InsufficientData unless
+    there are more Hankel columns than rows: with cols <= rows the input
+    row space covers every column and nothing of the output survives the
+    projection.
     """
     if len(input_signal) != len(output_signal):
         raise ValidationError(
@@ -251,28 +361,17 @@ def projected_bases(
             f"more columns than rows, that is at least {2 * rows} samples, "
             f"got {len(input_signal)}"
         )
-    windows = [
-        np.lib.stride_tricks.sliding_window_view(s.samples, rows)[:cols]
-        for s in (input_signal, output_signal)
-    ]
-    # One buffer holds the running triangular factor on top of the next
-    # block of Hankel columns (as rows of [U^T Y^T]); filling it in place
-    # saves the copies a stack of separate arrays would make per step.
-    stack = np.empty((2 * rows + min(cols, LQ_BLOCK), 2 * rows))
-    top = 0
-    for start in range(0, cols, LQ_BLOCK):
-        stop = min(start + LQ_BLOCK, cols)
-        end = top + stop - start
-        stack[top:end, :rows] = windows[0][start:stop]
-        stack[top:end, rows:] = windows[1][start:stop]
-        r = np.linalg.qr(stack[:end], mode="r")
-        top = r.shape[0]
-        stack[:top] = r
-    swapped = np.linalg.qr(np.hstack([r[:, rows:], r[:, :rows]]), mode="r")
-    scale = np.sqrt(cols)
+    length = next_pow2(len(input_signal))
+    samples, sides = [], []
+    for name, signal in (("input", input_signal), ("output", output_signal)):
+        x = np.ldexp(signal.samples, -np.frexp(np.max(np.abs(signal.samples)))[1])
+        gram = _lag_gram(x, x, rows)
+        samples.append(x)
+        sides.append(_HankelSide(name, gram, np.linalg.eigvalsh(gram), np.fft.rfft(x, length)))
+    cross = _lag_gram(*samples, rows)
     return (
-        _ordered_basis(r.T / scale, rows, "output"),
-        _ordered_basis(swapped.T / scale, rows, "input"),
+        _projected_basis(sides[0], sides[1], cross, cols),
+        _projected_basis(sides[1], sides[0], cross.T, cols),
     )
 
 
@@ -283,11 +382,13 @@ def subspace_norm_from_data(
 
     Principal angles between the two projected Hankel ranges play the role
     the pole and zero Vandermonde ranges play for a known model. The ranges
-    come from ``projected_bases`` (one streamed LQ factorization, memory of
-    order LQ_BLOCK x rows, orders chosen at the singular-value gap). An
-    identity-like record has empty bases after projection and norm 0. A
-    record without a clear order gap raises RankDeficient, and one with no
-    more Hankel columns than rows raises InsufficientData.
+    come from ``projected_bases`` (lag-product Gram blocks and one refining
+    step against the samples, no Hankel matrix built, orders chosen at the
+    singular-value gap). An identity-like record has empty bases after
+    projection and norm 0. A record without a clear order gap, or whose
+    input is not persistently exciting (an impulse, a step, a few sines),
+    raises RankDeficient, and one with no more Hankel columns than rows
+    raises InsufficientData.
     """
     basis_y, basis_u = projected_bases(input_signal, output_signal, rows)
     return _norm_from_cosines(principal_angles(basis_y, basis_u))

@@ -26,15 +26,19 @@ from cepdist import (
     format_pair_csv,
     principal_angles,
     projected_bases,
+    simulate,
+    state_space_from_roots,
     subspace_distance_between_models,
     subspace_distance_from_bases,
     subspace_distance_from_data,
     subspace_norm_from_data,
     subspace_norm_from_model,
+    transfer_cepstrum_from_io,
     vandermonde_range,
+    weighted_cepstral_norm,
 )
 from cepdist.cli import main
-from cepdist.subspace import HANKEL_RANK_RTOL, LQ_BLOCK, ORDER_GAP_MIN, TAU_RANK
+from cepdist.subspace import HANKEL_RANK_RTOL, ORDER_GAP_MIN, TAU_RANK, _lag_gram
 from conftest import draw_roots, random_min_phase, white_record
 
 POLE_HALF = ZeroPoleGain.from_roots([0.5], [], 1.0)
@@ -44,6 +48,9 @@ MIN_PHASE_DEMO = example_systems()["minimum_phase"]
 # cascade has a repeated root.
 SHARED_ROOT_A = ZeroPoleGain.from_roots([0.9, 0.5], [0.3, -0.4], 1.0)
 SHARED_ROOT_B = ZeroPoleGain.from_roots([-0.8, 0.3], [0.7, 0.0], 1.0)
+# Hankel columns folded into the triangular factor per QR step of the
+# streamed LQ oracle.
+LQ_BLOCK = 2048
 
 
 def _svd_basis(matrix, rtol):
@@ -98,14 +105,62 @@ def _reference_projected_bases(input_signal, output_signal, rows):
     """Test-only oracle: the projected bases from the full Hankel blocks,
     by two explicit projections and four SVDs, with a relative rank cutoff.
 
-    The library computes the same ranges from one streamed LQ
-    factorization and picks the order at a singular-value gap instead.
+    The library computes the same ranges from lag-product Gram blocks and
+    picks the order at a singular-value gap instead.
     """
     uh = build_hankel(input_signal, rows)
     yh = build_hankel(output_signal, rows)
     y_proj = project_complement(yh.T, uh.T).T
     u_proj = project_complement(uh.T, yh.T).T
     return _svd_basis(y_proj, HANKEL_RANK_RTOL), _svd_basis(u_proj, HANKEL_RANK_RTOL)
+
+
+def _lq_ordered_basis(lower, rows, side):
+    """Basis of the second block of a stacked pair with the first block's
+    row space projected out, from the pair's lower triangular LQ factor:
+    the left singular pairs of its L22 block, cut at the ORDER_GAP_MIN gap
+    above a floor of HANKEL_RANK_RTOL times the second block's norm."""
+    u, s, _ = np.linalg.svd(lower[rows:, rows:], full_matrices=False)
+    floor = HANKEL_RANK_RTOL * np.linalg.norm(lower[rows:], 2)
+    s = np.maximum(s, floor)
+    if s[0] <= floor:
+        return u[:, :0]
+    gaps = np.flatnonzero(s[:-1] / s[1:] >= ORDER_GAP_MIN)
+    if gaps.size == 0:
+        raise RankDeficient(f"no singular-value gap of {ORDER_GAP_MIN:g} fixes the {side} order")
+    return u[:, : gaps[-1] + 1]
+
+
+def _lq_projected_bases(input_signal, output_signal, rows):
+    """Test-only oracle: the projected bases from one streamed LQ
+    factorization [U; Y] = L Q^T of the stacked Hankel blocks (MOESP,
+    Verhaegen & Dewilde 1992), with the order at the ORDER_GAP_MIN gap.
+
+    The triangular factor is accumulated LQ_BLOCK Hankel columns at a time;
+    re-triangularizing it with its blocks swapped gives the input side. The
+    library reaches the same ranges from lag-product Gram blocks instead.
+    """
+    cols = len(input_signal) - rows + 1
+    windows = [
+        np.lib.stride_tricks.sliding_window_view(s.samples, rows)[:cols]
+        for s in (input_signal, output_signal)
+    ]
+    stack = np.empty((2 * rows + min(cols, LQ_BLOCK), 2 * rows))
+    top = 0
+    for start in range(0, cols, LQ_BLOCK):
+        stop = min(start + LQ_BLOCK, cols)
+        end = top + stop - start
+        stack[top:end, :rows] = windows[0][start:stop]
+        stack[top:end, rows:] = windows[1][start:stop]
+        r = np.linalg.qr(stack[:end], mode="r")
+        top = r.shape[0]
+        stack[:top] = r
+    swapped = np.linalg.qr(np.hstack([r[:, rows:], r[:, :rows]]), mode="r")
+    scale = np.sqrt(cols)
+    return (
+        _lq_ordered_basis(r.T / scale, rows, "output"),
+        _lq_ordered_basis(swapped.T / scale, rows, "input"),
+    )
 
 
 def principal_angles_eigen(a, b):
@@ -178,6 +233,19 @@ def test_hankel_antidiagonals_are_constant(seed):
     for r in range(5):
         for c in range(20):
             assert abs(scaled[r, c] - x[r + c]) <= 1e-12
+
+
+@pytest.mark.parametrize("rows", [1, 2, 40, 150])
+@pytest.mark.parametrize("extra_cols", [1, 1000])
+def test_lag_gram_equals_the_explicit_hankel_product(rows, extra_cols):
+    cols = rows + extra_cols
+    rng = np.random.default_rng(rows)
+    x, y = rng.standard_normal((2, rows + cols - 1))
+    for a, b in ((x, y), (x, x)):
+        explicit = build_hankel(Signal(a), rows) @ build_hankel(Signal(b), rows).T * cols
+        gram = _lag_gram(a, b, rows)
+        assert gram.shape == (rows, rows)
+        assert np.max(np.abs(gram - explicit)) <= 1e-14 * np.max(np.abs(explicit))
 
 
 def test_hankel_needs_enough_samples():
@@ -403,7 +471,7 @@ def test_model_norm_matches_closed_form_on_random_systems(seed):
 
 
 # (rows, record length, column count or None for every full window): both
-# row counts in use, column counts straddling one streamed block, and fewer
+# row counts in use, column counts straddling one block of the LQ oracle, and fewer
 # than 2 * rows columns. A column count c is had by keeping the first
 # rows + c - 1 samples.
 EQUIVALENCE_CASES = [
@@ -417,21 +485,32 @@ EQUIVALENCE_CASES = [
 ]
 
 
-@pytest.mark.parametrize("rows,length,cols", EQUIVALENCE_CASES)
-def test_lq_bases_match_the_reference_projections(rows, length, cols):
+def _assert_bases_match(oracle, rows, length, cols):
+    """The library's bases have the oracle's ranks, and norms and pair
+    distances within 1e-10 of the oracle's, on three systems' records."""
     systems = (MIN_PHASE_DEMO, POLE_NINE, random_min_phase(np.random.default_rng(13), 3))
     new, old = [], []
     for seed, system in enumerate(systems):
         u, y = first_windows(white_record(system, length, seed), rows, cols)
         new.append(projected_bases(u, y, rows))
-        old.append(_reference_projected_bases(u, y, rows))
+        old.append(oracle(u, y, rows))
         assert [b.shape for b in new[-1]] == [b.shape for b in old[-1]]
         assert abs(_bases_norm(new[-1]) - _bases_norm(old[-1])) <= 1e-10
     for i in range(len(systems)):
         for j in range(len(systems)):
-            by_lq = subspace_distance_from_bases(new[i], new[j])
-            by_reference = subspace_distance_from_bases(old[i], old[j])
-            assert abs(by_lq - by_reference) <= 1e-10
+            by_library = subspace_distance_from_bases(new[i], new[j])
+            by_oracle = subspace_distance_from_bases(old[i], old[j])
+            assert abs(by_library - by_oracle) <= 1e-10
+
+
+@pytest.mark.parametrize("rows,length,cols", EQUIVALENCE_CASES)
+def test_lq_bases_match_the_reference_projections(rows, length, cols):
+    _assert_bases_match(_reference_projected_bases, rows, length, cols)
+
+
+@pytest.mark.parametrize("rows,length,cols", EQUIVALENCE_CASES)
+def test_library_bases_match_the_lq_oracle(rows, length, cols):
+    _assert_bases_match(_lq_projected_bases, rows, length, cols)
 
 
 NOISE_RECORD = white_record(MIN_PHASE_DEMO, 4096, 3)
@@ -464,11 +543,104 @@ def test_data_norm_under_small_noise_keeps_the_model_order():
     assert abs(value - closed) <= 1e-6 * closed
 
 
+@pytest.mark.parametrize("pole", [0.99, 0.999])
+def test_data_norm_of_a_colored_input_record(pole):
+    # A low-pass input leaves the third projected singular value at 2e-5 to
+    # 8e-5 of the block norm: its gap to the next is measured on the data,
+    # since the Gram eigenvalues blur everything under sqrt(rows * eps).
+    white = Signal(np.random.default_rng(3).standard_normal(8192))
+    u = simulate(state_space_from_roots(ZeroPoleGain.from_roots([pole], [], 1.0)), white)
+    y = simulate(state_space_from_roots(MIN_PHASE_DEMO), u)
+    bases = projected_bases(u, y, rows=150)
+    assert [b.shape for b in bases] == [b.shape for b in _lq_projected_bases(u, y, 150)]
+    assert [b.shape[1] for b in bases] == [3, 3]
+    assert abs(_bases_norm(bases) - closed_form_norm_min_phase(MIN_PHASE_DEMO)) <= 1e-9
+
+
 def test_data_bases_refuse_a_record_without_an_order_gap():
     u, y = NOISE_RECORD
     noisy = Signal(y.samples + 1e-2 * np.random.default_rng(1).standard_normal(len(y)))
     with pytest.raises(RankDeficient, match="gap"):
         projected_bases(u, noisy, rows=60)
+
+
+SHARED_ROOT_RECORDS = (white_record(SHARED_ROOT_A, 4096, 0), white_record(SHARED_ROOT_B, 4096, 1))
+
+
+def _decisions(bases_of, records, rows):
+    """Kept orders of each record (or RankDeficient), then the verdict on
+    the last two records' distance: computed, or refused with NonSimpleRoot."""
+    verdicts, bases = [], []
+    for u, y in records:
+        try:
+            bases.append(bases_of(u, y, rows))
+            verdicts.append(tuple(b.shape[1] for b in bases[-1]))
+        except RankDeficient:
+            bases.append(None)
+            verdicts.append("RankDeficient")
+    if bases[-2] is not None and bases[-1] is not None:
+        try:
+            subspace_distance_from_bases(bases[-2], bases[-1])
+            verdicts.append("distance")
+        except NonSimpleRoot:
+            verdicts.append("NonSimpleRoot")
+    return verdicts
+
+
+@given(st.floats(-9.0, -1.0), st.integers(0, 10**6))
+@settings(max_examples=25)
+@example(-7.0, 0)
+@example(-2.0, 0)
+def test_library_and_lq_oracle_decide_alike_under_output_noise(log_noise, seed):
+    records = []
+    for offset, (u, y) in enumerate((NOISE_RECORD, *SHARED_ROOT_RECORDS)):
+        noise = 10.0**log_noise * np.random.default_rng(seed + offset).standard_normal(len(y))
+        records.append((u, Signal(y.samples + noise)))
+    assert _decisions(projected_bases, records, 60) == _decisions(_lq_projected_bases, records, 60)
+
+
+_TIME = np.arange(4096)
+# Inputs that are not persistently exciting of order 150. For some of them
+# the streamed LQ returned empty bases and a silent norm of 0.
+POOR_INPUTS = {
+    "impulse": np.eye(1, 4096)[0],
+    "step": np.ones(4096),
+    "sine": np.sin(0.3 * _TIME),
+    "two-sines": np.sin(0.3 * _TIME) + np.sin(1.1 * _TIME + 0.4),
+    "zero": np.zeros(4096),
+}
+
+
+@pytest.mark.parametrize("kind", list(POOR_INPUTS))
+def test_data_norm_refuses_inputs_that_are_not_persistently_exciting(kind):
+    u = Signal(POOR_INPUTS[kind])
+    y = simulate(state_space_from_roots(MIN_PHASE_DEMO), u)
+    with pytest.raises(RankDeficient, match="the input is not persistently exciting of order 150"):
+        subspace_norm_from_data(u, y)
+
+
+# Near 1e307 the streamed LQ stopped with NumPy's untyped LinAlgError, and
+# near 1e154 the squared FFT magnitudes of the cepstral route overflow.
+@given(st.floats(-300.0, 300.0), st.floats(-300.0, 300.0))
+@settings(max_examples=25)
+@example(307.0, 0.0)
+@example(0.0, 160.0)
+def test_data_routes_do_not_depend_on_the_record_scale(log_input, log_output):
+    u, y = NOISE_RECORD
+    config = RunConfig()
+    gain_u, gain_y = 10.0**log_input, 10.0**log_output
+    scaled = (Signal(gain_u * u.samples), Signal(gain_y * y.samples))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        angle_norm = subspace_norm_from_data(*scaled, rows=60)
+        cepstrum = transfer_cepstrum_from_io(*scaled, config)
+    want = subspace_norm_from_data(u, y, rows=60)
+    assert abs(angle_norm - want) <= 1e-12 * want
+    reference = transfer_cepstrum_from_io(u, y, config)
+    want = weighted_cepstral_norm(reference).value
+    assert abs(weighted_cepstral_norm(cepstrum).value - want) <= 1e-12 * want
+    zeroth = reference.zeroth + 2.0 * (np.log(gain_y) - np.log(gain_u))
+    assert abs(cepstrum.zeroth - zeroth) <= 1e-12 * max(1.0, abs(zeroth))
 
 
 def test_data_bases_refuse_no_more_columns_than_rows():
