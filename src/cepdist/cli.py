@@ -12,15 +12,18 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from functools import partial
 
 import numpy as np
 
 from .cluster import (
     METRIC_ALIASES,
     METRICS,
+    DistanceMatrix,
     agglomerative_cluster,
+    check_collection,
     collection_features,
-    distance_matrix,
+    distance_matrix_from_features,
     pair_report,
     resolve_metric,
 )
@@ -41,6 +44,7 @@ from .lti import (
     spectral_radius,
     state_space_from_roots,
 )
+from .parallel import map_chunks, usable_cpus
 from .phase import classify_from_io, classify_from_model
 from .sigio import (
     canonical_json,
@@ -59,6 +63,10 @@ from .spectral import (
 from .verify import CASES, run_verify
 
 GENERATED_INPUTS = ("white", "impulse", "step")
+# distmat and cluster read and featurize their files in one process when
+# the files hold fewer bytes than this: below it a fork costs more than it
+# saves (measured break-even: see the README's cost notes).
+FORK_MIN_BYTES = 1 << 20
 
 
 def _config_flags(parser: argparse.ArgumentParser) -> None:
@@ -185,27 +193,65 @@ def cmd_distance(args: argparse.Namespace, config: RunConfig) -> int:
     return 0
 
 
-def _load_collection(paths: list[str]) -> tuple[list, tuple[str, ...]]:
+def _collection_matrix(paths: list[str], metric: str, config: RunConfig) -> DistanceMatrix:
+    """The distance matrix of the signal files, or of the files in a directory.
+
+    The files are read and featurized in contiguous chunks, one per worker
+    process (see ``_path_chunks``); an item's features do not depend on its
+    chunk, and a refusal is the one a single process would raise first.
+    """
+    metric = resolve_metric(metric)
     if len(paths) == 1 and os.path.isdir(paths[0]):
         base = paths[0]
         names = sorted(n for n in os.listdir(base) if n.lower().endswith(".csv"))
         paths = [os.path.join(base, n) for n in names]
     if len(paths) < 2:
         raise ValidationError("need at least two signal files (or a directory containing them)")
-    items = []
-    ids = []
-    for path in paths:
-        _, payload = read_signal_csv(path)
-        items.append(payload)
-        ids.append(os.path.splitext(os.path.basename(path))[0])
+    ids = tuple(os.path.splitext(os.path.basename(path))[0] for path in paths)
+    chunks = map_chunks(partial(_chunk_features, metric=metric, config=config), _path_chunks(paths))
     if len(set(ids)) != len(ids):
         raise ValidationError("signal file names must be unique after dropping directories")
-    return items, tuple(ids)
+    check_collection([paired for kinds, _ in chunks for paired in kinds], metric)
+    features = [feature for _, features in chunks for feature in features]
+    return distance_matrix_from_features(features, metric, ids)
+
+
+def _chunk_features(paths: list[str], metric: str, config: RunConfig) -> tuple[list, list]:
+    """Whether each file holds a pair, and the features of its record.
+
+    A chunk that ``check_collection`` refuses gets no features: the whole
+    collection is refused then.
+    """
+    items = [read_signal_csv(path)[1] for path in paths]
+    paired = [isinstance(item, tuple) for item in items]
+    try:
+        check_collection(paired, metric)
+    except ValidationError:
+        return paired, []
+    return paired, collection_features(items, metric, config)
+
+
+def _path_chunks(paths: list[str]) -> list[list[str]]:
+    """Contiguous chunks of the paths, one per worker process.
+
+    There is one worker per usable CPU, at most one per file, and one in
+    all off Linux or when the files hold fewer than FORK_MIN_BYTES, where
+    a fork costs more than it saves.
+    """
+    workers = 1
+    if sys.platform.startswith("linux"):
+        try:
+            size = sum(os.stat(path).st_size for path in paths)
+        except OSError:
+            size = 0  # reading the file names the error
+        if size >= FORK_MIN_BYTES:
+            workers = min(usable_cpus(), len(paths))
+    bounds = [len(paths) * k // workers for k in range(workers + 1)]
+    return [paths[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
 def cmd_distmat(args: argparse.Namespace, config: RunConfig) -> int:
-    items, ids = _load_collection(args.paths)
-    matrix = distance_matrix(items, args.metric, config, ids)
+    matrix = _collection_matrix(args.paths, args.metric, config)
     for id_a, id_b, reason in matrix.failures:
         print(f"warning: {id_a} vs {id_b}: {reason}", file=sys.stderr)
     if config.output_format == "json":
@@ -224,8 +270,7 @@ def cmd_distmat(args: argparse.Namespace, config: RunConfig) -> int:
 
 
 def cmd_cluster(args: argparse.Namespace, config: RunConfig) -> int:
-    items, ids = _load_collection(args.paths)
-    matrix = distance_matrix(items, args.metric, config, ids)
+    matrix = _collection_matrix(args.paths, args.metric, config)
     result = agglomerative_cluster(matrix, args.k, args.linkage)
     if args.matrix_out:
         _emit(format_matrix_csv(matrix.ids, matrix.values), args.matrix_out)

@@ -70,22 +70,27 @@ class ClusterResult:
     linkage: str
 
 
-def _split_items(items: Sequence) -> tuple[list, bool]:
+def _check_items(items: Sequence, metric: str) -> None:
     if len(items) < 2:
         raise ValidationError("need at least two items for a distance matrix")
-    pairs = [isinstance(item, tuple) for item in items]
-    if any(pairs) and not all(pairs):
-        raise ValidationError("items must be all signals or all (input, output) pairs")
-    paired = all(pairs)
-    checked = []
+    paired = [isinstance(item, tuple) for item in items]
+    check_collection(paired, metric)
     for idx, item in enumerate(items):
-        if paired:
+        if paired[idx]:
             if len(item) != 2 or not all(isinstance(s, Signal) for s in item):
                 raise ValidationError(f"item {idx} is not an (input, output) pair of signals")
         elif not isinstance(item, Signal):
             raise ValidationError(f"item {idx} is not a signal")
-        checked.append(item)
-    return checked, paired
+
+
+def check_collection(paired: Sequence[bool], metric: str) -> None:
+    """Refuse a collection that mixes signals and pairs, or that gives
+    signals to the subspace metric; ``paired`` tells, per item, whether it
+    is an (input, output) pair."""
+    if any(paired) and not all(paired):
+        raise ValidationError("items must be all signals or all (input, output) pairs")
+    if metric == "subspace" and not all(paired):
+        raise ValidationError("the subspace metric needs (input, output) pairs")
 
 
 def resolve_metric(metric: str) -> str:
@@ -107,18 +112,11 @@ def distance_matrix(
     ``cepstral`` compares weighted power cepstra (transfer cepstra when
     pairs are given), ``subspace`` needs pairs and compares projected
     Hankel ranges, ``euclidean`` and ``cosine`` compare output samples
-    pointwise. Each item's features are those of ``collection_features``;
-    an item whose features fail makes every cell it touches NaN, with one
-    failure entry per cell in row-major (i, j) order.
-
-    The cepstral matrix is computed in one batch by
-    ``weighted_cepstral_matrix``, row by row, with cells bit-identical to
-    the ``value`` of ``pair_report`` and no tail bounds. The other metrics
-    take each cell's ``value`` from ``pair_report``, and a failed pair
-    makes only its own cell NaN.
+    pointwise. Each item's features are those of ``collection_features``,
+    and the matrix is ``distance_matrix_from_features`` of them.
     """
     metric = resolve_metric(metric)
-    items, paired = _split_items(items)
+    _check_items(items, metric)
     n = len(items)
     if ids is None:
         ids = tuple(f"item{idx:03d}" for idx in range(n))
@@ -128,10 +126,29 @@ def distance_matrix(
             raise ValidationError(f"got {len(ids)} ids for {n} items")
         if len(set(ids)) != n:
             raise ValidationError("ids must be unique")
-    if metric == "subspace" and not paired:
-        raise ValidationError("the subspace metric needs (input, output) pairs")
-
     features = collection_features(items, metric, config)
+    return distance_matrix_from_features(features, metric, ids)
+
+
+def distance_matrix_from_features(
+    features: Sequence, metric: str, ids: Sequence[str]
+) -> DistanceMatrix:
+    """All pairwise distances between items given by their features.
+
+    ``features`` holds what ``collection_features`` gives for the items
+    under ``metric``, in any blocks: an item's features do not depend on
+    the other items. An item whose features are a CepdistError makes every
+    cell it touches NaN, with one failure entry per cell in row-major
+    (i, j) order.
+
+    The cepstral matrix is computed in one batch by
+    ``weighted_cepstral_matrix``, row by row, with cells bit-identical to
+    the ``value`` of ``pair_report`` and no tail bounds. The other metrics
+    take each cell's ``value`` from ``pair_report``, and a failed pair
+    makes only its own cell NaN.
+    """
+    metric = resolve_metric(metric)
+    n = len(features)
     broken = {idx: str(f) for idx, f in enumerate(features) if isinstance(f, CepdistError)}
 
     values = np.zeros((n, n))

@@ -43,6 +43,11 @@ HANKEL_RANK_RTOL = 1e-8
 # of a projected Hankel block; a record with no such gap has no clear order.
 # A span combined from two records' bases with such a gap is rank deficient.
 ORDER_GAP_MIN = 1e3
+# A refusal for want of an order gap names the conditioning of the Gram
+# block projected out when its eigenvalue ratio exceeds this: projecting
+# through such a block (a strongly colored record) can lose the gap where
+# noise does not. White-noise inputs give about 2, their outputs about 70.
+GRAM_CONDITION_NOTED = 1e6
 # Relative cutoff under which matrix columns count as dependent.
 TAU_RANK = 1e-10
 # Doubling the Vandermonde depth must move the norm less than this.
@@ -231,11 +236,12 @@ def _correlate(spectrum: np.ndarray, weights: np.ndarray, count: int) -> np.ndar
     return np.fft.irfft(products, length, axis=0)[:count]
 
 
-def _gap_order(s: np.ndarray, floor: float, side: str, rows: int) -> int:
+def _gap_order(s: np.ndarray, floor: float, side: str, cause: str) -> int:
     """The kept order of descending singular values clipped to ``floor``.
 
     It is the largest n with s[n-1] / s[n] >= ORDER_GAP_MIN, and zero when
-    s[0] sits at the floor; RankDeficient when no ratio clears the gap.
+    s[0] sits at the floor; RankDeficient, naming ``cause``, when no ratio
+    clears the gap.
     """
     s = np.maximum(s, floor)
     if s[0] <= floor:
@@ -246,8 +252,7 @@ def _gap_order(s: np.ndarray, floor: float, side: str, rows: int) -> int:
         largest = f"{ratios.max():.3g}" if ratios.size else "undefined"
         raise RankDeficient(
             f"no singular-value gap of {ORDER_GAP_MIN:g} fixes the {side} order "
-            f"(largest ratio {largest}); the record is too noisy, or the order "
-            f"reaches the {rows} usable dimensions"
+            f"(largest ratio {largest}); {cause}"
         )
     return int(gaps[-1]) + 1
 
@@ -285,6 +290,14 @@ def _projected_basis(
             f"{low / high if high > 0.0 else 0.0:.3g}), as for an impulse, a step, a few "
             f"sines or an all-zero record, so the {second.name} cannot be separated from it"
         )
+    if high > GRAM_CONDITION_NOTED * low:
+        cause = (
+            f"the {first.name} Hankel Gram matrix is ill-conditioned (eigenvalue ratio "
+            f"{high / low:.3g}), as for a strongly colored record, and projecting the "
+            f"{first.name} out through it loses the gap"
+        )
+    else:
+        cause = f"the record is too noisy, or the order reaches the {rows} usable dimensions"
     schur = second.gram - cross.T @ np.linalg.solve(first.gram, cross)
     values, vectors = np.linalg.eigh(0.5 * (schur + schur.T))
     s = np.sqrt(np.maximum(values[::-1], 0.0))
@@ -315,8 +328,8 @@ def _projected_basis(
         resolved == 0 or ORDER_GAP_MIN * floor <= s[resolved - 1] < ORDER_GAP_MIN * unresolved
     ):
         basis, refined = refine(vectors[:, : resolved + 1])
-        return basis[:, : _gap_order(refined, floor, second.name, rows)]
-    order = _gap_order(s, unresolved, second.name, rows)
+        return basis[:, : _gap_order(refined, floor, second.name, cause)]
+    order = _gap_order(s, unresolved, second.name, cause)
     return refine(vectors[:, :order])[0] if order else vectors[:, :0]
 
 

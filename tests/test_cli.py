@@ -1,9 +1,11 @@
 """End-to-end CLI behavior through main(), plus one real subprocess run."""
 
 import json
+import os
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from cepdist import (
     transfer_complex_cepstrum_from_io,
     weighted_cepstral_distance,
 )
+from cepdist import cli
 from cepdist.cli import main
 from conftest import white_record
 
@@ -492,3 +495,218 @@ def test_module_entry_point_runs_verify():
     )
     assert proc.returncode == 0
     assert "PASS cascade" in proc.stderr
+
+
+# distmat and cluster read and featurize their files in forked worker
+# processes, one contiguous chunk of files per usable CPU. Every call below
+# runs once in one process and once with the fork path forced, and the two
+# runs must agree byte for byte: exit code, stdout, stderr, the warnings
+# raised, and every file written.
+
+
+def _corpus(directory, lengths, paired=True, prefix="r"):
+    """Records named prefix0, prefix1, ... of two alternating systems, one per length."""
+    directory.mkdir(exist_ok=True)
+    systems = [ZeroPoleGain.from_roots([0.5], [0.2], 1.0), ZeroPoleGain.from_roots([-0.6], [], 1.0)]
+    for idx, length in enumerate(lengths):
+        u, y = white_record(systems[idx % 2], length, idx)
+        text = format_pair_csv(u, y) if paired else format_signal_csv(y)
+        (directory / f"{prefix}{idx}.csv").write_text(text)
+    return str(directory)
+
+
+def _serial_and_forked(monkeypatch, capsys, argv, files=(), workers=2):
+    """One run of argv in one process and one down the fork path with
+    ``workers`` chunks; asserts they agree and that no child is left, and
+    returns the exit code, stdout, stderr and warnings of the runs."""
+    runs = []
+    real_map_chunks = cli.map_chunks
+    for forked in (False, True):
+        chunk_counts = []
+
+        def spy(func, chunks):
+            chunk_counts.append(len(chunks))
+            return real_map_chunks(func, chunks)
+
+        monkeypatch.setattr(cli, "map_chunks", spy)
+        monkeypatch.setattr(cli, "FORK_MIN_BYTES", 0 if forked else 1 << 62)
+        monkeypatch.setattr(cli, "usable_cpus", lambda: workers)
+        for path in files:
+            if os.path.exists(path):
+                os.remove(path)
+        # Entering catch_warnings resets the "default" once-per-location
+        # registries, so each run shows its warnings as a fresh process would.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("default")
+            code = main(argv)
+        captured = capsys.readouterr()
+        shown = [(str(w.message), w.category, w.filename, w.lineno) for w in caught]
+        written = [Path(p).read_bytes() if os.path.exists(p) else None for p in files]
+        runs.append((code, captured.out, captured.err, shown, written))
+        assert (chunk_counts[0] > 1) == forked
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+    assert runs[0] == runs[1]
+    return runs[0][:4]
+
+
+@pytest.mark.parametrize("metric", ["cepstral", "subspace", "euclidean", "cosine"])
+@pytest.mark.parametrize("verb", ["distmat", "cluster"])
+def test_forked_collection_matches_one_process(tmp_path, capsys, monkeypatch, verb, metric):
+    records = _corpus(tmp_path / "records", [512] * 6)
+    outputs = [str(tmp_path / "report.txt"), str(tmp_path / "matrix.csv")]
+    argv = [verb, records, "--metric", metric, "-o", outputs[0]]
+    if verb == "cluster":
+        argv += ["--k", "2", "--matrix-out", outputs[1]]
+    else:
+        argv += ["--output-format", "csv"]
+    for workers in (2, 4):
+        code, out, err, shown = _serial_and_forked(monkeypatch, capsys, argv, outputs, workers)
+        assert (code, out, err, shown) == (0, "", "", [])
+    if verb == "cluster" and metric in ("cepstral", "subspace"):
+        report = json.loads(Path(outputs[0]).read_text())
+        assert report["labels"] == [0, 1, 0, 1, 0, 1]
+
+
+@pytest.mark.parametrize(
+    "bad, workers, named",
+    [
+        ([1], 2, 1),  # in the parent's chunk
+        ([4], 2, 4),  # in a worker's chunk
+        ([1, 4], 2, 1),  # the parent's chunk comes first
+        ([4, 5], 2, 4),
+        ([3, 5], 3, 3),  # the first of two workers' chunks wins
+        ([5, 2], 3, 2),
+    ],
+)
+def test_forked_collection_refuses_the_first_unreadable_file(
+    tmp_path, capsys, monkeypatch, bad, workers, named
+):
+    records = tmp_path / "records"
+    _corpus(records, [512] * 6)
+    for idx in bad:
+        (records / f"r{idx}.csv").write_text("t,value\n0,1\n1,oops\n")
+    code, out, err, _ = _serial_and_forked(
+        monkeypatch, capsys, ["distmat", str(records)], workers=workers
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {records / f'r{named}.csv'}:")
+
+
+def test_forked_collection_refuses_a_missing_file(tmp_path, capsys, monkeypatch):
+    paths = [str(tmp_path / f"r{idx}.csv") for idx in range(4)]
+    _corpus(tmp_path, [512] * 3)
+    code, _, err, _ = _serial_and_forked(monkeypatch, capsys, ["cluster", "--k", "1", *paths])
+    assert code == 2
+    assert err.startswith(f"error: cannot read signal file {paths[3]}:")
+
+
+def test_forked_collection_keeps_the_order_of_refusals(tmp_path, capsys, monkeypatch):
+    first = _corpus(tmp_path / "first", [512] * 2)
+    second = _corpus(tmp_path / "second", [512] * 2)
+    signals = _corpus(tmp_path / "signals", [512] * 2, paired=False, prefix="s")
+    duplicates = [f"{first}/r0.csv", f"{first}/r1.csv", f"{second}/r0.csv", f"{second}/r1.csv"]
+    cases = [
+        (duplicates, "signal file names must be unique after dropping directories"),
+        # A file that cannot be read wins over duplicate names.
+        (duplicates + [f"{first}/none.csv"], f"cannot read signal file {first}/none.csv"),
+        # Signals in the parent's chunk and pairs in the worker's; duplicate
+        # names win over the mix, and the mix over the subspace refusal.
+        ([f"{signals}/s0.csv", f"{signals}/s1.csv", f"{first}/r0.csv", f"{second}/r0.csv"],
+         "signal file names must be unique after dropping directories"),
+        ([f"{signals}/s0.csv", f"{signals}/s1.csv", f"{first}/r0.csv", f"{first}/r1.csv"],
+         "items must be all signals or all (input, output) pairs"),
+        ([f"{first}/r0.csv", f"{first}/r1.csv", f"{signals}/s0.csv", f"{signals}/s1.csv"],
+         "items must be all signals or all (input, output) pairs"),
+        ([f"{first}/r0.csv", f"{signals}/s0.csv", f"{first}/r1.csv", f"{signals}/s1.csv"],
+         "items must be all signals or all (input, output) pairs"),
+    ]
+    for paths, refusal in cases:
+        for metric in ("cepstral", "subspace"):
+            argv = ["distmat", *paths, "--metric", metric]
+            code, out, err, _ = _serial_and_forked(monkeypatch, capsys, argv)
+            assert (code, out) == (2, "")
+            assert err.startswith(f"error: {refusal}")
+
+
+@pytest.mark.parametrize("verb", ["distmat", "cluster"])
+def test_forked_subspace_collection_of_signals_is_refused(tmp_path, capsys, monkeypatch, verb):
+    signals = _corpus(tmp_path / "signals", [512] * 4, paired=False)
+    argv = [verb, signals, "--metric", "subspace"] + (["--k", "1"] if verb == "cluster" else [])
+    code, out, err, _ = _serial_and_forked(monkeypatch, capsys, argv)
+    assert (code, out, err) == (2, "", "error: the subspace metric needs (input, output) pairs\n")
+
+
+@pytest.mark.parametrize(
+    "lengths", [[512, 512, 512, 64, 64, 96], [64, 512, 512, 512, 96, 512]], ids=["worker", "both"]
+)
+@pytest.mark.parametrize("metric", ["cepstral", "euclidean"])
+def test_forked_collection_issues_worker_warnings_in_file_order(
+    tmp_path, capsys, monkeypatch, lengths, metric
+):
+    records = _corpus(tmp_path / "records", lengths, paired=False)
+    argv = ["distmat", records, "--metric", metric]
+    code, _, err, shown = _serial_and_forked(monkeypatch, capsys, argv)
+    assert code == 0
+    if metric == "cepstral":
+        # The periodogram fallback of the short records, shown once.
+        assert [text for text, *_ in shown] == [
+            "signal too short for segment averaging; falling back to a periodogram"
+        ]
+    else:
+        # Pointwise metrics need equal lengths: the other cells fail.
+        unequal = sum(a != b for i, a in enumerate(lengths) for b in lengths[i + 1 :])
+        assert shown == []
+        assert err.count("warning: ") == unequal
+
+
+@pytest.mark.parametrize("metric", ["cepstral", "subspace"])
+@pytest.mark.parametrize("verb", ["distmat", "cluster"])
+def test_forked_collection_fails_the_cells_of_a_broken_record(
+    tmp_path, capsys, monkeypatch, verb, metric
+):
+    # The broken record sorts last, into the worker's chunk.
+    huge = _records_with_a_huge_input(tmp_path, 1e307)
+    os.rename(huge, tmp_path / "s_huge.csv")
+    _corpus(tmp_path, [2048] * 3)
+    argv = [verb, str(tmp_path), "--metric", metric] + (["--k", "2"] if verb == "cluster" else [])
+    code, out, err, shown = _serial_and_forked(monkeypatch, capsys, argv)
+    refusal = "spectrum values must be finite"
+    others = ("ok0", "ok1", "r0", "r1", "r2")
+    assert (code, shown) == (0, [])
+    report = json.loads(out)
+    assert report["failures"] == [[other, "s_huge", refusal] for other in others]
+    if verb == "distmat":
+        assert err == "".join(f"warning: {other} vs s_huge: {refusal}\n" for other in others)
+        assert [row[5] for row in report["values"][:5]] == [None] * 5
+    else:
+        assert (err, report["excluded"]) == ("", ["s_huge"])
+
+
+def test_forked_collection_writes_the_stderr_of_one_process(tmp_path):
+    # Fresh processes, so the warnings reach stderr through Python's own
+    # filters and formatting. The short records sit in the worker's chunk.
+    records = _corpus(tmp_path / "records", [512, 512, 512, 64, 96, 64], paired=False)
+    program = (
+        "import sys; from cepdist import cli; cli.FORK_MIN_BYTES = int(sys.argv[1]); "
+        "cli.usable_cpus = lambda: 2; sys.exit(cli.main(sys.argv[2:]))"
+    )
+    for metric in ("cepstral", "euclidean"):
+        runs = [
+            subprocess.run(
+                [sys.executable, "-c", program, str(threshold), "distmat", records,
+                 "--metric", metric],
+                capture_output=True,
+                timeout=120,
+            )
+            for threshold in (1 << 62, 0)
+        ]
+        assert [(r.returncode, r.stdout, r.stderr) for r in runs[1:]] == [
+            (runs[0].returncode, runs[0].stdout, runs[0].stderr)
+        ]
+        assert runs[0].returncode == 0
+        text = runs[0].stderr.decode()
+        if metric == "cepstral":
+            assert text.count("falling back to a periodogram") == 1
+        else:
+            assert text.count("warning: ") == 11

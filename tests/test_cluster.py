@@ -1,5 +1,9 @@
 """Distance matrices over signal collections and agglomerative clustering."""
 
+import os
+import time
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -19,6 +23,8 @@ from cepdist import (
     make_example_signals,
     weighted_cepstral_distance,
 )
+from cepdist.cluster import collection_features, distance_matrix_from_features
+from cepdist.parallel import map_chunks
 from conftest import white_record
 from test_spectral import reference_cepstrum
 
@@ -526,3 +532,106 @@ def test_grouped_average_matches_when_every_cluster_has_its_own_size():
     positions = np.concatenate([c + rng.random(2**j) for j, c in enumerate(centres)])
     points = positions[rng.permutation(positions.size)]
     _assert_matches_reference(np.abs(points[:, None] - points[None, :]))
+
+
+# The command line splits a collection into contiguous chunks, computes
+# each chunk's features in its own process (``parallel.map_chunks``) and
+# builds the matrix from the joined features.
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _features_by_chunk(items, metric, config, cuts):
+    bounds = [0, *cuts, len(items)]
+    chunks = [items[a:b] for a, b in zip(bounds, bounds[1:])]
+    per_chunk = map_chunks(lambda chunk: collection_features(chunk, metric, config), chunks)
+    _no_child_left()
+    return [feature for features in per_chunk for feature in features]
+
+
+@pytest.mark.parametrize("metric", ["cepstral", "subspace", "euclidean", "cosine"])
+@pytest.mark.parametrize("cuts", [[], [1], [4], [2, 3, 7]])
+def test_matrix_from_features_of_any_chunks_is_the_distance_matrix(metric, cuts):
+    # Records of two lengths, so the cepstra come from two spectrum plans,
+    # and a broken record, so one row of cells fails.
+    items = _cepstral_items(9, True, seed=3, broken={5})
+    items[2] = tuple(Signal(s.samples[:384]) for s in items[2])
+    items[6] = tuple(Signal(s.samples[:384]) for s in items[6])
+    config = _kernel_config(64)
+    ids = [f"rec{idx}" for idx in range(9)]
+    whole = distance_matrix(items, metric, config, ids)
+    features = _features_by_chunk(items, metric, config, cuts)
+    matrix = distance_matrix_from_features(features, metric, ids)
+    assert np.array_equal(matrix.values, whole.values, equal_nan=True)
+    assert (matrix.ids, matrix.metric, matrix.failures) == (whole.ids, whole.metric, whole.failures)
+    assert whole.failures
+
+
+def test_map_chunks_returns_the_results_in_chunk_order():
+    chunks = [[1, 2], [3], [4, 5, 6], [7]]
+    assert map_chunks(lambda chunk: (os.getpid(), sum(chunk)), chunks)[0][0] == os.getpid()
+    assert [total for _, total in map_chunks(lambda c: (0, sum(c)), chunks)] == [3, 3, 15, 7]
+    assert map_chunks(sum, [[1, 2]]) == [3]
+    _no_child_left()
+
+
+def test_map_chunks_raises_the_first_failure_in_chunk_order():
+    def refuse_odd(chunk):
+        if chunk % 2:
+            raise ValidationError(f"chunk {chunk}")
+        return chunk
+
+    for chunks, failing in [([0, 1, 2, 3], 1), ([0, 2, 3, 5], 3), ([1, 2, 3], 1)]:
+        with pytest.raises(ValidationError, match=f"^chunk {failing}$"):
+            map_chunks(refuse_odd, chunks)
+        _no_child_left()
+
+
+def test_map_chunks_issues_the_warnings_of_each_chunk_in_order():
+    def warn(chunk):
+        warnings.warn(f"chunk {chunk}", UserWarning)
+        if chunk == 2:
+            raise ValidationError("stop")
+        return chunk
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("default")
+        with pytest.raises(ValidationError, match="stop"):
+            map_chunks(warn, [0, 1, 2, 3])
+    _no_child_left()
+    assert [str(w.message) for w in caught] == ["chunk 0", "chunk 1", "chunk 2"]
+    assert {(w.filename, w.lineno) for w in caught} == {(caught[0].filename, caught[0].lineno)}
+
+    # A repeat shows once, as it would from one process.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("default")
+        map_chunks(lambda chunk: warnings.warn("again", UserWarning), [0, 1, 3])
+    _no_child_left()
+    assert [str(w.message) for w in caught] == ["again"]
+
+
+def test_map_chunks_reports_a_worker_that_sent_nothing():
+    def leave(chunk):
+        if chunk:
+            raise SystemExit(0)  # the child still ends without returning
+        return chunk
+
+    with pytest.raises(RuntimeError, match="ended without sending a result"):
+        map_chunks(leave, [0, 1])
+    _no_child_left()
+
+
+def test_map_chunks_kills_the_workers_when_the_parent_fails():
+    def stall(chunk):
+        if chunk == 0:
+            raise ValidationError("the parent's chunk fails")
+        time.sleep(60)
+
+    start = time.monotonic()
+    with pytest.raises(ValidationError, match="the parent's chunk fails"):
+        map_chunks(stall, [0, 1, 2])
+    assert time.monotonic() - start < 30
+    _no_child_left()

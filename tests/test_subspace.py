@@ -564,6 +564,30 @@ def test_data_bases_refuse_a_record_without_an_order_gap():
         projected_bases(u, noisy, rows=60)
 
 
+def test_refusal_names_an_ill_conditioned_gram_block():
+    # White noise through an AR(1) filter with pole 0.9999 drives the
+    # demo system: the output Gram block's eigenvalue ratio is 3.9e7, and
+    # projecting the output out leaves no gap above 294 in the input basis.
+    colored = simulate(
+        state_space_from_roots(ZeroPoleGain.from_roots([0.9999], [], 1.0)),
+        Signal(np.random.default_rng(3).standard_normal(8192)),
+    )
+    output = simulate(state_space_from_roots(MIN_PHASE_DEMO), colored)
+    with pytest.raises(RankDeficient) as refusal:
+        projected_bases(colored, output, rows=150)
+    assert "fixes the input order (largest ratio 294)" in str(refusal.value)
+    assert "output Hankel Gram matrix is ill-conditioned (eigenvalue ratio 3.94e+07)" in str(
+        refusal.value
+    )
+    assert "too noisy" not in str(refusal.value)
+    assert refusal.value.exit_code == 2
+    # A white input keeps the noise diagnosis.
+    u, y = NOISE_RECORD
+    noisy = Signal(y.samples + 1e-2 * np.random.default_rng(1).standard_normal(len(y)))
+    with pytest.raises(RankDeficient, match="the record is too noisy"):
+        projected_bases(u, noisy, rows=60)
+
+
 SHARED_ROOT_RECORDS = (white_record(SHARED_ROOT_A, 4096, 0), white_record(SHARED_ROOT_B, 4096, 1))
 
 
