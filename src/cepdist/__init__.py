@@ -79,6 +79,7 @@ from .sigio import (
     format_matrix_csv,
     format_pair_csv,
     format_signal_csv,
+    pair_csv_rows,
     read_model_json,
     read_signal_csv,
 )

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import nullcontext
 from functools import partial
 
 import numpy as np
@@ -47,10 +48,11 @@ from .lti import (
 from .parallel import map_chunks, usable_cpus
 from .phase import classify_from_io, classify_from_model
 from .sigio import (
+    PAIR_CSV_HEADER,
     canonical_json,
     format_cepstrum_csv,
     format_matrix_csv,
-    format_pair_csv,
+    pair_csv_rows,
     read_model_json,
     read_signal_csv,
 )
@@ -67,6 +69,9 @@ GENERATED_INPUTS = ("white", "impulse", "step")
 # the files hold fewer bytes than this: below it a fork costs more than it
 # saves (measured break-even: see the README's cost notes).
 FORK_MIN_BYTES = 1 << 20
+# simulate formats its output CSV in one process when it has fewer rows
+# than this, by the same rule (measured break-even: see the README).
+FORK_MIN_ROWS = 8192
 
 
 def _config_flags(parser: argparse.ArgumentParser) -> None:
@@ -91,11 +96,14 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _emit(text: str, path: str | None) -> None:
-    if path:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit_parts([text], path)
+
+
+def _emit_parts(parts: list[str], path: str | None) -> None:
+    """Write the parts in order to the file, or to stdout without one."""
+    with open(path, "w", encoding="utf-8", newline="") if path else nullcontext(sys.stdout) as fh:
+        for part in parts:
+            fh.write(part)
 
 
 def _read_pair(path: str) -> tuple[Signal, Signal]:
@@ -136,7 +144,11 @@ def cmd_simulate(args: argparse.Namespace, config: RunConfig) -> int:
     else:
         u = _read_single(args.input)
     y = simulate(state_space, u)
-    _emit(format_pair_csv(u, y), args.output)
+    # One contiguous range of rows per worker process. The output is opened
+    # only once every range is formatted, so a failure writes nothing.
+    ranges = _ranges(len(u), _worker_count(len(u), FORK_MIN_ROWS, len(u)))
+    parts = map_chunks(lambda bounds: pair_csv_rows(u, y, *bounds), ranges)
+    _emit_parts([PAIR_CSV_HEADER, *parts], args.output)
     return 0
 
 
@@ -232,22 +244,32 @@ def _chunk_features(paths: list[str], metric: str, config: RunConfig) -> tuple[l
 
 
 def _path_chunks(paths: list[str]) -> list[list[str]]:
-    """Contiguous chunks of the paths, one per worker process.
+    """Contiguous chunks of the paths, one per worker process (``_worker_count``
+    of the files' total size against FORK_MIN_BYTES)."""
+    try:
+        size = sum(os.stat(path).st_size for path in paths)
+    except OSError:
+        size = 0  # reading the file names the error
+    workers = _worker_count(size, FORK_MIN_BYTES, len(paths))
+    return [paths[a:b] for a, b in _ranges(len(paths), workers)]
 
-    There is one worker per usable CPU, at most one per file, and one in
-    all off Linux or when the files hold fewer than FORK_MIN_BYTES, where
-    a fork costs more than it saves.
+
+def _worker_count(size: int, min_size: int, items: int) -> int:
+    """Worker processes for ``items`` independent items of work of total ``size``.
+
+    There is one worker per usable CPU, at most one per item, and one in
+    all off Linux or when ``size`` is below ``min_size``, where a fork costs
+    more than it saves.
     """
-    workers = 1
-    if sys.platform.startswith("linux"):
-        try:
-            size = sum(os.stat(path).st_size for path in paths)
-        except OSError:
-            size = 0  # reading the file names the error
-        if size >= FORK_MIN_BYTES:
-            workers = min(usable_cpus(), len(paths))
-    bounds = [len(paths) * k // workers for k in range(workers + 1)]
-    return [paths[a:b] for a, b in zip(bounds, bounds[1:])]
+    if not sys.platform.startswith("linux") or size < min_size:
+        return 1
+    return min(usable_cpus(), items)
+
+
+def _ranges(count: int, parts: int) -> list[tuple[int, int]]:
+    """``parts`` contiguous ranges of nearly equal length covering ``range(count)``."""
+    bounds = [count * k // parts for k in range(parts + 1)]
+    return list(zip(bounds, bounds[1:]))
 
 
 def cmd_distmat(args: argparse.Namespace, config: RunConfig) -> int:

@@ -218,12 +218,28 @@ def format_signal_csv(signal: Signal) -> str:
     return _format_rows("t,value\n", "%.12g,%.17g\n", times, signal.samples)
 
 
+PAIR_CSV_HEADER = "t,u,y\n"
+
+
 def format_pair_csv(input_signal: Signal, output_signal: Signal) -> str:
+    return PAIR_CSV_HEADER + pair_csv_rows(input_signal, output_signal, 0, len(input_signal))
+
+
+def pair_csv_rows(input_signal: Signal, output_signal: Signal, start: int, stop: int) -> str:
+    """Rows ``start`` to ``stop - 1`` of ``format_pair_csv``, without its header.
+
+    Row k's time is k times the sample period, so the rows of any split of
+    the record join into the text of the whole.
+    """
     if len(input_signal) != len(output_signal):
         raise ValidationError("input and output lengths differ")
-    times = np.arange(len(input_signal)) * input_signal.sample_period
+    times = np.arange(start, stop) * input_signal.sample_period
     return _format_rows(
-        "t,u,y\n", "%.12g,%.17g,%.17g\n", times, input_signal.samples, output_signal.samples
+        "",
+        "%.12g,%.17g,%.17g\n",
+        times,
+        input_signal.samples[start:stop],
+        output_signal.samples[start:stop],
     )
 
 
@@ -245,8 +261,17 @@ def _csv_text(rows) -> str:
 
 
 def format_matrix_csv(ids: tuple[str, ...], values: np.ndarray) -> str:
-    """An ``id`` column and one column per id; NaN cells are left empty."""
-    parts = [_csv_text([["id", *ids]])]
+    """An ``id`` column and one column per id; NaN cells are left empty.
+
+    When the matrix mirrors each cell exactly (equal values and signs, or
+    NaN in both), each number is formatted once and written twice.
+    """
+    header = _csv_text([["id", *ids]])
+    if np.array_equal(values, values.T, equal_nan=True) and np.array_equal(
+        np.signbit(values), np.signbit(values.T)
+    ):
+        return header + _symmetric_matrix_rows(ids, values)
+    parts = [header]
     # The csv module quotes the ids; each row then becomes one format string
     # with "%.17g" in the cells that hold a number.
     cell_formats = np.where(np.isnan(values), "", "%.17g").tolist()
@@ -259,6 +284,23 @@ def format_matrix_csv(ids: tuple[str, ...], values: np.ndarray) -> str:
         block = values[start:stop]
         parts.append(row_format % tuple(block[~np.isnan(block)].tolist()))
     return "".join(parts)
+
+
+def _symmetric_matrix_rows(ids: tuple[str, ...], values: np.ndarray) -> str:
+    """The rows of ``format_matrix_csv`` from the upper triangle alone.
+
+    A number needs no CSV quoting, so only the ids go through the csv
+    module: ``[name, ""]`` is written as the quoted name and a comma.
+    """
+    rows, cols = np.triu_indices(len(ids))
+    numbers = values[rows, cols].tolist()
+    formatted = np.array(("%.17g\n" * len(numbers) % tuple(numbers)).split("\n")[:-1], dtype=object)
+    cells = np.empty(values.shape, dtype=object)
+    cells[rows, cols] = formatted
+    cells[cols, rows] = formatted
+    cells[np.isnan(values)] = ""
+    names = [_csv_text([[name, ""]])[:-1] for name in ids]
+    return "".join(f"{name}{','.join(row)}\n" for name, row in zip(names, cells.tolist()))
 
 
 def _parse_root(entry, where: str) -> complex:

@@ -13,6 +13,7 @@ import pytest
 from cepdist import (
     RunConfig,
     Signal,
+    ValidationError,
     ZeroPoleGain,
     complex_cepstrum,
     format_cepstrum_csv,
@@ -20,13 +21,17 @@ from cepdist import (
     format_signal_csv,
     make_example_signals,
     power_cepstrum_of_signal,
+    read_model_json,
     read_signal_csv,
+    simulate,
+    state_space_from_roots,
     transfer_cepstrum_from_io,
     transfer_complex_cepstrum_from_io,
     weighted_cepstral_distance,
 )
 from cepdist import cli
 from cepdist.cli import main
+from cepdist.sigio import CSV_CHUNK_ROWS
 from conftest import white_record
 
 MIN_PHASE_MODEL = {"poles": [0.9, 0.7, 0.4], "zeros": [0.8, 0.6, 0.0], "gain": 1.0}
@@ -498,10 +503,11 @@ def test_module_entry_point_runs_verify():
 
 
 # distmat and cluster read and featurize their files in forked worker
-# processes, one contiguous chunk of files per usable CPU. Every call below
-# runs once in one process and once with the fork path forced, and the two
-# runs must agree byte for byte: exit code, stdout, stderr, the warnings
-# raised, and every file written.
+# processes, one contiguous chunk of files per usable CPU, and simulate
+# formats its output rows in one contiguous range per usable CPU. Every call
+# below runs once in one process and once with the fork path forced, and
+# the two runs must agree byte for byte: exit code, stdout, stderr, the
+# warnings raised, and every file written.
 
 
 def _corpus(directory, lengths, paired=True, prefix="r"):
@@ -515,10 +521,11 @@ def _corpus(directory, lengths, paired=True, prefix="r"):
     return str(directory)
 
 
-def _serial_and_forked(monkeypatch, capsys, argv, files=(), workers=2):
+def _serial_and_forked(monkeypatch, capsys, argv, files=(), workers=2, chunks=None):
     """One run of argv in one process and one down the fork path with
-    ``workers`` chunks; asserts they agree and that no child is left, and
-    returns the exit code, stdout, stderr and warnings of the runs."""
+    ``workers`` usable CPUs; asserts they agree, that the forked run made
+    ``chunks`` chunks (more than one if not given) and that no child is left,
+    and returns the exit code, stdout, stderr and warnings of the runs."""
     runs = []
     real_map_chunks = cli.map_chunks
     for forked in (False, True):
@@ -530,6 +537,7 @@ def _serial_and_forked(monkeypatch, capsys, argv, files=(), workers=2):
 
         monkeypatch.setattr(cli, "map_chunks", spy)
         monkeypatch.setattr(cli, "FORK_MIN_BYTES", 0 if forked else 1 << 62)
+        monkeypatch.setattr(cli, "FORK_MIN_ROWS", 0 if forked else 1 << 62)
         monkeypatch.setattr(cli, "usable_cpus", lambda: workers)
         for path in files:
             if os.path.exists(path):
@@ -543,7 +551,10 @@ def _serial_and_forked(monkeypatch, capsys, argv, files=(), workers=2):
         shown = [(str(w.message), w.category, w.filename, w.lineno) for w in caught]
         written = [Path(p).read_bytes() if os.path.exists(p) else None for p in files]
         runs.append((code, captured.out, captured.err, shown, written))
-        assert (chunk_counts[0] > 1) == forked
+        if forked and chunks is not None:
+            assert chunk_counts == [chunks]
+        else:
+            assert (chunk_counts[0] > 1) == forked
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
     assert runs[0] == runs[1]
@@ -710,3 +721,108 @@ def test_forked_collection_writes_the_stderr_of_one_process(tmp_path):
             assert text.count("falling back to a periodogram") == 1
         else:
             assert text.count("warning: ") == 11
+
+
+SIMULATE_MODEL = {"poles": [0.9, [0.5, 0.4], [0.5, -0.4]], "zeros": [-0.3], "gain": 2.0}
+# Row counts of one and two, around the formatter's chunk, and odd counts above it.
+SIMULATE_LENGTHS = [1, 2, CSV_CHUNK_ROWS - 1, CSV_CHUNK_ROWS + 1, 2 * CSV_CHUNK_ROWS + 3, 9001]
+
+
+def _forked_simulate(monkeypatch, capsys, argv, output, length):
+    """``_serial_and_forked`` of simulate, with 2, 3 and 4 usable CPUs, to
+    ``output`` or to stdout; returns the rows of the last run."""
+    for workers in (2, 3, 4):
+        for path in (output, None):
+            code, out, err, shown = _serial_and_forked(
+                monkeypatch,
+                capsys,
+                argv + (["-o", path] if path else []),
+                [output],
+                workers,
+                chunks=min(workers, length),
+            )
+            assert (code, err, shown) == (0, "", [])
+            if path:
+                assert out == ""
+                text = Path(output).read_text()
+            else:
+                assert out == text
+                assert not os.path.exists(output)
+    return text
+
+
+@pytest.mark.parametrize("period", [1.0, 0.1, 1e-3])
+@pytest.mark.parametrize("length", SIMULATE_LENGTHS)
+def test_forked_simulate_of_a_stored_input_matches_one_process(
+    tmp_path, capsys, monkeypatch, length, period
+):
+    model = write_json(tmp_path, "model.json", SIMULATE_MODEL)
+    samples = np.random.default_rng(length).standard_normal(length)
+    stored = write_signal(tmp_path, "u.csv", samples, period)
+    argv = ["simulate", "--model", model, "--input", stored]
+    text = _forked_simulate(monkeypatch, capsys, argv, str(tmp_path / "y.csv"), length)
+    u = read_signal_csv(stored)[1]
+    y = simulate(state_space_from_roots(read_model_json(model)), u)
+    assert text == format_pair_csv(u, y)
+
+
+@pytest.mark.parametrize("kind", ["white", "impulse", "step"])
+@pytest.mark.parametrize("length", SIMULATE_LENGTHS)
+def test_forked_simulate_of_a_generated_input_matches_one_process(
+    tmp_path, capsys, monkeypatch, length, kind
+):
+    model = write_json(tmp_path, "model.json", SIMULATE_MODEL)
+    argv = ["simulate", "--model", model, "--input", kind, "--length", str(length), "--seed", "3"]
+    text = _forked_simulate(monkeypatch, capsys, argv, str(tmp_path / "y.csv"), length)
+    assert text.count("\n") == length + 1
+
+
+@pytest.mark.parametrize("failing", ["parent", "worker", "both"])
+def test_forked_simulate_failure_writes_nothing(tmp_path, capsys, monkeypatch, failing):
+    model = write_json(tmp_path, "model.json", SIMULATE_MODEL)
+    length = 2 * CSV_CHUNK_ROWS + 3
+    bad_rows = {"parent": [10], "worker": [length - 10], "both": [10, length - 10]}[failing]
+    real = cli.pair_csv_rows
+
+    def failing_rows(u, y, start, stop):
+        for row in bad_rows:
+            if start <= row < stop:
+                raise ValidationError(f"cannot format row {row}")
+        return real(u, y, start, stop)
+
+    monkeypatch.setattr(cli, "pair_csv_rows", failing_rows)
+    output = str(tmp_path / "y.csv")
+    argv = ["simulate", "--model", model, "--input", "white", "--length", str(length)]
+    for path in (output, None):
+        for workers in (2, 4):
+            code, out, err, shown = _serial_and_forked(
+                monkeypatch,
+                capsys,
+                argv + (["-o", path] if path else []),
+                [output],
+                workers,
+            )
+            assert (code, out, err, shown) == (2, "", f"error: cannot format row {bad_rows[0]}\n", [])
+            assert not os.path.exists(output)
+
+
+def test_forked_simulate_writes_the_bytes_of_one_process(tmp_path):
+    model = write_json(tmp_path, "model.json", SIMULATE_MODEL)
+    program = (
+        "import sys; from cepdist import cli; cli.FORK_MIN_ROWS = int(sys.argv[1]); "
+        "cli.usable_cpus = lambda: 2; sys.exit(cli.main(sys.argv[2:]))"
+    )
+    runs = [
+        subprocess.run(
+            [sys.executable, "-c", program, str(threshold), "simulate", "--model", model,
+             "--input", "white", "--length", "20001"],
+            capture_output=True,
+            timeout=120,
+        )
+        for threshold in (1 << 62, 0)
+    ]
+    assert [(r.returncode, r.stdout, r.stderr) for r in runs[1:]] == [
+        (runs[0].returncode, runs[0].stdout, runs[0].stderr)
+    ]
+    assert runs[0].returncode == 0
+    assert runs[0].stdout.count(b"\n") == 20002

@@ -27,6 +27,7 @@ from cepdist import (
     format_pair_csv,
     format_signal_csv,
     load_config,
+    pair_csv_rows,
     parse_config_value,
     power_cepstrum_from_zpk,
     read_model_json,
@@ -546,6 +547,23 @@ def test_formatters_match_the_reference(seed, length, period):
     assert format_cepstrum_csv(mixed) == _reference_format_cepstrum_csv(mixed)
 
 
+@settings(max_examples=30)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    length=st.sampled_from(CHUNK_LENGTHS + (2, 3 * CSV_CHUNK_ROWS + 6)),
+    period=st.sampled_from((1.0, 0.1, 1e-3, 1.0 / 3.0, 3.0, 2.5e-7, 1e6)),
+    cuts=st.lists(st.floats(0.0, 1.0), max_size=5),
+)
+def test_row_ranges_of_any_split_join_into_the_reference(seed, length, period, cuts):
+    rng = np.random.default_rng(seed)
+    u = Signal(_raw_values(rng, length), period)
+    y = Signal(_raw_values(rng, length), period)
+    # Split points anywhere, repeats (empty ranges) and both ends included.
+    bounds = sorted([0, length, *(int(cut * length) for cut in cuts)])
+    text = "".join(pair_csv_rows(u, y, a, b) for a, b in zip(bounds, bounds[1:]))
+    assert sigio.PAIR_CSV_HEADER + text == _reference_format_pair_csv(u, y)
+
+
 def test_formatted_records_read_back_bit_identical(tmp_path):
     rng = np.random.default_rng(7)
     u = Signal(_raw_values(rng, 3 * CSV_CHUNK_ROWS + 5), 0.01)
@@ -557,20 +575,73 @@ def test_formatted_records_read_back_bit_identical(tmp_path):
     assert _same_floats(y_back.samples, y.samples)
 
 
+MATRIX_IDS = ["a", "b,c", 'q"uote', "per%cent", "%s", "new\nline", "cr\rret", "", " pad ",
+              "nan", "x,nan,y"]
+
+
 @pytest.mark.parametrize("chunk", [1, 2, 5, CSV_CHUNK_ROWS])
 @pytest.mark.parametrize("seed", range(4))
 def test_matrix_csv_matches_the_reference(monkeypatch, chunk, seed):
     monkeypatch.setattr("cepdist.sigio.CSV_CHUNK_ROWS", chunk)
     rng = np.random.default_rng(seed)
-    names = ["a", "b,c", 'q"uote', "per%cent", "%s", "new\nline", "cr\rret", "", " pad ",
-             "nan", "x,nan,y"]
-    size = int(rng.integers(0, len(names) + 1))
-    ids = tuple(rng.permutation(names)[:size].tolist())
+    size = int(rng.integers(0, len(MATRIX_IDS) + 1))
+    ids = tuple(rng.permutation(MATRIX_IDS)[:size].tolist())
     values = _raw_values(rng, size * size).reshape(size, size)
     values[rng.random((size, size)) < 0.2] = np.nan
     values[rng.random((size, size)) < 0.05] = np.inf
     values[rng.random((size, size)) < 0.05] = -np.inf
     assert format_matrix_csv(ids, values) == _reference_format_matrix_csv(ids, values)
+
+
+def _mirror_upper_triangle(values):
+    rows, cols = np.tril_indices(len(values), -1)
+    values[rows, cols] = values[cols, rows]
+
+
+def _count_symmetric_path(monkeypatch):
+    """A list that gets one entry per call of the symmetric matrix path."""
+    calls = []
+    real = sigio._symmetric_matrix_rows
+    monkeypatch.setattr(sigio, "_symmetric_matrix_rows", lambda *a: calls.append(a) or real(*a))
+    return calls
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_symmetric_matrix_csv_formats_each_cell_once(monkeypatch, seed):
+    rng = np.random.default_rng(seed)
+    size = int(rng.integers(0, len(MATRIX_IDS) + 1))
+    ids = tuple(rng.permutation(MATRIX_IDS)[:size].tolist())
+    values = _raw_values(rng, size * size).reshape(size, size)
+    values[rng.random((size, size)) < 0.2] = np.nan
+    values[rng.random((size, size)) < 0.05] = np.inf
+    _mirror_upper_triangle(values)
+    calls = _count_symmetric_path(monkeypatch)
+    assert format_matrix_csv(ids, values) == _reference_format_matrix_csv(ids, values)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_nearly_symmetric_matrix_csv_keeps_the_digits_of_each_cell(monkeypatch, seed):
+    # The library accepts matrices symmetric up to 1e-10; such a matrix, or
+    # one whose mirrored zeros differ in sign, is formatted cell by cell.
+    rng = np.random.default_rng(seed)
+    size = 6
+    ids = tuple(MATRIX_IDS[:size])
+    values = rng.random((size, size))
+    values[rng.random((size, size)) < 0.2] = np.nan
+    _mirror_upper_triangle(values)
+    off = [(i, j) for i in range(size) for j in range(i + 1, size) if not np.isnan(values[i, j])]
+    i, j = off[int(rng.integers(len(off)))]
+    nudged = values.copy()
+    nudged[i, j] = np.nextafter(nudged[i, j], 2.0)
+    signed = values.copy()
+    signed[i, j], signed[j, i] = -0.0, 0.0
+    calls = _count_symmetric_path(monkeypatch)
+    for matrix in (nudged, signed):
+        assert format_matrix_csv(ids, matrix) == _reference_format_matrix_csv(ids, matrix)
+    assert calls == []
+    assert format_matrix_csv(ids, values) == _reference_format_matrix_csv(ids, values)
+    assert len(calls) == 1
 
 
 def test_state_space_model_json(tmp_path):
