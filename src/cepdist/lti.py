@@ -41,6 +41,12 @@ NOISE_SCALE = 2.0 ** -0.5
 # costs O(SIM_BLOCK^2 + SIM_BLOCK * order) work in matrix products instead
 # of SIM_BLOCK Python iterations.
 SIM_BLOCK = 64
+# A record whose largest magnitude lies outside [1 / SAFE_PEAK, SAFE_PEAK] is
+# scaled by a power of two before it is transformed: the squares that
+# spectra and norms sum overflow for a larger record and underflow for a
+# much smaller one. The scaling is exact, and a record inside the range
+# keeps every bit.
+SAFE_PEAK = 2.0**128
 
 
 def _to_vector(values, name: str) -> np.ndarray:
@@ -70,6 +76,21 @@ class Signal:
 
     def __len__(self) -> int:
         return int(self.samples.size)
+
+
+def range_exponent(*arrays: np.ndarray) -> int:
+    """The e for which the arrays are divided by 2**e before a transform.
+
+    When the largest magnitude over all the arrays lies outside
+    [1 / SAFE_PEAK, SAFE_PEAK], e brings it into [0.5, 1); otherwise, and
+    for all-zero arrays, e is 0. A route that scales by it puts the scale
+    back in its result: a cepstrum adds its log to c(0), the only
+    coefficient that a gain moves.
+    """
+    peak = max(float(np.max(np.abs(a))) for a in arrays)
+    if 1.0 / SAFE_PEAK <= peak <= SAFE_PEAK:
+        return 0
+    return int(np.frexp(peak)[1])
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from .errors import (
     NotMinimumPhaseStable,
     ValidationError,
 )
-from .lti import TAU_MULT, Signal, ZeroPoleGain
+from .lti import TAU_MULT, Signal, ZeroPoleGain, range_exponent
 from .spectral import CepstrumSequence
 
 # Cap for the decay-rate estimate used in tail bounds of estimated cepstra.
@@ -225,53 +225,43 @@ def hs_hankel_norm(cepstrum: CepstrumSequence, m: int) -> float:
     return float(np.sum(hankel**2))
 
 
+def _scaled(x: np.ndarray, exponent: int) -> np.ndarray:
+    return np.ldexp(x, -exponent) if exponent else x
+
+
 def euclidean_distance(s1: Signal, s2: Signal) -> float:
     """Plain pointwise L2 distance between equal-length signals.
 
-    Where the difference or its norm leaves the floating-point range, both
-    signals are first scaled by the one power of two that brings the
-    largest magnitude of either into [0.5, 1), and the norm is scaled
-    back. That scaling is exact. A distance beyond the floating-point
-    range is refused with ValidationError.
+    Both signals are first divided by the one power of two that
+    ``range_exponent`` gives for the pair, and the norm is multiplied back,
+    so the sum of squares neither overflows nor underflows. That scaling is
+    exact. A distance beyond the floating-point range is refused with
+    ValidationError.
     """
     if len(s1) != len(s2):
         raise LengthMismatch(f"signal lengths differ: {len(s1)} vs {len(s2)}")
-    x, y = s1.samples, s2.samples
-    with np.errstate(over="ignore", invalid="ignore"):
-        value = float(np.linalg.norm(x - y))
-    if not math.isfinite(value):
-        exponent = int(np.frexp(max(np.max(np.abs(x)), np.max(np.abs(y))))[1])
-        scaled = np.linalg.norm(np.ldexp(x, -exponent) - np.ldexp(y, -exponent))
-        with np.errstate(over="ignore"):
-            value = float(np.ldexp(scaled, exponent))
-    if not math.isfinite(value):
-        raise ValidationError("the euclidean distance exceeds the floating-point range")
-    return value
-
-
-def _product_and_norms(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
-    """The inner product of x and y, and the product of their L2 norms."""
-    return float(x @ y), float(np.linalg.norm(x)) * float(np.linalg.norm(y))
+    exponent = range_exponent(s1.samples, s2.samples)
+    x, y = (_scaled(s.samples, exponent) for s in (s1, s2))
+    try:
+        return math.ldexp(float(np.linalg.norm(x - y)), exponent)
+    except OverflowError:
+        raise ValidationError("the euclidean distance exceeds the floating-point range") from None
 
 
 def cosine_similarity(s1: Signal, s2: Signal) -> float:
     """Inner product of the signals normalized by their L2 norms.
 
-    Where the inner product or a norm leaves the floating-point range, each
-    signal is first scaled by the power of two that brings its largest
-    magnitude into [0.5, 1). That scaling is exact and cancels in the ratio.
+    Each signal is first divided by its own power of two from
+    ``range_exponent``, so the inner product and the norms neither overflow
+    nor underflow. That scaling is exact and cancels in the ratio.
     """
     if len(s1) != len(s2):
         raise LengthMismatch(f"signal lengths differ: {len(s1)} vs {len(s2)}")
-    x, y = s1.samples, s2.samples
-    with np.errstate(over="ignore", invalid="ignore"):
-        product, norms = _product_and_norms(x, y)
-    if not (math.isfinite(product) and 0.0 < norms < math.inf):
-        x, y = (np.ldexp(v, -np.frexp(np.max(np.abs(v)))[1]) for v in (x, y))
-        product, norms = _product_and_norms(x, y)
+    x, y = (_scaled(s.samples, range_exponent(s.samples)) for s in (s1, s2))
+    norms = float(np.linalg.norm(x)) * float(np.linalg.norm(y))
     if norms == 0.0:
         raise ValidationError("cosine similarity is undefined for an all-zero signal")
-    return product / norms
+    return float(x @ y) / norms
 
 
 class SignalStats(NamedTuple):

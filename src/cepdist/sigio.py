@@ -254,53 +254,37 @@ def format_cepstrum_csv(cepstrum) -> str:
     return _format_rows("k,value\n", "%d,%.17g\n", lags, values)
 
 
-def _csv_text(rows) -> str:
+def _csv_row(fields) -> str:
+    """One CSV row without its line end.
+
+    The writer is told that lines end in "\r\n", so a field holding a
+    carriage return is quoted like one holding a line feed, a comma or a
+    quote, and every row reads back through ``csv.reader``.
+    """
     out = io.StringIO()
-    csv.writer(out, lineterminator="\n").writerows(rows)
-    return out.getvalue()
+    csv.writer(out, lineterminator="\r\n").writerow(fields)
+    return out.getvalue()[:-2]
+
+
+def _format_numbers(numbers: list[float]) -> list[str]:
+    """``"%.17g"`` of each number, in one %-operation."""
+    return ("%.17g\n" * len(numbers) % tuple(numbers)).split("\n")[:-1]
 
 
 def format_matrix_csv(ids: tuple[str, ...], values: np.ndarray) -> str:
     """An ``id`` column and one column per id; NaN cells are left empty.
 
-    When the matrix mirrors each cell exactly (equal values and signs, or
-    NaN in both), each number is formatted once and written twice.
+    The upper triangle is formatted once. A cell below the diagonal is
+    written as its mirror's text where the two hold equal values of equal
+    sign, and formatted on its own only where they differ.
     """
-    header = _csv_text([["id", *ids]])
-    if np.array_equal(values, values.T, equal_nan=True) and np.array_equal(
-        np.signbit(values), np.signbit(values.T)
-    ):
-        return header + _symmetric_matrix_rows(ids, values)
-    parts = [header]
-    # The csv module quotes the ids; each row then becomes one format string
-    # with "%.17g" in the cells that hold a number.
-    cell_formats = np.where(np.isnan(values), "", "%.17g").tolist()
-    for start in range(0, len(ids), CSV_CHUNK_ROWS):
-        stop = start + CSV_CHUNK_ROWS
-        row_format = _csv_text(
-            [name.replace("%", "%%"), *cells]
-            for name, cells in zip(ids[start:stop], cell_formats[start:stop])
-        )
-        block = values[start:stop]
-        parts.append(row_format % tuple(block[~np.isnan(block)].tolist()))
-    return "".join(parts)
-
-
-def _symmetric_matrix_rows(ids: tuple[str, ...], values: np.ndarray) -> str:
-    """The rows of ``format_matrix_csv`` from the upper triangle alone.
-
-    A number needs no CSV quoting, so only the ids go through the csv
-    module: ``[name, ""]`` is written as the quoted name and a comma.
-    """
-    rows, cols = np.triu_indices(len(ids))
-    numbers = values[rows, cols].tolist()
-    formatted = np.array(("%.17g\n" * len(numbers) % tuple(numbers)).split("\n")[:-1], dtype=object)
-    cells = np.empty(values.shape, dtype=object)
-    cells[rows, cols] = formatted
-    cells[cols, rows] = formatted
-    cells[np.isnan(values)] = ""
-    names = [_csv_text([[name, ""]])[:-1] for name in ids]
-    return "".join(f"{name}{','.join(row)}\n" for name, row in zip(names, cells.tolist()))
+    mirrored = np.tril((values == values.T) & (np.signbit(values) == np.signbit(values.T)), -1)
+    own = ~mirrored & ~np.isnan(values)
+    cells = np.full(values.shape, "", dtype=object)
+    cells[own] = _format_numbers(values[own].tolist())
+    cells[mirrored] = cells.T[mirrored]
+    rows = (f"{_csv_row([name, ''])}{','.join(row)}\n" for name, row in zip(ids, cells.tolist()))
+    return _csv_row(["id", *ids]) + "\n" + "".join(rows)
 
 
 def _parse_root(entry, where: str) -> complex:

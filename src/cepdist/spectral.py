@@ -39,7 +39,7 @@ from .errors import (
     SpectralNull,
     ValidationError,
 )
-from .lti import Signal, ZeroPoleGain
+from .lti import Signal, ZeroPoleGain, range_exponent
 
 SPECTRUM_KINDS = ("periodogram", "welch", "model")
 CEPSTRUM_KINDS = ("power", "complex")
@@ -49,12 +49,6 @@ TAU_SPEC = 1e-12
 # Minimum signal length for segment averaging; below this fall back to a
 # plain periodogram.
 MIN_WELCH_LENGTH = 128
-# A record whose peak magnitude lies outside [1 / SAFE_PEAK, SAFE_PEAK] is
-# scaled by a power of two before the single-record routes take its
-# spectrum: the squared FFT magnitudes of a larger record overflow, and
-# those of a much smaller one underflow. The scale returns as a log gain in
-# c(0), so records inside the range keep every bit.
-SAFE_PEAK = 2.0**128
 # Spectrum values computed per FFT call: a block holds the segments of
 # several records that share a plan, or a block of segments of one long
 # record, so a call's memory stays near a megabyte whatever the record
@@ -278,8 +272,10 @@ def _spectra(stack: np.ndarray, plan: SpectrumPlan) -> np.ndarray:
     count = plan.segments
     step = max(1, max(1, WELCH_BLOCK_VALUES // length) // len(stack))
     total = np.zeros((len(stack), length))
-    # An overflowing record gives a non-finite spectrum, which the caller
-    # refuses with a typed error; NumPy's own warnings would only repeat it.
+    # ``power_cepstra`` scales its records into range, but the ``psd_*``
+    # functions take theirs as given: an overflowing record gives a
+    # non-finite spectrum, which SpectrumEstimate refuses with a typed
+    # error; NumPy's own warnings would only repeat it.
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, count, step):
             power = np.abs(np.fft.fft(taper * segments[:, start : start + step], length, axis=-1))
@@ -382,8 +378,11 @@ def power_cepstra(records: Sequence, config: RunConfig) -> list:
     log spectra, so the realized input spectrum cancels instead of being
     modeled. Each entry is the record's cepstrum of order ``config.K``, or
     the CepdistError that refused it, so one broken record fails alone.
-    Records are transformed as given, so one whose squared spectrum
-    overflows is refused here; the single-record routes rescale it first.
+    Any finite record is accepted: each signal is divided by the power of
+    two of ``range_exponent`` before its spectrum is taken, and the log of
+    that scale is added back to c(0), the mean log spectrum (output minus
+    input for a pair). Every other coefficient is that of the record, and a
+    record inside the range keeps every bit.
 
     Records of one ``plan_record`` plan and one kind (signal or pair) go
     through in blocks: as many as fit WELCH_BLOCK_VALUES spectrum values
@@ -408,7 +407,12 @@ def power_cepstra(records: Sequence, config: RunConfig) -> list:
         for start in range(0, len(members), chunk):
             block = members[start : start + chunk]
             stack = np.stack([s.samples for _, signals in block for s in signals])
+            exponents = np.array([range_exponent(row) for row in stack])
+            if exponents.any():
+                stack = np.ldexp(stack, -exponents[:, None])
             spectra = _spectra(stack, plan).reshape(len(block), width, -1)
+            exponents = exponents.reshape(len(block), width)
+            gains = exponents[:, 1] - exponents[:, 0] if width == 2 else exponents[:, 0]
             good = []
             for offset, (idx, _) in enumerate(block):
                 try:
@@ -423,33 +427,18 @@ def power_cepstra(records: Sequence, config: RunConfig) -> list:
             positive, zeroth = _fold_ifft_log(log_spectra, config.K)
             for row, offset in enumerate(good):
                 idx = block[offset][0]
-                results[idx] = CepstrumSequence("power", positive[row], None, zeroth[row])
+                c0 = zeroth[row]
+                if gains[offset]:
+                    c0 = c0 + 2.0 * gains[offset] * np.log(2.0)
+                results[idx] = CepstrumSequence("power", positive[row], None, c0)
     return results
 
 
-def _range_exponent(signal: Signal) -> int:
-    """The power of two that brings a peak outside the safe range to [0.5, 1)."""
-    peak = float(np.max(np.abs(signal.samples)))
-    if 1.0 / SAFE_PEAK <= peak <= SAFE_PEAK:
-        return 0
-    return int(np.frexp(peak)[1])
-
-
 def _record_cepstrum(record, config: RunConfig, order: int | None) -> CepstrumSequence:
-    cfg = config if order is None else replace(config, K=order)
-    signals = record if isinstance(record, tuple) else (record,)
-    exponents = [_range_exponent(s) for s in signals]
-    scaled = tuple(
-        Signal(np.ldexp(s.samples, -e), s.sample_period) if e else s
-        for s, e in zip(signals, exponents)
-    )
-    (result,) = power_cepstra([scaled if isinstance(record, tuple) else scaled[0]], cfg)
+    """``power_cepstra`` of one record, at ``order`` if given; raises its refusal."""
+    (result,) = power_cepstra([record], config if order is None else replace(config, K=order))
     if isinstance(result, CepdistError):
         raise result
-    # c(0) is the mean log spectrum: output minus input for a pair.
-    shift = exponents[-1] - (exponents[0] if len(signals) == 2 else 0)
-    if shift:
-        result = replace(result, zeroth=result.zeroth + 2.0 * shift * np.log(2.0))
     return result
 
 
@@ -458,8 +447,7 @@ def power_cepstrum_of_signal(
 ) -> CepstrumSequence:
     """Power cepstrum of one signal through the configured spectrum estimate.
 
-    A signal whose peak lies outside [1 / SAFE_PEAK, SAFE_PEAK] is scaled
-    by a power of two first, and its log gain added back to c(0).
+    Any finite signal is accepted; its gain shows only in c(0).
     """
     return _record_cepstrum(signal, config, order)
 
@@ -474,10 +462,8 @@ def transfer_cepstrum_from_io(
 
     Both signals are estimated with identical settings and the log spectra
     are subtracted, so the realized input spectrum cancels instead of being
-    modeled. A signal whose peak lies outside [1 / SAFE_PEAK, SAFE_PEAK] is
-    scaled by a power of two first, and the log gain between the two
-    scales added back to c(0), so the squared FFT magnitudes stay finite
-    for any representable record.
+    modeled. Any finite pair is accepted; the gain between its signals
+    shows only in c(0).
     """
     return _record_cepstrum((input_signal, output_signal), config, order)
 
@@ -528,9 +514,8 @@ def _winding_free_phase(spectrum: np.ndarray) -> np.ndarray:
     return phase - 2.0 * np.pi * windings * np.arange(length) / length
 
 
-def _complex_cepstrum_core(spectrum: np.ndarray, order: int) -> CepstrumSequence:
-    # The complex routes take their FFTs with overflow warnings off: an
-    # overflowing record is refused here by type instead.
+def _complex_cepstrum_core(spectrum: np.ndarray, order: int, gain: int = 0) -> CepstrumSequence:
+    """The complex cepstrum of ``spectrum`` times 2**gain, a scale that only moves c(0)."""
     length = spectrum.size
     if not np.all(np.isfinite(spectrum)):
         raise ValidationError("spectrum values must be finite")
@@ -548,21 +533,29 @@ def _complex_cepstrum_core(spectrum: np.ndarray, order: int) -> CepstrumSequence
     coeffs = np.fft.ifft(log_spec).real
     positive = coeffs[1 : order + 1]
     negative = coeffs[length - order :][::-1]
-    return CepstrumSequence("complex", positive, negative, float(coeffs[0]))
+    zeroth = float(coeffs[0])
+    if gain:
+        zeroth += gain * np.log(2.0)
+    return CepstrumSequence("complex", positive, negative, zeroth)
 
 
 def complex_cepstrum(
     signal: Signal, fft_length: int | None = None, order: int = 256
 ) -> CepstrumSequence:
-    """Complex cepstrum of a signal via FFT, phase unwrapping, and inverse FFT."""
+    """Complex cepstrum of a signal via FFT, phase unwrapping, and inverse FFT.
+
+    Any finite signal is accepted: it is divided by the power of two of
+    ``range_exponent`` first, and the log of that scale added to c(0).
+    """
     x = signal.samples
     length = next_pow2(max(x.size, 2 * order)) if fft_length is None else int(fft_length)
     if length < x.size:
         raise ValidationError(f"fft_length {length} is shorter than the signal ({x.size})")
     if length < 2 or length & (length - 1):
         raise ValidationError(f"fft_length must be a power of two, got {length}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _complex_cepstrum_core(np.fft.fft(x, length), order)
+    gain = range_exponent(x)
+    spectrum = np.fft.fft(np.ldexp(x, -gain) if gain else x, length)
+    return _complex_cepstrum_core(spectrum, order, gain)
 
 
 def complex_cepstrum_from_response(values: np.ndarray, order: int) -> CepstrumSequence:
@@ -585,7 +578,9 @@ def transfer_complex_cepstrum_from_io(
     transient leakage of the finite record), transformed, and divided; the
     phase of the ratio is unwrapped as one quantity so winding slips of the
     two spectra at deep input nulls cancel instead of corrupting the
-    cepstrum.
+    cepstrum. Any finite pair is accepted: each signal is divided by the
+    power of two of ``range_exponent`` first, and the log of the ratio of
+    the two scales added to c(0).
     """
     if len(input_signal) != len(output_signal):
         raise LengthMismatch(
@@ -599,14 +594,16 @@ def transfer_complex_cepstrum_from_io(
             f"fft_length must be a power of two at least the signal length, got {length}"
         )
     window = np.hanning(u.size)
-    with np.errstate(over="ignore", invalid="ignore"):
-        spec_u = np.fft.fft(window * u, length)
-        spec_y = np.fft.fft(window * y, length)
-        for name, spec in (("input", spec_u), ("output", spec_y)):
-            mags = np.abs(spec)
-            if float(np.min(mags)) <= TAU_SPEC * float(np.max(mags)):
-                raise SpectralNull(f"{name} spectrum touches zero on the grid")
-        return _complex_cepstrum_core(spec_y / spec_u, order)
+    exponents = [range_exponent(x) for x in (u, y)]
+    spec_u, spec_y = (
+        np.fft.fft(window * (np.ldexp(x, -e) if e else x), length)
+        for x, e in zip((u, y), exponents)
+    )
+    for name, spec in (("input", spec_u), ("output", spec_y)):
+        mags = np.abs(spec)
+        if float(np.min(mags)) <= TAU_SPEC * float(np.max(mags)):
+            raise SpectralNull(f"{name} spectrum touches zero on the grid")
+    return _complex_cepstrum_core(spec_y / spec_u, order, exponents[1] - exponents[0])
 
 
 def complex_cepstrum_from_zpk(zpk: ZeroPoleGain, order: int) -> CepstrumSequence:

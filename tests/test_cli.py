@@ -358,13 +358,17 @@ def test_distance_compares_a_signal_with_a_pair_but_distmat_refuses(tmp_path, ca
     assert captured.err == "error: items must be all signals or all (input, output) pairs\n"
 
 
-def _records_with_a_huge_input(tmp_path, scale):
-    """Two ordinary t,u,y records and one, huge.csv, whose input is scaled by ``scale``."""
+def _records_with_a_scaled_input(directory, scale):
+    """Two ordinary t,u,y records, ok0 of the system of huge.csv and ok1 of
+    another, and huge.csv, whose input is scaled by ``scale``; returns the
+    path of huge.csv."""
+    directory.mkdir(exist_ok=True)
     system = ZeroPoleGain.from_roots([0.5], [0.2], 1.0)
-    for seed in range(2):
-        (tmp_path / f"ok{seed}.csv").write_text(format_pair_csv(*white_record(system, 2048, seed)))
+    other = ZeroPoleGain.from_roots([-0.6], [], 1.0)
+    for seed, model in enumerate((system, other)):
+        (directory / f"ok{seed}.csv").write_text(format_pair_csv(*white_record(model, 2048, seed)))
     u, y = white_record(system, 2048, 2)
-    huge = tmp_path / "huge.csv"
+    huge = directory / "huge.csv"
     huge.write_text(format_pair_csv(Signal(scale * u.samples), y))
     return str(huge)
 
@@ -375,44 +379,97 @@ def _main_without_warnings(argv):
         return main(argv)
 
 
-# Near 1e200 the squared FFT magnitudes overflow; near 1e307 the FFT itself
-# does. Either way the record is refused by type, and no NumPy warning
-# reaches the command line.
+def _scaled_and_plain(tmp_path, capsys, scale, argv_of):
+    """The stdout of ``argv_of(huge)`` on the records with the input of
+    huge.csv scaled by ``scale``, then on the same records unscaled. Each
+    run must succeed with an empty stderr and without any warning."""
+    outputs = []
+    for name, gain in (("scaled", scale), ("plain", 1.0)):
+        huge = _records_with_a_scaled_input(tmp_path / name, gain)
+        assert _main_without_warnings(argv_of(huge)) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        outputs.append(captured.out)
+    return outputs
+
+
+def _assert_same_matrix(scaled, plain):
+    """Two distmat reports that differ only in the last digits of values,
+    within 1e-12 of the largest distance."""
+    scaled, plain = json.loads(scaled), json.loads(plain)
+    assert scaled["failures"] == plain["failures"] == []
+    values = plain.pop("values")
+    _assert_relatively_close(scaled.pop("values"), values, np.max(values))
+    assert scaled == plain
+
+
+def _assert_relatively_close(got, want, scale=None):
+    """Each value within 1e-12 of its reference, relative to the reference,
+    or to ``scale`` when given."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    bound = 1e-12 * (np.abs(want) if scale is None else scale)
+    assert np.all(np.abs(got - want) <= bound), (got, want)
+
+
+def _assert_cepstrum_of_the_gain(scaled, plain, c0_shift):
+    """Cepstrum CSV of a record whose gain changed: c(0) moves by
+    ``c0_shift`` and every other lag stays, within 1e-12 relative."""
+    got, want = read_rows(scaled), read_rows(plain)
+    assert got.keys() == want.keys()
+    shifted = want.pop(0) + c0_shift
+    _assert_relatively_close(got.pop(0), shifted, max(1.0, abs(shifted)))
+    lags = sorted(want)
+    values = [want[k] for k in lags]
+    _assert_relatively_close([got[k] for k in lags], values, np.max(np.abs(values)))
+
+
+# Near 1e200 the squared FFT magnitudes of the record overflow, and near
+# 1e307 the FFT itself does. The cepstral routes scale the record by a
+# power of two first, so it gives the distances of the unscaled record,
+# with c(0) shifted by the log gain and no NumPy warning.
 @pytest.mark.parametrize("scale", [1e200, 1e307])
 def test_overflowing_power_spectrum_is_refused_without_warnings(tmp_path, capsys, scale):
-    huge = _records_with_a_huge_input(tmp_path, scale)
-    refusal = "spectrum values must be finite"
-    assert _main_without_warnings(["distance", huge, str(tmp_path / "ok0.csv")]) == 2
-    captured = capsys.readouterr()
-    assert (captured.out, captured.err) == ("", f"error: {refusal}\n")
-    assert _main_without_warnings(["distmat", str(tmp_path), "--metric", "cepstral"]) == 0
-    captured = capsys.readouterr()
-    assert json.loads(captured.out)["failures"] == [
-        ["huge", "ok0", refusal],
-        ["huge", "ok1", refusal],
-    ]
-    assert captured.err == f"warning: huge vs ok0: {refusal}\nwarning: huge vs ok1: {refusal}\n"
+    scaled, plain = _scaled_and_plain(
+        tmp_path, capsys, scale, lambda huge: ["distance", huge, os.path.join(os.path.dirname(huge), "ok1.csv")]
+    )
+    _assert_relatively_close(json.loads(scaled)["value"], json.loads(plain)["value"])
+    scaled, plain = _scaled_and_plain(
+        tmp_path, capsys, scale, lambda huge: ["distmat", os.path.dirname(huge)]
+    )
+    _assert_same_matrix(scaled, plain)
+    # The input's gain divides the transfer spectrum: c(0) = 2 log|gain| moves down.
+    scaled, plain = _scaled_and_plain(
+        tmp_path, capsys, scale, lambda huge: ["cepstrum", huge, "--kind", "power"]
+    )
+    _assert_cepstrum_of_the_gain(scaled, plain, -2.0 * np.log(scale))
 
 
 @pytest.mark.parametrize(
     "argv", [["classify"], ["cepstrum", "--kind", "complex"]], ids=["classify", "cepstrum"]
 )
 def test_overflowing_complex_spectrum_is_refused_without_warnings(tmp_path, capsys, argv):
-    huge = _records_with_a_huge_input(tmp_path, 1e307)
-    assert _main_without_warnings([*argv, huge]) == 2
-    captured = capsys.readouterr()
-    assert (captured.out, captured.err) == ("", "error: spectrum values must be finite\n")
+    scaled, plain = _scaled_and_plain(tmp_path, capsys, 1e307, lambda huge: [*argv, huge])
+    if argv == ["classify"]:
+        scaled, plain = json.loads(scaled), json.loads(plain)
+        # The energies are compared on the scale of their total, the scale
+        # that the verdict reads them on.
+        total = plain["positive_energy"] + plain["negative_energy"]
+        for key in ("positive_energy", "negative_energy"):
+            _assert_relatively_close(scaled.pop(key), plain.pop(key), total)
+        assert scaled == plain
+        assert scaled["verdict"] == "MinimumPhaseStable"
+    else:
+        # The complex cepstrum's c(0) is log|gain|, half the power one.
+        _assert_cepstrum_of_the_gain(scaled, plain, -np.log(1e307))
 
 
 def test_overflowing_record_fails_only_its_subspace_cells(tmp_path, capsys):
-    _records_with_a_huge_input(tmp_path, 1e307)
-    assert _main_without_warnings(["distmat", str(tmp_path), "--metric", "subspace"]) == 0
-    captured = capsys.readouterr()
-    report = json.loads(captured.out)
-    refusal = "spectrum values must be finite"
-    assert report["failures"] == [["huge", "ok0", refusal], ["huge", "ok1", refusal]]
-    assert np.isfinite(report["values"][1][2])
-    assert captured.err == f"warning: huge vs ok0: {refusal}\nwarning: huge vs ok1: {refusal}\n"
+    # The phase gate of the subspace metric takes a complex cepstrum of the
+    # record; both it and the projected bases scale the record first.
+    scaled, plain = _scaled_and_plain(
+        tmp_path, capsys, 1e307, lambda huge: ["distmat", os.path.dirname(huge), "--metric", "subspace"]
+    )
+    _assert_same_matrix(scaled, plain)
 
 
 def test_distmat_json_and_csv(tmp_path, capsys):
@@ -676,22 +733,26 @@ def test_forked_collection_issues_worker_warnings_in_file_order(
 def test_forked_collection_fails_the_cells_of_a_broken_record(
     tmp_path, capsys, monkeypatch, verb, metric
 ):
-    # The broken record sorts last, into the worker's chunk.
-    huge = _records_with_a_huge_input(tmp_path, 1e307)
-    os.rename(huge, tmp_path / "s_huge.csv")
+    # The broken record has an all-zero input, which both metrics refuse by
+    # type, and sorts last, into the worker's chunk.
+    zero = _records_with_a_scaled_input(tmp_path, 0.0)
+    os.rename(zero, tmp_path / "s_zero.csv")
     _corpus(tmp_path, [2048] * 3)
     argv = [verb, str(tmp_path), "--metric", metric] + (["--k", "2"] if verb == "cluster" else [])
     code, out, err, shown = _serial_and_forked(monkeypatch, capsys, argv)
-    refusal = "spectrum values must be finite"
+    refusal = {
+        "cepstral": "input spectrum has a nonpositive bin; cannot take its log",
+        "subspace": "input spectrum touches zero on the grid",
+    }[metric]
     others = ("ok0", "ok1", "r0", "r1", "r2")
     assert (code, shown) == (0, [])
     report = json.loads(out)
-    assert report["failures"] == [[other, "s_huge", refusal] for other in others]
+    assert report["failures"] == [[other, "s_zero", refusal] for other in others]
     if verb == "distmat":
-        assert err == "".join(f"warning: {other} vs s_huge: {refusal}\n" for other in others)
+        assert err == "".join(f"warning: {other} vs s_zero: {refusal}\n" for other in others)
         assert [row[5] for row in report["values"][:5]] == [None] * 5
     else:
-        assert (err, report["excluded"]) == ("", ["s_huge"])
+        assert (err, report["excluded"]) == ("", ["s_zero"])
 
 
 def test_forked_collection_writes_the_stderr_of_one_process(tmp_path):

@@ -472,28 +472,38 @@ def test_cepstral_matrix_equals_the_pair_loop_property(count, order, seed, paire
 
 
 def test_cepstral_matrix_keeps_the_per_record_failures():
-    # One record too short for the window, one with an all-zero input, one
-    # whose input spectrum overflows and one with unequal lengths, among
-    # good records of two lengths; each fails only its own cells, with the
-    # per-record text, in row-major order.
+    # One record too short for the window, one with an all-zero input and
+    # one with unequal lengths, among good records of two lengths; each
+    # fails only its own cells, with the per-record text, in row-major
+    # order. Record 6 has its input scaled by 1e200, where the squared FFT
+    # magnitudes overflow: it is scaled by a power of two first, so its
+    # cells are those of the unscaled record, without a NumPy warning.
     items = _cepstral_items(8, paired=True, seed=12)
     items[1] = (items[1][0], Signal(items[1][1].samples[:500]))
     items[3] = (Signal(np.zeros(512)), items[3][1])
     items[4] = (Signal(items[4][0].samples[:200]), Signal(items[4][1].samples[:200]))
-    items[6] = (Signal(np.full(512, 1e200)), items[6][1])
     items[7] = (Signal(items[7][0].samples[:400]), Signal(items[7][1].samples[:400]))
     config = RunConfig(window_len=256, K=64)
-    with np.errstate(over="ignore", invalid="ignore"):
-        matrix = _assert_matrix_matches_reference(items, "cepstral", config)
+    want = _assert_matrix_matches_reference(items, "cepstral", config)
+    items[6] = (Signal(1e200 * items[6][0].samples), items[6][1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        matrix = distance_matrix(items, "cepstral", config)
     reasons = {(id_a, id_b): reason for id_a, id_b, reason in matrix.failures}
-    assert {b: reasons["item000", b] for b in ("item001", "item003", "item004", "item006")} == {
+    assert {b: reasons["item000", b] for b in ("item001", "item003", "item004")} == {
         "item001": "input and output lengths differ: 512 vs 500",
         "item003": "input spectrum has a nonpositive bin; cannot take its log",
         "item004": "window_len 256 exceeds the signal length 200",
-        "item006": "spectrum values must be finite",
     }
-    assert len(matrix.failures) == 7 + 6 + 5 + 4
-    assert np.isfinite(matrix.values[np.ix_([0, 2, 5, 7], [0, 2, 5, 7])]).all()
+    assert matrix.failures == want.failures
+    assert len(matrix.failures) == 7 + 6 + 5
+    others = np.ix_([0, 1, 2, 3, 4, 5, 7], [0, 1, 2, 3, 4, 5, 7])
+    assert np.array_equal(matrix.values[others], want.values[others], equal_nan=True)
+    got, ref = matrix.values[6], want.values[6]
+    assert np.array_equal(np.isnan(got), np.isnan(ref))
+    good = ~np.isnan(ref)
+    assert np.all(np.abs(got[good] - ref[good]) <= 1e-12 * ref[good])
+    assert np.count_nonzero(good) == 5
 
 
 @pytest.mark.parametrize("metric", ["euclidean", "cosine"])

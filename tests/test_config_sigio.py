@@ -135,16 +135,19 @@ def _reference_format_cepstrum_csv(cepstrum):
     return out.getvalue()
 
 
+def _reference_csv_field(text):
+    """A field as CSV quotes it: in double quotes, with each quote doubled,
+    when it holds a comma, a quote, a line feed or a carriage return."""
+    if any(char in text for char in ',"\n\r'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def _reference_format_matrix_csv(ids, values):
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["id", *ids])
+    rows = [["id", *ids]]
     for idx, name in enumerate(ids):
-        row = [name]
-        for value in values[idx]:
-            row.append("" if math.isnan(value) else f"{value:.17g}")
-        writer.writerow(row)
-    return out.getvalue()
+        rows.append([name, *("" if math.isnan(v) else f"{v:.17g}" for v in values[idx])])
+    return "".join(",".join(map(_reference_csv_field, row)) + "\n" for row in rows)
 
 
 def _same_floats(a, b):
@@ -598,12 +601,20 @@ def _mirror_upper_triangle(values):
     values[rows, cols] = values[cols, rows]
 
 
-def _count_symmetric_path(monkeypatch):
-    """A list that gets one entry per call of the symmetric matrix path."""
-    calls = []
-    real = sigio._symmetric_matrix_rows
-    monkeypatch.setattr(sigio, "_symmetric_matrix_rows", lambda *a: calls.append(a) or real(*a))
-    return calls
+def _count_formatted(monkeypatch):
+    """A list that gets every number the matrix formatter formats."""
+    formatted = []
+    real = sigio._format_numbers
+    monkeypatch.setattr(
+        sigio, "_format_numbers", lambda numbers: formatted.extend(numbers) or real(numbers)
+    )
+    return formatted
+
+
+def _upper_numbers(values):
+    """The numbers of the upper triangle, diagonal included, in row order."""
+    upper = values[np.triu_indices(len(values))]
+    return upper[~np.isnan(upper)].tolist()
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -615,15 +626,16 @@ def test_symmetric_matrix_csv_formats_each_cell_once(monkeypatch, seed):
     values[rng.random((size, size)) < 0.2] = np.nan
     values[rng.random((size, size)) < 0.05] = np.inf
     _mirror_upper_triangle(values)
-    calls = _count_symmetric_path(monkeypatch)
+    formatted = _count_formatted(monkeypatch)
     assert format_matrix_csv(ids, values) == _reference_format_matrix_csv(ids, values)
-    assert len(calls) == 1
+    assert formatted == _upper_numbers(values)
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_nearly_symmetric_matrix_csv_keeps_the_digits_of_each_cell(monkeypatch, seed):
-    # The library accepts matrices symmetric up to 1e-10; such a matrix, or
-    # one whose mirrored zeros differ in sign, is formatted cell by cell.
+    # The library accepts matrices symmetric up to 1e-10; in such a matrix,
+    # or one whose mirrored zeros differ in sign, the lower cell that
+    # differs from its mirror is formatted on its own, and only that one.
     rng = np.random.default_rng(seed)
     size = 6
     ids = tuple(MATRIX_IDS[:size])
@@ -636,12 +648,31 @@ def test_nearly_symmetric_matrix_csv_keeps_the_digits_of_each_cell(monkeypatch, 
     nudged[i, j] = np.nextafter(nudged[i, j], 2.0)
     signed = values.copy()
     signed[i, j], signed[j, i] = -0.0, 0.0
-    calls = _count_symmetric_path(monkeypatch)
-    for matrix in (nudged, signed):
+    for matrix in (nudged, signed, values):
+        formatted = _count_formatted(monkeypatch)
         assert format_matrix_csv(ids, matrix) == _reference_format_matrix_csv(ids, matrix)
-    assert calls == []
-    assert format_matrix_csv(ids, values) == _reference_format_matrix_csv(ids, values)
-    assert len(calls) == 1
+        extra = [] if matrix is values else [float(matrix[j, i])]
+        assert sorted(formatted) == sorted(_upper_numbers(matrix) + extra)
+
+
+# Every character that CSV quoting must protect, and the %-format marker.
+AWKWARD_IDS = ("cr\rret", "new\nline", "b,c", 'q"uote', "per%cent", "\r\n", "plain")
+
+
+@pytest.mark.parametrize("mirrored", [True, False])
+def test_matrix_csv_reads_back_through_the_csv_reader(mirrored):
+    rng = np.random.default_rng(3)
+    size = len(AWKWARD_IDS)
+    values = rng.standard_normal((size, size))
+    values[1, 4] = np.nan
+    if mirrored:
+        _mirror_upper_triangle(values)
+    text = format_matrix_csv(AWKWARD_IDS, values)
+    header, *rows = csv.reader(io.StringIO(text, newline=""))
+    assert header == ["id", *AWKWARD_IDS]
+    assert [row[0] for row in rows] == list(AWKWARD_IDS)
+    cells = np.array([[float(cell) if cell else np.nan for cell in row[1:]] for row in rows])
+    assert np.array_equal(cells, values, equal_nan=True)
 
 
 def test_state_space_model_json(tmp_path):

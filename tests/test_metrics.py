@@ -289,11 +289,12 @@ def test_euclidean_distance_basics():
         euclidean_distance(a, Signal(np.zeros(3)))
 
 
-@pytest.mark.parametrize("shift", [0, 600, 1000])
+@pytest.mark.parametrize("shift", [0, 600, 1000, -600, -1000])
 @pytest.mark.parametrize("seed", range(3))
 def test_euclidean_distance_is_exact_under_power_of_two_scaling(seed, shift):
-    # Shifts of 600 and 1000 overflow the squared norm of the difference;
-    # the rescaled route must give the unscaled value shifted, bit for bit.
+    # Shifts of 600 and 1000 overflow the squared norm of the difference,
+    # and -600 and -1000 flush it to zero; the scaled route must give the
+    # unscaled value shifted, bit for bit.
     rng = np.random.default_rng(seed)
     x, y = rng.standard_normal(64), rng.standard_normal(64)
     plain = float(np.linalg.norm(x - y))
@@ -317,12 +318,16 @@ def test_cosine_similarity_basics():
         cosine_similarity(a, Signal(np.zeros(2)))
 
 
-@pytest.mark.parametrize("shift_a,shift_b", [(0, 0), (600, 600), (-600, -600), (600, -600)])
+@pytest.mark.parametrize(
+    "shift_a,shift_b", [(0, 0), (600, 600), (-600, -600), (600, -600), (-520, -520)]
+)
 @pytest.mark.parametrize("seed", range(3))
 def test_cosine_similarity_is_exact_under_power_of_two_scaling(seed, shift_a, shift_b):
     # A shift of 600 overflows the squared norms and -600 flushes them to
-    # zero; the rescaled route must give the unscaled value bit for bit,
-    # and the unscaled value is the plain formula's.
+    # zero. At -520 the squares are subnormal, so neither the norms nor the
+    # inner product is zero, but each has lost digits. The scaled route
+    # must give the unscaled value bit for bit, and the unscaled value is
+    # the plain formula's.
     rng = np.random.default_rng(seed)
     x, y = rng.standard_normal(64), rng.standard_normal(64)
     plain = float(x @ y / (float(np.linalg.norm(x)) * float(np.linalg.norm(y))))

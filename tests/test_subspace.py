@@ -19,11 +19,14 @@ from cepdist import (
     ValidationError,
     ZeroPoleGain,
     cascade,
+    classify_from_io,
     closed_form_norm_max_phase,
     closed_form_norm_min_phase,
     closed_form_norm_mixed,
+    complex_cepstrum,
     example_systems,
     format_pair_csv,
+    power_cepstrum_of_signal,
     principal_angles,
     projected_bases,
     simulate,
@@ -34,10 +37,12 @@ from cepdist import (
     subspace_norm_from_data,
     subspace_norm_from_model,
     transfer_cepstrum_from_io,
+    transfer_complex_cepstrum_from_io,
     vandermonde_range,
     weighted_cepstral_norm,
 )
 from cepdist.cli import main
+from cepdist.spectral import power_cepstra
 from cepdist.subspace import HANKEL_RANK_RTOL, ORDER_GAP_MIN, TAU_RANK, _lag_gram
 from conftest import draw_roots, random_min_phase, white_record
 
@@ -643,12 +648,15 @@ def test_data_norm_refuses_inputs_that_are_not_persistently_exciting(kind):
         subspace_norm_from_data(u, y)
 
 
-# Near 1e307 the streamed LQ stopped with NumPy's untyped LinAlgError, and
-# near 1e154 the squared FFT magnitudes of the cepstral route overflow.
+# Near 1e307 the streamed LQ stopped with NumPy's untyped LinAlgError, near
+# 1e154 the squared FFT magnitudes of the cepstral routes overflow, and far
+# below 1 they underflow. Every route scales the record by a power of two
+# first: only c(0) moves, by the log of the gain.
 @given(st.floats(-300.0, 300.0), st.floats(-300.0, 300.0))
 @settings(max_examples=25)
 @example(307.0, 0.0)
 @example(0.0, 160.0)
+@example(-300.0, 0.0)
 def test_data_routes_do_not_depend_on_the_record_scale(log_input, log_output):
     u, y = NOISE_RECORD
     config = RunConfig()
@@ -658,13 +666,32 @@ def test_data_routes_do_not_depend_on_the_record_scale(log_input, log_output):
         warnings.simplefilter("error")
         angle_norm = subspace_norm_from_data(*scaled, rows=60)
         cepstrum = transfer_cepstrum_from_io(*scaled, config)
+        batch = power_cepstra([scaled, scaled[1]], config)
+        verdict = classify_from_io(*scaled, config)
+        complex_pair = transfer_complex_cepstrum_from_io(*scaled, config.K)
+        complex_output = complex_cepstrum(scaled[1], None, config.K)
     want = subspace_norm_from_data(u, y, rows=60)
     assert abs(angle_norm - want) <= 1e-12 * want
-    reference = transfer_cepstrum_from_io(u, y, config)
-    want = weighted_cepstral_norm(reference).value
-    assert abs(weighted_cepstral_norm(cepstrum).value - want) <= 1e-12 * want
-    zeroth = reference.zeroth + 2.0 * (np.log(gain_y) - np.log(gain_u))
-    assert abs(cepstrum.zeroth - zeroth) <= 1e-12 * max(1.0, abs(zeroth))
+    log_u, log_y = np.log(gain_u), np.log(gain_y)
+    cases = [
+        (cepstrum, transfer_cepstrum_from_io(u, y, config), 2.0 * (log_y - log_u)),
+        (batch[0], transfer_cepstrum_from_io(u, y, config), 2.0 * (log_y - log_u)),
+        (batch[1], power_cepstrum_of_signal(y, config), 2.0 * log_y),
+        (complex_pair, transfer_complex_cepstrum_from_io(u, y, config.K), log_y - log_u),
+        (complex_output, complex_cepstrum(y, None, config.K), log_y),
+    ]
+    for got, reference, shift in cases:
+        want = weighted_cepstral_norm(reference).value
+        assert abs(weighted_cepstral_norm(got).value - want) <= 1e-12 * want
+        zeroth = reference.zeroth + shift
+        assert abs(got.zeroth - zeroth) <= 1e-12 * max(1.0, abs(zeroth))
+    # The energies are compared on the scale of their total, the scale that
+    # the verdict reads them on.
+    reference = classify_from_io(u, y, config)
+    assert verdict.kind == reference.kind
+    total = reference.positive_energy + reference.negative_energy
+    assert abs(verdict.positive_energy - reference.positive_energy) <= 1e-12 * total
+    assert abs(verdict.negative_energy - reference.negative_energy) <= 1e-12 * total
 
 
 def test_data_bases_refuse_no_more_columns_than_rows():
