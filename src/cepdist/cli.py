@@ -66,8 +66,9 @@ from .verify import CASES, run_verify
 
 GENERATED_INPUTS = ("white", "impulse", "step")
 # distmat and cluster read and featurize their files in one process when
-# the files hold fewer bytes than this: below it a fork costs more than it
-# saves (measured break-even: see the README's cost notes).
+# the files hold fewer bytes than this, and a verb that reads one file
+# parses it in one process: below it a fork costs more than it saves
+# (measured break-even: see the README's cost notes).
 FORK_MIN_BYTES = 1 << 20
 # simulate formats its output CSV in one process when it has fewer rows
 # than this, by the same rule (measured break-even: see the README).
@@ -106,15 +107,25 @@ def _emit_parts(parts: list[str], path: str | None) -> None:
             fh.write(part)
 
 
+def _read_signal(path: str) -> tuple[str, Signal | tuple[Signal, Signal]]:
+    """``read_signal_csv`` of one file, its rows parsed in one line range per
+    worker process (``_worker_count`` of its size against FORK_MIN_BYTES)."""
+    try:
+        size = os.stat(path).st_size
+    except OSError:
+        size = 0  # reading the file names the error
+    return read_signal_csv(path, _worker_count(size, FORK_MIN_BYTES, size))
+
+
 def _read_pair(path: str) -> tuple[Signal, Signal]:
-    kind, payload = read_signal_csv(path)
+    kind, payload = _read_signal(path)
     if kind != "pair":
         raise ValidationError(f"{path}: expected a t,u,y pair file")
     return payload
 
 
 def _read_single(path: str) -> Signal:
-    kind, payload = read_signal_csv(path)
+    kind, payload = _read_signal(path)
     if kind != "single":
         raise ValidationError(f"{path}: expected a t,value signal file")
     return payload
@@ -163,7 +174,7 @@ def cmd_cepstrum(args: argparse.Namespace, config: RunConfig) -> int:
         else:
             cepstrum = complex_cepstrum_from_zpk(zpk, config.K)
     else:
-        kind, payload = read_signal_csv(args.signal)
+        kind, payload = _read_signal(args.signal)
         if args.kind == "power":
             (cepstrum,) = collection_features([payload], "cepstral", config)
             if isinstance(cepstrum, CepdistError):
@@ -180,8 +191,8 @@ def cmd_cepstrum(args: argparse.Namespace, config: RunConfig) -> int:
 
 def _distance_report(path_a: str, path_b: str, metric: str, config: RunConfig) -> dict:
     metric = resolve_metric(metric)
-    kind_a, payload_a = read_signal_csv(path_a)
-    kind_b, payload_b = read_signal_csv(path_b)
+    kind_a, payload_a = _read_signal(path_a)
+    kind_b, payload_b = _read_signal(path_b)
     if metric == "subspace" and (kind_a != "pair" or kind_b != "pair"):
         raise ValidationError("the subspace metric needs t,u,y pair files")
     feats = collection_features([payload_a, payload_b], metric, config)
@@ -231,8 +242,9 @@ def _collection_matrix(paths: list[str], metric: str, config: RunConfig) -> Dist
 def _chunk_features(paths: list[str], metric: str, config: RunConfig) -> tuple[list, list]:
     """Whether each file holds a pair, and the features of its record.
 
-    A chunk that ``check_collection`` refuses gets no features: the whole
-    collection is refused then.
+    Each file is read in one process: the chunks already run one per
+    worker process. A chunk that ``check_collection`` refuses gets no
+    features: the whole collection is refused then.
     """
     items = [read_signal_csv(path)[1] for path in paths]
     paired = [isinstance(item, tuple) for item in items]

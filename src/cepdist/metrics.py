@@ -11,6 +11,7 @@ what the verification front end checks numerically.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -232,20 +233,22 @@ def _scaled(x: np.ndarray, exponent: int) -> np.ndarray:
 def euclidean_distance(s1: Signal, s2: Signal) -> float:
     """Plain pointwise L2 distance between equal-length signals.
 
-    Both signals are first divided by the one power of two that
-    ``range_exponent`` gives for the pair, and the norm is multiplied back,
-    so the sum of squares neither overflows nor underflows. That scaling is
-    exact. A distance beyond the floating-point range is refused with
-    ValidationError.
+    The difference is divided by the power of two that ``range_exponent``
+    gives for it, and the norm is multiplied back, so the sum of squares
+    neither overflows nor underflows, however far below the signals' peak
+    the difference lies. That scaling is exact. A distance beyond the
+    floating-point range, one with a difference that overflows included,
+    is refused with ValidationError.
     """
     if len(s1) != len(s2):
         raise LengthMismatch(f"signal lengths differ: {len(s1)} vs {len(s2)}")
-    exponent = range_exponent(s1.samples, s2.samples)
-    x, y = (_scaled(s.samples, exponent) for s in (s1, s2))
-    try:
-        return math.ldexp(float(np.linalg.norm(x - y)), exponent)
-    except OverflowError:
-        raise ValidationError("the euclidean distance exceeds the floating-point range") from None
+    with np.errstate(over="ignore"):
+        difference = s1.samples - s2.samples
+    if np.isfinite(difference).all():
+        exponent = range_exponent(difference)
+        with contextlib.suppress(OverflowError):
+            return math.ldexp(float(np.linalg.norm(_scaled(difference, exponent))), exponent)
+    raise ValidationError("the euclidean distance exceeds the floating-point range")
 
 
 def cosine_similarity(s1: Signal, s2: Signal) -> float:

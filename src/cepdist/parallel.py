@@ -50,7 +50,7 @@ def map_chunks(func: Callable, chunks: Sequence) -> list:
                 _serve(func, chunk, write_fd)
             os.close(write_fd)
             children.append((pid, open(read_fd, "rb")))
-        results = [func(chunks[0])]
+        results = [func(chunk) for chunk in chunks[:1]]
         for pid, pipe in children:
             data = pipe.read()
             if not data:

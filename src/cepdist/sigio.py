@@ -11,16 +11,21 @@ Signal rows are parsed by NumPy's C reader, which converts each cell as
 Python's ``float`` does. A file it refuses, or that holds a non-finite
 value, is parsed again in chunks of rows with ``float`` itself. That parse
 also reads what the C reader refuses (quoted cells, underscores in numbers,
-rows of only blanks and commas) and names the first row at fault.
+rows of only blanks and commas) and names the first row at fault. A
+caller may ask for the rows to be parsed in contiguous line ranges, each
+after the first in a forked worker process; the values and errors are
+those of the one-process read.
 """
 
 from __future__ import annotations
 
+import codecs
 import contextlib
 import csv
 import io
 import json
 import math
+import os
 import re
 import warnings
 from itertools import chain, islice
@@ -30,6 +35,7 @@ import numpy as np
 
 from .errors import CepdistError, ValidationError
 from .lti import Signal, StateSpaceModel, ZeroPoleGain
+from .parallel import map_chunks
 
 # Relative jitter allowed in the time column before it counts as non-uniform.
 TIME_JITTER_RTOL = 1e-6
@@ -102,6 +108,23 @@ def _parse_rows(rows: list[str], width: int, first_row: int, path: str) -> np.nd
     return values.reshape(len(rows), width)
 
 
+def _first_row(lines) -> tuple[list[str], bool] | None:
+    """The lines up to the first that is not blank, that one included, and
+    whether it is a header; None when every line is blank.
+
+    A blank line holds only whitespace and commas, quotes around a cell
+    free of commas and quotes dropped; a header is a first row that is not
+    all numbers.
+    """
+    skipped = []
+    for line in lines:
+        skipped.append(line)
+        first = _QUOTED_CELL.sub(r"\1", line)
+        if first.replace(",", " ").strip():
+            return skipped, not _is_numeric(first)
+    return None
+
+
 def _loadtxt_table(fh) -> tuple[np.ndarray, int] | None:
     """The data rows as NumPy's C reader parses them, with the row number
     of the first; None when it refuses them or finds no finite table.
@@ -111,32 +134,118 @@ def _loadtxt_table(fh) -> tuple[np.ndarray, int] | None:
     where the row-wise parse refuses the row, so a quote sends the file to
     that parse instead.
     """
-    for line in fh:
-        first = _QUOTED_CELL.sub(r"\1", line)
-        if first.replace(",", " ").strip():
-            break
-    else:
+    head = _first_row(fh)
+    if head is None:
         return None
-    header = not _is_numeric(first)
+    skipped, header = head
+    table = _loadtxt_rows(fh if header else chain(skipped[-1:], fh))
+    if table is not None and table.size and table.shape[1] in (2, 3):
+        return table, 2 if header else 1
+    return None
+
+
+def _loadtxt_rows(source, **options) -> np.ndarray | None:
+    """The rows as NumPy's C reader parses them, shape (rows, cells); None
+    when it refuses one or a value is not finite."""
     with warnings.catch_warnings():
         # A header-only file makes loadtxt warn "input contained no data";
         # the row-wise parse refuses it with its own message.
         warnings.simplefilter("ignore", UserWarning)
         try:
-            table = np.loadtxt(
-                fh if header else chain([line], fh), delimiter=",", comments=None, ndmin=2
-            )
+            table = np.loadtxt(source, delimiter=",", comments=None, ndmin=2, **options)
         except ValueError:
             return None
-    if table.size and table.shape[1] in (2, 3) and np.isfinite(table).all():
-        return table, 2 if header else 1
-    return None
+    return table if np.isfinite(table).all() else None
 
 
-def _read_table(fh, path: str) -> tuple[np.ndarray, int]:
-    """All data rows of an open signal file, and the row number of the first."""
+def _loadtxt_bytes(data: bytes) -> np.ndarray | None:
+    """``_loadtxt_rows`` of the lines in UTF-8 bytes; None also when no
+    in-memory file can be made.
+
+    NumPy's reader takes a file object line by line but reads a path in
+    blocks, which is faster, so the bytes go to an in-memory file and the
+    reader gets its path (Linux). Opened by path, the file is read with
+    universal newlines: the lines are those of iterating the bytes.
+    """
+    try:
+        with open(os.memfd_create("rows"), "wb") as fh:
+            fh.write(data)
+            fh.flush()
+            return _loadtxt_rows(f"/proc/self/fd/{fh.fileno()}", encoding="utf-8")
+    except OSError:
+        return None
+
+
+def _data_start(data: bytes) -> tuple[int, int] | None:
+    """The offset of the first data row in a file's bytes and its row
+    number, as ``_loadtxt_table`` finds them; None when every line is
+    blank or the bytes are not UTF-8."""
+    offset = len(codecs.BOM_UTF8) if data.startswith(codecs.BOM_UTF8) else 0
+    try:
+        head = _first_row(io.TextIOWrapper(io.BytesIO(data), "utf-8-sig", newline=""))
+    except UnicodeDecodeError:
+        return None
+    if head is None:
+        return None
+    skipped, header = head
+    offset += len("".join(skipped if header else skipped[:-1]).encode())
+    return offset, 2 if header else 1
+
+
+def _line_cuts(data: bytes, parts: int) -> list[int]:
+    """Offsets that split ``data`` into ``parts`` line ranges of nearly
+    equal size: 0, the start of the line at or after each k/parts of the
+    bytes, and the length. A cut follows a line feed, which ends a line
+    whatever the line ends of the file, and no UTF-8 character holds one.
+    """
+    cuts = [0]
+    for k in range(1, parts):
+        start = max(cuts[-1], len(data) * k // parts)
+        if start > 0 and data[start - 1 : start] != b"\n":
+            start = data.find(b"\n", start) + 1 or len(data)
+        cuts.append(start)
+    return cuts + [len(data)]
+
+
+def _range_table(data: bytes, cuts: list[int]) -> tuple[np.ndarray, int] | None:
+    """``_loadtxt_table`` of a whole file's bytes, its data rows parsed in
+    the line ranges between the cuts, each after the first in a worker
+    process (``parallel.map_chunks``); None when any range is refused.
+
+    The header and the lines before it are left out of the first range.
+    Each range is read with universal newlines, as the one-process read
+    reads the file, so the joined rows are that read's rows, bit for bit.
+    """
+    head = _data_start(data)
+    if head is None:
+        return None
+    start, first_row = head
+    bounds = sorted({start, *(cut for cut in cuts if cut > start)})
+    ranges = list(zip(bounds, bounds[1:]))
+    tables = map_chunks(lambda span: _loadtxt_bytes(data[span[0] : span[1]]), ranges)
+    if any(table is None for table in tables):
+        return None
+    tables = [table for table in tables if table.size]
+    widths = {table.shape[1] for table in tables}
+    if len(widths) != 1 or widths - {2, 3}:
+        return None
+    return np.concatenate(tables), first_row
+
+
+def _read_table(fh, path: str, parts: int = 1) -> tuple[np.ndarray, int]:
+    """All data rows of an open signal file, and the row number of the first.
+
+    NumPy's C reader parses a seekable file first, in ``parts`` line ranges
+    when ``parts`` is above one (``_range_table``). The ranges refuse a
+    file exactly when the reader would refuse it whole, so either way a
+    refused file goes to the row-wise parse, which names the fault.
+    """
     if fh.seekable():
-        parsed = _loadtxt_table(fh)
+        if parts > 1:
+            data = fh.buffer.read()
+            parsed = _range_table(data, _line_cuts(data, parts))
+        else:
+            parsed = _loadtxt_table(fh)
         if parsed is not None:
             return parsed
         fh.seek(0)
@@ -181,16 +290,19 @@ def _sample_period(times: np.ndarray, first_row: int, path: str) -> float:
     return dt
 
 
-def read_signal_csv(path: str) -> tuple[str, Signal | tuple[Signal, Signal]]:
+def read_signal_csv(path: str, parts: int = 1) -> tuple[str, Signal | tuple[Signal, Signal]]:
     """Read a signal file; returns ("single", Signal) or ("pair", (u, y)).
 
     A header row is expected but a purely numeric first row is accepted as
     data, with columns interpreted positionally. Rows are numbered from 1
     among the non-blank rows, header included; every value must be finite.
+    With ``parts`` above one, the rows are parsed in that many contiguous
+    line ranges in forked worker processes; the result and every error are
+    those of the one-process read.
     """
     try:
         with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-            table, first_row = _read_table(fh, path)
+            table, first_row = _read_table(fh, path, parts)
     except OSError as exc:
         raise ValidationError(f"cannot read signal file {path}: {exc}") from exc
     times, *columns = (np.ascontiguousarray(column) for column in table.T)
@@ -203,19 +315,37 @@ def read_signal_csv(path: str) -> tuple[str, Signal | tuple[Signal, Signal]]:
 def _format_rows(header: str, row_format: str, *columns: np.ndarray) -> str:
     """The header, then ``row_format`` applied to each row of the columns.
 
-    Each chunk of CSV_CHUNK_ROWS rows is one %-operation. ``"%.17g" % x``
+    Each chunk of CSV_CHUNK_ROWS rows is one %-operation on the chunk's
+    values as Python numbers, ints from an integer column. ``"%.17g" % x``
     gives the same text as ``f"{x:.17g}"``.
     """
     parts = [header]
     for start in range(0, len(columns[0]), CSV_CHUNK_ROWS):
-        block = np.column_stack([column[start : start + CSV_CHUNK_ROWS] for column in columns])
-        parts.append(row_format * len(block) % tuple(block.ravel().tolist()))
+        block = [column[start : start + CSV_CHUNK_ROWS].tolist() for column in columns]
+        cells = [None] * (len(block) * len(block[0]))
+        for offset, values in enumerate(block):
+            cells[offset :: len(block)] = values
+        parts.append(row_format * len(block[0]) % tuple(cells))
     return "".join(parts)
 
 
+def _time_column(start: int, stop: int, period: float) -> tuple[str, np.ndarray]:
+    """The times of rows ``start`` to ``stop - 1``, and their format.
+
+    A time is the row number times the period, written with ``"%.12g"``.
+    That writes an integer below 1e12 as its digits, as ``"%d"`` does with
+    the same integer, which is faster; so when every time of the rows is
+    one, they are written that way.
+    """
+    times = np.arange(start, stop) * period
+    if times.size and times[-1] < 1e12 and (times == np.trunc(times)).all():
+        return "%d", times.astype(np.int64)
+    return "%.12g", times
+
+
 def format_signal_csv(signal: Signal) -> str:
-    times = np.arange(len(signal)) * signal.sample_period
-    return _format_rows("t,value\n", "%.12g,%.17g\n", times, signal.samples)
+    time_format, times = _time_column(0, len(signal), signal.sample_period)
+    return _format_rows("t,value\n", time_format + ",%.17g\n", times, signal.samples)
 
 
 PAIR_CSV_HEADER = "t,u,y\n"
@@ -233,10 +363,10 @@ def pair_csv_rows(input_signal: Signal, output_signal: Signal, start: int, stop:
     """
     if len(input_signal) != len(output_signal):
         raise ValidationError("input and output lengths differ")
-    times = np.arange(start, stop) * input_signal.sample_period
+    time_format, times = _time_column(start, stop, input_signal.sample_period)
     return _format_rows(
         "",
-        "%.12g,%.17g,%.17g\n",
+        time_format + ",%.17g,%.17g\n",
         times,
         input_signal.samples[start:stop],
         output_signal.samples[start:stop],

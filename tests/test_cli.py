@@ -29,7 +29,7 @@ from cepdist import (
     transfer_complex_cepstrum_from_io,
     weighted_cepstral_distance,
 )
-from cepdist import cli
+from cepdist import cli, sigio
 from cepdist.cli import main
 from cepdist.sigio import CSV_CHUNK_ROWS
 from conftest import white_record
@@ -887,3 +887,161 @@ def test_forked_simulate_writes_the_bytes_of_one_process(tmp_path):
     ]
     assert runs[0].returncode == 0
     assert runs[0].stdout.count(b"\n") == 20002
+
+
+# A verb that reads one record file parses its rows in one line range per
+# usable CPU once the file holds FORK_MIN_BYTES. Each call below runs once
+# in one process and once with that read forced down the range path, and
+# the runs must agree byte for byte.
+
+
+def _serial_and_range_read(monkeypatch, capsys, argv, files=(), workers=2):
+    """One run of argv reading in one process and one reading in ranges
+    with ``workers`` usable CPUs; asserts they agree, that no child is left
+    and that each read of the second run was split into ``workers`` ranges,
+    and returns the exit code, stdout and stderr, and whether every split
+    read was parsed by the ranges rather than again in one process."""
+    runs = []
+    real_map_chunks = sigio.map_chunks
+    real_range_table = sigio._range_table
+    for forked in (False, True):
+        splits, parsed = [], []
+
+        def split_spy(func, chunks):
+            splits.append(len(chunks))
+            return real_map_chunks(func, chunks)
+
+        def parsed_spy(*args):
+            parsed.append(real_range_table(*args))
+            return parsed[-1]
+
+        monkeypatch.setattr(sigio, "map_chunks", split_spy)
+        monkeypatch.setattr(sigio, "_range_table", parsed_spy)
+        monkeypatch.setattr(cli, "FORK_MIN_BYTES", 0 if forked else 1 << 62)
+        monkeypatch.setattr(cli, "usable_cpus", lambda: workers)
+        for path in files:
+            if os.path.exists(path):
+                os.remove(path)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("default")
+            code = main(argv)
+        captured = capsys.readouterr()
+        shown = [(str(w.message), w.category) for w in caught]
+        written = [Path(p).read_bytes() if os.path.exists(p) else None for p in files]
+        runs.append((code, captured.out, captured.err, shown, written))
+        assert splits == ([workers] * len(splits) if forked else [])
+        assert len(splits) == len(parsed)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+    assert runs[0] == runs[1]
+    assert splits
+    return runs[0][:3], all(table is not None for table in parsed)
+
+
+def _stored_input(tmp_path, fault=None, newline="\n", bom=""):
+    """A t,value input of 300 rows; ``fault`` replaces its 298th row."""
+    samples = np.random.default_rng(11).standard_normal(300)
+    rows = format_signal_csv(Signal(samples)).splitlines()
+    if fault is not None:
+        rows[298] = fault
+    path = tmp_path / "u.csv"
+    path.write_bytes((bom + newline.join(rows) + newline).encode())
+    return str(path)
+
+
+# Faults in the last line range, and the one-process error each must give.
+READ_FAULTS = {
+    "quoted-cell": ('297,"0.5"', None),
+    "non-finite-cell": ("297,nan", "row 299: 'nan' is not a finite number"),
+    "row-width": ("297,1,2", "row 299: expected 2 cells, got 3"),
+    "time-step": ("297.5,1", "row 299: non-uniform time step 1.5 (expected 1.0)"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(READ_FAULTS))
+@pytest.mark.parametrize("workers", [2, 3])
+def test_simulate_reads_a_faulty_input_in_ranges_as_one_process(
+    tmp_path, capsys, monkeypatch, fault, workers
+):
+    model = write_json(tmp_path, "model.json", SIMULATE_MODEL)
+    line, message = READ_FAULTS[fault]
+    stored = _stored_input(tmp_path, line)
+    output = str(tmp_path / "y.csv")
+    argv = ["simulate", "--model", model, "--input", stored, "-o", output]
+    (code, out, err), by_ranges = _serial_and_range_read(
+        monkeypatch, capsys, argv, [output], workers
+    )
+    # The ranges parse the file only when NumPy's reader takes every row;
+    # the time step is checked on the joined rows.
+    assert by_ranges == (fault == "time-step")
+    if message is None:
+        assert (code, out, err) == (0, "", "")
+    else:
+        assert (code, out, err) == (2, "", f"error: {stored}: {message}\n")
+        assert not os.path.exists(output)
+
+
+@pytest.mark.parametrize("newline,bom", [("\n", ""), ("\r\n", "\ufeff")], ids=["lf", "crlf-bom"])
+@pytest.mark.parametrize("workers", [2, 3])
+def test_simulate_reads_a_stored_input_in_ranges_as_one_process(
+    tmp_path, capsys, monkeypatch, newline, bom, workers
+):
+    model = write_json(tmp_path, "model.json", SIMULATE_MODEL)
+    stored = _stored_input(tmp_path, newline=newline, bom=bom)
+    argv = ["simulate", "--model", model, "--input", stored]
+    for output in (str(tmp_path / "y.csv"), None):
+        files = [output] if output else []
+        (code, out, err), by_ranges = _serial_and_range_read(
+            monkeypatch, capsys, argv + (["-o", output] if output else []), files, workers
+        )
+        assert (code, err, by_ranges) == (0, "", True)
+    u = read_signal_csv(stored)[1]
+    assert out == format_pair_csv(u, simulate(state_space_from_roots(read_model_json(model)), u))
+
+
+@pytest.mark.parametrize(
+    "verb", ["cepstrum", "cepstrum-complex", "classify", "classify-two", "distance"]
+)
+def test_single_file_verbs_read_in_ranges_as_one_process(tmp_path, capsys, monkeypatch, verb):
+    u, y = white_record(ZeroPoleGain.from_roots([0.5], [0.2], 1.0), 2048, 4)
+    pair = tmp_path / "pair.csv"
+    pair.write_text(format_pair_csv(u, y))
+    other = tmp_path / "other.csv"
+    other_system = ZeroPoleGain.from_roots([-0.6], [], 1.0)
+    other.write_text(format_pair_csv(*white_record(other_system, 2048, 5)))
+    argv = {
+        "cepstrum": ["cepstrum", str(pair)],
+        "cepstrum-complex": ["cepstrum", str(pair), "--kind", "complex"],
+        "classify": ["classify", str(pair)],
+        "classify-two": ["classify", write_signal(tmp_path, "u.csv", u.samples),
+                         write_signal(tmp_path, "y.csv", y.samples)],
+        "distance": ["distance", str(pair), str(other)],
+    }[verb]
+    (code, out, err), by_ranges = _serial_and_range_read(monkeypatch, capsys, argv, workers=2)
+    assert (code, err, by_ranges) == (0, "", True)
+    assert out
+
+
+def test_simulate_reads_in_ranges_the_bytes_of_one_process(tmp_path):
+    # Fresh processes: the read of a faulty input gives the bytes of one
+    # process's read on stderr, and a sound one the same output.
+    model = write_json(tmp_path, "model.json", SIMULATE_MODEL)
+    program = (
+        "import sys; from cepdist import cli; cli.FORK_MIN_BYTES = int(sys.argv[1]); "
+        "cli.usable_cpus = lambda: 2; sys.exit(cli.main(sys.argv[2:]))"
+    )
+    for fault, code in ((None, 0), ("297,oops", 2)):
+        stored = _stored_input(tmp_path, fault)
+        runs = [
+            subprocess.run(
+                [sys.executable, "-c", program, str(threshold), "simulate", "--model", model,
+                 "--input", stored],
+                capture_output=True,
+                timeout=120,
+            )
+            for threshold in (1 << 62, 0)
+        ]
+        assert [(r.returncode, r.stdout, r.stderr) for r in runs[1:]] == [
+            (runs[0].returncode, runs[0].stdout, runs[0].stderr)
+        ]
+        assert runs[0].returncode == code

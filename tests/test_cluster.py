@@ -585,6 +585,7 @@ def test_map_chunks_returns_the_results_in_chunk_order():
     assert map_chunks(lambda chunk: (os.getpid(), sum(chunk)), chunks)[0][0] == os.getpid()
     assert [total for _, total in map_chunks(lambda c: (0, sum(c)), chunks)] == [3, 3, 15, 7]
     assert map_chunks(sum, [[1, 2]]) == [3]
+    assert map_chunks(sum, []) == []
     _no_child_left()
 
 

@@ -2,8 +2,10 @@
 
 import csv
 import io
+import itertools
 import json
 import math
+import os
 import warnings
 
 import numpy as np
@@ -444,10 +446,11 @@ def test_reader_edge_cases_match_the_reference(tmp_path, monkeypatch, content, f
 def test_files_without_data_are_refused_without_a_warning(tmp_path, content, message):
     path = tmp_path / "empty.csv"
     path.write_text(content)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(ValidationError, match=message):
-            read_signal_csv(str(path))
+    for parts in (1, 2):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match=message):
+                read_signal_csv(str(path), parts)
 
 
 def test_a_quoted_cell_does_not_run_on_over_a_line_end(tmp_path):
@@ -576,6 +579,202 @@ def test_formatted_records_read_back_bit_identical(tmp_path):
     _, (u_back, y_back) = _read_both(str(path))
     assert _same_floats(u_back.samples, u.samples)
     assert _same_floats(y_back.samples, y.samples)
+
+
+# The range reader parses a file's rows in contiguous line ranges, each
+# after the first in a forked worker. Its tables must be the one-process
+# read's bit for bit, and a file it refuses must give the one-process
+# read's error.
+
+# Small files for the range reader.
+RANGE_FILES = {
+    "lf-header": "t,value\n0,1.5\n1,-2e-300\n2,3\n3,0.1\n4,-0\n",
+    "crlf-pair": "t,u,y\r\n0,1,2\r\n1,3,4\r\n2,5,6\r\n3,7,8\r\n",
+    "bom": "\ufefft,value\n0,1\n1,2\n2,3\n3,4\n",
+    "no-header": "0,1\n1,2\n2,3\n3,4\n4,5\n",
+    "bom-no-header": "\ufeff0,1\r\n1,2\r\n2,3\r\n3,4\r\n",
+    "blank-lines": "t,value\n0,1\n\n1,2\n\r\n2,3\n\n3,4\n",
+    "trailing-blank-lines": "t,value\n0,1\n1,2\n2,3\n\n\n\n",
+    "blank-first-lines": "\n , \nt,value\n0,1\n1,2\n2,3\n",
+    "bare-carriage-returns": "t,value\r0,1\r1,2\n2,3\r3,4\n",
+    "no-final-line-end": "t,value\n0,1\n1,2\n2,3",
+}
+
+
+def _line_starts(data):
+    """Every offset at which a line of the bytes starts, and their length."""
+    return sorted({0, len(data), *(k + 1 for k, byte in enumerate(data) if byte == 10)})
+
+
+def _serial_table(path):
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+        return sigio._read_table(fh, path)
+
+
+@pytest.mark.parametrize("name", sorted(RANGE_FILES))
+def test_range_reader_matches_one_process_at_every_split(tmp_path, name):
+    # Every choice of cuts at line starts, empty ranges and cuts before or
+    # in the header included.
+    path = tmp_path / "record.csv"
+    path.write_bytes(RANGE_FILES[name].encode())
+    data = path.read_bytes()
+    table, first_row = _serial_table(str(path))
+    starts = _line_starts(data)
+    for parts in (2, 3, 4):
+        for inner in itertools.combinations_with_replacement(starts, parts - 1):
+            parsed = sigio._range_table(data, [0, *inner, len(data)])
+            assert parsed is not None, inner
+            assert _same_floats(parsed[0], table)
+            assert parsed[1] == first_row
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+
+# Files with a row that NumPy's reader refuses, wherever the cuts fall.
+REFUSED_RANGE_FILES = {
+    "inner-bom": "t,value\n0,1\n\ufeff1,2\n2,3\n",
+    "non-finite": "t,value\n0,1\n1,2\n2,-inf\n",
+    "quoted": 't,value\n0,1\n1,2\n"2",3\n',
+    "row-width": "t,u,y\n0,1,2\n1,2,3\n2,3\n",
+    "blank-row": "t,value\n0,1\n1,2\n , \n2,3\n",
+    "header-only": "t,value\n",
+    "blank-lines-only": "\n , \n\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFUSED_RANGE_FILES))
+def test_range_reader_refuses_a_bad_row_at_every_split(tmp_path, name):
+    data = REFUSED_RANGE_FILES[name].encode()
+    starts = _line_starts(data)
+    for parts in (2, 3, 4):
+        for inner in itertools.combinations_with_replacement(starts, parts - 1):
+            assert sigio._range_table(data, [0, *inner, len(data)]) is None, inner
+
+
+# Cells, separators and characters that end or might end a line, for the
+# property below.
+READER_PIECES = [
+    "0,1\n", "2.5,-3e-300\r\n", "0", "1.5", "-2e-3", "nan", "inf", "1e999", "x", "_", '"', ",",
+    " ", "\t", "\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x85", "\u2028", "\x00", "\ufeff",
+]
+
+
+@settings(max_examples=300)
+@given(pieces=st.lists(st.sampled_from(READER_PIECES), max_size=40))
+def test_a_path_is_read_as_its_lines(pieces):
+    # The range reader hands NumPy the path of an in-memory file, which it
+    # reads in blocks; the one-process read hands it the file's lines.
+    # Both must accept the same text and give the same rows.
+    data = "".join(pieces).encode()
+    by_path = sigio._loadtxt_bytes(data)
+    by_lines = sigio._loadtxt_rows(io.TextIOWrapper(io.BytesIO(data), "utf-8", newline=""))
+    assert (by_path is None) == (by_lines is None)
+    if by_path is not None:
+        assert _same_floats(by_path, by_lines)
+
+
+@settings(max_examples=50)
+@given(
+    lines=st.lists(st.text("ab,\r", max_size=6), max_size=12),
+    final=st.booleans(),
+    parts=st.integers(1, 6),
+)
+def test_line_cuts_fall_at_the_first_line_start_past_each_share(lines, final, parts):
+    data = ("\n".join(lines) + ("\n" if final else "")).encode()
+    cuts = sigio._line_cuts(data, parts)
+    assert len(cuts) == parts + 1
+    assert cuts[0] == 0 and cuts[-1] == len(data)
+    starts = _line_starts(data)
+    for k in range(1, parts):
+        assert cuts[k] == min(s for s in starts if s >= max(cuts[k - 1], len(data) * k // parts))
+
+
+@pytest.mark.parametrize("name", sorted(RANGE_FILES))
+@pytest.mark.parametrize("parts", [2, 3, 4])
+def test_read_in_ranges_matches_one_process(tmp_path, name, parts):
+    path = tmp_path / "record.csv"
+    path.write_bytes(RANGE_FILES[name].encode())
+    serial = read_signal_csv(str(path))
+    kind, payload = read_signal_csv(str(path), parts)
+    assert kind == serial[0]
+    pairs = zip(payload, serial[1]) if kind == "pair" else [(payload, serial[1])]
+    for got, want in pairs:
+        assert _same_floats(got.samples, want.samples)
+        assert got.sample_period == want.sample_period
+
+
+# Faults in the last rows, so in the last line range: each must give the
+# one-process read's outcome. NumPy's reader refuses all but the time step,
+# which is checked on the joined rows, and the bare carriage return, which
+# ends a line for both reads. The reader has no quote character, so a
+# quoted cell sends the file to the one-process read, which accepts it.
+RANGE_FAULTS = {
+    "quoted-cell": ('58,"1.5"\n', None),
+    "non-finite-cell": ("58,inf\n", "row 60: 'inf' is not a finite number"),
+    "bad-cell": ("58,1.5x\n", "row 60: '1.5x' is not a number"),
+    "row-width": ("58,1,2\n", "row 60: expected 2 cells, got 3"),
+    "time-step": ("58.5,1\n", "row 60: non-uniform time step 1.5 (expected 1.0)"),
+    "inner-bom": ("\ufeff58,1\n", "row 60: '\\ufeff58' is not a number"),
+    "bare-cr": ("58,1\r59,2\n", None),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(RANGE_FAULTS))
+@pytest.mark.parametrize("parts", [2, 3, 4])
+def test_a_fault_in_the_last_range_gives_the_one_process_outcome(tmp_path, fault, parts):
+    line, message = RANGE_FAULTS[fault]
+    rows = [f"{k},{k % 7 - 3.5}\n" for k in range(59)]
+    rows[58] = line
+    path = tmp_path / "record.csv"
+    path.write_bytes(("t,value\n" + "".join(rows)).encode())
+    data = path.read_bytes()
+    cuts = sigio._line_cuts(data, parts)
+    assert len(cuts) == parts + 1 and cuts[-2] < data.index(line.encode())
+    parsed = sigio._range_table(data, cuts)
+    assert (parsed is None) == (fault not in ("time-step", "bare-cr"))
+    outcomes = []
+    for count in (1, parts):
+        try:
+            _, signal = read_signal_csv(str(path), count)
+            outcomes.append((signal.samples.tobytes(), signal.sample_period))
+        except ValidationError as exc:
+            outcomes.append(str(exc))
+    assert outcomes[0] == outcomes[1]
+    if message is not None:
+        assert outcomes[0] == f"{path}: {message}"
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize(
+    "start,stop,period,time_format",
+    [
+        (0, 1, 1.0, "%d"),
+        (0, 2, 1.0, "%d"),
+        (999999999998, 1000000000000, 1.0, "%d"),
+        # 1e12 is where "%.12g" switches to an exponent.
+        (999999999999, 1000000000001, 1.0, "%.12g"),
+        (1000000000000, 1000000000001, 1.0, "%.12g"),
+        (0, 1, 0.5, "%d"),
+        (2, 3, 0.5, "%d"),
+        (0, 4, 0.5, "%.12g"),
+        (0, 1, 0.1, "%d"),
+        # 10 * 0.1 is exactly 1.0, the rows around it are not integers.
+        (10, 11, 0.1, "%d"),
+        (9, 12, 0.1, "%.12g"),
+        (5, 5, 1.0, "%.12g"),
+    ],
+)
+def test_integral_times_are_written_as_integers_with_the_same_text(
+    start, stop, period, time_format
+):
+    got_format, times = sigio._time_column(start, stop, period)
+    assert got_format == time_format
+    floats = (np.arange(start, stop) * period).tolist()
+    assert [got_format % t for t in times.tolist()] == ["%.12g" % t for t in floats]
+    if got_format == "%d":
+        assert all(isinstance(t, int) for t in times.tolist())
+    assert "%.12g" % 1e12 == "1e+12" != "%d" % 10**12
 
 
 MATRIX_IDS = ["a", "b,c", 'q"uote', "per%cent", "%s", "new\nline", "cr\rret", "", " pad ",

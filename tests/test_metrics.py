@@ -1,6 +1,8 @@
 """Weighted cepstral distances, closed forms, cascades, and baselines."""
 
+import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -302,6 +304,45 @@ def test_euclidean_distance_is_exact_under_power_of_two_scaling(seed, shift):
         warnings.simplefilter("error")
         got = euclidean_distance(Signal(np.ldexp(x, shift)), Signal(np.ldexp(y, shift)))
     assert got == np.ldexp(plain, shift)
+
+
+def _exact_euclidean_distance(a, b):
+    """The distance from the exact sum of squared differences, rounded once
+    to a float after a square root taken in range."""
+    total = sum((Fraction(x) - Fraction(y)) ** 2 for x, y in zip(a.tolist(), b.tolist()))
+    if total == 0:
+        return 0.0
+    half = (total.numerator.bit_length() - total.denominator.bit_length()) // 2
+    return math.ldexp(math.sqrt(total / Fraction(4) ** half), half)
+
+
+def test_euclidean_distance_sees_a_difference_far_below_the_peak():
+    # The records' peak is 1, so scaling them together leaves the squared
+    # difference 1e-400, which is zero in floating point.
+    got = euclidean_distance(Signal([1.0, 1e-200]), Signal([1.0, 2e-200]))
+    assert abs(got - 1e-200) <= 1e-12 * 1e-200
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.floats(-300.0, 300.0),
+    gap=st.floats(-300.0, 0.0),
+)
+def test_euclidean_distance_is_exact_at_every_scale(seed, scale, gap):
+    # Records at 10^scale that share their first samples and differ in the
+    # rest, which lie at 10^gap of that size: the distance must be the
+    # exact one to 1e-12 relative, also where the difference is subnormal
+    # or hundreds of decades below the records' peak.
+    rng = np.random.default_rng(seed)
+    shared = rng.standard_normal(8) * 10.0**scale
+    a, b = (
+        np.concatenate([shared, rng.standard_normal(8) * 10.0 ** (scale + gap)]) for _ in "ab"
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = euclidean_distance(Signal(a), Signal(b))
+    exact = _exact_euclidean_distance(a, b)
+    assert abs(got - exact) <= 1e-12 * exact
 
 
 def test_euclidean_distance_beyond_the_range_is_refused():

@@ -93,17 +93,27 @@ def build_hankel(signal, rows, cols=None):
     return x[idx] / np.sqrt(cols)
 
 
-def angle_convergence_bound(radius, count, depth):
+def angle_convergence_bound(radius, count, depth, separation):
     """Decay scale of the angle-product norm in the Vandermonde depth.
 
     Proportional to radius^(2 depth); doubling the depth should move the
-    norm by no more than a modest multiple of this.
+    norm by no more than a modest multiple of this. ``separation`` is the
+    smallest distance between two of the folded roots: the Vandermonde
+    columns of roots that close are nearly parallel, and the angles between
+    the ranges move by the truncation divided by about its square.
     """
     if radius <= 0.0:
         return 0.0
     if radius >= 1.0:
         raise ValidationError(f"radius must be below one, got {radius}")
-    return count**2 * radius ** (2 * depth) / (1.0 - radius**2) ** 2
+    if separation <= 0.0:
+        raise ValidationError(f"roots must be simple, got a separation of {separation}")
+    return count**2 * radius ** (2 * depth) / ((1.0 - radius**2) ** 2 * separation**2)
+
+
+def smallest_separation(roots):
+    """The smallest distance between two of the roots; 1 for fewer than two."""
+    return min((abs(a - b) for i, a in enumerate(roots) for b in roots[i + 1 :]), default=1.0)
 
 
 def _reference_projected_bases(input_signal, output_signal, rows):
@@ -401,27 +411,39 @@ def test_model_norm_falls_back_when_unbalanceable():
 
 
 @given(st.integers(0, 10**6))
+# Two zeros 0.009 apart, -0.678 and -0.669: without the separation the
+# bound picked depth 40, where the doubling gate failed.
+@example(14557)
 @settings(max_examples=10)
 def test_convergence_bound_predicts_a_sufficient_depth(seed):
     rng = np.random.default_rng(seed)
     count = int(rng.integers(1, 4))
     zpk = ZeroPoleGain.from_roots(draw_roots(rng, count), draw_roots(rng, count), 1.0)
     total = len(zpk.poles) + len(zpk.zeros)
+    separation = smallest_separation(zpk.folded_poles() + zpk.folded_zeros())
     # First grid depth whose predicted truncation movement sits below the
     # norm's internal doubling gate; the call must then converge cleanly.
     depth = next(
         d
         for d in range(40, 401, 20)
-        if angle_convergence_bound(zpk.folded_radius(), total, d) <= 1e-11
+        if angle_convergence_bound(zpk.folded_radius(), total, d, separation) <= 1e-11
     )
     value = subspace_norm_from_model(zpk, depth)
     assert abs(value - closed_form_norm_min_phase(zpk)) <= 1e-9
 
 
 def test_angle_convergence_bound_validation():
-    assert angle_convergence_bound(0.0, 3, 100) == 0.0
+    assert angle_convergence_bound(0.0, 3, 100, 1.0) == 0.0
     with pytest.raises(ValidationError):
-        angle_convergence_bound(1.0, 3, 100)
+        angle_convergence_bound(1.0, 3, 100, 1.0)
+    with pytest.raises(ValidationError):
+        angle_convergence_bound(0.5, 3, 100, 0.0)
+    # Roots 0.1 apart need the truncation 100 times smaller.
+    assert angle_convergence_bound(0.5, 3, 100, 0.1) == pytest.approx(
+        100 * angle_convergence_bound(0.5, 3, 100, 1.0)
+    )
+    assert smallest_separation([0.5, -0.3, 0.45]) == pytest.approx(0.05)
+    assert smallest_separation([0.5]) == 1.0
 
 
 def test_distance_between_identical_models_is_zero():
