@@ -125,28 +125,14 @@ def _first_row(lines) -> tuple[list[str], bool] | None:
     return None
 
 
-def _loadtxt_table(fh) -> tuple[np.ndarray, int] | None:
-    """The data rows as NumPy's C reader parses them, with the row number
-    of the first; None when it refuses them or finds no finite table.
-
-    The header is detected as ``_parse_table`` does. The reader gets no
-    quote character: it would let a quoted cell run on over line ends,
-    where the row-wise parse refuses the row, so a quote sends the file to
-    that parse instead.
-    """
-    head = _first_row(fh)
-    if head is None:
-        return None
-    skipped, header = head
-    table = _loadtxt_rows(fh if header else chain(skipped[-1:], fh))
-    if table is not None and table.size and table.shape[1] in (2, 3):
-        return table, 2 if header else 1
-    return None
-
-
 def _loadtxt_rows(source, **options) -> np.ndarray | None:
     """The rows as NumPy's C reader parses them, shape (rows, cells); None
-    when it refuses one or a value is not finite."""
+    when it refuses one or a value is not finite.
+
+    The reader gets no quote character: it would let a quoted cell run on
+    over line ends, where the row-wise parse refuses the row, so a quote
+    sends the file to that parse instead.
+    """
     with warnings.catch_warnings():
         # A header-only file makes loadtxt warn "input contained no data";
         # the row-wise parse refuses it with its own message.
@@ -159,27 +145,27 @@ def _loadtxt_rows(source, **options) -> np.ndarray | None:
 
 
 def _loadtxt_bytes(data: bytes) -> np.ndarray | None:
-    """``_loadtxt_rows`` of the lines in UTF-8 bytes; None also when no
-    in-memory file can be made.
+    """``_loadtxt_rows`` of the lines in UTF-8 bytes.
 
     NumPy's reader takes a file object line by line but reads a path in
     blocks, which is faster, so the bytes go to an in-memory file and the
     reader gets its path (Linux). Opened by path, the file is read with
-    universal newlines: the lines are those of iterating the bytes.
+    universal newlines: the lines are those of iterating the bytes, which
+    is what the reader gets where no in-memory file can be made.
     """
-    try:
-        with open(os.memfd_create("rows"), "wb") as fh:
-            fh.write(data)
-            fh.flush()
-            return _loadtxt_rows(f"/proc/self/fd/{fh.fileno()}", encoding="utf-8")
-    except OSError:
-        return None
+    if hasattr(os, "memfd_create"):
+        with contextlib.suppress(OSError):  # no file descriptor or no /proc
+            with open(os.memfd_create("rows"), "wb") as fh:
+                fh.write(data)
+                fh.flush()
+                return _loadtxt_rows(f"/proc/self/fd/{fh.fileno()}", encoding="utf-8")
+    return _loadtxt_rows(io.TextIOWrapper(io.BytesIO(data), "utf-8", newline=""))
 
 
 def _data_start(data: bytes) -> tuple[int, int] | None:
     """The offset of the first data row in a file's bytes and its row
-    number, as ``_loadtxt_table`` finds them; None when every line is
-    blank or the bytes are not UTF-8."""
+    number; None when every line is blank or the bytes are not UTF-8.
+    The header is detected as ``_parse_table`` does."""
     offset = len(codecs.BOM_UTF8) if data.startswith(codecs.BOM_UTF8) else 0
     try:
         head = _first_row(io.TextIOWrapper(io.BytesIO(data), "utf-8-sig", newline=""))
@@ -208,13 +194,15 @@ def _line_cuts(data: bytes, parts: int) -> list[int]:
 
 
 def _range_table(data: bytes, cuts: list[int]) -> tuple[np.ndarray, int] | None:
-    """``_loadtxt_table`` of a whole file's bytes, its data rows parsed in
-    the line ranges between the cuts, each after the first in a worker
-    process (``parallel.map_chunks``); None when any range is refused.
+    """The data rows of a whole file's bytes as NumPy's C reader parses
+    them, with the row number of the first; None when it refuses them or
+    finds no finite table of 2 or 3 columns.
 
-    The header and the lines before it are left out of the first range.
-    Each range is read with universal newlines, as the one-process read
-    reads the file, so the joined rows are that read's rows, bit for bit.
+    The rows are parsed in the line ranges between the cuts, each after the
+    first in a worker process (``parallel.map_chunks``); the header and the
+    lines before it are left out of the first range. Each range is read
+    with universal newlines, as the whole file would be, so the joined rows
+    are the one-range read's rows, bit for bit.
     """
     head = _data_start(data)
     if head is None:
@@ -232,24 +220,18 @@ def _range_table(data: bytes, cuts: list[int]) -> tuple[np.ndarray, int] | None:
     return np.concatenate(tables), first_row
 
 
-def _read_table(fh, path: str, parts: int = 1) -> tuple[np.ndarray, int]:
-    """All data rows of an open signal file, and the row number of the first.
+def _read_table(data: bytes, path: str, parts: int = 1) -> tuple[np.ndarray, int]:
+    """All data rows of a signal file's bytes, and the row number of the first.
 
-    NumPy's C reader parses a seekable file first, in ``parts`` line ranges
-    when ``parts`` is above one (``_range_table``). The ranges refuse a
-    file exactly when the reader would refuse it whole, so either way a
-    refused file goes to the row-wise parse, which names the fault.
+    NumPy's C reader parses the bytes first, in ``parts`` line ranges
+    (``_range_table``). The ranges refuse a file exactly when the reader
+    would refuse it whole, so either way a refused file goes to the
+    row-wise parse, which names the fault.
     """
-    if fh.seekable():
-        if parts > 1:
-            data = fh.buffer.read()
-            parsed = _range_table(data, _line_cuts(data, parts))
-        else:
-            parsed = _loadtxt_table(fh)
-        if parsed is not None:
-            return parsed
-        fh.seek(0)
-    return _parse_table(fh, path)
+    parsed = _range_table(data, _line_cuts(data, parts))
+    if parsed is not None:
+        return parsed
+    return _parse_table(io.TextIOWrapper(io.BytesIO(data), "utf-8-sig", newline=""), path)
 
 
 def _parse_table(fh, path: str) -> tuple[np.ndarray, int]:
@@ -301,8 +283,9 @@ def read_signal_csv(path: str, parts: int = 1) -> tuple[str, Signal | tuple[Sign
     those of the one-process read.
     """
     try:
-        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-            table, first_row = _read_table(fh, path, parts)
+        with open(path, "rb") as fh:
+            data = fh.read()
+        table, first_row = _read_table(data, path, parts)
     except OSError as exc:
         raise ValidationError(f"cannot read signal file {path}: {exc}") from exc
     times, *columns = (np.ascontiguousarray(column) for column in table.T)

@@ -929,7 +929,7 @@ def _serial_and_range_read(monkeypatch, capsys, argv, files=(), workers=2):
         shown = [(str(w.message), w.category) for w in caught]
         written = [Path(p).read_bytes() if os.path.exists(p) else None for p in files]
         runs.append((code, captured.out, captured.err, shown, written))
-        assert splits == ([workers] * len(splits) if forked else [])
+        assert splits == [workers if forked else 1] * len(splits)
         assert len(splits) == len(parsed)
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)

@@ -582,8 +582,8 @@ def test_formatted_records_read_back_bit_identical(tmp_path):
 
 
 # The range reader parses a file's rows in contiguous line ranges, each
-# after the first in a forked worker. Its tables must be the one-process
-# read's bit for bit, and a file it refuses must give the one-process
+# after the first in a forked worker. Its tables must be the row-wise
+# parse's bit for bit, and a file it refuses must give the one-process
 # read's error.
 
 # Small files for the range reader.
@@ -607,8 +607,9 @@ def _line_starts(data):
 
 
 def _serial_table(path):
+    """The rows as the row-wise parse, by Python's ``float``, reads them."""
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        return sigio._read_table(fh, path)
+        return sigio._parse_table(fh, path)
 
 
 @pytest.mark.parametrize("name", sorted(RANGE_FILES))
@@ -663,8 +664,8 @@ READER_PIECES = [
 @given(pieces=st.lists(st.sampled_from(READER_PIECES), max_size=40))
 def test_a_path_is_read_as_its_lines(pieces):
     # The range reader hands NumPy the path of an in-memory file, which it
-    # reads in blocks; the one-process read hands it the file's lines.
-    # Both must accept the same text and give the same rows.
+    # reads in blocks; where no such file can be made, it hands NumPy the
+    # lines. Both must accept the same text and give the same rows.
     data = "".join(pieces).encode()
     by_path = sigio._loadtxt_bytes(data)
     by_lines = sigio._loadtxt_rows(io.TextIOWrapper(io.BytesIO(data), "utf-8", newline=""))
@@ -701,6 +702,31 @@ def test_read_in_ranges_matches_one_process(tmp_path, name, parts):
     for got, want in pairs:
         assert _same_floats(got.samples, want.samples)
         assert got.sample_period == want.sample_period
+
+
+def _read_outcome(path, parts=1):
+    """The kind, samples and sample period read, or the error message."""
+    try:
+        kind, payload = read_signal_csv(str(path), parts)
+    except ValidationError as exc:
+        return str(exc)
+    signals = payload if kind == "pair" else [payload]
+    return kind, [(s.samples.tobytes(), s.sample_period) for s in signals]
+
+
+@pytest.mark.parametrize("name", sorted({**RANGE_FILES, **REFUSED_RANGE_FILES}))
+def test_without_in_memory_files_the_reader_gets_the_lines(tmp_path, monkeypatch, name):
+    # Off Linux there is no os.memfd_create, and NumPy's reader is handed
+    # the lines of each range instead; nothing read may change.
+    data = {**RANGE_FILES, **REFUSED_RANGE_FILES}[name].encode()
+    path = tmp_path / "record.csv"
+    path.write_bytes(data)
+    want = [_read_outcome(path, parts) for parts in (1, 2, 3)]
+    accepted = sigio._range_table(data, [0, len(data)]) is not None
+    monkeypatch.delattr(os, "memfd_create")
+    assert [_read_outcome(path, parts) for parts in (1, 2, 3)] == want
+    accepted_by_lines = sigio._range_table(data, [0, len(data)]) is not None
+    assert accepted_by_lines == accepted == (name in RANGE_FILES)
 
 
 # Faults in the last rows, so in the last line range: each must give the
