@@ -17,6 +17,7 @@ from functools import partial
 
 import numpy as np
 
+from . import parallel
 from .cluster import (
     METRIC_ALIASES,
     METRICS,
@@ -45,7 +46,7 @@ from .lti import (
     spectral_radius,
     state_space_from_roots,
 )
-from .parallel import map_chunks, usable_cpus
+from .parallel import map_chunks
 from .phase import classify_from_io, classify_from_model
 from .sigio import (
     PAIR_CSV_HEADER,
@@ -65,14 +66,6 @@ from .spectral import (
 from .verify import CASES, run_verify
 
 GENERATED_INPUTS = ("white", "impulse", "step")
-# distmat and cluster read and featurize their files in one process when
-# the files hold fewer bytes than this, and a verb that reads one file
-# parses it in one process: below it a fork costs more than it saves
-# (measured break-even: see the README's cost notes).
-FORK_MIN_BYTES = 1 << 20
-# simulate formats its output CSV in one process when it has fewer rows
-# than this, by the same rule (measured break-even: see the README).
-FORK_MIN_ROWS = 8192
 
 
 def _config_flags(parser: argparse.ArgumentParser) -> None:
@@ -107,25 +100,15 @@ def _emit_parts(parts: list[str], path: str | None) -> None:
             fh.write(part)
 
 
-def _read_signal(path: str) -> tuple[str, Signal | tuple[Signal, Signal]]:
-    """``read_signal_csv`` of one file, its rows parsed in one line range per
-    worker process (``_worker_count`` of its size against FORK_MIN_BYTES)."""
-    try:
-        size = os.stat(path).st_size
-    except OSError:
-        size = 0  # reading the file names the error
-    return read_signal_csv(path, _worker_count(size, FORK_MIN_BYTES, size))
-
-
 def _read_pair(path: str) -> tuple[Signal, Signal]:
-    kind, payload = _read_signal(path)
+    kind, payload = read_signal_csv(path)
     if kind != "pair":
         raise ValidationError(f"{path}: expected a t,u,y pair file")
     return payload
 
 
 def _read_single(path: str) -> Signal:
-    kind, payload = _read_signal(path)
+    kind, payload = read_signal_csv(path)
     if kind != "single":
         raise ValidationError(f"{path}: expected a t,value signal file")
     return payload
@@ -157,7 +140,7 @@ def cmd_simulate(args: argparse.Namespace, config: RunConfig) -> int:
     y = simulate(state_space, u)
     # One contiguous range of rows per worker process. The output is opened
     # only once every range is formatted, so a failure writes nothing.
-    ranges = _ranges(len(u), _worker_count(len(u), FORK_MIN_ROWS, len(u)))
+    ranges = parallel.ranges(len(u), parallel.worker_count(len(u), parallel.FORK_MIN_ROWS, len(u)))
     parts = map_chunks(lambda bounds: pair_csv_rows(u, y, *bounds), ranges)
     _emit_parts([PAIR_CSV_HEADER, *parts], args.output)
     return 0
@@ -174,7 +157,7 @@ def cmd_cepstrum(args: argparse.Namespace, config: RunConfig) -> int:
         else:
             cepstrum = complex_cepstrum_from_zpk(zpk, config.K)
     else:
-        kind, payload = _read_signal(args.signal)
+        kind, payload = read_signal_csv(args.signal)
         if args.kind == "power":
             (cepstrum,) = collection_features([payload], "cepstral", config)
             if isinstance(cepstrum, CepdistError):
@@ -191,8 +174,8 @@ def cmd_cepstrum(args: argparse.Namespace, config: RunConfig) -> int:
 
 def _distance_report(path_a: str, path_b: str, metric: str, config: RunConfig) -> dict:
     metric = resolve_metric(metric)
-    kind_a, payload_a = _read_signal(path_a)
-    kind_b, payload_b = _read_signal(path_b)
+    kind_a, payload_a = read_signal_csv(path_a)
+    kind_b, payload_b = read_signal_csv(path_b)
     if metric == "subspace" and (kind_a != "pair" or kind_b != "pair"):
         raise ValidationError("the subspace metric needs t,u,y pair files")
     feats = collection_features([payload_a, payload_b], metric, config)
@@ -242,9 +225,8 @@ def _collection_matrix(paths: list[str], metric: str, config: RunConfig) -> Dist
 def _chunk_features(paths: list[str], metric: str, config: RunConfig) -> tuple[list, list]:
     """Whether each file holds a pair, and the features of its record.
 
-    Each file is read in one process: the chunks already run one per
-    worker process. A chunk that ``check_collection`` refuses gets no
-    features: the whole collection is refused then.
+    A chunk that ``check_collection`` refuses gets no features: the whole
+    collection is refused then.
     """
     items = [read_signal_csv(path)[1] for path in paths]
     paired = [isinstance(item, tuple) for item in items]
@@ -256,32 +238,14 @@ def _chunk_features(paths: list[str], metric: str, config: RunConfig) -> tuple[l
 
 
 def _path_chunks(paths: list[str]) -> list[list[str]]:
-    """Contiguous chunks of the paths, one per worker process (``_worker_count``
-    of the files' total size against FORK_MIN_BYTES)."""
+    """Contiguous chunks of the paths, one per worker process
+    (``parallel.worker_count`` of the files' total size)."""
     try:
         size = sum(os.stat(path).st_size for path in paths)
     except OSError:
         size = 0  # reading the file names the error
-    workers = _worker_count(size, FORK_MIN_BYTES, len(paths))
-    return [paths[a:b] for a, b in _ranges(len(paths), workers)]
-
-
-def _worker_count(size: int, min_size: int, items: int) -> int:
-    """Worker processes for ``items`` independent items of work of total ``size``.
-
-    There is one worker per usable CPU, at most one per item, and one in
-    all off Linux or when ``size`` is below ``min_size``, where a fork costs
-    more than it saves.
-    """
-    if not sys.platform.startswith("linux") or size < min_size:
-        return 1
-    return min(usable_cpus(), items)
-
-
-def _ranges(count: int, parts: int) -> list[tuple[int, int]]:
-    """``parts`` contiguous ranges of nearly equal length covering ``range(count)``."""
-    bounds = [count * k // parts for k in range(parts + 1)]
-    return list(zip(bounds, bounds[1:]))
+    workers = parallel.worker_count(size, parallel.FORK_MIN_BYTES, len(paths))
+    return [paths[a:b] for a, b in parallel.ranges(len(paths), workers)]
 
 
 def cmd_distmat(args: argparse.Namespace, config: RunConfig) -> int:

@@ -1,4 +1,6 @@
-"""One function over contiguous chunks of work, in forked worker processes.
+"""One function over contiguous chunks of work, in forked worker processes,
+and the one rule for how many (``worker_count``): inside a chunk of
+``map_chunks`` it gives one worker, so a worker never forks again.
 
 The first chunk runs in the calling process and every other chunk in a
 child forked for it, so a call over one chunk is a plain call. A child
@@ -18,7 +20,15 @@ import pickle
 import signal
 import sys
 import warnings
+from contextvars import ContextVar
 from typing import Callable, Sequence
+
+# Work on files of fewer bytes, or formatting of fewer rows, runs in one
+# process: below these a fork costs more than it saves (see the README).
+FORK_MIN_BYTES = 1 << 20
+FORK_MIN_ROWS = 8192
+# True while ``map_chunks`` runs, and so in every chunk it runs.
+_IN_CHUNK = ContextVar("in_chunk", default=False)
 
 
 def usable_cpus() -> int:
@@ -34,6 +44,24 @@ def usable_cpus() -> int:
     return count
 
 
+def worker_count(size: int, min_size: int, items: int) -> int:
+    """Worker processes for ``items`` independent items of work of total ``size``.
+
+    There is one worker per usable CPU, at most one per item, and one in
+    all off Linux, when ``size`` is below ``min_size``, where a fork costs
+    more than it saves, or inside a chunk of ``map_chunks``.
+    """
+    if not sys.platform.startswith("linux") or size < min_size or _IN_CHUNK.get():
+        return 1
+    return min(usable_cpus(), items)
+
+
+def ranges(count: int, parts: int) -> list[tuple[int, int]]:
+    """``parts`` contiguous ranges of nearly equal length covering ``range(count)``."""
+    bounds = [count * k // parts for k in range(parts + 1)]
+    return list(zip(bounds, bounds[1:]))
+
+
 def map_chunks(func: Callable, chunks: Sequence) -> list:
     """``[func(chunk) for chunk in chunks]``, each chunk after the first in a child.
 
@@ -42,6 +70,7 @@ def map_chunks(func: Callable, chunks: Sequence) -> list:
     """
     children = []
     finished = False
+    in_chunk = _IN_CHUNK.set(True)  # in the children too, forked with it set
     try:
         for chunk in chunks[1:]:
             read_fd, write_fd = os.pipe()
@@ -64,6 +93,7 @@ def map_chunks(func: Callable, chunks: Sequence) -> list:
         finished = True
         return results
     finally:
+        _IN_CHUNK.reset(in_chunk)
         for pid, pipe in children:
             pipe.close()
             if not finished:

@@ -11,10 +11,10 @@ Signal rows are parsed by NumPy's C reader, which converts each cell as
 Python's ``float`` does. A file it refuses, or that holds a non-finite
 value, is parsed again in chunks of rows with ``float`` itself. That parse
 also reads what the C reader refuses (quoted cells, underscores in numbers,
-rows of only blanks and commas) and names the first row at fault. A
-caller may ask for the rows to be parsed in contiguous line ranges, each
-after the first in a forked worker process; the values and errors are
-those of the one-process read.
+rows of only blanks and commas) and names the first row at fault. A file
+of ``parallel.FORK_MIN_BYTES`` or more is parsed in one contiguous line
+range per worker process (``parallel.worker_count``), each after the first
+in a forked child; the values and errors are those of the one-process read.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from typing import Iterator
 
 import numpy as np
 
+from . import parallel
 from .errors import CepdistError, ValidationError
 from .lti import Signal, StateSpaceModel, ZeroPoleGain
 from .parallel import map_chunks
@@ -47,6 +48,8 @@ CSV_CHUNK_ROWS = 4096
 # cell free of commas and quotes is unwrapped, so any other quote leaves its
 # cell unparseable.
 _QUOTED_CELL = re.compile(r'(?:^|(?<=,))"([^",]*)"')
+# A byte that is not UTF-8, as the "surrogateescape" error handler decodes it.
+_UNDECODED = re.compile("[\udc80-\udcff]")
 
 
 def _is_numeric(row: str) -> bool:
@@ -72,9 +75,21 @@ def _row_chunks(fh) -> Iterator[list[str]]:
             yield rows
 
 
+def _undecoded(row: str, number: int, path: str) -> ValidationError | None:
+    """The error for a row that holds a byte that is not UTF-8, if it does."""
+    found = _UNDECODED.search(row)
+    if found is None:
+        return None
+    byte = ord(found.group()) - 0xDC00
+    return ValidationError(f"{path}: row {number}: not UTF-8 text (byte 0x{byte:02x})")
+
+
 def _bad_row(rows: list[str], width: int, first_row: int, path: str) -> ValidationError:
-    """The error for the first row of a chunk that is not ``width`` finite numbers."""
+    """The error for the first row of a chunk that is not UTF-8 text of
+    ``width`` finite numbers."""
     for offset, row in enumerate(rows, start=first_row):
+        if undecoded := _undecoded(row, offset, path):
+            return undecoded
         cells = row.split(",")
         if len(cells) != width:
             return ValidationError(
@@ -220,27 +235,35 @@ def _range_table(data: bytes, cuts: list[int]) -> tuple[np.ndarray, int] | None:
     return np.concatenate(tables), first_row
 
 
-def _read_table(data: bytes, path: str, parts: int = 1) -> tuple[np.ndarray, int]:
+def _read_table(data: bytes, path: str) -> tuple[np.ndarray, int]:
     """All data rows of a signal file's bytes, and the row number of the first.
 
-    NumPy's C reader parses the bytes first, in ``parts`` line ranges
+    NumPy's C reader parses the bytes first, in one line range per worker
     (``_range_table``). The ranges refuse a file exactly when the reader
     would refuse it whole, so either way a refused file goes to the
     row-wise parse, which names the fault.
     """
+    parts = parallel.worker_count(len(data), parallel.FORK_MIN_BYTES, len(data))
     parsed = _range_table(data, _line_cuts(data, parts))
     if parsed is not None:
         return parsed
-    return _parse_table(io.TextIOWrapper(io.BytesIO(data), "utf-8-sig", newline=""), path)
+    text = io.TextIOWrapper(io.BytesIO(data), "utf-8-sig", errors="surrogateescape", newline="")
+    return _parse_table(text, path)
 
 
 def _parse_table(fh, path: str) -> tuple[np.ndarray, int]:
-    """``_read_table`` by Python's ``float``, CSV_CHUNK_ROWS rows at a time."""
+    """``_read_table`` by Python's ``float``, CSV_CHUNK_ROWS rows at a time.
+
+    A byte that is not UTF-8 is refused in its row, read as the
+    "surrogateescape" error handler decodes it.
+    """
     chunks = _row_chunks(fh)
     head = next(chunks, None)
     if head is None:
         raise ValidationError(f"{path}: file contains no data")
     start = 0 if _is_numeric(head[0]) else 1
+    if start and (undecoded := _undecoded(head[0], 1, path)):
+        raise undecoded
     head = head[start:] or next(chunks, None)
     if head is None:
         raise ValidationError(f"{path}: file contains a header but no data")
@@ -272,20 +295,20 @@ def _sample_period(times: np.ndarray, first_row: int, path: str) -> float:
     return dt
 
 
-def read_signal_csv(path: str, parts: int = 1) -> tuple[str, Signal | tuple[Signal, Signal]]:
+def read_signal_csv(path: str) -> tuple[str, Signal | tuple[Signal, Signal]]:
     """Read a signal file; returns ("single", Signal) or ("pair", (u, y)).
 
     A header row is expected but a purely numeric first row is accepted as
     data, with columns interpreted positionally. Rows are numbered from 1
     among the non-blank rows, header included; every value must be finite.
-    With ``parts`` above one, the rows are parsed in that many contiguous
-    line ranges in forked worker processes; the result and every error are
-    those of the one-process read.
+    A file of ``parallel.FORK_MIN_BYTES`` or more is parsed in line ranges
+    across forked worker processes; the result and every error are those
+    of the one-process read.
     """
     try:
         with open(path, "rb") as fh:
             data = fh.read()
-        table, first_row = _read_table(data, path, parts)
+        table, first_row = _read_table(data, path)
     except OSError as exc:
         raise ValidationError(f"cannot read signal file {path}: {exc}") from exc
     times, *columns = (np.ascontiguousarray(column) for column in table.T)
@@ -417,6 +440,9 @@ def read_model_json(path: str) -> StateSpaceModel | ZeroPoleGain:
             data = json.load(fh)
     except OSError as exc:
         raise ValidationError(f"cannot read model file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        byte = exc.object[exc.start]
+        raise ValidationError(f"{path}: not UTF-8 text (byte 0x{byte:02x})") from exc
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(data, dict):

@@ -178,16 +178,43 @@ class SpectrumPlan(NamedTuple):
         return (self.samples - self.window_len) // self.hop + 1
 
 
-def _periodogram_plan(n: int, fft_length: int) -> SpectrumPlan:
+def _fft_length(fft_length: int | None, covered: int, what: str, order: int) -> int:
+    """The FFT length of a transform of ``covered`` samples, those of the
+    signal or of the window as ``what`` names them.
+
+    A given length must be a power of two, at least 2, that covers the
+    samples. By default it is the smallest power of two that covers both
+    the samples and ``2 * order``, so a cepstrum resolves ``order`` lags.
+    """
+    if fft_length is None:
+        return next_pow2(max(covered, 2 * order))
     length = int(fft_length)
-    if length < n:
-        raise ValidationError(f"fft_length {length} is shorter than the signal ({n})")
+    if length < covered:
+        raise ValidationError(f"fft_length {length} is shorter than the {what} ({covered})")
     if length < 2 or length & (length - 1):
         raise ValidationError(f"fft_length must be a power of two, got {length}")
+    return length
+
+
+def _scaled_fft(
+    x: np.ndarray, length: int, window: np.ndarray | None = None
+) -> tuple[np.ndarray, int]:
+    """The FFT at ``length`` of x divided by the power of two of
+    ``range_exponent``, times the window if one is given; and the exponent."""
+    gain = range_exponent(x)
+    if gain:
+        x = np.ldexp(x, -gain)
+    return np.fft.fft(x if window is None else window * x, length), gain
+
+
+def _periodogram_plan(n: int, fft_length: int | None, order: int = 0) -> SpectrumPlan:
+    length = _fft_length(fft_length, n, "signal", order)
     return SpectrumPlan("periodogram", n, None, None, length)
 
 
-def _welch_plan(n: int, window_len: int, overlap: float, fft_length: int) -> SpectrumPlan:
+def _welch_plan(
+    n: int, window_len: int, overlap: float, fft_length: int | None, order: int = 0
+) -> SpectrumPlan:
     wl = int(window_len)
     if wl < 8:
         raise ValidationError(f"window_len must be at least 8, got {wl}")
@@ -195,11 +222,7 @@ def _welch_plan(n: int, window_len: int, overlap: float, fft_length: int) -> Spe
         raise InsufficientData(f"window_len {wl} exceeds the signal length {n}")
     if not (0.0 <= overlap < 1.0):
         raise ValidationError(f"overlap must lie in [0, 1), got {overlap}")
-    length = int(fft_length)
-    if length < wl:
-        raise ValidationError(f"fft_length {length} is shorter than the window ({wl})")
-    if length < 2 or length & (length - 1):
-        raise ValidationError(f"fft_length must be a power of two, got {length}")
+    length = _fft_length(fft_length, wl, "window", order)
     hop = max(1, int(round(wl * (1.0 - overlap))))
     return SpectrumPlan("welch", n, wl, hop, length)
 
@@ -218,15 +241,9 @@ def _plan_spectrum(n: int, config: RunConfig) -> SpectrumPlan:
         )
         method = "periodogram"
     if method == "periodogram":
-        length = config.fft_length
-        if length is None:
-            length = next_pow2(max(n, 2 * config.K))
-        return _periodogram_plan(n, length)
+        return _periodogram_plan(n, config.fft_length, config.K)
     wl = config.window_len if config.window_len is not None else default_window_length(n)
-    length = config.fft_length
-    if length is None:
-        length = next_pow2(max(wl, 2 * config.K))
-    return _welch_plan(n, wl, config.overlap, length)
+    return _welch_plan(n, wl, config.overlap, config.fft_length, config.K)
 
 
 def plan_record(record, config: RunConfig) -> SpectrumPlan:
@@ -548,13 +565,7 @@ def complex_cepstrum(
     ``range_exponent`` first, and the log of that scale added to c(0).
     """
     x = signal.samples
-    length = next_pow2(max(x.size, 2 * order)) if fft_length is None else int(fft_length)
-    if length < x.size:
-        raise ValidationError(f"fft_length {length} is shorter than the signal ({x.size})")
-    if length < 2 or length & (length - 1):
-        raise ValidationError(f"fft_length must be a power of two, got {length}")
-    gain = range_exponent(x)
-    spectrum = np.fft.fft(np.ldexp(x, -gain) if gain else x, length)
+    spectrum, gain = _scaled_fft(x, _fft_length(fft_length, x.size, "signal", order))
     return _complex_cepstrum_core(spectrum, order, gain)
 
 
@@ -587,23 +598,16 @@ def transfer_complex_cepstrum_from_io(
             f"input and output lengths differ: {len(input_signal)} vs {len(output_signal)}"
         )
     u = input_signal.samples
-    y = output_signal.samples
-    length = next_pow2(max(u.size, 2 * order)) if fft_length is None else int(fft_length)
-    if length < u.size or length < 2 or length & (length - 1):
-        raise ValidationError(
-            f"fft_length must be a power of two at least the signal length, got {length}"
-        )
+    length = _fft_length(fft_length, u.size, "signal", order)
     window = np.hanning(u.size)
-    exponents = [range_exponent(x) for x in (u, y)]
-    spec_u, spec_y = (
-        np.fft.fft(window * (np.ldexp(x, -e) if e else x), length)
-        for x, e in zip((u, y), exponents)
+    (spec_u, gain_u), (spec_y, gain_y) = (
+        _scaled_fft(x, length, window) for x in (u, output_signal.samples)
     )
     for name, spec in (("input", spec_u), ("output", spec_y)):
         mags = np.abs(spec)
         if float(np.min(mags)) <= TAU_SPEC * float(np.max(mags)):
             raise SpectralNull(f"{name} spectrum touches zero on the grid")
-    return _complex_cepstrum_core(spec_y / spec_u, order, exponents[1] - exponents[0])
+    return _complex_cepstrum_core(spec_y / spec_u, order, gain_y - gain_u)
 
 
 def complex_cepstrum_from_zpk(zpk: ZeroPoleGain, order: int) -> CepstrumSequence:

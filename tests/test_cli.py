@@ -29,7 +29,7 @@ from cepdist import (
     transfer_complex_cepstrum_from_io,
     weighted_cepstral_distance,
 )
-from cepdist import cli, sigio
+from cepdist import cli, parallel, sigio
 from cepdist.cli import main
 from cepdist.sigio import CSV_CHUNK_ROWS
 from conftest import white_record
@@ -593,9 +593,9 @@ def _serial_and_forked(monkeypatch, capsys, argv, files=(), workers=2, chunks=No
             return real_map_chunks(func, chunks)
 
         monkeypatch.setattr(cli, "map_chunks", spy)
-        monkeypatch.setattr(cli, "FORK_MIN_BYTES", 0 if forked else 1 << 62)
-        monkeypatch.setattr(cli, "FORK_MIN_ROWS", 0 if forked else 1 << 62)
-        monkeypatch.setattr(cli, "usable_cpus", lambda: workers)
+        monkeypatch.setattr(parallel, "FORK_MIN_BYTES", 0 if forked else 1 << 62)
+        monkeypatch.setattr(parallel, "FORK_MIN_ROWS", 0 if forked else 1 << 62)
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: workers)
         for path in files:
             if os.path.exists(path):
                 os.remove(path)
@@ -755,13 +755,53 @@ def test_forked_collection_fails_the_cells_of_a_broken_record(
         assert (err, report["excluded"]) == ("", ["s_zero"])
 
 
+NOT_UTF8_RECORD = b"t,value\n0,1\n1,\xff2\n"
+
+
+def test_verbs_refuse_files_that_are_not_utf8(tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(NOT_UTF8_RECORD)
+    ok = write_signal(tmp_path, "ok.csv", np.arange(64.0) % 5)
+    sound_model = write_json(tmp_path, "sound.json", SIMULATE_MODEL)
+    refusal = f"error: {bad}: row 3: not UTF-8 text (byte 0xff)\n"
+    for argv in (
+        ["classify", str(bad), str(bad)],
+        ["cepstrum", str(bad)],
+        ["distmat", str(bad), ok],
+        ["simulate", "--model", sound_model, "--input", str(bad)],
+    ):
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", refusal)
+    model = tmp_path / "model.json"
+    model.write_bytes(b'{"poles": [0.5], "zeros": [], "gain": 1.0, "note": "\xff"}')
+    assert main(["simulate", "--model", str(model)]) == 2
+    assert capsys.readouterr() == ("", f"error: {model}: not UTF-8 text (byte 0xff)\n")
+    config = tmp_path / "run.cfg"
+    config.write_bytes(b"K = 32\n# a comment \xff\n")
+    assert main(["cepstrum", ok, "--config", str(config)]) == 2
+    assert capsys.readouterr() == ("", f"error: {config}: not UTF-8 text (byte 0xff)\n")
+
+
+def test_forked_collection_refuses_a_file_that_is_not_utf8_as_one_process(
+    tmp_path, capsys, monkeypatch
+):
+    # The bad file sorts last, into the worker's chunk.
+    records = _corpus(tmp_path / "records", [512] * 3, paired=False)
+    bad = tmp_path / "records" / "z_bad.csv"
+    bad.write_bytes(NOT_UTF8_RECORD)
+    code, out, err, shown = _serial_and_forked(monkeypatch, capsys, ["distmat", records])
+    assert (code, out, shown) == (2, "", [])
+    assert err == f"error: {bad}: row 3: not UTF-8 text (byte 0xff)\n"
+
+
 def test_forked_collection_writes_the_stderr_of_one_process(tmp_path):
     # Fresh processes, so the warnings reach stderr through Python's own
     # filters and formatting. The short records sit in the worker's chunk.
     records = _corpus(tmp_path / "records", [512, 512, 512, 64, 96, 64], paired=False)
     program = (
-        "import sys; from cepdist import cli; cli.FORK_MIN_BYTES = int(sys.argv[1]); "
-        "cli.usable_cpus = lambda: 2; sys.exit(cli.main(sys.argv[2:]))"
+        "import sys; from cepdist import cli, parallel; "
+        "parallel.FORK_MIN_BYTES = int(sys.argv[1]); parallel.usable_cpus = lambda: 2; "
+        "sys.exit(cli.main(sys.argv[2:]))"
     )
     for metric in ("cepstral", "euclidean"):
         runs = [
@@ -870,8 +910,9 @@ def test_forked_simulate_failure_writes_nothing(tmp_path, capsys, monkeypatch, f
 def test_forked_simulate_writes_the_bytes_of_one_process(tmp_path):
     model = write_json(tmp_path, "model.json", SIMULATE_MODEL)
     program = (
-        "import sys; from cepdist import cli; cli.FORK_MIN_ROWS = int(sys.argv[1]); "
-        "cli.usable_cpus = lambda: 2; sys.exit(cli.main(sys.argv[2:]))"
+        "import sys; from cepdist import cli, parallel; "
+        "parallel.FORK_MIN_ROWS = int(sys.argv[1]); parallel.usable_cpus = lambda: 2; "
+        "sys.exit(cli.main(sys.argv[2:]))"
     )
     runs = [
         subprocess.run(
@@ -917,8 +958,8 @@ def _serial_and_range_read(monkeypatch, capsys, argv, files=(), workers=2):
 
         monkeypatch.setattr(sigio, "map_chunks", split_spy)
         monkeypatch.setattr(sigio, "_range_table", parsed_spy)
-        monkeypatch.setattr(cli, "FORK_MIN_BYTES", 0 if forked else 1 << 62)
-        monkeypatch.setattr(cli, "usable_cpus", lambda: workers)
+        monkeypatch.setattr(parallel, "FORK_MIN_BYTES", 0 if forked else 1 << 62)
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: workers)
         for path in files:
             if os.path.exists(path):
                 os.remove(path)
@@ -1027,8 +1068,9 @@ def test_simulate_reads_in_ranges_the_bytes_of_one_process(tmp_path):
     # process's read on stderr, and a sound one the same output.
     model = write_json(tmp_path, "model.json", SIMULATE_MODEL)
     program = (
-        "import sys; from cepdist import cli; cli.FORK_MIN_BYTES = int(sys.argv[1]); "
-        "cli.usable_cpus = lambda: 2; sys.exit(cli.main(sys.argv[2:]))"
+        "import sys; from cepdist import cli, parallel; "
+        "parallel.FORK_MIN_BYTES = int(sys.argv[1]); parallel.usable_cpus = lambda: 2; "
+        "sys.exit(cli.main(sys.argv[2:]))"
     )
     for fault, code in ((None, 0), ("297,oops", 2)):
         stored = _stored_input(tmp_path, fault)

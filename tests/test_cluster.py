@@ -1,6 +1,7 @@
 """Distance matrices over signal collections and agglomerative clustering."""
 
 import os
+import sys
 import time
 import warnings
 
@@ -23,6 +24,7 @@ from cepdist import (
     make_example_signals,
     weighted_cepstral_distance,
 )
+from cepdist import parallel
 from cepdist.cluster import collection_features, distance_matrix_from_features
 from cepdist.parallel import map_chunks
 from conftest import white_record
@@ -646,3 +648,25 @@ def test_map_chunks_kills_the_workers_when_the_parent_fails():
         map_chunks(stall, [0, 1, 2])
     assert time.monotonic() - start < 30
     _no_child_left()
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="forks only on Linux")
+def test_a_chunk_of_map_chunks_gets_one_worker(monkeypatch):
+    # The parent's own chunk and each child's chunk are marked, so work in
+    # them never forks again, whatever the CPUs and the minimum size.
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 4)
+    assert parallel.worker_count(10, 0, 10) == 4
+    counts = map_chunks(lambda chunk: (os.getpid(), parallel.worker_count(10, 0, 10)), [0, 1, 2])
+    _no_child_left()
+    assert counts[0][0] == os.getpid() != counts[1][0]
+    assert [count for _, count in counts] == [1, 1, 1]
+    assert parallel.worker_count(10, 0, 10) == 4
+
+    def fail(chunk):
+        raise ValidationError(f"chunk {chunk}")
+
+    with pytest.raises(ValidationError, match="chunk 0"):
+        map_chunks(fail, [0, 1])
+    _no_child_left()
+    assert parallel.worker_count(10, 0, 10) == 4
+

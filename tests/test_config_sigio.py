@@ -6,6 +6,7 @@ import itertools
 import json
 import math
 import os
+import sys
 import warnings
 
 import numpy as np
@@ -35,9 +36,10 @@ from cepdist import (
     read_model_json,
     read_signal_csv,
 )
-from cepdist import sigio
+from cepdist import parallel, sigio
 from cepdist.cli import main
 from cepdist.sigio import CSV_CHUNK_ROWS, TIME_JITTER_RTOL
+from conftest import white_record
 
 POLE_HALF = ZeroPoleGain.from_roots([0.5], [], 1.0)
 
@@ -443,14 +445,16 @@ def test_reader_edge_cases_match_the_reference(tmp_path, monkeypatch, content, f
         ("t,value\n\n\n", "header but no data"),
     ],
 )
-def test_files_without_data_are_refused_without_a_warning(tmp_path, content, message):
+def test_files_without_data_are_refused_without_a_warning(
+    tmp_path, monkeypatch, content, message
+):
     path = tmp_path / "empty.csv"
     path.write_text(content)
     for parts in (1, 2):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValidationError, match=message):
-                read_signal_csv(str(path), parts)
+                _read_split(monkeypatch, str(path), parts)
 
 
 def test_a_quoted_cell_does_not_run_on_over_a_line_end(tmp_path):
@@ -488,6 +492,40 @@ def test_non_finite_values_are_refused_with_their_row(tmp_path, content, row):
     path.write_text(content)
     with pytest.raises(ValidationError, match=rf"bad\.csv: row {row}: .* is not a finite number"):
         read_signal_csv(str(path))
+
+
+# Files with a byte that is not UTF-8, and the one-process error each gives.
+NOT_UTF8_FILES = {
+    "data-row": (b"t,value\n0,1\n1,\xff2\n", "row 3: not UTF-8 text (byte 0xff)"),
+    "header": (b"t,val\xffue\n0,1\n1,2\n", "row 1: not UTF-8 text (byte 0xff)"),
+    "headerless": (b"0,1\n1,2\n\xe22,3\n", "row 3: not UTF-8 text (byte 0xe2)"),
+    "after-bom": (b"\xef\xbb\xbft,u,y\n0,1,2\n1,2,\xfe\n", "row 3: not UTF-8 text (byte 0xfe)"),
+    "earlier-fault-first": (b"t,value\n0,x\n1,\xff2\n", "row 2: 'x' is not a number"),
+    "in-chunk-2": (_LONG_PREFIX.encode() + b"9999,\xc3\n", f"row {CSV_CHUNK_ROWS + 4}: "
+                   "not UTF-8 text (byte 0xc3)"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NOT_UTF8_FILES))
+def test_a_byte_that_is_not_utf8_is_refused_with_its_row(tmp_path, monkeypatch, name):
+    data, message = NOT_UTF8_FILES[name]
+    path = tmp_path / "bad.csv"
+    path.write_bytes(data)
+    for parts in (1, 2, 3):
+        with pytest.raises(ValidationError) as caught:
+            _read_split(monkeypatch, str(path), parts)
+        assert str(caught.value) == f"{path}: {message}"
+
+
+def test_model_and_config_files_that_are_not_utf8_are_refused(tmp_path):
+    model = tmp_path / "model.json"
+    model.write_bytes(b'{"poles": [0.5], "zeros": [], "gain": 1.0, "note": "\xff"}')
+    with pytest.raises(ValidationError, match=r"model\.json: not UTF-8 text \(byte 0xff\)$"):
+        read_model_json(str(model))
+    config = tmp_path / "run.cfg"
+    config.write_bytes(b"K = 32\n# a comment \xfe\n")
+    with pytest.raises(ConfigError, match=r"run\.cfg: not UTF-8 text \(byte 0xfe\)$"):
+        load_config(str(config), env={})
 
 
 def test_non_finite_time_stamp_exits_with_validation_code(tmp_path, capsys):
@@ -601,6 +639,15 @@ RANGE_FILES = {
 }
 
 
+def _read_split(monkeypatch, path, parts):
+    """``read_signal_csv`` of the path with its rows split into ``parts``
+    line ranges, as ``parallel.worker_count`` splits a large file."""
+    with monkeypatch.context() as patch:
+        patch.setattr(parallel, "FORK_MIN_BYTES", 0)
+        patch.setattr(parallel, "usable_cpus", lambda: parts)
+        return read_signal_csv(path)
+
+
 def _line_starts(data):
     """Every offset at which a line of the bytes starts, and their length."""
     return sorted({0, len(data), *(k + 1 for k, byte in enumerate(data) if byte == 10)})
@@ -692,11 +739,11 @@ def test_line_cuts_fall_at_the_first_line_start_past_each_share(lines, final, pa
 
 @pytest.mark.parametrize("name", sorted(RANGE_FILES))
 @pytest.mark.parametrize("parts", [2, 3, 4])
-def test_read_in_ranges_matches_one_process(tmp_path, name, parts):
+def test_read_in_ranges_matches_one_process(tmp_path, monkeypatch, name, parts):
     path = tmp_path / "record.csv"
     path.write_bytes(RANGE_FILES[name].encode())
     serial = read_signal_csv(str(path))
-    kind, payload = read_signal_csv(str(path), parts)
+    kind, payload = _read_split(monkeypatch, str(path), parts)
     assert kind == serial[0]
     pairs = zip(payload, serial[1]) if kind == "pair" else [(payload, serial[1])]
     for got, want in pairs:
@@ -704,14 +751,37 @@ def test_read_in_ranges_matches_one_process(tmp_path, name, parts):
         assert got.sample_period == want.sample_period
 
 
-def _read_outcome(path, parts=1):
+def _read_outcome(monkeypatch, path, parts=1):
     """The kind, samples and sample period read, or the error message."""
     try:
-        kind, payload = read_signal_csv(str(path), parts)
+        kind, payload = _read_split(monkeypatch, str(path), parts)
     except ValidationError as exc:
         return str(exc)
     signals = payload if kind == "pair" else [payload]
     return kind, [(s.samples.tobytes(), s.sample_period) for s in signals]
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="forks only on Linux")
+def test_a_read_in_a_chunk_of_map_chunks_forks_no_grandchild(tmp_path, monkeypatch):
+    # A split read gives the bits of the one-range read. In the parent's
+    # chunk of map_chunks and in a child's, the same read forks nothing.
+    u, y = white_record(POLE_HALF, 3000, 2)
+    path = tmp_path / "record.csv"
+    path.write_text(format_pair_csv(u, y))
+    one_range = _read_outcome(monkeypatch, path)
+    forks = []
+    real_fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
+
+    def read(parts):
+        before = len(forks)
+        return _read_outcome(monkeypatch, path, parts), len(forks) - before
+
+    for parts in (2, 3):
+        assert read(parts) == (one_range, parts - 1)
+        assert parallel.map_chunks(read, [parts, parts]) == [(one_range, 0)] * 2
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.mark.parametrize("name", sorted({**RANGE_FILES, **REFUSED_RANGE_FILES}))
@@ -721,10 +791,10 @@ def test_without_in_memory_files_the_reader_gets_the_lines(tmp_path, monkeypatch
     data = {**RANGE_FILES, **REFUSED_RANGE_FILES}[name].encode()
     path = tmp_path / "record.csv"
     path.write_bytes(data)
-    want = [_read_outcome(path, parts) for parts in (1, 2, 3)]
+    want = [_read_outcome(monkeypatch, path, parts) for parts in (1, 2, 3)]
     accepted = sigio._range_table(data, [0, len(data)]) is not None
     monkeypatch.delattr(os, "memfd_create")
-    assert [_read_outcome(path, parts) for parts in (1, 2, 3)] == want
+    assert [_read_outcome(monkeypatch, path, parts) for parts in (1, 2, 3)] == want
     accepted_by_lines = sigio._range_table(data, [0, len(data)]) is not None
     assert accepted_by_lines == accepted == (name in RANGE_FILES)
 
@@ -747,7 +817,9 @@ RANGE_FAULTS = {
 
 @pytest.mark.parametrize("fault", sorted(RANGE_FAULTS))
 @pytest.mark.parametrize("parts", [2, 3, 4])
-def test_a_fault_in_the_last_range_gives_the_one_process_outcome(tmp_path, fault, parts):
+def test_a_fault_in_the_last_range_gives_the_one_process_outcome(
+    tmp_path, monkeypatch, fault, parts
+):
     line, message = RANGE_FAULTS[fault]
     rows = [f"{k},{k % 7 - 3.5}\n" for k in range(59)]
     rows[58] = line
@@ -761,7 +833,7 @@ def test_a_fault_in_the_last_range_gives_the_one_process_outcome(tmp_path, fault
     outcomes = []
     for count in (1, parts):
         try:
-            _, signal = read_signal_csv(str(path), count)
+            _, signal = _read_split(monkeypatch, str(path), count)
             outcomes.append((signal.samples.tobytes(), signal.sample_period))
         except ValidationError as exc:
             outcomes.append(str(exc))

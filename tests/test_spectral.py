@@ -1,5 +1,6 @@
 """Spectrum estimation, power and complex cepstra, and phase unwrapping."""
 
+import re
 import warnings
 
 import numpy as np
@@ -221,6 +222,24 @@ def test_welch_rejects_window_longer_than_signal():
 def test_welch_rejects_bad_overlap():
     with pytest.raises(ValidationError):
         psd_welch(white(256, 0), window_len=64, overlap=1.0, fft_length=64)
+
+
+@pytest.mark.parametrize(
+    "fft_length,message",
+    [(32, "fft_length 32 is shorter than the signal (40)"), (48, "must be a power of two, got 48")],
+)
+def test_every_route_refuses_a_bad_fft_length_alike(fft_length, message):
+    x = white(40, 3)
+    routes = [
+        lambda: psd_periodogram(x, fft_length),
+        lambda: complex_cepstrum(x, fft_length, 8),
+        lambda: transfer_complex_cepstrum_from_io(x, x, 8, fft_length),
+    ]
+    for route in routes:
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            route()
+    with pytest.raises(ValidationError, match="fft_length 8 is shorter than the window"):
+        psd_welch(x, 16, 0.5, 8)
 
 
 def test_estimate_spectrum_falls_back_for_short_signals():
