@@ -95,7 +95,10 @@ def _emit(text: str, path: str | None) -> None:
 
 def _emit_parts(parts: list[str], path: str | None) -> None:
     """Write the parts in order to the file, or to stdout without one."""
-    with open(path, "w", encoding="utf-8", newline="") if path else nullcontext(sys.stdout) as fh:
+    # A file name that is not UTF-8 reaches a record id as lone surrogates;
+    # the file gets the bytes they stand for.
+    opened = path and open(path, "w", encoding="utf-8", errors="surrogateescape", newline="")
+    with opened or nullcontext(sys.stdout) as fh:
         for part in parts:
             fh.write(part)
 

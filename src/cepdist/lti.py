@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
+    LengthMismatch,
     NonSimpleRoot,
     NotInvertible,
     SimulationOverflow,
@@ -76,6 +77,16 @@ class Signal:
 
     def __len__(self) -> int:
         return int(self.samples.size)
+
+
+def check_pair(input_signal: Signal, output_signal: Signal) -> None:
+    """Refuse an (input, output) pair whose signals differ in length or sample period."""
+    if len(input_signal) != len(output_signal):
+        raise LengthMismatch(
+            f"input and output lengths differ: {len(input_signal)} vs {len(output_signal)}"
+        )
+    if input_signal.sample_period != output_signal.sample_period:
+        raise ValidationError("input and output sample periods differ")
 
 
 def range_exponent(*arrays: np.ndarray) -> int:

@@ -35,7 +35,7 @@ import numpy as np
 
 from . import parallel
 from .errors import CepdistError, ValidationError
-from .lti import Signal, StateSpaceModel, ZeroPoleGain
+from .lti import Signal, StateSpaceModel, ZeroPoleGain, check_pair
 from .parallel import map_chunks
 
 # Relative jitter allowed in the time column before it counts as non-uniform.
@@ -367,8 +367,7 @@ def pair_csv_rows(input_signal: Signal, output_signal: Signal, start: int, stop:
     Row k's time is k times the sample period, so the rows of any split of
     the record join into the text of the whole.
     """
-    if len(input_signal) != len(output_signal):
-        raise ValidationError("input and output lengths differ")
+    check_pair(input_signal, output_signal)
     time_format, times = _time_column(start, stop, input_signal.sample_period)
     return _format_rows(
         "",

@@ -34,12 +34,11 @@ from .errors import (
     DimensionMismatch,
     InsufficientData,
     KindMismatch,
-    LengthMismatch,
     LogOfNonpositive,
     SpectralNull,
     ValidationError,
 )
-from .lti import Signal, ZeroPoleGain, range_exponent
+from .lti import Signal, ZeroPoleGain, check_pair, range_exponent
 
 SPECTRUM_KINDS = ("periodogram", "welch", "model")
 CEPSTRUM_KINDS = ("power", "complex")
@@ -63,6 +62,33 @@ def next_pow2(n: int) -> int:
     return 1 << (int(n) - 1).bit_length()
 
 
+def _is_grid_size(n: int) -> bool:
+    """Whether a uniform frequency grid can have n points: a power of two, at least 2."""
+    return n >= 2 and not n & (n - 1)
+
+
+def _grid_values(values, what: str, dtype=float) -> np.ndarray:
+    """``values`` as a finite vector on a uniform frequency grid, named ``what`` if refused."""
+    arr = np.asarray(values, dtype=dtype)
+    if arr.ndim != 1:
+        raise DimensionMismatch(f"{what} must be one-dimensional, got shape {arr.shape}")
+    if not _is_grid_size(arr.size):
+        raise ValidationError(f"{what} length must be a power of two >= 2, got {arr.size}")
+    if not np.all(np.isfinite(arr)):
+        raise ValidationError(f"{what} values must be finite")
+    return arr
+
+
+def _check_order(order: int, length: int | None = None) -> None:
+    """Refuse a cepstrum order below 1, or above half of a ``length``-point grid."""
+    if order < 1:
+        raise ValidationError(f"order must be positive, got {order}")
+    if length is not None and 2 * order > length:
+        raise ValidationError(
+            f"cepstrum order {order} needs a spectrum of at least {2 * order} samples, got {length}"
+        )
+
+
 def default_window_length(n: int) -> int:
     """Largest power of two at most n / 8, clamped to [16, 1024]."""
     if n < 16:
@@ -78,14 +104,7 @@ class SpectrumEstimate:
     method: str
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.values, dtype=float)
-        if arr.ndim != 1:
-            raise DimensionMismatch(f"spectrum must be one-dimensional, got shape {arr.shape}")
-        n = arr.size
-        if n < 2 or n & (n - 1):
-            raise ValidationError(f"spectrum length must be a power of two >= 2, got {n}")
-        if not np.all(np.isfinite(arr)):
-            raise ValidationError("spectrum values must be finite")
+        arr = _grid_values(self.values, "spectrum")
         if np.any(arr < 0.0):
             raise ValidationError("spectrum values must be nonnegative")
         if self.method not in SPECTRUM_KINDS:
@@ -191,7 +210,7 @@ def _fft_length(fft_length: int | None, covered: int, what: str, order: int) -> 
     length = int(fft_length)
     if length < covered:
         raise ValidationError(f"fft_length {length} is shorter than the {what} ({covered})")
-    if length < 2 or length & (length - 1):
+    if not _is_grid_size(length):
         raise ValidationError(f"fft_length must be a power of two, got {length}")
     return length
 
@@ -255,14 +274,8 @@ def plan_record(record, config: RunConfig) -> SpectrumPlan:
     and warning for short records.
     """
     if isinstance(record, tuple):
-        input_signal, output_signal = record
-        if len(input_signal) != len(output_signal):
-            raise LengthMismatch(
-                f"input and output lengths differ: {len(input_signal)} vs {len(output_signal)}"
-            )
-        if input_signal.sample_period != output_signal.sample_period:
-            raise ValidationError("input and output sample periods differ")
-        record = input_signal
+        check_pair(*record)
+        record = record[0]
     return _plan_spectrum(len(record), config)
 
 
@@ -345,13 +358,12 @@ def _refuse_log(spectra: np.ndarray, method: str, order: int) -> None:
     """Raise what stops the log cepstrum of one record's spectra.
 
     ``spectra`` holds one row for a signal, or the input and output rows
-    of a pair. A spectrum must be finite, the order positive, every bin
-    strictly positive, and the FFT length at least twice the order.
+    of a pair. A spectrum must be finite, the order positive and at most
+    half the FFT length, and every bin strictly positive.
     """
     for values in spectra:
         SpectrumEstimate(values, method)
-    if order < 1:
-        raise ValidationError(f"order must be positive, got {order}")
+    _check_order(order, spectra.shape[-1])
     if len(spectra) == 1:
         values = spectra[0]
         if np.any(values <= 0.0):
@@ -364,11 +376,6 @@ def _refuse_log(spectra: np.ndarray, method: str, order: int) -> None:
         for name, values in zip(("input", "output"), spectra):
             if np.any(values <= 0.0):
                 raise LogOfNonpositive(f"{name} spectrum has a nonpositive bin; cannot take its log")
-    length = spectra.shape[-1]
-    if 2 * order > length:
-        raise ValidationError(
-            f"cepstrum order {order} needs a spectrum of at least {2 * order} samples, got {length}"
-        )
 
 
 def _fold_ifft_log(log_values: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
@@ -493,31 +500,42 @@ def _root_power_sums(roots: tuple[complex, ...], order: int) -> np.ndarray:
     return np.sum(arr[:, None] ** k[None, :], axis=0).real
 
 
+def _model_cepstrum(
+    zpk: ZeroPoleGain, positive: np.ndarray, negative: np.ndarray | None
+) -> CepstrumSequence:
+    """A model's complex cepstrum, or its power cepstrum without ``negative``.
+
+    c(0) is log|gain| + sum log|zeros outside| - sum log|poles outside|,
+    twice that for the power cepstrum; the root radius and count bound the
+    truncated tail.
+    """
+    zeroth = (
+        np.log(abs(zpk.gain))
+        + sum(np.log(abs(z)) for z in zpk.max_zeros)
+        - sum(np.log(abs(p)) for p in zpk.unstable_poles)
+    )
+    return CepstrumSequence(
+        "power" if negative is None else "complex",
+        positive,
+        negative,
+        2.0 * zeroth if negative is None else zeroth,
+        root_radius=zpk.folded_radius(),
+        root_count=len(zpk.poles) + len(zpk.zeros),
+    )
+
+
 def power_cepstrum_from_zpk(zpk: ZeroPoleGain, order: int) -> CepstrumSequence:
     """Exact power cepstrum of a rational model from its roots.
 
     Roots outside the unit circle enter through their reflections inside,
     and through log-magnitude terms at lag zero.
     """
-    if order < 1:
-        raise ValidationError(f"order must be positive, got {order}")
+    _check_order(order)
     k = np.arange(1, order + 1)
     positive = (
         _root_power_sums(zpk.folded_poles(), order) - _root_power_sums(zpk.folded_zeros(), order)
     ) / k
-    zeroth = 2.0 * (
-        np.log(abs(zpk.gain))
-        + sum(np.log(abs(z)) for z in zpk.max_zeros)
-        - sum(np.log(abs(p)) for p in zpk.unstable_poles)
-    )
-    return CepstrumSequence(
-        "power",
-        positive,
-        None,
-        zeroth,
-        root_radius=zpk.folded_radius(),
-        root_count=len(zpk.poles) + len(zpk.zeros),
-    )
+    return _model_cepstrum(zpk, positive, None)
 
 
 def _winding_free_phase(spectrum: np.ndarray) -> np.ndarray:
@@ -534,15 +552,9 @@ def _winding_free_phase(spectrum: np.ndarray) -> np.ndarray:
 def _complex_cepstrum_core(spectrum: np.ndarray, order: int, gain: int = 0) -> CepstrumSequence:
     """The complex cepstrum of ``spectrum`` times 2**gain, a scale that only moves c(0)."""
     length = spectrum.size
-    if not np.all(np.isfinite(spectrum)):
-        raise ValidationError("spectrum values must be finite")
-    if 2 * order > length:
-        raise ValidationError(
-            f"cepstrum order {order} needs at least {2 * order} spectrum samples, got {length}"
-        )
+    _check_order(order, length)
     mags = np.abs(spectrum)
-    peak = float(np.max(mags)) if length else 0.0
-    if peak == 0.0 or float(np.min(mags)) <= TAU_SPEC * peak:
+    if float(np.min(mags)) <= TAU_SPEC * float(np.max(mags)):
         raise SpectralNull(
             "spectrum magnitude touches zero on the grid; the complex cepstrum is undefined"
         )
@@ -571,13 +583,7 @@ def complex_cepstrum(
 
 def complex_cepstrum_from_response(values: np.ndarray, order: int) -> CepstrumSequence:
     """Complex cepstrum of a frequency response sampled on a uniform grid."""
-    arr = np.asarray(values, dtype=complex)
-    if arr.ndim != 1:
-        raise DimensionMismatch(f"response must be one-dimensional, got shape {arr.shape}")
-    n = arr.size
-    if n < 2 or n & (n - 1):
-        raise ValidationError(f"response length must be a power of two, got {n}")
-    return _complex_cepstrum_core(arr, order)
+    return _complex_cepstrum_core(_grid_values(values, "response", complex), order)
 
 
 def transfer_complex_cepstrum_from_io(
@@ -593,10 +599,7 @@ def transfer_complex_cepstrum_from_io(
     power of two of ``range_exponent`` first, and the log of the ratio of
     the two scales added to c(0).
     """
-    if len(input_signal) != len(output_signal):
-        raise LengthMismatch(
-            f"input and output lengths differ: {len(input_signal)} vs {len(output_signal)}"
-        )
+    check_pair(input_signal, output_signal)
     u = input_signal.samples
     length = _fft_length(fft_length, u.size, "signal", order)
     window = np.hanning(u.size)
@@ -618,8 +621,7 @@ def complex_cepstrum_from_zpk(zpk: ZeroPoleGain, order: int) -> CepstrumSequence
     reciprocals of maximum phase zeros, with the sign such that the power
     cepstrum is the sum of the two halves.
     """
-    if order < 1:
-        raise ValidationError(f"order must be positive, got {order}")
+    _check_order(order)
     k = np.arange(1, order + 1)
     positive = (
         _root_power_sums(zpk.stable_poles, order) - _root_power_sums(zpk.min_zeros, order)
@@ -627,16 +629,4 @@ def complex_cepstrum_from_zpk(zpk: ZeroPoleGain, order: int) -> CepstrumSequence
     inv_poles = tuple(1.0 / p for p in zpk.unstable_poles)
     inv_zeros = tuple(1.0 / z for z in zpk.max_zeros)
     negative = (_root_power_sums(inv_poles, order) - _root_power_sums(inv_zeros, order)) / k
-    zeroth = (
-        np.log(abs(zpk.gain))
-        + sum(np.log(abs(z)) for z in zpk.max_zeros)
-        - sum(np.log(abs(p)) for p in zpk.unstable_poles)
-    )
-    return CepstrumSequence(
-        "complex",
-        positive,
-        negative,
-        float(zeroth),
-        root_radius=zpk.folded_radius(),
-        root_count=len(zpk.poles) + len(zpk.zeros),
-    )
+    return _model_cepstrum(zpk, positive, negative)

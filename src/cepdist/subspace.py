@@ -33,7 +33,7 @@ from .errors import (
     RankDeficient,
     ValidationError,
 )
-from .lti import TAU_MULT, Signal, ZeroPoleGain
+from .lti import TAU_MULT, Signal, ZeroPoleGain, check_pair
 from .metrics import cascade, closed_form_norm_mixed
 from .spectral import next_pow2
 
@@ -361,10 +361,7 @@ def projected_bases(
     row space covers every column and nothing of the output survives the
     projection.
     """
-    if len(input_signal) != len(output_signal):
-        raise ValidationError(
-            f"input and output lengths differ: {len(input_signal)} vs {len(output_signal)}"
-        )
+    check_pair(input_signal, output_signal)
     if rows < 1:
         raise ValidationError(f"rows must be positive, got {rows}")
     cols = len(input_signal) - rows + 1

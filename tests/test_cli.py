@@ -237,6 +237,14 @@ def test_classify_two_single_files(tmp_path, capsys):
     assert report["input"] == "u.csv,y.csv"
 
 
+def test_classify_refuses_two_single_files_of_different_sample_periods(tmp_path, capsys):
+    samples = np.random.default_rng(1).standard_normal(256)
+    u_path = write_signal(tmp_path, "u.csv", samples)
+    y_path = write_signal(tmp_path, "y.csv", samples * 2.0, sample_period=0.5)
+    assert main(["classify", u_path, y_path]) == 2
+    assert capsys.readouterr() == ("", "error: input and output sample periods differ\n")
+
+
 def test_classify_needs_exactly_one_source(tmp_path, capsys):
     model = write_json(tmp_path, "min.json", MIN_PHASE_MODEL)
     path = write_signal(tmp_path, "sig.csv", np.ones(16))
@@ -780,6 +788,35 @@ def test_verbs_refuse_files_that_are_not_utf8(tmp_path, capsys):
     config.write_bytes(b"K = 32\n# a comment \xff\n")
     assert main(["cepstrum", ok, "--config", str(config)]) == 2
     assert capsys.readouterr() == ("", f"error: {config}: not UTF-8 text (byte 0xff)\n")
+
+
+def test_output_files_take_file_names_that_are_not_utf8(tmp_path, capsys):
+    # os.listdir gives the name with a lone surrogate; the matrix CSV holds
+    # the name's own bytes, in a file as on stdout. Stdout escapes surrogates
+    # in a C or UTF-8 locale; the run pins that, whatever the test's locale.
+    records = tmp_path / "records"
+    records.mkdir()
+    for name, seed in ((b"r\xff.csv", 1), (b"ok.csv", 2)):
+        samples = np.random.default_rng(seed).standard_normal(256)
+        (records / os.fsdecode(name)).write_text(format_signal_csv(Signal(samples)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "cepdist", "distmat", str(records), "--output-format", "csv"],
+        capture_output=True,
+        env={**os.environ, "PYTHONIOENCODING": "utf-8:surrogateescape"},
+        timeout=120,
+    )
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    expected = proc.stdout
+    assert expected.startswith(b"id,ok,r\xff\n")
+    matrix = tmp_path / "matrix.csv"
+    for argv in (
+        ["distmat", str(records), "--output-format", "csv", "-o", str(matrix)],
+        ["cluster", str(records), "--k", "1", "--matrix-out", str(matrix)],
+    ):
+        matrix.unlink(missing_ok=True)
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert matrix.read_bytes() == expected
 
 
 def test_forked_collection_refuses_a_file_that_is_not_utf8_as_one_process(

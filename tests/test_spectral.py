@@ -615,6 +615,10 @@ def test_power_cepstrum_is_the_sum_of_complex_halves(seed):
     power = power_cepstrum_from_zpk(zpk, 24)
     two_sided = complex_cepstrum_from_zpk(zpk, 24)
     assert np.allclose(power.positive, two_sided.positive + two_sided.negative, atol=1e-12)
+    # Both share one zeroth lag, the power one twice the complex one, and
+    # one tail bound.
+    assert power.zeroth == 2.0 * two_sided.zeroth
+    assert (power.root_radius, power.root_count) == (two_sided.root_radius, two_sided.root_count)
 
 
 @given(st.integers(0, 10**6))
