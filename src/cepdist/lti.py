@@ -14,6 +14,7 @@ is built on are undefined for them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -48,6 +49,9 @@ SIM_BLOCK = 64
 # much smaller one. The scaling is exact, and a record inside the range
 # keeps every bit.
 SAFE_PEAK = 2.0**128
+# Relative difference under which two sample periods, or two time steps of
+# one file, count as equal: times read back from a file carry its rounding.
+TIME_JITTER_RTOL = 1e-6
 
 
 def _to_vector(values, name: str) -> np.ndarray:
@@ -85,7 +89,8 @@ def check_pair(input_signal: Signal, output_signal: Signal) -> None:
         raise LengthMismatch(
             f"input and output lengths differ: {len(input_signal)} vs {len(output_signal)}"
         )
-    if input_signal.sample_period != output_signal.sample_period:
+    periods = input_signal.sample_period, output_signal.sample_period
+    if not math.isclose(*periods, rel_tol=TIME_JITTER_RTOL):
         raise ValidationError("input and output sample periods differ")
 
 

@@ -35,11 +35,9 @@ import numpy as np
 
 from . import parallel
 from .errors import CepdistError, ValidationError
-from .lti import Signal, StateSpaceModel, ZeroPoleGain, check_pair
+from .lti import TIME_JITTER_RTOL, Signal, StateSpaceModel, ZeroPoleGain, check_pair
 from .parallel import map_chunks
 
-# Relative jitter allowed in the time column before it counts as non-uniform.
-TIME_JITTER_RTOL = 1e-6
 # Rows formatted per step, and rows parsed per step when a file falls back
 # from NumPy's reader. It bounds the intermediate strings and lists to a few
 # hundred kilobytes whatever the record length.

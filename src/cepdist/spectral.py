@@ -34,6 +34,7 @@ from .errors import (
     DimensionMismatch,
     InsufficientData,
     KindMismatch,
+    LengthMismatch,
     LogOfNonpositive,
     SpectralNull,
     ValidationError,
@@ -500,28 +501,18 @@ def _root_power_sums(roots: tuple[complex, ...], order: int) -> np.ndarray:
     return np.sum(arr[:, None] ** k[None, :], axis=0).real
 
 
-def _model_cepstrum(
-    zpk: ZeroPoleGain, positive: np.ndarray, negative: np.ndarray | None
-) -> CepstrumSequence:
-    """A model's complex cepstrum, or its power cepstrum without ``negative``.
-
-    c(0) is log|gain| + sum log|zeros outside| - sum log|poles outside|,
-    twice that for the power cepstrum; the root radius and count bound the
-    truncated tail.
-    """
-    zeroth = (
+def _model_zeroth(zpk: ZeroPoleGain) -> float:
+    """A model's complex c(0), half its power c(0), from its gain and outside roots."""
+    return (
         np.log(abs(zpk.gain))
         + sum(np.log(abs(z)) for z in zpk.max_zeros)
         - sum(np.log(abs(p)) for p in zpk.unstable_poles)
     )
-    return CepstrumSequence(
-        "power" if negative is None else "complex",
-        positive,
-        negative,
-        2.0 * zeroth if negative is None else zeroth,
-        root_radius=zpk.folded_radius(),
-        root_count=len(zpk.poles) + len(zpk.zeros),
-    )
+
+
+def _root_bound(zpk: ZeroPoleGain) -> dict:
+    """The root radius and count that bound a model cepstrum's truncated tail."""
+    return {"root_radius": zpk.folded_radius(), "root_count": len(zpk.poles) + len(zpk.zeros)}
 
 
 def power_cepstrum_from_zpk(zpk: ZeroPoleGain, order: int) -> CepstrumSequence:
@@ -535,7 +526,7 @@ def power_cepstrum_from_zpk(zpk: ZeroPoleGain, order: int) -> CepstrumSequence:
     positive = (
         _root_power_sums(zpk.folded_poles(), order) - _root_power_sums(zpk.folded_zeros(), order)
     ) / k
-    return _model_cepstrum(zpk, positive, None)
+    return CepstrumSequence("power", positive, None, 2.0 * _model_zeroth(zpk), **_root_bound(zpk))
 
 
 def _winding_free_phase(spectrum: np.ndarray) -> np.ndarray:
@@ -629,4 +620,6 @@ def complex_cepstrum_from_zpk(zpk: ZeroPoleGain, order: int) -> CepstrumSequence
     inv_poles = tuple(1.0 / p for p in zpk.unstable_poles)
     inv_zeros = tuple(1.0 / z for z in zpk.max_zeros)
     negative = (_root_power_sums(inv_poles, order) - _root_power_sums(inv_zeros, order)) / k
-    return _model_cepstrum(zpk, positive, negative)
+    return CepstrumSequence(
+        "complex", positive, negative, _model_zeroth(zpk), **_root_bound(zpk)
+    )

@@ -245,6 +245,18 @@ def test_classify_refuses_two_single_files_of_different_sample_periods(tmp_path,
     assert capsys.readouterr() == ("", "error: input and output sample periods differ\n")
 
 
+def test_classify_accepts_two_single_files_whose_periods_differ_by_rounding(tmp_path, capsys):
+    samples = np.random.default_rng(1).standard_normal(256)
+    u_path = write_signal(tmp_path, "u.csv", samples, sample_period=0.01)
+    # Times from 0.02 on: the first step reads back as 0.009999999999999998.
+    times = 0.02 + 0.01 * np.arange(samples.size)
+    y_path = tmp_path / "y.csv"
+    rows = zip(times.tolist(), (2.0 * samples).tolist())
+    y_path.write_text("t,value\n" + "".join(f"{t!r},{v!r}\n" for t, v in rows))
+    assert main(["classify", u_path, str(y_path)]) == 0
+    assert json.loads(capsys.readouterr().out)["verdict"] == "Indeterminate"
+
+
 def test_classify_needs_exactly_one_source(tmp_path, capsys):
     model = write_json(tmp_path, "min.json", MIN_PHASE_MODEL)
     path = write_signal(tmp_path, "sig.csv", np.ones(16))

@@ -84,6 +84,15 @@ def test_every_pair_route_refuses_a_pair_that_disagrees(route, fault):
     _assert_refusal(lambda: check_pair(u, spoil(y)), cls, message)
 
 
+@pytest.mark.parametrize("route", sorted(PAIR_ROUTES))
+def test_every_pair_route_accepts_periods_that_differ_by_rounding(route):
+    u, y = white_record(MODEL, 512, 3)
+    u, y = Signal(u.samples, 1.0 / 3.0), Signal(y.samples, float("%.12g" % (1.0 / 3.0)))
+    assert u.sample_period != y.sample_period
+    check_pair(u, y)
+    PAIR_ROUTES[route](u, y)
+
+
 # Routes whose grid is given: 64 points, so orders up to 32 fit.
 GRID = 64
 _rng = np.random.default_rng(5)

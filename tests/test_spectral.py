@@ -644,6 +644,9 @@ def test_cepstrum_sequence_validation():
         CepstrumSequence("power", np.ones(4), np.ones(4), 0.0)
     with pytest.raises(KindMismatch):
         CepstrumSequence("cosine", np.ones(4), None, 0.0)
+    message = "^positive and negative halves must have equal length$"
+    with pytest.raises(LengthMismatch, match=message):
+        CepstrumSequence("complex", np.ones(3), np.ones(2), 0.0)
     cepstrum = CepstrumSequence("power", np.ones(4), None, 0.0)
     with pytest.raises(ValidationError):
         cepstrum.coefficient(5)
