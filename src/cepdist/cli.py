@@ -167,7 +167,7 @@ def cmd_cepstrum(args: argparse.Namespace, config: RunConfig) -> int:
                 raise cepstrum
         elif kind == "pair":
             u, y = payload
-            cepstrum = transfer_complex_cepstrum_from_io(u, y, config.K, config.fft_length)
+            cepstrum = transfer_complex_cepstrum_from_io(u, y, config)
         else:
             cepstrum = complex_cepstrum(payload, config.fft_length, config.K)
     # Cepstra are emitted as tidy lag/value CSV, the plotting format.
@@ -179,8 +179,7 @@ def _distance_report(path_a: str, path_b: str, metric: str, config: RunConfig) -
     metric = resolve_metric(metric)
     kind_a, payload_a = read_signal_csv(path_a)
     kind_b, payload_b = read_signal_csv(path_b)
-    if metric == "subspace" and (kind_a != "pair" or kind_b != "pair"):
-        raise ValidationError("the subspace metric needs t,u,y pair files")
+    check_collection([kind_a == "pair", kind_b == "pair"], metric)
     feats = collection_features([payload_a, payload_b], metric, config)
     for path, feat in zip((path_a, path_b), feats):
         if isinstance(feat, MixedPhaseUnsupported):

@@ -256,7 +256,8 @@ def cosine_similarity(s1: Signal, s2: Signal) -> float:
 
     Each signal is first divided by its own power of two from
     ``range_exponent``, so the inner product and the norms neither overflow
-    nor underflow. That scaling is exact and cancels in the ratio.
+    nor underflow. That scaling is exact and cancels in the ratio. The
+    ratio is clipped to [-1, 1], which rounding can leave by an ulp.
     """
     if len(s1) != len(s2):
         raise LengthMismatch(f"signal lengths differ: {len(s1)} vs {len(s2)}")
@@ -264,7 +265,7 @@ def cosine_similarity(s1: Signal, s2: Signal) -> float:
     norms = float(np.linalg.norm(x)) * float(np.linalg.norm(y))
     if norms == 0.0:
         raise ValidationError("cosine similarity is undefined for an all-zero signal")
-    return float(x @ y) / norms
+    return min(1.0, max(-1.0, float(x @ y) / norms))
 
 
 class SignalStats(NamedTuple):

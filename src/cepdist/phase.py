@@ -86,8 +86,9 @@ def classify(
 def classify_from_io(
     input_signal: Signal, output_signal: Signal, config: RunConfig
 ) -> PhaseVerdict:
-    """Phase verdict for the system behind one input/output record."""
-    cepstrum = transfer_complex_cepstrum_from_io(input_signal, output_signal, config.K_test)
+    """Phase verdict for the system behind one input/output record, from
+    ``K_test`` lags of its ``transfer_complex_cepstrum_from_io``."""
+    cepstrum = transfer_complex_cepstrum_from_io(input_signal, output_signal, config, config.K_test)
     return classify(cepstrum, config.K_test, config.tol_estimated)
 
 

@@ -216,17 +216,6 @@ def _fft_length(fft_length: int | None, covered: int, what: str, order: int) -> 
     return length
 
 
-def _scaled_fft(
-    x: np.ndarray, length: int, window: np.ndarray | None = None
-) -> tuple[np.ndarray, int]:
-    """The FFT at ``length`` of x divided by the power of two of
-    ``range_exponent``, times the window if one is given; and the exponent."""
-    gain = range_exponent(x)
-    if gain:
-        x = np.ldexp(x, -gain)
-    return np.fft.fft(x if window is None else window * x, length), gain
-
-
 def _periodogram_plan(n: int, fft_length: int | None, order: int = 0) -> SpectrumPlan:
     length = _fft_length(fft_length, n, "signal", order)
     return SpectrumPlan("periodogram", n, None, None, length)
@@ -280,7 +269,7 @@ def plan_record(record, config: RunConfig) -> SpectrumPlan:
     return _plan_spectrum(len(record), config)
 
 
-def _spectra(stack: np.ndarray, plan: SpectrumPlan) -> np.ndarray:
+def _spectra(stack: np.ndarray, plan: SpectrumPlan, cross: bool = False):
     """Spectrum estimates of the rows of a stack of records, one row each.
 
     Welch estimates average |FFT|^2 / fft_length over Hann-tapered
@@ -293,6 +282,10 @@ def _spectra(stack: np.ndarray, plan: SpectrumPlan) -> np.ndarray:
     the first segment of each block, and a sum over the segment axis adds
     the segments in order, so every row is its own segment-by-segment sum
     bit for bit whatever the block.
+
+    With ``cross``, rows 2i and 2i+1 are a pair's input and output, and
+    the same segment FFTs U and Y also give its cross spectrum, averaged
+    as Y·conj(U) / fft_length; it is returned after the power rows.
     """
     length = plan.fft_length
     if plan.method == "periodogram":
@@ -303,17 +296,24 @@ def _spectra(stack: np.ndarray, plan: SpectrumPlan) -> np.ndarray:
     count = plan.segments
     step = max(1, max(1, WELCH_BLOCK_VALUES // length) // len(stack))
     total = np.zeros((len(stack), length))
+    cross_total = 0.0
     # ``power_cepstra`` scales its records into range, but the ``psd_*``
     # functions take theirs as given: an overflowing record gives a
     # non-finite spectrum, which SpectrumEstimate refuses with a typed
     # error; NumPy's own warnings would only repeat it.
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, count, step):
-            power = np.abs(np.fft.fft(taper * segments[:, start : start + step], length, axis=-1))
+            spectrum = np.fft.fft(taper * segments[:, start : start + step], length, axis=-1)
+            if cross:
+                product = spectrum[1::2] * spectrum[::2].conj()
+                product[:, 0] += cross_total
+                cross_total = np.sum(product, axis=1)
+            power = np.abs(spectrum)
             np.square(power, out=power)
             power[:, 0] += total
             total = np.sum(power, axis=1)
-        return total / (count * length)
+        scale = count * length
+        return (total / scale, cross_total / scale) if cross else total / scale
 
 
 def _estimate(signal: Signal, plan: SpectrumPlan) -> SpectrumEstimate:
@@ -568,8 +568,9 @@ def complex_cepstrum(
     ``range_exponent`` first, and the log of that scale added to c(0).
     """
     x = signal.samples
-    spectrum, gain = _scaled_fft(x, _fft_length(fft_length, x.size, "signal", order))
-    return _complex_cepstrum_core(spectrum, order, gain)
+    length = _fft_length(fft_length, x.size, "signal", order)
+    gain = range_exponent(x)
+    return _complex_cepstrum_core(np.fft.fft(np.ldexp(x, -gain), length), order, gain)
 
 
 def complex_cepstrum_from_response(values: np.ndarray, order: int) -> CepstrumSequence:
@@ -578,30 +579,26 @@ def complex_cepstrum_from_response(values: np.ndarray, order: int) -> CepstrumSe
 
 
 def transfer_complex_cepstrum_from_io(
-    input_signal: Signal, output_signal: Signal, order: int, fft_length: int | None = None
+    input_signal: Signal, output_signal: Signal, config: RunConfig, order: int | None = None
 ) -> CepstrumSequence:
-    """Complex cepstrum of the empirical transfer function of an i/o pair.
+    """Complex cepstrum of the H1 transfer estimate S_yu / S_uu of an i/o pair.
 
-    Both signals are Hann tapered over their full length (suppressing the
-    transient leakage of the finite record), transformed, and divided; the
-    phase of the ratio is unwrapped as one quantity so winding slips of the
-    two spectra at deep input nulls cancel instead of corrupting the
-    cepstrum. Any finite pair is accepted: each signal is divided by the
-    power of two of ``range_exponent`` first, and the log of the ratio of
-    the two scales added to c(0).
+    S_uu and S_yu average the segment FFTs of the pair's ``plan_record``
+    plan at ``order`` (``config.K`` if not given), as its transfer cepstrum
+    does; the phase of the ratio is unwrapped as one quantity. Any finite
+    pair is accepted: each signal is divided by the power of two of
+    ``range_exponent`` first, and the log of the ratio of the two scales
+    added to c(0).
     """
-    check_pair(input_signal, output_signal)
-    u = input_signal.samples
-    length = _fft_length(fft_length, u.size, "signal", order)
-    window = np.hanning(u.size)
-    (spec_u, gain_u), (spec_y, gain_y) = (
-        _scaled_fft(x, length, window) for x in (u, output_signal.samples)
-    )
-    for name, spec in (("input", spec_u), ("output", spec_y)):
-        mags = np.abs(spec)
-        if float(np.min(mags)) <= TAU_SPEC * float(np.max(mags)):
-            raise SpectralNull(f"{name} spectrum touches zero on the grid")
-    return _complex_cepstrum_core(spec_y / spec_u, order, gain_y - gain_u)
+    config = config if order is None else replace(config, K=order)
+    plan = plan_record((input_signal, output_signal), config)
+    stack = np.stack([input_signal.samples, output_signal.samples])
+    gains = np.array([range_exponent(row) for row in stack])
+    power, cross = _spectra(np.ldexp(stack, -gains[:, None]), plan, cross=True)
+    # S_uu is a power, so the null floor on magnitudes squares.
+    if float(np.min(power[0])) <= TAU_SPEC**2 * float(np.max(power[0])):
+        raise SpectralNull("input spectrum touches zero on the grid")
+    return _complex_cepstrum_core(cross[0] / power[0], config.K, gains[1] - gains[0])
 
 
 def complex_cepstrum_from_zpk(zpk: ZeroPoleGain, order: int) -> CepstrumSequence:

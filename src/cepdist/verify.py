@@ -84,14 +84,18 @@ def _full_record_config(config: RunConfig, length: int) -> RunConfig:
     )
 
 
+def _white_record(system: ZeroPoleGain, config: RunConfig) -> tuple[Signal, Signal]:
+    """A seeded white-noise input of RECORD_LENGTH samples and the response of a stable system."""
+    u = Signal(np.random.default_rng(config.seed).standard_normal(RECORD_LENGTH))
+    return u, simulate(state_space_from_roots(system), u)
+
+
 def case_min_phase(config: RunConfig) -> dict:
     system = example_systems()["minimum_phase"]
     closed = closed_form_norm_min_phase(system)
     model_norm = subspace_norm_from_model(system, config.vandermonde_cols)
 
-    rng = np.random.default_rng(config.seed)
-    u = Signal(rng.standard_normal(RECORD_LENGTH))
-    y = simulate(state_space_from_roots(system), u)
+    u, y = _white_record(system, config)
     cepstrum = transfer_cepstrum_from_io(u, y, _full_record_config(config, RECORD_LENGTH))
     ceps_norm = weighted_cepstral_norm(cepstrum).value
     data_norm = subspace_norm_from_data(u, y, config.hankel_rows)
@@ -133,6 +137,10 @@ def case_max_phase(config: RunConfig) -> dict:
         config.K_test,
         config.tol_model,
     )
+    # The maximum phase system cannot be simulated forward, but reversing a
+    # record of the minimum phase one in time reflects every root.
+    u, y = _white_record(example_systems()["minimum_phase"], config)
+    data_verdict = classify_from_io(Signal(u.samples[::-1]), Signal(y.samples[::-1]), config)
 
     checks = [
         _check("frequency_route_vs_closed_form", abs(series - closed), 1e-10),
@@ -142,6 +150,7 @@ def case_max_phase(config: RunConfig) -> dict:
             config.tol_model,
         ),
         _verdict_check("phase_verdict", verdict, MAXIMUM_PHASE),
+        _verdict_check("data_phase_verdict", data_verdict, MAXIMUM_PHASE),
     ]
     return {
         "case": "max-phase",
@@ -163,6 +172,10 @@ def case_mixed(config: RunConfig) -> dict:
     verdict = classify(
         complex_cepstrum_from_zpk(system, config.K_test), config.K_test, config.tol_model
     )
+    # The example's pole at 1/0.4 cannot be simulated; moved back to 0.4,
+    # it leaves a stable system whose zero at 1/0.8 keeps it mixed.
+    stable = ZeroPoleGain.from_roots([0.9, 0.7, 0.4], [1 / 0.8, 0.6, 0.0])
+    data_verdict = classify_from_io(*_white_record(stable, config), config)
     try:
         subspace_norm_from_model(system, config.vandermonde_cols)
         gate_fired = False
@@ -182,6 +195,7 @@ def case_mixed(config: RunConfig) -> dict:
             "pass": gate_fired,
         },
         _verdict_check("phase_verdict", verdict, MIXED_PHASE),
+        _verdict_check("data_phase_verdict", data_verdict, MIXED_PHASE),
     ]
     return {
         "case": "mixed",

@@ -87,13 +87,14 @@ def test_criterion_1_minimum_phase_equivalence():
 
 def test_criterion_2_maximum_phase_equivalence():
     report = case_max_phase(DEFAULTS)
-    series_check, model_check, verdict_check = report["checks"]
+    series_check, model_check, verdict_check, data_verdict_check = report["checks"]
     ok = report["pass"]
     record_acceptance(
         f"{'PASS' if ok else 'FAIL'} criterion 2 (maximum-phase equivalence): "
         f"frequency-route gap {series_check['value']:.2e} <= {series_check['bound']:.0e}, "
         f"model relative gap {model_check['value']:.2e} <= {model_check['bound']:.0e}, "
-        f"verdict {verdict_check['value']}"
+        f"verdict {verdict_check['value']}, "
+        f"reversed-record verdict {data_verdict_check['value']}"
     )
     assert ok, report
 

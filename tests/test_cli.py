@@ -27,7 +27,6 @@ from cepdist import (
     state_space_from_roots,
     transfer_cepstrum_from_io,
     transfer_complex_cepstrum_from_io,
-    weighted_cepstral_distance,
 )
 from cepdist import cli, parallel, sigio
 from cepdist.cli import main
@@ -301,7 +300,7 @@ def test_signal_cepstrum_matches_the_library_routes(tmp_path, capsys, paired, ki
     if paired and kind == "power":
         expected = transfer_cepstrum_from_io(u, y, config)
     elif paired:
-        expected = transfer_complex_cepstrum_from_io(u, y, config.K, config.fft_length)
+        expected = transfer_complex_cepstrum_from_io(u, y, config)
     elif kind == "power":
         expected = power_cepstrum_of_signal(y, config)
     else:
@@ -351,31 +350,38 @@ def test_distance_value_is_the_distmat_cell(tmp_path, capsys, metric, paired):
     assert repr(value) == repr(matrix["values"][0][1]) == repr(matrix["values"][1][0])
 
 
-def test_distance_compares_a_signal_with_a_pair_but_distmat_refuses(tmp_path, capsys):
-    signal_path = tmp_path / "signal.csv"
-    pair_path = tmp_path / "pair.csv"
-    _, output = white_record(ZeroPoleGain.from_roots([0.6], [], 1.0), 2048, 0)
-    signal_path.write_text(format_signal_csv(output))
-    pair_path.write_text(
+def test_distance_refuses_a_signal_with_a_pair_as_distmat_does(tmp_path, capsys):
+    paths = {name: tmp_path / f"{name}.csv" for name in ("signal", "other", "pair")}
+    for name, pole, seed in (("signal", 0.6, 0), ("other", 0.2, 2)):
+        _, output = white_record(ZeroPoleGain.from_roots([pole], [], 1.0), 2048, seed)
+        paths[name].write_text(format_signal_csv(output))
+    paths["pair"].write_text(
         format_pair_csv(*white_record(ZeroPoleGain.from_roots([-0.4], [0.3], 1.0), 2048, 1))
     )
-    assert main(["distance", str(signal_path), str(pair_path)]) == 0
+    mixed = "error: items must be all signals or all (input, output) pairs\n"
+    for metric in ("cepstral", "euclidean", "cosine", "subspace"):
+        for verb in ("distance", "distmat"):
+            assert main([verb, str(paths["signal"]), str(paths["pair"]), "--metric", metric]) == 2
+            assert capsys.readouterr() == ("", mixed)
+    # Two signals are one kind, but the subspace metric needs pairs.
+    signals = [str(paths["signal"]), str(paths["other"])]
+    for verb in ("distance", "distmat"):
+        assert main([verb, *signals, "--metric", "subspace"]) == 2
+        assert capsys.readouterr() == ("", "error: the subspace metric needs (input, output) pairs\n")
+
+
+def test_cosine_of_a_file_with_itself_is_exactly_one(tmp_path, capsys):
+    # Rounding puts the ratio of this signal's inner product to its squared
+    # norm one ulp above 1; the similarity is clipped to [-1, 1].
+    samples = np.random.default_rng(0).standard_normal(5)
+    path = write_signal(tmp_path, "sig.csv", samples)
+    flipped = write_signal(tmp_path, "flipped.csv", -samples)
+    assert main(["distance", path, path, "--metric", "cosine"]) == 0
     report = json.loads(capsys.readouterr().out)
-    config = RunConfig()
-    _, y = read_signal_csv(str(signal_path))
-    _, (u, y_pair) = read_signal_csv(str(pair_path))
-    want = weighted_cepstral_distance(
-        power_cepstrum_of_signal(y, config), transfer_cepstrum_from_io(u, y_pair, config)
-    )
-    assert (report["value"], report["order"], report["tail_bound"]) == (
-        want.value,
-        want.order,
-        want.tail_bound,
-    )
-    assert main(["distmat", str(signal_path), str(pair_path)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: items must be all signals or all (input, output) pairs\n"
+    assert (report["similarity"], report["value"]) == (1.0, 0.0)
+    assert main(["distance", path, flipped, "--metric", "cosine"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert (report["similarity"], report["value"]) == (-1.0, 2.0)
 
 
 def _records_with_a_scaled_input(directory, scale):

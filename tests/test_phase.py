@@ -21,9 +21,19 @@ from cepdist import (
     classify_from_io,
     classify_from_model,
     complex_cepstrum,
+    complex_cepstrum_from_zpk,
     example_systems,
+    frequency_response,
+    simulate,
+    state_space_from_roots,
 )
-from conftest import expected_phase_kind, random_any_phase, well_expressed, white_record
+from conftest import (
+    expected_phase_kind,
+    random_any_phase,
+    random_simulable,
+    well_expressed,
+    white_record,
+)
 
 CONFIG = RunConfig()
 
@@ -148,3 +158,68 @@ def test_model_verdicts_match_the_root_pattern(seed):
             break
     assume(zpk is not None)
     assert classify_from_model(zpk, CONFIG).kind == expected_phase_kind(zpk)
+
+
+# A second-order minimum phase system with a resonance, and the same with
+# its zero at -0.3 moved outside the circle to 1.6.
+RESONANT = ZeroPoleGain.from_roots([0.8 * np.exp(0.6j), 0.8 * np.exp(-0.6j)], [0.5, -0.3], 1.0)
+RESONANT_MIXED = ZeroPoleGain.from_roots(
+    [0.8 * np.exp(0.6j), 0.8 * np.exp(-0.6j)], [0.5, 1.6], 1.0
+)
+
+
+def _clear_minimum_phase(rng):
+    """A minimum phase system whose phase stands clear of 5% output noise.
+
+    The gate reads the phase bin by bin, so |H| may span at most a factor
+    of 10 over the circle, or noise swamps the bins where it is small; and
+    the tested lags must carry a cepstral energy of at least 0.2, or the
+    noise's own cepstrum weighs as much on both sides.
+    """
+    grid = 2.0 * np.pi * np.arange(1024) / 1024
+    while True:
+        zpk = random_simulable(rng, want_mixed=False)
+        mags = np.abs(frequency_response(zpk, grid))
+        energy = np.sum(complex_cepstrum_from_zpk(zpk, CONFIG.K_test).positive ** 2)
+        if mags.max() <= 10.0 * mags.min() and energy >= 0.2:
+            return zpk
+
+
+def _noisy(y, std, rng):
+    return Signal(y.samples + std * rng.standard_normal(len(y)), y.sample_period)
+
+
+@given(st.integers(0, 10**6), st.floats(0.0, 0.05))
+def test_noisy_minimum_phase_records_classify_as_minimum_phase(seed, share):
+    rng = np.random.default_rng(seed)
+    u, y = white_record(_clear_minimum_phase(rng), 2**13, seed)
+    noisy = _noisy(y, share * float(np.std(y.samples)), rng)
+    assert classify_from_io(u, noisy, CONFIG).kind == MINIMUM_PHASE
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_an_input_with_a_deep_nyquist_null_keeps_the_verdict(seed):
+    # White noise through (1 + 1/z)^3: the input spectrum falls to zero at
+    # the Nyquist bin, where a single whole-record ratio Y/U can take the
+    # wrong sign and slip a phase winding.
+    white = np.random.default_rng(seed).standard_normal(2**13 + 3)
+    u = Signal(np.convolve(white, [1.0, 3.0, 3.0, 1.0], mode="valid"))
+    y = simulate(state_space_from_roots(RESONANT), u)
+    assert classify_from_io(u, y, CONFIG).kind == MINIMUM_PHASE
+
+
+@pytest.mark.parametrize("std", [0.0, 0.1])
+@pytest.mark.parametrize("seed", range(4))
+def test_a_time_reversed_record_is_maximum_phase(seed, std):
+    # Reversal in time reflects every root of the system through the circle.
+    u, y = white_record(RESONANT, 2**13, seed)
+    y = _noisy(y, std, np.random.default_rng(seed + 100))
+    reversed_record = (Signal(u.samples[::-1]), Signal(y.samples[::-1]))
+    assert classify_from_io(*reversed_record, CONFIG).kind == MAXIMUM_PHASE
+
+
+@pytest.mark.parametrize("std", [0.0, 0.01, 0.1, 0.3])
+def test_a_stable_record_with_a_zero_outside_stays_mixed(std):
+    u, y = white_record(RESONANT_MIXED, 2**13, 7)
+    y = _noisy(y, std, np.random.default_rng(8))
+    assert classify_from_io(u, y, CONFIG).kind == MIXED_PHASE

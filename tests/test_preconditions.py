@@ -54,7 +54,9 @@ def _assert_refusal(call, cls, message):
 PAIR_ROUTES = {
     "power_cepstra": lambda u, y: _raise(power_cepstra([(u, y)], CONFIG)[0]),
     "transfer_cepstrum_from_io": lambda u, y: transfer_cepstrum_from_io(u, y, CONFIG),
-    "transfer_complex_cepstrum_from_io": lambda u, y: transfer_complex_cepstrum_from_io(u, y, 20),
+    "transfer_complex_cepstrum_from_io": lambda u, y: transfer_complex_cepstrum_from_io(
+        u, y, CONFIG, 20
+    ),
     "classify_from_io": lambda u, y: classify_from_io(u, y, CONFIG),
     "projected_bases": lambda u, y: projected_bases(u, y, 20),
     "subspace_norm_from_data": lambda u, y: subspace_norm_from_data(u, y, 20),
@@ -115,7 +117,7 @@ GRID_ROUTES = {
         np.ones(GRID), order
     ),
     "transfer_complex_cepstrum_from_io": lambda order: transfer_complex_cepstrum_from_io(
-        SIGNAL, OUTPUT, order, GRID
+        SIGNAL, OUTPUT, GRID_CONFIG, order
     ),
 }
 # Routes without a given grid: a model's roots, or an FFT sized to the order.

@@ -233,7 +233,9 @@ def test_every_route_refuses_a_bad_fft_length_alike(fft_length, message):
     routes = [
         lambda: psd_periodogram(x, fft_length),
         lambda: complex_cepstrum(x, fft_length, 8),
-        lambda: transfer_complex_cepstrum_from_io(x, x, 8, fft_length),
+        lambda: transfer_complex_cepstrum_from_io(
+            x, x, RunConfig(method="periodogram", fft_length=fft_length), 8
+        ),
     ]
     for route in routes:
         with pytest.raises(ValidationError, match=re.escape(message)):
@@ -632,7 +634,7 @@ def test_cepstrum_coefficients_respect_the_decay_bound(seed):
 
 def test_transfer_complex_cepstrum_of_identity_is_zero():
     u = white(1024, 11)
-    cepstrum = transfer_complex_cepstrum_from_io(u, u, 16)
+    cepstrum = transfer_complex_cepstrum_from_io(u, u, RunConfig(), 16)
     assert np.max(np.abs(cepstrum.positive)) <= 1e-15
     assert np.max(np.abs(cepstrum.negative)) <= 1e-15
 

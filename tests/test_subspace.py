@@ -690,7 +690,7 @@ def test_data_routes_do_not_depend_on_the_record_scale(log_input, log_output):
         cepstrum = transfer_cepstrum_from_io(*scaled, config)
         batch = power_cepstra([scaled, scaled[1]], config)
         verdict = classify_from_io(*scaled, config)
-        complex_pair = transfer_complex_cepstrum_from_io(*scaled, config.K)
+        complex_pair = transfer_complex_cepstrum_from_io(*scaled, config)
         complex_output = complex_cepstrum(scaled[1], None, config.K)
     want = subspace_norm_from_data(u, y, rows=60)
     assert abs(angle_norm - want) <= 1e-12 * want
@@ -699,7 +699,7 @@ def test_data_routes_do_not_depend_on_the_record_scale(log_input, log_output):
         (cepstrum, transfer_cepstrum_from_io(u, y, config), 2.0 * (log_y - log_u)),
         (batch[0], transfer_cepstrum_from_io(u, y, config), 2.0 * (log_y - log_u)),
         (batch[1], power_cepstrum_of_signal(y, config), 2.0 * log_y),
-        (complex_pair, transfer_complex_cepstrum_from_io(u, y, config.K), log_y - log_u),
+        (complex_pair, transfer_complex_cepstrum_from_io(u, y, config), log_y - log_u),
         (complex_output, complex_cepstrum(y, None, config.K), log_y),
     ]
     for got, reference, shift in cases:
