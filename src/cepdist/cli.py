@@ -24,10 +24,12 @@ from .cluster import (
     DistanceMatrix,
     agglomerative_cluster,
     check_collection,
+    check_periods,
     collection_features,
     distance_matrix_from_features,
     pair_report,
     resolve_metric,
+    sample_periods,
 )
 from .config import CONFIG_KEYS, LINKAGES, RunConfig, load_config
 from .errors import (
@@ -180,6 +182,7 @@ def _distance_report(path_a: str, path_b: str, metric: str, config: RunConfig) -
     kind_a, payload_a = read_signal_csv(path_a)
     kind_b, payload_b = read_signal_csv(path_b)
     check_collection([kind_a == "pair", kind_b == "pair"], metric)
+    check_periods(sample_periods([payload_a, payload_b]), [path_a, path_b])
     feats = collection_features([payload_a, payload_b], metric, config)
     for path, feat in zip((path_a, path_b), feats):
         if isinstance(feat, MixedPhaseUnsupported):
@@ -219,24 +222,26 @@ def _collection_matrix(paths: list[str], metric: str, config: RunConfig) -> Dist
     chunks = map_chunks(partial(_chunk_features, metric=metric, config=config), _path_chunks(paths))
     if len(set(ids)) != len(ids):
         raise ValidationError("signal file names must be unique after dropping directories")
-    check_collection([paired for kinds, _ in chunks for paired in kinds], metric)
-    features = [feature for _, features in chunks for feature in features]
+    check_collection([paired for kinds, _, _ in chunks for paired in kinds], metric)
+    check_periods([period for _, periods, _ in chunks for period in periods], ids)
+    features = [feature for _, _, features in chunks for feature in features]
     return distance_matrix_from_features(features, metric, ids)
 
 
-def _chunk_features(paths: list[str], metric: str, config: RunConfig) -> tuple[list, list]:
-    """Whether each file holds a pair, and the features of its record.
+def _chunk_features(paths: list[str], metric: str, config: RunConfig) -> tuple[list, list, list]:
+    """Whether each file holds a pair, its sample period, and its record's features.
 
     A chunk that ``check_collection`` refuses gets no features: the whole
     collection is refused then.
     """
     items = [read_signal_csv(path)[1] for path in paths]
     paired = [isinstance(item, tuple) for item in items]
+    periods = sample_periods(items)
     try:
         check_collection(paired, metric)
     except ValidationError:
-        return paired, []
-    return paired, collection_features(items, metric, config)
+        return paired, periods, []
+    return paired, periods, collection_features(items, metric, config)
 
 
 def _path_chunks(paths: list[str]) -> list[list[str]]:

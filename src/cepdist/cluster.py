@@ -21,7 +21,7 @@ import numpy as np
 
 from .config import LINKAGES, RunConfig
 from .errors import CepdistError, MixedPhaseUnsupported, ValidationError
-from .lti import Signal
+from .lti import Signal, same_period
 from .metrics import (
     cosine_similarity,
     euclidean_distance,
@@ -93,6 +93,26 @@ def check_collection(paired: Sequence[bool], metric: str) -> None:
         raise ValidationError("the subspace metric needs (input, output) pairs")
 
 
+def sample_periods(items: Sequence) -> list[float]:
+    """The sample period of each signal, and of each pair's output."""
+    return [_output(item).sample_period for item in items]
+
+
+def check_periods(periods: Sequence[float], ids: Sequence[str]) -> None:
+    """Refuse a collection whose records differ in sample period, naming
+    the first record and one whose period differs from it; periods agree
+    as the two signals of a pair must (``lti.check_pair``)."""
+    for name, period in zip(ids, periods):
+        if not same_period(periods[0], period):
+            raise ValidationError(
+                f"records {ids[0]} and {name} differ in sample period: {periods[0]} and {period}"
+            )
+
+
+def _output(item) -> Signal:
+    return item[1] if isinstance(item, tuple) else item
+
+
 def resolve_metric(metric: str) -> str:
     """The name in METRICS of a metric or its alias; refuses any other name."""
     metric = METRIC_ALIASES.get(metric, metric)
@@ -126,6 +146,7 @@ def distance_matrix(
             raise ValidationError(f"got {len(ids)} ids for {n} items")
         if len(set(ids)) != n:
             raise ValidationError("ids must be unique")
+    check_periods(sample_periods(items), ids)
     features = collection_features(items, metric, config)
     return distance_matrix_from_features(features, metric, ids)
 
@@ -192,7 +213,7 @@ def collection_features(items: Sequence, metric: str, config: RunConfig) -> list
     if metric == "cepstral":
         return power_cepstra(items, config)
     if metric != "subspace":
-        return [item[1] if isinstance(item, tuple) else item for item in items]
+        return [_output(item) for item in items]
     features: list = []
     for u, y in items:
         try:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, fields
-from typing import Mapping
+from typing import Mapping, get_args, get_type_hints
 
 from .errors import ConfigError
 
@@ -71,9 +71,8 @@ class RunConfig:
         return self
 
 
-_OPTIONAL_INT_FIELDS = {"window_len", "fft_length"}
-_INT_FIELDS = {"K", "K_test", "hankel_rows", "vandermonde_cols", "seed"}
-_FLOAT_FIELDS = {"overlap", "tol_model", "tol_estimated"}
+# Each key's kind, from its annotation: str, int, float, or "int | None".
+_KINDS = get_type_hints(RunConfig)
 CONFIG_KEYS = tuple(f.name for f in fields(RunConfig))
 
 
@@ -82,22 +81,15 @@ def parse_config_value(key: str, text: str):
     if key not in CONFIG_KEYS:
         raise ConfigError(f"unknown configuration key {key!r}")
     raw = text.strip()
-    if key in _OPTIONAL_INT_FIELDS:
-        if raw.lower() in ("none", "auto", ""):
-            return None
-        key_kind = int
-    elif key in _INT_FIELDS:
-        key_kind = int
-    elif key in _FLOAT_FIELDS:
-        key_kind = float
-    else:
+    kind, *optional = get_args(_KINDS[key]) or (_KINDS[key],)
+    if optional and raw.lower() in ("none", "auto", ""):
+        return None
+    if kind is str:
         return raw
     try:
-        if key_kind is int:
-            return int(raw)
-        return float(raw)
+        return kind(raw)
     except ValueError as exc:
-        raise ConfigError(f"value {raw!r} for key {key!r} is not a valid {key_kind.__name__}") from exc
+        raise ConfigError(f"value {raw!r} for key {key!r} is not a valid {kind.__name__}") from exc
 
 
 def _parse_config_file(path: str) -> dict:

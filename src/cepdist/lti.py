@@ -89,9 +89,13 @@ def check_pair(input_signal: Signal, output_signal: Signal) -> None:
         raise LengthMismatch(
             f"input and output lengths differ: {len(input_signal)} vs {len(output_signal)}"
         )
-    periods = input_signal.sample_period, output_signal.sample_period
-    if not math.isclose(*periods, rel_tol=TIME_JITTER_RTOL):
+    if not same_period(input_signal.sample_period, output_signal.sample_period):
         raise ValidationError("input and output sample periods differ")
+
+
+def same_period(first: float, second: float) -> bool:
+    """Whether two sample periods agree, within TIME_JITTER_RTOL of each other."""
+    return math.isclose(first, second, rel_tol=TIME_JITTER_RTOL)
 
 
 def range_exponent(*arrays: np.ndarray) -> int:

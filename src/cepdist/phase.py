@@ -51,7 +51,9 @@ class PhaseVerdict:
 
 
 def classify(
-    cepstrum: CepstrumSequence, order: int = 20, tolerance: float = 1e-3
+    cepstrum: CepstrumSequence,
+    order: int = RunConfig.K_test,
+    tolerance: float = RunConfig.tol_model,
 ) -> PhaseVerdict:
     """Phase verdict from the two-sided energies of a complex cepstrum.
 

@@ -121,23 +121,6 @@ def _parse_rows(rows: list[str], width: int, first_row: int, path: str) -> np.nd
     return values.reshape(len(rows), width)
 
 
-def _first_row(lines) -> tuple[list[str], bool] | None:
-    """The lines up to the first that is not blank, that one included, and
-    whether it is a header; None when every line is blank.
-
-    A blank line holds only whitespace and commas, quotes around a cell
-    free of commas and quotes dropped; a header is a first row that is not
-    all numbers.
-    """
-    skipped = []
-    for line in lines:
-        skipped.append(line)
-        first = _QUOTED_CELL.sub(r"\1", line)
-        if first.replace(",", " ").strip():
-            return skipped, not _is_numeric(first)
-    return None
-
-
 def _loadtxt_rows(source, **options) -> np.ndarray | None:
     """The rows as NumPy's C reader parses them, shape (rows, cells); None
     when it refuses one or a value is not finite.
@@ -175,20 +158,28 @@ def _loadtxt_bytes(data: bytes) -> np.ndarray | None:
     return _loadtxt_rows(io.TextIOWrapper(io.BytesIO(data), "utf-8", newline=""))
 
 
-def _data_start(data: bytes) -> tuple[int, int] | None:
+def _data_start(data: bytes, path: str) -> tuple[int, int]:
     """The offset of the first data row in a file's bytes and its row
-    number; None when every line is blank or the bytes are not UTF-8.
-    The header is detected as ``_parse_table`` does."""
+    number: 2 after a header, else 1; the end of the bytes and 1 when every
+    line is blank. Every read of the rows starts there.
+
+    A blank line holds only whitespace and commas, quotes around a cell
+    free of commas and quotes dropped. A header is a first row that is not
+    all numbers; one that is not UTF-8 text is refused, read as the
+    "surrogateescape" error handler decodes it.
+    """
     offset = len(codecs.BOM_UTF8) if data.startswith(codecs.BOM_UTF8) else 0
-    try:
-        head = _first_row(io.TextIOWrapper(io.BytesIO(data), "utf-8-sig", newline=""))
-    except UnicodeDecodeError:
-        return None
-    if head is None:
-        return None
-    skipped, header = head
-    offset += len("".join(skipped if header else skipped[:-1]).encode())
-    return offset, 2 if header else 1
+    text = io.TextIOWrapper(io.BytesIO(data), "utf-8-sig", errors="surrogateescape", newline="")
+    for line in text:
+        first = _QUOTED_CELL.sub(r"\1", line)
+        if first.replace(",", " ").strip():
+            if _is_numeric(first):
+                return offset, 1
+            if undecoded := _undecoded(line, 1, path):
+                raise undecoded
+            return offset + len(line.encode()), 2
+        offset += len(line.encode())
+    return len(data), 1
 
 
 def _line_cuts(data: bytes, parts: int) -> list[int]:
@@ -206,20 +197,19 @@ def _line_cuts(data: bytes, parts: int) -> list[int]:
     return cuts + [len(data)]
 
 
-def _range_table(data: bytes, cuts: list[int]) -> tuple[np.ndarray, int] | None:
+def _range_table(
+    data: bytes, head: tuple[int, int], cuts: list[int]
+) -> tuple[np.ndarray, int] | None:
     """The data rows of a whole file's bytes as NumPy's C reader parses
     them, with the row number of the first; None when it refuses them or
     finds no finite table of 2 or 3 columns.
 
     The rows are parsed in the line ranges between the cuts, each after the
-    first in a worker process (``parallel.map_chunks``); the header and the
-    lines before it are left out of the first range. Each range is read
-    with universal newlines, as the whole file would be, so the joined rows
-    are the one-range read's rows, bit for bit.
+    first in a worker process (``parallel.map_chunks``); the lines before
+    ``head``, the file's ``_data_start``, are left out of the first range.
+    Each range is read with universal newlines, as the whole file would be,
+    so the joined rows are the one-range read's rows, bit for bit.
     """
-    head = _data_start(data)
-    if head is None:
-        return None
     start, first_row = head
     bounds = sorted({start, *(cut for cut in cuts if cut > start)})
     ranges = list(zip(bounds, bounds[1:]))
@@ -239,41 +229,37 @@ def _read_table(data: bytes, path: str) -> tuple[np.ndarray, int]:
     NumPy's C reader parses the bytes first, in one line range per worker
     (``_range_table``). The ranges refuse a file exactly when the reader
     would refuse it whole, so either way a refused file goes to the
-    row-wise parse, which names the fault.
+    row-wise parse, which names the fault. Both start at ``_data_start``.
     """
+    head = _data_start(data, path)
     parts = parallel.worker_count(len(data), parallel.FORK_MIN_BYTES, len(data))
-    parsed = _range_table(data, _line_cuts(data, parts))
-    if parsed is not None:
-        return parsed
-    text = io.TextIOWrapper(io.BytesIO(data), "utf-8-sig", errors="surrogateescape", newline="")
-    return _parse_table(text, path)
+    return _range_table(data, head, _line_cuts(data, parts)) or _parse_table(data, head, path)
 
 
-def _parse_table(fh, path: str) -> tuple[np.ndarray, int]:
-    """``_read_table`` by Python's ``float``, CSV_CHUNK_ROWS rows at a time.
+def _parse_table(data: bytes, head: tuple[int, int], path: str) -> tuple[np.ndarray, int]:
+    """``_read_table`` by Python's ``float``, CSV_CHUNK_ROWS rows at a time,
+    from ``head``, the file's ``_data_start``.
 
     A byte that is not UTF-8 is refused in its row, read as the
     "surrogateescape" error handler decodes it.
     """
-    chunks = _row_chunks(fh)
-    head = next(chunks, None)
-    if head is None:
-        raise ValidationError(f"{path}: file contains no data")
-    start = 0 if _is_numeric(head[0]) else 1
-    if start and (undecoded := _undecoded(head[0], 1, path)):
-        raise undecoded
-    head = head[start:] or next(chunks, None)
-    if head is None:
-        raise ValidationError(f"{path}: file contains a header but no data")
-    width = head[0].count(",") + 1
+    start, first_row = head
+    buffer = io.BytesIO(data)
+    buffer.seek(start)
+    chunks = _row_chunks(io.TextIOWrapper(buffer, "utf-8", errors="surrogateescape", newline=""))
+    first = next(chunks, None)
+    if first is None:
+        what = "a header but no data" if first_row > 1 else "no data"
+        raise ValidationError(f"{path}: file contains {what}")
+    width = first[0].count(",") + 1
     if width not in (2, 3):
         raise ValidationError(f"{path}: expected 2 (t,value) or 3 (t,u,y) columns, got {width}")
     blocks = []
-    row = start + 1
-    for rows in chain([head], chunks):
+    row = first_row
+    for rows in chain([first], chunks):
         blocks.append(_parse_rows(rows, width, row, path))
         row += len(rows)
-    return np.concatenate(blocks), start + 1
+    return np.concatenate(blocks), first_row
 
 
 def _sample_period(times: np.ndarray, first_row: int, path: str) -> float:

@@ -560,7 +560,7 @@ def _complex_cepstrum_core(spectrum: np.ndarray, order: int, gain: int = 0) -> C
 
 
 def complex_cepstrum(
-    signal: Signal, fft_length: int | None = None, order: int = 256
+    signal: Signal, fft_length: int | None = RunConfig.fft_length, order: int = RunConfig.K
 ) -> CepstrumSequence:
     """Complex cepstrum of a signal via FFT, phase unwrapping, and inverse FFT.
 

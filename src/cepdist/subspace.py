@@ -24,6 +24,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from .config import RunConfig
 from .errors import (
     ConvergenceNotReached,
     DimensionMismatch,
@@ -33,7 +34,7 @@ from .errors import (
     RankDeficient,
     ValidationError,
 )
-from .lti import TAU_MULT, Signal, ZeroPoleGain, check_pair
+from .lti import TAU_MULT, Signal, ZeroPoleGain, check_pair, range_exponent
 from .metrics import cascade, closed_form_norm_mixed
 from .spectral import next_pow2
 
@@ -124,7 +125,7 @@ def _model_angle_norm(poles: tuple[complex, ...], zeros: tuple[complex, ...], de
     return _norm_from_cosines(principal_angles(vp, vz))
 
 
-def subspace_norm_from_model(zpk: ZeroPoleGain, depth: int = 400) -> float:
+def subspace_norm_from_model(zpk: ZeroPoleGain, depth: int = RunConfig.vandermonde_cols) -> float:
     """Model norm from principal angles between pole and zero Vandermonde ranges.
 
     Only purely minimum phase or purely maximum phase models are accepted;
@@ -179,7 +180,7 @@ def subspace_norm_from_model(zpk: ZeroPoleGain, depth: int = 400) -> float:
 
 
 def subspace_distance_between_models(
-    first: ZeroPoleGain, second: ZeroPoleGain, depth: int = 400
+    first: ZeroPoleGain, second: ZeroPoleGain, depth: int = RunConfig.vandermonde_cols
 ) -> float:
     """Subspace-angle distance between two models.
 
@@ -348,8 +349,9 @@ def projected_bases(
     built from lag products of the samples, and from correlations of the
     samples with the few basis vectors. The Hankel matrices are never
     built: working memory is a few rows x rows blocks plus a few
-    record-length FFT buffers. Each record is first scaled by a power of
-    two, which changes no angle and keeps the lag products in range.
+    record-length FFT buffers. Each record is first divided by the power of
+    two of ``lti.range_exponent``, which changes no angle and keeps the lag
+    products in range.
 
     Each basis keeps the order at the largest singular-value gap of at
     least ORDER_GAP_MIN above a floor of HANKEL_RANK_RTOL times the block
@@ -374,7 +376,7 @@ def projected_bases(
     length = next_pow2(len(input_signal))
     samples, sides = [], []
     for name, signal in (("input", input_signal), ("output", output_signal)):
-        x = np.ldexp(signal.samples, -np.frexp(np.max(np.abs(signal.samples)))[1])
+        x = np.ldexp(signal.samples, -range_exponent(signal.samples))
         gram = _lag_gram(x, x, rows)
         samples.append(x)
         sides.append(_HankelSide(name, gram, np.linalg.eigvalsh(gram), np.fft.rfft(x, length)))
@@ -386,7 +388,7 @@ def projected_bases(
 
 
 def subspace_norm_from_data(
-    input_signal: Signal, output_signal: Signal, rows: int = 150
+    input_signal: Signal, output_signal: Signal, rows: int = RunConfig.hankel_rows
 ) -> float:
     """Model norm estimated from one input/output record.
 
@@ -439,7 +441,7 @@ def subspace_distance_from_bases(
 def subspace_distance_from_data(
     pair_a: tuple[Signal, Signal],
     pair_b: tuple[Signal, Signal],
-    rows: int = 150,
+    rows: int = RunConfig.hankel_rows,
 ) -> float:
     """Subspace distance between the systems behind two input/output records.
 

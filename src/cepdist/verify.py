@@ -44,8 +44,6 @@ from .spectral import (
 )
 from .subspace import subspace_norm_from_data, subspace_norm_from_model
 
-CASES = ("min-phase", "max-phase", "mixed", "cascade", "white-noise")
-
 # Record length for the simulated cases; long enough that estimation error
 # sits well inside the stated bounds.
 RECORD_LENGTH = 2**14
@@ -63,12 +61,12 @@ def _check(name: str, value: float, bound: float) -> dict:
     }
 
 
-def _verdict_check(name: str, verdict, expected: str) -> dict:
+def _expected_check(name: str, value, expected) -> dict:
     return {
         "name": name,
-        "value": verdict.kind,
+        "value": value,
         "expected": expected,
-        "pass": bool(verdict.kind == expected),
+        "pass": bool(value == expected),
     }
 
 
@@ -108,10 +106,9 @@ def case_min_phase(config: RunConfig) -> dict:
             abs(data_norm - ceps_norm) / closed,
             config.tol_model,
         ),
-        _verdict_check("phase_verdict", verdict, MINIMUM_PHASE),
+        _expected_check("phase_verdict", verdict.kind, MINIMUM_PHASE),
     ]
     return {
-        "case": "min-phase",
         "measurements": {
             "closed_form": closed,
             "subspace_from_model": model_norm,
@@ -120,7 +117,6 @@ def case_min_phase(config: RunConfig) -> dict:
             "record_length": RECORD_LENGTH,
         },
         "checks": checks,
-        "pass": all(c["pass"] for c in checks),
     }
 
 
@@ -149,11 +145,10 @@ def case_max_phase(config: RunConfig) -> dict:
             abs(model_norm - closed) / closed,
             config.tol_model,
         ),
-        _verdict_check("phase_verdict", verdict, MAXIMUM_PHASE),
-        _verdict_check("data_phase_verdict", data_verdict, MAXIMUM_PHASE),
+        _expected_check("phase_verdict", verdict.kind, MAXIMUM_PHASE),
+        _expected_check("data_phase_verdict", data_verdict.kind, MAXIMUM_PHASE),
     ]
     return {
-        "case": "max-phase",
         "measurements": {
             "closed_form": closed,
             "cepstral_from_frequency_data": series,
@@ -161,7 +156,6 @@ def case_max_phase(config: RunConfig) -> dict:
             "grid_length": GRID_LENGTH,
         },
         "checks": checks,
-        "pass": all(c["pass"] for c in checks),
     }
 
 
@@ -188,24 +182,17 @@ def case_mixed(config: RunConfig) -> dict:
             abs(series_result.value - closed),
             max(1e-8, series_result.tail_bound),
         ),
-        {
-            "name": "subspace_gate_refuses_mixed",
-            "value": gate_fired,
-            "expected": True,
-            "pass": gate_fired,
-        },
-        _verdict_check("phase_verdict", verdict, MIXED_PHASE),
-        _verdict_check("data_phase_verdict", data_verdict, MIXED_PHASE),
+        _expected_check("subspace_gate_refuses_mixed", gate_fired, True),
+        _expected_check("phase_verdict", verdict.kind, MIXED_PHASE),
+        _expected_check("data_phase_verdict", data_verdict.kind, MIXED_PHASE),
     ]
     return {
-        "case": "mixed",
         "measurements": {
             "closed_form": closed,
             "series_value": series_result.value,
             "series_tail_bound": series_result.tail_bound,
         },
         "checks": checks,
-        "pass": all(c["pass"] for c in checks),
     }
 
 
@@ -220,10 +207,8 @@ def case_cascade(config: RunConfig) -> dict:
 
     checks = [_check("distance_vs_cascade_norm", abs(distance - closed), 1e-6)]
     return {
-        "case": "cascade",
         "measurements": {"distance": distance, "cascade_closed_form": closed},
         "checks": checks,
-        "pass": all(c["pass"] for c in checks),
     }
 
 
@@ -244,14 +229,12 @@ def case_white_noise(config: RunConfig) -> dict:
 
     checks = [_check("max_abs_mean_over_standard_error", worst, 3.0)]
     return {
-        "case": "white-noise",
         "measurements": {
             "seeds": len(coeffs),
             "max_z_score": worst,
             "lags_tested": order,
         },
         "checks": checks,
-        "pass": all(c["pass"] for c in checks),
     }
 
 
@@ -262,6 +245,7 @@ _CASE_RUNNERS = {
     "cascade": case_cascade,
     "white-noise": case_white_noise,
 }
+CASES = tuple(_CASE_RUNNERS)
 
 
 def run_verify(config: RunConfig, cases: tuple[str, ...] | None = None) -> dict:
@@ -270,7 +254,9 @@ def run_verify(config: RunConfig, cases: tuple[str, ...] | None = None) -> dict:
     for name in names:
         if name not in _CASE_RUNNERS:
             raise ValidationError(f"unknown verify case {name!r}; choose from {CASES}")
-    results = [_CASE_RUNNERS[name](config) for name in names]
+    results = [{"case": name, **_CASE_RUNNERS[name](config)} for name in names]
+    for result in results:
+        result["pass"] = all(check["pass"] for check in result["checks"])
     return {
         "schema_version": 1,
         "command": "verify",

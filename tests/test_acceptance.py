@@ -23,6 +23,7 @@ from cepdist import (
     power_cepstrum_from_zpk,
     power_cepstrum_of_signal,
     roots_from_state_space,
+    run_verify,
     signal_statistics,
     state_space_from_roots,
     weighted_cepstral_distance,
@@ -30,7 +31,6 @@ from cepdist import (
 )
 from cepdist.cli import main
 from cepdist.spectral import CepstrumSequence
-from cepdist.verify import case_max_phase, case_min_phase, case_white_noise
 from conftest import (
     expected_phase_kind,
     random_any_phase,
@@ -73,7 +73,7 @@ def invert_roots(zpk, mask):
 
 
 def test_criterion_1_minimum_phase_equivalence():
-    report = case_min_phase(DEFAULTS)
+    (report,) = run_verify(DEFAULTS, ("min-phase",))["cases"]
     model_check, data_check, verdict_check = report["checks"]
     ok = report["pass"]
     record_acceptance(
@@ -86,7 +86,7 @@ def test_criterion_1_minimum_phase_equivalence():
 
 
 def test_criterion_2_maximum_phase_equivalence():
-    report = case_max_phase(DEFAULTS)
+    (report,) = run_verify(DEFAULTS, ("max-phase",))["cases"]
     series_check, model_check, verdict_check, data_verdict_check = report["checks"]
     ok = report["pass"]
     record_acceptance(
@@ -242,7 +242,7 @@ def test_criterion_7_classifier_accuracy():
 
 
 def test_criterion_8_white_noise_cepstrum():
-    report = case_white_noise(DEFAULTS)
+    (report,) = run_verify(DEFAULTS, ("white-noise",))["cases"]
     check = report["checks"][0]
     ok = report["pass"]
     record_acceptance(

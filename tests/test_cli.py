@@ -370,6 +370,45 @@ def test_distance_refuses_a_signal_with_a_pair_as_distmat_does(tmp_path, capsys)
         assert capsys.readouterr() == ("", "error: the subspace metric needs (input, output) pairs\n")
 
 
+def _records_of_two_periods(tmp_path):
+    """Files a and c of one sample period (c's times read back a rounding
+    apart), and b of the same samples at half that period."""
+    samples = np.random.default_rng(4).standard_normal(256)
+    a_path = write_signal(tmp_path, "a.csv", samples, sample_period=0.01)
+    b_path = write_signal(tmp_path, "b.csv", samples, sample_period=0.005)
+    # Times from 0.02 on: the first step reads back as 0.009999999999999998.
+    times = 0.02 + 0.01 * np.arange(samples.size)
+    c_path = tmp_path / "c.csv"
+    rows = zip(times.tolist(), samples.tolist())
+    c_path.write_text("t,value\n" + "".join(f"{t!r},{v!r}\n" for t, v in rows))
+    return a_path, b_path, str(c_path)
+
+
+@pytest.mark.parametrize("verb", ["distance", "distmat", "cluster"])
+def test_collection_of_two_sample_periods_is_refused(tmp_path, capsys, monkeypatch, verb):
+    a_path, b_path, c_path = _records_of_two_periods(tmp_path)
+    if verb == "distance":
+        runs = [([a_path, c_path], None), ([a_path, b_path], (a_path, b_path))]
+    else:
+        runs = [([a_path, c_path], None), ([a_path, c_path, b_path], ("a", "b"))]
+    extra = ["--k", "1"] if verb == "cluster" else []
+    for metric in ("cepstral", "euclidean", "cosine"):
+        for paths, refused in runs:
+            argv = [verb, *paths, "--metric", metric, *extra]
+            if verb == "distance":
+                code, out, err = main(argv), *capsys.readouterr()
+            else:
+                code, out, err, _ = _serial_and_forked(monkeypatch, capsys, argv)
+            if refused is None:
+                assert (code, err) == (0, "")
+            else:
+                first, second = refused
+                assert (code, out) == (2, "")
+                assert err == (
+                    f"error: records {first} and {second} differ in sample period: 0.01 and 0.005\n"
+                )
+
+
 def test_cosine_of_a_file_with_itself_is_exactly_one(tmp_path, capsys):
     # Rounding puts the ratio of this signal's inner product to its squared
     # norm one ulp above 1; the similarity is clipped to [-1, 1].

@@ -331,6 +331,21 @@ def test_item_validation():
         distance_matrix(signals, "mahalanobis", CLUSTER_CONFIG)
 
 
+@pytest.mark.parametrize("paired", [False, True])
+def test_records_of_two_sample_periods_are_refused(paired):
+    # Periods within a relative 1e-6 agree, as the two signals of a pair must.
+    u, y = white_record(POLE_HALF, 256, 0)
+    items = []
+    for period in (0.01, 0.01 * (1 + 1e-9), 0.005):
+        output = Signal(y.samples, period)
+        items.append((Signal(u.samples, period), output) if paired else output)
+    for metric in ("cepstral", "euclidean", "cosine"):
+        assert distance_matrix(items[:2], metric, RunConfig()).failures == ()
+        with pytest.raises(ValidationError) as caught:
+            distance_matrix(items, metric, RunConfig(), ids=["a", "c", "b"])
+        assert str(caught.value) == "records a and b differ in sample period: 0.01 and 0.005"
+
+
 def test_matrix_shape_and_symmetry_validation():
     with pytest.raises(ValidationError):
         DistanceMatrix(np.zeros((2, 3)), ("a", "b"), "euclidean")

@@ -655,8 +655,14 @@ def _line_starts(data):
 
 def _serial_table(path):
     """The rows as the row-wise parse, by Python's ``float``, reads them."""
-    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        return sigio._parse_table(fh, path)
+    with open(path, "rb") as fh:
+        data = fh.read()
+    return sigio._parse_table(data, sigio._data_start(data, path), path)
+
+
+def _range_table(data, cuts):
+    """The range reader's table of the bytes, split at the cuts."""
+    return sigio._range_table(data, sigio._data_start(data, "record.csv"), cuts)
 
 
 @pytest.mark.parametrize("name", sorted(RANGE_FILES))
@@ -670,7 +676,7 @@ def test_range_reader_matches_one_process_at_every_split(tmp_path, name):
     starts = _line_starts(data)
     for parts in (2, 3, 4):
         for inner in itertools.combinations_with_replacement(starts, parts - 1):
-            parsed = sigio._range_table(data, [0, *inner, len(data)])
+            parsed = _range_table(data, [0, *inner, len(data)])
             assert parsed is not None, inner
             assert _same_floats(parsed[0], table)
             assert parsed[1] == first_row
@@ -696,7 +702,7 @@ def test_range_reader_refuses_a_bad_row_at_every_split(tmp_path, name):
     starts = _line_starts(data)
     for parts in (2, 3, 4):
         for inner in itertools.combinations_with_replacement(starts, parts - 1):
-            assert sigio._range_table(data, [0, *inner, len(data)]) is None, inner
+            assert _range_table(data, [0, *inner, len(data)]) is None, inner
 
 
 # Cells, separators and characters that end or might end a line, for the
@@ -792,10 +798,10 @@ def test_without_in_memory_files_the_reader_gets_the_lines(tmp_path, monkeypatch
     path = tmp_path / "record.csv"
     path.write_bytes(data)
     want = [_read_outcome(monkeypatch, path, parts) for parts in (1, 2, 3)]
-    accepted = sigio._range_table(data, [0, len(data)]) is not None
+    accepted = _range_table(data, [0, len(data)]) is not None
     monkeypatch.delattr(os, "memfd_create")
     assert [_read_outcome(monkeypatch, path, parts) for parts in (1, 2, 3)] == want
-    accepted_by_lines = sigio._range_table(data, [0, len(data)]) is not None
+    accepted_by_lines = _range_table(data, [0, len(data)]) is not None
     assert accepted_by_lines == accepted == (name in RANGE_FILES)
 
 
@@ -828,7 +834,7 @@ def test_a_fault_in_the_last_range_gives_the_one_process_outcome(
     data = path.read_bytes()
     cuts = sigio._line_cuts(data, parts)
     assert len(cuts) == parts + 1 and cuts[-2] < data.index(line.encode())
-    parsed = sigio._range_table(data, cuts)
+    parsed = _range_table(data, cuts)
     assert (parsed is None) == (fault not in ("time-step", "bare-cr"))
     outcomes = []
     for count in (1, parts):

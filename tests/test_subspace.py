@@ -44,7 +44,7 @@ from cepdist import (
 from cepdist.cli import main
 from cepdist.spectral import power_cepstra
 from cepdist.subspace import HANKEL_RANK_RTOL, ORDER_GAP_MIN, TAU_RANK, _lag_gram
-from conftest import draw_roots, random_min_phase, white_record
+from conftest import draw_roots, random_balanced_min_phase, random_min_phase, white_record
 
 POLE_HALF = ZeroPoleGain.from_roots([0.5], [], 1.0)
 POLE_NINE = ZeroPoleGain.from_roots([0.9], [], 1.0)
@@ -714,6 +714,33 @@ def test_data_routes_do_not_depend_on_the_record_scale(log_input, log_output):
     total = reference.positive_energy + reference.negative_energy
     assert abs(verdict.positive_energy - reference.positive_energy) <= 1e-12 * total
     assert abs(verdict.negative_energy - reference.negative_energy) <= 1e-12 * total
+
+
+def _bases_outcome(u, y, rows):
+    """The bytes of both projected bases, or the class and text of the refusal."""
+    try:
+        return [basis.tobytes() for basis in projected_bases(u, y, rows)]
+    except RankDeficient as exc:
+        return type(exc), str(exc)
+
+
+# A gain of 2**k is exact, and so is the scaling by lti.range_exponent that
+# the record gets outside [2**-128, 2**128]; inside, it gets none, and the
+# lag products, solves and factorizations scale exactly along with it. The
+# bounds on k keep every sample a normal, finite number.
+@given(st.integers(0, 10**6), st.integers(-960, 960), st.integers(-960, 960))
+@settings(max_examples=25)
+@example(0, 127, -127)
+@example(0, 128, -129)
+@example(0, 960, -960)
+@example(0, -960, 200)
+def test_power_of_two_gains_keep_the_bases_bit_for_bit(seed, k_input, k_output):
+    rng = np.random.default_rng(seed)
+    u, y = white_record(random_balanced_min_phase(rng), int(rng.integers(200, 1200)), seed)
+    scaled = Signal(np.ldexp(u.samples, k_input)), Signal(np.ldexp(y.samples, k_output))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _bases_outcome(*scaled, 40) == _bases_outcome(u, y, 40)
 
 
 def test_data_bases_refuse_no_more_columns_than_rows():
