@@ -24,12 +24,11 @@ from .cluster import (
     DistanceMatrix,
     agglomerative_cluster,
     check_collection,
-    check_periods,
     collection_features,
     distance_matrix_from_features,
+    output_signal,
     pair_report,
     resolve_metric,
-    sample_periods,
 )
 from .config import CONFIG_KEYS, LINKAGES, RunConfig, load_config
 from .errors import (
@@ -105,18 +104,34 @@ def _emit_parts(parts: list[str], path: str | None) -> None:
             fh.write(part)
 
 
-def _read_pair(path: str) -> tuple[Signal, Signal]:
-    kind, payload = read_signal_csv(path)
-    if kind != "pair":
-        raise ValidationError(f"{path}: expected a t,u,y pair file")
-    return payload
+def _read_record(path: str, paired: bool) -> Signal | tuple[Signal, Signal]:
+    """The record of a signal file, which must be a t,u,y pair if ``paired``
+    and a t,value signal if not."""
+    record = read_signal_csv(path)[1]
+    if isinstance(record, tuple) != paired:
+        expected = "a t,u,y pair" if paired else "a t,value signal"
+        raise ValidationError(f"{path}: expected {expected} file")
+    return record
 
 
-def _read_single(path: str) -> Signal:
-    kind, payload = read_signal_csv(path)
-    if kind != "single":
-        raise ValidationError(f"{path}: expected a t,value signal file")
-    return payload
+def _read_features(paths: list[str], metric: str, config: RunConfig) -> tuple[list, list, list]:
+    """Whether each file holds a pair, its sample period, and its record's
+    features under ``metric`` (``collection_features``), whatever the
+    collection: ``check_collection`` rules on the whole collection after."""
+    records = [read_signal_csv(path)[1] for path in paths]
+    paired = [isinstance(record, tuple) for record in records]
+    periods = [output_signal(record).sample_period for record in records]
+    return paired, periods, collection_features(records, metric, config)
+
+
+def _raise_refusal(paths: list[str], features: list) -> None:
+    """Raise the first record refusal among the features, a phase refusal
+    with the name of its file."""
+    for path, feature in zip(paths, features):
+        if isinstance(feature, MixedPhaseUnsupported):
+            raise MixedPhaseUnsupported(f"{path}: {feature}") from None
+        if isinstance(feature, CepdistError):
+            raise feature
 
 
 def cmd_simulate(args: argparse.Namespace, config: RunConfig) -> int:
@@ -141,7 +156,7 @@ def cmd_simulate(args: argparse.Namespace, config: RunConfig) -> int:
             samples = np.ones(n)
         u = Signal(samples)
     else:
-        u = _read_single(args.input)
+        u = _read_record(args.input, paired=False)
     y = simulate(state_space, u)
     # One contiguous range of rows per worker process. The output is opened
     # only once every range is formatted, so a failure writes nothing.
@@ -161,17 +176,16 @@ def cmd_cepstrum(args: argparse.Namespace, config: RunConfig) -> int:
             cepstrum = power_cepstrum_from_zpk(zpk, config.K)
         else:
             cepstrum = complex_cepstrum_from_zpk(zpk, config.K)
+    elif args.kind == "power":
+        _, _, features = _read_features([args.signal], "cepstral", config)
+        _raise_refusal([args.signal], features)
+        (cepstrum,) = features
     else:
-        kind, payload = read_signal_csv(args.signal)
-        if args.kind == "power":
-            (cepstrum,) = collection_features([payload], "cepstral", config)
-            if isinstance(cepstrum, CepdistError):
-                raise cepstrum
-        elif kind == "pair":
-            u, y = payload
-            cepstrum = transfer_complex_cepstrum_from_io(u, y, config)
+        record = read_signal_csv(args.signal)[1]
+        if isinstance(record, tuple):
+            cepstrum = transfer_complex_cepstrum_from_io(*record, config)
         else:
-            cepstrum = complex_cepstrum(payload, config.fft_length, config.K)
+            cepstrum = complex_cepstrum(record, config.fft_length, config.K)
     # Cepstra are emitted as tidy lag/value CSV, the plotting format.
     _emit(format_cepstrum_csv(cepstrum), args.output)
     return 0
@@ -179,22 +193,16 @@ def cmd_cepstrum(args: argparse.Namespace, config: RunConfig) -> int:
 
 def _distance_report(path_a: str, path_b: str, metric: str, config: RunConfig) -> dict:
     metric = resolve_metric(metric)
-    kind_a, payload_a = read_signal_csv(path_a)
-    kind_b, payload_b = read_signal_csv(path_b)
-    check_collection([kind_a == "pair", kind_b == "pair"], metric)
-    check_periods(sample_periods([payload_a, payload_b]), [path_a, path_b])
-    feats = collection_features([payload_a, payload_b], metric, config)
-    for path, feat in zip((path_a, path_b), feats):
-        if isinstance(feat, MixedPhaseUnsupported):
-            raise MixedPhaseUnsupported(f"{path}: {feat}") from None
-        if isinstance(feat, CepdistError):
-            raise feat
+    paths = [path_a, path_b]
+    paired, periods, features = _read_features(paths, metric, config)
+    check_collection(paired, periods, paths, metric)
+    _raise_refusal(paths, features)
     return {
         "schema_version": 1,
         "command": "distance",
         "metric": metric,
         "inputs": [os.path.basename(path_a), os.path.basename(path_b)],
-        **pair_report(metric, *feats),
+        **pair_report(metric, *features),
     }
 
 
@@ -208,8 +216,9 @@ def _collection_matrix(paths: list[str], metric: str, config: RunConfig) -> Dist
     """The distance matrix of the signal files, or of the files in a directory.
 
     The files are read and featurized in contiguous chunks, one per worker
-    process (see ``_path_chunks``); an item's features do not depend on its
-    chunk, and a refusal is the one a single process would raise first.
+    process (see ``_path_chunks``), each chunk by ``_read_features``; an
+    item's features do not depend on its chunk, and a refusal is the one a
+    single process would raise first.
     """
     metric = resolve_metric(metric)
     if len(paths) == 1 and os.path.isdir(paths[0]):
@@ -219,29 +228,12 @@ def _collection_matrix(paths: list[str], metric: str, config: RunConfig) -> Dist
     if len(paths) < 2:
         raise ValidationError("need at least two signal files (or a directory containing them)")
     ids = tuple(os.path.splitext(os.path.basename(path))[0] for path in paths)
-    chunks = map_chunks(partial(_chunk_features, metric=metric, config=config), _path_chunks(paths))
+    chunks = map_chunks(partial(_read_features, metric=metric, config=config), _path_chunks(paths))
     if len(set(ids)) != len(ids):
         raise ValidationError("signal file names must be unique after dropping directories")
-    check_collection([paired for kinds, _, _ in chunks for paired in kinds], metric)
-    check_periods([period for _, periods, _ in chunks for period in periods], ids)
-    features = [feature for _, _, features in chunks for feature in features]
+    paired, periods, features = ([x for part in parts for x in part] for parts in zip(*chunks))
+    check_collection(paired, periods, ids, metric)
     return distance_matrix_from_features(features, metric, ids)
-
-
-def _chunk_features(paths: list[str], metric: str, config: RunConfig) -> tuple[list, list, list]:
-    """Whether each file holds a pair, its sample period, and its record's features.
-
-    A chunk that ``check_collection`` refuses gets no features: the whole
-    collection is refused then.
-    """
-    items = [read_signal_csv(path)[1] for path in paths]
-    paired = [isinstance(item, tuple) for item in items]
-    periods = sample_periods(items)
-    try:
-        check_collection(paired, metric)
-    except ValidationError:
-        return paired, periods, []
-    return paired, periods, collection_features(items, metric, config)
 
 
 def _path_chunks(paths: list[str]) -> list[list[str]]:
@@ -303,12 +295,11 @@ def cmd_classify(args: argparse.Namespace, config: RunConfig) -> int:
         verdict = classify_from_model(read_model_json(args.model), config)
         origin = os.path.basename(args.model)
     elif len(args.files) == 1:
-        u, y = _read_pair(args.files[0])
+        u, y = _read_record(args.files[0], paired=True)
         verdict = classify_from_io(u, y, config)
         origin = os.path.basename(args.files[0])
     elif len(args.files) == 2:
-        u = _read_single(args.files[0])
-        y = _read_single(args.files[1])
+        u, y = (_read_record(path, paired=False) for path in args.files)
         verdict = classify_from_io(u, y, config)
         origin = f"{os.path.basename(args.files[0])},{os.path.basename(args.files[1])}"
     else:
@@ -373,28 +364,24 @@ def build_parser() -> argparse.ArgumentParser:
     cep.add_argument("--kind", choices=("power", "complex"), default="power")
     cep.set_defaults(handler=cmd_cepstrum)
 
+    metric_choices = sorted(set(METRICS) | set(METRIC_ALIASES))
+
+    def _collection(name: str, help_text: str):
+        sub = _add(name, help_text)
+        sub.add_argument("paths", nargs="+", metavar="PATH", help="signal files, or one directory")
+        sub.add_argument("--metric", default="cepstral", choices=metric_choices)
+        return sub
+
     dist = _add("distance", "distance between two signal files under one metric")
     dist.add_argument("file_a", metavar="FILE_A")
     dist.add_argument("file_b", metavar="FILE_B")
-    dist.add_argument(
-        "--metric",
-        default="cepstral",
-        choices=sorted(set(METRICS) | set(METRIC_ALIASES)),
-    )
+    dist.add_argument("--metric", default="cepstral", choices=metric_choices)
     dist.set_defaults(handler=cmd_distance)
 
-    dm = _add("distmat", "pairwise distance matrix over a collection of signal files")
-    dm.add_argument("paths", nargs="+", metavar="PATH", help="signal files, or one directory")
-    dm.add_argument(
-        "--metric", default="cepstral", choices=sorted(set(METRICS) | set(METRIC_ALIASES))
-    )
+    dm = _collection("distmat", "pairwise distance matrix over a collection of signal files")
     dm.set_defaults(handler=cmd_distmat)
 
-    clu = _add("cluster", "distance matrix plus agglomerative clustering")
-    clu.add_argument("paths", nargs="+", metavar="PATH", help="signal files, or one directory")
-    clu.add_argument(
-        "--metric", default="cepstral", choices=sorted(set(METRICS) | set(METRIC_ALIASES))
-    )
+    clu = _collection("cluster", "distance matrix plus agglomerative clustering")
     clu.add_argument("--k", type=int, required=True, help="number of clusters")
     clu.add_argument("--linkage", default="average", choices=LINKAGES)
     clu.add_argument("--matrix-out", metavar="FILE", help="also write the matrix CSV here")

@@ -70,38 +70,32 @@ class ClusterResult:
     linkage: str
 
 
-def _check_items(items: Sequence, metric: str) -> None:
+def _check_items(items: Sequence) -> None:
     if len(items) < 2:
         raise ValidationError("need at least two items for a distance matrix")
-    paired = [isinstance(item, tuple) for item in items]
-    check_collection(paired, metric)
     for idx, item in enumerate(items):
-        if paired[idx]:
+        if isinstance(item, tuple):
             if len(item) != 2 or not all(isinstance(s, Signal) for s in item):
                 raise ValidationError(f"item {idx} is not an (input, output) pair of signals")
         elif not isinstance(item, Signal):
             raise ValidationError(f"item {idx} is not a signal")
 
 
-def check_collection(paired: Sequence[bool], metric: str) -> None:
-    """Refuse a collection that mixes signals and pairs, or that gives
-    signals to the subspace metric; ``paired`` tells, per item, whether it
-    is an (input, output) pair."""
+def check_collection(
+    paired: Sequence[bool], periods: Sequence[float], ids: Sequence[str], metric: str
+) -> None:
+    """The collection rule: refuse records that mix signals and pairs, that
+    give signals to the subspace metric, or that differ in sample period.
+
+    ``paired`` tells, per record, whether it is an (input, output) pair and
+    ``periods`` gives its sample period (a pair's is its output's). Periods
+    agree as the two signals of a pair must (``lti.check_pair``); a period
+    refusal names the first record and one whose period differs from it.
+    """
     if any(paired) and not all(paired):
         raise ValidationError("items must be all signals or all (input, output) pairs")
     if metric == "subspace" and not all(paired):
         raise ValidationError("the subspace metric needs (input, output) pairs")
-
-
-def sample_periods(items: Sequence) -> list[float]:
-    """The sample period of each signal, and of each pair's output."""
-    return [_output(item).sample_period for item in items]
-
-
-def check_periods(periods: Sequence[float], ids: Sequence[str]) -> None:
-    """Refuse a collection whose records differ in sample period, naming
-    the first record and one whose period differs from it; periods agree
-    as the two signals of a pair must (``lti.check_pair``)."""
     for name, period in zip(ids, periods):
         if not same_period(periods[0], period):
             raise ValidationError(
@@ -109,7 +103,8 @@ def check_periods(periods: Sequence[float], ids: Sequence[str]) -> None:
             )
 
 
-def _output(item) -> Signal:
+def output_signal(item) -> Signal:
+    """A signal item itself, and the output of an (input, output) pair."""
     return item[1] if isinstance(item, tuple) else item
 
 
@@ -136,7 +131,7 @@ def distance_matrix(
     and the matrix is ``distance_matrix_from_features`` of them.
     """
     metric = resolve_metric(metric)
-    _check_items(items, metric)
+    _check_items(items)
     n = len(items)
     if ids is None:
         ids = tuple(f"item{idx:03d}" for idx in range(n))
@@ -146,7 +141,8 @@ def distance_matrix(
             raise ValidationError(f"got {len(ids)} ids for {n} items")
         if len(set(ids)) != n:
             raise ValidationError("ids must be unique")
-    check_periods(sample_periods(items), ids)
+    paired = [isinstance(item, tuple) for item in items]
+    check_collection(paired, [output_signal(item).sample_period for item in items], ids, metric)
     features = collection_features(items, metric, config)
     return distance_matrix_from_features(features, metric, ids)
 
@@ -202,10 +198,12 @@ def distance_matrix_from_features(
 def collection_features(items: Sequence, metric: str, config: RunConfig) -> list:
     """What each item contributes to its distances under ``metric``.
 
-    Items are signals or (input, output) pairs; each entry is the item's
-    features or the CepdistError that refused it. ``cepstral`` gives the
-    ``power_cepstra`` of the collection; ``subspace`` needs pairs, gives
-    their projected Hankel bases, and refuses with MixedPhaseUnsupported a
+    Items are signals or (input, output) pairs, of any mix: each entry is
+    the item's features or the CepdistError that refused it, and whether
+    the collection as a whole is allowed is ``check_collection``'s to say.
+    ``cepstral`` gives the ``power_cepstra`` of the collection;
+    ``subspace`` gives the projected Hankel bases of pairs, refuses a
+    signal with ValidationError, and refuses with MixedPhaseUnsupported a
     record whose phase verdict is neither minimum phase nor indeterminate,
     because the data route is only valid behind stable minimum phase
     generators; ``euclidean`` and ``cosine`` use the output samples.
@@ -213,10 +211,13 @@ def collection_features(items: Sequence, metric: str, config: RunConfig) -> list
     if metric == "cepstral":
         return power_cepstra(items, config)
     if metric != "subspace":
-        return [_output(item) for item in items]
+        return [output_signal(item) for item in items]
     features: list = []
-    for u, y in items:
+    for item in items:
         try:
+            if not isinstance(item, tuple):
+                raise ValidationError("the subspace metric needs (input, output) pairs")
+            u, y = item
             verdict = classify_from_io(u, y, config)
             if verdict.kind not in (MINIMUM_PHASE, INDETERMINATE):
                 raise MixedPhaseUnsupported(

@@ -770,6 +770,25 @@ def test_forked_subspace_collection_of_signals_is_refused(tmp_path, capsys, monk
     assert (code, out, err) == (2, "", "error: the subspace metric needs (input, output) pairs\n")
 
 
+@pytest.mark.parametrize("metric", ["cepstral", "subspace"])
+def test_refused_collection_warns_alike_at_any_worker_count(
+    tmp_path, capsys, monkeypatch, metric
+):
+    # Pairs in the parent's chunk and signals in the worker's: each chunk
+    # holds one kind, and every record is featurized before the collection
+    # rule refuses the mix, so both runs show the short records' warnings.
+    records = tmp_path / "records"
+    _corpus(records, [64] * 2)
+    _corpus(records, [64] * 2, paired=False, prefix="s")
+    argv = ["distmat", str(records), "--metric", metric]
+    code, out, err, shown = _serial_and_forked(monkeypatch, capsys, argv)
+    assert (code, out) == (2, "")
+    assert err == "error: items must be all signals or all (input, output) pairs\n"
+    assert "signal too short for segment averaging; falling back to a periodogram" in [
+        text for text, *_ in shown
+    ]
+
+
 @pytest.mark.parametrize(
     "lengths", [[512, 512, 512, 64, 64, 96], [64, 512, 512, 512, 96, 512]], ids=["worker", "both"]
 )

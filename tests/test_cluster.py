@@ -24,7 +24,7 @@ from cepdist import (
     make_example_signals,
     weighted_cepstral_distance,
 )
-from cepdist import parallel
+from cepdist import cluster, parallel
 from cepdist.cluster import collection_features, distance_matrix_from_features
 from cepdist.parallel import map_chunks
 from conftest import white_record
@@ -314,6 +314,23 @@ def test_two_generator_collection_is_recovered():
 def test_subspace_metric_requires_pairs():
     with pytest.raises(ValidationError):
         distance_matrix(random_signals(2), "subspace", CLUSTER_CONFIG)
+
+
+def test_subspace_features_refuse_each_signal(monkeypatch):
+    signals = random_signals(2)
+    features = collection_features(signals, "subspace", CLUSTER_CONFIG)
+    assert [type(f) for f in features] == [ValidationError, ValidationError]
+    assert {str(f) for f in features} == {"the subspace metric needs (input, output) pairs"}
+
+    # The matrix checks the collection rule before it featurizes any item.
+    def featurize(*args):
+        raise AssertionError("featurized a refused collection")
+
+    monkeypatch.setattr(cluster, "collection_features", featurize)
+    pair = white_record(POLE_HALF, 256, 0)
+    for items, metric in [(signals, "subspace"), ([signals[0], pair], "cepstral")]:
+        with pytest.raises(ValidationError):
+            distance_matrix(items, metric, CLUSTER_CONFIG)
 
 
 def test_item_validation():
