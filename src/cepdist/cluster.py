@@ -30,7 +30,7 @@ from .metrics import (
 )
 from .phase import INDETERMINATE, MINIMUM_PHASE, classify_from_io
 from .spectral import power_cepstra
-from .subspace import projected_bases, subspace_distance_from_bases
+from .subspace import hankel_columns, projected_bases, subspace_distance_from_bases
 
 METRICS = ("cepstral", "subspace", "euclidean", "cosine")
 METRIC_ALIASES = {"cosine-derived": "cosine"}
@@ -203,7 +203,8 @@ def collection_features(items: Sequence, metric: str, config: RunConfig) -> list
     the collection as a whole is allowed is ``check_collection``'s to say.
     ``cepstral`` gives the ``power_cepstra`` of the collection;
     ``subspace`` gives the projected Hankel bases of pairs, refuses a
-    signal with ValidationError, and refuses with MixedPhaseUnsupported a
+    signal with ValidationError, a pair too short for its Hankel rows with
+    InsufficientData, and then with MixedPhaseUnsupported a
     record whose phase verdict is neither minimum phase nor indeterminate,
     because the data route is only valid behind stable minimum phase
     generators; ``euclidean`` and ``cosine`` use the output samples.
@@ -218,6 +219,8 @@ def collection_features(items: Sequence, metric: str, config: RunConfig) -> list
             if not isinstance(item, tuple):
                 raise ValidationError("the subspace metric needs (input, output) pairs")
             u, y = item
+            # The size rule first, so a short record is refused before the gate warns.
+            hankel_columns(u, y, config.hankel_rows)
             verdict = classify_from_io(u, y, config)
             if verdict.kind not in (MINIMUM_PHASE, INDETERMINATE):
                 raise MixedPhaseUnsupported(

@@ -39,7 +39,6 @@ class RunConfig:
     tol_model: float = 1e-3
     tol_estimated: float = 5e-2
     hankel_rows: int = 150
-    vandermonde_cols: int = 400
     seed: int = 44
     output_format: str = "json"
 
@@ -58,7 +57,7 @@ class RunConfig:
             self.fft_length < 2 or self.fft_length & (self.fft_length - 1)
         ):
             raise ConfigError(f"fft_length must be a power of two, got {self.fft_length}")
-        for name in ("K", "K_test", "hankel_rows", "vandermonde_cols"):
+        for name in ("K", "K_test", "hankel_rows"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be a positive integer, got {getattr(self, name)}")
         if self.K_test > self.K:

@@ -591,6 +591,7 @@ def transfer_complex_cepstrum_from_io(
     added to c(0).
     """
     config = config if order is None else replace(config, K=order)
+    _check_order(config.K)
     plan = plan_record((input_signal, output_signal), config)
     stack = np.stack([input_signal.samples, output_signal.samples])
     gains = np.array([range_exponent(row) for row in stack])

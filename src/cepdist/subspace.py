@@ -1,24 +1,25 @@
 """Subspace-angle route to the weighted cepstral norm.
 
 The norm of a stable minimum phase model equals minus the log of the
-product of squared cosines of the principal angles between the ranges of
-two Vandermonde matrices, one built on the poles and one on the zeros, in
-the limit of infinitely many rows. The same angles can be reached from
-input/output data alone: Hankel matrices of the output with the input's
-row space projected out (and vice versa, which is the inverse system's
-Hankel picture) span the corresponding ranges. Both projections follow
-from the rows x rows Gram blocks of the input and output Hankel matrices
-(the covariance form of Van Overschee & De Moor 1996), whose entries are
-lag-product sums along diagonals (the displacement structure used by
-Mastronardi et al. 2001); the order is read from the singular-value gap,
-and one subspace-iteration step against the samples makes each basis as
-accurate as an LQ factorization of the Hankel blocks would.
+product of squared cosines of the principal angles between its pole and
+zero observability ranges, the ranges of Vandermonde matrices with
+infinitely many rows. For a known model they come exactly from Gramians
+(De Cock & De Moor 2002), after padding the shorter root list with roots
+at the origin, which leave the norm unchanged. The same angles can be
+reached from input/output data alone: Hankel matrices of the output with
+the input's row space projected out (and vice versa, which is the inverse
+system's Hankel picture) span the corresponding ranges. Both projections
+follow from the rows x rows Gram blocks of the input and output Hankel
+matrices (the covariance form of Van Overschee & De Moor 1996), whose
+entries are lag-product sums along diagonals (the displacement structure
+used by Mastronardi et al. 2001); the order is read from the singular-value
+gap, and one subspace-iteration step against the samples makes each basis
+as accurate as an LQ factorization of the Hankel blocks would.
 Maximum phase models go through the same computation on reflected roots.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -26,7 +27,6 @@ import numpy as np
 
 from .config import RunConfig
 from .errors import (
-    ConvergenceNotReached,
     DimensionMismatch,
     InsufficientData,
     MixedPhaseUnsupported,
@@ -35,7 +35,7 @@ from .errors import (
     ValidationError,
 )
 from .lti import TAU_MULT, Signal, ZeroPoleGain, check_pair, range_exponent
-from .metrics import cascade, closed_form_norm_mixed
+from .metrics import cascade
 from .spectral import next_pow2
 
 # Relative singular-value floor of the projected data Hankel blocks.
@@ -51,8 +51,6 @@ ORDER_GAP_MIN = 1e3
 GRAM_CONDITION_NOTED = 1e6
 # Relative cutoff under which matrix columns count as dependent.
 TAU_RANK = 1e-10
-# Doubling the Vandermonde depth must move the norm less than this.
-TAU_CONV = 1e-10
 
 
 @dataclass(frozen=True)
@@ -61,10 +59,6 @@ class PrincipalAngleSet:
 
     angles: tuple[float, ...]
     cosines: tuple[float, ...]
-
-    @property
-    def cos_squared(self) -> tuple[float, ...]:
-        return tuple(c * c for c in self.cosines)
 
 
 def vandermonde_range(roots: Sequence[complex], depth: int) -> np.ndarray:
@@ -110,78 +104,72 @@ def principal_angles(a: np.ndarray, b: np.ndarray) -> PrincipalAngleSet:
     return PrincipalAngleSet(tuple(float(t) for t in angles), tuple(float(c) for c in cosines))
 
 
-def _norm_from_cosines(angle_set: PrincipalAngleSet) -> float:
+def _norm_from_cosines(cosines: Sequence[float]) -> float:
     total = 0.0
-    for c2 in angle_set.cos_squared:
+    for c in cosines:
+        c2 = c * c
         if c2 <= 0.0:
             return float("inf")
         total -= float(np.log(c2))
     return total
 
 
-def _model_angle_norm(poles: tuple[complex, ...], zeros: tuple[complex, ...], depth: int) -> float:
-    vp = vandermonde_range(poles, depth)
-    vz = vandermonde_range(zeros, depth)
-    return _norm_from_cosines(principal_angles(vp, vz))
+def _output_normal(roots: Sequence[complex]) -> tuple[np.ndarray, np.ndarray]:
+    """(A, c) of a cascade of unitary all-pass sections [[r, s], [s, -conj r]],
+    s = sqrt(1 - |r|^2), one per root: its observability range is the
+    (confluent, for repeated roots) Vandermonde range of the roots, and
+    A^H A + c^H c = I, so its observability Gramian is the identity."""
+    n = len(roots)
+    a = np.zeros((n, n), dtype=complex)
+    c = np.zeros(n, dtype=complex)
+    for j, r in enumerate(roots):
+        s = np.sqrt(1.0 - abs(r) ** 2)
+        # Section j reads the output of sections 0..j-1, fed through by -conj(r).
+        a[j, :j] = s * c[:j]
+        a[j, j] = r
+        c[:j] *= -np.conj(r)
+        c[j] = s
+    return a, c
 
 
-def subspace_norm_from_model(zpk: ZeroPoleGain, depth: int = RunConfig.vandermonde_cols) -> float:
-    """Model norm from principal angles between pole and zero Vandermonde ranges.
+def _range_cosines(poles: Sequence[complex], zeros: Sequence[complex]) -> np.ndarray:
+    """Cosines, descending, of the principal angles between the infinite
+    observability ranges of two root lists inside the unit circle, the
+    shorter padded with roots at the origin: the singular values of the
+    cross Gramian W = A_p^H W A_z + c_p^H c_z of their ``_output_normal``
+    realizations."""
+    n = max(len(poles), len(zeros))
+    a_p, c_p = _output_normal(tuple(poles) + (0.0,) * (n - len(poles)))
+    a_z, c_z = _output_normal(tuple(zeros) + (0.0,) * (n - len(zeros)))
+    # Row-major vec(A_p^H W A_z) = kron(A_p^H, A_z^T) vec(W).
+    stein = np.eye(n * n) - np.kron(a_p.conj().T, a_z.T)
+    cross = np.linalg.solve(stein, np.outer(c_p.conj(), c_z).ravel()).reshape(n, n)
+    return np.clip(np.linalg.svd(cross, compute_uv=False), 0.0, 1.0)
+
+
+def subspace_norm_from_model(zpk: ZeroPoleGain) -> float:
+    """Model norm from principal angles between the pole and zero
+    observability ranges.
 
     Only purely minimum phase or purely maximum phase models are accepted;
-    reflected roots are used in the maximum phase case. A single missing
-    root on one side is balanced with a root at the origin (the convention
-    that equalizes pole and zero counts of invertible realizations); any
-    other imbalance, or an empty side, falls back to the closed form. The
-    result is cross-checked at twice the depth.
+    reflected roots are used in the maximum phase case. Any pole and zero
+    counts are taken (``_range_cosines`` pads with roots at the origin).
+    Nothing is truncated, so clustered and slow roots lose no accuracy.
     """
     if not (zpk.is_minimum_phase or zpk.is_maximum_phase):
         raise MixedPhaseUnsupported(
             "the angle route needs a purely minimum or maximum phase model; "
             "mixed models only have the series and closed-form routes"
         )
-    if depth < 1:
-        raise ValidationError(f"depth must be positive, got {depth}")
-    poles = list(zpk.folded_poles())
-    zeros = list(zpk.folded_zeros())
+    poles = zpk.folded_poles()
+    zeros = zpk.folded_zeros()
     if not poles and not zeros:
         # A bare gain: both ranges are trivial and the norm is exactly zero.
         return 0.0
-
-    def _pad(side: list[complex]) -> bool:
-        if any(abs(r) <= TAU_MULT for r in side):
-            return False
-        side.append(0.0)
-        return True
-
-    gap = len(poles) - len(zeros)
-    balanced = True
-    if gap == 1:
-        balanced = _pad(zeros)
-    elif gap == -1:
-        balanced = _pad(poles)
-    elif gap != 0:
-        balanced = False
-    if not balanced or not poles or not zeros:
-        warnings.warn(
-            "pole/zero counts cannot be balanced for the angle route; "
-            "returning the closed-form value",
-            stacklevel=2,
-        )
-        return closed_form_norm_mixed(zpk)
-    value = _model_angle_norm(tuple(poles), tuple(zeros), depth)
-    check = _model_angle_norm(tuple(poles), tuple(zeros), 2 * depth)
-    if abs(value - check) > TAU_CONV:
-        raise ConvergenceNotReached(
-            f"norm moved by {abs(value - check):.3e} when doubling the depth from {depth}; "
-            "increase the depth"
-        )
-    return value
+    return _norm_from_cosines(_range_cosines(poles, zeros).tolist())
 
 
-def subspace_distance_between_models(
-    first: ZeroPoleGain, second: ZeroPoleGain, depth: int = RunConfig.vandermonde_cols
-) -> float:
+def subspace_distance_between_models(first: ZeroPoleGain, second: ZeroPoleGain) -> float:
     """Subspace-angle distance between two models.
 
     The angle norm of the cascade of the first model with the second one's
@@ -189,7 +177,7 @@ def subspace_distance_between_models(
     must come out purely minimum or maximum phase for the angle route to
     apply.
     """
-    return subspace_norm_from_model(cascade(first, second), depth)
+    return subspace_norm_from_model(cascade(first, second))
 
 
 def _lag_gram(x: np.ndarray, y: np.ndarray, rows: int) -> np.ndarray:
@@ -334,6 +322,23 @@ def _projected_basis(
     return refine(vectors[:, :order])[0] if order else vectors[:, :0]
 
 
+def hankel_columns(input_signal: Signal, output_signal: Signal, rows: int) -> int:
+    """The Hankel column count of an input/output pair at ``rows`` rows;
+    InsufficientData unless it exceeds ``rows``, as with cols <= rows the
+    input row space covers every column and no output survives projection."""
+    check_pair(input_signal, output_signal)
+    if rows < 1:
+        raise ValidationError(f"rows must be positive, got {rows}")
+    cols = len(input_signal) - rows + 1
+    if cols <= rows:
+        raise InsufficientData(
+            f"{rows} Hankel rows cannot separate the output from the input; they need "
+            f"more columns than rows, that is at least {2 * rows} samples, "
+            f"got {len(input_signal)}"
+        )
+    return cols
+
+
 def projected_bases(
     input_signal: Signal, output_signal: Signal, rows: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -358,21 +363,10 @@ def projected_bases(
     norm; a block at the floor gives an empty basis. Raises RankDeficient
     when no gap clears the constant (too much noise, or an order that
     fills every dimension) or when the input (or the output, for the
-    second basis) is not persistently exciting, and InsufficientData unless
-    there are more Hankel columns than rows: with cols <= rows the input
-    row space covers every column and nothing of the output survives the
-    projection.
+    second basis) is not persistently exciting, and InsufficientData as
+    ``hankel_columns`` does.
     """
-    check_pair(input_signal, output_signal)
-    if rows < 1:
-        raise ValidationError(f"rows must be positive, got {rows}")
-    cols = len(input_signal) - rows + 1
-    if cols <= rows:
-        raise InsufficientData(
-            f"{rows} Hankel rows cannot separate the output from the input; they need "
-            f"more columns than rows, that is at least {2 * rows} samples, "
-            f"got {len(input_signal)}"
-        )
+    cols = hankel_columns(input_signal, output_signal, rows)
     length = next_pow2(len(input_signal))
     samples, sides = [], []
     for name, signal in (("input", input_signal), ("output", output_signal)):
@@ -403,7 +397,7 @@ def subspace_norm_from_data(
     raises InsufficientData.
     """
     basis_y, basis_u = projected_bases(input_signal, output_signal, rows)
-    return _norm_from_cosines(principal_angles(basis_y, basis_u))
+    return _norm_from_cosines(principal_angles(basis_y, basis_u).cosines)
 
 
 def subspace_distance_from_bases(
@@ -435,7 +429,7 @@ def subspace_distance_from_bases(
                 "the two systems share a root between one's poles and the other's zeros"
             )
         spans.append(u)
-    return _norm_from_cosines(principal_angles(*spans))
+    return _norm_from_cosines(principal_angles(*spans).cosines)
 
 
 def subspace_distance_from_data(

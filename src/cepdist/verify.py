@@ -91,7 +91,7 @@ def _white_record(system: ZeroPoleGain, config: RunConfig) -> tuple[Signal, Sign
 def case_min_phase(config: RunConfig) -> dict:
     system = example_systems()["minimum_phase"]
     closed = closed_form_norm_min_phase(system)
-    model_norm = subspace_norm_from_model(system, config.vandermonde_cols)
+    model_norm = subspace_norm_from_model(system)
 
     u, y = _white_record(system, config)
     cepstrum = transfer_cepstrum_from_io(u, y, _full_record_config(config, RECORD_LENGTH))
@@ -127,7 +127,7 @@ def case_max_phase(config: RunConfig) -> dict:
     response = frequency_response(system, grid)
     psd = SpectrumEstimate(np.abs(response) ** 2, "model")
     series = weighted_cepstral_norm(power_cepstrum_from_psd(psd, SERIES_ORDER)).value
-    model_norm = subspace_norm_from_model(system, config.vandermonde_cols)
+    model_norm = subspace_norm_from_model(system)
     verdict = classify(
         complex_cepstrum_from_response(response, config.K_test),
         config.K_test,
@@ -171,7 +171,7 @@ def case_mixed(config: RunConfig) -> dict:
     stable = ZeroPoleGain.from_roots([0.9, 0.7, 0.4], [1 / 0.8, 0.6, 0.0])
     data_verdict = classify_from_io(*_white_record(stable, config), config)
     try:
-        subspace_norm_from_model(system, config.vandermonde_cols)
+        subspace_norm_from_model(system)
         gate_fired = False
     except MixedPhaseUnsupported:
         gate_fired = True
@@ -268,7 +268,6 @@ def run_verify(config: RunConfig, cases: tuple[str, ...] | None = None) -> dict:
             "seed": config.seed,
             "tol_estimated": config.tol_estimated,
             "tol_model": config.tol_model,
-            "vandermonde_cols": config.vandermonde_cols,
         },
         "cases": results,
         "pass": all(r["pass"] for r in results),

@@ -609,6 +609,22 @@ def test_invalid_flag_value_exits_with_validation_code(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_removed_vandermonde_depth_is_refused(tmp_path, capsys):
+    # The model angle route truncates nothing, so it has no depth to set.
+    model = write_json(tmp_path, "min.json", MIN_PHASE_MODEL)
+    with pytest.raises(SystemExit) as exc:
+        main(["cepstrum", "--model", model, "--vandermonde-cols", "400"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --vandermonde-cols" in capsys.readouterr().err
+    config = tmp_path / "run.cfg"
+    config.write_text("vandermonde_cols = 400\n")
+    assert main(["cepstrum", "--model", model, "--config", str(config)]) == 2
+    assert capsys.readouterr() == (
+        "",
+        f"error: {config}:1: unknown configuration key 'vandermonde_cols'\n",
+    )
+
+
 def test_missing_file_exits_with_validation_code(capsys):
     assert main(["classify", "/nonexistent/record.csv"]) == 2
     capsys.readouterr()
@@ -777,10 +793,12 @@ def test_refused_collection_warns_alike_at_any_worker_count(
     # Pairs in the parent's chunk and signals in the worker's: each chunk
     # holds one kind, and every record is featurized before the collection
     # rule refuses the mix, so both runs show the short records' warnings.
+    # Twenty Hankel rows let a 64-sample pair past the subspace size rule
+    # to the phase gate, whose periodogram fallback warns.
     records = tmp_path / "records"
     _corpus(records, [64] * 2)
     _corpus(records, [64] * 2, paired=False, prefix="s")
-    argv = ["distmat", str(records), "--metric", metric]
+    argv = ["distmat", str(records), "--metric", metric, "--hankel-rows", "20"]
     code, out, err, shown = _serial_and_forked(monkeypatch, capsys, argv)
     assert (code, out) == (2, "")
     assert err == "error: items must be all signals or all (input, output) pairs\n"

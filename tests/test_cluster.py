@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 from cepdist import (
     CepdistError,
     DistanceMatrix,
+    InsufficientData,
+    MixedPhaseUnsupported,
     RunConfig,
     Signal,
     ValidationError,
@@ -331,6 +333,18 @@ def test_subspace_features_refuse_each_signal(monkeypatch):
     for items, metric in [(signals, "subspace"), ([signals[0], pair], "cepstral")]:
         with pytest.raises(ValidationError):
             distance_matrix(items, metric, CLUSTER_CONFIG)
+
+
+def test_subspace_features_check_the_hankel_size_before_the_phase_gate():
+    # The gate refuses this system's records as mixed phase; one too short
+    # for its Hankel rows is refused for that first, without the warning of
+    # the gate's periodogram fallback.
+    mixed = ZeroPoleGain.from_roots([0.5], [1.5], 1.0)
+    records = [white_record(mixed, 100, 0), white_record(mixed, 4096, 1)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        features = collection_features(records, "subspace", CLUSTER_CONFIG)
+    assert [type(f) for f in features] == [InsufficientData, MixedPhaseUnsupported]
 
 
 def test_item_validation():

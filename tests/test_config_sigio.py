@@ -212,7 +212,6 @@ def test_defaults_validate():
         ("K", 0),
         ("K_test", 0),
         ("hankel_rows", 0),
-        ("vandermonde_cols", 0),
         ("tol_model", 0.0),
         ("tol_estimated", 1.0),
         ("seed", -1),

@@ -1,10 +1,11 @@
 """Hankel blocks, projections, principal angles, and the angle-based norms."""
 
+import re
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cepdist import (
@@ -22,7 +23,6 @@ from cepdist import (
     classify_from_io,
     closed_form_norm_max_phase,
     closed_form_norm_min_phase,
-    closed_form_norm_mixed,
     complex_cepstrum,
     example_systems,
     format_pair_csv,
@@ -43,7 +43,7 @@ from cepdist import (
 )
 from cepdist.cli import main
 from cepdist.spectral import power_cepstra
-from cepdist.subspace import HANKEL_RANK_RTOL, ORDER_GAP_MIN, TAU_RANK, _lag_gram
+from cepdist.subspace import HANKEL_RANK_RTOL, ORDER_GAP_MIN, TAU_RANK, _lag_gram, _range_cosines
 from conftest import draw_roots, random_balanced_min_phase, random_min_phase, white_record
 
 POLE_HALF = ZeroPoleGain.from_roots([0.5], [], 1.0)
@@ -91,29 +91,6 @@ def build_hankel(signal, rows, cols=None):
         cols = x.size - rows + 1
     idx = np.arange(rows)[:, None] + np.arange(cols)[None, :]
     return x[idx] / np.sqrt(cols)
-
-
-def angle_convergence_bound(radius, count, depth, separation):
-    """Decay scale of the angle-product norm in the Vandermonde depth.
-
-    Proportional to radius^(2 depth); doubling the depth should move the
-    norm by no more than a modest multiple of this. ``separation`` is the
-    smallest distance between two of the folded roots: the Vandermonde
-    columns of roots that close are nearly parallel, and the angles between
-    the ranges move by the truncation divided by about its square.
-    """
-    if radius <= 0.0:
-        return 0.0
-    if radius >= 1.0:
-        raise ValidationError(f"radius must be below one, got {radius}")
-    if separation <= 0.0:
-        raise ValidationError(f"roots must be simple, got a separation of {separation}")
-    return count**2 * radius ** (2 * depth) / ((1.0 - radius**2) ** 2 * separation**2)
-
-
-def smallest_separation(roots):
-    """The smallest distance between two of the roots; 1 for fewer than two."""
-    return min((abs(a - b) for i, a in enumerate(roots) for b in roots[i + 1 :]), default=1.0)
 
 
 def _reference_projected_bases(input_signal, output_signal, rows):
@@ -224,7 +201,7 @@ def first_windows(pair, rows, cols):
 
 
 def _bases_norm(bases):
-    return -float(np.sum(np.log(principal_angles(*bases).cos_squared)))
+    return -float(np.sum(np.log(np.square(principal_angles(*bases).cosines))))
 
 
 def test_hankel_single_row():
@@ -375,22 +352,22 @@ def test_model_norm_of_pure_gain_is_zero():
 
 def test_model_norm_pole_zero_pair_matches_closed_form():
     zpk = ZeroPoleGain.from_roots([0.5], [-0.5], 1.0)
-    value = subspace_norm_from_model(zpk, depth=200)
+    value = subspace_norm_from_model(zpk)
     assert abs(value - closed_form_norm_min_phase(zpk)) <= 1e-10
 
 
 def test_model_norm_demo_minimum_phase_agreement():
     system = example_systems()["minimum_phase"]
-    value = subspace_norm_from_model(system, depth=400)
+    value = subspace_norm_from_model(system)
     assert abs(value - closed_form_norm_min_phase(system)) <= 1e-13
 
 
 def test_model_norm_maximum_phase_equals_reflected_minimum_phase():
     system = example_systems()["maximum_phase"]
-    value = subspace_norm_from_model(system, depth=400)
+    value = subspace_norm_from_model(system)
     assert abs(value - closed_form_norm_max_phase(system)) <= 1e-9
     reflected = ZeroPoleGain.from_roots(system.folded_poles(), system.folded_zeros(), 1.0)
-    assert value == subspace_norm_from_model(reflected, depth=400)
+    assert value == subspace_norm_from_model(reflected)
 
 
 def test_model_norm_rejects_mixed_phase():
@@ -399,51 +376,86 @@ def test_model_norm_rejects_mixed_phase():
 
 
 def test_model_norm_pads_a_single_missing_zero():
-    value = subspace_norm_from_model(POLE_HALF, depth=200)
+    value = subspace_norm_from_model(POLE_HALF)
     assert abs(value + np.log(0.75)) <= 1e-10
 
 
-def test_model_norm_falls_back_when_unbalanceable():
-    zpk = ZeroPoleGain.from_roots([0.5, -0.3, 0.2], [], 1.0)
-    with pytest.warns(UserWarning, match="balanced"):
+@pytest.mark.parametrize(
+    "poles, zeros",
+    [([0.5, -0.3, 0.2], []), ([], [0.5, -0.3, 0.2]), ([0.6, 0.3 + 0.4j, 0.3 - 0.4j, -0.5], [0.1])],
+    ids=["no-zeros", "no-poles", "three-more-poles"],
+)
+def test_model_norm_pads_any_count_gap_with_roots_at_the_origin(poles, zeros):
+    zpk = ZeroPoleGain.from_roots(poles, zeros, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         value = subspace_norm_from_model(zpk)
-    assert value == pytest.approx(closed_form_norm_mixed(zpk), abs=1e-15)
+    assert abs(value - closed_form_norm_min_phase(zpk)) <= 1e-13
+
+
+@pytest.mark.parametrize("radius", [0.99, 0.999, 0.9999])
+def test_model_norm_of_a_slow_pole(radius):
+    zpk = ZeroPoleGain.from_roots([radius, -0.3], [0.5, 0.2], 1.0)
+    value = subspace_norm_from_model(zpk)
+    closed = closed_form_norm_min_phase(zpk)
+    assert abs(value - closed) <= 1e-11 * closed
+
+
+def _real_or_pair(magnitude, angle):
+    if angle == 0.0:
+        return [complex(magnitude)]
+    return [magnitude * np.exp(1j * angle), magnitude * np.exp(-1j * angle)]
+
+
+@st.composite
+def clustered_slow_unbalanced_roots(draw):
+    """Up to three poles clustered 1e-7 to 1e-1 apart, one pole 1e-4 to 1e-1
+    inside the unit circle, and zero to five zeros, real or in conjugate pairs."""
+    centre = draw(st.floats(-0.7, 0.7))
+    spacing = 10.0 ** draw(st.floats(-7.0, -1.0))
+    cluster = [centre + k * spacing for k in range(draw(st.integers(1, 3)))]
+    slow = draw(st.sampled_from([1.0, -1.0])) * (1.0 - 10.0 ** draw(st.floats(-4.0, -1.0)))
+    zeros = []
+    angles = st.one_of(st.just(0.0), st.floats(0.2, np.pi - 0.2))
+    for magnitude, angle in draw(st.lists(st.tuples(st.floats(-0.95, 0.95), angles), max_size=5)):
+        more = _real_or_pair(magnitude, angle)
+        if len(zeros) + len(more) <= 5:
+            zeros += more
+    # Zeros drawn too close together are refused as repeated by ZeroPoleGain.
+    assume(all(abs(a - b) > 1e-6 for i, a in enumerate(zeros) for b in zeros[i + 1 :]))
+    return cluster + [slow], zeros
+
+
+@given(clustered_slow_unbalanced_roots())
+# Three poles within 7e-4 of each other: 0.5746, 0.5750 and 0.5753.
+@example(
+    (
+        [0.5745678761072228, 0.5750388052861508, 0.5752587263854098],
+        [0.6851663884365519, -0.5669881156572236 + 0.18845654119022714j,
+         -0.5669881156572236 - 0.18845654119022714j],
+    )
+)
+def test_model_norm_matches_closed_form_on_clustered_slow_and_unbalanced_roots(roots):
+    zpk = ZeroPoleGain.from_roots(*roots, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = subspace_norm_from_model(zpk)
+    closed = closed_form_norm_min_phase(zpk)
+    assert abs(value - closed) <= 1e-11 * max(1.0, abs(closed))
 
 
 @given(st.integers(0, 10**6))
-# Two zeros 0.009 apart, -0.678 and -0.669: without the separation the
-# bound picked depth 40, where the doubling gate failed.
-@example(14557)
-@settings(max_examples=10)
-def test_convergence_bound_predicts_a_sufficient_depth(seed):
+def test_model_cosines_match_the_vandermonde_oracle(seed):
+    # Roots of modulus at most 1 - CIRCLE_MARGIN: at 400 rows the truncated
+    # Vandermonde ranges are the infinite ones to rounding.
     rng = np.random.default_rng(seed)
     count = int(rng.integers(1, 4))
-    zpk = ZeroPoleGain.from_roots(draw_roots(rng, count), draw_roots(rng, count), 1.0)
-    total = len(zpk.poles) + len(zpk.zeros)
-    separation = smallest_separation(zpk.folded_poles() + zpk.folded_zeros())
-    # First grid depth whose predicted truncation movement sits below the
-    # norm's internal doubling gate; the call must then converge cleanly.
-    depth = next(
-        d
-        for d in range(40, 401, 20)
-        if angle_convergence_bound(zpk.folded_radius(), total, d, separation) <= 1e-11
-    )
-    value = subspace_norm_from_model(zpk, depth)
-    assert abs(value - closed_form_norm_min_phase(zpk)) <= 1e-9
-
-
-def test_angle_convergence_bound_validation():
-    assert angle_convergence_bound(0.0, 3, 100, 1.0) == 0.0
-    with pytest.raises(ValidationError):
-        angle_convergence_bound(1.0, 3, 100, 1.0)
-    with pytest.raises(ValidationError):
-        angle_convergence_bound(0.5, 3, 100, 0.0)
-    # Roots 0.1 apart need the truncation 100 times smaller.
-    assert angle_convergence_bound(0.5, 3, 100, 0.1) == pytest.approx(
-        100 * angle_convergence_bound(0.5, 3, 100, 1.0)
-    )
-    assert smallest_separation([0.5, -0.3, 0.45]) == pytest.approx(0.05)
-    assert smallest_separation([0.5]) == 1.0
+    poles, zeros = draw_roots(rng, count), draw_roots(rng, count)
+    roots = poles + zeros
+    assume(all(abs(a - b) >= 1e-3 for i, a in enumerate(roots) for b in roots[i + 1 :]))
+    oracle = principal_angles(vandermonde_range(poles, 400), vandermonde_range(zeros, 400))
+    cosines = _range_cosines(poles, zeros)
+    assert np.max(np.abs(cosines - np.array(oracle.cosines))) <= 1e-11
 
 
 def test_distance_between_identical_models_is_zero():
@@ -489,11 +501,7 @@ def test_data_distance_between_two_known_systems():
 @settings(max_examples=10)
 def test_model_norm_matches_closed_form_on_random_systems(seed):
     zpk = random_min_phase(np.random.default_rng(seed), max_each=3)
-    with warnings.catch_warnings():
-        # Wide pole/zero count gaps take the closed-form fallback, which
-        # still has to agree with the direct closed form here.
-        warnings.simplefilter("ignore")
-        value = subspace_norm_from_model(zpk, depth=400)
+    value = subspace_norm_from_model(zpk)
     assert abs(value - closed_form_norm_min_phase(zpk)) <= 1e-9
 
 
@@ -594,7 +602,9 @@ def test_data_bases_refuse_a_record_without_an_order_gap():
 def test_refusal_names_an_ill_conditioned_gram_block():
     # White noise through an AR(1) filter with pole 0.9999 drives the
     # demo system: the output Gram block's eigenvalue ratio is 3.9e7, and
-    # projecting the output out leaves no gap above 294 in the input basis.
+    # projecting the output out leaves no gap of ORDER_GAP_MIN in the input
+    # basis. The largest ratio (about 295) carries that conditioning times
+    # the rounding, so its last digits move with the BLAS thread count.
     colored = simulate(
         state_space_from_roots(ZeroPoleGain.from_roots([0.9999], [], 1.0)),
         Signal(np.random.default_rng(3).standard_normal(8192)),
@@ -602,7 +612,9 @@ def test_refusal_names_an_ill_conditioned_gram_block():
     output = simulate(state_space_from_roots(MIN_PHASE_DEMO), colored)
     with pytest.raises(RankDeficient) as refusal:
         projected_bases(colored, output, rows=150)
-    assert "fixes the input order (largest ratio 294)" in str(refusal.value)
+    ratio = re.search(r"fixes the input order \(largest ratio ([^)]+)\)", str(refusal.value))
+    assert ratio is not None
+    assert np.isfinite(float(ratio.group(1))) and float(ratio.group(1)) < ORDER_GAP_MIN
     assert "output Hankel Gram matrix is ill-conditioned (eigenvalue ratio 3.94e+07)" in str(
         refusal.value
     )
@@ -822,7 +834,11 @@ def test_cli_subspace_distance_refusals_exit_with_validation_code(
         path = tmp_path / f"record{seed}.csv"
         path.write_text(format_pair_csv(*white_record(system, length, seed)))
         paths.append(str(path))
-    assert main(["distance", *paths, "--metric", "subspace"]) == 2
+    # A record too short for the Hankel rows is refused before the phase
+    # gate could fall back to a periodogram and warn.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["distance", *paths, "--metric", "subspace"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert message in captured.err
