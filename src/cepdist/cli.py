@@ -42,6 +42,7 @@ from .lti import (
     EPS_CIRCLE,
     Signal,
     StateSpaceModel,
+    ZeroPoleGain,
     roots_from_state_space,
     simulate,
     spectral_radius,
@@ -134,6 +135,18 @@ def _raise_refusal(paths: list[str], features: list) -> None:
             raise feature
 
 
+def _read_roots(path: str) -> ZeroPoleGain:
+    """The roots of a model file; a state-space model's refusal names the
+    file, as ``read_model_json``'s refusals do."""
+    model = read_model_json(path)
+    if isinstance(model, ZeroPoleGain):
+        return model
+    try:
+        return roots_from_state_space(model)
+    except CepdistError as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
+
+
 def cmd_simulate(args: argparse.Namespace, config: RunConfig) -> int:
     model = read_model_json(args.model)
     state_space = model if isinstance(model, StateSpaceModel) else state_space_from_roots(model)
@@ -170,8 +183,7 @@ def cmd_cepstrum(args: argparse.Namespace, config: RunConfig) -> int:
     if (args.signal is None) == (args.model is None):
         raise ValidationError("give exactly one of a signal file or --model")
     if args.model is not None:
-        model = read_model_json(args.model)
-        zpk = roots_from_state_space(model) if isinstance(model, StateSpaceModel) else model
+        zpk = _read_roots(args.model)
         if args.kind == "power":
             cepstrum = power_cepstrum_from_zpk(zpk, config.K)
         else:
@@ -292,7 +304,7 @@ def cmd_classify(args: argparse.Namespace, config: RunConfig) -> int:
     if sum(sources) != 1:
         raise ValidationError("give either signal file(s) or --model")
     if args.model is not None:
-        verdict = classify_from_model(read_model_json(args.model), config)
+        verdict = classify_from_model(_read_roots(args.model), config)
         origin = os.path.basename(args.model)
     elif len(args.files) == 1:
         u, y = _read_record(args.files[0], paired=True)

@@ -40,7 +40,12 @@ class UnitCircleRoot(ValidationError):
 
 
 class NonSimpleRoot(ValidationError):
-    """A repeated pole or zero where simple roots are required."""
+    """Two input/output records whose systems share a root.
+
+    A pole of one system equal to a zero of the other leaves their combined
+    data span rank deficient: the confluent direction of the repeated root
+    is not in the data. Models take repeated roots on every route.
+    """
 
 
 class LogOfNonpositive(ValidationError):

@@ -23,7 +23,6 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     LengthMismatch,
-    NonSimpleRoot,
     NotInvertible,
     SimulationOverflow,
     UnitCircleRoot,
@@ -34,7 +33,9 @@ from .errors import (
 EPS_CIRCLE = 1e-6
 # Feedthrough terms smaller than this count as zero (model not invertible).
 TAU_D = 1e-12
-# Roots closer together than this count as a repeated root.
+# Roots closer together than this count as one: a complex root and its
+# conjugate partner, or a pole and a zero that a cascade cancels. It also
+# bounds the imaginary part of a real gain. Repeated roots are accepted.
 TAU_MULT = 1e-8
 # Scale of the demo white-noise signal; chosen to match the root-mean-square
 # amplitude of a unit sinusoid so all three demo signals have comparable power.
@@ -159,14 +160,6 @@ def _check_off_circle(roots: Sequence[complex], what: str) -> None:
             raise UnitCircleRoot(f"{what} {r} lies within {EPS_CIRCLE} of the unit circle")
 
 
-def _check_simple(roots: Sequence[complex], what: str) -> None:
-    rs = list(roots)
-    for i in range(len(rs)):
-        for k in range(i + 1, len(rs)):
-            if abs(rs[i] - rs[k]) <= TAU_MULT:
-                raise NonSimpleRoot(f"repeated {what} near {rs[i]} (separation <= {TAU_MULT})")
-
-
 def _check_conjugate_closed(roots: Sequence[complex], what: str) -> None:
     # Real-coefficient systems only: complex roots must appear in conjugate pairs.
     pending = [r for r in roots if abs(r.imag) > TAU_MULT]
@@ -217,8 +210,6 @@ class ZeroPoleGain:
             for r in cleaned[name]:
                 if abs(r) <= 1.0:
                     raise ValidationError(f"{name} entry {r} is not outside the unit circle")
-        _check_simple(cleaned["stable_poles"] + cleaned["unstable_poles"], "pole")
-        _check_simple(cleaned["min_zeros"] + cleaned["max_zeros"], "zero")
         _check_conjugate_closed(cleaned["stable_poles"] + cleaned["unstable_poles"], "pole")
         _check_conjugate_closed(cleaned["min_zeros"] + cleaned["max_zeros"], "zero")
         for name, vals in cleaned.items():

@@ -423,7 +423,7 @@ def subspace_distance_from_bases(
             gaps = np.flatnonzero(s[:-1] / s[1:] >= ORDER_GAP_MIN)
         if gaps.size:
             # A pole of one system equal to a zero of the other: the cascade
-            # has a repeated root, which metrics.cascade refuses as well.
+            # has a repeated root, whose confluent direction the data lack.
             raise NonSimpleRoot(
                 f"a combined span keeps {gaps[-1] + 1} of {stacked.shape[1]} columns; "
                 "the two systems share a root between one's poles and the other's zeros"

@@ -42,7 +42,11 @@ from .spectral import (
     power_cepstrum_of_signal,
     transfer_cepstrum_from_io,
 )
-from .subspace import subspace_norm_from_data, subspace_norm_from_model
+from .subspace import (
+    subspace_distance_between_models,
+    subspace_norm_from_data,
+    subspace_norm_from_model,
+)
 
 # Record length for the simulated cases; long enough that estimation error
 # sits well inside the stated bounds.
@@ -196,18 +200,42 @@ def case_mixed(config: RunConfig) -> dict:
     }
 
 
+def _series_distance(first: ZeroPoleGain, second: ZeroPoleGain) -> float:
+    c1 = power_cepstrum_from_zpk(first, SERIES_ORDER)
+    c2 = power_cepstrum_from_zpk(second, SERIES_ORDER)
+    return weighted_cepstral_distance(c1, c2).value
+
+
 def case_cascade(config: RunConfig) -> dict:
     first = ZeroPoleGain.from_roots([0.55, -0.3], [0.25], 1.3)
     second = ZeroPoleGain.from_roots([0.85, 0.1], [-0.45, 0.6], 0.7)
-    c1 = power_cepstrum_from_zpk(first, SERIES_ORDER)
-    c2 = power_cepstrum_from_zpk(second, SERIES_ORDER)
-    distance = weighted_cepstral_distance(c1, c2).value
-    combined = cascade(first, second)
-    closed = closed_form_norm_mixed(combined)
+    distance = _series_distance(first, second)
+    closed = closed_form_norm_mixed(cascade(first, second))
+    # The pole 0.5 of the first and the zero 0.5 of the second make a
+    # double pole of the cascade.
+    shared_a = ZeroPoleGain.from_roots([0.5, -0.3], [0.2])
+    shared_b = ZeroPoleGain.from_roots([0.7], [0.5, 0.1])
+    shared_distance = _series_distance(shared_a, shared_b)
+    shared_closed = closed_form_norm_mixed(cascade(shared_a, shared_b))
+    shared_model = subspace_distance_between_models(shared_a, shared_b)
 
-    checks = [_check("distance_vs_cascade_norm", abs(distance - closed), 1e-6)]
+    checks = [
+        _check("distance_vs_cascade_norm", abs(distance - closed), 1e-6),
+        _check(
+            "shared_root_distance_vs_cascade_norm", abs(shared_distance - shared_closed), 1e-6
+        ),
+        _check(
+            "shared_root_model_subspace_vs_closed_form", abs(shared_model - shared_closed), 1e-9
+        ),
+    ]
     return {
-        "measurements": {"distance": distance, "cascade_closed_form": closed},
+        "measurements": {
+            "distance": distance,
+            "cascade_closed_form": closed,
+            "shared_root_distance": shared_distance,
+            "shared_root_cascade_closed_form": shared_closed,
+            "shared_root_subspace_from_model": shared_model,
+        },
         "checks": checks,
     }
 

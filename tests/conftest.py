@@ -81,10 +81,12 @@ def random_any_phase(rng: np.random.Generator, max_each: int = 4) -> ZeroPoleGai
 def random_balanced_min_phase(rng: np.random.Generator, max_each: int = 4) -> ZeroPoleGain:
     """Minimum phase with zero count equal to or one below the pole count.
 
-    The controllable-canonical round trip pads missing zeros at the origin;
-    a gap above one would produce a repeated origin zero, which the simple
-    root check rejects, so generators that must survive the round trip stay
-    in this band.
+    The controllable-canonical round trip pads missing zeros at the origin.
+    A gap of m >= 2 makes an m-fold origin zero, which ``eigvals``
+    returns perturbed by about eps^(1/m): over 2000 seeds up to 6.1e-5, past
+    the 1e-8 to which the round-trip tests compare roots, though the norms
+    of the recovered roots stay within 3.3e-14. Generators whose roots must
+    survive the round trip stay in this band.
     """
     n_poles = int(rng.integers(1, max_each + 1))
     n_zeros = n_poles - int(rng.integers(0, 2))

@@ -41,6 +41,12 @@ MAX_PHASE_MODEL = {
 }
 MIXED_MODEL = {"poles": [0.9], "zeros": [2.5], "gain": 1.0}
 IDENTITY_MODEL = {"A": [[0.0]], "B": [0.0], "C": [0.0], "D": 1.0}
+# The all-pole AR(3) model with poles 0.5, 0.3 and 0.2, in root form and as
+# its companion realization, whose zeros are a triple zero at the origin.
+AR3_ROOT_MODEL = {"poles": [0.5, 0.3, 0.2], "zeros": [], "gain": 1.0}
+_AR3 = state_space_from_roots(ZeroPoleGain.from_roots([0.5, 0.3, 0.2], [], 1.0))
+AR3_STATE_MODEL = {"A": _AR3.A.tolist(), "B": _AR3.B.tolist(), "C": _AR3.C.tolist(), "D": _AR3.D}
+DOUBLE_POLE_MODEL = {"poles": [0.9, 0.9], "zeros": [0.2], "gain": 1}
 
 # Small-window Welch setup used by the demo-signal comparisons.
 DEMO_FLAGS = ["--method", "welch", "--window-len", "64", "--fft-length", "512", "--K", "128"]
@@ -278,6 +284,51 @@ def test_model_cepstrum_layouts(tmp_path, capsys):
     power_rows = read_rows(capsys.readouterr().out)
     assert sorted(power_rows) == list(range(0, 17))
     assert power_rows[1] == pytest.approx(0.6, abs=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["power", "complex"])
+def test_model_cepstrum_of_a_state_space_file_with_a_triple_origin_zero(tmp_path, capsys, kind):
+    state = write_json(tmp_path, "ar3_state.json", AR3_STATE_MODEL)
+    roots = write_json(tmp_path, "ar3_roots.json", AR3_ROOT_MODEL)
+    assert main(["cepstrum", "--model", state, "--kind", kind, "--K", "16", "--K-test", "4"]) == 0
+    from_state = read_rows(capsys.readouterr().out)
+    assert main(["cepstrum", "--model", roots, "--kind", kind, "--K", "16", "--K-test", "4"]) == 0
+    from_roots = read_rows(capsys.readouterr().out)
+    assert from_state.keys() == from_roots.keys()
+    for lag, value in from_roots.items():
+        assert from_state[lag] == pytest.approx(value, abs=1e-12)
+
+
+def test_classify_a_state_space_file_with_a_triple_origin_zero(tmp_path, capsys):
+    model = write_json(tmp_path, "ar3_state.json", AR3_STATE_MODEL)
+    assert main(["classify", "--model", model]) == 0
+    assert json.loads(capsys.readouterr().out)["verdict"] == "MinimumPhaseStable"
+
+
+def test_simulate_and_classify_a_double_pole_model(tmp_path, capsys):
+    model = write_json(tmp_path, "double.json", DOUBLE_POLE_MODEL)
+    record = tmp_path / "record.csv"
+    assert main(["simulate", "--model", model, "--length", "4096", "-o", str(record)]) == 0
+    assert main(["classify", str(record)]) == 0
+    assert json.loads(capsys.readouterr().out)["verdict"] == "MinimumPhaseStable"
+
+
+@pytest.mark.parametrize("verb", [["cepstrum"], ["classify"]])
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        ({"A": [[0.5]], "B": [1.0], "C": [1.0], "D": 0.0}, "|D| = 0.0 is below 1e-12"),
+        ({"A": [[1.0]], "B": [1.0], "C": [1.0], "D": 1.0}, "lies within 1e-06 of the unit circle"),
+    ],
+    ids=["no-feedthrough", "unit-circle-pole"],
+)
+def test_state_space_model_refusals_name_the_file(tmp_path, capsys, verb, payload, message):
+    model = write_json(tmp_path, "state.json", payload)
+    assert main([*verb, "--model", model]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: {model}: ")
+    assert message in err
 
 
 def test_signal_cepstrum_rows(tmp_path, capsys):

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from cepdist import (
     DimensionMismatch,
-    NonSimpleRoot,
     NotInvertible,
     Signal,
     SimulationOverflow,
@@ -15,6 +14,7 @@ from cepdist import (
     UnitCircleRoot,
     ValidationError,
     ZeroPoleGain,
+    closed_form_norm_mixed,
     cosine_similarity,
     example_systems,
     frequency_response,
@@ -24,6 +24,7 @@ from cepdist import (
     simulate,
     spectral_radius,
     state_space_from_roots,
+    subspace_norm_from_model,
 )
 from cepdist.lti import SIM_BLOCK
 from conftest import draw_roots, random_balanced_min_phase
@@ -240,10 +241,25 @@ def test_roots_reject_unit_circle_pole():
         roots_from_state_space(model)
 
 
-def test_roots_reject_repeated_pole():
+def test_roots_accept_repeated_pole():
+    # A double pole at 0.5 under a double zero at 0.5: H(z) = 1.
     model = StateSpaceModel(A=np.diag([0.5, 0.5]), B=[1.0, 1.0], C=[1.0, -1.0], D=1.0)
-    with pytest.raises(NonSimpleRoot):
-        roots_from_state_space(model)
+    zpk = roots_from_state_space(model)
+    assert zpk.poles == (0.5, 0.5)
+    assert closed_form_norm_mixed(zpk) == 0.0
+    assert abs(subspace_norm_from_model(zpk)) <= 1e-14
+    response = frequency_response(zpk, GRID_64)
+    assert np.max(np.abs(response - 1.0)) <= 1e-7
+
+
+def test_repeated_pole_survives_the_companion_round_trip():
+    zpk = ZeroPoleGain.from_roots([0.5, 0.5], [0.2], 1.0)
+    recovered = roots_from_state_space(state_space_from_roots(zpk))
+    assert np.allclose(recovered.poles, [0.5, 0.5], atol=1e-7)
+    assert np.allclose(sorted(np.real(recovered.zeros)), [0.0, 0.2], atol=1e-12)
+    assert recovered.gain == 1.0
+    closed = closed_form_norm_mixed(zpk)
+    assert closed_form_norm_mixed(recovered) == pytest.approx(closed, rel=1e-12)
 
 
 @given(st.integers(0, 10**6))

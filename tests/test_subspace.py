@@ -19,13 +19,15 @@ from cepdist import (
     Signal,
     ValidationError,
     ZeroPoleGain,
-    cascade,
     classify_from_io,
     closed_form_norm_max_phase,
     closed_form_norm_min_phase,
+    closed_form_norm_mixed,
     complex_cepstrum,
+    complex_cepstrum_from_zpk,
     example_systems,
     format_pair_csv,
+    power_cepstrum_from_zpk,
     power_cepstrum_of_signal,
     principal_angles,
     projected_bases,
@@ -39,6 +41,7 @@ from cepdist import (
     transfer_cepstrum_from_io,
     transfer_complex_cepstrum_from_io,
     vandermonde_range,
+    weighted_cepstral_distance,
     weighted_cepstral_norm,
 )
 from cepdist.cli import main
@@ -49,8 +52,8 @@ from conftest import draw_roots, random_balanced_min_phase, random_min_phase, wh
 POLE_HALF = ZeroPoleGain.from_roots([0.5], [], 1.0)
 POLE_NINE = ZeroPoleGain.from_roots([0.9], [], 1.0)
 MIN_PHASE_DEMO = example_systems()["minimum_phase"]
-# A pole of the first system (0.3) is a zero of the second, so their
-# cascade has a repeated root.
+# A zero of the first system (0.3) is a pole of the second, so their
+# cascade has a double zero at 0.3.
 SHARED_ROOT_A = ZeroPoleGain.from_roots([0.9, 0.5], [0.3, -0.4], 1.0)
 SHARED_ROOT_B = ZeroPoleGain.from_roots([-0.8, 0.3], [0.7, 0.0], 1.0)
 # Hankel columns folded into the triangular factor per QR step of the
@@ -421,12 +424,12 @@ def clustered_slow_unbalanced_roots(draw):
         more = _real_or_pair(magnitude, angle)
         if len(zeros) + len(more) <= 5:
             zeros += more
-    # Zeros drawn too close together are refused as repeated by ZeroPoleGain.
-    assume(all(abs(a - b) > 1e-6 for i, a in enumerate(zeros) for b in zeros[i + 1 :]))
     return cluster + [slow], zeros
 
 
 @given(clustered_slow_unbalanced_roots())
+# A triple pole at 0.4 and a triple zero at 0.9.
+@example(([0.4, 0.4, 0.4, -0.999], [0.9, 0.9, 0.9, -0.5 + 0.2j, -0.5 - 0.2j]))
 # Three poles within 7e-4 of each other: 0.5746, 0.5750 and 0.5753.
 @example(
     (
@@ -442,6 +445,53 @@ def test_model_norm_matches_closed_form_on_clustered_slow_and_unbalanced_roots(r
         value = subspace_norm_from_model(zpk)
     closed = closed_form_norm_min_phase(zpk)
     assert abs(value - closed) <= 1e-11 * max(1.0, abs(closed))
+
+
+@st.composite
+def repeated_roots(draw):
+    """One to three base roots a side, real or conjugate pairs of modulus at
+    most 0.95, each of multiplicity one to three; every root, or each base
+    root on its own, may be reflected outside the unit circle."""
+    reflect = draw(st.sampled_from(["none", "every", "each"]))
+    angles = st.one_of(st.just(0.0), st.floats(0.2, np.pi - 0.2))
+    sides = []
+    for _ in range(2):
+        roots = []
+        for _ in range(draw(st.integers(1, 3))):
+            magnitude = draw(st.floats(0.05, 0.95)) * draw(st.sampled_from([1.0, -1.0]))
+            base = _real_or_pair(magnitude, draw(angles))
+            if reflect == "every" or (reflect == "each" and draw(st.booleans())):
+                base = [1.0 / np.conj(r) for r in base]
+            roots += base * draw(st.integers(1, 3))
+        sides.append(roots)
+    return tuple(sides)
+
+
+@given(repeated_roots())
+@example(([0.5, 0.5, 0.5], [0.1, 0.1]))
+@example(([0.9, 0.9], []))
+@example(([0.6 + 0.3j, 0.6 - 0.3j] * 2, [0.2, 0.2]))
+@example(([2.0, 2.0], [3.0]))
+def test_routes_take_repeated_roots(roots):
+    zpk = ZeroPoleGain.from_roots(*roots, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        closed = closed_form_norm_mixed(zpk)
+        series = weighted_cepstral_norm(power_cepstrum_from_zpk(zpk, 4096)).value
+        assert abs(series - closed) <= 1e-12 * max(1.0, abs(closed))
+        power = power_cepstrum_from_zpk(zpk, 64)
+        two_sided = complex_cepstrum_from_zpk(zpk, 64)
+        assert np.allclose(two_sided.positive + two_sided.negative, power.positive, atol=1e-12)
+        if zpk.is_minimum_phase or zpk.is_maximum_phase:
+            value = subspace_norm_from_model(zpk)
+            # Each cosine carries an absolute rounding error of order eps,
+            # which -log(c^2) turns into 2 eps / c: a draw with a tiny cosine
+            # loses digits on this route whether or not it repeats a root.
+            # The bound allows n eps per cosine for n cosines; over 4000
+            # draws the error stayed within eps / 2 per cosine.
+            cosines = _range_cosines(zpk.folded_poles(), zpk.folded_zeros())
+            rounding = 2.0 * cosines.size * np.finfo(float).eps * np.sum(1.0 / cosines)
+            assert abs(value - closed) <= 1e-11 * max(1.0, abs(closed)) + rounding
 
 
 @given(st.integers(0, 10**6))
@@ -486,6 +536,15 @@ def test_data_norm_of_identity_record_is_zero():
 def test_data_distance_of_a_record_with_itself_is_zero():
     pair = white_record(POLE_HALF, 4096, 1)
     assert subspace_distance_from_data(pair, pair, rows=60) <= 1e-10
+
+
+def test_data_norm_of_a_double_pole_record():
+    zpk = ZeroPoleGain.from_roots([0.5, 0.5], [0.2], 1.0)
+    u, y = white_record(zpk, 8192, 0)
+    closed = closed_form_norm_min_phase(zpk)
+    value = subspace_norm_from_data(u, y, rows=150)
+    assert abs(value - closed) <= RunConfig().tol_model * closed
+    assert classify_from_io(u, y, RunConfig()).kind == "MinimumPhaseStable"
 
 
 def test_data_distance_between_two_known_systems():
@@ -776,8 +835,13 @@ def test_data_bases_keep_the_hankel_size_checks():
 
 
 def test_data_distance_refuses_systems_sharing_a_root():
-    with pytest.raises(NonSimpleRoot):
-        cascade(SHARED_ROOT_A, SHARED_ROOT_B)
+    # The models' distance is a number: only the data route lacks the
+    # confluent direction of the repeated root.
+    series = weighted_cepstral_distance(
+        power_cepstrum_from_zpk(SHARED_ROOT_A, 4096), power_cepstrum_from_zpk(SHARED_ROOT_B, 4096)
+    ).value
+    value = subspace_distance_between_models(SHARED_ROOT_A, SHARED_ROOT_B)
+    assert abs(value - series) <= 1e-12 * series
     pair_a = white_record(SHARED_ROOT_A, 4096, 0)
     pair_b = white_record(SHARED_ROOT_B, 4096, 1)
     with pytest.raises(NonSimpleRoot, match="3 of 4 columns"):
