@@ -3,8 +3,8 @@
 Collections are either bare output signals or (input, output) pairs; pairs
 unlock the transfer-function metrics that cancel whatever was realized on
 the input side. Pair failures do not abort the whole matrix: the offending
-cell becomes NaN and the failure is recorded, and items with failed cells
-are excluded (label -1) when clustering.
+cell becomes NaN and the failure is recorded, and clustering excludes
+items (label -1) until no NaN cell is left.
 
 Every distance takes two steps: ``collection_features`` turns items into
 features, or the error that refused each one, and ``pair_report`` turns
@@ -155,8 +155,9 @@ def distance_matrix_from_features(
     ``features`` holds what ``collection_features`` gives for the items
     under ``metric``, in any blocks: an item's features do not depend on
     the other items. An item whose features are a CepdistError makes every
-    cell it touches NaN, with one failure entry per cell in row-major
-    (i, j) order.
+    cell it touches NaN, with one failure entry per cell off the diagonal
+    in row-major (i, j) order; its diagonal cell is NaN too, without an
+    entry, since it has no distance to anything, itself included.
 
     The cepstral matrix is computed in one batch by
     ``weighted_cepstral_matrix``, row by row, with cells bit-identical to
@@ -192,6 +193,7 @@ def distance_matrix_from_features(
         except CepdistError as exc:
             values[i, j] = values[j, i] = np.nan
             failures.append((ids[i], ids[j], str(exc)))
+    values[list(broken), list(broken)] = np.nan
     return DistanceMatrix(values, ids, metric, tuple(failures))
 
 
@@ -256,8 +258,12 @@ def agglomerative_cluster(
 ) -> ClusterResult:
     """Bottom-up clustering of a distance matrix into k groups.
 
-    Items with any NaN distances are excluded up front and labeled -1.
-    Labels are numbered by first appearance. Merge heights are returned for
+    Items are excluded up front and labeled -1 until no NaN distance is
+    left among the rest: each step excludes the item with the most NaN
+    cells among the remaining ones, its diagonal included, the first on a
+    tie. An item whose own features failed is NaN on its diagonal too, so
+    it goes before any item that only shares its cells. Labels are
+    numbered by first appearance. Merge heights are returned for
     diagnostics; with single, complete, or average linkage they are
     non-decreasing.
 
@@ -280,7 +286,7 @@ def agglomerative_cluster(
     n = matrix.size
     # Peel off the worst NaN offenders until the remaining block is clean,
     # so one failed record does not poison every row it touches.
-    nan_mask = np.isnan(matrix.values) & ~np.eye(n, dtype=bool)
+    nan_mask = np.isnan(matrix.values)
     usable = list(range(n))
     while usable:
         counts = nan_mask[np.ix_(usable, usable)].sum(axis=1)

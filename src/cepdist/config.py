@@ -60,8 +60,6 @@ class RunConfig:
         for name in ("K", "K_test", "hankel_rows"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be a positive integer, got {getattr(self, name)}")
-        if self.K_test > self.K:
-            raise ConfigError(f"K_test ({self.K_test}) cannot exceed K ({self.K})")
         for name in ("tol_model", "tol_estimated"):
             if not (0.0 < getattr(self, name) < 1.0):
                 raise ConfigError(f"{name} must lie in (0, 1), got {getattr(self, name)}")

@@ -7,9 +7,10 @@ root form ``{"poles","zeros","gain"}`` where each root is a real number or
 a ``[re, im]`` pair. Report JSON is canonical: sorted keys, two-space
 indent, trailing newline, no timestamps, NaN encoded as null.
 
-Signal rows are parsed by NumPy's C reader, which converts each cell as
-Python's ``float`` does. A file it refuses, or that holds a non-finite
-value, is parsed again in chunks of rows with ``float`` itself. That parse
+Signal rows are parsed by NumPy's C reader, which is handed the file's
+lines, split by universal newlines, and converts each cell as Python's
+``float`` does. A file it refuses, or that holds a non-finite value, is
+parsed again in chunks of rows with ``float`` itself. That parse
 also reads what the C reader refuses (quoted cells, underscores in numbers,
 rows of only blanks and commas) and names the first row at fault. A file
 of ``parallel.FORK_MIN_BYTES`` or more is parsed in one contiguous line
@@ -25,7 +26,6 @@ import csv
 import io
 import json
 import math
-import os
 import re
 import warnings
 from itertools import chain, islice
@@ -121,41 +121,25 @@ def _parse_rows(rows: list[str], width: int, first_row: int, path: str) -> np.nd
     return values.reshape(len(rows), width)
 
 
-def _loadtxt_rows(source, **options) -> np.ndarray | None:
-    """The rows as NumPy's C reader parses them, shape (rows, cells); None
-    when it refuses one or a value is not finite.
+def _loadtxt_bytes(data: bytes) -> np.ndarray | None:
+    """The rows of UTF-8 bytes as NumPy's C reader parses them, shape
+    (rows, cells); None when it refuses one or a value is not finite.
 
-    The reader gets no quote character: it would let a quoted cell run on
-    over line ends, where the row-wise parse refuses the row, so a quote
-    sends the file to that parse instead.
+    The reader gets the lines of the bytes, split by universal newlines,
+    and no quote character: it would let a quoted cell run on over line
+    ends, where the row-wise parse refuses the row, so a quote sends the
+    file to that parse instead.
     """
+    lines = io.TextIOWrapper(io.BytesIO(data), "utf-8", newline="")
     with warnings.catch_warnings():
         # A header-only file makes loadtxt warn "input contained no data";
         # the row-wise parse refuses it with its own message.
         warnings.simplefilter("ignore", UserWarning)
         try:
-            table = np.loadtxt(source, delimiter=",", comments=None, ndmin=2, **options)
+            table = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
         except ValueError:
             return None
     return table if np.isfinite(table).all() else None
-
-
-def _loadtxt_bytes(data: bytes) -> np.ndarray | None:
-    """``_loadtxt_rows`` of the lines in UTF-8 bytes.
-
-    NumPy's reader takes a file object line by line but reads a path in
-    blocks, which is faster, so the bytes go to an in-memory file and the
-    reader gets its path (Linux). Opened by path, the file is read with
-    universal newlines: the lines are those of iterating the bytes, which
-    is what the reader gets where no in-memory file can be made.
-    """
-    if hasattr(os, "memfd_create"):
-        with contextlib.suppress(OSError):  # no file descriptor or no /proc
-            with open(os.memfd_create("rows"), "wb") as fh:
-                fh.write(data)
-                fh.flush()
-                return _loadtxt_rows(f"/proc/self/fd/{fh.fileno()}", encoding="utf-8")
-    return _loadtxt_rows(io.TextIOWrapper(io.BytesIO(data), "utf-8", newline=""))
 
 
 def _data_start(data: bytes, path: str) -> tuple[int, int]:

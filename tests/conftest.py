@@ -158,6 +158,18 @@ def white_record(zpk: ZeroPoleGain, length: int, seed: int) -> tuple[Signal, Sig
     return u, simulate(state_space_from_roots(zpk), u)
 
 
+def good_and_broken(broken: list[bool]) -> list[tuple[Signal, Signal]]:
+    """512-sample white-noise records of the pole at 0.5, record k from seed
+    k; those flagged in ``broken`` have an all-zero output, whose spectrum
+    has zero bins, so their features fail under every metric that takes
+    pairs."""
+    records = []
+    for seed, bad in enumerate(broken):
+        u, y = white_record(ZeroPoleGain.from_roots([0.5], [], 1.0), 512, seed)
+        records.append((u, Signal(np.zeros(512)) if bad else y))
+    return records
+
+
 def trace_cepstrum(model: StateSpaceModel, order: int) -> np.ndarray:
     """Positive power-cepstrum lags (tr(A^k) - tr(A_inv^k)) / k of a stable,
     minimum phase state-space model, with A_inv the inverse system's A.

@@ -31,7 +31,7 @@ from cepdist import (
 from cepdist import cli, parallel, sigio
 from cepdist.cli import main
 from cepdist.sigio import CSV_CHUNK_ROWS
-from conftest import white_record
+from conftest import good_and_broken, white_record
 
 MIN_PHASE_MODEL = {"poles": [0.9, 0.7, 0.4], "zeros": [0.8, 0.6, 0.0], "gain": 1.0}
 MAX_PHASE_MODEL = {
@@ -284,6 +284,14 @@ def test_model_cepstrum_layouts(tmp_path, capsys):
     power_rows = read_rows(capsys.readouterr().out)
     assert sorted(power_rows) == list(range(0, 17))
     assert power_rows[1] == pytest.approx(0.6, abs=1e-12)
+
+
+def test_model_cepstrum_takes_an_order_below_the_tested_lags(tmp_path, capsys):
+    # K_test (20 by default) is the classifier's own order, not a number
+    # of lags read from the order-K cepstrum.
+    model = write_json(tmp_path, "min.json", MIN_PHASE_MODEL)
+    assert main(["cepstrum", "--model", model, "--K", "3"]) == 0
+    assert sorted(read_rows(capsys.readouterr().out)) == [0, 1, 2, 3]
 
 
 @pytest.mark.parametrize("kind", ["power", "complex"])
@@ -631,6 +639,38 @@ def test_cluster_verb_reports_labels(tmp_path, capsys):
     assert report["excluded"] == []
     assert report["merge_heights"] == []
     assert matrix_out.read_text().startswith("id,")
+
+
+def _write_good_and_broken(tmp_path, names):
+    """The t,u,y files of ``conftest.good_and_broken``, a name that starts
+    with "b" marking a record with an all-zero output."""
+    records = good_and_broken([name.startswith("b") for name in names])
+    paths = [tmp_path / f"{name}.csv" for name in names]
+    for path, (u, y) in zip(paths, records):
+        path.write_text(format_pair_csv(u, y))
+    return [str(path) for path in paths]
+
+
+def test_cluster_excludes_the_broken_record_and_keeps_the_good_one(tmp_path, capsys):
+    paths = _write_good_and_broken(tmp_path, ["a_good", "b_bad"])
+    assert main(["cluster", *paths, "--k", "1"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["labels"] == [0, -1]
+    assert report["excluded"] == ["b_bad"]
+    assert [failure[:2] for failure in report["failures"]] == [["a_good", "b_bad"]]
+
+    assert main(["distmat", *paths]) == 0
+    assert json.loads(capsys.readouterr().out)["values"] == [[0.0, None], [None, None]]
+    assert main(["distmat", *paths, "--output-format", "csv"]) == 0
+    assert capsys.readouterr().out.splitlines() == ["id,a_good,b_bad", "a_good,0,", "b_bad,,"]
+
+
+def test_cluster_of_broken_records_only_is_refused(tmp_path, capsys):
+    _write_good_and_broken(tmp_path, ["b1", "b2", "b3"])
+    assert main(["cluster", str(tmp_path), "--k", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: k must lie in [1, 0] (usable items), got 1" in captured.err
 
 
 def test_verify_case_is_deterministic(tmp_path, capsys):

@@ -29,7 +29,7 @@ from cepdist import (
 from cepdist import cluster, parallel
 from cepdist.cluster import collection_features, distance_matrix_from_features
 from cepdist.parallel import map_chunks
-from conftest import white_record
+from conftest import good_and_broken, white_record
 from test_spectral import reference_cepstrum
 
 # Single Welch window per record keeps the estimates deterministic and cheap.
@@ -47,8 +47,8 @@ def _reference_distance_matrix(items, metric, config):
     """The per-pair loop that the batched cepstral kernel replaced, kept as the oracle.
 
     Covers the cepstral, euclidean and cosine metrics, with the cepstra
-    of the per-record oracles. Returns the values and the failures, with
-    the default ids.
+    of the per-record oracles. A record whose features fail is NaN on the
+    diagonal too. Returns the values and the failures, with the default ids.
     """
     n = len(items)
     ids = tuple(f"item{idx:03d}" for idx in range(n))
@@ -80,14 +80,16 @@ def _reference_distance_matrix(items, metric, config):
             except CepdistError as exc:
                 values[i, j] = values[j, i] = np.nan
                 failures.append((ids[i], ids[j], str(exc)))
+    for idx in broken:
+        values[idx, idx] = np.nan
     return values, tuple(failures)
 
 
 def _usable_block(matrix):
-    """Indices left after peeling off the worst NaN rows, and their block."""
-    n = matrix.size
-    nan_mask = np.isnan(matrix.values) & ~np.eye(n, dtype=bool)
-    usable = list(range(n))
+    """Indices left after peeling off the worst NaN rows, diagonal cells
+    counted, and their block."""
+    nan_mask = np.isnan(matrix.values)
+    usable = list(range(matrix.size))
     while usable:
         counts = nan_mask[np.ix_(usable, usable)].sum(axis=1)
         worst = int(np.argmax(counts))
@@ -301,6 +303,32 @@ def test_pairwise_nan_excludes_only_one_endpoint():
     assert sorted(labels) == [-1, 0, 1]
 
 
+# Records short enough for the default Welch window and 20 Hankel rows.
+SHORT_CONFIG = RunConfig(hankel_rows=20)
+
+
+@pytest.mark.parametrize("metric", ["cepstral", "subspace"])
+def test_a_broken_record_is_nan_on_its_diagonal_without_a_failure(metric):
+    matrix = distance_matrix(good_and_broken([False, True]), metric, SHORT_CONFIG, ["a", "b"])
+    assert matrix.values[0, 0] == 0.0
+    assert np.isnan(matrix.values[1, 1]) and np.isnan(matrix.values[0, 1])
+    assert [failure[:2] for failure in matrix.failures] == [("a", "b")]
+
+
+def test_a_broken_record_is_excluded_before_the_good_one_it_ties_with():
+    matrix = distance_matrix(good_and_broken([False, True]), "cepstral", SHORT_CONFIG)
+    result = agglomerative_cluster(matrix, k=1)
+    assert result.labels == (0, -1)
+    assert result.merge_heights == ()
+
+
+def test_a_collection_of_broken_records_is_refused():
+    matrix = distance_matrix(good_and_broken([True, True, True]), "cepstral", SHORT_CONFIG)
+    assert np.isnan(matrix.values).all()
+    with pytest.raises(ValidationError, match=r"k must lie in \[1, 0\]"):
+        agglomerative_cluster(matrix, k=1)
+
+
 def test_two_generator_collection_is_recovered():
     records, truth = [], []
     for trial in range(8):
@@ -461,7 +489,7 @@ def test_negative_zero_cells_keep_the_reference_heights():
 
 
 def _kernel_config(order):
-    # fft_length 512 covers every order up to 256; K_test may not exceed K.
+    # fft_length 512 covers every order up to 256.
     return RunConfig(method="welch", window_len=64, fft_length=512, K=order, K_test=1)
 
 

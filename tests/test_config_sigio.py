@@ -222,11 +222,6 @@ def test_validate_rejects_bad_values(field, value):
         RunConfig(**{field: value}).validate()
 
 
-def test_validate_rejects_test_order_above_truncation_order():
-    with pytest.raises(ConfigError):
-        RunConfig(K=16, K_test=32).validate()
-
-
 def test_parse_optional_integers():
     for text in ("none", "auto", "", "None", "AUTO"):
         assert parse_config_value("window_len", text) is None
@@ -298,8 +293,10 @@ def test_negative_seed_exits_with_validation_code(tmp_path, capsys):
 
 
 def test_load_config_validates_the_merged_result():
-    with pytest.raises(ConfigError):
-        load_config(env={}, overrides={"K": 16, "K_test": 32})
+    # The override replaces the valid value from the environment, and a
+    # value that is not a string is checked only on the merged result.
+    with pytest.raises(ConfigError, match="overlap must lie in"):
+        load_config(env={"CEPDIST_OVERLAP": "0.25"}, overrides={"overlap": 1.0})
     with pytest.raises(ConfigError):
         load_config(env={}, overrides={"bogus": 1})
 
@@ -714,16 +711,17 @@ READER_PIECES = [
 
 @settings(max_examples=300)
 @given(pieces=st.lists(st.sampled_from(READER_PIECES), max_size=40))
-def test_a_path_is_read_as_its_lines(pieces):
-    # The range reader hands NumPy the path of an in-memory file, which it
-    # reads in blocks; where no such file can be made, it hands NumPy the
-    # lines. Both must accept the same text and give the same rows.
+def test_the_c_reader_reads_each_text_as_the_row_parse(pieces):
+    # NumPy's reader is handed the lines of the bytes. Wherever it accepts
+    # a text, the row-wise parse must give the same rows, bit for bit, and
+    # the same number for the first.
     data = "".join(pieces).encode()
-    by_path = sigio._loadtxt_bytes(data)
-    by_lines = sigio._loadtxt_rows(io.TextIOWrapper(io.BytesIO(data), "utf-8", newline=""))
-    assert (by_path is None) == (by_lines is None)
-    if by_path is not None:
-        assert _same_floats(by_path, by_lines)
+    head = sigio._data_start(data, "record.csv")
+    by_reader = sigio._range_table(data, head, [0, len(data)])
+    if by_reader is not None:
+        table, first_row = sigio._parse_table(data, head, "record.csv")
+        assert _same_floats(by_reader[0], table)
+        assert by_reader[1] == first_row
 
 
 @settings(max_examples=50)
@@ -791,17 +789,22 @@ def test_a_read_in_a_chunk_of_map_chunks_forks_no_grandchild(tmp_path, monkeypat
 
 @pytest.mark.parametrize("name", sorted({**RANGE_FILES, **REFUSED_RANGE_FILES}))
 def test_without_in_memory_files_the_reader_gets_the_lines(tmp_path, monkeypatch, name):
-    # Off Linux there is no os.memfd_create, and NumPy's reader is handed
-    # the lines of each range instead; nothing read may change.
+    # Every range goes to NumPy's reader as a file object of its lines, on
+    # every platform: never as a path, and nothing read depends on whether
+    # os.memfd_create exists.
     data = {**RANGE_FILES, **REFUSED_RANGE_FILES}[name].encode()
     path = tmp_path / "record.csv"
     path.write_bytes(data)
     want = [_read_outcome(monkeypatch, path, parts) for parts in (1, 2, 3)]
-    accepted = _range_table(data, [0, len(data)]) is not None
-    monkeypatch.delattr(os, "memfd_create")
+    sources = []
+    loadtxt = np.loadtxt
+    monkeypatch.setattr(
+        np, "loadtxt", lambda source, **kw: sources.append(source) or loadtxt(source, **kw)
+    )
+    monkeypatch.delattr(os, "memfd_create", raising=False)
     assert [_read_outcome(monkeypatch, path, parts) for parts in (1, 2, 3)] == want
-    accepted_by_lines = _range_table(data, [0, len(data)]) is not None
-    assert accepted_by_lines == accepted == (name in RANGE_FILES)
+    assert all(isinstance(source, io.TextIOBase) for source in sources)
+    assert (_range_table(data, [0, len(data)]) is not None) == (name in RANGE_FILES)
 
 
 # Faults in the last rows, so in the last line range: each must give the
