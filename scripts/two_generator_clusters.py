@@ -26,7 +26,7 @@ METRICS = ("cepstral", "subspace", "euclidean", "cosine")
 
 
 def make_records(pole_a, pole_b, per_group, length, seed):
-    systems = [ZeroPoleGain.from_roots([p], [], 1.0) for p in (pole_a, pole_b)]
+    systems = [ZeroPoleGain([p], [], 1.0) for p in (pole_a, pole_b)]
     records, truth = [], []
     for idx in range(2 * per_group):
         system = systems[idx // per_group]

@@ -34,15 +34,16 @@ from .config import CONFIG_KEYS, LINKAGES, RunConfig, load_config
 from .errors import (
     CepdistError,
     EXIT_TOLERANCE,
-    MixedPhaseUnsupported,
     UnstableSimulation,
     ValidationError,
+    naming,
 )
 from .lti import (
     EPS_CIRCLE,
     Signal,
     StateSpaceModel,
     ZeroPoleGain,
+    check_pair,
     roots_from_state_space,
     simulate,
     spectral_radius,
@@ -126,13 +127,12 @@ def _read_features(paths: list[str], metric: str, config: RunConfig) -> tuple[li
 
 
 def _raise_refusal(paths: list[str], features: list) -> None:
-    """Raise the first record refusal among the features, a phase refusal
-    with the name of its file."""
+    """Raise the first record refusal among the features, with the name of
+    its file."""
     for path, feature in zip(paths, features):
-        if isinstance(feature, MixedPhaseUnsupported):
-            raise MixedPhaseUnsupported(f"{path}: {feature}") from None
         if isinstance(feature, CepdistError):
-            raise feature
+            with naming(path):
+                raise feature
 
 
 def _read_roots(path: str) -> ZeroPoleGain:
@@ -141,10 +141,8 @@ def _read_roots(path: str) -> ZeroPoleGain:
     model = read_model_json(path)
     if isinstance(model, ZeroPoleGain):
         return model
-    try:
+    with naming(path):
         return roots_from_state_space(model)
-    except CepdistError as exc:
-        raise type(exc)(f"{path}: {exc}") from exc
 
 
 def cmd_simulate(args: argparse.Namespace, config: RunConfig) -> int:
@@ -194,10 +192,11 @@ def cmd_cepstrum(args: argparse.Namespace, config: RunConfig) -> int:
         (cepstrum,) = features
     else:
         record = read_signal_csv(args.signal)[1]
-        if isinstance(record, tuple):
-            cepstrum = transfer_complex_cepstrum_from_io(*record, config)
-        else:
-            cepstrum = complex_cepstrum(record, config.fft_length, config.K)
+        with naming(args.signal):
+            if isinstance(record, tuple):
+                cepstrum = transfer_complex_cepstrum_from_io(*record, config)
+            else:
+                cepstrum = complex_cepstrum(record, config.fft_length, config.K)
     # Cepstra are emitted as tidy lag/value CSV, the plotting format.
     _emit(format_cepstrum_csv(cepstrum), args.output)
     return 0
@@ -306,14 +305,15 @@ def cmd_classify(args: argparse.Namespace, config: RunConfig) -> int:
     if args.model is not None:
         verdict = classify_from_model(_read_roots(args.model), config)
         origin = os.path.basename(args.model)
-    elif len(args.files) == 1:
-        u, y = _read_record(args.files[0], paired=True)
-        verdict = classify_from_io(u, y, config)
-        origin = os.path.basename(args.files[0])
-    elif len(args.files) == 2:
-        u, y = (_read_record(path, paired=False) for path in args.files)
-        verdict = classify_from_io(u, y, config)
-        origin = f"{os.path.basename(args.files[0])},{os.path.basename(args.files[1])}"
+    elif len(args.files) in (1, 2):
+        if len(args.files) == 1:
+            u, y = _read_record(args.files[0], paired=True)
+        else:
+            u, y = (_read_record(path, paired=False) for path in args.files)
+            check_pair(u, y)  # pairing two files is part of reading them
+        with naming(",".join(args.files)):
+            verdict = classify_from_io(u, y, config)
+        origin = ",".join(os.path.basename(path) for path in args.files)
     else:
         raise ValidationError("classify takes one pair file or two single-signal files")
     report = {

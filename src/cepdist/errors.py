@@ -5,6 +5,8 @@ uniformly: 2 for invalid input, 3 for a tolerance or convergence failure,
 4 for a refusal by one of the phase gates.
 """
 
+from contextlib import contextmanager
+
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_TOLERANCE = 3
@@ -102,3 +104,13 @@ class MixedPhaseUnsupported(PhaseGateRefusal):
 
 class UnstableSimulation(PhaseGateRefusal):
     """Time-domain simulation refused for a model with unstable poles."""
+
+
+@contextmanager
+def naming(path: str):
+    """Prefix a refusal raised inside with the name of its file. Wrap only
+    work on a file's contents, not its reading, whose refusals name it."""
+    try:
+        yield
+    except CepdistError as exc:
+        raise type(exc)(f"{path}: {exc}") from exc

@@ -1,15 +1,16 @@
 """Discrete-time SISO linear models, signals, and simulation.
 
 Two model forms are supported. ``StateSpaceModel`` holds the usual
-(A, B, C, D) quadruple. ``ZeroPoleGain`` holds roots partitioned by
-magnitude, with the transfer function read as
+(A, B, C, D) quadruple. ``ZeroPoleGain`` holds poles, zeros and a real
+gain, with the transfer function read as
 
     H(z) = gain * prod(1 - zero_i / z) / prod(1 - pole_i / z)
 
 so a system with fewer zeros than poles in polynomial form is represented
-here with explicit roots at the origin. Roots on (or numerically near) the
-unit circle are rejected everywhere: the log-spectrum methods this package
-is built on are undefined for them.
+here with explicit roots at the origin. A root that is not finite, or lies
+on (or numerically near) the unit circle, is rejected everywhere: the
+log-spectrum methods this package is built on are undefined for it. The
+phase split (which roots lie inside the circle) is derived from the roots.
 """
 
 from __future__ import annotations
@@ -175,69 +176,52 @@ def _check_conjugate_closed(roots: Sequence[complex], what: str) -> None:
 
 @dataclass(frozen=True)
 class ZeroPoleGain:
-    """Roots of a rational transfer function, partitioned by magnitude.
+    """Poles, zeros and real gain of a rational transfer function.
 
-    ``stable_poles`` and ``min_zeros`` lie strictly inside the unit circle,
-    ``unstable_poles`` and ``max_zeros`` strictly outside. The gain is the
-    real leading coefficient of the product form (see module docstring).
+    Each root list is stored with the roots inside the unit circle first,
+    then those outside, each group in the order given. ``stable_poles`` and
+    ``min_zeros`` are the inside groups, ``unstable_poles`` and
+    ``max_zeros`` the outside ones.
     """
 
-    stable_poles: tuple[complex, ...] = ()
-    unstable_poles: tuple[complex, ...] = ()
-    min_zeros: tuple[complex, ...] = ()
-    max_zeros: tuple[complex, ...] = ()
+    poles: tuple[complex, ...] = ()
+    zeros: tuple[complex, ...] = ()
     gain: float = 1.0
 
     def __post_init__(self) -> None:
-        cleaned = {}
-        for name in ("stable_poles", "unstable_poles", "min_zeros", "max_zeros"):
-            vals = tuple(complex(v) for v in getattr(self, name))
-            if not all(np.isfinite(v.real) and np.isfinite(v.imag) for v in vals):
+        for name, what in (("poles", "pole"), ("zeros", "zero")):
+            roots = [complex(r) for r in getattr(self, name)]
+            if not all(np.isfinite(r) for r in roots):
                 raise ValidationError(f"{name} must contain only finite roots")
-            cleaned[name] = vals
+            _check_off_circle(roots, what)
+            # A stable sort: the inside roots first, each group in the given order.
+            roots = tuple(sorted(roots, key=lambda r: abs(r) > 1.0))
+            _check_conjugate_closed(roots, what)
+            object.__setattr__(self, name, roots)
         g = complex(self.gain)
+        if not np.isfinite(g):
+            raise ValidationError(f"gain must be finite, got {self.gain}")
         if abs(g.imag) > TAU_MULT * max(1.0, abs(g)):
             raise ValidationError(f"gain must be real, got {g}")
         if abs(g.real) <= TAU_D:
             raise ValidationError("gain must be nonzero")
-        _check_off_circle(cleaned["stable_poles"] + cleaned["unstable_poles"], "pole")
-        _check_off_circle(cleaned["min_zeros"] + cleaned["max_zeros"], "zero")
-        for name in ("stable_poles", "min_zeros"):
-            for r in cleaned[name]:
-                if abs(r) >= 1.0:
-                    raise ValidationError(f"{name} entry {r} is not inside the unit circle")
-        for name in ("unstable_poles", "max_zeros"):
-            for r in cleaned[name]:
-                if abs(r) <= 1.0:
-                    raise ValidationError(f"{name} entry {r} is not outside the unit circle")
-        _check_conjugate_closed(cleaned["stable_poles"] + cleaned["unstable_poles"], "pole")
-        _check_conjugate_closed(cleaned["min_zeros"] + cleaned["max_zeros"], "zero")
-        for name, vals in cleaned.items():
-            object.__setattr__(self, name, vals)
         object.__setattr__(self, "gain", float(g.real))
 
-    @classmethod
-    def from_roots(cls, poles: Sequence[complex], zeros: Sequence[complex], gain: float = 1.0) -> "ZeroPoleGain":
-        """Build from unpartitioned root lists, splitting by magnitude."""
-        poles = [complex(p) for p in poles]
-        zeros = [complex(z) for z in zeros]
-        _check_off_circle(poles, "pole")
-        _check_off_circle(zeros, "zero")
-        return cls(
-            stable_poles=tuple(p for p in poles if abs(p) < 1.0),
-            unstable_poles=tuple(p for p in poles if abs(p) > 1.0),
-            min_zeros=tuple(z for z in zeros if abs(z) < 1.0),
-            max_zeros=tuple(z for z in zeros if abs(z) > 1.0),
-            gain=gain,
-        )
+    @property
+    def stable_poles(self) -> tuple[complex, ...]:
+        return tuple(p for p in self.poles if abs(p) < 1.0)
 
     @property
-    def poles(self) -> tuple[complex, ...]:
-        return self.stable_poles + self.unstable_poles
+    def unstable_poles(self) -> tuple[complex, ...]:
+        return tuple(p for p in self.poles if abs(p) > 1.0)
 
     @property
-    def zeros(self) -> tuple[complex, ...]:
-        return self.min_zeros + self.max_zeros
+    def min_zeros(self) -> tuple[complex, ...]:
+        return tuple(z for z in self.zeros if abs(z) < 1.0)
+
+    @property
+    def max_zeros(self) -> tuple[complex, ...]:
+        return tuple(z for z in self.zeros if abs(z) > 1.0)
 
     @property
     def is_minimum_phase(self) -> bool:
@@ -356,7 +340,7 @@ def roots_from_state_space(model: StateSpaceModel) -> ZeroPoleGain:
         zeros = np.linalg.eigvals(invert(model).A)
     else:
         zeros = np.array([], dtype=complex)
-    return ZeroPoleGain.from_roots(poles, zeros, gain=model.D)
+    return ZeroPoleGain(poles, zeros, gain=model.D)
 
 
 def state_space_from_roots(zpk: ZeroPoleGain) -> StateSpaceModel:
@@ -414,15 +398,11 @@ def example_systems() -> dict[str, ZeroPoleGain]:
     large real zero.
     """
     far = 1e15
-    minimum = ZeroPoleGain.from_roots(
-        poles=[0.9, 0.7, 0.4], zeros=[0.8, 0.6, 0.0], gain=1.0
-    )
-    maximum = ZeroPoleGain.from_roots(
+    minimum = ZeroPoleGain(poles=[0.9, 0.7, 0.4], zeros=[0.8, 0.6, 0.0], gain=1.0)
+    maximum = ZeroPoleGain(
         poles=[1 / 0.9, 1 / 0.7, 1 / 0.4], zeros=[1 / 0.8, 1 / 0.6, far], gain=1.0
     )
-    mixed = ZeroPoleGain.from_roots(
-        poles=[0.9, 0.7, 1 / 0.4], zeros=[1 / 0.8, 0.6, 0.0], gain=1.0
-    )
+    mixed = ZeroPoleGain(poles=[0.9, 0.7, 1 / 0.4], zeros=[1 / 0.8, 0.6, 0.0], gain=1.0)
     return {"minimum_phase": minimum, "maximum_phase": maximum, "mixed": mixed}
 
 

@@ -200,7 +200,7 @@ def cascade(first: ZeroPoleGain, second: ZeroPoleGain) -> ZeroPoleGain:
                 break
         else:
             kept_poles.append(pole)
-    return ZeroPoleGain.from_roots(kept_poles, zeros, first.gain / second.gain)
+    return ZeroPoleGain(kept_poles, zeros, first.gain / second.gain)
 
 
 def hs_hankel_norm(cepstrum: CepstrumSequence, m: int) -> float:

@@ -34,7 +34,7 @@ from typing import Iterator
 import numpy as np
 
 from . import parallel
-from .errors import CepdistError, ValidationError
+from .errors import ValidationError, naming
 from .lti import TIME_JITTER_RTOL, Signal, StateSpaceModel, ZeroPoleGain, check_pair
 from .parallel import map_chunks
 
@@ -390,18 +390,30 @@ def format_matrix_csv(ids: tuple[str, ...], values: np.ndarray) -> str:
     return _csv_row(["id", *ids]) + "\n" + "".join(rows)
 
 
-def _parse_root(entry, where: str) -> complex:
-    if isinstance(entry, (int, float)):
+def _numbers(value, key: str):
+    """The value of a model key, once every entry of its nested lists is a
+    JSON number: a string or boolean is refused, not converted."""
+    if isinstance(value, list):
+        for entry in value:
+            _numbers(entry, key)
+    elif isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValidationError(f"{key} must hold only numbers, got {value!r}")
+    return value
+
+
+def _parse_root(entry) -> complex:
+    if not isinstance(entry, list):
         return complex(entry)
-    if isinstance(entry, (list, tuple)) and len(entry) == 2:
-        re, im = entry
-        if isinstance(re, (int, float)) and isinstance(im, (int, float)):
-            return complex(re, im)
-    raise ValidationError(f"{where}: roots must be numbers or [re, im] pairs, got {entry!r}")
+    if len(entry) == 2 and not any(isinstance(part, list) for part in entry):
+        return complex(*entry)
+    raise ValidationError(f"roots must be numbers or [re, im] pairs, got {entry!r}")
 
 
 def read_model_json(path: str) -> StateSpaceModel | ZeroPoleGain:
-    """Read a model file in state-space or root form."""
+    """Read a model file in state-space or root form.
+
+    Every entry must be a JSON number: a string or boolean is refused.
+    """
     try:
         with open(path, "r", encoding="utf-8-sig") as fh:
             data = json.load(fh)
@@ -417,23 +429,17 @@ def read_model_json(path: str) -> StateSpaceModel | ZeroPoleGain:
     state_keys = {"A", "B", "C", "D"}
     root_keys = {"poles", "zeros", "gain"}
     try:
-        if state_keys <= set(data):
-            a = np.asarray(data["A"], dtype=float)
-            if a.size == 0:
-                a = np.zeros((0, 0))
-            return StateSpaceModel(
-                a,
-                np.asarray(data["B"], dtype=float),
-                np.asarray(data["C"], dtype=float),
-                float(data["D"]),
-            )
-        if root_keys <= set(data):
-            poles = [_parse_root(r, path) for r in data["poles"]]
-            zeros = [_parse_root(r, path) for r in data["zeros"]]
-            return ZeroPoleGain.from_roots(poles, zeros, float(data["gain"]))
-    except CepdistError as exc:
-        raise type(exc)(f"{path}: {exc}") from exc
-    except (TypeError, ValueError) as exc:
+        with naming(path):
+            if state_keys <= set(data):
+                a, b, c = (np.asarray(_numbers(data[key], key), dtype=float) for key in "ABC")
+                if a.size == 0:
+                    a = np.zeros((0, 0))
+                return StateSpaceModel(a, b, c, float(_numbers(data["D"], "D")))
+            if root_keys <= set(data):
+                poles, zeros = ([_parse_root(r) for r in _numbers(data[key], key)]
+                                for key in ("poles", "zeros"))
+                return ZeroPoleGain(poles, zeros, float(_numbers(data["gain"], "gain")))
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"{path}: malformed model: {exc}") from exc
     raise ValidationError(
         f"{path}: model needs keys A,B,C,D (state space) or poles,zeros,gain (root form)"

@@ -172,7 +172,7 @@ def case_mixed(config: RunConfig) -> dict:
     )
     # The example's pole at 1/0.4 cannot be simulated; moved back to 0.4,
     # it leaves a stable system whose zero at 1/0.8 keeps it mixed.
-    stable = ZeroPoleGain.from_roots([0.9, 0.7, 0.4], [1 / 0.8, 0.6, 0.0])
+    stable = ZeroPoleGain([0.9, 0.7, 0.4], [1 / 0.8, 0.6, 0.0])
     data_verdict = classify_from_io(*_white_record(stable, config), config)
     try:
         subspace_norm_from_model(system)
@@ -207,14 +207,14 @@ def _series_distance(first: ZeroPoleGain, second: ZeroPoleGain) -> float:
 
 
 def case_cascade(config: RunConfig) -> dict:
-    first = ZeroPoleGain.from_roots([0.55, -0.3], [0.25], 1.3)
-    second = ZeroPoleGain.from_roots([0.85, 0.1], [-0.45, 0.6], 0.7)
+    first = ZeroPoleGain([0.55, -0.3], [0.25], 1.3)
+    second = ZeroPoleGain([0.85, 0.1], [-0.45, 0.6], 0.7)
     distance = _series_distance(first, second)
     closed = closed_form_norm_mixed(cascade(first, second))
     # The pole 0.5 of the first and the zero 0.5 of the second make a
     # double pole of the cascade.
-    shared_a = ZeroPoleGain.from_roots([0.5, -0.3], [0.2])
-    shared_b = ZeroPoleGain.from_roots([0.7], [0.5, 0.1])
+    shared_a = ZeroPoleGain([0.5, -0.3], [0.2])
+    shared_b = ZeroPoleGain([0.7], [0.5, 0.1])
     shared_distance = _series_distance(shared_a, shared_b)
     shared_closed = closed_form_norm_mixed(cascade(shared_a, shared_b))
     shared_model = subspace_distance_between_models(shared_a, shared_b)

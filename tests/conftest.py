@@ -61,7 +61,7 @@ def random_min_phase(rng: np.random.Generator, max_each: int = 4) -> ZeroPoleGai
     n_poles = int(rng.integers(1, max_each + 1))
     n_zeros = int(rng.integers(0, max_each + 1))
     gain = float(rng.uniform(0.5, 2.0))
-    return ZeroPoleGain.from_roots(draw_roots(rng, n_poles), draw_roots(rng, n_zeros), gain)
+    return ZeroPoleGain(draw_roots(rng, n_poles), draw_roots(rng, n_zeros), gain)
 
 
 def random_any_phase(rng: np.random.Generator, max_each: int = 4) -> ZeroPoleGain:
@@ -75,7 +75,7 @@ def random_any_phase(rng: np.random.Generator, max_each: int = 4) -> ZeroPoleGai
     poles = draw_roots(rng, n_poles - poles_out) + draw_roots(rng, poles_out, outside=True)
     zeros = draw_roots(rng, n_zeros - zeros_out) + draw_roots(rng, zeros_out, outside=True)
     gain = float(rng.uniform(0.5, 2.0)) * (1.0 if rng.random() < 0.5 else -1.0)
-    return ZeroPoleGain.from_roots(poles, zeros, gain)
+    return ZeroPoleGain(poles, zeros, gain)
 
 
 def random_balanced_min_phase(rng: np.random.Generator, max_each: int = 4) -> ZeroPoleGain:
@@ -91,7 +91,7 @@ def random_balanced_min_phase(rng: np.random.Generator, max_each: int = 4) -> Ze
     n_poles = int(rng.integers(1, max_each + 1))
     n_zeros = n_poles - int(rng.integers(0, 2))
     gain = float(rng.uniform(0.5, 2.0))
-    return ZeroPoleGain.from_roots(draw_roots(rng, n_poles), draw_roots(rng, n_zeros), gain)
+    return ZeroPoleGain(draw_roots(rng, n_poles), draw_roots(rng, n_zeros), gain)
 
 
 def expected_phase_kind(zpk: ZeroPoleGain) -> str:
@@ -147,7 +147,7 @@ def random_simulable(rng: np.random.Generator, want_mixed: bool) -> ZeroPoleGain
             zeros = draw_roots(rng, int(rng.integers(0, 3)))
         if len(zeros) > len(poles):
             poles = poles + draw_roots(rng, len(zeros) - len(poles))
-        zpk = ZeroPoleGain.from_roots(poles, zeros, 1.0)
+        zpk = ZeroPoleGain(poles, zeros, 1.0)
         if well_expressed(zpk):
             return zpk
 
@@ -165,7 +165,7 @@ def good_and_broken(broken: list[bool]) -> list[tuple[Signal, Signal]]:
     pairs."""
     records = []
     for seed, bad in enumerate(broken):
-        u, y = white_record(ZeroPoleGain.from_roots([0.5], [], 1.0), 512, seed)
+        u, y = white_record(ZeroPoleGain([0.5], [], 1.0), 512, seed)
         records.append((u, Signal(np.zeros(512)) if bad else y))
     return records
 

@@ -62,14 +62,14 @@ def grid_system(rng):
     magnitudes = rng.choice(MAGNITUDE_GRID, size=total, replace=False)
     signs = rng.choice([-1.0, 1.0], size=total)
     roots = [complex(m * s) for m, s in zip(magnitudes, signs)]
-    return ZeroPoleGain.from_roots(roots[:n_poles], roots[n_poles:], 1.0)
+    return ZeroPoleGain(roots[:n_poles], roots[n_poles:], 1.0)
 
 
 def invert_roots(zpk, mask):
     roots = list(zpk.poles) + list(zpk.zeros)
     flipped = [1.0 / r if flip else r for r, flip in zip(roots, mask)]
     n_poles = len(zpk.poles)
-    return ZeroPoleGain.from_roots(flipped[:n_poles], flipped[n_poles:], zpk.gain)
+    return ZeroPoleGain(flipped[:n_poles], flipped[n_poles:], zpk.gain)
 
 
 def test_criterion_1_minimum_phase_equivalence():
@@ -266,7 +266,7 @@ def test_criterion_9_hankel_norm_link():
         )
         for radius in (0.3, 0.5, 0.7)
     ] + [
-        power_cepstrum_from_zpk(ZeroPoleGain.from_roots([radius], [], 1.0), 128)
+        power_cepstrum_from_zpk(ZeroPoleGain([radius], [], 1.0), 128)
         for radius in (0.3, 0.5, 0.7, 0.85)
     ]
     worst = 0.0

@@ -44,7 +44,7 @@ IDENTITY_MODEL = {"A": [[0.0]], "B": [0.0], "C": [0.0], "D": 1.0}
 # The all-pole AR(3) model with poles 0.5, 0.3 and 0.2, in root form and as
 # its companion realization, whose zeros are a triple zero at the origin.
 AR3_ROOT_MODEL = {"poles": [0.5, 0.3, 0.2], "zeros": [], "gain": 1.0}
-_AR3 = state_space_from_roots(ZeroPoleGain.from_roots([0.5, 0.3, 0.2], [], 1.0))
+_AR3 = state_space_from_roots(ZeroPoleGain([0.5, 0.3, 0.2], [], 1.0))
 AR3_STATE_MODEL = {"A": _AR3.A.tolist(), "B": _AR3.B.tolist(), "C": _AR3.C.tolist(), "D": _AR3.D}
 DOUBLE_POLE_MODEL = {"poles": [0.9, 0.9], "zeros": [0.2], "gain": 1}
 
@@ -202,8 +202,8 @@ def test_distance_rejects_length_mismatch(tmp_path, capsys):
 def test_subspace_distance_gate_names_the_refused_file(tmp_path, capsys):
     good = tmp_path / "good.csv"
     bad = tmp_path / "bad.csv"
-    minimum = ZeroPoleGain.from_roots([0.5], [], 1.0)
-    mixed = ZeroPoleGain.from_roots([0.9], [2.5], 1.0)
+    minimum = ZeroPoleGain([0.5], [], 1.0)
+    mixed = ZeroPoleGain([0.9], [2.5], 1.0)
     good.write_text(format_pair_csv(*white_record(minimum, 4096, 0)))
     bad.write_text(format_pair_csv(*white_record(mixed, 4096, 1)))
     assert main(["distance", str(good), str(bad), "--metric", "subspace"]) == 4
@@ -339,6 +339,64 @@ def test_state_space_model_refusals_name_the_file(tmp_path, capsys, verb, payloa
     assert message in err
 
 
+@pytest.mark.parametrize("verb", [["cepstrum"], ["classify"], ["simulate", "--length", "16"]])
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        ({"poles": [np.nan, 0.5], "zeros": [0.2], "gain": 1}, "poles must contain only finite roots"),
+        ({"poles": [0.5], "zeros": [0.2], "gain": np.inf}, "gain must be finite, got inf"),
+        ({"poles": [0.5], "zeros": [0.2], "gain": "2"}, "gain must hold only numbers, got '2'"),
+        ({"poles": [0.5], "zeros": [0.2], "gain": True}, "gain must hold only numbers, got True"),
+        ({"poles": [True], "zeros": [], "gain": 1}, "poles must hold only numbers, got True"),
+        ({"A": [[0.5]], "B": ["1"], "C": [1], "D": 1}, "B must hold only numbers, got '1'"),
+        (
+            {"poles": [[0.5, 1, 2]], "zeros": [], "gain": 1},
+            "roots must be numbers or [re, im] pairs, got [0.5, 1, 2]",
+        ),
+    ],
+    ids=[
+        "nan-pole", "infinite-gain", "string-gain", "boolean-gain", "boolean-root", "string-B",
+        "three-part-root",
+    ],
+)
+def test_model_file_refusals_name_the_file(tmp_path, capsys, verb, payload, message):
+    # json writes NaN and Infinity literals for the floats, and reads them back.
+    model = write_json(tmp_path, "model.json", payload)
+    assert main([*verb, "--model", model]) == 2
+    assert capsys.readouterr() == ("", f"error: {model}: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["distance", "{good}", "{zero_out}"], "{zero_out}"),
+        (["distance", "{zero_out}", "{good}", "--metric", "subspace"], "{zero_out}"),
+        (["classify", "{zero_out}"], "{zero_out}"),
+        (["classify", "{u}", "{zero}"], "{u},{zero}"),
+        (["cepstrum", "{zero_out}", "--kind", "complex"], "{zero_out}"),
+        (["cepstrum", "{zero}", "--kind", "complex"], "{zero}"),
+        (["cepstrum", "{zero_out}"], "{zero_out}"),
+    ],
+    ids=["distance", "distance-subspace", "classify-pair", "classify-two-files",
+         "cepstrum-complex-pair", "cepstrum-complex-signal", "cepstrum-power"],
+)
+def test_record_refusals_name_their_file(tmp_path, capsys, argv, named):
+    # good.csv is y = u + 0.5 u(t-1); zero_out.csv and zero.csv hold an
+    # all-zero output, whose spectrum every route refuses.
+    u, y = white_record(ZeroPoleGain([0.0], [-0.5], 1.0), 1024, 0)
+    zero_y = Signal(np.zeros(len(u)))
+    paths = {"good": tmp_path / "good.csv", "zero_out": tmp_path / "zero_out.csv"}
+    paths["good"].write_text(format_pair_csv(u, y))
+    paths["zero_out"].write_text(format_pair_csv(u, zero_y))
+    paths["u"] = write_signal(tmp_path, "u.csv", u.samples)
+    paths["zero"] = write_signal(tmp_path, "zero.csv", zero_y.samples)
+    assert main([arg.format(**paths) for arg in argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: {named.format(**paths)}: ")
+    assert err.count(str(tmp_path)) == named.count("{")
+
+
 def test_signal_cepstrum_rows(tmp_path, capsys):
     path = write_signal(tmp_path, "sig.csv", np.random.default_rng(4).standard_normal(512))
     assert main(["cepstrum", path, "--K", "16", "--K-test", "4"]) == 0
@@ -350,7 +408,7 @@ def test_signal_cepstrum_rows(tmp_path, capsys):
 @pytest.mark.parametrize("paired", [True, False])
 def test_signal_cepstrum_matches_the_library_routes(tmp_path, capsys, paired, kind):
     config = RunConfig(K=32)
-    minimum = ZeroPoleGain.from_roots([0.9, 0.5], [0.3, -0.4], 1.0)
+    minimum = ZeroPoleGain([0.9, 0.5], [0.3, -0.4], 1.0)
     u, y = white_record(minimum, 1024, 2)
     path = tmp_path / "record.csv"
     path.write_text(format_pair_csv(u, y) if paired else format_signal_csv(y))
@@ -380,7 +438,7 @@ def _two_records(tmp_path, paired):
     """Records of two minimum phase systems, as t,u,y pair files or t,value output files."""
     paths = []
     for seed, poles in enumerate(([0.5], [0.8, -0.3])):
-        u, y = white_record(ZeroPoleGain.from_roots(poles, [0.2], 1.0), 2048, seed)
+        u, y = white_record(ZeroPoleGain(poles, [0.2], 1.0), 2048, seed)
         path = tmp_path / f"record{seed}.csv"
         path.write_text(format_pair_csv(u, y) if paired else format_signal_csv(y))
         paths.append(str(path))
@@ -412,10 +470,10 @@ def test_distance_value_is_the_distmat_cell(tmp_path, capsys, metric, paired):
 def test_distance_refuses_a_signal_with_a_pair_as_distmat_does(tmp_path, capsys):
     paths = {name: tmp_path / f"{name}.csv" for name in ("signal", "other", "pair")}
     for name, pole, seed in (("signal", 0.6, 0), ("other", 0.2, 2)):
-        _, output = white_record(ZeroPoleGain.from_roots([pole], [], 1.0), 2048, seed)
+        _, output = white_record(ZeroPoleGain([pole], [], 1.0), 2048, seed)
         paths[name].write_text(format_signal_csv(output))
     paths["pair"].write_text(
-        format_pair_csv(*white_record(ZeroPoleGain.from_roots([-0.4], [0.3], 1.0), 2048, 1))
+        format_pair_csv(*white_record(ZeroPoleGain([-0.4], [0.3], 1.0), 2048, 1))
     )
     mixed = "error: items must be all signals or all (input, output) pairs\n"
     for metric in ("cepstral", "euclidean", "cosine", "subspace"):
@@ -487,8 +545,8 @@ def _records_with_a_scaled_input(directory, scale):
     another, and huge.csv, whose input is scaled by ``scale``; returns the
     path of huge.csv."""
     directory.mkdir(exist_ok=True)
-    system = ZeroPoleGain.from_roots([0.5], [0.2], 1.0)
-    other = ZeroPoleGain.from_roots([-0.6], [], 1.0)
+    system = ZeroPoleGain([0.5], [0.2], 1.0)
+    other = ZeroPoleGain([-0.6], [], 1.0)
     for seed, model in enumerate((system, other)):
         (directory / f"ok{seed}.csv").write_text(format_pair_csv(*white_record(model, 2048, seed)))
     u, y = white_record(system, 2048, 2)
@@ -742,7 +800,7 @@ def test_module_entry_point_runs_verify():
 def _corpus(directory, lengths, paired=True, prefix="r"):
     """Records named prefix0, prefix1, ... of two alternating systems, one per length."""
     directory.mkdir(exist_ok=True)
-    systems = [ZeroPoleGain.from_roots([0.5], [0.2], 1.0), ZeroPoleGain.from_roots([-0.6], [], 1.0)]
+    systems = [ZeroPoleGain([0.5], [0.2], 1.0), ZeroPoleGain([-0.6], [], 1.0)]
     for idx, length in enumerate(lengths):
         u, y = white_record(systems[idx % 2], length, idx)
         text = format_pair_csv(u, y) if paired else format_signal_csv(y)
@@ -1266,11 +1324,11 @@ def test_simulate_reads_a_stored_input_in_ranges_as_one_process(
     "verb", ["cepstrum", "cepstrum-complex", "classify", "classify-two", "distance"]
 )
 def test_single_file_verbs_read_in_ranges_as_one_process(tmp_path, capsys, monkeypatch, verb):
-    u, y = white_record(ZeroPoleGain.from_roots([0.5], [0.2], 1.0), 2048, 4)
+    u, y = white_record(ZeroPoleGain([0.5], [0.2], 1.0), 2048, 4)
     pair = tmp_path / "pair.csv"
     pair.write_text(format_pair_csv(u, y))
     other = tmp_path / "other.csv"
-    other_system = ZeroPoleGain.from_roots([-0.6], [], 1.0)
+    other_system = ZeroPoleGain([-0.6], [], 1.0)
     other.write_text(format_pair_csv(*white_record(other_system, 2048, 5)))
     argv = {
         "cepstrum": ["cepstrum", str(pair)],

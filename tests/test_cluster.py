@@ -38,9 +38,9 @@ CLUSTER_CONFIG = RunConfig(
 )
 DEMO_CONFIG = RunConfig(method="welch", window_len=64, fft_length=512, K=128, seed=44)
 
-POLE_HALF = ZeroPoleGain.from_roots([0.5], [], 1.0)
-POLE_NINETY_FIVE = ZeroPoleGain.from_roots([0.95], [], 1.0)
-MIXED_SYSTEM = ZeroPoleGain.from_roots([0.9], [2.5], 1.0)
+POLE_HALF = ZeroPoleGain([0.5], [], 1.0)
+POLE_NINETY_FIVE = ZeroPoleGain([0.95], [], 1.0)
+MIXED_SYSTEM = ZeroPoleGain([0.9], [2.5], 1.0)
 
 
 def _reference_distance_matrix(items, metric, config):
@@ -367,7 +367,7 @@ def test_subspace_features_check_the_hankel_size_before_the_phase_gate():
     # The gate refuses this system's records as mixed phase; one too short
     # for its Hankel rows is refused for that first, without the warning of
     # the gate's periodogram fallback.
-    mixed = ZeroPoleGain.from_roots([0.5], [1.5], 1.0)
+    mixed = ZeroPoleGain([0.5], [1.5], 1.0)
     records = [white_record(mixed, 100, 0), white_record(mixed, 4096, 1)]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -499,7 +499,7 @@ def _cepstral_items(count, paired, seed, broken=()):
     rng = np.random.default_rng(seed)
     items = []
     for idx in range(count):
-        pole = ZeroPoleGain.from_roots([rng.uniform(-0.9, 0.9)], [], 1.0)
+        pole = ZeroPoleGain([rng.uniform(-0.9, 0.9)], [], 1.0)
         u, y = white_record(pole, 512, int(rng.integers(2**31)))
         if idx in broken:
             y = Signal(np.zeros(len(y)))

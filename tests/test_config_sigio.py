@@ -41,7 +41,7 @@ from cepdist.cli import main
 from cepdist.sigio import CSV_CHUNK_ROWS, TIME_JITTER_RTOL
 from conftest import white_record
 
-POLE_HALF = ZeroPoleGain.from_roots([0.5], [], 1.0)
+POLE_HALF = ZeroPoleGain([0.5], [], 1.0)
 
 # Record lengths around the reader's and the formatters' chunk size.
 CHUNK_LENGTHS = (1, CSV_CHUNK_ROWS - 1, CSV_CHUNK_ROWS, CSV_CHUNK_ROWS + 1, 3 * CSV_CHUNK_ROWS + 5)
@@ -1010,6 +1010,10 @@ def test_root_form_model_json(tmp_path):
         '{"poles": [0.5], "zeros": ["x"], "gain": 1.0}',
         '{"poles": [[1.0, 0.0, 0.0]], "zeros": [], "gain": 1.0}',
         '{"poles": [1.0], "zeros": [], "gain": 1.0}',
+        pytest.param(
+            '{"poles": [0.5], "zeros": [], "gain": 1' + "0" * 400 + "}",
+            id="integer-beyond-the-float-range",
+        ),
     ],
 )
 def test_model_json_validation(tmp_path, content):

@@ -20,6 +20,7 @@ from cepdist import (
     frequency_response,
     invert,
     make_example_signals,
+    power_cepstrum_from_zpk,
     roots_from_state_space,
     simulate,
     spectral_radius,
@@ -85,7 +86,7 @@ def _stable_model(rng, order):
         return StateSpaceModel(np.zeros((0, 0)), np.zeros(0), np.zeros(0), rng.standard_normal())
     gain = 1.0 + rng.random()
     model = state_space_from_roots(
-        ZeroPoleGain.from_roots(draw_roots(rng, order), draw_roots(rng, order), gain)
+        ZeroPoleGain(draw_roots(rng, order), draw_roots(rng, order), gain)
     )
     q, _ = np.linalg.qr(rng.standard_normal((order, order)))
     return StateSpaceModel(q @ model.A @ q.T, q @ model.B, model.C @ q.T, model.D)
@@ -201,7 +202,7 @@ def test_invert_rejects_zero_feedthrough():
 def test_invert_is_an_involution_in_frequency_response(seed):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(1, 4))
-    zpk = ZeroPoleGain.from_roots(draw_roots(rng, n), draw_roots(rng, n), 1.5)
+    zpk = ZeroPoleGain(draw_roots(rng, n), draw_roots(rng, n), 1.5)
     model = state_space_from_roots(zpk)
     twice = invert(invert(model))
     h1 = frequency_response_state_space(model, GRID_64)
@@ -253,7 +254,7 @@ def test_roots_accept_repeated_pole():
 
 
 def test_repeated_pole_survives_the_companion_round_trip():
-    zpk = ZeroPoleGain.from_roots([0.5, 0.5], [0.2], 1.0)
+    zpk = ZeroPoleGain([0.5, 0.5], [0.2], 1.0)
     recovered = roots_from_state_space(state_space_from_roots(zpk))
     assert np.allclose(recovered.poles, [0.5, 0.5], atol=1e-7)
     assert np.allclose(sorted(np.real(recovered.zeros)), [0.0, 0.2], atol=1e-12)
@@ -280,14 +281,14 @@ def test_frequency_response_of_pure_gain_is_constant():
 
 
 def test_frequency_response_single_pole_at_zero_frequency():
-    zpk = ZeroPoleGain.from_roots([0.5], [], 1.0)
+    zpk = ZeroPoleGain([0.5], [], 1.0)
     assert frequency_response(zpk, np.array([0.0]))[0] == pytest.approx(2.0)
 
 
 @given(st.integers(0, 10**6))
 def test_frequency_response_conjugate_symmetry(seed):
     rng = np.random.default_rng(seed)
-    zpk = ZeroPoleGain.from_roots(draw_roots(rng, 3), draw_roots(rng, 2), 1.0)
+    zpk = ZeroPoleGain(draw_roots(rng, 3), draw_roots(rng, 2), 1.0)
     w = rng.uniform(1e-3, np.pi - 1e-3, size=8)
     front = frequency_response(zpk, w)
     back = frequency_response(zpk, 2.0 * np.pi - w)
@@ -317,7 +318,7 @@ def test_simulated_inverse_reconstructs_input(seed):
     # Inverse dynamics are stable only when the model is minimum phase.
     rng = np.random.default_rng(seed)
     n = int(rng.integers(1, 4))
-    zpk = ZeroPoleGain.from_roots(draw_roots(rng, n), draw_roots(rng, n), 1.2)
+    zpk = ZeroPoleGain(draw_roots(rng, n), draw_roots(rng, n), 1.2)
     model = state_space_from_roots(zpk)
     u = Signal(rng.standard_normal(512))
     y = simulate(model, u)
@@ -327,7 +328,7 @@ def test_simulated_inverse_reconstructs_input(seed):
 
 
 def test_state_space_rejects_more_zeros_than_poles():
-    zpk = ZeroPoleGain.from_roots([0.5], [0.3, -0.2], 1.0)
+    zpk = ZeroPoleGain([0.5], [0.3, -0.2], 1.0)
     with pytest.raises(ValidationError):
         state_space_from_roots(zpk)
 
@@ -353,7 +354,7 @@ def test_example_systems_root_partitions():
 
 
 def test_zpk_folding_reflects_outside_roots():
-    zpk = ZeroPoleGain.from_roots([2.0], [1 / 0.8], 1.0)
+    zpk = ZeroPoleGain([2.0], [1 / 0.8], 1.0)
     assert np.allclose(zpk.folded_poles(), [0.5])
     assert np.allclose(zpk.folded_zeros(), [0.8])
     assert zpk.folded_radius() == pytest.approx(0.8)
@@ -361,22 +362,55 @@ def test_zpk_folding_reflects_outside_roots():
 
 def test_zpk_partition_is_validated():
     with pytest.raises(ValidationError):
-        ZeroPoleGain(stable_poles=(1.5,))
-    with pytest.raises(ValidationError):
-        ZeroPoleGain(max_zeros=(0.5,))
-    with pytest.raises(ValidationError):
         ZeroPoleGain(gain=0.0)
     with pytest.raises(UnitCircleRoot):
-        ZeroPoleGain.from_roots([1.0], [], 1.0)
+        ZeroPoleGain([1.0], [], 1.0)
     with pytest.raises(ValidationError):
         # A lone complex root cannot belong to a real-coefficient system.
-        ZeroPoleGain.from_roots([0.5j], [], 1.0)
+        ZeroPoleGain([0.5j], [], 1.0)
+
+
+def _shuffled_roots(rng, count):
+    """Roots on both sides of the circle, conjugate pairs kept, in random order."""
+    outside = int(rng.integers(0, count + 1))
+    roots = draw_roots(rng, count - outside) + draw_roots(rng, outside, outside=True)
+    return [roots[k] for k in rng.permutation(len(roots))]
+
+
+@given(st.integers(0, 10**6))
+def test_zpk_stores_inside_roots_first_in_the_given_order(seed):
+    rng = np.random.default_rng(seed)
+    poles = _shuffled_roots(rng, int(rng.integers(1, 6)))
+    zeros = _shuffled_roots(rng, int(rng.integers(0, 6)))
+    gain = float(rng.uniform(0.5, 2.0)) * (1.0 if rng.random() < 0.5 else -1.0)
+    zpk = ZeroPoleGain(poles, zeros, gain)
+    for given, stored, inside, outside in (
+        (poles, zpk.poles, zpk.stable_poles, zpk.unstable_poles),
+        (zeros, zpk.zeros, zpk.min_zeros, zpk.max_zeros),
+    ):
+        assert inside == tuple(r for r in given if abs(r) < 1.0)
+        assert outside == tuple(r for r in given if abs(r) > 1.0)
+        assert stored == inside + outside
+    assert zpk.gain == gain
+    stored = ZeroPoleGain(list(zpk.poles), list(zpk.zeros), gain)
+    assert stored.folded_poles() == zpk.folded_poles()
+    assert closed_form_norm_mixed(stored) == closed_form_norm_mixed(zpk)
+    first, second = (power_cepstrum_from_zpk(model, 32) for model in (zpk, stored))
+    assert np.array_equal(first.positive, second.positive)
+    assert first.zeroth == second.zeroth
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.5, np.nan), complex(np.inf, 0)])
+def test_zpk_refuses_non_finite_roots_and_gains(bad):
+    for poles, zeros, gain in (([bad, 0.5], [0.2], 1), ([0.5], [0.2, bad], 1), ([0.5], [0.2], bad)):
+        with pytest.raises(ValidationError, match="finite"):
+            ZeroPoleGain(poles=poles, zeros=zeros, gain=gain)
 
 
 @given(st.integers(0, 10**6))
 def test_zpk_root_lists_are_conjugate_closed(seed):
     rng = np.random.default_rng(seed)
-    zpk = ZeroPoleGain.from_roots(draw_roots(rng, 4), draw_roots(rng, 4, outside=True), 1.0)
+    zpk = ZeroPoleGain(draw_roots(rng, 4), draw_roots(rng, 4, outside=True), 1.0)
     for group in (zpk.stable_poles, zpk.unstable_poles, zpk.min_zeros, zpk.max_zeros):
         for root in group:
             assert any(abs(np.conj(root) - other) <= 1e-12 for other in group)

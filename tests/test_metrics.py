@@ -34,8 +34,8 @@ from cepdist import (
 from cepdist.metrics import weighted_cepstral_matrix
 from conftest import draw_roots, random_any_phase, random_min_phase
 
-POLE_HALF = ZeroPoleGain.from_roots([0.5], [], 1.0)
-POLE_NINE = ZeroPoleGain.from_roots([0.9], [], 1.0)
+POLE_HALF = ZeroPoleGain([0.5], [], 1.0)
+POLE_NINE = ZeroPoleGain([0.9], [], 1.0)
 
 # Distance between the two single-pole systems above, from the closed form
 # log((1 - 0.45)^2 / ((1 - 0.25) (1 - 0.81))).
@@ -165,7 +165,7 @@ def test_closed_form_min_phase_without_roots():
 
 
 def test_closed_form_min_phase_pole_and_zero():
-    zpk = ZeroPoleGain.from_roots([0.5], [-0.5], 1.0)
+    zpk = ZeroPoleGain([0.5], [-0.5], 1.0)
     value = closed_form_norm_min_phase(zpk)
     assert value == pytest.approx(np.log(1.5625 / (0.75 * 0.75)), abs=1e-15)
     # Only odd lags survive: c(k) = (0.5^k - (-0.5)^k) / k, so the series
@@ -177,11 +177,11 @@ def test_closed_form_min_phase_pole_and_zero():
 
 def test_closed_form_min_phase_rejects_outside_roots():
     with pytest.raises(NotMinimumPhaseStable):
-        closed_form_norm_min_phase(ZeroPoleGain.from_roots([2.0], [], 1.0))
+        closed_form_norm_min_phase(ZeroPoleGain([2.0], [], 1.0))
 
 
 def test_closed_form_max_phase_single_pole():
-    value = closed_form_norm_max_phase(ZeroPoleGain.from_roots([2.0], [], 1.0))
+    value = closed_form_norm_max_phase(ZeroPoleGain([2.0], [], 1.0))
     assert value == pytest.approx(-np.log(0.75), abs=1e-12)
     assert closed_form_norm_max_phase(ZeroPoleGain(gain=1.0)) == 0.0
 
@@ -200,7 +200,7 @@ def test_demo_maximum_phase_norm_equals_minimum_phase_norm():
 
 
 def test_closed_form_mixed_two_reflected_poles():
-    zpk = ZeroPoleGain.from_roots([0.5, 2.0], [], 1.0)
+    zpk = ZeroPoleGain([0.5, 2.0], [], 1.0)
     value = closed_form_norm_mixed(zpk)
     assert value == pytest.approx(-4.0 * np.log(0.75), abs=1e-12)
     series = weighted_cepstral_norm(power_cepstrum_from_zpk(zpk, 2000)).value
@@ -217,10 +217,10 @@ def test_closed_form_mixed_is_inversion_invariant(seed):
     magnitudes = rng.uniform(0.2, 0.85, size=4)
     signs = rng.choice([-1.0, 1.0], size=4)
     roots = list(magnitudes * signs)
-    base = ZeroPoleGain.from_roots(roots[:2], roots[2:], 1.0)
+    base = ZeroPoleGain(roots[:2], roots[2:], 1.0)
     flip = rng.random(4) < 0.5
     flipped = [1.0 / r if f else r for r, f in zip(roots, flip)]
-    other = ZeroPoleGain.from_roots(flipped[:2], flipped[2:], 1.0)
+    other = ZeroPoleGain(flipped[:2], flipped[2:], 1.0)
     assert abs(closed_form_norm_mixed(base) - closed_form_norm_mixed(other)) <= 1e-12
 
 
@@ -231,7 +231,7 @@ def test_closed_forms_agree_on_pure_phase_types(seed):
     assert abs(
         closed_form_norm_mixed(minimum) - closed_form_norm_min_phase(minimum)
     ) <= 1e-12
-    maximum = ZeroPoleGain.from_roots(
+    maximum = ZeroPoleGain(
         draw_roots(rng, 2, outside=True), draw_roots(rng, 2, outside=True), 1.0
     )
     assert abs(
@@ -240,7 +240,7 @@ def test_closed_forms_agree_on_pure_phase_types(seed):
 
 
 def test_cascade_of_a_system_with_itself_cancels():
-    zpk = ZeroPoleGain.from_roots([0.5, -0.3], [0.7], 2.0)
+    zpk = ZeroPoleGain([0.5, -0.3], [0.7], 2.0)
     combined = cascade(zpk, zpk)
     assert combined.poles == ()
     assert combined.zeros == ()
@@ -254,14 +254,14 @@ def test_cascade_of_two_single_poles():
 
 
 def test_cascade_divides_gains():
-    first = ZeroPoleGain.from_roots([0.5], [], 1.3)
-    second = ZeroPoleGain.from_roots([0.9], [], 0.7)
+    first = ZeroPoleGain([0.5], [], 1.3)
+    second = ZeroPoleGain([0.9], [], 0.7)
     assert cascade(first, second).gain == pytest.approx(1.3 / 0.7)
 
 
 def test_cascade_norm_equals_weighted_distance():
-    first = ZeroPoleGain.from_roots([0.55, -0.3], [0.25], 1.3)
-    second = ZeroPoleGain.from_roots([0.85, 0.1], [-0.45, 0.6], 0.7)
+    first = ZeroPoleGain([0.55, -0.3], [0.25], 1.3)
+    second = ZeroPoleGain([0.85, 0.1], [-0.45, 0.6], 0.7)
     c1 = power_cepstrum_from_zpk(first, 4096)
     c2 = power_cepstrum_from_zpk(second, 4096)
     distance = weighted_cepstral_distance(c1, c2).value

@@ -116,20 +116,20 @@ def test_identity_record_is_indeterminate():
 
 
 def test_white_noise_through_stable_pole_is_minimum_phase():
-    u, y = white_record(ZeroPoleGain.from_roots([0.5], [], 1.0), 2**14, 3)
+    u, y = white_record(ZeroPoleGain([0.5], [], 1.0), 2**14, 3)
     verdict = classify_from_io(u, y, CONFIG)
     assert verdict.kind == MINIMUM_PHASE
     assert verdict.tolerance == CONFIG.tol_estimated
 
 
 def test_mixed_record_is_detected():
-    zpk = ZeroPoleGain.from_roots([0.9], [2.5], 1.0)
+    zpk = ZeroPoleGain([0.9], [2.5], 1.0)
     u, y = white_record(zpk, 2**14, 3)
     assert classify_from_io(u, y, CONFIG).kind == MIXED_PHASE
 
 
 def test_output_scaling_leaves_the_verdict_and_energies_alone():
-    u, y = white_record(ZeroPoleGain.from_roots([0.9], [2.5], 1.0), 4096, 11)
+    u, y = white_record(ZeroPoleGain([0.9], [2.5], 1.0), 4096, 11)
     base = classify_from_io(u, y, CONFIG)
     scaled = classify_from_io(
         u, Signal(5.0 * y.samples, sample_period=y.sample_period), CONFIG
@@ -162,8 +162,8 @@ def test_model_verdicts_match_the_root_pattern(seed):
 
 # A second-order minimum phase system with a resonance, and the same with
 # its zero at -0.3 moved outside the circle to 1.6.
-RESONANT = ZeroPoleGain.from_roots([0.8 * np.exp(0.6j), 0.8 * np.exp(-0.6j)], [0.5, -0.3], 1.0)
-RESONANT_MIXED = ZeroPoleGain.from_roots(
+RESONANT = ZeroPoleGain([0.8 * np.exp(0.6j), 0.8 * np.exp(-0.6j)], [0.5, -0.3], 1.0)
+RESONANT_MIXED = ZeroPoleGain(
     [0.8 * np.exp(0.6j), 0.8 * np.exp(-0.6j)], [0.5, 1.6], 1.0
 )
 

@@ -35,7 +35,7 @@ from cepdist.lti import check_pair
 from cepdist.spectral import power_cepstra
 from conftest import white_record
 
-MODEL = ZeroPoleGain.from_roots([0.6, -0.3], [0.4], 1.5)
+MODEL = ZeroPoleGain([0.6, -0.3], [0.4], 1.5)
 CONFIG = RunConfig()
 
 

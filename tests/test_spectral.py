@@ -57,7 +57,7 @@ from conftest import (
 
 PERIODOGRAM_CONFIG = RunConfig(method="periodogram", K=20)
 
-SINGLE_POLE = ZeroPoleGain.from_roots([0.5], [], 1.0)
+SINGLE_POLE = ZeroPoleGain([0.5], [], 1.0)
 
 
 def white(length: int, seed: int) -> Signal:
@@ -345,7 +345,7 @@ def test_transfer_cepstrum_validates_lengths():
 
 def _records(lengths, paired, seed):
     """Records of a two-pole system driven by white noise, one per length."""
-    system = ZeroPoleGain.from_roots([0.6, -0.3], [0.2], 1.0)
+    system = ZeroPoleGain([0.6, -0.3], [0.2], 1.0)
     records = []
     for idx, length in enumerate(lengths):
         u, y = white_record(system, length, seed + idx)
@@ -469,7 +469,7 @@ def test_power_cepstrum_from_roots_pure_gain():
 
 def test_power_cepstrum_cannot_tell_a_pole_from_its_inverse():
     inside = power_cepstrum_from_zpk(SINGLE_POLE, 16)
-    outside = power_cepstrum_from_zpk(ZeroPoleGain.from_roots([2.0], [], 1.0), 16)
+    outside = power_cepstrum_from_zpk(ZeroPoleGain([2.0], [], 1.0), 16)
     assert np.allclose(inside.positive, outside.positive, atol=1e-15)
     assert outside.zeroth == pytest.approx(-2.0 * np.log(2.0))
 
@@ -603,9 +603,9 @@ def test_complex_cepstrum_from_roots_pure_gain():
 @given(st.integers(0, 10**6))
 def test_complex_cepstrum_causality_follows_phase_type(seed):
     rng = np.random.default_rng(seed)
-    inside = ZeroPoleGain.from_roots(draw_roots(rng, 3), draw_roots(rng, 2), 1.0)
+    inside = ZeroPoleGain(draw_roots(rng, 3), draw_roots(rng, 2), 1.0)
     assert np.array_equal(complex_cepstrum_from_zpk(inside, 16).negative, np.zeros(16))
-    outside = ZeroPoleGain.from_roots(
+    outside = ZeroPoleGain(
         draw_roots(rng, 3, outside=True), draw_roots(rng, 2, outside=True), 1.0
     )
     assert np.array_equal(complex_cepstrum_from_zpk(outside, 16).positive, np.zeros(16))

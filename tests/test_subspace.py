@@ -49,13 +49,13 @@ from cepdist.spectral import power_cepstra
 from cepdist.subspace import HANKEL_RANK_RTOL, ORDER_GAP_MIN, TAU_RANK, _lag_gram, _range_cosines
 from conftest import draw_roots, random_balanced_min_phase, random_min_phase, white_record
 
-POLE_HALF = ZeroPoleGain.from_roots([0.5], [], 1.0)
-POLE_NINE = ZeroPoleGain.from_roots([0.9], [], 1.0)
+POLE_HALF = ZeroPoleGain([0.5], [], 1.0)
+POLE_NINE = ZeroPoleGain([0.9], [], 1.0)
 MIN_PHASE_DEMO = example_systems()["minimum_phase"]
 # A zero of the first system (0.3) is a pole of the second, so their
 # cascade has a double zero at 0.3.
-SHARED_ROOT_A = ZeroPoleGain.from_roots([0.9, 0.5], [0.3, -0.4], 1.0)
-SHARED_ROOT_B = ZeroPoleGain.from_roots([-0.8, 0.3], [0.7, 0.0], 1.0)
+SHARED_ROOT_A = ZeroPoleGain([0.9, 0.5], [0.3, -0.4], 1.0)
+SHARED_ROOT_B = ZeroPoleGain([-0.8, 0.3], [0.7, 0.0], 1.0)
 # Hankel columns folded into the triangular factor per QR step of the
 # streamed LQ oracle.
 LQ_BLOCK = 2048
@@ -354,7 +354,7 @@ def test_model_norm_of_pure_gain_is_zero():
 
 
 def test_model_norm_pole_zero_pair_matches_closed_form():
-    zpk = ZeroPoleGain.from_roots([0.5], [-0.5], 1.0)
+    zpk = ZeroPoleGain([0.5], [-0.5], 1.0)
     value = subspace_norm_from_model(zpk)
     assert abs(value - closed_form_norm_min_phase(zpk)) <= 1e-10
 
@@ -369,7 +369,7 @@ def test_model_norm_maximum_phase_equals_reflected_minimum_phase():
     system = example_systems()["maximum_phase"]
     value = subspace_norm_from_model(system)
     assert abs(value - closed_form_norm_max_phase(system)) <= 1e-9
-    reflected = ZeroPoleGain.from_roots(system.folded_poles(), system.folded_zeros(), 1.0)
+    reflected = ZeroPoleGain(system.folded_poles(), system.folded_zeros(), 1.0)
     assert value == subspace_norm_from_model(reflected)
 
 
@@ -389,7 +389,7 @@ def test_model_norm_pads_a_single_missing_zero():
     ids=["no-zeros", "no-poles", "three-more-poles"],
 )
 def test_model_norm_pads_any_count_gap_with_roots_at_the_origin(poles, zeros):
-    zpk = ZeroPoleGain.from_roots(poles, zeros, 1.0)
+    zpk = ZeroPoleGain(poles, zeros, 1.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         value = subspace_norm_from_model(zpk)
@@ -398,7 +398,7 @@ def test_model_norm_pads_any_count_gap_with_roots_at_the_origin(poles, zeros):
 
 @pytest.mark.parametrize("radius", [0.99, 0.999, 0.9999])
 def test_model_norm_of_a_slow_pole(radius):
-    zpk = ZeroPoleGain.from_roots([radius, -0.3], [0.5, 0.2], 1.0)
+    zpk = ZeroPoleGain([radius, -0.3], [0.5, 0.2], 1.0)
     value = subspace_norm_from_model(zpk)
     closed = closed_form_norm_min_phase(zpk)
     assert abs(value - closed) <= 1e-11 * closed
@@ -439,7 +439,7 @@ def clustered_slow_unbalanced_roots(draw):
     )
 )
 def test_model_norm_matches_closed_form_on_clustered_slow_and_unbalanced_roots(roots):
-    zpk = ZeroPoleGain.from_roots(*roots, 1.0)
+    zpk = ZeroPoleGain(*roots, 1.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         value = subspace_norm_from_model(zpk)
@@ -473,7 +473,7 @@ def repeated_roots(draw):
 @example(([0.6 + 0.3j, 0.6 - 0.3j] * 2, [0.2, 0.2]))
 @example(([2.0, 2.0], [3.0]))
 def test_routes_take_repeated_roots(roots):
-    zpk = ZeroPoleGain.from_roots(*roots, 1.0)
+    zpk = ZeroPoleGain(*roots, 1.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         closed = closed_form_norm_mixed(zpk)
@@ -509,7 +509,7 @@ def test_model_cosines_match_the_vandermonde_oracle(seed):
 
 
 def test_distance_between_identical_models_is_zero():
-    zpk = ZeroPoleGain.from_roots([0.5, -0.3], [0.7], 2.0)
+    zpk = ZeroPoleGain([0.5, -0.3], [0.7], 2.0)
     assert subspace_distance_between_models(zpk, zpk) == 0.0
 
 
@@ -539,7 +539,7 @@ def test_data_distance_of_a_record_with_itself_is_zero():
 
 
 def test_data_norm_of_a_double_pole_record():
-    zpk = ZeroPoleGain.from_roots([0.5, 0.5], [0.2], 1.0)
+    zpk = ZeroPoleGain([0.5, 0.5], [0.2], 1.0)
     u, y = white_record(zpk, 8192, 0)
     closed = closed_form_norm_min_phase(zpk)
     value = subspace_norm_from_data(u, y, rows=150)
@@ -643,7 +643,7 @@ def test_data_norm_of_a_colored_input_record(pole):
     # 8e-5 of the block norm: its gap to the next is measured on the data,
     # since the Gram eigenvalues blur everything under sqrt(rows * eps).
     white = Signal(np.random.default_rng(3).standard_normal(8192))
-    u = simulate(state_space_from_roots(ZeroPoleGain.from_roots([pole], [], 1.0)), white)
+    u = simulate(state_space_from_roots(ZeroPoleGain([pole], [], 1.0)), white)
     y = simulate(state_space_from_roots(MIN_PHASE_DEMO), u)
     bases = projected_bases(u, y, rows=150)
     assert [b.shape for b in bases] == [b.shape for b in _lq_projected_bases(u, y, 150)]
@@ -665,7 +665,7 @@ def test_refusal_names_an_ill_conditioned_gram_block():
     # basis. The largest ratio (about 295) carries that conditioning times
     # the rounding, so its last digits move with the BLAS thread count.
     colored = simulate(
-        state_space_from_roots(ZeroPoleGain.from_roots([0.9999], [], 1.0)),
+        state_space_from_roots(ZeroPoleGain([0.9999], [], 1.0)),
         Signal(np.random.default_rng(3).standard_normal(8192)),
     )
     output = simulate(state_space_from_roots(MIN_PHASE_DEMO), colored)
