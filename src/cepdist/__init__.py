@@ -26,7 +26,6 @@ from .errors import (
     MixedPhaseUnsupported,
     NonSimpleRoot,
     NotInvertible,
-    NotMinimumPhaseStable,
     PhaseGateRefusal,
     RankDeficient,
     SimulationOverflow,
@@ -53,9 +52,7 @@ from .metrics import (
     SignalStats,
     WeightedCepstralResult,
     cascade,
-    closed_form_norm_max_phase,
-    closed_form_norm_min_phase,
-    closed_form_norm_mixed,
+    closed_form_norm,
     cosine_similarity,
     euclidean_distance,
     hs_hankel_norm,
@@ -85,7 +82,6 @@ from .sigio import (
 )
 from .spectral import (
     CepstrumSequence,
-    SpectrumEstimate,
     complex_cepstrum,
     complex_cepstrum_from_response,
     complex_cepstrum_from_zpk,
@@ -93,8 +89,6 @@ from .spectral import (
     power_cepstrum_from_psd,
     power_cepstrum_from_zpk,
     power_cepstrum_of_signal,
-    psd_periodogram,
-    psd_welch,
     transfer_cepstrum_from_io,
     transfer_complex_cepstrum_from_io,
 )

@@ -25,9 +25,11 @@ class RunConfig:
     """Knobs for estimation, truncation, classification, and reporting.
 
     ``window_len`` and ``fft_length`` may be None, meaning: derive them
-    from the signal length (largest power-of-two window at most an eighth
-    of the signal, FFT length the next power of two covering both the
-    window and twice the cepstrum order).
+    from the signal length. The window is the largest power of two at
+    most an eighth of the signal, clamped to [16, 1024], so 1024 from
+    8192 samples on; the FFT length is the next power of two covering
+    both the window and twice the cepstrum order. A Welch record under
+    128 samples falls back to a periodogram, with a warning.
     """
 
     method: str = "welch"
@@ -43,8 +45,7 @@ class RunConfig:
     output_format: str = "json"
 
     def validate(self) -> "RunConfig":
-        if self.method not in SPECTRUM_METHODS:
-            raise ConfigError(f"method must be one of {SPECTRUM_METHODS}, got {self.method!r}")
+        check_method(self.method)
         if self.output_format not in OUTPUT_FORMATS:
             raise ConfigError(
                 f"output_format must be one of {OUTPUT_FORMATS}, got {self.output_format!r}"
@@ -66,6 +67,12 @@ class RunConfig:
         if self.seed < 0:
             raise ConfigError(f"seed must be a nonnegative integer, got {self.seed}")
         return self
+
+
+def check_method(method: str) -> None:
+    """Refuse a spectrum method outside SPECTRUM_METHODS."""
+    if method not in SPECTRUM_METHODS:
+        raise ConfigError(f"method must be one of {SPECTRUM_METHODS}, got {method!r}")
 
 
 # Each key's kind, from its annotation: str, int, float, or "int | None".

@@ -74,10 +74,6 @@ class SimulationOverflow(ValidationError):
     """State or output left the representable range during simulation."""
 
 
-class NotMinimumPhaseStable(ValidationError):
-    """An operation that needs a stable, minimum phase model got something else."""
-
-
 class ConfigError(ValidationError):
     """Unknown configuration key or a value of the wrong type or range."""
 

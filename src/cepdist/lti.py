@@ -16,6 +16,7 @@ phase split (which roots lie inside the circle) is derived from the roots.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -54,6 +55,18 @@ SAFE_PEAK = 2.0**128
 # Relative difference under which two sample periods, or two time steps of
 # one file, count as equal: times read back from a file carry its rounding.
 TIME_JITTER_RTOL = 1e-6
+
+
+def check_numbers(value, key: str):
+    """``value``, once every entry of its nested lists, tuples or arrays is
+    a number: a string or boolean is refused, not converted."""
+    entries = value.tolist() if isinstance(value, np.ndarray) else value
+    if isinstance(entries, (list, tuple)):
+        for entry in entries:
+            check_numbers(entry, key)
+    elif isinstance(entries, (bool, np.bool_)) or not isinstance(entries, numbers.Number):
+        raise ValidationError(f"{key} must hold only numbers, got {entries!r}")
+    return value
 
 
 def _to_vector(values, name: str) -> np.ndarray:
@@ -125,6 +138,8 @@ class StateSpaceModel:
     D: float
 
     def __post_init__(self) -> None:
+        for name in ("A", "B", "C", "D"):
+            check_numbers(getattr(self, name), name)
         a = np.asarray(self.A, dtype=float)
         b = _to_vector(self.B, "B")
         c = _to_vector(self.C, "C")
@@ -190,7 +205,7 @@ class ZeroPoleGain:
 
     def __post_init__(self) -> None:
         for name, what in (("poles", "pole"), ("zeros", "zero")):
-            roots = [complex(r) for r in getattr(self, name)]
+            roots = [complex(r) for r in check_numbers(getattr(self, name), name)]
             if not all(np.isfinite(r) for r in roots):
                 raise ValidationError(f"{name} must contain only finite roots")
             _check_off_circle(roots, what)
@@ -198,7 +213,7 @@ class ZeroPoleGain:
             roots = tuple(sorted(roots, key=lambda r: abs(r) > 1.0))
             _check_conjugate_closed(roots, what)
             object.__setattr__(self, name, roots)
-        g = complex(self.gain)
+        g = complex(check_numbers(self.gain, "gain"))
         if not np.isfinite(g):
             raise ValidationError(f"gain must be finite, got {self.gain}")
         if abs(g.imag) > TAU_MULT * max(1.0, abs(g)):

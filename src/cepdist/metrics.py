@@ -18,12 +18,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import (
-    KindMismatch,
-    LengthMismatch,
-    NotMinimumPhaseStable,
-    ValidationError,
-)
+from .errors import KindMismatch, LengthMismatch, ValidationError
 from .lti import TAU_MULT, Signal, ZeroPoleGain, range_exponent
 from .spectral import CepstrumSequence
 
@@ -135,51 +130,24 @@ def weighted_cepstral_norm(c: CepstrumSequence) -> WeightedCepstralResult:
     return WeightedCepstralResult(value, lags.size, _tail_bound(lags, c, None))
 
 
-def _closed_form_core(poles: tuple[complex, ...], zeros: tuple[complex, ...]) -> float:
-    p = np.asarray(poles, dtype=complex)
-    z = np.asarray(zeros, dtype=complex)
-    for arr, what in ((p, "pole"), (z, "zero")):
-        if arr.size and np.max(np.abs(arr)) >= 1.0:
-            raise ValidationError(f"closed forms need folded {what}s strictly inside the circle")
-    total = 0.0
-    if p.size and z.size:
-        total += 2.0 * float(np.sum(np.log(np.abs(1.0 - np.outer(p, np.conj(z))))))
-    if p.size:
-        total -= float(np.sum(np.log(np.abs(1.0 - np.outer(p, np.conj(p))))))
-    if z.size:
-        total -= float(np.sum(np.log(np.abs(1.0 - np.outer(z, np.conj(z))))))
-    return total
+def _log_gram(a: np.ndarray, b: np.ndarray) -> float:
+    """Sum over all pairs of log |1 - a_i conj(b_j)|."""
+    return float(np.sum(np.log(np.abs(1.0 - np.outer(a, np.conj(b))))))
 
 
-def closed_form_norm_min_phase(zpk: ZeroPoleGain) -> float:
-    """Weighted cepstral norm of a stable minimum phase model, from its roots."""
-    if not zpk.is_minimum_phase:
-        raise NotMinimumPhaseStable(
-            "closed_form_norm_min_phase needs all roots inside the unit circle"
-        )
-    return _closed_form_core(zpk.stable_poles, zpk.min_zeros)
+def closed_form_norm(zpk: ZeroPoleGain) -> float:
+    """Weighted cepstral norm of a rational model, from its roots.
 
-
-def closed_form_norm_max_phase(zpk: ZeroPoleGain) -> float:
-    """Weighted cepstral norm of a purely maximum phase model, from its roots.
-
-    Equals the norm of the minimum phase model with all roots reflected
-    inside the circle; the weighted distance cannot tell the two apart.
+    With p and z the poles and zeros folded inside the unit circle, the
+    norm is 2 sum log|1 - p conj(z)| - sum log|1 - p conj(p')| -
+    sum log|1 - z conj(z')| over all pairs. The power cepstrum cannot tell
+    a root r from 1/conj(r), so the one expression holds for minimum
+    phase, maximum phase and mixed models alike. ``ZeroPoleGain`` refuses
+    roots on the circle, so every folded root lies strictly inside.
     """
-    if not zpk.is_maximum_phase:
-        raise ValidationError(
-            "closed_form_norm_max_phase needs all roots outside the unit circle"
-        )
-    return _closed_form_core(zpk.folded_poles(), zpk.folded_zeros())
-
-
-def closed_form_norm_mixed(zpk: ZeroPoleGain) -> float:
-    """Weighted cepstral norm of any off-circle rational model.
-
-    Works through the reflected root sets, so it reduces to the other two
-    closed forms when the model is purely one phase type.
-    """
-    return _closed_form_core(zpk.folded_poles(), zpk.folded_zeros())
+    p = np.asarray(zpk.folded_poles(), dtype=complex)
+    z = np.asarray(zpk.folded_zeros(), dtype=complex)
+    return 2.0 * _log_gram(p, z) - _log_gram(p, p) - _log_gram(z, z)
 
 
 def cascade(first: ZeroPoleGain, second: ZeroPoleGain) -> ZeroPoleGain:
@@ -215,10 +183,10 @@ def hs_hankel_norm(cepstrum: CepstrumSequence, m: int) -> float:
         raise KindMismatch("the Hankel norm route is defined on power cepstra")
     if m < 1:
         raise ValidationError(f"m must be positive, got {m}")
-    if 2 * m > cepstrum.order:
+    if cepstrum.order < 2 * m - 1:
         raise ValidationError(
-            f"an {m} x {m} Hankel block needs lags up to {2 * m - 1}; "
-            f"store at least {2 * m} coefficients (got {cepstrum.order})"
+            f"an {m} x {m} Hankel block reads lags 1 to {2 * m - 1}; "
+            f"store at least {2 * m - 1} coefficients (got {cepstrum.order})"
         )
     coeffs = cepstrum.positive
     idx = np.arange(m)

@@ -35,7 +35,14 @@ import numpy as np
 
 from . import parallel
 from .errors import ValidationError, naming
-from .lti import TIME_JITTER_RTOL, Signal, StateSpaceModel, ZeroPoleGain, check_pair
+from .lti import (
+    TIME_JITTER_RTOL,
+    Signal,
+    StateSpaceModel,
+    ZeroPoleGain,
+    check_numbers,
+    check_pair,
+)
 from .parallel import map_chunks
 
 # Rows formatted per step, and rows parsed per step when a file falls back
@@ -390,17 +397,6 @@ def format_matrix_csv(ids: tuple[str, ...], values: np.ndarray) -> str:
     return _csv_row(["id", *ids]) + "\n" + "".join(rows)
 
 
-def _numbers(value, key: str):
-    """The value of a model key, once every entry of its nested lists is a
-    JSON number: a string or boolean is refused, not converted."""
-    if isinstance(value, list):
-        for entry in value:
-            _numbers(entry, key)
-    elif isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValidationError(f"{key} must hold only numbers, got {value!r}")
-    return value
-
-
 def _parse_root(entry) -> complex:
     if not isinstance(entry, list):
         return complex(entry)
@@ -431,14 +427,14 @@ def read_model_json(path: str) -> StateSpaceModel | ZeroPoleGain:
     try:
         with naming(path):
             if state_keys <= set(data):
-                a, b, c = (np.asarray(_numbers(data[key], key), dtype=float) for key in "ABC")
+                a = np.asarray(check_numbers(data["A"], "A"), dtype=float)
                 if a.size == 0:
                     a = np.zeros((0, 0))
-                return StateSpaceModel(a, b, c, float(_numbers(data["D"], "D")))
+                return StateSpaceModel(a, data["B"], data["C"], data["D"])
             if root_keys <= set(data):
-                poles, zeros = ([_parse_root(r) for r in _numbers(data[key], key)]
+                poles, zeros = ([_parse_root(r) for r in check_numbers(data[key], key)]
                                 for key in ("poles", "zeros"))
-                return ZeroPoleGain(poles, zeros, float(_numbers(data["gain"], "gain")))
+                return ZeroPoleGain(poles, zeros, data["gain"])
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"{path}: malformed model: {exc}") from exc
     raise ValidationError(

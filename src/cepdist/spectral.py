@@ -28,7 +28,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .config import RunConfig
+from .config import RunConfig, check_method
 from .errors import (
     CepdistError,
     DimensionMismatch,
@@ -41,7 +41,6 @@ from .errors import (
 )
 from .lti import Signal, ZeroPoleGain, check_pair, range_exponent
 
-SPECTRUM_KINDS = ("periodogram", "welch", "model")
 CEPSTRUM_KINDS = ("power", "complex")
 
 # Relative floor under which a spectrum magnitude counts as a null.
@@ -95,25 +94,6 @@ def default_window_length(n: int) -> int:
     if n < 16:
         return 16
     return int(min(1024, 2 ** int(np.floor(np.log2(max(16, n // 8))))))
-
-
-@dataclass(frozen=True)
-class SpectrumEstimate:
-    """A nonnegative spectrum on a power-of-two uniform frequency grid."""
-
-    values: np.ndarray
-    method: str
-
-    def __post_init__(self) -> None:
-        arr = _grid_values(self.values, "spectrum")
-        if np.any(arr < 0.0):
-            raise ValidationError("spectrum values must be nonnegative")
-        if self.method not in SPECTRUM_KINDS:
-            raise ValidationError(f"method must be one of {SPECTRUM_KINDS}, got {self.method!r}")
-        object.__setattr__(self, "values", arr)
-
-    def __len__(self) -> int:
-        return int(self.values.size)
 
 
 @dataclass(frozen=True)
@@ -216,32 +196,16 @@ def _fft_length(fft_length: int | None, covered: int, what: str, order: int) -> 
     return length
 
 
-def _periodogram_plan(n: int, fft_length: int | None, order: int = 0) -> SpectrumPlan:
-    length = _fft_length(fft_length, n, "signal", order)
-    return SpectrumPlan("periodogram", n, None, None, length)
-
-
-def _welch_plan(
-    n: int, window_len: int, overlap: float, fft_length: int | None, order: int = 0
-) -> SpectrumPlan:
-    wl = int(window_len)
-    if wl < 8:
-        raise ValidationError(f"window_len must be at least 8, got {wl}")
-    if wl > n:
-        raise InsufficientData(f"window_len {wl} exceeds the signal length {n}")
-    if not (0.0 <= overlap < 1.0):
-        raise ValidationError(f"overlap must lie in [0, 1), got {overlap}")
-    length = _fft_length(fft_length, wl, "window", order)
-    hop = max(1, int(round(wl * (1.0 - overlap))))
-    return SpectrumPlan("welch", n, wl, hop, length)
-
-
 def _plan_spectrum(n: int, config: RunConfig) -> SpectrumPlan:
     """The plan of ``estimate_spectrum`` for a record of n samples.
 
-    Settings the record cannot take are refused as ``psd_welch`` and
-    ``psd_periodogram`` refuse them.
+    A library ``RunConfig`` is never validated, so the settings are checked
+    here: an unknown method, a window shorter than 8 samples or longer than
+    the record, an overlap outside [0, 1), and an FFT length that is not a
+    power of two or does not cover the window (the record, for a
+    periodogram) are refused.
     """
+    check_method(config.method)
     method = config.method
     if method == "welch" and n < MIN_WELCH_LENGTH:
         warnings.warn(
@@ -250,9 +214,18 @@ def _plan_spectrum(n: int, config: RunConfig) -> SpectrumPlan:
         )
         method = "periodogram"
     if method == "periodogram":
-        return _periodogram_plan(n, config.fft_length, config.K)
-    wl = config.window_len if config.window_len is not None else default_window_length(n)
-    return _welch_plan(n, wl, config.overlap, config.fft_length, config.K)
+        length = _fft_length(config.fft_length, n, "signal", config.K)
+        return SpectrumPlan("periodogram", n, None, None, length)
+    wl = int(config.window_len) if config.window_len is not None else default_window_length(n)
+    if wl < 8:
+        raise ValidationError(f"window_len must be at least 8, got {wl}")
+    if wl > n:
+        raise InsufficientData(f"window_len {wl} exceeds the signal length {n}")
+    if not (0.0 <= config.overlap < 1.0):
+        raise ValidationError(f"overlap must lie in [0, 1), got {config.overlap}")
+    length = _fft_length(config.fft_length, wl, "window", config.K)
+    hop = max(1, int(round(wl * (1.0 - config.overlap))))
+    return SpectrumPlan("welch", n, wl, hop, length)
 
 
 def plan_record(record, config: RunConfig) -> SpectrumPlan:
@@ -297,9 +270,9 @@ def _spectra(stack: np.ndarray, plan: SpectrumPlan, cross: bool = False):
     step = max(1, max(1, WELCH_BLOCK_VALUES // length) // len(stack))
     total = np.zeros((len(stack), length))
     cross_total = 0.0
-    # ``power_cepstra`` scales its records into range, but the ``psd_*``
-    # functions take theirs as given: an overflowing record gives a
-    # non-finite spectrum, which SpectrumEstimate refuses with a typed
+    # ``power_cepstra`` scales its records into range, but
+    # ``estimate_spectrum`` takes its signal as given: an overflowing
+    # signal gives a non-finite spectrum, which it refuses with a typed
     # error; NumPy's own warnings would only repeat it.
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, count, step):
@@ -316,54 +289,33 @@ def _spectra(stack: np.ndarray, plan: SpectrumPlan, cross: bool = False):
         return (total / scale, cross_total / scale) if cross else total / scale
 
 
-def _estimate(signal: Signal, plan: SpectrumPlan) -> SpectrumEstimate:
-    return SpectrumEstimate(_spectra(signal.samples[None], plan)[0], plan.method)
+def estimate_spectrum(signal: Signal, config: RunConfig) -> np.ndarray:
+    """The spectrum estimate of a signal per the configuration, on a
+    power-of-two grid of ``fft_length`` points.
 
-
-def psd_periodogram(signal: Signal, fft_length: int) -> SpectrumEstimate:
-    """Plain squared-FFT spectrum estimate, |FFT(x, L)|^2 / L.
-
-    With this scaling the mean over frequency bins equals the mean square
-    of the zero-padded signal.
+    Welch averages |FFT|^2 / fft_length over Hann-tapered segments of
+    ``window_len`` samples, spaced by ``window_len * (1 - overlap)``, each
+    padded to ``fft_length``; a window covering the whole signal gives the
+    periodogram of the tapered signal. A periodogram is |FFT(x, L)|^2 / L,
+    whose mean over the bins is the mean square of the zero-padded signal.
+    A signal under MIN_WELCH_LENGTH samples cannot support segment
+    averaging, so Welch falls back to a periodogram with a warning.
+    Automatic FFT lengths cover twice the cepstrum order. A non-finite
+    spectrum, from a signal whose squares overflow, is refused.
     """
-    return _estimate(signal, _periodogram_plan(len(signal), fft_length))
+    spectrum = _spectra(signal.samples[None], _plan_spectrum(len(signal), config))[0]
+    return _grid_values(spectrum, "spectrum")
 
 
-def psd_welch(
-    signal: Signal,
-    window_len: int,
-    overlap: float,
-    fft_length: int,
-) -> SpectrumEstimate:
-    """Averaged tapered-segment spectrum estimate.
-
-    Hann-tapered segments of ``window_len`` samples, spaced by
-    ``window_len * (1 - overlap)``, each padded to ``fft_length`` and
-    averaged as |FFT|^2 / fft_length. A window covering the whole signal
-    reduces to the periodogram of the tapered signal.
-    """
-    return _estimate(signal, _welch_plan(len(signal), window_len, overlap, fft_length))
-
-
-def estimate_spectrum(signal: Signal, config: RunConfig) -> SpectrumEstimate:
-    """Estimate a spectrum per the configuration, with automatic sizing.
-
-    Short signals (fewer than 128 samples) cannot support segment
-    averaging, so the welch method falls back to a periodogram with a
-    warning. Automatic FFT lengths always cover twice the cepstrum order.
-    """
-    return _estimate(signal, _plan_spectrum(len(signal), config))
-
-
-def _refuse_log(spectra: np.ndarray, method: str, order: int) -> None:
+def _refuse_log(spectra: np.ndarray, order: int) -> None:
     """Raise what stops the log cepstrum of one record's spectra.
 
     ``spectra`` holds one row for a signal, or the input and output rows
-    of a pair. A spectrum must be finite, the order positive and at most
-    half the FFT length, and every bin strictly positive.
+    of a pair. A spectrum must pass the grid check, the order must be
+    positive and at most half the grid, and every bin strictly positive.
     """
     for values in spectra:
-        SpectrumEstimate(values, method)
+        _grid_values(values, "spectrum")
     _check_order(order, spectra.shape[-1])
     if len(spectra) == 1:
         values = spectra[0]
@@ -389,10 +341,12 @@ def _fold_ifft_log(log_values: np.ndarray, order: int) -> tuple[np.ndarray, np.n
     return positive, c[..., 0]
 
 
-def power_cepstrum_from_psd(psd: SpectrumEstimate, order: int) -> CepstrumSequence:
-    """Inverse DFT of the log spectrum, truncated to ``order`` lags."""
-    _refuse_log(psd.values[None], psd.method, order)
-    positive, zeroth = _fold_ifft_log(np.log(psd.values), order)
+def power_cepstrum_from_psd(values: np.ndarray, order: int) -> CepstrumSequence:
+    """Inverse DFT of the log of a spectrum sampled on a uniform grid,
+    truncated to ``order`` lags."""
+    values = _grid_values(values, "spectrum")
+    _refuse_log(values[None], order)
+    positive, zeroth = _fold_ifft_log(np.log(values), order)
     return CepstrumSequence("power", positive, None, zeroth)
 
 
@@ -441,7 +395,7 @@ def power_cepstra(records: Sequence, config: RunConfig) -> list:
             good = []
             for offset, (idx, _) in enumerate(block):
                 try:
-                    _refuse_log(spectra[offset], plan.method, config.K)
+                    _refuse_log(spectra[offset], config.K)
                     good.append(offset)
                 except CepdistError as exc:
                     results[idx] = exc

@@ -25,15 +25,12 @@ from .lti import (
 )
 from .metrics import (
     cascade,
-    closed_form_norm_max_phase,
-    closed_form_norm_min_phase,
-    closed_form_norm_mixed,
+    closed_form_norm,
     weighted_cepstral_distance,
     weighted_cepstral_norm,
 )
 from .phase import MAXIMUM_PHASE, MINIMUM_PHASE, MIXED_PHASE, classify, classify_from_io
 from .spectral import (
-    SpectrumEstimate,
     complex_cepstrum_from_response,
     complex_cepstrum_from_zpk,
     next_pow2,
@@ -94,7 +91,7 @@ def _white_record(system: ZeroPoleGain, config: RunConfig) -> tuple[Signal, Sign
 
 def case_min_phase(config: RunConfig) -> dict:
     system = example_systems()["minimum_phase"]
-    closed = closed_form_norm_min_phase(system)
+    closed = closed_form_norm(system)
     model_norm = subspace_norm_from_model(system)
 
     u, y = _white_record(system, config)
@@ -126,10 +123,10 @@ def case_min_phase(config: RunConfig) -> dict:
 
 def case_max_phase(config: RunConfig) -> dict:
     system = example_systems()["maximum_phase"]
-    closed = closed_form_norm_max_phase(system)
+    closed = closed_form_norm(system)
     grid = 2.0 * np.pi * np.arange(GRID_LENGTH) / GRID_LENGTH
     response = frequency_response(system, grid)
-    psd = SpectrumEstimate(np.abs(response) ** 2, "model")
+    psd = np.abs(response) ** 2
     series = weighted_cepstral_norm(power_cepstrum_from_psd(psd, SERIES_ORDER)).value
     model_norm = subspace_norm_from_model(system)
     verdict = classify(
@@ -165,7 +162,7 @@ def case_max_phase(config: RunConfig) -> dict:
 
 def case_mixed(config: RunConfig) -> dict:
     system = example_systems()["mixed"]
-    closed = closed_form_norm_mixed(system)
+    closed = closed_form_norm(system)
     series_result = weighted_cepstral_norm(power_cepstrum_from_zpk(system, SERIES_ORDER))
     verdict = classify(
         complex_cepstrum_from_zpk(system, config.K_test), config.K_test, config.tol_model
@@ -210,13 +207,13 @@ def case_cascade(config: RunConfig) -> dict:
     first = ZeroPoleGain([0.55, -0.3], [0.25], 1.3)
     second = ZeroPoleGain([0.85, 0.1], [-0.45, 0.6], 0.7)
     distance = _series_distance(first, second)
-    closed = closed_form_norm_mixed(cascade(first, second))
+    closed = closed_form_norm(cascade(first, second))
     # The pole 0.5 of the first and the zero 0.5 of the second make a
     # double pole of the cascade.
     shared_a = ZeroPoleGain([0.5, -0.3], [0.2])
     shared_b = ZeroPoleGain([0.7], [0.5, 0.1])
     shared_distance = _series_distance(shared_a, shared_b)
-    shared_closed = closed_form_norm_mixed(cascade(shared_a, shared_b))
+    shared_closed = closed_form_norm(cascade(shared_a, shared_b))
     shared_model = subspace_distance_between_models(shared_a, shared_b)
 
     checks = [

@@ -15,7 +15,7 @@ from cepdist import (
     cascade,
     classify_from_io,
     classify_from_model,
-    closed_form_norm_mixed,
+    closed_form_norm,
     cosine_similarity,
     euclidean_distance,
     hs_hankel_norm,
@@ -144,7 +144,7 @@ def test_criterion_4_closed_form_and_trace_oracles():
     for _ in range(200):
         zpk = random_any_phase(rng)
         result = weighted_cepstral_norm(power_cepstrum_from_zpk(zpk, SERIES_ORDER))
-        gap = abs(result.value - closed_form_norm_mixed(zpk))
+        gap = abs(result.value - closed_form_norm(zpk))
         bound = max(1e-8, result.tail_bound)
         series_ok &= gap <= bound
         worst_series = max(worst_series, gap)
@@ -174,7 +174,7 @@ def test_criterion_5_cascade_identity():
             power_cepstrum_from_zpk(first, SERIES_ORDER),
             power_cepstrum_from_zpk(second, SERIES_ORDER),
         ).value
-        closed = closed_form_norm_mixed(cascade(first, second))
+        closed = closed_form_norm(cascade(first, second))
         worst = max(worst, abs(distance - closed))
     ok = worst <= 1e-6
     record_acceptance(
@@ -189,9 +189,9 @@ def test_criterion_6_inversion_insensitivity():
     drift = 0.0
     for _ in range(100):
         zpk = grid_system(rng)
-        base = closed_form_norm_mixed(zpk)
+        base = closed_form_norm(zpk)
         mask = rng.random(len(zpk.poles) + len(zpk.zeros)) < 0.5
-        drift = max(drift, abs(closed_form_norm_mixed(invert_roots(zpk, mask)) - base))
+        drift = max(drift, abs(closed_form_norm(invert_roots(zpk, mask)) - base))
     flips = 0
     trials = 200
     for _ in range(trials):

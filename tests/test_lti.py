@@ -14,7 +14,7 @@ from cepdist import (
     UnitCircleRoot,
     ValidationError,
     ZeroPoleGain,
-    closed_form_norm_mixed,
+    closed_form_norm,
     cosine_similarity,
     example_systems,
     frequency_response,
@@ -247,7 +247,7 @@ def test_roots_accept_repeated_pole():
     model = StateSpaceModel(A=np.diag([0.5, 0.5]), B=[1.0, 1.0], C=[1.0, -1.0], D=1.0)
     zpk = roots_from_state_space(model)
     assert zpk.poles == (0.5, 0.5)
-    assert closed_form_norm_mixed(zpk) == 0.0
+    assert closed_form_norm(zpk) == 0.0
     assert abs(subspace_norm_from_model(zpk)) <= 1e-14
     response = frequency_response(zpk, GRID_64)
     assert np.max(np.abs(response - 1.0)) <= 1e-7
@@ -259,8 +259,8 @@ def test_repeated_pole_survives_the_companion_round_trip():
     assert np.allclose(recovered.poles, [0.5, 0.5], atol=1e-7)
     assert np.allclose(sorted(np.real(recovered.zeros)), [0.0, 0.2], atol=1e-12)
     assert recovered.gain == 1.0
-    closed = closed_form_norm_mixed(zpk)
-    assert closed_form_norm_mixed(recovered) == pytest.approx(closed, rel=1e-12)
+    closed = closed_form_norm(zpk)
+    assert closed_form_norm(recovered) == pytest.approx(closed, rel=1e-12)
 
 
 @given(st.integers(0, 10**6))
@@ -394,7 +394,7 @@ def test_zpk_stores_inside_roots_first_in_the_given_order(seed):
     assert zpk.gain == gain
     stored = ZeroPoleGain(list(zpk.poles), list(zpk.zeros), gain)
     assert stored.folded_poles() == zpk.folded_poles()
-    assert closed_form_norm_mixed(stored) == closed_form_norm_mixed(zpk)
+    assert closed_form_norm(stored) == closed_form_norm(zpk)
     first, second = (power_cepstrum_from_zpk(model, 32) for model in (zpk, stored))
     assert np.array_equal(first.positive, second.positive)
     assert first.zeroth == second.zeroth
@@ -405,6 +405,54 @@ def test_zpk_refuses_non_finite_roots_and_gains(bad):
     for poles, zeros, gain in (([bad, 0.5], [0.2], 1), ([0.5], [0.2, bad], 1), ([0.5], [0.2], bad)):
         with pytest.raises(ValidationError, match="finite"):
             ZeroPoleGain(poles=poles, zeros=zeros, gain=gain)
+
+
+@pytest.mark.parametrize(
+    "build,message",
+    [
+        (
+            lambda: ZeroPoleGain(["0.5"], ["1+2j", "1-2j"], "2"),
+            "poles must hold only numbers, got '0.5'",
+        ),
+        (
+            lambda: ZeroPoleGain([0.5], ["1+2j", "1-2j"], 2),
+            "zeros must hold only numbers, got '1+2j'",
+        ),
+        (lambda: ZeroPoleGain([0.5], [], True), "gain must hold only numbers, got True"),
+        (lambda: ZeroPoleGain([0.5], [], "2"), "gain must hold only numbers, got '2'"),
+        (
+            lambda: ZeroPoleGain([np.bool_(True)], [], 1),
+            f"poles must hold only numbers, got {np.bool_(True)!r}",
+        ),
+        (
+            lambda: ZeroPoleGain(np.array([0.5, True], dtype=object)),
+            "poles must hold only numbers, got True",
+        ),
+        (lambda: ZeroPoleGain("0.5"), "poles must hold only numbers, got '0.5'"),
+        (
+            lambda: StateSpaceModel([["0.5"]], ["1"], [True], "1"),
+            "A must hold only numbers, got '0.5'",
+        ),
+        (lambda: StateSpaceModel([[0.5]], ["1"], [1], 1), "B must hold only numbers, got '1'"),
+        (
+            lambda: StateSpaceModel([[0.5]], [1], np.array([True]), 1),
+            "C must hold only numbers, got True",
+        ),
+        (lambda: StateSpaceModel([[0.5]], [1], [1], False), "D must hold only numbers, got False"),
+    ],
+)
+def test_model_constructors_refuse_strings_and_booleans(build, message):
+    with pytest.raises(ValidationError) as info:
+        build()
+    assert str(info.value) == message
+
+
+def test_model_constructors_take_numbers_of_any_numeric_type():
+    zpk = ZeroPoleGain(np.array([0.5, 2]), (np.complex128(0.1),), np.int64(3))
+    assert zpk.poles == (0.5, 2.0) and zpk.zeros == (0.1,) and zpk.gain == 3.0
+    a = np.array([[0.5]], dtype=np.float32)
+    model = StateSpaceModel(a, (1,), [np.int64(2)], np.float64(1))
+    assert model.C.tolist() == [2.0] and model.D == 1.0
 
 
 @given(st.integers(0, 10**6))

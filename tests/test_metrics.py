@@ -13,14 +13,11 @@ from cepdist import (
     CepstrumSequence,
     KindMismatch,
     LengthMismatch,
-    NotMinimumPhaseStable,
     Signal,
     ValidationError,
     ZeroPoleGain,
     cascade,
-    closed_form_norm_max_phase,
-    closed_form_norm_min_phase,
-    closed_form_norm_mixed,
+    closed_form_norm,
     complex_cepstrum_from_zpk,
     cosine_similarity,
     euclidean_distance,
@@ -160,13 +157,24 @@ def test_hankel_norm_validation():
         hs_hankel_norm(c, 9)
 
 
+def test_hankel_norm_reads_exactly_lags_one_to_2m_minus_1():
+    # An m x m block reads c(1..2m-1): 2m - 1 stored lags suffice, 2m - 2 do not.
+    m = 8
+    c = geometric_cepstrum(0.5, 2 * m - 1)
+    assert hs_hankel_norm(c, m) == hs_hankel_norm(geometric_cepstrum(0.5, 2 * m), m)
+    message = "an 8 x 8 Hankel block reads lags 1 to 15; store at least 15 coefficients (got 14)"
+    with pytest.raises(ValidationError) as info:
+        hs_hankel_norm(geometric_cepstrum(0.5, 2 * m - 2), m)
+    assert str(info.value) == message
+
+
 def test_closed_form_min_phase_without_roots():
-    assert closed_form_norm_min_phase(ZeroPoleGain(gain=2.0)) == 0.0
+    assert closed_form_norm(ZeroPoleGain(gain=2.0)) == 0.0
 
 
 def test_closed_form_min_phase_pole_and_zero():
     zpk = ZeroPoleGain([0.5], [-0.5], 1.0)
-    value = closed_form_norm_min_phase(zpk)
+    value = closed_form_norm(zpk)
     assert value == pytest.approx(np.log(1.5625 / (0.75 * 0.75)), abs=1e-15)
     # Only odd lags survive: c(k) = (0.5^k - (-0.5)^k) / k, so the series
     # collapses to 4 artanh(1/4).
@@ -175,40 +183,30 @@ def test_closed_form_min_phase_pole_and_zero():
     assert series == pytest.approx(value, abs=1e-10)
 
 
-def test_closed_form_min_phase_rejects_outside_roots():
-    with pytest.raises(NotMinimumPhaseStable):
-        closed_form_norm_min_phase(ZeroPoleGain([2.0], [], 1.0))
-
-
 def test_closed_form_max_phase_single_pole():
-    value = closed_form_norm_max_phase(ZeroPoleGain([2.0], [], 1.0))
+    value = closed_form_norm(ZeroPoleGain([2.0], [], 1.0))
     assert value == pytest.approx(-np.log(0.75), abs=1e-12)
-    assert closed_form_norm_max_phase(ZeroPoleGain(gain=1.0)) == 0.0
-
-
-def test_closed_form_max_phase_rejects_inside_roots():
-    with pytest.raises(ValidationError):
-        closed_form_norm_max_phase(POLE_HALF)
+    assert closed_form_norm(ZeroPoleGain(gain=1.0)) == 0.0
 
 
 def test_demo_maximum_phase_norm_equals_minimum_phase_norm():
     systems = example_systems()
-    value_max = closed_form_norm_max_phase(systems["maximum_phase"])
-    value_min = closed_form_norm_min_phase(systems["minimum_phase"])
+    value_max = closed_form_norm(systems["maximum_phase"])
+    value_min = closed_form_norm(systems["minimum_phase"])
     assert value_min == pytest.approx(0.6717042794183063, abs=1e-12)
     assert value_max == pytest.approx(value_min, abs=1e-12)
 
 
 def test_closed_form_mixed_two_reflected_poles():
     zpk = ZeroPoleGain([0.5, 2.0], [], 1.0)
-    value = closed_form_norm_mixed(zpk)
+    value = closed_form_norm(zpk)
     assert value == pytest.approx(-4.0 * np.log(0.75), abs=1e-12)
     series = weighted_cepstral_norm(power_cepstrum_from_zpk(zpk, 2000)).value
     assert series == pytest.approx(value, abs=1e-10)
 
 
 def test_closed_form_mixed_of_pure_gain():
-    assert closed_form_norm_mixed(ZeroPoleGain(gain=5.0)) == 0.0
+    assert closed_form_norm(ZeroPoleGain(gain=5.0)) == 0.0
 
 
 @given(st.integers(0, 10**6))
@@ -221,22 +219,24 @@ def test_closed_form_mixed_is_inversion_invariant(seed):
     flip = rng.random(4) < 0.5
     flipped = [1.0 / r if f else r for r, f in zip(roots, flip)]
     other = ZeroPoleGain(flipped[:2], flipped[2:], 1.0)
-    assert abs(closed_form_norm_mixed(base) - closed_form_norm_mixed(other)) <= 1e-12
+    assert abs(closed_form_norm(base) - closed_form_norm(other)) <= 1e-12
 
 
 @given(st.integers(0, 10**6))
 def test_closed_forms_agree_on_pure_phase_types(seed):
+    # A maximum phase model and the minimum phase model with every root
+    # reflected inside have one norm; a minimum phase model is its own fold.
     rng = np.random.default_rng(seed)
     minimum = random_min_phase(rng)
-    assert abs(
-        closed_form_norm_mixed(minimum) - closed_form_norm_min_phase(minimum)
-    ) <= 1e-12
+    folded = ZeroPoleGain(minimum.folded_poles(), minimum.folded_zeros(), minimum.gain)
+    assert closed_form_norm(folded) == closed_form_norm(minimum)
     maximum = ZeroPoleGain(
         draw_roots(rng, 2, outside=True), draw_roots(rng, 2, outside=True), 1.0
     )
-    assert abs(
-        closed_form_norm_mixed(maximum) - closed_form_norm_max_phase(maximum)
-    ) <= 1e-12
+    assert maximum.is_maximum_phase
+    reflected = ZeroPoleGain(maximum.folded_poles(), maximum.folded_zeros(), 1.0)
+    assert reflected.is_minimum_phase
+    assert abs(closed_form_norm(maximum) - closed_form_norm(reflected)) <= 1e-12
 
 
 def test_cascade_of_a_system_with_itself_cancels():
@@ -265,7 +265,7 @@ def test_cascade_norm_equals_weighted_distance():
     c1 = power_cepstrum_from_zpk(first, 4096)
     c2 = power_cepstrum_from_zpk(second, 4096)
     distance = weighted_cepstral_distance(c1, c2).value
-    closed = closed_form_norm_mixed(cascade(first, second))
+    closed = closed_form_norm(cascade(first, second))
     assert abs(distance - closed) <= 1e-6
 
 
@@ -273,7 +273,7 @@ def test_cascade_norm_equals_weighted_distance():
 @settings(max_examples=25)
 def test_series_converges_to_the_closed_form_from_below(seed):
     zpk = random_any_phase(np.random.default_rng(seed), max_each=3)
-    closed = closed_form_norm_mixed(zpk)
+    closed = closed_form_norm(zpk)
     cepstrum = power_cepstrum_from_zpk(zpk, 2000)
     k = np.arange(1, 2001)
     partial = np.cumsum(k * cepstrum.positive**2)

@@ -14,7 +14,6 @@ from cepdist import (
     LengthMismatch,
     RunConfig,
     Signal,
-    SpectrumEstimate,
     ValidationError,
     ZeroPoleGain,
     classify_from_io,
@@ -103,9 +102,7 @@ SIGNAL = Signal(_rng.standard_normal(GRID))
 OUTPUT = Signal(_rng.standard_normal(GRID))
 GRID_CONFIG = RunConfig(method="periodogram", fft_length=GRID)
 GRID_ROUTES = {
-    "power_cepstrum_from_psd": lambda order: power_cepstrum_from_psd(
-        SpectrumEstimate(np.ones(GRID), "model"), order
-    ),
+    "power_cepstrum_from_psd": lambda order: power_cepstrum_from_psd(np.ones(GRID), order),
     "power_cepstra": lambda order: _raise(
         power_cepstra([SIGNAL], replace(GRID_CONFIG, K=order))[0]
     ),
@@ -157,7 +154,7 @@ def test_every_gridded_order_route_refuses_an_order_above_half_the_grid(route):
 
 
 GRID_VALUES = {
-    "spectrum": lambda values: SpectrumEstimate(values, "model"),
+    "spectrum": lambda values: power_cepstrum_from_psd(values, 1),
     "response": lambda values: complex_cepstrum_from_response(values, 1),
 }
 

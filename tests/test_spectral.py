@@ -10,13 +10,13 @@ from hypothesis import strategies as st
 
 from cepdist import (
     CepstrumSequence,
+    ConfigError,
     InsufficientData,
     KindMismatch,
     LengthMismatch,
     LogOfNonpositive,
     RunConfig,
     Signal,
-    SpectrumEstimate,
     SpectralNull,
     StateSpaceModel,
     ValidationError,
@@ -30,8 +30,6 @@ from cepdist import (
     power_cepstrum_from_psd,
     power_cepstrum_from_zpk,
     power_cepstrum_of_signal,
-    psd_periodogram,
-    psd_welch,
     roots_from_state_space,
     simulate,
     state_space_from_roots,
@@ -40,6 +38,8 @@ from cepdist import (
 from cepdist.spectral import (
     MIN_WELCH_LENGTH,
     WELCH_BLOCK_VALUES,
+    SpectrumPlan,
+    _spectra,
     default_window_length,
     next_pow2,
     plan_record,
@@ -64,16 +64,24 @@ def white(length: int, seed: int) -> Signal:
     return Signal(np.random.default_rng(seed).standard_normal(length))
 
 
+def periodogram(signal: Signal, fft_length: int) -> np.ndarray:
+    return estimate_spectrum(signal, RunConfig(method="periodogram", fft_length=fft_length))
+
+
+def welch(signal: Signal, window_len: int, overlap: float, fft_length: int) -> np.ndarray:
+    config = RunConfig(window_len=window_len, overlap=overlap, fft_length=fft_length)
+    return estimate_spectrum(signal, config)
+
+
 def test_periodogram_of_constant_is_a_zero_frequency_spike():
-    psd = psd_periodogram(Signal(np.ones(64)), 64)
-    assert psd.values[0] == pytest.approx(64.0)
-    assert np.max(np.abs(psd.values[1:])) <= 1e-9
-    assert psd.method == "periodogram"
+    psd = periodogram(Signal(np.ones(64)), 64)
+    assert psd[0] == pytest.approx(64.0)
+    assert np.max(np.abs(psd[1:])) <= 1e-9
 
 
 def test_zero_signal_spectrum_is_flagged_downstream():
-    psd = psd_periodogram(Signal(np.zeros(32)), 32)
-    assert np.array_equal(psd.values, np.zeros(32))
+    psd = periodogram(Signal(np.zeros(32)), 32)
+    assert np.array_equal(psd, np.zeros(32))
     with pytest.raises(LogOfNonpositive):
         power_cepstrum_from_psd(psd, 4)
 
@@ -81,15 +89,15 @@ def test_zero_signal_spectrum_is_flagged_downstream():
 @given(st.integers(0, 10**6), st.integers(5, 200))
 def test_periodogram_satisfies_parseval(seed, n):
     x = np.random.default_rng(seed).standard_normal(n)
-    psd = psd_periodogram(Signal(x), 256)
-    assert np.mean(psd.values) == pytest.approx(np.sum(x**2) / 256, rel=1e-12)
+    psd = periodogram(Signal(x), 256)
+    assert np.mean(psd) == pytest.approx(np.sum(x**2) / 256, rel=1e-12)
 
 
 def test_periodogram_fft_length_validation():
     with pytest.raises(ValidationError):
-        psd_periodogram(white(64, 0), 32)
+        periodogram(white(64, 0), 32)
     with pytest.raises(ValidationError):
-        psd_periodogram(white(64, 0), 100)
+        periodogram(white(64, 0), 100)
 
 
 def _reference_psd_welch(signal, window_len, overlap, fft_length):
@@ -126,7 +134,11 @@ def _reference_spectrum(signal, config):
             raise InsufficientData(f"window_len {window_len} exceeds the signal length {n}")
         length = config.fft_length or next_pow2(max(window_len, 2 * config.K))
         values = _reference_psd_welch(signal, window_len, config.overlap, length)
-    return SpectrumEstimate(values, method).values
+    if not np.all(np.isfinite(values)):
+        raise ValidationError("spectrum values must be finite")
+    if np.any(values < 0.0):
+        raise ValidationError("spectrum values must be nonnegative")
+    return values
 
 
 def _reference_fold(log_values, order):
@@ -169,11 +181,18 @@ def reference_cepstrum(record, config):
 @pytest.mark.parametrize("length", [8, 100, 1000, 4097])
 def test_welch_matches_the_segment_loop(length, overlap):
     # Window lengths include one whose hop does not divide the record and
-    # the whole record; FFT lengths include twice the padded window.
+    # the whole record; FFT lengths include twice the padded window. A
+    # record under MIN_WELCH_LENGTH falls back to a periodogram in
+    # estimate_spectrum, so its Welch plan is run directly.
     x = Signal(white(length, length).samples * 1e3)
     for window_len in sorted({w for w in (8, 64, 100, length) if w <= length}):
         for fft_length in (next_pow2(window_len), 2 * next_pow2(window_len)):
-            got = psd_welch(x, window_len, overlap, fft_length).values
+            if length < MIN_WELCH_LENGTH:
+                hop = max(1, int(round(window_len * (1.0 - overlap))))
+                plan = SpectrumPlan("welch", length, window_len, hop, fft_length)
+                got = _spectra(x.samples[None], plan)[0]
+            else:
+                got = welch(x, window_len, overlap, fft_length)
             want = _reference_psd_welch(x, window_len, overlap, fft_length)
             assert got.tobytes() == want.tobytes(), (window_len, fft_length)
 
@@ -184,44 +203,43 @@ def test_welch_matches_the_segment_loop_across_blocks(fft_length):
     per_block = WELCH_BLOCK_VALUES // fft_length
     hop = fft_length // 4
     x = white(hop * (3 * per_block + 7) + fft_length, 5)
-    got = psd_welch(x, fft_length, 0.75, fft_length).values
+    got = welch(x, fft_length, 0.75, fft_length)
     want = _reference_psd_welch(x, fft_length, 0.75, fft_length)
     assert got.tobytes() == want.tobytes()
 
 
 def test_welch_single_full_window_is_a_tapered_periodogram():
     x = white(512, 3)
-    welch = psd_welch(x, window_len=512, overlap=0.0, fft_length=512)
-    tapered = psd_periodogram(Signal(np.hanning(512) * x.samples), 512)
-    assert np.array_equal(welch.values, tapered.values)
-    assert welch.method == "welch"
+    tapered = periodogram(Signal(np.hanning(512) * x.samples), 512)
+    assert np.array_equal(welch(x, 512, 0.0, 512), tapered)
 
 
 def test_welch_white_noise_estimate_is_flat():
     # Short windows trade resolution for variance; +-20% needs ~256 segments.
     for seed in (0, 7, 44):
-        psd = psd_welch(white(2**14, seed), window_len=64, overlap=0.5, fft_length=64)
-        mean = float(np.mean(psd.values))
-        assert np.max(psd.values) <= 1.2 * mean
-        assert np.min(psd.values) >= 0.8 * mean
+        psd = welch(white(2**14, seed), 64, 0.5, 64)
+        mean = float(np.mean(psd))
+        assert np.max(psd) <= 1.2 * mean
+        assert np.min(psd) >= 0.8 * mean
 
 
 def test_welch_variance_is_below_periodogram_variance():
     for seed in range(20):
         x = white(2**14, seed)
-        var_welch = float(np.var(psd_welch(x, 1024, 0.5, 1024).values))
-        var_full = float(np.var(psd_periodogram(x, 2**14).values))
+        var_welch = float(np.var(welch(x, 1024, 0.5, 1024)))
+        var_full = float(np.var(periodogram(x, 2**14)))
         assert var_welch < var_full
 
 
 def test_welch_rejects_window_longer_than_signal():
-    with pytest.raises(InsufficientData):
-        psd_welch(white(64, 0), window_len=128, overlap=0.5, fft_length=128)
+    # At MIN_WELCH_LENGTH samples and above, where no fallback applies.
+    with pytest.raises(InsufficientData, match="window_len 256 exceeds the signal length 200"):
+        welch(white(200, 0), 256, 0.5, 256)
 
 
 def test_welch_rejects_bad_overlap():
-    with pytest.raises(ValidationError):
-        psd_welch(white(256, 0), window_len=64, overlap=1.0, fft_length=64)
+    with pytest.raises(ValidationError, match=re.escape("overlap must lie in [0, 1), got 1.0")):
+        welch(white(256, 0), 64, 1.0, 64)
 
 
 @pytest.mark.parametrize(
@@ -231,7 +249,7 @@ def test_welch_rejects_bad_overlap():
 def test_every_route_refuses_a_bad_fft_length_alike(fft_length, message):
     x = white(40, 3)
     routes = [
-        lambda: psd_periodogram(x, fft_length),
+        lambda: periodogram(x, fft_length),
         lambda: complex_cepstrum(x, fft_length, 8),
         lambda: transfer_complex_cepstrum_from_io(
             x, x, RunConfig(method="periodogram", fft_length=fft_length), 8
@@ -241,27 +259,57 @@ def test_every_route_refuses_a_bad_fft_length_alike(fft_length, message):
         with pytest.raises(ValidationError, match=re.escape(message)):
             route()
     with pytest.raises(ValidationError, match="fft_length 8 is shorter than the window"):
-        psd_welch(x, 16, 0.5, 8)
+        welch(white(MIN_WELCH_LENGTH, 3), 16, 0.5, 8)
 
 
 def test_estimate_spectrum_falls_back_for_short_signals():
     config = RunConfig(method="welch", K=16)
     with pytest.warns(UserWarning, match="falling back"):
         psd = estimate_spectrum(white(64, 1), config)
-    assert psd.method == "periodogram"
+    fallback = estimate_spectrum(white(64, 1), RunConfig(method="periodogram", K=16))
+    assert psd.tobytes() == fallback.tobytes()
 
 
 def test_spectrum_estimate_validation():
-    with pytest.raises(ValidationError):
-        SpectrumEstimate(np.ones(48), "periodogram")
-    with pytest.raises(ValidationError):
-        SpectrumEstimate(-np.ones(16), "periodogram")
-    with pytest.raises(ValidationError):
-        SpectrumEstimate(np.ones(16), "guess")
+    with pytest.raises(ValidationError, match="power of two >= 2, got 48"):
+        power_cepstrum_from_psd(np.ones(48), 4)
+    with pytest.raises(LogOfNonpositive):
+        power_cepstrum_from_psd(-np.ones(16), 4)
+    with pytest.raises(ValidationError, match="method must be one of"):
+        estimate_spectrum(white(256, 0), RunConfig(method="guess"))
+
+
+@pytest.mark.parametrize("route", ["plan_record", "estimate_spectrum", "power_cepstra"])
+def test_an_unknown_method_is_refused_not_run_as_welch(route):
+    # A library RunConfig is never validated, so the plan checks the method
+    # itself, with the message of RunConfig.validate.
+    config = RunConfig(method="Periodogram")
+    message = "method must be one of ('welch', 'periodogram'), got 'Periodogram'"
+    call = {
+        "plan_record": lambda: plan_record(white(512, 0), config),
+        "estimate_spectrum": lambda: estimate_spectrum(white(512, 0), config),
+        "power_cepstra": lambda: power_cepstra([white(512, 0)], config)[0],
+    }[route]
+    if route == "power_cepstra":
+        result = call()
+    else:
+        with pytest.raises(ValidationError) as info:
+            call()
+        result = info.value
+    assert isinstance(result, ConfigError) and str(result) == message
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        config.validate()
+
+
+def test_estimate_spectrum_refuses_a_spectrum_that_overflows():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="spectrum values must be finite"):
+            periodogram(Signal(np.full(256, 1e200)), 256)
 
 
 def test_power_cepstrum_of_flat_spectrum_is_zero():
-    cepstrum = power_cepstrum_from_psd(SpectrumEstimate(np.ones(512), "model"), 32)
+    cepstrum = power_cepstrum_from_psd(np.ones(512), 32)
     assert np.array_equal(cepstrum.positive, np.zeros(32))
     assert cepstrum.zeroth == 0.0
 
@@ -269,8 +317,7 @@ def test_power_cepstrum_of_flat_spectrum_is_zero():
 def test_power_cepstrum_from_dense_grid_of_single_pole():
     grid = 2.0 * np.pi * np.arange(8192) / 8192
     response = frequency_response(SINGLE_POLE, grid)
-    psd = SpectrumEstimate(np.abs(response) ** 2, "model")
-    cepstrum = power_cepstrum_from_psd(psd, 8)
+    cepstrum = power_cepstrum_from_psd(np.abs(response) ** 2, 8)
     assert cepstrum.coefficient(1) == pytest.approx(0.5, abs=1e-6)
     assert cepstrum.coefficient(2) == pytest.approx(0.125, abs=1e-6)
 

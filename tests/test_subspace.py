@@ -20,9 +20,7 @@ from cepdist import (
     ValidationError,
     ZeroPoleGain,
     classify_from_io,
-    closed_form_norm_max_phase,
-    closed_form_norm_min_phase,
-    closed_form_norm_mixed,
+    closed_form_norm,
     complex_cepstrum,
     complex_cepstrum_from_zpk,
     example_systems,
@@ -356,19 +354,19 @@ def test_model_norm_of_pure_gain_is_zero():
 def test_model_norm_pole_zero_pair_matches_closed_form():
     zpk = ZeroPoleGain([0.5], [-0.5], 1.0)
     value = subspace_norm_from_model(zpk)
-    assert abs(value - closed_form_norm_min_phase(zpk)) <= 1e-10
+    assert abs(value - closed_form_norm(zpk)) <= 1e-10
 
 
 def test_model_norm_demo_minimum_phase_agreement():
     system = example_systems()["minimum_phase"]
     value = subspace_norm_from_model(system)
-    assert abs(value - closed_form_norm_min_phase(system)) <= 1e-13
+    assert abs(value - closed_form_norm(system)) <= 1e-13
 
 
 def test_model_norm_maximum_phase_equals_reflected_minimum_phase():
     system = example_systems()["maximum_phase"]
     value = subspace_norm_from_model(system)
-    assert abs(value - closed_form_norm_max_phase(system)) <= 1e-9
+    assert abs(value - closed_form_norm(system)) <= 1e-9
     reflected = ZeroPoleGain(system.folded_poles(), system.folded_zeros(), 1.0)
     assert value == subspace_norm_from_model(reflected)
 
@@ -393,14 +391,14 @@ def test_model_norm_pads_any_count_gap_with_roots_at_the_origin(poles, zeros):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         value = subspace_norm_from_model(zpk)
-    assert abs(value - closed_form_norm_min_phase(zpk)) <= 1e-13
+    assert abs(value - closed_form_norm(zpk)) <= 1e-13
 
 
 @pytest.mark.parametrize("radius", [0.99, 0.999, 0.9999])
 def test_model_norm_of_a_slow_pole(radius):
     zpk = ZeroPoleGain([radius, -0.3], [0.5, 0.2], 1.0)
     value = subspace_norm_from_model(zpk)
-    closed = closed_form_norm_min_phase(zpk)
+    closed = closed_form_norm(zpk)
     assert abs(value - closed) <= 1e-11 * closed
 
 
@@ -443,7 +441,7 @@ def test_model_norm_matches_closed_form_on_clustered_slow_and_unbalanced_roots(r
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         value = subspace_norm_from_model(zpk)
-    closed = closed_form_norm_min_phase(zpk)
+    closed = closed_form_norm(zpk)
     assert abs(value - closed) <= 1e-11 * max(1.0, abs(closed))
 
 
@@ -476,7 +474,7 @@ def test_routes_take_repeated_roots(roots):
     zpk = ZeroPoleGain(*roots, 1.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        closed = closed_form_norm_mixed(zpk)
+        closed = closed_form_norm(zpk)
         series = weighted_cepstral_norm(power_cepstrum_from_zpk(zpk, 4096)).value
         assert abs(series - closed) <= 1e-12 * max(1.0, abs(closed))
         power = power_cepstrum_from_zpk(zpk, 64)
@@ -541,7 +539,7 @@ def test_data_distance_of_a_record_with_itself_is_zero():
 def test_data_norm_of_a_double_pole_record():
     zpk = ZeroPoleGain([0.5, 0.5], [0.2], 1.0)
     u, y = white_record(zpk, 8192, 0)
-    closed = closed_form_norm_min_phase(zpk)
+    closed = closed_form_norm(zpk)
     value = subspace_norm_from_data(u, y, rows=150)
     assert abs(value - closed) <= RunConfig().tol_model * closed
     assert classify_from_io(u, y, RunConfig()).kind == "MinimumPhaseStable"
@@ -561,7 +559,7 @@ def test_data_distance_between_two_known_systems():
 def test_model_norm_matches_closed_form_on_random_systems(seed):
     zpk = random_min_phase(np.random.default_rng(seed), max_each=3)
     value = subspace_norm_from_model(zpk)
-    assert abs(value - closed_form_norm_min_phase(zpk)) <= 1e-9
+    assert abs(value - closed_form_norm(zpk)) <= 1e-9
 
 
 # (rows, record length, column count or None for every full window): both
@@ -624,7 +622,7 @@ def test_data_norm_under_output_noise_is_accurate_or_refused(log_noise, seed):
     except RankDeficient as exc:
         assert f"{ORDER_GAP_MIN:g}" in str(exc)
         return
-    assert abs(value - closed_form_norm_min_phase(MIN_PHASE_DEMO)) <= RunConfig().tol_model
+    assert abs(value - closed_form_norm(MIN_PHASE_DEMO)) <= RunConfig().tol_model
 
 
 def test_data_norm_under_small_noise_keeps_the_model_order():
@@ -633,7 +631,7 @@ def test_data_norm_under_small_noise_keeps_the_model_order():
     basis_y, basis_u = projected_bases(u, noisy, rows=150)
     assert basis_y.shape[1] == 3 and basis_u.shape[1] == 3
     value = _bases_norm((basis_y, basis_u))
-    closed = closed_form_norm_min_phase(MIN_PHASE_DEMO)
+    closed = closed_form_norm(MIN_PHASE_DEMO)
     assert abs(value - closed) <= 1e-6 * closed
 
 
@@ -648,7 +646,7 @@ def test_data_norm_of_a_colored_input_record(pole):
     bases = projected_bases(u, y, rows=150)
     assert [b.shape for b in bases] == [b.shape for b in _lq_projected_bases(u, y, 150)]
     assert [b.shape[1] for b in bases] == [3, 3]
-    assert abs(_bases_norm(bases) - closed_form_norm_min_phase(MIN_PHASE_DEMO)) <= 1e-9
+    assert abs(_bases_norm(bases) - closed_form_norm(MIN_PHASE_DEMO)) <= 1e-9
 
 
 def test_data_bases_refuse_a_record_without_an_order_gap():
