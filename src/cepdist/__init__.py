@@ -93,15 +93,12 @@ from .spectral import (
     transfer_complex_cepstrum_from_io,
 )
 from .subspace import (
-    PrincipalAngleSet,
-    principal_angles,
     projected_bases,
     subspace_distance_between_models,
     subspace_distance_from_bases,
     subspace_distance_from_data,
     subspace_norm_from_data,
     subspace_norm_from_model,
-    vandermonde_range,
 )
 from .verify import run_verify
 

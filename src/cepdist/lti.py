@@ -57,15 +57,19 @@ SAFE_PEAK = 2.0**128
 TIME_JITTER_RTOL = 1e-6
 
 
-def check_numbers(value, key: str):
-    """``value``, once every entry of its nested lists, tuples or arrays is
-    a number: a string or boolean is refused, not converted."""
+def check_numbers(value, key: str, depth: int):
+    """``value``, once it is numbers nested ``depth`` lists, tuples or arrays
+    deep (0 for a bare number): a string or boolean is refused, not converted,
+    and so is a list where a number belongs or a number where a list belongs."""
     entries = value.tolist() if isinstance(value, np.ndarray) else value
-    if isinstance(entries, (list, tuple)):
-        for entry in entries:
-            check_numbers(entry, key)
-    elif isinstance(entries, (bool, np.bool_)) or not isinstance(entries, numbers.Number):
+    nested = isinstance(entries, (list, tuple))
+    if not nested and (isinstance(entries, bool) or not isinstance(entries, numbers.Number)):
         raise ValidationError(f"{key} must hold only numbers, got {entries!r}")
+    if nested != (depth > 0):
+        belongs = "a list" if depth else "a number"
+        raise DimensionMismatch(f"{key} has {entries!r} where {belongs} belongs")
+    for entry in entries if nested else ():
+        check_numbers(entry, key, depth - 1)
     return value
 
 
@@ -138,8 +142,8 @@ class StateSpaceModel:
     D: float
 
     def __post_init__(self) -> None:
-        for name in ("A", "B", "C", "D"):
-            check_numbers(getattr(self, name), name)
+        for name, depth in (("A", 2), ("B", 1), ("C", 1), ("D", 0)):
+            check_numbers(getattr(self, name), name, depth)
         a = np.asarray(self.A, dtype=float)
         b = _to_vector(self.B, "B")
         c = _to_vector(self.C, "C")
@@ -205,7 +209,7 @@ class ZeroPoleGain:
 
     def __post_init__(self) -> None:
         for name, what in (("poles", "pole"), ("zeros", "zero")):
-            roots = [complex(r) for r in check_numbers(getattr(self, name), name)]
+            roots = [complex(r) for r in check_numbers(getattr(self, name), name, 1)]
             if not all(np.isfinite(r) for r in roots):
                 raise ValidationError(f"{name} must contain only finite roots")
             _check_off_circle(roots, what)
@@ -213,7 +217,7 @@ class ZeroPoleGain:
             roots = tuple(sorted(roots, key=lambda r: abs(r) > 1.0))
             _check_conjugate_closed(roots, what)
             object.__setattr__(self, name, roots)
-        g = complex(check_numbers(self.gain, "gain"))
+        g = complex(check_numbers(self.gain, "gain", 0))
         if not np.isfinite(g):
             raise ValidationError(f"gain must be finite, got {self.gain}")
         if abs(g.imag) > TAU_MULT * max(1.0, abs(g)):

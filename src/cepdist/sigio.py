@@ -397,11 +397,12 @@ def format_matrix_csv(ids: tuple[str, ...], values: np.ndarray) -> str:
     return _csv_row(["id", *ids]) + "\n" + "".join(rows)
 
 
-def _parse_root(entry) -> complex:
+def _parse_root(entry, key: str):
+    """A JSON root, with an [re, im] pair read as one complex number."""
     if not isinstance(entry, list):
-        return complex(entry)
+        return entry
     if len(entry) == 2 and not any(isinstance(part, list) for part in entry):
-        return complex(*entry)
+        return complex(*check_numbers(entry, key, 1))
     raise ValidationError(f"roots must be numbers or [re, im] pairs, got {entry!r}")
 
 
@@ -427,12 +428,13 @@ def read_model_json(path: str) -> StateSpaceModel | ZeroPoleGain:
     try:
         with naming(path):
             if state_keys <= set(data):
-                a = np.asarray(check_numbers(data["A"], "A"), dtype=float)
+                a = np.asarray(check_numbers(data["A"], "A", 2), dtype=float)
                 if a.size == 0:
                     a = np.zeros((0, 0))
                 return StateSpaceModel(a, data["B"], data["C"], data["D"])
             if root_keys <= set(data):
-                poles, zeros = ([_parse_root(r) for r in check_numbers(data[key], key)]
+                poles, zeros = ([_parse_root(r, key) for r in data[key]]
+                                if isinstance(data[key], list) else data[key]
                                 for key in ("poles", "zeros"))
                 return ZeroPoleGain(poles, zeros, data["gain"])
     except (TypeError, ValueError, OverflowError) as exc:

@@ -16,11 +16,12 @@ used by Mastronardi et al. 2001); the order is read from the singular-value
 gap, and one subspace-iteration step against the samples makes each basis
 as accurate as an LQ factorization of the Hankel blocks would.
 Maximum phase models go through the same computation on reflected roots.
+Every route reads its cosines as the singular values of Q_a^H Q_b for
+orthonormal bases Q_a and Q_b of the two ranges (``_cosines``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -34,7 +35,7 @@ from .errors import (
     RankDeficient,
     ValidationError,
 )
-from .lti import TAU_MULT, Signal, ZeroPoleGain, check_pair, range_exponent
+from .lti import Signal, ZeroPoleGain, check_pair, range_exponent
 from .metrics import cascade
 from .spectral import next_pow2
 
@@ -49,62 +50,18 @@ ORDER_GAP_MIN = 1e3
 # through such a block (a strongly colored record) can lose the gap where
 # noise does not. White-noise inputs give about 2, their outputs about 70.
 GRAM_CONDITION_NOTED = 1e6
-# Relative cutoff under which matrix columns count as dependent.
-TAU_RANK = 1e-10
 
 
-@dataclass(frozen=True)
-class PrincipalAngleSet:
-    """Principal angles (ascending) between two subspaces, with cosines."""
-
-    angles: tuple[float, ...]
-    cosines: tuple[float, ...]
-
-
-def vandermonde_range(roots: Sequence[complex], depth: int) -> np.ndarray:
-    """Matrix whose columns are (1, r, r^2, ..., r^(depth-1)) per root.
-
-    Roots must lie strictly inside the unit circle (reflect first) and be
-    pairwise distinct, otherwise the range is rank deficient.
-    """
-    rs = tuple(complex(r) for r in roots)
-    for r in rs:
-        if abs(r) >= 1.0:
-            raise ValidationError(f"root {r} must lie strictly inside the unit circle")
-    for i in range(len(rs)):
-        for j in range(i + 1, len(rs)):
-            if abs(rs[i] - rs[j]) <= TAU_MULT:
-                raise RankDeficient(f"repeated root near {rs[i]} makes the range rank deficient")
-    if depth < max(1, len(rs)):
-        raise RankDeficient(f"depth {depth} cannot carry {len(rs)} independent columns")
-    if not rs:
-        return np.zeros((depth, 0), dtype=complex)
-    base = np.asarray(rs, dtype=complex)
-    return base[None, :] ** np.arange(depth)[:, None]
+def _cosines(cross: np.ndarray) -> np.ndarray:
+    """Cosines, descending, of the principal angles between two ranges with
+    orthonormal bases Q_a and Q_b, from cross = Q_a^H Q_b: its singular values
+    (Bjorck & Golub 1973) clipped to [0, 1], and none for an empty basis."""
+    if 0 in cross.shape:
+        return np.zeros(0)
+    return np.clip(np.linalg.svd(cross, compute_uv=False), 0.0, 1.0)
 
 
-def principal_angles(a: np.ndarray, b: np.ndarray) -> PrincipalAngleSet:
-    """Principal angles between the column spaces of two full-rank matrices."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.ndim != 2 or b.ndim != 2:
-        raise DimensionMismatch("principal_angles needs two-dimensional arrays")
-    if a.shape[0] != b.shape[0]:
-        raise DimensionMismatch(f"ambient dimensions differ: {a.shape[0]} vs {b.shape[0]}")
-    if a.shape[1] == 0 or b.shape[1] == 0:
-        return PrincipalAngleSet((), ())
-    for m, name in ((a, "first"), (b, "second")):
-        s = np.linalg.svd(m, compute_uv=False)
-        if s[-1] <= TAU_RANK * s[0]:
-            raise RankDeficient(f"{name} matrix is numerically rank deficient")
-    qa = np.linalg.qr(a)[0]
-    qb = np.linalg.qr(b)[0]
-    cosines = np.clip(np.linalg.svd(qa.conj().T @ qb, compute_uv=False), 0.0, 1.0)
-    angles = np.arccos(cosines)
-    return PrincipalAngleSet(tuple(float(t) for t in angles), tuple(float(c) for c in cosines))
-
-
-def _norm_from_cosines(cosines: Sequence[float]) -> float:
+def _norm_from_cosines(cosines: np.ndarray) -> float:
     total = 0.0
     for c in cosines:
         c2 = c * c
@@ -144,7 +101,7 @@ def _range_cosines(poles: Sequence[complex], zeros: Sequence[complex]) -> np.nda
     # Row-major vec(A_p^H W A_z) = kron(A_p^H, A_z^T) vec(W).
     stein = np.eye(n * n) - np.kron(a_p.conj().T, a_z.T)
     cross = np.linalg.solve(stein, np.outer(c_p.conj(), c_z).ravel()).reshape(n, n)
-    return np.clip(np.linalg.svd(cross, compute_uv=False), 0.0, 1.0)
+    return _cosines(cross)
 
 
 def subspace_norm_from_model(zpk: ZeroPoleGain) -> float:
@@ -166,7 +123,7 @@ def subspace_norm_from_model(zpk: ZeroPoleGain) -> float:
     if not poles and not zeros:
         # A bare gain: both ranges are trivial and the norm is exactly zero.
         return 0.0
-    return _norm_from_cosines(_range_cosines(poles, zeros).tolist())
+    return _norm_from_cosines(_range_cosines(poles, zeros))
 
 
 def subspace_distance_between_models(first: ZeroPoleGain, second: ZeroPoleGain) -> float:
@@ -397,7 +354,7 @@ def subspace_norm_from_data(
     raises InsufficientData.
     """
     basis_y, basis_u = projected_bases(input_signal, output_signal, rows)
-    return _norm_from_cosines(principal_angles(basis_y, basis_u).cosines)
+    return _norm_from_cosines(_cosines(basis_y.T @ basis_u))
 
 
 def subspace_distance_from_bases(
@@ -429,7 +386,7 @@ def subspace_distance_from_bases(
                 "the two systems share a root between one's poles and the other's zeros"
             )
         spans.append(u)
-    return _norm_from_cosines(principal_angles(*spans).cosines)
+    return _norm_from_cosines(_cosines(spans[0].T @ spans[1]))
 
 
 def subspace_distance_from_data(

@@ -27,6 +27,9 @@ settings.register_profile(
     "suite",
     deadline=None,
     max_examples=40,
+    # The profile is not derandomized, so a failing draw prints the
+    # @reproduce_failure line that replays it.
+    print_blob=True,
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("suite")

@@ -353,10 +353,14 @@ def test_state_space_model_refusals_name_the_file(tmp_path, capsys, verb, payloa
             {"poles": [[0.5, 1, 2]], "zeros": [], "gain": 1},
             "roots must be numbers or [re, im] pairs, got [0.5, 1, 2]",
         ),
+        ({"poles": [0.5], "zeros": [0.2], "gain": [1.0]}, "gain has [1.0] where a number belongs"),
+        ({"A": [[0.5]], "B": [1], "C": [1], "D": [1.0]}, "D has [1.0] where a number belongs"),
+        ({"A": [0.5], "B": [1], "C": [1], "D": 1}, "A has 0.5 where a list belongs"),
+        ({"poles": 0.5, "zeros": [0.2], "gain": 1}, "poles has 0.5 where a list belongs"),
     ],
     ids=[
         "nan-pole", "infinite-gain", "string-gain", "boolean-gain", "boolean-root", "string-B",
-        "three-part-root",
+        "three-part-root", "list-gain", "list-D", "flat-A", "number-poles",
     ],
 )
 def test_model_file_refusals_name_the_file(tmp_path, capsys, verb, payload, message):

@@ -447,6 +447,22 @@ def test_model_constructors_refuse_strings_and_booleans(build, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: ZeroPoleGain([0.5], [], [1.0]), "gain has [1.0] where a number belongs"),
+        (lambda: ZeroPoleGain([[0.5, 0.1]]), "poles has [0.5, 0.1] where a number belongs"),
+        (lambda: ZeroPoleGain(0.5), "poles has 0.5 where a list belongs"),
+        (lambda: StateSpaceModel([[0.5]], [1], [1], [1.0]), "D has [1.0] where a number belongs"),
+    ],
+    ids=["list-gain", "nested-poles", "number-poles", "list-D"],
+)
+def test_model_constructors_refuse_the_wrong_nesting(build, message):
+    with pytest.raises(DimensionMismatch) as info:
+        build()
+    assert str(info.value) == message
+
+
 def test_model_constructors_take_numbers_of_any_numeric_type():
     zpk = ZeroPoleGain(np.array([0.5, 2]), (np.complex128(0.1),), np.int64(3))
     assert zpk.poles == (0.5, 2.0) and zpk.zeros == (0.1,) and zpk.gain == 3.0
