@@ -60,7 +60,8 @@ TIME_JITTER_RTOL = 1e-6
 def check_numbers(value, key: str, depth: int):
     """``value``, once it is numbers nested ``depth`` lists, tuples or arrays
     deep (0 for a bare number): a string or boolean is refused, not converted,
-    and so is a list where a number belongs or a number where a list belongs."""
+    and so is a list where a number belongs, a number where a list belongs,
+    or rows of unequal lengths."""
     entries = value.tolist() if isinstance(value, np.ndarray) else value
     nested = isinstance(entries, (list, tuple))
     if not nested and (isinstance(entries, bool) or not isinstance(entries, numbers.Number)):
@@ -70,6 +71,9 @@ def check_numbers(value, key: str, depth: int):
         raise DimensionMismatch(f"{key} has {entries!r} where {belongs} belongs")
     for entry in entries if nested else ():
         check_numbers(entry, key, depth - 1)
+    lengths = [len(entry) for entry in entries] if depth > 1 else []
+    if len(set(lengths)) > 1:
+        raise DimensionMismatch(f"{key} has rows of unequal lengths {lengths}")
     return value
 
 

@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 # Work on files of fewer bytes, or formatting of fewer rows, runs in one
 # process: below these a fork costs more than it saves (see the README).
 FORK_MIN_BYTES = 1 << 20
-FORK_MIN_ROWS = 8192
+FORK_MIN_ROWS = 1 << 15
 # True while ``map_chunks`` runs, and so in every chunk it runs.
 _IN_CHUNK = ContextVar("in_chunk", default=False)
 

@@ -16,6 +16,15 @@ rows of only blanks and commas) and names the first row at fault. A file
 of ``parallel.FORK_MIN_BYTES`` or more is parsed in one contiguous line
 range per worker process (``parallel.worker_count``), each after the first
 in a forked child; the values and errors are those of the one-process read.
+
+Numbers are written with the text of Python's ``%``: samples, cepstral
+coefficients and matrix cells with ``"%.17g"``, which reads back as the
+same float, and times with ``"%.12g"``, or with ``"%d"`` where every time
+of the rows is a whole number below 1e12, which gives the same text. The
+text comes from ``numtext.format_block``, CSV_CHUNK_ROWS rows at a time. It
+computes the digits with exact NumPy integer arithmetic and hands only the
+non-finite values, and those that ``%g`` writes with an exponent, to
+Python's ``%``.
 """
 
 from __future__ import annotations
@@ -33,7 +42,7 @@ from typing import Iterator
 
 import numpy as np
 
-from . import parallel
+from . import numtext, parallel
 from .errors import ValidationError, naming
 from .lti import (
     TIME_JITTER_RTOL,
@@ -293,20 +302,16 @@ def read_signal_csv(path: str) -> tuple[str, Signal | tuple[Signal, Signal]]:
     return "pair", (Signal(columns[0], period), Signal(columns[1], period))
 
 
-def _format_rows(header: str, row_format: str, *columns: np.ndarray) -> str:
-    """The header, then ``row_format`` applied to each row of the columns.
+def _format_rows(header: str, formats: tuple[str, ...], *columns: np.ndarray) -> str:
+    """The header, then one row per index of the columns: column j written
+    as ``formats[j] % value`` writes it, fields joined by commas.
 
-    Each chunk of CSV_CHUNK_ROWS rows is one %-operation on the chunk's
-    values as Python numbers, ints from an integer column. ``"%.17g" % x``
-    gives the same text as ``f"{x:.17g}"``.
+    The rows are written CSV_CHUNK_ROWS at a time (``numtext.format_block``).
     """
     parts = [header]
     for start in range(0, len(columns[0]), CSV_CHUNK_ROWS):
-        block = [column[start : start + CSV_CHUNK_ROWS].tolist() for column in columns]
-        cells = [None] * (len(block) * len(block[0]))
-        for offset, values in enumerate(block):
-            cells[offset :: len(block)] = values
-        parts.append(row_format * len(block[0]) % tuple(cells))
+        chunk = [column[start : start + CSV_CHUNK_ROWS] for column in columns]
+        parts.append(numtext.format_block(formats, chunk).decode("ascii"))
     return "".join(parts)
 
 
@@ -326,7 +331,7 @@ def _time_column(start: int, stop: int, period: float) -> tuple[str, np.ndarray]
 
 def format_signal_csv(signal: Signal) -> str:
     time_format, times = _time_column(0, len(signal), signal.sample_period)
-    return _format_rows("t,value\n", time_format + ",%.17g\n", times, signal.samples)
+    return _format_rows("t,value\n", (time_format, "%.17g"), times, signal.samples)
 
 
 PAIR_CSV_HEADER = "t,u,y\n"
@@ -346,7 +351,7 @@ def pair_csv_rows(input_signal: Signal, output_signal: Signal, start: int, stop:
     time_format, times = _time_column(start, stop, input_signal.sample_period)
     return _format_rows(
         "",
-        time_format + ",%.17g,%.17g\n",
+        (time_format, "%.17g", "%.17g"),
         times,
         input_signal.samples[start:stop],
         output_signal.samples[start:stop],
@@ -361,7 +366,7 @@ def format_cepstrum_csv(cepstrum) -> str:
     else:
         lags = np.arange(cepstrum.order + 1)
         values = np.concatenate([[cepstrum.zeroth], cepstrum.positive])
-    return _format_rows("k,value\n", "%d,%.17g\n", lags, values)
+    return _format_rows("k,value\n", ("%d", "%.17g"), lags, values)
 
 
 def _csv_row(fields) -> str:
@@ -376,9 +381,9 @@ def _csv_row(fields) -> str:
     return out.getvalue()[:-2]
 
 
-def _format_numbers(numbers: list[float]) -> list[str]:
-    """``"%.17g"`` of each number, in one %-operation."""
-    return ("%.17g\n" * len(numbers) % tuple(numbers)).split("\n")[:-1]
+def _format_numbers(numbers: np.ndarray) -> list[str]:
+    """``"%.17g"`` of each number."""
+    return _format_rows("", ("%.17g",), numbers).split("\n")[:-1]
 
 
 def format_matrix_csv(ids: tuple[str, ...], values: np.ndarray) -> str:
@@ -391,7 +396,7 @@ def format_matrix_csv(ids: tuple[str, ...], values: np.ndarray) -> str:
     mirrored = np.tril((values == values.T) & (np.signbit(values) == np.signbit(values.T)), -1)
     own = ~mirrored & ~np.isnan(values)
     cells = np.full(values.shape, "", dtype=object)
-    cells[own] = _format_numbers(values[own].tolist())
+    cells[own] = _format_numbers(values[own])
     cells[mirrored] = cells.T[mirrored]
     rows = (f"{_csv_row([name, ''])}{','.join(row)}\n" for name, row in zip(ids, cells.tolist()))
     return _csv_row(["id", *ids]) + "\n" + "".join(rows)

@@ -243,7 +243,10 @@ def _projected_basis(
             f"{first.name} out through it loses the gap"
         )
     else:
-        cause = f"the record is too noisy, or the order reaches the {rows} usable dimensions"
+        cause = (
+            "a pole and a zero nearly cancel, so the record barely excites their mode; "
+            f"the record is too noisy; or the order reaches the {rows} usable dimensions"
+        )
     schur = second.gram - cross.T @ np.linalg.solve(first.gram, cross)
     values, vectors = np.linalg.eigh(0.5 * (schur + schur.T))
     s = np.sqrt(np.maximum(values[::-1], 0.0))

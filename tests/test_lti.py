@@ -454,8 +454,12 @@ def test_model_constructors_refuse_strings_and_booleans(build, message):
         (lambda: ZeroPoleGain([[0.5, 0.1]]), "poles has [0.5, 0.1] where a number belongs"),
         (lambda: ZeroPoleGain(0.5), "poles has 0.5 where a list belongs"),
         (lambda: StateSpaceModel([[0.5]], [1], [1], [1.0]), "D has [1.0] where a number belongs"),
+        (
+            lambda: StateSpaceModel([[0.5], [0.1, 0.2]], [1, 1], [1, 1], 1.0),
+            "A has rows of unequal lengths [1, 2]",
+        ),
     ],
-    ids=["list-gain", "nested-poles", "number-poles", "list-D"],
+    ids=["list-gain", "nested-poles", "number-poles", "list-D", "ragged-A"],
 )
 def test_model_constructors_refuse_the_wrong_nesting(build, message):
     with pytest.raises(DimensionMismatch) as info:

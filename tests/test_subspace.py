@@ -671,6 +671,14 @@ def test_data_bases_refuse_a_record_without_an_order_gap():
         projected_bases(u, noisy, rows=60)
 
 
+# The causes named when no order gap is found and the input block is
+# well conditioned, at 60 Hankel rows.
+NEAR_CANCEL_OR_NOISE = (
+    "a pole and a zero nearly cancel, so the record barely excites their mode; "
+    "the record is too noisy; or the order reaches the 60 usable dimensions"
+)
+
+
 def test_refusal_names_an_ill_conditioned_gram_block():
     # White noise through an AR(1) filter with pole 0.9999 drives the
     # demo system: the output Gram block's eigenvalue ratio is 3.9e7, and
@@ -692,11 +700,28 @@ def test_refusal_names_an_ill_conditioned_gram_block():
     )
     assert "too noisy" not in str(refusal.value)
     assert refusal.value.exit_code == 2
-    # A white input keeps the noise diagnosis.
+    # A white input keeps the diagnosis for a well-conditioned input block.
     u, y = NOISE_RECORD
     noisy = Signal(y.samples + 1e-2 * np.random.default_rng(1).standard_normal(len(y)))
-    with pytest.raises(RankDeficient, match="the record is too noisy"):
+    with pytest.raises(RankDeficient, match=NEAR_CANCEL_OR_NOISE):
         projected_bases(u, noisy, rows=60)
+
+
+def test_refusal_names_a_nearly_cancelling_pole_and_zero():
+    # A noise-free record of order 3 whose pole -0.4285 and zero -0.4300 lie
+    # 1.5e-3 apart: their mode is barely excited, so no gap of
+    # ORDER_GAP_MIN fixes the output order at 40 rows. Noise is not the cause.
+    zpk = random_min_phase(np.random.default_rng(216), max_each=3)
+    pole, zero = min(
+        ((p, z) for p in zpk.poles for z in zpk.zeros), key=lambda pair: abs(pair[0] - pair[1])
+    )
+    assert abs(pole - zero) < 2e-3
+    u, y = white_record(zpk, 2048, 216)
+    with pytest.raises(RankDeficient) as refusal:
+        projected_bases(u, y, rows=40)
+    assert "fixes the output order" in str(refusal.value)
+    assert str(refusal.value).endswith(NEAR_CANCEL_OR_NOISE.replace("60", "40"))
+    assert refusal.value.exit_code == 2
 
 
 SHARED_ROOT_RECORDS = (white_record(SHARED_ROOT_A, 4096, 0), white_record(SHARED_ROOT_B, 4096, 1))
