@@ -109,7 +109,7 @@ def _emit_parts(parts: list[str], path: str | None) -> None:
 def _read_record(path: str, paired: bool) -> Signal | tuple[Signal, Signal]:
     """The record of a signal file, which must be a t,u,y pair if ``paired``
     and a t,value signal if not."""
-    record = read_signal_csv(path)[1]
+    record = read_signal_csv(path)
     if isinstance(record, tuple) != paired:
         expected = "a t,u,y pair" if paired else "a t,value signal"
         raise ValidationError(f"{path}: expected {expected} file")
@@ -120,7 +120,7 @@ def _read_features(paths: list[str], metric: str, config: RunConfig) -> tuple[li
     """Whether each file holds a pair, its sample period, and its record's
     features under ``metric`` (``collection_features``), whatever the
     collection: ``check_collection`` rules on the whole collection after."""
-    records = [read_signal_csv(path)[1] for path in paths]
+    records = [read_signal_csv(path) for path in paths]
     paired = [isinstance(record, tuple) for record in records]
     periods = [output_signal(record).sample_period for record in records]
     return paired, periods, collection_features(records, metric, config)
@@ -191,7 +191,7 @@ def cmd_cepstrum(args: argparse.Namespace, config: RunConfig) -> int:
         _raise_refusal([args.signal], features)
         (cepstrum,) = features
     else:
-        record = read_signal_csv(args.signal)[1]
+        record = read_signal_csv(args.signal)
         with naming(args.signal):
             if isinstance(record, tuple):
                 cepstrum = transfer_complex_cepstrum_from_io(*record, config)

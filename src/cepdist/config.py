@@ -4,6 +4,9 @@ Values are resolved in fixed precedence order: built-in defaults, then a
 config file, then ``CEPDIST_*`` environment variables, then explicit
 overrides (CLI flags). The file format is one ``key = value`` pair per
 line, with ``#`` starting a comment.
+
+A ``RunConfig`` refuses a bad value with ``ConfigError`` when it is built
+or replaced (``dataclasses.replace``), so every one that exists is valid.
 """
 
 from __future__ import annotations
@@ -30,6 +33,9 @@ class RunConfig:
     8192 samples on; the FFT length is the next power of two covering
     both the window and twice the cepstrum order. A Welch record under
     128 samples falls back to a periodogram, with a warning.
+
+    A bad value is refused with ``ConfigError`` when the config is built or
+    replaced, so the routes that take one do not check it again.
     """
 
     method: str = "welch"
@@ -44,8 +50,9 @@ class RunConfig:
     seed: int = 44
     output_format: str = "json"
 
-    def validate(self) -> "RunConfig":
-        check_method(self.method)
+    def __post_init__(self) -> None:
+        if self.method not in SPECTRUM_METHODS:
+            raise ConfigError(f"method must be one of {SPECTRUM_METHODS}, got {self.method!r}")
         if self.output_format not in OUTPUT_FORMATS:
             raise ConfigError(
                 f"output_format must be one of {OUTPUT_FORMATS}, got {self.output_format!r}"
@@ -66,13 +73,6 @@ class RunConfig:
                 raise ConfigError(f"{name} must lie in (0, 1), got {getattr(self, name)}")
         if self.seed < 0:
             raise ConfigError(f"seed must be a nonnegative integer, got {self.seed}")
-        return self
-
-
-def check_method(method: str) -> None:
-    """Refuse a spectrum method outside SPECTRUM_METHODS."""
-    if method not in SPECTRUM_METHODS:
-        raise ConfigError(f"method must be one of {SPECTRUM_METHODS}, got {method!r}")
 
 
 # Each key's kind, from its annotation: str, int, float, or "int | None".
@@ -140,4 +140,4 @@ def load_config(
             if key not in CONFIG_KEYS:
                 raise ConfigError(f"unknown configuration key {key!r}")
             values[key] = parse_config_value(key, value) if isinstance(value, str) else value
-    return RunConfig(**values).validate()
+    return RunConfig(**values)

@@ -46,6 +46,10 @@ NOISE_SCALE = 2.0 ** -0.5
 # costs O(SIM_BLOCK^2 + SIM_BLOCK * order) work in matrix products instead
 # of SIM_BLOCK Python iterations.
 SIM_BLOCK = 64
+# Largest entry of a power A^j within one step of that recursion. A step's
+# rounding grows with these powers, which grow large for the companion
+# realization of repeated or clustered poles; past this the step is shortened.
+SIM_GROWTH = 32.0
 # A record whose largest magnitude lies outside [1 / SAFE_PEAK, SAFE_PEAK] is
 # scaled by a power of two before it is transformed: the squares that
 # spectra and norms sum overflow for a larger record and underflow for a
@@ -292,6 +296,14 @@ def _lifted(model: StateSpaceModel, block: int) -> tuple[np.ndarray, ...]:
     return obs, ctr, np.linalg.matrix_power(a, block), toeplitz
 
 
+def _power_peaks(a: np.ndarray, block: int) -> np.ndarray:
+    """Entry i - 1 is the largest entry magnitude of A^j over 1 <= j <= i."""
+    powers = a[None]
+    while len(powers) < block:
+        powers = np.concatenate([powers, powers @ powers[-1]])
+    return np.maximum.accumulate(np.abs(powers[:block]).max(axis=(1, 2), initial=0.0))
+
+
 def simulate(model: StateSpaceModel, input_signal: Signal, initial_state=None) -> Signal:
     """Run the state recursion over an input signal.
 
@@ -301,7 +313,9 @@ def simulate(model: StateSpaceModel, input_signal: Signal, initial_state=None) -
 
     The recursion is stepped SIM_BLOCK samples at a time through the
     block-lifted matrices of ``_lifted``, so each step is a few small matrix
-    products. The outputs agree with the per-sample recursion to rounding.
+    products; fewer where the powers of A overflow or grow past SIM_GROWTH
+    within a block. The outputs agree with the per-sample recursion to
+    rounding.
     """
     u = input_signal.samples
     n = model.order
@@ -313,11 +327,16 @@ def simulate(model: StateSpaceModel, input_signal: Signal, initial_state=None) -
             raise DimensionMismatch(f"initial_state must have length {n}, got {x.size}")
     with np.errstate(over="ignore", invalid="ignore"):
         block = SIM_BLOCK
+        peaks = _power_peaks(model.A, block)
         lifted = _lifted(model, block)
         # A fast-growing model can overflow A^j within one block even where
-        # the recursion's outputs stay finite: shorten the block until the
-        # lifted matrices are finite. At one sample they are A, B, C and D.
-        while block > 1 and not all(np.all(np.isfinite(m)) for m in lifted):
+        # the recursion's outputs stay finite, and powers that grow past
+        # SIM_GROWTH amplify the rounding of a step: shorten the block until
+        # the lifted matrices are finite and the powers stay within it. At
+        # one sample they are A, B, C and D.
+        while block > 1 and not (
+            peaks[block - 1] <= SIM_GROWTH and all(np.all(np.isfinite(m)) for m in lifted)
+        ):
             block //= 2
             lifted = _lifted(model, block)
         obs, ctr, power, toeplitz = lifted

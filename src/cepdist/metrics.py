@@ -61,7 +61,6 @@ def _weighted_square_sum(delta: np.ndarray) -> np.ndarray:
 def _geometric_tail(amplitude: float, radius: float, order: int) -> float:
     if radius <= 0.0:
         return 0.0
-    radius = min(radius, RHO_CAP)
     return amplitude**2 * radius ** (2 * (order + 1)) / ((order + 1) * (1.0 - radius**2))
 
 

@@ -279,8 +279,9 @@ def _sample_period(times: np.ndarray, first_row: int, path: str) -> float:
     return dt
 
 
-def read_signal_csv(path: str) -> tuple[str, Signal | tuple[Signal, Signal]]:
-    """Read a signal file; returns ("single", Signal) or ("pair", (u, y)).
+def read_signal_csv(path: str) -> Signal | tuple[Signal, Signal]:
+    """Read a signal file: a t,value file gives a Signal, a t,u,y file the
+    pair (u, y).
 
     A header row is expected but a purely numeric first row is accepted as
     data, with columns interpreted positionally. Rows are numbered from 1
@@ -298,8 +299,8 @@ def read_signal_csv(path: str) -> tuple[str, Signal | tuple[Signal, Signal]]:
     times, *columns = (np.ascontiguousarray(column) for column in table.T)
     period = _sample_period(times, first_row, path)
     if len(columns) == 1:
-        return "single", Signal(columns[0], period)
-    return "pair", (Signal(columns[0], period), Signal(columns[1], period))
+        return Signal(columns[0], period)
+    return Signal(columns[0], period), Signal(columns[1], period)
 
 
 def _format_rows(header: str, formats: tuple[str, ...], *columns: np.ndarray) -> str:
@@ -345,9 +346,14 @@ def pair_csv_rows(input_signal: Signal, output_signal: Signal, start: int, stop:
     """Rows ``start`` to ``stop - 1`` of ``format_pair_csv``, without its header.
 
     Row k's time is k times the sample period, so the rows of any split of
-    the record join into the text of the whole.
+    the record join into the text of the whole. A range that is not within
+    the record, or that ends before it starts, is refused.
     """
     check_pair(input_signal, output_signal)
+    if not 0 <= start <= stop <= len(input_signal):
+        raise ValidationError(
+            f"row range [{start}, {stop}) is not within the {len(input_signal)} rows of the record"
+        )
     time_format, times = _time_column(start, stop, input_signal.sample_period)
     return _format_rows(
         "",

@@ -28,7 +28,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .config import RunConfig, check_method
+from .config import RunConfig
 from .errors import (
     CepdistError,
     DimensionMismatch,
@@ -199,13 +199,9 @@ def _fft_length(fft_length: int | None, covered: int, what: str, order: int) -> 
 def _plan_spectrum(n: int, config: RunConfig) -> SpectrumPlan:
     """The plan of ``estimate_spectrum`` for a record of n samples.
 
-    A library ``RunConfig`` is never validated, so the settings are checked
-    here: an unknown method, a window shorter than 8 samples or longer than
-    the record, an overlap outside [0, 1), and an FFT length that is not a
-    power of two or does not cover the window (the record, for a
-    periodogram) are refused.
+    A window longer than the record, and an FFT length that does not cover
+    the window (the record, for a periodogram), are refused.
     """
-    check_method(config.method)
     method = config.method
     if method == "welch" and n < MIN_WELCH_LENGTH:
         warnings.warn(
@@ -217,12 +213,8 @@ def _plan_spectrum(n: int, config: RunConfig) -> SpectrumPlan:
         length = _fft_length(config.fft_length, n, "signal", config.K)
         return SpectrumPlan("periodogram", n, None, None, length)
     wl = int(config.window_len) if config.window_len is not None else default_window_length(n)
-    if wl < 8:
-        raise ValidationError(f"window_len must be at least 8, got {wl}")
     if wl > n:
         raise InsufficientData(f"window_len {wl} exceeds the signal length {n}")
-    if not (0.0 <= config.overlap < 1.0):
-        raise ValidationError(f"overlap must lie in [0, 1), got {config.overlap}")
     length = _fft_length(config.fft_length, wl, "window", config.K)
     hop = max(1, int(round(wl * (1.0 - config.overlap))))
     return SpectrumPlan("welch", n, wl, hop, length)
@@ -415,7 +407,10 @@ def power_cepstra(records: Sequence, config: RunConfig) -> list:
 
 def _record_cepstrum(record, config: RunConfig, order: int | None) -> CepstrumSequence:
     """``power_cepstra`` of one record, at ``order`` if given; raises its refusal."""
-    (result,) = power_cepstra([record], config if order is None else replace(config, K=order))
+    if order is not None:
+        _check_order(order)
+        config = replace(config, K=order)
+    (result,) = power_cepstra([record], config)
     if isinstance(result, CepdistError):
         raise result
     return result
@@ -544,8 +539,9 @@ def transfer_complex_cepstrum_from_io(
     ``range_exponent`` first, and the log of the ratio of the two scales
     added to c(0).
     """
-    config = config if order is None else replace(config, K=order)
-    _check_order(config.K)
+    if order is not None:
+        _check_order(order)
+        config = replace(config, K=order)
     plan = plan_record((input_signal, output_signal), config)
     stack = np.stack([input_signal.samples, output_signal.samples])
     gains = np.array([range_exponent(row) for row in stack])

@@ -420,8 +420,8 @@ def test_signal_cepstrum_matches_the_library_routes(tmp_path, capsys, paired, ki
     u, y = white_record(minimum, 1024, 2)
     path = tmp_path / "record.csv"
     path.write_text(format_pair_csv(u, y) if paired else format_signal_csv(y))
-    _, payload = read_signal_csv(str(path))
-    u, y = payload if paired else (None, payload)
+    record = read_signal_csv(str(path))
+    u, y = record if paired else (None, record)
     if paired and kind == "power":
         expected = transfer_cepstrum_from_io(u, y, config)
     elif paired:
@@ -1150,7 +1150,7 @@ def test_forked_simulate_of_a_stored_input_matches_one_process(
     stored = write_signal(tmp_path, "u.csv", samples, period)
     argv = ["simulate", "--model", model, "--input", stored]
     text = _forked_simulate(monkeypatch, capsys, argv, str(tmp_path / "y.csv"), length)
-    u = read_signal_csv(stored)[1]
+    u = read_signal_csv(stored)
     y = simulate(state_space_from_roots(read_model_json(model)), u)
     assert text == format_pair_csv(u, y)
 
@@ -1324,7 +1324,7 @@ def test_simulate_reads_a_stored_input_in_ranges_as_one_process(
             monkeypatch, capsys, argv + (["-o", output] if output else []), files, workers
         )
         assert (code, err, by_ranges) == (0, "", True)
-    u = read_signal_csv(stored)[1]
+    u = read_signal_csv(stored)
     assert out == format_pair_csv(u, simulate(state_space_from_roots(read_model_json(model)), u))
 
 

@@ -8,6 +8,7 @@ import math
 import os
 import sys
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -104,8 +105,8 @@ def _reference_read_signal_csv(path):
             columns[cidx].append(_reference_parse_float(cell.strip(), f"{path}: row {offset}"))
     period = _reference_sample_period(columns[0], path)
     if width == 2:
-        return "single", Signal(np.asarray(columns[1]), period)
-    return "pair", (Signal(np.asarray(columns[1]), period), Signal(np.asarray(columns[2]), period))
+        return Signal(np.asarray(columns[1]), period)
+    return Signal(np.asarray(columns[1]), period), Signal(np.asarray(columns[2]), period)
 
 
 def _reference_format_signal_csv(signal):
@@ -160,17 +161,20 @@ def _same_floats(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def _signals(record):
+    """The signals of a record read: a pair's two, or the one signal."""
+    return record if isinstance(record, tuple) else (record,)
+
+
 def _read_both(path):
     """Read with the reader and the oracle; require bit-identical results."""
-    kind, payload = read_signal_csv(path)
-    ref_kind, ref_payload = _reference_read_signal_csv(path)
-    assert kind == ref_kind
-    signals = payload if kind == "pair" else (payload,)
-    ref_signals = ref_payload if kind == "pair" else (ref_payload,)
-    for got, want in zip(signals, ref_signals):
+    record = read_signal_csv(path)
+    ref_record = _reference_read_signal_csv(path)
+    assert isinstance(record, tuple) == isinstance(ref_record, tuple)
+    for got, want in zip(_signals(record), _signals(ref_record)):
         assert _same_floats(got.samples, want.samples)
         assert got.sample_period == want.sample_period
-    return kind, payload
+    return record
 
 
 def _raw_values(rng, size):
@@ -192,34 +196,39 @@ def _cell_texts(rng, values):
 
 
 def test_defaults_validate():
+    # The defaults pass the checks that run when a config is built.
     config = RunConfig()
-    assert config.validate() is config
     assert config.method == "welch"
     assert config.K == 256
     assert config.K_test == 20
     assert config.seed == 44
 
 
+BAD_VALUES = [
+    ("method", "burg", "method must be one of ('welch', 'periodogram'), got 'burg'"),
+    ("output_format", "yaml", "output_format must be one of ('json', 'csv'), got 'yaml'"),
+    ("window_len", 4, "window_len must be at least 8, got 4"),
+    ("overlap", 1.0, "overlap must lie in [0, 1), got 1.0"),
+    ("overlap", -0.1, "overlap must lie in [0, 1), got -0.1"),
+    ("fft_length", 100, "fft_length must be a power of two, got 100"),
+    ("K", 0, "K must be a positive integer, got 0"),
+    ("K_test", 0, "K_test must be a positive integer, got 0"),
+    ("hankel_rows", 0, "hankel_rows must be a positive integer, got 0"),
+    ("tol_model", 0.0, "tol_model must lie in (0, 1), got 0.0"),
+    ("tol_estimated", 1.0, "tol_estimated must lie in (0, 1), got 1.0"),
+    ("seed", -1, "seed must be a nonnegative integer, got -1"),
+]
+
+
 @pytest.mark.parametrize(
-    "field,value",
-    [
-        ("method", "burg"),
-        ("output_format", "yaml"),
-        ("window_len", 4),
-        ("overlap", 1.0),
-        ("overlap", -0.1),
-        ("fft_length", 100),
-        ("K", 0),
-        ("K_test", 0),
-        ("hankel_rows", 0),
-        ("tol_model", 0.0),
-        ("tol_estimated", 1.0),
-        ("seed", -1),
-    ],
+    "field,value,message", BAD_VALUES, ids=[f"{field}-{value}" for field, value, _ in BAD_VALUES]
 )
-def test_validate_rejects_bad_values(field, value):
-    with pytest.raises(ConfigError):
-        RunConfig(**{field: value}).validate()
+def test_validate_rejects_bad_values(field, value, message):
+    # Refused where the config is built, whether new or a replaced copy.
+    for build in (RunConfig, lambda **changes: replace(RunConfig(), **changes)):
+        with pytest.raises(ConfigError) as info:
+            build(**{field: value})
+        assert str(info.value) == message
 
 
 def test_parse_optional_integers():
@@ -305,8 +314,8 @@ def test_single_signal_round_trip(tmp_path):
     signal = Signal(np.random.default_rng(0).standard_normal(32), sample_period=0.01)
     path = tmp_path / "sig.csv"
     path.write_text(format_signal_csv(signal))
-    kind, back = read_signal_csv(str(path))
-    assert kind == "single"
+    back = read_signal_csv(str(path))
+    assert isinstance(back, Signal)
     assert np.array_equal(back.samples, signal.samples)
     assert back.sample_period == pytest.approx(0.01, rel=1e-9)
 
@@ -319,8 +328,9 @@ def test_pair_round_trip(tmp_path):
     assert text.startswith("t,u,y\n")
     path = tmp_path / "pair.csv"
     path.write_text(text)
-    kind, (u_back, y_back) = read_signal_csv(str(path))
-    assert kind == "pair"
+    record = read_signal_csv(str(path))
+    assert isinstance(record, tuple)
+    u_back, y_back = record
     assert np.array_equal(u_back.samples, u.samples)
     assert np.array_equal(y_back.samples, y.samples)
     assert u_back.sample_period == 1.0
@@ -334,8 +344,8 @@ def test_pair_formatting_rejects_length_mismatch():
 def test_headerless_numeric_rows_are_accepted(tmp_path):
     path = tmp_path / "raw.csv"
     path.write_text("0,1.5\n1,2.5\n2,3.5\n")
-    kind, signal = read_signal_csv(str(path))
-    assert kind == "single"
+    signal = read_signal_csv(str(path))
+    assert isinstance(signal, Signal)
     assert np.array_equal(signal.samples, [1.5, 2.5, 3.5])
 
 
@@ -348,8 +358,8 @@ def test_byte_order_mark_is_not_part_of_the_first_row(tmp_path, content, samples
     # headerless file lost its first row to header detection.
     path = tmp_path / "bom.csv"
     path.write_bytes(b"\xef\xbb\xbf" + content.encode())
-    kind, signal = read_signal_csv(str(path))
-    assert kind == "single"
+    signal = read_signal_csv(str(path))
+    assert isinstance(signal, Signal)
     assert np.array_equal(signal.samples, samples)
 
 
@@ -564,8 +574,7 @@ def test_reader_matches_the_reference(
     path = tmp_path_factory.mktemp("records") / "record.csv"
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)
-    kind, _ = _read_both(str(path))
-    assert kind == ("pair" if width == 3 else "single")
+    assert isinstance(_read_both(str(path)), tuple) == (width == 3)
 
 
 @settings(max_examples=20)
@@ -604,13 +613,22 @@ def test_row_ranges_of_any_split_join_into_the_reference(seed, length, period, c
     assert sigio.PAIR_CSV_HEADER + text == _reference_format_pair_csv(u, y)
 
 
+@pytest.mark.parametrize("start,stop", [(0, 7), (-2, 5), (3, 1)])
+def test_a_row_range_outside_the_record_is_refused(start, stop):
+    signal = Signal(np.ones(5))
+    message = f"row range [{start}, {stop}) is not within the 5 rows of the record"
+    with pytest.raises(ValidationError) as info:
+        pair_csv_rows(signal, signal, start, stop)
+    assert str(info.value) == message
+
+
 def test_formatted_records_read_back_bit_identical(tmp_path):
     rng = np.random.default_rng(7)
     u = Signal(_raw_values(rng, 3 * CSV_CHUNK_ROWS + 5), 0.01)
     y = Signal(_raw_values(rng, 3 * CSV_CHUNK_ROWS + 5), 0.01)
     path = tmp_path / "pair.csv"
     path.write_text(format_pair_csv(u, y))
-    _, (u_back, y_back) = _read_both(str(path))
+    u_back, y_back = _read_both(str(path))
     assert _same_floats(u_back.samples, u.samples)
     assert _same_floats(y_back.samples, y.samples)
 
@@ -746,22 +764,21 @@ def test_read_in_ranges_matches_one_process(tmp_path, monkeypatch, name, parts):
     path = tmp_path / "record.csv"
     path.write_bytes(RANGE_FILES[name].encode())
     serial = read_signal_csv(str(path))
-    kind, payload = _read_split(monkeypatch, str(path), parts)
-    assert kind == serial[0]
-    pairs = zip(payload, serial[1]) if kind == "pair" else [(payload, serial[1])]
-    for got, want in pairs:
+    record = _read_split(monkeypatch, str(path), parts)
+    assert isinstance(record, tuple) == isinstance(serial, tuple)
+    for got, want in zip(_signals(record), _signals(serial)):
         assert _same_floats(got.samples, want.samples)
         assert got.sample_period == want.sample_period
 
 
 def _read_outcome(monkeypatch, path, parts=1):
-    """The kind, samples and sample period read, or the error message."""
+    """Whether a pair was read, its samples and sample period, or the error message."""
     try:
-        kind, payload = _read_split(monkeypatch, str(path), parts)
+        record = _read_split(monkeypatch, str(path), parts)
     except ValidationError as exc:
         return str(exc)
-    signals = payload if kind == "pair" else [payload]
-    return kind, [(s.samples.tobytes(), s.sample_period) for s in signals]
+    signals = _signals(record)
+    return isinstance(record, tuple), [(s.samples.tobytes(), s.sample_period) for s in signals]
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="forks only on Linux")
@@ -841,7 +858,7 @@ def test_a_fault_in_the_last_range_gives_the_one_process_outcome(
     outcomes = []
     for count in (1, parts):
         try:
-            _, signal = _read_split(monkeypatch, str(path), count)
+            signal = _read_split(monkeypatch, str(path), count)
             outcomes.append((signal.samples.tobytes(), signal.sample_period))
         except ValidationError as exc:
             outcomes.append(str(exc))

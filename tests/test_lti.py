@@ -154,6 +154,31 @@ def test_lifted_simulation_matches_the_recursion(order, length, with_state):
         assert np.max(np.abs(got.samples - want.samples)) <= bound
 
 
+def _cascade_of_first_order(poles, u):
+    """The output of one first-order filter 1 / (1 - p z^-1) per pole, in turn."""
+    y = u
+    for p in poles:
+        out = np.empty_like(y)
+        state = 0.0
+        for i, v in enumerate(y):
+            state = p * state + v
+            out[i] = state
+        y = out
+    return y
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("poles", [[0.99] * 4, [0.9, 0.92, 0.94, 0.96, 0.98]])
+def test_clustered_poles_simulate_without_amplified_rounding(poles):
+    # The companion realization of clustered poles has powers A^j with
+    # entries in the thousands within a 64-sample step; stepping through
+    # them lost up to 4.5e-2 of the output.
+    u = np.random.default_rng(0).standard_normal(3000)
+    want = _cascade_of_first_order(poles, u)
+    got = simulate(state_space_from_roots(ZeroPoleGain(poles, [], 1.0)), Signal(u)).samples
+    assert np.max(np.abs(got - want)) <= 1e-7 * np.max(np.abs(want))
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("pole", [1.5, 1e5])
 @pytest.mark.parametrize(

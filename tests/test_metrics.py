@@ -282,6 +282,23 @@ def test_series_converges_to_the_closed_form_from_below(seed):
     assert closed - result.value <= result.tail_bound + 1e-12
 
 
+@pytest.mark.parametrize("radius", [0.99, 0.999, 0.9999, 0.99999])
+def test_a_model_tail_bound_covers_a_slow_pole(radius):
+    # A model's root radius is exact, so its bound holds however slow the
+    # decay; only a decay fit of an estimated cepstrum is capped.
+    zpk = ZeroPoleGain([radius], [], 1.0)
+    result = weighted_cepstral_norm(power_cepstrum_from_zpk(zpk, 256))
+    assert closed_form_norm(zpk) - result.value <= result.tail_bound
+
+
+def test_a_model_distance_tail_bound_covers_a_slow_pole():
+    first, second = ZeroPoleGain([0.99999], [], 1.0), ZeroPoleGain([0.5], [], 1.0)
+    result = weighted_cepstral_distance(
+        power_cepstrum_from_zpk(first, 256), power_cepstrum_from_zpk(second, 256)
+    )
+    assert closed_form_norm(cascade(first, second)) - result.value <= result.tail_bound
+
+
 def test_euclidean_distance_basics():
     a = Signal(np.array([1.0, 0.0]))
     b = Signal(np.array([0.0, 1.0]))

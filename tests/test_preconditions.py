@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from cepdist import (
+    ConfigError,
     DimensionMismatch,
     LengthMismatch,
     RunConfig,
@@ -131,17 +132,30 @@ UNGRIDDED_ROUTES = {
 }
 
 
+# Routes whose order travels in the config, under the named key: a config
+# that carries an order below 1 is refused where it is built, with its message.
+CONFIG_ORDERS = {
+    "power_cepstra": "K",
+    "classify_from_io": "K_test",
+    "classify_from_model": "K_test",
+}
+
+
 @pytest.mark.parametrize("order", [0, -3])
 @pytest.mark.parametrize("route", sorted(GRID_ROUTES) + sorted(UNGRIDDED_ROUTES))
 def test_every_order_route_refuses_an_order_below_one(route, order):
     call = {**GRID_ROUTES, **UNGRIDDED_ROUTES}[route]
     call(1)
+    if route in CONFIG_ORDERS:
+        key = CONFIG_ORDERS[route]
+        refusal = (ConfigError, f"{key} must be a positive integer, got {order}")
+        _assert_refusal(lambda: replace(CONFIG, **{key: order}), *refusal)
+    else:
+        refusal = (ValidationError, f"order must be positive, got {order}")
     # Refused before any spectrum is planned, so with no fallback warning.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        _assert_refusal(
-            lambda: call(order), ValidationError, f"order must be positive, got {order}"
-        )
+        _assert_refusal(lambda: call(order), *refusal)
 
 
 @pytest.mark.parametrize("route", sorted(GRID_ROUTES))

@@ -2,6 +2,7 @@
 
 import re
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -281,24 +282,19 @@ def test_spectrum_estimate_validation():
 
 @pytest.mark.parametrize("route", ["plan_record", "estimate_spectrum", "power_cepstra"])
 def test_an_unknown_method_is_refused_not_run_as_welch(route):
-    # A library RunConfig is never validated, so the plan checks the method
-    # itself, with the message of RunConfig.validate.
-    config = RunConfig(method="Periodogram")
+    # The config refuses the method when it is built, so no route gets to
+    # run it; a replaced copy is refused the same way.
     message = "method must be one of ('welch', 'periodogram'), got 'Periodogram'"
     call = {
-        "plan_record": lambda: plan_record(white(512, 0), config),
-        "estimate_spectrum": lambda: estimate_spectrum(white(512, 0), config),
-        "power_cepstra": lambda: power_cepstra([white(512, 0)], config)[0],
+        "plan_record": lambda config: plan_record(white(512, 0), config),
+        "estimate_spectrum": lambda config: estimate_spectrum(white(512, 0), config),
+        "power_cepstra": lambda config: power_cepstra([white(512, 0)], config)[0],
     }[route]
-    if route == "power_cepstra":
-        result = call()
-    else:
-        with pytest.raises(ValidationError) as info:
-            call()
-        result = info.value
-    assert isinstance(result, ConfigError) and str(result) == message
-    with pytest.raises(ConfigError, match=re.escape(message)):
-        config.validate()
+    call(RunConfig(method="periodogram"))
+    for build in (RunConfig, lambda **changes: replace(RunConfig(), **changes)):
+        with pytest.raises(ConfigError) as info:
+            call(build(method="Periodogram"))
+        assert str(info.value) == message
 
 
 def test_estimate_spectrum_refuses_a_spectrum_that_overflows():
