@@ -24,11 +24,37 @@ for the leading and trailing zeros that ``%g`` leaves out. No number's
 text holds a zero byte, so dropping every zero byte of the block gives its
 text. The values left to Python are written by one ``%`` operation per
 column of a block, each into its own field.
+
+``parse_block(data)`` reads such text back: rows of comma-separated cells
+as a float64 table, each value equal to ``float(cell)`` bit for bit, or
+None where the bytes fall outside what it decides. Lines end in LF, CRLF
+or a lone CR, and empty lines are skipped. A cell is an optional sign,
+digits with an optional point ("5.", ".5"), and an optional "e" or "E"
+exponent with an optional sign, with blanks (space, tab, VT, FF and
+U+001C..U+001F) around it. Every other byte, a line of only blanks, an
+empty cell or rows of unequal width declines the block.
+
+Every byte that is not a digit is a token, and the kinds of three tokens
+in a row, each with whether digits come right before it, index one table
+that gives the token's role: whether the grammar allows it there, whether
+it ends a cell, a row, a mantissa or an exponent, and the signs. A digit
+run of up to 24 bytes is read as three little-endian words of the bytes
+before its end, masked to the run, each reduced to its 8-digit number by
+three multiplies (Lemire's SWAR reduction). A cell's digits D, up to 19
+significant digits, and its decimal exponent q round to a double with
+Clinger's fast path, one exact multiply or divide, where D < 2**53 and
+|q| <= 22, and otherwise with the first product of Eisel and Lemire's
+algorithm: the 64 high bits of D times the 128-bit power of five of q,
+built with Python ints on first use. A cell that has more digits, whose
+product lies too near a tie, or whose value is subnormal or overflows is
+read by ``float`` itself; a non-finite value declines the block.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
+import math
 from typing import Sequence
 
 import numpy as np
@@ -247,3 +273,380 @@ def format_block(formats: Sequence[str], columns: Sequence[np.ndarray]) -> bytes
     fields = [_field(*spec) for spec in zip(formats, columns, separators)]
     canvas = np.concatenate(fields, axis=1)
     return canvas[canvas != 0].tobytes()
+
+
+# Byte kinds for reading. Digits are 0 and every other byte is a token.
+_MINUS, _PLUS, _DECIMAL_POINT, _EXPONENT_MARK, _COMMA, _LINE, _BLANK, _OTHER = range(1, 9)
+_SIGNS = (_MINUS, _PLUS)
+_SEPARATORS = (_COMMA, _LINE)
+
+
+def _kind_table() -> np.ndarray:
+    kinds = np.full(256, _OTHER, dtype=np.uint8)
+    kinds[ord("0") : ord("9") + 1] = 0
+    for chars, kind in (
+        ("-", _MINUS), ("+", _PLUS), (".", _DECIMAL_POINT), ("eE", _EXPONENT_MARK),
+        (",", _COMMA), ("\n\r", _LINE), (" \t\x0b\x0c\x1c\x1d\x1e\x1f", _BLANK),
+    ):
+        kinds[[ord(c) for c in chars]] = kind
+    return kinds
+
+
+_KIND = _kind_table()
+
+# Bits of a token's role. Every token the grammar allows has _ALLOWED, and
+# blanks, empty lines and exponent ends also _RARE, so that the smallest
+# and the largest role of a block tell whether it needs more than the
+# common path.
+_ALLOWED = 1 << 15
+_RARE = 1 << 14
+_SKIPPED = 1  # a line end right after another, or blanks before a cell
+_ENDS_EXPONENT = 2  # it ends its cell's exponent digits
+_NEGATIVE_EXPONENT = 4  # ... which follow a minus sign
+_ENDS_CELL = 8  # a separator
+_ENDS_ROW = 16  # ... that ends a row
+_ENDS_MANTISSA = 32  # it ends its cell's mantissa digits
+_AFTER_POINT = 64  # ... which are the fraction after a point
+_NEGATIVE = 128  # ... of a cell that starts with a minus sign
+_BEFORE_EXPONENT = 256  # ... that an exponent follows
+
+
+def _state(before: int, kind: int, digits: bool) -> int:
+    """Where a token stands in its cell, given the kind of the token before
+    it and whether digits come between, if the grammar allows it there: 0
+    at the cell's start (a separator or the blanks after one), 1 after a
+    leading sign, 2 after the point, 3 after the exponent mark, 4 after its
+    sign and 5 after the number (the blanks after it)."""
+    if kind == _BLANK:
+        return 5 if digits or before == _DECIMAL_POINT else 0
+    if kind in _SIGNS:
+        return 4 if before == _EXPONENT_MARK else 1
+    return {_COMMA: 0, _LINE: 0, _DECIMAL_POINT: 2, _EXPONENT_MARK: 3}[kind]
+
+
+def _role(first: int, second: int, kind: int, digits_second: bool, digits: bool) -> int:
+    """The role of a token of ``kind`` after tokens of kinds ``first`` and
+    ``second``, given whether digits come right before the last two; 0 where
+    the grammar does not allow it. The two before are taken to stand where
+    it allows them: their own roles say whether they do."""
+    if second == kind == _LINE and not digits:
+        return _ALLOWED | _RARE | _SKIPPED
+    before = _state(first, second, digits_second)
+    # A mantissa holds a digit before or after its point, an exponent one
+    # after its mark or sign.
+    mantissa = digits or (second == _DECIMAL_POINT and digits_second)
+    ends_number = kind in _SEPARATORS or kind == _EXPONENT_MARK or (
+        kind == _BLANK and (digits or second == _DECIMAL_POINT)
+    )
+    if before == 5:
+        allowed = kind in _SEPARATORS and not digits
+    elif kind in _SIGNS:
+        allowed = before in (0, 3) and not digits
+    elif kind == _DECIMAL_POINT:
+        allowed = before <= 1
+    elif kind == _EXPONENT_MARK:
+        allowed = before <= 2 and mantissa
+    elif ends_number:
+        allowed = mantissa if before <= 2 else bool(digits)
+    else:
+        return _ALLOWED | _RARE | _SKIPPED if before == 0 else 0
+    if not allowed:
+        return 0
+    role = _ALLOWED | (_RARE if kind == _BLANK else 0)
+    if kind in _SEPARATORS:
+        role |= _ENDS_CELL | (_ENDS_ROW if kind == _LINE else 0)
+    if ends_number and before <= 2:
+        role |= _ENDS_MANTISSA | (_BEFORE_EXPONENT if kind == _EXPONENT_MARK else 0)
+        if second == _DECIMAL_POINT:
+            role |= _AFTER_POINT
+        if second == _MINUS or (second == _DECIMAL_POINT and first == _MINUS):
+            role |= _NEGATIVE
+    elif ends_number and before in (3, 4):
+        role |= _RARE | _ENDS_EXPONENT | (_NEGATIVE_EXPONENT if second == _MINUS else 0)
+    return role
+
+
+@functools.cache
+def _role_table() -> np.ndarray:
+    """Roles indexed by three tokens in a row, each as its kind times 2 plus
+    whether digits come right before it, at 4 bits a token."""
+    table = [0] * (1 << 12)
+    kinds = range(1, _BLANK + 1)
+    for first, second, kind, digits_second, digits in itertools.product(
+        kinds, kinds, kinds, (0, 1), (0, 1)
+    ):
+        index = (first << 9) | (second << 5) | (digits_second << 4) | (kind << 1) | digits
+        # Digits before the first token do not matter.
+        table[index] = table[index | 1 << 8] = _role(first, second, kind, digits_second, digits)
+    return np.array(table, dtype=np.uint16)
+
+
+def _nibble_masks(words: Sequence[int]) -> np.ndarray:
+    """For each run length up to 25, the low nibbles of the bytes of the
+    given words before a run's end (0 the last word) that hold the run."""
+    return np.array(
+        [[0x0F0F0F0F0F0F0F0F & ~((1 << (64 - 8 * min(max(n - 8 * k, 0), 8))) - 1) for k in words]
+         for n in range(26)],
+        dtype=np.uint64,
+    )
+
+
+_LAST_MASKS = _nibble_masks([0]).reshape(-1)
+# The two words before the last, as one 16-byte item per run length.
+_HIGH_MASKS = _nibble_masks([2, 1]).view("V16").reshape(-1)
+_PAD = 24
+_UNREAD = _U(2**64 - 1)
+_TEN19 = _U(10**19)
+# By fraction places up to 25: 10**places, and the bound below which
+# whole * 10**places + fraction stays below 10**19.
+_SCALE = np.array([10 ** min(p, 19) for p in range(26)], dtype=np.uint64)
+_WHOLE_LIMIT = np.array([10 ** (19 - p) if p <= 19 else 0 for p in range(26)], dtype=np.uint64)
+_EXACT_POW10 = np.array([10.0**k for k in range(23)])
+_TWO53 = _U(1 << 53)
+_MIN_Q, _MAX_Q = -342, 308
+
+
+@functools.cache
+def _pow5_table() -> tuple[np.ndarray, np.ndarray]:
+    """The low and high 32 bits of the high word of 5**q for q in [-342,
+    308], as a 128-bit number with its top bit set: truncated for q >= 0,
+    and above the reciprocal for q < 0, as Eisel-Lemire's table has it."""
+    positive, negative = [], []
+    power = 1
+    for q in range(_MAX_Q + 1):
+        bits = power.bit_length()
+        positive.append(power << max(128 - bits, 0) >> max(bits - 128, 0))
+        power *= 5
+    # floor(2**scale / 5**k) for k = 1, 2, ..., each from the last by one
+    # exact division, and shifted down to 2**b / 5**k.
+    scale = 2 * (5**-_MIN_Q).bit_length() + 128
+    reciprocal, power = 1 << scale, 1
+    for k in range(1, -_MIN_Q + 1):
+        reciprocal //= 5
+        power *= 5
+        bits = power.bit_length()
+        value = (reciprocal >> (scale - (bits + 127 if k <= 27 else 2 * bits + 128))) + 1
+        negative.append(value >> max(value.bit_length() - 128, 0))
+    table = np.array([value >> 64 for value in negative[::-1] + positive], dtype=np.uint64)
+    return (table & _LOW32).astype(np.uint32), (table >> _U(32)).astype(np.uint32)
+
+
+def _eight_digits(words: np.ndarray) -> None:
+    """In place: the number of the 8 digits of each word, given as the low
+    nibbles of its bytes, the first digit in the lowest byte."""
+    words *= _U(2561)
+    words >>= _U(8)
+    words &= _U(0x00FF00FF00FF00FF)
+    words *= _U(6553601)
+    words >>= _U(16)
+    words &= _U(0x0000FFFF0000FFFF)
+    words *= _U(42949672960001)
+    words >>= _U(32)
+
+
+def _runs(raw: np.ndarray, ends: np.ndarray, gaps: np.ndarray) -> np.ndarray:
+    """The number of the digit run before each of the offsets ``ends``, of
+    ``gaps`` less one digits; _UNREAD for a run past 24 digits or 10**19."""
+    padded = np.zeros(raw.size + _PAD, np.uint8)
+    padded[_PAD:] = raw
+    # The word of the 8 bytes before an offset, and for a run past 8 digits
+    # the 16 bytes before those. Indexing a view of unaligned items reads
+    # them in place, where take() would copy the whole view first.
+    last = np.ndarray((raw.size + 1,), np.dtype("<u8"), padded, _PAD - 8, (1,))
+    runs = np.minimum(gaps, 26)
+    runs -= 1
+    value = last[ends]
+    value &= _LAST_MASKS.take(runs)
+    _eight_digits(value)
+    long = (runs > 8).nonzero()[0]
+    if long.size:
+        runs = runs.take(long)
+        high = np.ndarray((raw.size + 1,), np.dtype("V16"), padded, 0, (1,))[ends.take(long)]
+        high = high.view(np.uint64).reshape(-1, 2)
+        high &= _HIGH_MASKS.take(runs).view(np.uint64).reshape(-1, 2)
+        _eight_digits(high)
+        top = high[:, 0]
+        value[long] += top * _U(10**16) + high[:, 1] * _U(10**8)
+        value[long[(top >= _U(1000)) | (runs > 24)]] = _UNREAD
+    return value
+
+
+def _eisel_lemire(digits: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """digits * 10**q rounded to the nearest double, for digits from 1 to
+    2**64 - 1, and where that is undecided: the product lies too near a tie
+    to tell from its high word, or the value is subnormal or not finite."""
+    # The leading zeros of the digits, from the exponent of their double,
+    # which can have rounded up to the next power of two.
+    shift = digits.astype(np.float64).view(np.uint64)
+    shift >>= _U(52)
+    shift -= _U(1023)
+    zeros = _U(64) - shift
+    zeros -= digits >> shift
+    w = digits << zeros
+    index = q - _MIN_Q
+    t0 = _pow5_table()[0].take(index, mode="clip")
+    t1 = _pow5_table()[1].take(index, mode="clip")
+    # The high word of w * t from the products of 32-bit halves; [0::2] of a
+    # word's uint32 view is its low half, [1::2] its high half.
+    w0, w1 = w.view(np.uint32)[0::2], w.view(np.uint32)[1::2]
+    p00 = np.multiply(w0, t0, dtype=np.uint64).view(np.uint32)
+    p01 = np.multiply(w0, t1, dtype=np.uint64).view(np.uint32)
+    p10 = np.multiply(w1, t0, dtype=np.uint64).view(np.uint32)
+    mid = np.add(p00[1::2], p01[0::2], dtype=np.uint64)
+    mid += p10[0::2]
+    high = np.multiply(w1, t1, dtype=np.uint64)
+    high += p01[1::2]
+    high += p10[1::2]
+    high += mid >> _U(32)
+    upper = high >> _U(63)
+    mantissa = high >> (upper + _U(9))
+    undecided = (high & _U(0x1FF)) == _U(0x1FF)
+    # An exact tie can only fall at -4 <= q <= 23; there the low word tells.
+    tie = (q + 4).view(np.uint64) <= _U(27)
+    if tie.any():
+        tie &= (mantissa & _U(3)) == _U(1)
+        undecided |= tie & ((mid & _LOW32) == _U(0)) & (p00[0::2] <= np.uint32(1))
+    mantissa += mantissa & _U(1)
+    mantissa >>= _U(1)
+    # The biased exponent less one: adding the mantissa with its hidden bit,
+    # or its carry to 2**53, puts the right exponent in the bits. Below 0 the
+    # value is subnormal; from 2045 on it may round to infinity.
+    power = 217706 * q
+    power >>= 16
+    power += 63 + 1023 - 1
+    power += upper.view(np.int64)
+    power -= zeros.view(np.int64)
+    undecided |= power.view(np.uint64) > _U(2044)
+    power <<= 52
+    mantissa += power.view(np.uint64)
+    return mantissa.view(np.float64), undecided
+
+
+def _tokens(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The offsets and kinds of the bytes that are not digits."""
+    flags = raw - np.uint8(ord("0"))
+    at = np.greater(flags, np.uint8(9), out=flags.view(np.bool_)).nonzero()[0]
+    return at, _KIND.take(raw.take(at))
+
+
+def _roles(gap: np.ndarray, kind: np.ndarray) -> np.ndarray | None:
+    """The role of each token, given the distance of its digit run's end
+    from the token before it; None where the grammar does not allow one."""
+    # Each token as its 4-bit code, after two line ends.
+    code = np.empty(kind.size + 2, np.int64)
+    code[:2] = _LINE * 2
+    np.left_shift(kind, 1, out=code[2:])
+    code[2:] += gap > 1
+    window = code[:-2] << 8
+    code <<= 4
+    window |= code[1:-1]
+    code >>= 4
+    window |= code[2:]
+    role = _role_table().take(window)
+    return None if role.min() < _ALLOWED else role
+
+
+def _mantissas(values, gap, ends, role):
+    """The digits D of each cell's mantissa, its exponent q = -places, and
+    whether D is below 10**19, from the runs before the tokens ``ends``."""
+    point = (role & _AFTER_POINT) != 0
+    digits = values[ends - point]
+    fraction = values.take(ends)
+    fraction *= point
+    places = gap.take(ends)
+    places -= 1
+    places *= point
+    np.minimum(places, 25, out=places)
+    fits = digits < _WHOLE_LIMIT.take(places)
+    fits |= digits == _U(0)
+    fits &= fraction < _TEN19
+    digits *= _SCALE.take(places)
+    digits += fraction
+    return digits, np.negative(places, out=places), fits
+
+
+def _doubles(digits, q, fits):
+    """digits * 10**q rounded to doubles, and where the value is left to
+    ``float``."""
+    scale = np.abs(q)
+    exact = scale <= 22
+    exact |= digits == _U(0)
+    exact &= digits < _TWO53
+    power = _EXACT_POW10.take(np.minimum(scale, 22, out=scale))
+    value = digits.astype(np.float64)
+    value = np.where(q < 0, value / power, value * power)
+    slow = ~fits
+    rest = (fits & ~exact).nonzero()[0]
+    if rest.size:
+        value[rest], slow[rest] = _eisel_lemire(digits.take(rest), q.take(rest))
+    return value, slow
+
+
+def parse_block(data) -> np.ndarray | None:
+    """The rows of comma-separated numbers in ASCII bytes, shape (rows,
+    cells), each value ``float(cell)`` bit for bit; None when a byte, cell
+    or row falls outside the grammar, or a value is not finite."""
+    if not len(data) or data[-1] not in b"\r\n":
+        data = bytes(data) + b"\n"
+    raw = np.frombuffer(data, np.uint8)
+    at, kind = _tokens(raw)
+    top = kind.max()
+    if top == _OTHER:
+        return None
+    gap = np.empty_like(at)
+    gap[0] = at[0] + 1
+    np.subtract(at[1:], at[:-1], out=gap[1:])
+    if top == _BLANK:
+        # A run of blanks is one token: its first.
+        repeat = (kind[1:] == _BLANK) & (kind[:-1] == _BLANK) & (gap[1:] == 1)
+        if repeat.any():
+            kept = np.append(True, ~repeat).nonzero()[0]
+            at, kind, gap = at.take(kept), kind.take(kept), gap.take(kept)
+    role = _roles(gap, kind)
+    del kind
+    if role is None:
+        return None
+    rare = role.max() >= _ALLOWED | _RARE
+    if rare and np.any(role == _ALLOWED | _RARE | _SKIPPED):
+        kept = (role != _ALLOWED | _RARE | _SKIPPED).nonzero()[0]
+        at, gap, role = at.take(kept), gap.take(kept), role.take(kept)
+    # One mantissa per cell. Its end ends the cell, unless an exponent or
+    # blanks follow it.
+    mantissa_ends = (role & _ENDS_MANTISSA).nonzero()[0]
+    if not mantissa_ends.size:
+        return np.empty((0, 0))
+    cell_role = role.take(mantissa_ends)
+    cell_ends = mantissa_ends
+    if rare:
+        exponents = (role & _ENDS_EXPONENT).nonzero()[0]
+        with_exponent = (cell_role & _BEFORE_EXPONENT) != 0
+        if top == _BLANK:
+            cell_ends = (role & _ENDS_CELL).nonzero()[0]
+        elif exponents.size:
+            cell_ends = mantissa_ends.copy()
+            cell_ends[with_exponent] = exponents
+    row_ends = (cell_role if cell_ends is mantissa_ends else role.take(cell_ends)) & _ENDS_ROW
+    rows = int(np.count_nonzero(row_ends))
+    width = cell_ends.size // rows
+    if width * rows != cell_ends.size or not row_ends[width - 1 :: width].all():
+        return None
+    values = _runs(raw, at, gap)
+    digits, q, fits = _mantissas(values, gap, mantissa_ends, cell_role)
+    if rare:
+        exponent = np.minimum(values.take(exponents), _U(10_000)).view(np.int64)
+        negative = (role.take(exponents) & _NEGATIVE_EXPONENT) != 0
+        q[with_exponent] += np.where(negative, -exponent, exponent)
+    # Free the token arrays before the cell arithmetic.
+    del values, gap, role
+    value, slow = _doubles(digits, q, fits)
+    # The minus sign's role bit, 1 << 7, moved to the sign bit of the double.
+    sign = (cell_role & _NEGATIVE).astype(np.uint64)
+    sign <<= _U(63 - 7)
+    value.view(np.uint64)[...] ^= sign
+    for k in slow.nonzero()[0].tolist():
+        start = at[cell_ends[k - 1]] + 1 if k else 0
+        number = float(raw[start : at[cell_ends[k]]].tobytes().decode("ascii").strip())
+        if not math.isfinite(number):
+            return None
+        value[k] = number
+    return value.reshape(rows, width)

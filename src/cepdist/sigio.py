@@ -7,15 +7,20 @@ root form ``{"poles","zeros","gain"}`` where each root is a real number or
 a ``[re, im]`` pair. Report JSON is canonical: sorted keys, two-space
 indent, trailing newline, no timestamps, NaN encoded as null.
 
-Signal rows are parsed by NumPy's C reader, which is handed the file's
-lines, split by universal newlines, and converts each cell as Python's
-``float`` does. A file it refuses, or that holds a non-finite value, is
-parsed again in chunks of rows with ``float`` itself. That parse
-also reads what the C reader refuses (quoted cells, underscores in numbers,
-rows of only blanks and commas) and names the first row at fault. A file
-of ``parallel.FORK_MIN_BYTES`` or more is parsed in one contiguous line
-range per worker process (``parallel.worker_count``), each after the first
-in a forked child; the values and errors are those of the one-process read.
+Signal rows are parsed by ``numtext.parse_block``, PARSE_BLOCK_BYTES of lines
+at a time, with exact NumPy integer arithmetic: each value is Python's
+``float`` of its cell, bit for bit. It reads lines that end in LF, CRLF or
+a lone CR, skips empty lines, and reads cells of an optional sign, digits
+with an optional point and an optional exponent, with blanks around them;
+the few cells its arithmetic cannot round, such as those of more than 19
+significant digits, it hands to ``float`` one by one. A file with a byte,
+cell or row outside that grammar, or a non-finite value, is parsed again in
+chunks of rows with ``float`` itself. That parse also reads what the block
+parser declines (quoted cells, underscores in numbers, rows of only blanks
+and commas) and names the first row at fault. A file of
+``parallel.FORK_MIN_BYTES`` or more is parsed in one contiguous line range
+per worker process (``parallel.worker_count``), each after the first in a
+forked child; the values and errors are those of the one-process read.
 
 Numbers are written with the text of Python's ``%``: samples, cepstral
 coefficients and matrix cells with ``"%.17g"``, which reads back as the
@@ -36,7 +41,6 @@ import io
 import json
 import math
 import re
-import warnings
 from itertools import chain, islice
 from typing import Iterator
 
@@ -55,9 +59,15 @@ from .lti import (
 from .parallel import map_chunks
 
 # Rows formatted per step, and rows parsed per step when a file falls back
-# from NumPy's reader. It bounds the intermediate strings and lists to a few
-# hundred kilobytes whatever the record length.
+# to the row-wise parse. It bounds the intermediate strings and lists to a
+# few hundred kilobytes whatever the record length.
 CSV_CHUNK_ROWS = 4096
+# At most about this many bytes of lines go to one ``numtext.parse_block``
+# call: some 2600 t,value or 1400 t,u,y rows. Its token arrays then stay
+# below the 128 KiB from which malloc maps fresh pages for each call; a
+# file of 4097 two-cell rows read in one block took about 280 page faults
+# and a fifth more time per read than in two.
+PARSE_BLOCK_BYTES = 1 << 16
 # A cell wrapped in double quotes, as CSV writers emit it. Only a quoted
 # cell free of commas and quotes is unwrapped, so any other quote leaves its
 # cell unparseable.
@@ -137,27 +147,6 @@ def _parse_rows(rows: list[str], width: int, first_row: int, path: str) -> np.nd
     return values.reshape(len(rows), width)
 
 
-def _loadtxt_bytes(data: bytes) -> np.ndarray | None:
-    """The rows of UTF-8 bytes as NumPy's C reader parses them, shape
-    (rows, cells); None when it refuses one or a value is not finite.
-
-    The reader gets the lines of the bytes, split by universal newlines,
-    and no quote character: it would let a quoted cell run on over line
-    ends, where the row-wise parse refuses the row, so a quote sends the
-    file to that parse instead.
-    """
-    lines = io.TextIOWrapper(io.BytesIO(data), "utf-8", newline="")
-    with warnings.catch_warnings():
-        # A header-only file makes loadtxt warn "input contained no data";
-        # the row-wise parse refuses it with its own message.
-        warnings.simplefilter("ignore", UserWarning)
-        try:
-            table = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
-        except ValueError:
-            return None
-    return table if np.isfinite(table).all() else None
-
-
 def _data_start(data: bytes, path: str) -> tuple[int, int]:
     """The offset of the first data row in a file's bytes and its row
     number: 2 after a header, else 1; the end of the bytes and 1 when every
@@ -197,26 +186,44 @@ def _line_cuts(data: bytes, parts: int) -> list[int]:
     return cuts + [len(data)]
 
 
+def _parse_range(data: bytes, start: int, stop: int) -> list[np.ndarray] | None:
+    """The tables of the lines from ``start`` to ``stop``, parsed in blocks
+    of about PARSE_BLOCK_BYTES (``numtext.parse_block``); None when it
+    declines one."""
+    parts = -(-(stop - start) // PARSE_BLOCK_BYTES)
+    cuts = [start, stop]
+    if parts > 1:
+        cuts = [start + cut for cut in _line_cuts(data[start:stop], parts)]
+    view = memoryview(data)
+    tables = []
+    for a, b in zip(cuts, cuts[1:]):
+        table = numtext.parse_block(view[a:b])
+        if table is None:
+            return None
+        tables.append(table)
+    return tables
+
+
 def _range_table(
     data: bytes, head: tuple[int, int], cuts: list[int]
 ) -> tuple[np.ndarray, int] | None:
-    """The data rows of a whole file's bytes as NumPy's C reader parses
-    them, with the row number of the first; None when it refuses them or
-    finds no finite table of 2 or 3 columns.
+    """The data rows of a whole file's bytes as ``numtext.parse_block``
+    parses them, with the row number of the first; None when it declines
+    them or finds no table of 2 or 3 columns.
 
     The rows are parsed in the line ranges between the cuts, each after the
     first in a worker process (``parallel.map_chunks``); the lines before
     ``head``, the file's ``_data_start``, are left out of the first range.
-    Each range is read with universal newlines, as the whole file would be,
-    so the joined rows are the one-range read's rows, bit for bit.
+    Every block of a range starts at a line start, so the joined rows are
+    the one-range read's rows, bit for bit.
     """
     start, first_row = head
     bounds = sorted({start, *(cut for cut in cuts if cut > start)})
     ranges = list(zip(bounds, bounds[1:]))
-    tables = map_chunks(lambda span: _loadtxt_bytes(data[span[0] : span[1]]), ranges)
-    if any(table is None for table in tables):
+    parts = map_chunks(lambda span: _parse_range(data, *span), ranges)
+    if any(part is None for part in parts):
         return None
-    tables = [table for table in tables if table.size]
+    tables = [table for part in parts for table in part if table.size]
     widths = {table.shape[1] for table in tables}
     if len(widths) != 1 or widths - {2, 3}:
         return None
@@ -226,10 +233,10 @@ def _range_table(
 def _read_table(data: bytes, path: str) -> tuple[np.ndarray, int]:
     """All data rows of a signal file's bytes, and the row number of the first.
 
-    NumPy's C reader parses the bytes first, in one line range per worker
-    (``_range_table``). The ranges refuse a file exactly when the reader
-    would refuse it whole, so either way a refused file goes to the
-    row-wise parse, which names the fault. Both start at ``_data_start``.
+    ``numtext.parse_block`` parses the bytes first, in one line range per
+    worker (``_range_table``). The ranges decline a file exactly when the
+    parser would decline it whole, so either way a declined file goes to
+    the row-wise parse, which names the fault. Both start at ``_data_start``.
     """
     head = _data_start(data, path)
     parts = parallel.worker_count(len(data), parallel.FORK_MIN_BYTES, len(data))

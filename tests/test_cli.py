@@ -1300,7 +1300,7 @@ def test_simulate_reads_a_faulty_input_in_ranges_as_one_process(
     (code, out, err), by_ranges = _serial_and_range_read(
         monkeypatch, capsys, argv, [output], workers
     )
-    # The ranges parse the file only when NumPy's reader takes every row;
+    # The ranges parse the file only when the block parser takes every row;
     # the time step is checked on the joined rows.
     assert by_ranges == (fault == "time-step")
     if message is None:

@@ -395,7 +395,7 @@ _LONG_PREFIX = "t,value\n" + "".join(f"{k},{k}\n" for k in range(CSV_CHUNK_ROWS 
         ("0,1\n1,2,3\n", "row 2:"),
         ("t,u,y\n0,1\n1,2\n2,3,4\n", "row 4:"),
         (" , \nt,value\n\n", "header but no data"),
-        # NumPy's reader refuses the underscore or the blank row first.
+        # The block parser declines the underscore or the blank row first.
         ("t,value\n0,1_0\n1,2\n2,3,4\n", "row 4:"),
         ("t,value\n0,1\n \n1,x_1\n", "row 3:"),
         ("t,value\n0,1,2,3\n", "columns"),
@@ -432,7 +432,7 @@ def test_signal_file_validation(tmp_path, content, fragment):
     ],
 )
 def test_reader_edge_cases_match_the_reference(tmp_path, monkeypatch, content, fallback):
-    # Each example either passes NumPy's reader or falls back to the
+    # Each example either passes the block parser or falls back to the
     # row-wise parse, as marked; both must read what the oracle reads.
     fallbacks = []
     parse_table = sigio._parse_table
@@ -464,8 +464,8 @@ def test_files_without_data_are_refused_without_a_warning(
 
 
 def test_a_quoted_cell_does_not_run_on_over_a_line_end(tmp_path):
-    # The csv module, and NumPy's reader given a quote character, would
-    # join these lines into one row; the reader refuses the open quote.
+    # The csv module, and a reader given a quote character, would join
+    # these lines into one row; the reader refuses the open quote.
     path = tmp_path / "open.csv"
     path.write_text('t,value\n0,1\n"1\n",2\n')
     with pytest.raises(ValidationError, match="row 3: expected 2 cells, got 1"):
@@ -650,6 +650,12 @@ RANGE_FILES = {
     "blank-first-lines": "\n , \nt,value\n0,1\n1,2\n2,3\n",
     "bare-carriage-returns": "t,value\r0,1\r1,2\n2,3\r3,4\n",
     "no-final-line-end": "t,value\n0,1\n1,2\n2,3",
+    "crlf-empty-lines": "t,value\r\n\r\n0,1\r\n\r\n1,2\r\n2,3\r\n",
+    "crlf-trailing-empty-lines": "t,u,y\r\n0,1,2\r\n1,3,4\r\n\r\n\r\n",
+    "empty-line-after-header": "t,value\n\n0,1\n1,2\n",
+    "trailing-empty-line-no-header": "0,1\n1,2\n2,3\n\n",
+    "blank-padded": "t, u ,y\n0, 1.5 ,\t-2\n 1,3e-3 , 4\r\n",
+    "exponents": "t,value\n0,1e-300\n1,-2.5E+10\n2,.5e3\n3,5.e-2\n",
 }
 
 
@@ -698,7 +704,20 @@ def test_range_reader_matches_one_process_at_every_split(tmp_path, name):
             os.waitpid(-1, os.WNOHANG)
 
 
-# Files with a row that NumPy's reader refuses, wherever the cuts fall.
+@pytest.mark.parametrize("name", sorted(RANGE_FILES))
+def test_blocks_of_any_size_give_the_one_block_read(tmp_path, monkeypatch, name):
+    # A range is parsed in blocks of whole lines; every block size gives
+    # the rows of one block, bit for bit.
+    path = tmp_path / "record.csv"
+    path.write_bytes(RANGE_FILES[name].encode())
+    want = _read_outcome(monkeypatch, path)
+    for size in (1, 5, 16):
+        monkeypatch.setattr(sigio, "PARSE_BLOCK_BYTES", size)
+        assert _read_outcome(monkeypatch, path) == want
+        assert _read_outcome(monkeypatch, path, 2) == want
+
+
+# Files with a row that the block parser declines, wherever the cuts fall.
 REFUSED_RANGE_FILES = {
     "inner-bom": "t,value\n0,1\n\ufeff1,2\n2,3\n",
     "non-finite": "t,value\n0,1\n1,2\n2,-inf\n",
@@ -724,15 +743,16 @@ def test_range_reader_refuses_a_bad_row_at_every_split(tmp_path, name):
 READER_PIECES = [
     "0,1\n", "2.5,-3e-300\r\n", "0", "1.5", "-2e-3", "nan", "inf", "1e999", "x", "_", '"', ",",
     " ", "\t", "\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x85", "\u2028", "\x00", "\ufeff",
+    "5.", ".5", "1E+5", "+", "-", ".", "e",
 ]
 
 
 @settings(max_examples=300)
 @given(pieces=st.lists(st.sampled_from(READER_PIECES), max_size=40))
-def test_the_c_reader_reads_each_text_as_the_row_parse(pieces):
-    # NumPy's reader is handed the lines of the bytes. Wherever it accepts
-    # a text, the row-wise parse must give the same rows, bit for bit, and
-    # the same number for the first.
+def test_the_block_parser_reads_each_text_as_the_row_parse(pieces):
+    # The block parser is handed the lines of the bytes. Wherever it
+    # accepts a text, the row-wise parse must give the same rows, bit for
+    # bit, and the same number for the first.
     data = "".join(pieces).encode()
     head = sigio._data_start(data, "record.csv")
     by_reader = sigio._range_table(data, head, [0, len(data)])
@@ -806,29 +826,33 @@ def test_a_read_in_a_chunk_of_map_chunks_forks_no_grandchild(tmp_path, monkeypat
 
 @pytest.mark.parametrize("name", sorted({**RANGE_FILES, **REFUSED_RANGE_FILES}))
 def test_without_in_memory_files_the_reader_gets_the_lines(tmp_path, monkeypatch, name):
-    # Every range goes to NumPy's reader as a file object of its lines, on
-    # every platform: never as a path, and nothing read depends on whether
+    # Every range goes to the block parser as bytes of whole lines, on every
+    # platform: never as a path, and nothing read depends on whether
     # os.memfd_create exists.
     data = {**RANGE_FILES, **REFUSED_RANGE_FILES}[name].encode()
     path = tmp_path / "record.csv"
     path.write_bytes(data)
     want = [_read_outcome(monkeypatch, path, parts) for parts in (1, 2, 3)]
-    sources = []
-    loadtxt = np.loadtxt
+    blocks = []
+    parse_block = sigio.numtext.parse_block
     monkeypatch.setattr(
-        np, "loadtxt", lambda source, **kw: sources.append(source) or loadtxt(source, **kw)
+        sigio.numtext, "parse_block", lambda block: blocks.append(bytes(block)) or parse_block(block)
     )
     monkeypatch.delattr(os, "memfd_create", raising=False)
     assert [_read_outcome(monkeypatch, path, parts) for parts in (1, 2, 3)] == want
-    assert all(isinstance(source, io.TextIOBase) for source in sources)
+    head = sigio._data_start(data, str(path))[0]
+    lines = {head, len(data), *(k + 1 for k, byte in enumerate(data) if byte in b"\r\n")}
+    for block in blocks:
+        starts = [k for k in lines if k >= head and data.startswith(block, k)]
+        assert any(k + len(block) in lines for k in starts), block
     assert (_range_table(data, [0, len(data)]) is not None) == (name in RANGE_FILES)
 
 
 # Faults in the last rows, so in the last line range: each must give the
-# one-process read's outcome. NumPy's reader refuses all but the time step,
-# which is checked on the joined rows, and the bare carriage return, which
-# ends a line for both reads. The reader has no quote character, so a
-# quoted cell sends the file to the one-process read, which accepts it.
+# one-process read's outcome. The block parser declines all but the time
+# step, which is checked on the joined rows, and the bare carriage return,
+# which ends a line for both reads. It declines a quoted cell, which sends
+# the file to the one-process read, which accepts it.
 RANGE_FAULTS = {
     "quoted-cell": ('58,"1.5"\n', None),
     "non-finite-cell": ("58,inf\n", "row 60: 'inf' is not a finite number"),

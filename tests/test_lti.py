@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cepdist import (
@@ -329,12 +329,15 @@ def test_frequency_response_rejects_out_of_range_grid():
 
 
 @given(st.integers(0, 10**6))
+# |H| reaches 996 on this grid; the routes differ there by 1.3e-13 of it.
+@example(36624)
 def test_state_space_response_matches_root_form(seed):
     zpk = random_balanced_min_phase(np.random.default_rng(seed))
     model = state_space_from_roots(zpk)
     h_roots = frequency_response(roots_from_state_space(model), GRID_64)
     h_state = frequency_response_state_space(model, GRID_64)
-    assert np.max(np.abs(h_roots - h_state)) <= 1e-10
+    # Both routes round relative to |H|: 1e-10 absolute where |H| <= 1.
+    assert np.all(np.abs(h_roots - h_state) <= 1e-10 * np.maximum(1.0, np.abs(h_roots)))
 
 
 @given(st.integers(0, 10**6))

@@ -1,14 +1,18 @@
-"""The number formatter writes the text of Python's % operator, byte for byte."""
+"""The number formatter writes the text of Python's % operator, byte for byte,
+and the block parser reads each cell as Python's float does, bit for bit."""
+
+import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cepdist.numtext import format_block
+from cepdist.numtext import format_block, parse_block
 
 # Every digit comes from integer arithmetic on the float's bits, and values
-# out of its range go to Python before any NumPy call could overflow.
+# out of its range go to Python before any NumPy call could overflow; so in
+# the parser, whose doubles come from integer arithmetic on the digits.
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 FLOAT_FORMATS = ("%.17g", "%.12g")
@@ -72,3 +76,113 @@ def test_refuses_a_format_it_cannot_write():
     for fmt in ("%.18g", "%.0g", "%f", "%s"):
         with pytest.raises(ValueError, match="unsupported number format"):
             format_block([fmt], [np.ones(1)])
+
+
+def _bits(values) -> list[int]:
+    return np.asarray(values, dtype=np.float64).view(np.uint64).tolist()
+
+
+def _read_cells(cells: list[str]) -> None:
+    """Each cell, one per line, reads as float() reads it, or declines the
+    block where float() gives a value that is not finite."""
+    wants = [float(cell) for cell in cells]
+    table = parse_block("".join(cell + "\n" for cell in cells).encode("ascii"))
+    if all(math.isfinite(want) for want in wants):
+        assert table is not None and table.shape == (len(cells), 1)
+        assert _bits(table[:, 0]) == _bits(wants)
+    else:
+        assert table is None
+
+
+@given(st.lists(st.tuples(INT64, st.floats(allow_nan=False, allow_infinity=False),
+                          st.floats(allow_nan=False, allow_infinity=False)), min_size=1, max_size=40))
+@example([(0, 5e-324, 1.7976931348623157e308), (-(2**63), -0.0, 2.2250738585072011e-308)])
+def test_written_rows_read_back_as_float_reads_their_text(rows):
+    ints, first, second = (list(column) for column in zip(*rows))
+    columns = [np.array(ints, dtype=np.int64), np.array(first), np.array(second)]
+    text = format_block(("%d", "%.17g", "%.12g"), columns)
+    table = parse_block(text)
+    assert table is not None and table.shape == (len(rows), 3)
+    # %.17g gives every double back; %d and %.12g give float() of their text.
+    assert _bits(table[:, 1]) == _bits(first)
+    cells = [line.split(",") for line in text.decode("ascii").splitlines()]
+    assert _bits(table.ravel()) == _bits([float(cell) for row in cells for cell in row])
+
+
+@st.composite
+def decimal_cells(draw) -> str:
+    """A sign, 1 to 25 digits after up to 4 leading zeros, a point anywhere
+    or none, and an exponent from -350 to 350 or none."""
+    digits = "0" * draw(st.integers(0, 4)) + draw(st.text("0123456789", min_size=1, max_size=25))
+    point = draw(st.integers(-1, len(digits)))
+    if point >= 0:
+        digits = digits[:point] + "." + digits[point:]
+    exponent = draw(st.one_of(st.none(), st.integers(-350, 350)))
+    if exponent is not None:
+        plus = "+" if exponent >= 0 and draw(st.booleans()) else ""
+        digits += draw(st.sampled_from("eE")) + plus + str(exponent)
+    return draw(st.sampled_from(["", "-", "+"])) + digits
+
+
+@settings(max_examples=200)
+@given(st.lists(decimal_cells(), min_size=1, max_size=30))
+@example(["9007199254740993"])  # a tie at 2**53 + 1, rounded to even
+@example(["0.1"])
+@example(["1e23"])  # the product lands near a tie
+@example(["2.2250738585072011e-308"])  # subnormal, left to float()
+@example(["4.9406564584124654e-324"])
+@example(["1.7976931348623157e308"])
+@example(["1.8e308"])  # overflows: not finite, so the block declines
+@example(["-0", "+1", ".5", "5.", "1E+05"])
+@example(["1234567890123456789", "12345678901234567890"])  # 19 and 20 significant digits
+@example(["0.000000000000000000000000000001", "00000000000000000000000001e-3"])
+def test_decimal_cells_read_as_float_reads_them(cells):
+    _read_cells(cells)
+
+
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=30))
+def test_shortest_and_rounded_texts_read_as_float_reads_them(values):
+    for fmt in ("%r", "%.16g", "%.6f", "%.19f"):
+        _read_cells([fmt % value for value in values])
+
+
+@pytest.mark.parametrize(
+    "text,rows",
+    [
+        # Line ends of every kind, and empty lines, which are skipped.
+        (b"0,1.5\r\n1,-2\r\n", [[0, 1.5], [1, -2]]),
+        (b"0,1.5\r1,-2", [[0, 1.5], [1, -2]]),
+        (b"\n\r\n0,1.5\n\n\n1,-2\n\r\n\n", [[0, 1.5], [1, -2]]),
+        # Blanks around cells.
+        (b" 0 ,\t1.5\x0c\n\x1c1\x1f, -2 \r\n", [[0, 1.5], [1, -2]]),
+        (b"", np.empty((0, 0))),
+        (b"\r\n\n", np.empty((0, 0))),
+    ],
+)
+def test_lines_and_blanks(text, rows):
+    table = parse_block(text)
+    assert table is not None and table.shape == np.shape(rows)
+    assert _bits(table.ravel()) == _bits(np.ravel(rows))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        b"0,1\n1,2,3\n",  # rows of unequal width
+        b"0,1\n1,\n",  # an empty cell
+        b"0,1\n,\n",  # a row of only commas
+        b"0,1\n \t\n1,2\n",  # a line of only blanks
+        b"0,1 2\n",  # a blank inside a cell
+        b'0,"1"\n',  # a quoted cell
+        b"0,1_0\n",  # an underscore
+        b"0,\xef\xbb\xbf1\n",  # a byte order mark inside the rows
+        b"0,\xc2\xa01\n",  # a blank that is not ASCII
+        b"0,inf\n",
+        b"0,nan\n",
+        b"0,1e400\n",
+        b"0,-\n", b"0,.\n", b"0,e5\n", b"0,1e\n", b"0,1e+\n", b"0,1.2.3\n",
+        b"0,1e5e5\n", b"0,1-2\n", b"0,--1\n", b"0,1.e-.5\n", b"0,+-1\n",
+    ],
+)
+def test_declines_what_it_does_not_decide(text):
+    assert parse_block(text) is None
