@@ -321,7 +321,7 @@ def _state(before: int, kind: int, digits: bool) -> int:
         return 5 if digits or before == _DECIMAL_POINT else 0
     if kind in _SIGNS:
         return 4 if before == _EXPONENT_MARK else 1
-    return {_COMMA: 0, _LINE: 0, _DECIMAL_POINT: 2, _EXPONENT_MARK: 3}[kind]
+    return 2 if kind == _DECIMAL_POINT else 3 if kind == _EXPONENT_MARK else 0
 
 
 def _role(first: int, second: int, kind: int, digits_second: bool, digits: bool) -> int:
