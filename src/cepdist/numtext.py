@@ -636,7 +636,8 @@ def parse_block(data) -> np.ndarray | None:
         exponent = np.minimum(values.take(exponents), _U(10_000)).view(np.int64)
         negative = (role.take(exponents) & _NEGATIVE_EXPONENT) != 0
         q[with_exponent] += np.where(negative, -exponent, exponent)
-    # Free the token arrays before the cell arithmetic.
+    # Free the token arrays before the cell arithmetic, to keep the peak of
+    # a block's memory low: fresh pages cost a fault each.
     del values, gap, role
     value, slow = _doubles(digits, q, fits)
     # The minus sign's role bit, 1 << 7, moved to the sign bit of the double.

@@ -153,8 +153,9 @@ def test_shortest_and_rounded_texts_read_as_float_reads_them(values):
         (b"0,1.5\r\n1,-2\r\n", [[0, 1.5], [1, -2]]),
         (b"0,1.5\r1,-2", [[0, 1.5], [1, -2]]),
         (b"\n\r\n0,1.5\n\n\n1,-2\n\r\n\n", [[0, 1.5], [1, -2]]),
-        # Blanks around cells.
+        # Blanks around cells, alone and in runs.
         (b" 0 ,\t1.5\x0c\n\x1c1\x1f, -2 \r\n", [[0, 1.5], [1, -2]]),
+        (b"  0 \t,\t 1.5  \n", [[0, 1.5]]),
         (b"", np.empty((0, 0))),
         (b"\r\n\n", np.empty((0, 0))),
     ],
@@ -173,6 +174,8 @@ def test_lines_and_blanks(text, rows):
         b"0,1\n,\n",  # a row of only commas
         b"0,1\n \t\n1,2\n",  # a line of only blanks
         b"0,1 2\n",  # a blank inside a cell
+        b"0,1 \t 2\n",
+        b"0,1\n  \t \n1,2\n",
         b'0,"1"\n',  # a quoted cell
         b"0,1_0\n",  # an underscore
         b"0,\xef\xbb\xbf1\n",  # a byte order mark inside the rows
