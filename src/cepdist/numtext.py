@@ -625,7 +625,7 @@ def parse_block(data) -> np.ndarray | None:
         elif exponents.size:
             cell_ends = mantissa_ends.copy()
             cell_ends[with_exponent] = exponents
-    row_ends = (cell_role if cell_ends is mantissa_ends else role.take(cell_ends)) & _ENDS_ROW
+    row_ends = role.take(cell_ends) & _ENDS_ROW
     rows = int(np.count_nonzero(row_ends))
     width = cell_ends.size // rows
     if width * rows != cell_ends.size or not row_ends[width - 1 :: width].all():
