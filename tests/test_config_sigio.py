@@ -836,7 +836,7 @@ def test_without_in_memory_files_the_reader_gets_the_lines(tmp_path, monkeypatch
     blocks = []
     parse_block = sigio.numtext.parse_block
     monkeypatch.setattr(
-        sigio.numtext, "parse_block", lambda block: blocks.append(bytes(block)) or parse_block(block)
+        sigio.numtext, "parse_block", lambda text: blocks.append(bytes(text)) or parse_block(text)
     )
     monkeypatch.delattr(os, "memfd_create", raising=False)
     assert [_read_outcome(monkeypatch, path, parts) for parts in (1, 2, 3)] == want

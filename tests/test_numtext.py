@@ -17,6 +17,7 @@ pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 FLOAT_FORMATS = ("%.17g", "%.12g")
 INT64 = st.integers(-(2**63), 2**63 - 1)
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
 
 def _one(fmt: str, value, dtype) -> str:
@@ -94,8 +95,7 @@ def _read_cells(cells: list[str]) -> None:
         assert table is None
 
 
-@given(st.lists(st.tuples(INT64, st.floats(allow_nan=False, allow_infinity=False),
-                          st.floats(allow_nan=False, allow_infinity=False)), min_size=1, max_size=40))
+@given(st.lists(st.tuples(INT64, FINITE, FINITE), min_size=1, max_size=40))
 @example([(0, 5e-324, 1.7976931348623157e308), (-(2**63), -0.0, 2.2250738585072011e-308)])
 def test_written_rows_read_back_as_float_reads_their_text(rows):
     ints, first, second = (list(column) for column in zip(*rows))
@@ -140,7 +140,7 @@ def test_decimal_cells_read_as_float_reads_them(cells):
     _read_cells(cells)
 
 
-@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=30))
+@given(st.lists(FINITE, min_size=1, max_size=30))
 def test_shortest_and_rounded_texts_read_as_float_reads_them(values):
     for fmt in ("%r", "%.16g", "%.6f", "%.19f"):
         _read_cells([fmt % value for value in values])
