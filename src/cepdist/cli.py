@@ -49,7 +49,7 @@ from .lti import (
     spectral_radius,
     state_space_from_roots,
 )
-from .parallel import map_chunks
+from .parallel import map_runs
 from .phase import classify_from_io, classify_from_model
 from .sigio import (
     PAIR_CSV_HEADER,
@@ -171,8 +171,8 @@ def cmd_simulate(args: argparse.Namespace, config: RunConfig) -> int:
     y = simulate(state_space, u)
     # One contiguous range of rows per worker process. The output is opened
     # only once every range is formatted, so a failure writes nothing.
-    ranges = parallel.ranges(len(u), parallel.worker_count(len(u), parallel.FORK_MIN_ROWS, len(u)))
-    parts = map_chunks(lambda bounds: pair_csv_rows(u, y, *bounds), ranges)
+    parts = map_runs(lambda rows: pair_csv_rows(u, y, rows.start, rows.stop),
+                     range(len(u)), len(u), parallel.FORK_MIN_ROWS)
     _emit_parts([PAIR_CSV_HEADER, *parts], args.output)
     return 0
 
@@ -227,9 +227,9 @@ def _collection_matrix(paths: list[str], metric: str, config: RunConfig) -> Dist
     """The distance matrix of the signal files, or of the files in a directory.
 
     The files are read and featurized in contiguous chunks, one per worker
-    process (see ``_path_chunks``), each chunk by ``_read_features``; an
-    item's features do not depend on its chunk, and a refusal is the one a
-    single process would raise first.
+    process (``parallel.map_runs``, sized by the files' total bytes), each
+    chunk by ``_read_features``; an item's features do not depend on its
+    chunk, and a refusal is the one a single process would raise first.
     """
     metric = resolve_metric(metric)
     if len(paths) == 1 and os.path.isdir(paths[0]):
@@ -239,23 +239,17 @@ def _collection_matrix(paths: list[str], metric: str, config: RunConfig) -> Dist
     if len(paths) < 2:
         raise ValidationError("need at least two signal files (or a directory containing them)")
     ids = tuple(os.path.splitext(os.path.basename(path))[0] for path in paths)
-    chunks = map_chunks(partial(_read_features, metric=metric, config=config), _path_chunks(paths))
+    try:
+        size = sum(os.stat(path).st_size for path in paths)
+    except OSError:
+        size = 0  # reading the file names the error
+    chunks = map_runs(partial(_read_features, metric=metric, config=config), paths, size,
+                      parallel.FORK_MIN_BYTES)
     if len(set(ids)) != len(ids):
         raise ValidationError("signal file names must be unique after dropping directories")
     paired, periods, features = ([x for part in parts for x in part] for parts in zip(*chunks))
     check_collection(paired, periods, ids, metric)
     return distance_matrix_from_features(features, metric, ids)
-
-
-def _path_chunks(paths: list[str]) -> list[list[str]]:
-    """Contiguous chunks of the paths, one per worker process
-    (``parallel.worker_count`` of the files' total size)."""
-    try:
-        size = sum(os.stat(path).st_size for path in paths)
-    except OSError:
-        size = 0  # reading the file names the error
-    workers = parallel.worker_count(size, parallel.FORK_MIN_BYTES, len(paths))
-    return [paths[a:b] for a, b in parallel.ranges(len(paths), workers)]
 
 
 def cmd_distmat(args: argparse.Namespace, config: RunConfig) -> int:

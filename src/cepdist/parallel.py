@@ -1,6 +1,7 @@
-"""One function over contiguous chunks of work, in forked worker processes,
-and the one rule for how many (``worker_count``): inside a chunk of
-``map_chunks`` it gives one worker, so a worker never forks again.
+"""One function over contiguous runs of items, in forked worker processes
+(``map_runs``, the entry of every fork), and the one rule for how many
+(``worker_count``): inside a chunk of ``map_chunks`` it gives one worker,
+so a worker never forks again.
 
 The first chunk runs in the calling process and every other chunk in a
 child forked for it, so a call over one chunk is a plain call. A child
@@ -60,6 +61,17 @@ def ranges(count: int, parts: int) -> list[tuple[int, int]]:
     """``parts`` contiguous ranges of nearly equal length covering ``range(count)``."""
     bounds = [count * k // parts for k in range(parts + 1)]
     return list(zip(bounds, bounds[1:]))
+
+
+def map_runs(func: Callable, items: Sequence, size: int, min_size: int) -> list:
+    """``map_chunks`` of ``func`` over contiguous runs of ``items`` in order,
+    one per worker (``worker_count(size, min_size, len(items))``). A run is
+    a slice of ``items``, so the runs of a ``range`` are ranges; no items
+    give no runs."""
+    if not items:
+        return []
+    workers = worker_count(size, min_size, len(items))
+    return map_chunks(func, [items[a:b] for a, b in ranges(len(items), workers)])
 
 
 def map_chunks(func: Callable, chunks: Sequence) -> list:

@@ -17,10 +17,11 @@ significant digits, it hands to ``float`` one by one. A file with a byte,
 cell or row outside that grammar, or a non-finite value, is parsed again in
 chunks of rows with ``float`` itself. That parse also reads what the block
 parser declines (quoted cells, underscores in numbers, rows of only blanks
-and commas) and names the first row at fault. A file of
-``parallel.FORK_MIN_BYTES`` or more is parsed in one contiguous line range
-per worker process (``parallel.worker_count``), each after the first in a
-forked child; the values and errors are those of the one-process read.
+and commas) and names the first row at fault. The data rows are cut once,
+at line starts, into the blocks that every read parses; a file of
+``parallel.FORK_MIN_BYTES`` or more is parsed in one contiguous run of
+blocks per worker process (``parallel.map_runs``), each after the first in
+a forked child, so the values and errors are those of the one-process read.
 
 Numbers are written with the text of Python's ``%``: samples, cepstral
 coefficients and matrix cells with ``"%.17g"``, which reads back as the
@@ -56,7 +57,7 @@ from .lti import (
     check_numbers,
     check_pair,
 )
-from .parallel import map_chunks
+from .parallel import map_runs
 
 # Rows formatted per step, and rows parsed per step when a file falls back
 # to the row-wise parse. It bounds the intermediate strings and lists to a
@@ -171,59 +172,52 @@ def _data_start(data: bytes, path: str) -> tuple[int, int]:
     return len(data), 1
 
 
-def _line_cuts(data: bytes, parts: int) -> list[int]:
-    """Offsets that split ``data`` into ``parts`` line ranges of nearly
-    equal size: 0, the start of the line at or after each k/parts of the
-    bytes, and the length. A cut follows a line feed, which ends a line
-    whatever the line ends of the file, and no UTF-8 character holds one.
+def _line_cuts(data: bytes, start: int, parts: int) -> list[int]:
+    """Offsets that split the bytes from ``start`` on into ``parts`` line
+    ranges of nearly equal size: ``start``, the start of the line at or
+    after each k/parts of those bytes, and the length. ``start`` is taken
+    for a line start. A cut follows a line feed, which ends a line whatever
+    the line ends of the file, and no UTF-8 character holds one.
     """
-    cuts = [0]
+    cuts = [start]
     for k in range(1, parts):
-        start = max(cuts[-1], len(data) * k // parts)
-        if start > 0 and data[start - 1 : start] != b"\n":
-            start = data.find(b"\n", start) + 1 or len(data)
-        cuts.append(start)
+        cut = max(cuts[-1], start + (len(data) - start) * k // parts)
+        if cut > start and data[cut - 1 : cut] != b"\n":
+            cut = data.find(b"\n", cut) + 1 or len(data)
+        cuts.append(cut)
     return cuts + [len(data)]
 
 
-def _parse_range(data: bytes, start: int, stop: int) -> list[np.ndarray] | None:
-    """The tables of the lines from ``start`` to ``stop``, parsed in blocks
-    of about PARSE_BLOCK_BYTES (``numtext.parse_block``); None when it
+def _parse_blocks(blocks: list[memoryview]) -> list[np.ndarray] | None:
+    """The tables of the blocks (``numtext.parse_block``); None when it
     declines one."""
-    parts = -(-(stop - start) // PARSE_BLOCK_BYTES)
-    cuts = [start, stop]
-    if parts > 1:
-        cuts = [start + cut for cut in _line_cuts(data[start:stop], parts)]
-    view = memoryview(data)
     tables = []
-    for a, b in zip(cuts, cuts[1:]):
-        table = numtext.parse_block(view[a:b])
+    for block in blocks:
+        table = numtext.parse_block(block)
         if table is None:
             return None
         tables.append(table)
     return tables
 
 
-def _range_table(
-    data: bytes, head: tuple[int, int], cuts: list[int]
-) -> tuple[np.ndarray, int] | None:
+def _block_table(data: bytes, head: tuple[int, int]) -> tuple[np.ndarray, int] | None:
     """The data rows of a whole file's bytes as ``numtext.parse_block``
     parses them, with the row number of the first; None when it declines
     them or finds no table of 2 or 3 columns.
 
-    The rows are parsed in the line ranges between the cuts, each after the
-    first in a worker process (``parallel.map_chunks``); the lines before
-    ``head``, the file's ``_data_start``, are left out of the first range.
-    Every block of a range starts at a line start, so the joined rows are
-    the one-range read's rows, bit for bit.
+    The lines from ``head``, the file's ``_data_start``, are cut once into
+    blocks of about PARSE_BLOCK_BYTES, and the blocks are parsed in one
+    contiguous run per worker (``parallel.map_runs``). Every worker count
+    parses the same blocks, so the joined rows do not depend on it.
     """
     start, first_row = head
-    bounds = sorted({start, *(cut for cut in cuts if cut > start)})
-    ranges = list(zip(bounds, bounds[1:]))
-    parts = map_chunks(lambda span: _parse_range(data, *span), ranges)
-    if any(part is None for part in parts):
+    cuts = _line_cuts(data, start, -(-(len(data) - start) // PARSE_BLOCK_BYTES))
+    view = memoryview(data)
+    blocks = [view[a:b] for a, b in zip(cuts, cuts[1:])]
+    runs = map_runs(_parse_blocks, blocks, len(data), parallel.FORK_MIN_BYTES)
+    if any(run is None for run in runs):
         return None
-    tables = [table for part in parts for table in part if table.size]
+    tables = [table for run in runs for table in run if table.size]
     widths = {table.shape[1] for table in tables}
     if len(widths) != 1 or widths - {2, 3}:
         return None
@@ -231,16 +225,11 @@ def _range_table(
 
 
 def _read_table(data: bytes, path: str) -> tuple[np.ndarray, int]:
-    """All data rows of a signal file's bytes, and the row number of the first.
-
-    ``numtext.parse_block`` parses the bytes first, in one line range per
-    worker (``_range_table``). The ranges decline a file exactly when the
-    parser would decline it whole, so either way a declined file goes to
-    the row-wise parse, which names the fault. Both start at ``_data_start``.
-    """
+    """All data rows of a signal file's bytes, and the row number of the
+    first: those of ``_block_table``, or, for a file it declines, of the
+    row-wise parse, which names the fault. Both start at ``_data_start``."""
     head = _data_start(data, path)
-    parts = parallel.worker_count(len(data), parallel.FORK_MIN_BYTES, len(data))
-    return _range_table(data, head, _line_cuts(data, parts)) or _parse_table(data, head, path)
+    return _block_table(data, head) or _parse_table(data, head, path)
 
 
 def _parse_table(data: bytes, head: tuple[int, int], path: str) -> tuple[np.ndarray, int]:
@@ -293,9 +282,10 @@ def read_signal_csv(path: str) -> Signal | tuple[Signal, Signal]:
     A header row is expected but a purely numeric first row is accepted as
     data, with columns interpreted positionally. Rows are numbered from 1
     among the non-blank rows, header included; every value must be finite.
-    A file of ``parallel.FORK_MIN_BYTES`` or more is parsed in line ranges
-    across forked worker processes; the result and every error are those
-    of the one-process read.
+    A file of ``parallel.FORK_MIN_BYTES`` or more is parsed in runs of
+    blocks across forked worker processes; the blocks do not depend on the
+    number of workers, so the result and every error are those of the
+    one-process read.
     """
     try:
         with open(path, "rb") as fh:

@@ -820,17 +820,19 @@ def _serial_and_forked(monkeypatch, capsys, argv, files=(), workers=2, chunks=No
     """One run of argv in one process and one down the fork path with
     ``workers`` usable CPUs; asserts they agree, that the forked run made
     ``chunks`` chunks (more than one if not given) and that no child is left,
-    and returns the exit code, stdout, stderr and warnings of the runs."""
+    and returns the exit code, stdout, stderr and warnings of the runs.
+    ``map_runs`` makes one chunk per worker of ``parallel.worker_count``
+    (tests/test_cluster.py), so that count is the count of chunks."""
     runs = []
-    real_map_chunks = cli.map_chunks
+    real_map_runs = cli.map_runs
     for forked in (False, True):
         chunk_counts = []
 
-        def spy(func, chunks):
-            chunk_counts.append(len(chunks))
-            return real_map_chunks(func, chunks)
+        def spy(func, items, size, min_size):
+            chunk_counts.append(parallel.worker_count(size, min_size, len(items)))
+            return real_map_runs(func, items, size, min_size)
 
-        monkeypatch.setattr(cli, "map_chunks", spy)
+        monkeypatch.setattr(cli, "map_runs", spy)
         monkeypatch.setattr(parallel, "FORK_MIN_BYTES", 0 if forked else 1 << 62)
         monkeypatch.setattr(parallel, "FORK_MIN_ROWS", 0 if forked else 1 << 62)
         monkeypatch.setattr(parallel, "usable_cpus", lambda: workers)
@@ -1218,34 +1220,38 @@ def test_forked_simulate_writes_the_bytes_of_one_process(tmp_path):
     assert runs[0].stdout.count(b"\n") == 20002
 
 
-# A verb that reads one record file parses its rows in one line range per
-# usable CPU once the file holds FORK_MIN_BYTES. Each call below runs once
-# in one process and once with that read forced down the range path, and
-# the runs must agree byte for byte.
+# A verb that reads one record file parses its blocks in one run per usable
+# CPU once the file holds FORK_MIN_BYTES. Each call below runs once in one
+# process and once with that read forced down the split path, in blocks of
+# 1 KiB so that a small file has a block for each worker, and the runs must
+# agree byte for byte.
 
 
 def _serial_and_range_read(monkeypatch, capsys, argv, files=(), workers=2):
-    """One run of argv reading in one process and one reading in ranges
-    with ``workers`` usable CPUs; asserts they agree, that no child is left
-    and that each read of the second run was split into ``workers`` ranges,
-    and returns the exit code, stdout and stderr, and whether every split
-    read was parsed by the ranges rather than again in one process."""
+    """One run of argv reading in one process and one reading in runs of
+    blocks with ``workers`` usable CPUs; asserts they agree, that no child
+    is left and that each read of the second run was split into ``workers``
+    runs (the count of ``parallel.worker_count``, one run each, as
+    tests/test_cluster.py checks of ``map_runs``), and returns the exit
+    code, stdout and stderr, and whether every read was parsed by the block
+    parser rather than again row by row."""
     runs = []
-    real_map_chunks = sigio.map_chunks
-    real_range_table = sigio._range_table
+    real_map_runs = sigio.map_runs
+    real_block_table = sigio._block_table
+    monkeypatch.setattr(sigio, "PARSE_BLOCK_BYTES", 1024)
     for forked in (False, True):
         splits, parsed = [], []
 
-        def split_spy(func, chunks):
-            splits.append(len(chunks))
-            return real_map_chunks(func, chunks)
+        def split_spy(func, items, size, min_size):
+            splits.append(parallel.worker_count(size, min_size, len(items)))
+            return real_map_runs(func, items, size, min_size)
 
         def parsed_spy(*args):
-            parsed.append(real_range_table(*args))
+            parsed.append(real_block_table(*args))
             return parsed[-1]
 
-        monkeypatch.setattr(sigio, "map_chunks", split_spy)
-        monkeypatch.setattr(sigio, "_range_table", parsed_spy)
+        monkeypatch.setattr(sigio, "map_runs", split_spy)
+        monkeypatch.setattr(sigio, "_block_table", parsed_spy)
         monkeypatch.setattr(parallel, "FORK_MIN_BYTES", 0 if forked else 1 << 62)
         monkeypatch.setattr(parallel, "usable_cpus", lambda: workers)
         for path in files:
@@ -1278,7 +1284,7 @@ def _stored_input(tmp_path, fault=None, newline="\n", bom=""):
     return str(path)
 
 
-# Faults in the last line range, and the one-process error each must give.
+# Faults in the last run of blocks, and the one-process error each must give.
 READ_FAULTS = {
     "quoted-cell": ('297,"0.5"', None),
     "non-finite-cell": ("297,nan", "row 299: 'nan' is not a finite number"),
@@ -1297,12 +1303,12 @@ def test_simulate_reads_a_faulty_input_in_ranges_as_one_process(
     stored = _stored_input(tmp_path, line)
     output = str(tmp_path / "y.csv")
     argv = ["simulate", "--model", model, "--input", stored, "-o", output]
-    (code, out, err), by_ranges = _serial_and_range_read(
+    (code, out, err), by_blocks = _serial_and_range_read(
         monkeypatch, capsys, argv, [output], workers
     )
-    # The ranges parse the file only when the block parser takes every row;
+    # The blocks parse the file only when the block parser takes every row;
     # the time step is checked on the joined rows.
-    assert by_ranges == (fault == "time-step")
+    assert by_blocks == (fault == "time-step")
     if message is None:
         assert (code, out, err) == (0, "", "")
     else:
@@ -1320,10 +1326,10 @@ def test_simulate_reads_a_stored_input_in_ranges_as_one_process(
     argv = ["simulate", "--model", model, "--input", stored]
     for output in (str(tmp_path / "y.csv"), None):
         files = [output] if output else []
-        (code, out, err), by_ranges = _serial_and_range_read(
+        (code, out, err), by_blocks = _serial_and_range_read(
             monkeypatch, capsys, argv + (["-o", output] if output else []), files, workers
         )
-        assert (code, err, by_ranges) == (0, "", True)
+        assert (code, err, by_blocks) == (0, "", True)
     u = read_signal_csv(stored)
     assert out == format_pair_csv(u, simulate(state_space_from_roots(read_model_json(model)), u))
 
@@ -1346,17 +1352,18 @@ def test_single_file_verbs_read_in_ranges_as_one_process(tmp_path, capsys, monke
                          write_signal(tmp_path, "y.csv", y.samples)],
         "distance": ["distance", str(pair), str(other)],
     }[verb]
-    (code, out, err), by_ranges = _serial_and_range_read(monkeypatch, capsys, argv, workers=2)
-    assert (code, err, by_ranges) == (0, "", True)
+    (code, out, err), by_blocks = _serial_and_range_read(monkeypatch, capsys, argv, workers=2)
+    assert (code, err, by_blocks) == (0, "", True)
     assert out
 
 
 def test_simulate_reads_in_ranges_the_bytes_of_one_process(tmp_path):
     # Fresh processes: the read of a faulty input gives the bytes of one
-    # process's read on stderr, and a sound one the same output.
+    # process's read on stderr, and a sound one the same output. Blocks of
+    # 1 KiB give the small input a block for each worker.
     model = write_json(tmp_path, "model.json", SIMULATE_MODEL)
     program = (
-        "import sys; from cepdist import cli, parallel; "
+        "import sys; from cepdist import cli, parallel, sigio; sigio.PARSE_BLOCK_BYTES = 1024; "
         "parallel.FORK_MIN_BYTES = int(sys.argv[1]); parallel.usable_cpus = lambda: 2; "
         "sys.exit(cli.main(sys.argv[2:]))"
     )

@@ -28,7 +28,7 @@ from cepdist import (
 )
 from cepdist import cluster, parallel
 from cepdist.cluster import collection_features, distance_matrix_from_features
-from cepdist.parallel import map_chunks
+from cepdist.parallel import map_chunks, map_runs
 from conftest import good_and_broken, white_record
 from test_spectral import reference_cepstrum
 
@@ -621,7 +621,7 @@ def test_grouped_average_matches_when_every_cluster_has_its_own_size():
 
 
 # The command line splits a collection into contiguous chunks, computes
-# each chunk's features in its own process (``parallel.map_chunks``) and
+# each chunk's features in its own process (``parallel.map_runs``) and
 # builds the matrix from the joined features.
 
 
@@ -721,6 +721,55 @@ def test_map_chunks_kills_the_workers_when_the_parent_fails():
     with pytest.raises(ValidationError, match="the parent's chunk fails"):
         map_chunks(stall, [0, 1, 2])
     assert time.monotonic() - start < 30
+    _no_child_left()
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="forks only on Linux")
+@pytest.mark.parametrize("cpus", [1, 2, 3, 4])
+def test_map_runs_cuts_the_items_into_one_contiguous_run_per_worker(monkeypatch, cpus):
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus)
+    for count in (1, 2, 3, 5, 10):
+        items = [f"item{k}" for k in range(count)]
+        runs = map_runs(lambda run: (os.getpid(), run), items, 10, 10)
+        _no_child_left()
+        # Contiguous runs in order, none empty, that cover the items.
+        assert [item for _, run in runs for item in run] == items
+        assert all(run for _, run in runs)
+        # One run per worker, each in its own process, the first in this one.
+        assert len(runs) == parallel.worker_count(10, 10, count) == min(cpus, count)
+        assert len({pid for pid, _ in runs}) == len(runs)
+        assert runs[0][0] == os.getpid()
+    # The runs of a range are ranges.
+    assert map_runs(lambda run: run, range(7), 10, 10) == [
+        range(a, b) for a, b in parallel.ranges(7, min(cpus, 7))
+    ]
+    # Below the minimum size, one run.
+    assert map_runs(lambda run: run, range(7), 9, 10) == [range(7)]
+    _no_child_left()
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="forks only on Linux")
+def test_map_runs_in_a_chunk_of_map_chunks_makes_one_run(monkeypatch):
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 4)
+    assert len(map_runs(list, range(10), 1, 0)) == 4
+
+    def nested(chunk):
+        return os.getpid(), map_runs(lambda run: (os.getpid(), run), range(10), 1, 0)
+
+    per_chunk = map_chunks(nested, [0, 1, 2])
+    _no_child_left()
+    assert [runs for _, runs in per_chunk] == [[(pid, range(10))] for pid, _ in per_chunk]
+
+
+def test_map_runs_of_no_items_is_empty(monkeypatch):
+    def refuse(run):
+        raise AssertionError(f"no run is expected, got {run!r}")
+
+    for cpus in (1, 3):
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus)
+        assert map_runs(refuse, [], 1, 0) == []
+        assert map_runs(refuse, range(0), 1, 0) == []
+        assert map_runs(refuse, [], 1, 2) == []
     _no_child_left()
 
 

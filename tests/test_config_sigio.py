@@ -2,7 +2,6 @@
 
 import csv
 import io
-import itertools
 import json
 import math
 import os
@@ -633,12 +632,13 @@ def test_formatted_records_read_back_bit_identical(tmp_path):
     assert _same_floats(y_back.samples, y.samples)
 
 
-# The range reader parses a file's rows in contiguous line ranges, each
-# after the first in a forked worker. Its tables must be the row-wise
+# The block reader cuts a file's data rows once into blocks of whole
+# lines and parses them in one contiguous run of blocks per worker, each
+# run after the first in a forked child. Its tables must be the row-wise
 # parse's bit for bit, and a file it refuses must give the one-process
 # read's error.
 
-# Small files for the range reader.
+# Small files for the block reader.
 RANGE_FILES = {
     "lf-header": "t,value\n0,1.5\n1,-2e-300\n2,3\n3,0.1\n4,-0\n",
     "crlf-pair": "t,u,y\r\n0,1,2\r\n1,3,4\r\n2,5,6\r\n3,7,8\r\n",
@@ -660,8 +660,9 @@ RANGE_FILES = {
 
 
 def _read_split(monkeypatch, path, parts):
-    """``read_signal_csv`` of the path with its rows split into ``parts``
-    line ranges, as ``parallel.worker_count`` splits a large file."""
+    """``read_signal_csv`` of the path with ``parts`` usable CPUs and no
+    minimum size, so that its blocks are split into up to ``parts`` runs,
+    as ``parallel.map_runs`` splits a large file's."""
     with monkeypatch.context() as patch:
         patch.setattr(parallel, "FORK_MIN_BYTES", 0)
         patch.setattr(parallel, "usable_cpus", lambda: parts)
@@ -680,28 +681,35 @@ def _serial_table(path):
     return sigio._parse_table(data, sigio._data_start(data, path), path)
 
 
-def _range_table(data, cuts):
-    """The range reader's table of the bytes, split at the cuts."""
-    return sigio._range_table(data, sigio._data_start(data, "record.csv"), cuts)
+def _block_tables(monkeypatch, data):
+    """The block reader's table of the bytes, or None, at every block size
+    from 1 byte to the length of the bytes, each with 1, 2 and 3 workers:
+    (block size, workers, outcome) triples."""
+    head = sigio._data_start(data, "record.csv")
+    outcomes = []
+    with monkeypatch.context() as patch:
+        patch.setattr(parallel, "FORK_MIN_BYTES", 0)
+        for size in range(1, len(data) + 1):
+            patch.setattr(sigio, "PARSE_BLOCK_BYTES", size)
+            for workers in (1, 2, 3):
+                patch.setattr(parallel, "usable_cpus", lambda: workers)
+                outcomes.append((size, workers, sigio._block_table(data, head)))
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    return outcomes
 
 
 @pytest.mark.parametrize("name", sorted(RANGE_FILES))
-def test_range_reader_matches_one_process_at_every_split(tmp_path, name):
-    # Every choice of cuts at line starts, empty ranges and cuts before or
-    # in the header included.
+def test_range_reader_matches_one_process_at_every_split(tmp_path, monkeypatch, name):
+    # Every block size, from one byte, where every line is a block of its
+    # own, to the whole file, which is one block, each in 1 to 3 runs.
     path = tmp_path / "record.csv"
     path.write_bytes(RANGE_FILES[name].encode())
-    data = path.read_bytes()
     table, first_row = _serial_table(str(path))
-    starts = _line_starts(data)
-    for parts in (2, 3, 4):
-        for inner in itertools.combinations_with_replacement(starts, parts - 1):
-            parsed = _range_table(data, [0, *inner, len(data)])
-            assert parsed is not None, inner
-            assert _same_floats(parsed[0], table)
-            assert parsed[1] == first_row
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
+    for size, workers, parsed in _block_tables(monkeypatch, path.read_bytes()):
+        assert parsed is not None, (size, workers)
+        assert _same_floats(parsed[0], table), (size, workers)
+        assert parsed[1] == first_row
 
 
 @pytest.mark.parametrize("name", sorted(RANGE_FILES))
@@ -730,12 +738,73 @@ REFUSED_RANGE_FILES = {
 
 
 @pytest.mark.parametrize("name", sorted(REFUSED_RANGE_FILES))
-def test_range_reader_refuses_a_bad_row_at_every_split(tmp_path, name):
+def test_range_reader_refuses_a_bad_row_at_every_split(monkeypatch, name):
     data = REFUSED_RANGE_FILES[name].encode()
-    starts = _line_starts(data)
-    for parts in (2, 3, 4):
-        for inner in itertools.combinations_with_replacement(starts, parts - 1):
-            assert _range_table(data, [0, *inner, len(data)]) is None, inner
+    for size, workers, parsed in _block_tables(monkeypatch, data):
+        assert parsed is None, (size, workers)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="forks only on Linux")
+def test_every_worker_count_parses_the_same_blocks(tmp_path, monkeypatch):
+    # numtext.parse_block is handed the same blocks, in the same order,
+    # whatever the number of workers. Each process logs the blocks it is
+    # handed to a file of its own; the parent parses the first run and the
+    # children the others, in the order they were forked.
+    record = tmp_path / "record.csv"
+    record.write_text(format_pair_csv(*white_record(POLE_HALF, 25000, 3)))
+    assert record.stat().st_size > 1 << 20
+    parse_block = sigio.numtext.parse_block
+    real_fork = os.fork
+
+    def blocks_read(path, workers):
+        log = tmp_path / f"log{workers}"
+        log.mkdir()
+        pids = [os.getpid()]
+
+        def spy(block):
+            with open(log / str(os.getpid()), "ab") as fh:
+                fh.write(len(block).to_bytes(8, "little") + bytes(block))
+            return parse_block(block)
+
+        def fork():
+            pid = real_fork()
+            if pid:
+                pids.append(pid)
+            return pid
+
+        with monkeypatch.context() as patch:
+            patch.setattr(sigio.numtext, "parse_block", spy)
+            patch.setattr(os, "fork", fork)
+            _read_split(monkeypatch, str(path), workers)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        blocks = []
+        for pid in pids:
+            text = (log / str(pid)).read_bytes()
+            while text:
+                size = int.from_bytes(text[:8], "little")
+                blocks.append(text[8 : 8 + size])
+                text = text[8 + size :]
+        for entry in log.iterdir():
+            entry.unlink()
+        log.rmdir()
+        return blocks, len(pids)
+
+    # The record in blocks of the default size, the small files in blocks
+    # of one byte, so one line each.
+    cases = [(record, sigio.PARSE_BLOCK_BYTES)]
+    for name in sorted(RANGE_FILES):
+        path = tmp_path / f"{name}.csv"
+        path.write_bytes(RANGE_FILES[name].encode())
+        cases.append((path, 1))
+    for path, size in cases:
+        monkeypatch.setattr(sigio, "PARSE_BLOCK_BYTES", size)
+        data = path.read_bytes()
+        one, processes = blocks_read(path, 1)
+        assert processes == 1 and len(one) > 3
+        assert b"".join(one) == data[sigio._data_start(data, str(path))[0] :]
+        for workers in (2, 3):
+            assert blocks_read(path, workers) == (one, workers), (path.name, workers)
 
 
 # Cells, separators and characters that end or might end a line, for the
@@ -755,7 +824,7 @@ def test_the_block_parser_reads_each_text_as_the_row_parse(pieces):
     # bit, and the same number for the first.
     data = "".join(pieces).encode()
     head = sigio._data_start(data, "record.csv")
-    by_reader = sigio._range_table(data, head, [0, len(data)])
+    by_reader = sigio._block_table(data, head)
     if by_reader is not None:
         table, first_row = sigio._parse_table(data, head, "record.csv")
         assert _same_floats(by_reader[0], table)
@@ -766,16 +835,19 @@ def test_the_block_parser_reads_each_text_as_the_row_parse(pieces):
 @given(
     lines=st.lists(st.text("ab,\r", max_size=6), max_size=12),
     final=st.booleans(),
+    first=st.integers(0, 20),
     parts=st.integers(1, 6),
 )
-def test_line_cuts_fall_at_the_first_line_start_past_each_share(lines, final, parts):
+def test_line_cuts_fall_at_the_first_line_start_past_each_share(lines, final, first, parts):
     data = ("\n".join(lines) + ("\n" if final else "")).encode()
-    cuts = sigio._line_cuts(data, parts)
-    assert len(cuts) == parts + 1
-    assert cuts[0] == 0 and cuts[-1] == len(data)
     starts = _line_starts(data)
+    start = starts[first % len(starts)]
+    cuts = sigio._line_cuts(data, start, parts)
+    assert len(cuts) == parts + 1
+    assert cuts[0] == start and cuts[-1] == len(data)
     for k in range(1, parts):
-        assert cuts[k] == min(s for s in starts if s >= max(cuts[k - 1], len(data) * k // parts))
+        share = start + (len(data) - start) * k // parts
+        assert cuts[k] == min(s for s in starts if s >= max(cuts[k - 1], share))
 
 
 @pytest.mark.parametrize("name", sorted(RANGE_FILES))
@@ -803,7 +875,7 @@ def _read_outcome(monkeypatch, path, parts=1):
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="forks only on Linux")
 def test_a_read_in_a_chunk_of_map_chunks_forks_no_grandchild(tmp_path, monkeypatch):
-    # A split read gives the bits of the one-range read. In the parent's
+    # A split read gives the bits of the one-worker read. In the parent's
     # chunk of map_chunks and in a child's, the same read forks nothing.
     u, y = white_record(POLE_HALF, 3000, 2)
     path = tmp_path / "record.csv"
@@ -826,7 +898,7 @@ def test_a_read_in_a_chunk_of_map_chunks_forks_no_grandchild(tmp_path, monkeypat
 
 @pytest.mark.parametrize("name", sorted({**RANGE_FILES, **REFUSED_RANGE_FILES}))
 def test_without_in_memory_files_the_reader_gets_the_lines(tmp_path, monkeypatch, name):
-    # Every range goes to the block parser as bytes of whole lines, on every
+    # Every block goes to the block parser as bytes of whole lines, on every
     # platform: never as a path, and nothing read depends on whether
     # os.memfd_create exists.
     data = {**RANGE_FILES, **REFUSED_RANGE_FILES}[name].encode()
@@ -845,10 +917,11 @@ def test_without_in_memory_files_the_reader_gets_the_lines(tmp_path, monkeypatch
     for block in blocks:
         starts = [k for k in lines if k >= head and data.startswith(block, k)]
         assert any(k + len(block) in lines for k in starts), block
-    assert (_range_table(data, [0, len(data)]) is not None) == (name in RANGE_FILES)
+    table = sigio._block_table(data, sigio._data_start(data, str(path)))
+    assert (table is not None) == (name in RANGE_FILES)
 
 
-# Faults in the last rows, so in the last line range: each must give the
+# Faults in the last rows, so in the last run of blocks: each must give the
 # one-process read's outcome. The block parser declines all but the time
 # step, which is checked on the joined rows, and the bare carriage return,
 # which ends a line for both reads. It declines a quoted cell, which sends
@@ -875,9 +948,16 @@ def test_a_fault_in_the_last_range_gives_the_one_process_outcome(
     path = tmp_path / "record.csv"
     path.write_bytes(("t,value\n" + "".join(rows)).encode())
     data = path.read_bytes()
-    cuts = sigio._line_cuts(data, parts)
-    assert len(cuts) == parts + 1 and cuts[-2] < data.index(line.encode())
-    parsed = _range_table(data, cuts)
+    # Blocks of 64 bytes, so that the file has a run of blocks per worker.
+    monkeypatch.setattr(sigio, "PARSE_BLOCK_BYTES", 64)
+    head = sigio._data_start(data, str(path))
+    cuts = sigio._line_cuts(data, head[0], -(-(len(data) - head[0]) // 64))
+    last_run = parallel.ranges(len(cuts) - 1, parts)[-1]
+    assert last_run[0] > 0 and cuts[last_run[0]] < data.index(line.encode())
+    with monkeypatch.context() as patch:
+        patch.setattr(parallel, "FORK_MIN_BYTES", 0)
+        patch.setattr(parallel, "usable_cpus", lambda: parts)
+        parsed = sigio._block_table(data, head)
     assert (parsed is None) == (fault not in ("time-step", "bare-cr"))
     outcomes = []
     for count in (1, parts):
