@@ -100,7 +100,9 @@ def _emit_parts(parts: list[str], path: str | None) -> None:
     """Write the parts in order to the file, or to stdout without one."""
     # A file name that is not UTF-8 reaches a record id as lone surrogates;
     # the file gets the bytes they stand for.
-    opened = path and open(path, "w", encoding="utf-8", errors="surrogateescape", newline="")
+    opened = path is not None and open(
+        path, "w", encoding="utf-8", errors="surrogateescape", newline=""
+    )
     with opened or nullcontext(sys.stdout) as fh:
         for part in parts:
             fh.write(part)
@@ -274,7 +276,7 @@ def cmd_distmat(args: argparse.Namespace, config: RunConfig) -> int:
 def cmd_cluster(args: argparse.Namespace, config: RunConfig) -> int:
     matrix = _collection_matrix(args.paths, args.metric, config)
     result = agglomerative_cluster(matrix, args.k, args.linkage)
-    if args.matrix_out:
+    if args.matrix_out is not None:
         _emit(format_matrix_csv(matrix.ids, matrix.values), args.matrix_out)
     report = {
         "schema_version": 1,

@@ -25,14 +25,17 @@ text holds a zero byte, so dropping every zero byte of the block gives its
 text. The values left to Python are written by one ``%`` operation per
 column of a block, each into its own field.
 
-``parse_block(data)`` reads such text back: rows of comma-separated cells
-as a float64 table, each value equal to ``float(cell)`` bit for bit, or
-None where the bytes fall outside what it decides. Lines end in LF, CRLF
-or a lone CR, and empty lines are skipped. A cell is an optional sign,
-digits with an optional point ("5.", ".5"), and an optional "e" or "E"
-exponent with an optional sign, with blanks (space, tab, VT, FF and
-U+001C..U+001F) around it. Every other byte, a line of only blanks, an
-empty cell or rows of unequal width declines the block.
+``parse_block(data, width)`` reads such text back: rows of comma-separated
+cells as a float64 table, each value equal to ``float(cell)`` bit for bit.
+Lines end in LF, CRLF or a lone CR. A cell is an optional sign, digits with
+an optional point ("5.", ".5"), and an optional "e" or "E" exponent with an
+optional sign, with blanks (space, tab, VT, FF and U+001C..U+001F) around
+it, and may be wrapped in double quotes that open the cell, with blanks
+after them. Lines of only blanks, commas and such quotes are skipped. A row
+with any other byte or cell, with a number of cells other than ``width``
+(by default that of the first row), or with a value that is not finite is
+refused: the parser reads the rows before the first refused row and says
+where that row's line starts.
 
 Every byte that is not a digit is a token, and the kinds of three tokens
 in a row, each with whether digits come right before it, index one table
@@ -47,7 +50,12 @@ Clinger's fast path, one exact multiply or divide, where D < 2**53 and
 algorithm: the 64 high bits of D times the 128-bit power of five of q,
 built with Python ints on first use. A cell that has more digits, whose
 product lies too near a tie, or whose value is subnormal or overflows is
-read by ``float`` itself; a non-finite value declines the block.
+read by ``float`` itself; a non-finite value refuses its row.
+
+Only a block with a quote, a byte outside the kind table, pairs its quotes
+and reads them as blanks, and only one that breaks the role table looks
+for skipped lines. A refusal names a line at or after the first refused
+row; the lines before it are read again until they read whole.
 """
 
 from __future__ import annotations
@@ -279,16 +287,18 @@ def format_block(formats: Sequence[str], columns: Sequence[np.ndarray]) -> bytes
 _MINUS, _PLUS, _DECIMAL_POINT, _EXPONENT_MARK, _COMMA, _LINE, _BLANK, _OTHER = range(1, 9)
 _SIGNS = (_MINUS, _PLUS)
 _SEPARATORS = (_COMMA, _LINE)
+BLANKS = b" \t\x0b\x0c\x1c\x1d\x1e\x1f"
+_QUOTE = ord('"')
 
 
 def _kind_table() -> np.ndarray:
     kinds = np.full(256, _OTHER, dtype=np.uint8)
     kinds[ord("0") : ord("9") + 1] = 0
     for chars, kind in (
-        ("-", _MINUS), ("+", _PLUS), (".", _DECIMAL_POINT), ("eE", _EXPONENT_MARK),
-        (",", _COMMA), ("\n\r", _LINE), (" \t\x0b\x0c\x1c\x1d\x1e\x1f", _BLANK),
+        (b"-", _MINUS), (b"+", _PLUS), (b".", _DECIMAL_POINT), (b"eE", _EXPONENT_MARK),
+        (b",", _COMMA), (b"\n\r", _LINE), (BLANKS, _BLANK),
     ):
-        kinds[[ord(c) for c in chars]] = kind
+        kinds[list(chars)] = kind
     return kinds
 
 
@@ -531,7 +541,7 @@ def _tokens(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _roles(gap: np.ndarray, kind: np.ndarray) -> np.ndarray | None:
     """The role of each token, given the distance of its digit run's end
-    from the token before it; None where the grammar does not allow one."""
+    from the token before it; below _ALLOWED where the grammar bars it."""
     # Each token as its 4-bit code, after two line ends.
     code = np.empty(kind.size + 2, np.int64)
     code[:2] = _LINE * 2
@@ -542,8 +552,7 @@ def _roles(gap: np.ndarray, kind: np.ndarray) -> np.ndarray | None:
     window |= code[1:-1]
     code >>= 4
     window |= code[2:]
-    role = _role_table().take(window)
-    return None if role.min() < _ALLOWED else role
+    return _role_table().take(window)
 
 
 def _mantissas(values, gap, ends, role):
@@ -582,17 +591,44 @@ def _doubles(digits, q, fits):
     return value, slow
 
 
-def parse_block(data) -> np.ndarray | None:
-    """The rows of comma-separated numbers in ASCII bytes, shape (rows,
-    cells), each value ``float(cell)`` bit for bit; None when a byte, cell
-    or row falls outside the grammar, or a value is not finite."""
+def _unquote(raw: np.ndarray, at: np.ndarray, kind: np.ndarray) -> int | None:
+    """In place: the double quotes around cells made blanks in ``kind``; or
+    the index of the first token that is neither such a quote nor a byte of
+    the grammar. Quotes pair in order, each pair in one cell: the first
+    right after a separator or at the start, and only blanks between the
+    second and the next separator."""
+    other = (kind == _OTHER).nonzero()[0]
+    quoted = raw.take(at.take(other)) == _QUOTE
+    opens, closes = other[quoted][0::2], other[quoted][1::2]
+    paired = opens[: closes.size]
+    separator = np.isin(kind, _SEPARATORS)
+    cells = np.cumsum(separator)
+    nonblank = (kind != _BLANK).nonzero()[0]
+    after = nonblank.take(np.searchsorted(nonblank, closes, "right"))
+    good = cells.take(paired) == cells.take(closes)
+    good &= np.append(True, separator).take(paired)
+    good &= np.append(-1, at).take(paired) + 1 == at.take(paired)
+    good &= separator.take(after) & (at.take(after) - at.take(closes) == after - closes)
+    faults = np.concatenate([other[~quoted][:1], paired[~good][:1], opens[closes.size :]])
+    if faults.size:
+        return int(faults.min())
+    kind[other] = _BLANK
+    return None
+
+
+def _read_rows(data, width: int | None) -> np.ndarray | int:
+    """The rows of ``parse_block``, or the offset of a byte on the line of a
+    refused row, the first one if the rows before it read."""
     if not len(data) or data[-1] not in b"\r\n":
         data = bytes(data) + b"\n"
     raw = np.frombuffer(data, np.uint8)
     at, kind = _tokens(raw)
     top = kind.max()
     if top == _OTHER:
-        return None
+        fault = _unquote(raw, at, kind)
+        if fault is not None:
+            return int(at[fault])
+        top = _BLANK
     gap = np.empty_like(at)
     gap[0] = at[0] + 1
     np.subtract(at[1:], at[:-1], out=gap[1:])
@@ -603,9 +639,18 @@ def parse_block(data) -> np.ndarray | None:
             kept = np.append(True, ~repeat).nonzero()[0]
             at, kind, gap = at.take(kept), kind.take(kept), gap.take(kept)
     role = _roles(gap, kind)
+    if role.min() < _ALLOWED:
+        # Lines without digits, signs, points or exponent marks are skipped:
+        # all but their line ends are dropped.
+        line = kind == _LINE
+        line_of = np.cumsum(line) - line
+        kept = (line | np.isin(line_of, line_of[(gap > 1) | (kind < _COMMA)])).nonzero()[0]
+        if kept.size < kind.size:
+            at, kind, gap = at.take(kept), kind.take(kept), gap.take(kept)
+            role = _roles(gap, kind)
+        if role.min() < _ALLOWED:
+            return int(at[np.argmax(role < _ALLOWED)])
     del kind
-    if role is None:
-        return None
     rare = role.max() >= _ALLOWED | _RARE
     if rare and np.any(role == _ALLOWED | _RARE | _SKIPPED):
         kept = (role != _ALLOWED | _RARE | _SKIPPED).nonzero()[0]
@@ -614,7 +659,7 @@ def parse_block(data) -> np.ndarray | None:
     # blanks follow it.
     mantissa_ends = (role & _ENDS_MANTISSA).nonzero()[0]
     if not mantissa_ends.size:
-        return np.empty((0, 0))
+        return np.empty((0, width or 0))
     cell_role = role.take(mantissa_ends)
     cell_ends = mantissa_ends
     if rare:
@@ -627,9 +672,12 @@ def parse_block(data) -> np.ndarray | None:
             cell_ends[with_exponent] = exponents
     row_ends = role.take(cell_ends) & _ENDS_ROW
     rows = int(np.count_nonzero(row_ends))
-    width = cell_ends.size // rows
+    if width is None:
+        width = int(row_ends.argmax()) + 1
     if width * rows != cell_ends.size or not row_ends[width - 1 :: width].all():
-        return None
+        ends = row_ends.nonzero()[0]
+        wrong = np.diff(ends, prepend=-1) != width
+        return int(at[cell_ends[ends[wrong.argmax()]]])
     values = _runs(raw, at, gap)
     digits, q, fits = _mantissas(values, gap, mantissa_ends, cell_role)
     if rare:
@@ -645,9 +693,23 @@ def parse_block(data) -> np.ndarray | None:
     sign <<= _U(63 - 7)
     value.view(np.uint64)[...] ^= sign
     for k in slow.nonzero()[0].tolist():
+        end = int(at[cell_ends[k]])
         start = at[cell_ends[k - 1]] + 1 if k else 0
-        number = float(raw[start : at[cell_ends[k]]].tobytes().decode("ascii").strip())
+        # Skipped lines may lie between the cell and the one before.
+        cell = raw[start:end].tobytes().splitlines()[-1].rsplit(b",", 1)[-1]
+        number = float(cell.strip(BLANKS + b'"'))
         if not math.isfinite(number):
-            return None
+            return end
         value[k] = number
     return value.reshape(rows, width)
+
+
+def parse_block(data, width: int | None = None) -> tuple[np.ndarray, int]:
+    """The rows of ASCII bytes of the grammar, shape (rows, width), up to
+    the first row it refuses, and the offset of that row's line, or the
+    length of the bytes when it refuses none."""
+    stop = len(data)
+    while not isinstance(table := _read_rows(data[:stop], width), np.ndarray):
+        head = bytes(data[:table])
+        stop = max(head.rfind(b"\n"), head.rfind(b"\r")) + 1
+    return table, stop

@@ -7,18 +7,20 @@ root form ``{"poles","zeros","gain"}`` where each root is a real number or
 a ``[re, im]`` pair. Report JSON is canonical: sorted keys, two-space
 indent, trailing newline, no timestamps, NaN encoded as null.
 
-Signal rows are parsed by ``numtext.parse_block``, PARSE_BLOCK_BYTES of lines
-at a time, with exact NumPy integer arithmetic: each value is Python's
-``float`` of its cell, bit for bit. It reads lines that end in LF, CRLF or
-a lone CR, skips empty lines, and reads cells of an optional sign, digits
-with an optional point and an optional exponent, with blanks around them;
-the few cells its arithmetic cannot round, such as those of more than 19
-significant digits, it hands to ``float`` one by one. A file with a byte,
-cell or row outside that grammar, or a non-finite value, is parsed again in
-chunks of rows with ``float`` itself. That parse also reads what the block
-parser declines (quoted cells, underscores in numbers, rows of only blanks
-and commas) and names the first row at fault. The data rows are cut once,
-at line starts, into the blocks that every read parses; a file of
+Signal rows have one grammar, read by one parser, ``numtext.parse_block``,
+PARSE_BLOCK_BYTES of lines at a time: each value is Python's ``float`` of
+its cell, bit for bit. Lines end in LF, CRLF or a lone CR. A cell is an
+ASCII decimal number (a sign, digits with a point, an exponent) with blanks
+(space, tab, VT, FF, U+001C..U+001F) around it, optionally wrapped in
+double quotes that open the cell, with blanks after them. Rows of only
+blanks and commas, such quotes dropped, are skipped and not counted. The
+first other row is a header if ``float`` cannot read one of its cells. A
+row of other cells, of a width other than the first data row's, or with a
+value that is not finite is refused with exit code 2, naming the first such
+row and its fault: a byte that is not UTF-8, the width, or the cell. So
+"1_0", "２", a no-break space and '"1"2' are refused, though ``float`` reads
+them, and so is a first row "1_0,2". The data rows are cut once, at line
+starts, into the blocks that every read parses; a file of
 ``parallel.FORK_MIN_BYTES`` or more is parsed in one contiguous run of
 blocks per worker process (``parallel.map_runs``), each after the first in
 a forked child, so the values and errors are those of the one-process read.
@@ -36,14 +38,12 @@ Python's ``%``.
 from __future__ import annotations
 
 import codecs
-import contextlib
 import csv
 import io
 import json
 import math
 import re
-from itertools import chain, islice
-from typing import Iterator
+from itertools import chain
 
 import numpy as np
 
@@ -59,9 +59,8 @@ from .lti import (
 )
 from .parallel import map_runs
 
-# Rows formatted per step, and rows parsed per step when a file falls back
-# to the row-wise parse. It bounds the intermediate strings and lists to a
-# few hundred kilobytes whatever the record length.
+# Rows formatted per step. It bounds the intermediate strings and lists to
+# a few hundred kilobytes whatever the record length.
 CSV_CHUNK_ROWS = 4096
 # At most about this many bytes of lines go to one ``numtext.parse_block``
 # call: some 2600 t,value or 1400 t,u,y rows. Its token arrays then stay
@@ -69,107 +68,85 @@ CSV_CHUNK_ROWS = 4096
 # file of 4097 two-cell rows read in one block took about 280 page faults
 # and a fifth more time per read than in two.
 PARSE_BLOCK_BYTES = 1 << 16
-# A cell wrapped in double quotes, as CSV writers emit it. Only a quoted
-# cell free of commas and quotes is unwrapped, so any other quote leaves its
-# cell unparseable.
-_QUOTED_CELL = re.compile(r'(?:^|(?<=,))"([^",]*)"')
+_BLANKS = numtext.BLANKS.decode("ascii")
+# A cell in double quotes, with blanks after them.
+_QUOTED = re.compile(f'"([^"]*)"[{_BLANKS}]*')
+# The number of a cell, as numtext.parse_block reads it.
+_NUMBER = re.compile(r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
 # A byte that is not UTF-8, as the "surrogateescape" error handler decodes it.
 _UNDECODED = re.compile("[\udc80-\udcff]")
 
 
-def _is_numeric(row: str) -> bool:
-    try:
-        for cell in row.split(","):
-            float(cell)
-    except ValueError:
-        return False
-    return True
-
-
-def _row_chunks(fh) -> Iterator[list[str]]:
-    """The file's non-blank rows, CSV_CHUNK_ROWS lines of it at a time.
-
-    A row keeps its line ending; ``float`` ignores it like any surrounding
-    whitespace. A row whose cells are all blank is skipped.
-    """
-    while lines := list(islice(fh, CSV_CHUNK_ROWS)):
-        if '"' in "".join(lines):
-            lines = [_QUOTED_CELL.sub(r"\1", line) for line in lines]
-        rows = [line for line in lines if line.replace(",", " ").strip()]
-        if rows:
-            yield rows
+def _cell_text(cell: str) -> str:
+    """A cell without the double quotes around it and the blanks around
+    those and around the number."""
+    quoted = _QUOTED.fullmatch(cell)
+    return (quoted[1] if quoted else cell).strip(_BLANKS)
 
 
 def _undecoded(row: str, number: int, path: str) -> ValidationError | None:
     """The error for a row that holds a byte that is not UTF-8, if it does."""
-    found = _UNDECODED.search(row)
-    if found is None:
-        return None
-    byte = ord(found.group()) - 0xDC00
-    return ValidationError(f"{path}: row {number}: not UTF-8 text (byte 0x{byte:02x})")
+    if found := _UNDECODED.search(row):
+        byte = ord(found.group()) - 0xDC00
+        return ValidationError(f"{path}: row {number}: not UTF-8 text (byte 0x{byte:02x})")
+    return None
 
 
-def _bad_row(rows: list[str], width: int, first_row: int, path: str) -> ValidationError:
-    """The error for the first row of a chunk that is not UTF-8 text of
-    ``width`` finite numbers."""
-    for offset, row in enumerate(rows, start=first_row):
-        if undecoded := _undecoded(row, offset, path):
-            return undecoded
-        cells = row.split(",")
-        if len(cells) != width:
-            return ValidationError(
-                f"{path}: row {offset}: expected {width} cells, got {len(cells)}"
-            )
+def _row_error(line: bytes, width: int, number: int, path: str) -> ValidationError:
+    """The error for a row, without its line end, that ``numtext.parse_block``
+    refuses: a byte that is not UTF-8, else a width other than ``width``,
+    else the first cell that is not a number of the grammar or not finite."""
+    row = line.decode("utf-8", "surrogateescape")
+    if undecoded := _undecoded(row, number, path):
+        return undecoded
+    cells = row.split(",")
+    if len(cells) != width:
+        return ValidationError(f"{path}: row {number}: expected {width} cells, got {len(cells)}")
+    for text in map(_cell_text, cells):
+        try:
+            finite = math.isfinite(float(text))
+        except ValueError:
+            finite = True
+        if not finite or not _NUMBER.fullmatch(text):
+            what = "a number" if finite else "a finite number"
+            return ValidationError(f"{path}: row {number}: {text!r} is not {what}")
+    raise AssertionError("the row is one of the grammar")
+
+
+def _is_header(cells: list[str]) -> bool:
+    """Whether ``float`` cannot read one of a first row's cells."""
+    try:
         for cell in cells:
-            text = cell.strip()
-            try:
-                value = float(text)
-            except ValueError:
-                return ValidationError(f"{path}: row {offset}: {text!r} is not a number")
-            if not math.isfinite(value):
-                return ValidationError(f"{path}: row {offset}: {text!r} is not a finite number")
-    raise AssertionError("every row of the chunk is valid")
+            float(cell)
+    except ValueError:
+        return True
+    return False
 
 
-def _parse_rows(rows: list[str], width: int, first_row: int, path: str) -> np.ndarray:
-    """The values of one chunk of rows, shape (len(rows), width).
-
-    Every value is Python's ``float`` of its cell stripped of whitespace,
-    which also drops the separators U+001C..U+001F that ``float`` keeps.
-    ``first_row`` is the row number of ``rows[0]`` in error messages.
-    """
-    values = None
-    if all(row.count(",") == width - 1 for row in rows):
-        cells = ",".join(rows).split(",")
-        with contextlib.suppress(ValueError):
-            values = np.fromiter(map(float, map(str.strip, cells)), dtype=float, count=len(cells))
-    if values is None or not np.isfinite(values).all():
-        raise _bad_row(rows, width, first_row, path)
-    return values.reshape(len(rows), width)
-
-
-def _data_start(data: bytes, path: str) -> tuple[int, int]:
-    """The offset of the first data row in a file's bytes and its row
-    number: 2 after a header, else 1; the end of the bytes and 1 when every
-    line is blank. Every read of the rows starts there.
-
-    A blank line holds only whitespace and commas, quotes around a cell
-    free of commas and quotes dropped. A header is a first row that is not
-    all numbers; one that is not UTF-8 text is refused, read as the
-    "surrogateescape" error handler decodes it.
-    """
+def _data_start(data: bytes, path: str) -> tuple[int, int, int]:
+    """The offset of the first data row in a file's bytes, its row number
+    (2 after a header, else 1) and its number of cells, 2 or 3. A header
+    that is not UTF-8 text is refused, read as the "surrogateescape" error
+    handler decodes it."""
     offset = len(codecs.BOM_UTF8) if data.startswith(codecs.BOM_UTF8) else 0
     text = io.TextIOWrapper(io.BytesIO(data), "utf-8-sig", errors="surrogateescape", newline="")
+    first_row = 1
     for line in text:
-        first = _QUOTED_CELL.sub(r"\1", line)
-        if first.replace(",", " ").strip():
-            if _is_numeric(first):
-                return offset, 1
-            if undecoded := _undecoded(line, 1, path):
+        row = line.rstrip("\r\n")
+        cells = [_cell_text(cell) for cell in row.split(",")]
+        if any(cells):
+            if first_row == 2 or not _is_header(cells):
+                if len(cells) not in (2, 3):
+                    raise ValidationError(
+                        f"{path}: expected 2 (t,value) or 3 (t,u,y) columns, got {len(cells)}"
+                    )
+                return offset, first_row, len(cells)
+            if undecoded := _undecoded(row, 1, path):
                 raise undecoded
-            return offset + len(line.encode()), 2
+            first_row = 2
         offset += len(line.encode())
-    return len(data), 1
+    what = "a header but no data" if first_row > 1 else "no data"
+    raise ValidationError(f"{path}: file contains {what}")
 
 
 def _line_cuts(data: bytes, start: int, parts: int) -> list[int]:
@@ -188,74 +165,30 @@ def _line_cuts(data: bytes, start: int, parts: int) -> list[int]:
     return cuts + [len(data)]
 
 
-def _parse_blocks(blocks: list[memoryview]) -> list[np.ndarray] | None:
-    """The tables of the blocks (``numtext.parse_block``); None when it
-    declines one."""
-    tables = []
-    for block in blocks:
-        table = numtext.parse_block(block)
-        if table is None:
-            return None
-        tables.append(table)
-    return tables
+def _read_table(data: bytes, path: str) -> tuple[np.ndarray, int]:
+    """All data rows of a signal file's bytes, and the row number of the
+    first; the first refused row is named by ``_row_error``.
 
-
-def _block_table(data: bytes, head: tuple[int, int]) -> tuple[np.ndarray, int] | None:
-    """The data rows of a whole file's bytes as ``numtext.parse_block``
-    parses them, with the row number of the first; None when it declines
-    them or finds no table of 2 or 3 columns.
-
-    The lines from ``head``, the file's ``_data_start``, are cut once into
-    blocks of about PARSE_BLOCK_BYTES, and the blocks are parsed in one
-    contiguous run per worker (``parallel.map_runs``). Every worker count
-    parses the same blocks, so the joined rows do not depend on it.
+    The lines from ``_data_start`` are cut once into blocks of about
+    PARSE_BLOCK_BYTES, parsed in one contiguous run per worker
+    (``parallel.map_runs``), so every worker count parses the same blocks.
     """
-    start, first_row = head
+    start, first_row, width = _data_start(data, path)
     cuts = _line_cuts(data, start, -(-(len(data) - start) // PARSE_BLOCK_BYTES))
     view = memoryview(data)
     blocks = [view[a:b] for a, b in zip(cuts, cuts[1:])]
-    runs = map_runs(_parse_blocks, blocks, len(data), parallel.FORK_MIN_BYTES)
-    if any(run is None for run in runs):
-        return None
-    tables = [table for run in runs for table in run if table.size]
-    widths = {table.shape[1] for table in tables}
-    if len(widths) != 1 or widths - {2, 3}:
-        return None
-    return np.concatenate(tables), first_row
-
-
-def _read_table(data: bytes, path: str) -> tuple[np.ndarray, int]:
-    """All data rows of a signal file's bytes, and the row number of the
-    first: those of ``_block_table``, or, for a file it declines, of the
-    row-wise parse, which names the fault. Both start at ``_data_start``."""
-    head = _data_start(data, path)
-    return _block_table(data, head) or _parse_table(data, head, path)
-
-
-def _parse_table(data: bytes, head: tuple[int, int], path: str) -> tuple[np.ndarray, int]:
-    """``_read_table`` by Python's ``float``, CSV_CHUNK_ROWS rows at a time,
-    from ``head``, the file's ``_data_start``.
-
-    A byte that is not UTF-8 is refused in its row, read as the
-    "surrogateescape" error handler decodes it.
-    """
-    start, first_row = head
-    buffer = io.BytesIO(data)
-    buffer.seek(start)
-    chunks = _row_chunks(io.TextIOWrapper(buffer, "utf-8", errors="surrogateescape", newline=""))
-    first = next(chunks, None)
-    if first is None:
-        what = "a header but no data" if first_row > 1 else "no data"
-        raise ValidationError(f"{path}: file contains {what}")
-    width = first[0].count(",") + 1
-    if width not in (2, 3):
-        raise ValidationError(f"{path}: expected 2 (t,value) or 3 (t,u,y) columns, got {width}")
-    blocks = []
+    runs = map_runs(
+        lambda run: [numtext.parse_block(block, width) for block in run],
+        blocks, len(data), parallel.FORK_MIN_BYTES,
+    )
+    tables = []
     row = first_row
-    for rows in chain([first], chunks):
-        blocks.append(_parse_rows(rows, width, row, path))
-        row += len(rows)
-    return np.concatenate(blocks), first_row
+    for block, (table, stop) in zip(blocks, chain.from_iterable(runs)):
+        tables.append(table)
+        row += len(table)
+        if stop < len(block):
+            raise _row_error(bytes(block[stop:]).splitlines()[0], width, row, path)
+    return np.concatenate(tables), first_row
 
 
 def _sample_period(times: np.ndarray, first_row: int, path: str) -> float:
@@ -281,7 +214,7 @@ def read_signal_csv(path: str) -> Signal | tuple[Signal, Signal]:
 
     A header row is expected but a purely numeric first row is accepted as
     data, with columns interpreted positionally. Rows are numbered from 1
-    among the non-blank rows, header included; every value must be finite.
+    among the rows not skipped, header included; every value must be finite.
     A file of ``parallel.FORK_MIN_BYTES`` or more is parsed in runs of
     blocks across forked worker processes; the blocks do not depend on the
     number of workers, so the result and every error are those of the

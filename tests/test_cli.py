@@ -707,6 +707,20 @@ def test_cluster_verb_reports_labels(tmp_path, capsys):
     assert matrix_out.read_text().startswith("id,")
 
 
+@pytest.mark.parametrize("flag", ["--matrix-out", "-o"])
+def test_an_empty_output_path_fails_to_open(tmp_path, capsys, flag):
+    # An empty path is a path like any other: it fails to open, with exit
+    # code 2, rather than dropping the matrix or writing to stdout.
+    rng = np.random.default_rng(6)
+    for i in range(3):
+        write_signal(tmp_path, f"s{i}.csv", rng.standard_normal(32))
+    argv = ["cluster", str(tmp_path), "--metric", "euclidean", "--k", "2", flag, ""]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: [Errno 2] No such file or directory: ''\n"
+
+
 def _write_good_and_broken(tmp_path, names):
     """The t,u,y files of ``conftest.good_and_broken``, a name that starts
     with "b" marking a record with an all-zero output."""
@@ -1233,11 +1247,11 @@ def _serial_and_range_read(monkeypatch, capsys, argv, files=(), workers=2):
     is left and that each read of the second run was split into ``workers``
     runs (the count of ``parallel.worker_count``, one run each, as
     tests/test_cluster.py checks of ``map_runs``), and returns the exit
-    code, stdout and stderr, and whether every read was parsed by the block
-    parser rather than again row by row."""
+    code, stdout and stderr, and whether the block parser took every row of
+    every read."""
     runs = []
     real_map_runs = sigio.map_runs
-    real_block_table = sigio._block_table
+    real_read_table = sigio._read_table
     monkeypatch.setattr(sigio, "PARSE_BLOCK_BYTES", 1024)
     for forked in (False, True):
         splits, parsed = [], []
@@ -1247,11 +1261,12 @@ def _serial_and_range_read(monkeypatch, capsys, argv, files=(), workers=2):
             return real_map_runs(func, items, size, min_size)
 
         def parsed_spy(*args):
-            parsed.append(real_block_table(*args))
+            parsed.append(None)  # left for a read that refuses the file
+            parsed[-1] = real_read_table(*args)
             return parsed[-1]
 
         monkeypatch.setattr(sigio, "map_runs", split_spy)
-        monkeypatch.setattr(sigio, "_block_table", parsed_spy)
+        monkeypatch.setattr(sigio, "_read_table", parsed_spy)
         monkeypatch.setattr(parallel, "FORK_MIN_BYTES", 0 if forked else 1 << 62)
         monkeypatch.setattr(parallel, "usable_cpus", lambda: workers)
         for path in files:
@@ -1306,9 +1321,9 @@ def test_simulate_reads_a_faulty_input_in_ranges_as_one_process(
     (code, out, err), by_blocks = _serial_and_range_read(
         monkeypatch, capsys, argv, [output], workers
     )
-    # The blocks parse the file only when the block parser takes every row;
-    # the time step is checked on the joined rows.
-    assert by_blocks == (fault == "time-step")
+    # The block parser takes every row of the quoted cell; the time step is
+    # checked on the joined rows.
+    assert by_blocks == (fault in ("quoted-cell", "time-step"))
     if message is None:
         assert (code, out, err) == (0, "", "")
     else:

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import sys
 import warnings
 from dataclasses import replace
@@ -43,19 +44,26 @@ from conftest import white_record
 
 POLE_HALF = ZeroPoleGain([0.5], [], 1.0)
 
-# Record lengths around the reader's and the formatters' chunk size.
+# Record lengths around the formatters' chunk size.
 CHUNK_LENGTHS = (1, CSV_CHUNK_ROWS - 1, CSV_CHUNK_ROWS, CSV_CHUNK_ROWS + 1, 3 * CSV_CHUNK_ROWS + 5)
 
 
 # The per-row reader and the per-value formatters that the chunked code in
-# cepdist.sigio replaced, kept as the oracles it must match.
+# cepdist.sigio replaced, kept as the oracles it must match. The reader
+# takes the numbers of the grammar that sigio states: ASCII decimal cells
+# with ASCII blanks around them, which csv.reader unwraps from quotes.
+BLANKS = " \t\x0b\x0c\x1c\x1d\x1e\x1f"
+NUMBER = r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
 
 
 def _reference_parse_float(text, where):
     try:
-        return float(text)
+        value = float(text)
     except ValueError as exc:
         raise ValidationError(f"{where}: {text!r} is not a number") from exc
+    if math.isfinite(value) and not re.fullmatch(NUMBER, text):
+        raise ValidationError(f"{where}: {text!r} is not a number")
+    return value
 
 
 def _reference_sample_period(times, path):
@@ -76,7 +84,7 @@ def _reference_sample_period(times, path):
 def _reference_read_signal_csv(path):
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
-            rows = [row for row in csv.reader(fh) if row and any(cell.strip() for cell in row)]
+            rows = [row for row in csv.reader(fh) if any(cell.strip(BLANKS) for cell in row)]
     except OSError as exc:
         raise ValidationError(f"cannot read signal file {path}: {exc}") from exc
     if not rows:
@@ -100,8 +108,9 @@ def _reference_read_signal_csv(path):
     for offset, row in enumerate(rows[start:], start=start + 1):
         if len(row) != width:
             raise ValidationError(f"{path}: row {offset}: expected {width} cells, got {len(row)}")
+        where = f"{path}: row {offset}"
         for cidx, cell in enumerate(row):
-            columns[cidx].append(_reference_parse_float(cell.strip(), f"{path}: row {offset}"))
+            columns[cidx].append(_reference_parse_float(cell.strip(BLANKS), where))
     period = _reference_sample_period(columns[0], path)
     if width == 2:
         return Signal(np.asarray(columns[1]), period)
@@ -163,6 +172,30 @@ def _same_floats(a, b):
 def _signals(record):
     """The signals of a record read: a pair's two, or the one signal."""
     return record if isinstance(record, tuple) else (record,)
+
+
+def _outcome(read, path):
+    """Whether a read gave a pair, its samples and sample period, or the
+    error message."""
+    try:
+        record = read(str(path))
+    except ValidationError as exc:
+        return str(exc)
+    signals = _signals(record)
+    return isinstance(record, tuple), [(s.samples.tobytes(), s.sample_period) for s in signals]
+
+
+def _handed_blocks(monkeypatch):
+    """A list that gets the bytes of every block handed to the block parser."""
+    blocks = []
+    parse_block = sigio.numtext.parse_block
+
+    def spy(text, width):
+        blocks.append(bytes(text))
+        return parse_block(text, width)
+
+    monkeypatch.setattr(sigio.numtext, "parse_block", spy)
+    return blocks
 
 
 def _read_both(path):
@@ -373,7 +406,7 @@ def test_simulate_reads_an_input_file_with_a_byte_order_mark(tmp_path, capsys):
 
 
 # A header, then CSV_CHUNK_ROWS + 2 good rows: a row after them is row
-# CSV_CHUNK_ROWS + 4, in the reader's second chunk of lines.
+# CSV_CHUNK_ROWS + 4.
 _LONG_PREFIX = "t,value\n" + "".join(f"{k},{k}\n" for k in range(CSV_CHUNK_ROWS + 2))
 
 
@@ -394,8 +427,8 @@ _LONG_PREFIX = "t,value\n" + "".join(f"{k},{k}\n" for k in range(CSV_CHUNK_ROWS 
         ("0,1\n1,2,3\n", "row 2:"),
         ("t,u,y\n0,1\n1,2\n2,3,4\n", "row 4:"),
         (" , \nt,value\n\n", "header but no data"),
-        # The block parser declines the underscore or the blank row first.
-        ("t,value\n0,1_0\n1,2\n2,3,4\n", "row 4:"),
+        # An underscore is refused before the row of the wrong width.
+        ("t,value\n0,1_0\n1,2\n2,3,4\n", "row 2:"),
         ("t,value\n0,1\n \n1,x_1\n", "row 3:"),
         ("t,value\n0,1,2,3\n", "columns"),
         pytest.param(_LONG_PREFIX + "oops,1\n", f"row {CSV_CHUNK_ROWS + 4}:", id="cell-in-chunk-2"),
@@ -414,32 +447,32 @@ def test_signal_file_validation(tmp_path, content, fragment):
 
 
 @pytest.mark.parametrize(
-    "content,fallback",
+    "content",
     [
-        pytest.param("t,value\n0,1\n\n1,2\n", False, id="empty-row"),
-        pytest.param("t,value\n0,1\n \t\n1,2\n", True, id="whitespace-row"),
-        pytest.param("t,value\n0,1\n,\n1,2\n", True, id="comma-row"),
-        pytest.param('t,value\n0,1\n""\n1,2\n', True, id="quoted-empty-row"),
-        pytest.param("t,value\n0,1_0\n1,2_5\n", True, id="underscore"),
-        pytest.param('"0","1"\n1,2\n', True, id="quoted-first-row-no-header"),
-        pytest.param("\ufefft,u,y\r\n0,1,2\r\n1,3,4\r\n", False, id="bom-crlf"),
-        pytest.param("\nt,value\n0,1\n1,2\n", False, id="blank-first-line"),
-        pytest.param('t,value\n"0" ,1\n"1" ,2\n', True, id="space-after-quote"),
+        pytest.param("t,value\n0,1\n\n1,2\n", id="empty-row"),
+        pytest.param("t,value\n0,1\n \t\n1,2\n", id="whitespace-row"),
+        pytest.param("t,value\n0,1\n,\n1,2\n", id="comma-row"),
+        pytest.param('t,value\n0,1\n""\n1,2\n', id="quoted-empty-row"),
+        pytest.param("t,value\n0,1_0\n1,2_5\n", id="underscore"),
+        pytest.param('"0","1"\n1,2\n', id="quoted-first-row-no-header"),
+        pytest.param("\ufefft,u,y\r\n0,1,2\r\n1,3,4\r\n", id="bom-crlf"),
+        pytest.param("\nt,value\n0,1\n1,2\n", id="blank-first-line"),
+        pytest.param('t,value\n"0" ,1\n"1" ,2\n', id="space-after-quote"),
         # U+001C..U+001F count as whitespace for str.strip but not for float.
-        pytest.param("t,value\n0,1\x1c\n1,\x1f2\n", False, id="separator-padding"),
-        pytest.param('t,value\n"0",1\x1c\n1,2\n', True, id="separator-padding-quoted"),
+        pytest.param("t,value\n0,1\x1c\n1,\x1f2\n", id="separator-padding"),
+        pytest.param('t,value\n"0",1\x1c\n1,2\n', id="separator-padding-quoted"),
     ],
 )
-def test_reader_edge_cases_match_the_reference(tmp_path, monkeypatch, content, fallback):
-    # Each example either passes the block parser or falls back to the
-    # row-wise parse, as marked; both must read what the oracle reads.
-    fallbacks = []
-    parse_table = sigio._parse_table
-    monkeypatch.setattr(sigio, "_parse_table", lambda *a: fallbacks.append(a) or parse_table(*a))
+def test_reader_edge_cases_match_the_reference(tmp_path, monkeypatch, content):
+    # The block parser is handed every data row of each example, and reads
+    # it or, for the underscore, refuses it; each must give what the oracle
+    # gives, its values or its error.
     path = tmp_path / "edge.csv"
     path.write_bytes(content.encode())
-    _read_both(str(path))
-    assert bool(fallbacks) == fallback
+    blocks = _handed_blocks(monkeypatch)
+    assert _outcome(read_signal_csv, path) == _outcome(_reference_read_signal_csv, path)
+    data = path.read_bytes()
+    assert b"".join(blocks) == data[sigio._data_start(data, str(path))[0] :]
 
 
 @pytest.mark.parametrize(
@@ -469,6 +502,48 @@ def test_a_quoted_cell_does_not_run_on_over_a_line_end(tmp_path):
     path.write_text('t,value\n0,1\n"1\n",2\n')
     with pytest.raises(ValidationError, match="row 3: expected 2 cells, got 1"):
         read_signal_csv(str(path))
+
+
+# Spellings that float() reads but the grammar refuses, each in row 3 of
+# a file, and the error each gives.
+REFUSED_SPELLINGS = {
+    "underscore": ("1,1_0", "row 3: '1_0' is not a number"),
+    "fullwidth-digit": ("1,\uff12", "row 3: '\uff12' is not a number"),
+    "arabic-indic-digit": ("1,\u0663", "row 3: '\u0663' is not a number"),
+    "no-break-space": ("1,\xa02", "row 3: '\\xa02' is not a number"),
+    "ideographic-space": ("1\u3000,2", "row 3: '1\\u3000' is not a number"),
+    "no-break-space-row": ("\xa0", "row 3: expected 2 cells, got 1"),
+    "next-line-row": ("\x85,", "row 3: '\\x85' is not a number"),
+    "digits-after-quotes": ('1,"2"3', "row 3: '\"2\"3' is not a number"),
+    "number-after-empty-quotes": ('1,"" 2', "row 3: '\"\" 2' is not a number"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFUSED_SPELLINGS))
+def test_spellings_outside_the_grammar_are_refused_with_their_row(tmp_path, monkeypatch, name):
+    line, message = REFUSED_SPELLINGS[name]
+    path = tmp_path / "bad.csv"
+    path.write_bytes(f"t,value\n0,1\n{line}\n2,3\n".encode())
+    for parts in (1, 2):
+        with pytest.raises(ValidationError) as caught:
+            _read_split(monkeypatch, str(path), parts)
+        assert str(caught.value) == f"{path}: {message}"
+
+
+def test_a_first_row_that_float_reads_is_refused_not_skipped(tmp_path, capsys):
+    # float() reads every cell of "1_0,2", so it is no header: the grammar
+    # refuses it as a data row.
+    path = tmp_path / "raw.csv"
+    path.write_text("1_0,2\n11,3\n12,4\n")
+    assert main(["cepstrum", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {path}: row 1: '1_0' is not a number\n"
+
+
+def test_the_probe_file_is_refused_at_its_first_spelling_outside_the_grammar(tmp_path, capsys):
+    path = tmp_path / "probe.csv"
+    path.write_text('t,value\n0,1_0\n1,\uff12\n2,"3"\n3,\xa04\n', encoding="utf-8")
+    assert main(["cepstrum", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {path}: row 2: '1_0' is not a number\n")
 
 
 def test_non_uniform_step_names_its_row_in_headerless_files(tmp_path):
@@ -635,8 +710,8 @@ def test_formatted_records_read_back_bit_identical(tmp_path):
 # The block reader cuts a file's data rows once into blocks of whole
 # lines and parses them in one contiguous run of blocks per worker, each
 # run after the first in a forked child. Its tables must be the row-wise
-# parse's bit for bit, and a file it refuses must give the one-process
-# read's error.
+# parse's bit for bit, and a file it refuses must give the row-wise
+# parse's error.
 
 # Small files for the block reader.
 RANGE_FILES = {
@@ -656,6 +731,8 @@ RANGE_FILES = {
     "trailing-empty-line-no-header": "0,1\n1,2\n2,3\n\n",
     "blank-padded": "t, u ,y\n0, 1.5 ,\t-2\n 1,3e-3 , 4\r\n",
     "exponents": "t,value\n0,1e-300\n1,-2.5E+10\n2,.5e3\n3,5.e-2\n",
+    "quoted": 't,value\n0,1\n1,2\n"2",3\n',
+    "blank-row": "t,value\n0,1\n1,2\n , \n2,3\n",
 }
 
 
@@ -674,18 +751,59 @@ def _line_starts(data):
     return sorted({0, len(data), *(k + 1 for k, byte in enumerate(data) if byte == 10)})
 
 
+# Quotes around a cell free of commas and quotes, as the row-wise parse
+# dropped them.
+_QUOTED_CELL = re.compile(r'(?:^|(?<=,))"([^",]*)"')
+
+
+def _row_wise_table(data, path):
+    """The data rows from ``sigio._data_start`` on as the row-wise parse,
+    which the block parser replaced, reads them: each cell by Python's
+    ``float``, rows of only whitespace and commas skipped, and the first
+    faulty row named. The row number of the first row comes with them."""
+    start, first_row, width = sigio._data_start(data, path)
+    text = io.TextIOWrapper(io.BytesIO(data[start:]), "utf-8", "surrogateescape", newline="")
+    rows = [_QUOTED_CELL.sub(r"\1", line) for line in text]
+    rows = [row for row in rows if row.replace(",", " ").strip()]
+    values = []
+    for number, row in enumerate(rows, start=first_row):
+        if undecoded := re.search("[\udc80-\udcff]", row):
+            byte = ord(undecoded.group()) - 0xDC00
+            raise ValidationError(f"{path}: row {number}: not UTF-8 text (byte 0x{byte:02x})")
+        cells = [cell.strip() for cell in row.split(",")]
+        if len(cells) != width:
+            raise ValidationError(f"{path}: row {number}: expected {width} cells, got {len(cells)}")
+        for cell in cells:
+            try:
+                value = float(cell)
+            except ValueError:
+                raise ValidationError(f"{path}: row {number}: {cell!r} is not a number") from None
+            if not math.isfinite(value):
+                raise ValidationError(f"{path}: row {number}: {cell!r} is not a finite number")
+            values.append(value)
+    return np.array(values, dtype=float).reshape(-1, width), first_row
+
+
 def _serial_table(path):
     """The rows as the row-wise parse, by Python's ``float``, reads them."""
     with open(path, "rb") as fh:
         data = fh.read()
-    return sigio._parse_table(data, sigio._data_start(data, path), path)
+    return _row_wise_table(data, path)
+
+
+def _table_outcome(read, data, path="record.csv"):
+    """The table and first row number that a reader gives, or its error."""
+    try:
+        table, first_row = read(data, path)
+    except ValidationError as exc:
+        return str(exc)
+    return table.shape, table.tobytes(), first_row
 
 
 def _block_tables(monkeypatch, data):
-    """The block reader's table of the bytes, or None, at every block size
-    from 1 byte to the length of the bytes, each with 1, 2 and 3 workers:
-    (block size, workers, outcome) triples."""
-    head = sigio._data_start(data, "record.csv")
+    """The block reader's outcome for the bytes (``_table_outcome``) at
+    every block size from 1 byte to the length of the bytes, each with 1,
+    2 and 3 workers: (block size, workers, outcome) triples."""
     outcomes = []
     with monkeypatch.context() as patch:
         patch.setattr(parallel, "FORK_MIN_BYTES", 0)
@@ -693,7 +811,7 @@ def _block_tables(monkeypatch, data):
             patch.setattr(sigio, "PARSE_BLOCK_BYTES", size)
             for workers in (1, 2, 3):
                 patch.setattr(parallel, "usable_cpus", lambda: workers)
-                outcomes.append((size, workers, sigio._block_table(data, head)))
+                outcomes.append((size, workers, _table_outcome(sigio._read_table, data)))
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
     return outcomes
@@ -703,13 +821,11 @@ def _block_tables(monkeypatch, data):
 def test_range_reader_matches_one_process_at_every_split(tmp_path, monkeypatch, name):
     # Every block size, from one byte, where every line is a block of its
     # own, to the whole file, which is one block, each in 1 to 3 runs.
-    path = tmp_path / "record.csv"
-    path.write_bytes(RANGE_FILES[name].encode())
-    table, first_row = _serial_table(str(path))
-    for size, workers, parsed in _block_tables(monkeypatch, path.read_bytes()):
-        assert parsed is not None, (size, workers)
-        assert _same_floats(parsed[0], table), (size, workers)
-        assert parsed[1] == first_row
+    data = RANGE_FILES[name].encode()
+    want = _table_outcome(_row_wise_table, data)
+    assert not isinstance(want, str)
+    for size, workers, parsed in _block_tables(monkeypatch, data):
+        assert parsed == want, (size, workers)
 
 
 @pytest.mark.parametrize("name", sorted(RANGE_FILES))
@@ -725,13 +841,11 @@ def test_blocks_of_any_size_give_the_one_block_read(tmp_path, monkeypatch, name)
         assert _read_outcome(monkeypatch, path, 2) == want
 
 
-# Files with a row that the block parser declines, wherever the cuts fall.
+# Files that the block reader refuses, wherever the cuts fall.
 REFUSED_RANGE_FILES = {
     "inner-bom": "t,value\n0,1\n\ufeff1,2\n2,3\n",
     "non-finite": "t,value\n0,1\n1,2\n2,-inf\n",
-    "quoted": 't,value\n0,1\n1,2\n"2",3\n',
     "row-width": "t,u,y\n0,1,2\n1,2,3\n2,3\n",
-    "blank-row": "t,value\n0,1\n1,2\n , \n2,3\n",
     "header-only": "t,value\n",
     "blank-lines-only": "\n , \n\n",
 }
@@ -740,8 +854,10 @@ REFUSED_RANGE_FILES = {
 @pytest.mark.parametrize("name", sorted(REFUSED_RANGE_FILES))
 def test_range_reader_refuses_a_bad_row_at_every_split(monkeypatch, name):
     data = REFUSED_RANGE_FILES[name].encode()
+    want = _table_outcome(_row_wise_table, data)
+    assert isinstance(want, str)
     for size, workers, parsed in _block_tables(monkeypatch, data):
-        assert parsed is None, (size, workers)
+        assert parsed == want, (size, workers)
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="forks only on Linux")
@@ -761,10 +877,10 @@ def test_every_worker_count_parses_the_same_blocks(tmp_path, monkeypatch):
         log.mkdir()
         pids = [os.getpid()]
 
-        def spy(block):
+        def spy(block, width):
             with open(log / str(os.getpid()), "ab") as fh:
                 fh.write(len(block).to_bytes(8, "little") + bytes(block))
-            return parse_block(block)
+            return parse_block(block, width)
 
         def fork():
             pid = real_fork()
@@ -808,27 +924,52 @@ def test_every_worker_count_parses_the_same_blocks(tmp_path, monkeypatch):
 
 
 # Cells, separators and characters that end or might end a line, for the
-# property below.
+# property below; float() reads the underscore, the fullwidth digit and
+# the no-break space, which the grammar refuses.
 READER_PIECES = [
     "0,1\n", "2.5,-3e-300\r\n", "0", "1.5", "-2e-3", "nan", "inf", "1e999", "x", "_", '"', ",",
     " ", "\t", "\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x85", "\u2028", "\x00", "\ufeff",
-    "5.", ".5", "1E+5", "+", "-", ".", "e",
+    "5.", ".5", "1E+5", "+", "-", ".", "e", "1_0", "\uff12", "\xa0",
 ]
+# A cell of the grammar: a number with blanks around it, optionally in
+# double quotes that open the cell, with blanks after them; or no number,
+# for a skipped row.
+_B = f"[{BLANKS}]*"
+GRAMMAR_CELL = re.compile(f'(?:"{_B}({NUMBER})?{_B}"|{_B}({NUMBER})?){_B}')
+
+
+def _in_grammar(data):
+    """Whether every line of the bytes is UTF-8 text of cells of the
+    grammar, either all with a number or none."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError:
+        return False
+    for line in re.split("\r\n|\r|\n", text):
+        cells = [GRAMMAR_CELL.fullmatch(cell) for cell in line.split(",")]
+        numbers = [cell is not None and cell.lastindex is not None for cell in cells]
+        if not all(cells) or any(numbers) and not all(numbers):
+            return False
+    return True
 
 
 @settings(max_examples=300)
 @given(pieces=st.lists(st.sampled_from(READER_PIECES), max_size=40))
 def test_the_block_parser_reads_each_text_as_the_row_parse(pieces):
-    # The block parser is handed the lines of the bytes. Wherever it
-    # accepts a text, the row-wise parse must give the same rows, bit for
-    # bit, and the same number for the first.
+    # Wherever every data row is in the grammar, the block reader gives the
+    # rows of the row-wise parse by float(), bit for bit, with the same
+    # number for the first, or the same error; anywhere else it refuses.
     data = "".join(pieces).encode()
-    head = sigio._data_start(data, "record.csv")
-    by_reader = sigio._block_table(data, head)
-    if by_reader is not None:
-        table, first_row = sigio._parse_table(data, head, "record.csv")
-        assert _same_floats(by_reader[0], table)
-        assert by_reader[1] == first_row
+    by_reader = _table_outcome(sigio._read_table, data)
+    try:
+        start = sigio._data_start(data, "record.csv")[0]
+    except ValidationError as exc:
+        assert by_reader == str(exc)
+        return
+    if _in_grammar(data[start:]):
+        assert by_reader == _table_outcome(_row_wise_table, data)
+    else:
+        assert isinstance(by_reader, str)
 
 
 @settings(max_examples=50)
@@ -864,13 +1005,8 @@ def test_read_in_ranges_matches_one_process(tmp_path, monkeypatch, name, parts):
 
 
 def _read_outcome(monkeypatch, path, parts=1):
-    """Whether a pair was read, its samples and sample period, or the error message."""
-    try:
-        record = _read_split(monkeypatch, str(path), parts)
-    except ValidationError as exc:
-        return str(exc)
-    signals = _signals(record)
-    return isinstance(record, tuple), [(s.samples.tobytes(), s.sample_period) for s in signals]
+    """The ``_outcome`` of a read with ``parts`` usable CPUs."""
+    return _outcome(lambda name: _read_split(monkeypatch, name, parts), path)
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="forks only on Linux")
@@ -905,27 +1041,23 @@ def test_without_in_memory_files_the_reader_gets_the_lines(tmp_path, monkeypatch
     path = tmp_path / "record.csv"
     path.write_bytes(data)
     want = [_read_outcome(monkeypatch, path, parts) for parts in (1, 2, 3)]
-    blocks = []
-    parse_block = sigio.numtext.parse_block
-    monkeypatch.setattr(
-        sigio.numtext, "parse_block", lambda text: blocks.append(bytes(text)) or parse_block(text)
-    )
+    blocks = _handed_blocks(monkeypatch)
     monkeypatch.delattr(os, "memfd_create", raising=False)
     assert [_read_outcome(monkeypatch, path, parts) for parts in (1, 2, 3)] == want
-    head = sigio._data_start(data, str(path))[0]
+    # A file without data is refused before any block is parsed.
+    head = sigio._data_start(data, str(path))[0] if blocks else len(data)
     lines = {head, len(data), *(k + 1 for k, byte in enumerate(data) if byte in b"\r\n")}
     for block in blocks:
         starts = [k for k in lines if k >= head and data.startswith(block, k)]
         assert any(k + len(block) in lines for k in starts), block
-    table = sigio._block_table(data, sigio._data_start(data, str(path)))
-    assert (table is not None) == (name in RANGE_FILES)
+    refused = isinstance(_table_outcome(sigio._read_table, data), str)
+    assert refused == (name in REFUSED_RANGE_FILES)
 
 
 # Faults in the last rows, so in the last run of blocks: each must give the
-# one-process read's outcome. The block parser declines all but the time
-# step, which is checked on the joined rows, and the bare carriage return,
-# which ends a line for both reads. It declines a quoted cell, which sends
-# the file to the one-process read, which accepts it.
+# one-process read's outcome. The block parser refuses all but the time
+# step, which is checked on the joined rows, the bare carriage return,
+# which ends a line for both reads, and the quoted cell, which it reads.
 RANGE_FAULTS = {
     "quoted-cell": ('58,"1.5"\n', None),
     "non-finite-cell": ("58,inf\n", "row 60: 'inf' is not a finite number"),
@@ -957,8 +1089,8 @@ def test_a_fault_in_the_last_range_gives_the_one_process_outcome(
     with monkeypatch.context() as patch:
         patch.setattr(parallel, "FORK_MIN_BYTES", 0)
         patch.setattr(parallel, "usable_cpus", lambda: parts)
-        parsed = sigio._block_table(data, head)
-    assert (parsed is None) == (fault not in ("time-step", "bare-cr"))
+        parsed = _table_outcome(sigio._read_table, data)
+    assert isinstance(parsed, str) == (fault not in ("time-step", "bare-cr", "quoted-cell"))
     outcomes = []
     for count in (1, parts):
         try:

@@ -1,6 +1,7 @@
 """The number formatter writes the text of Python's % operator, byte for byte,
 and the block parser reads each cell as Python's float does, bit for bit."""
 
+import itertools
 import math
 
 import numpy as np
@@ -84,15 +85,15 @@ def _bits(values) -> list[int]:
 
 
 def _read_cells(cells: list[str]) -> None:
-    """Each cell, one per line, reads as float() reads it, or declines the
-    block where float() gives a value that is not finite."""
+    """Each cell, one per line, reads as float() reads it; the parser stops
+    at the line of the first cell whose value is not finite."""
     wants = [float(cell) for cell in cells]
-    table = parse_block("".join(cell + "\n" for cell in cells).encode("ascii"))
-    if all(math.isfinite(want) for want in wants):
-        assert table is not None and table.shape == (len(cells), 1)
-        assert _bits(table[:, 0]) == _bits(wants)
-    else:
-        assert table is None
+    read = sum(1 for _ in itertools.takewhile(math.isfinite, wants))
+    text = "".join(cell + "\n" for cell in cells).encode("ascii")
+    table, stop = parse_block(text)
+    assert stop == sum(len(cell) + 1 for cell in cells[:read])
+    assert table.shape == ((read, 1) if read else (0, 0))
+    assert _bits(table.ravel()) == _bits(wants[:read])
 
 
 @given(st.lists(st.tuples(INT64, FINITE, FINITE), min_size=1, max_size=40))
@@ -101,8 +102,8 @@ def test_written_rows_read_back_as_float_reads_their_text(rows):
     ints, first, second = (list(column) for column in zip(*rows))
     columns = [np.array(ints, dtype=np.int64), np.array(first), np.array(second)]
     text = format_block(("%d", "%.17g", "%.12g"), columns)
-    table = parse_block(text)
-    assert table is not None and table.shape == (len(rows), 3)
+    table, stop = parse_block(text)
+    assert stop == len(text) and table.shape == (len(rows), 3)
     # %.17g gives every double back; %d and %.12g give float() of their text.
     assert _bits(table[:, 1]) == _bits(first)
     cells = [line.split(",") for line in text.decode("ascii").splitlines()]
@@ -158,11 +159,19 @@ def test_shortest_and_rounded_texts_read_as_float_reads_them(values):
         (b"  0 \t,\t 1.5  \n", [[0, 1.5]]),
         (b"", np.empty((0, 0))),
         (b"\r\n\n", np.empty((0, 0))),
+        # Cells in double quotes, and lines of only blanks, commas and
+        # quotes, which are skipped.
+        (b'0,"1"\n', [[0, 1]]),
+        (b"0,1\n,\n", [[0, 1]]),
+        (b"0,1\n \t\n1,2\n", [[0, 1], [1, 2]]),
+        (b"0,1\n  \t \n1,2\n", [[0, 1], [1, 2]]),
+        (b'"0" ," -1.5e3 "\t\r\n"","  "\x1c\r\n"1","2"', [[0, -1500], [1, 2]]),
+        (b'0,"1.00000000000000000000001"\n, ,\n1,2e-400\n', [[0, 1], [1, 0]]),
     ],
 )
 def test_lines_and_blanks(text, rows):
-    table = parse_block(text)
-    assert table is not None and table.shape == np.shape(rows)
+    table, stop = parse_block(text)
+    assert stop == len(text) and table.shape == np.shape(rows)
     assert _bits(table.ravel()) == _bits(np.ravel(rows))
 
 
@@ -171,12 +180,8 @@ def test_lines_and_blanks(text, rows):
     [
         b"0,1\n1,2,3\n",  # rows of unequal width
         b"0,1\n1,\n",  # an empty cell
-        b"0,1\n,\n",  # a row of only commas
-        b"0,1\n \t\n1,2\n",  # a line of only blanks
         b"0,1 2\n",  # a blank inside a cell
         b"0,1 \t 2\n",
-        b"0,1\n  \t \n1,2\n",
-        b'0,"1"\n',  # a quoted cell
         b"0,1_0\n",  # an underscore
         b"0,\xef\xbb\xbf1\n",  # a byte order mark inside the rows
         b"0,\xc2\xa01\n",  # a blank that is not ASCII
@@ -188,4 +193,34 @@ def test_lines_and_blanks(text, rows):
     ],
 )
 def test_declines_what_it_does_not_decide(text):
-    assert parse_block(text) is None
+    # The last row is refused: the parser stops at the start of its line.
+    table, stop = parse_block(text)
+    assert stop == text.rstrip(b"\n").rfind(b"\n") + 1
+    assert table.shape[0] == text.count(b"\n", 0, stop)
+
+
+@pytest.mark.parametrize(
+    "text,width,stop",
+    [
+        # The first refused row, whatever refuses the rows after it.
+        (b"0,1e999\n1,2,3\n2,x\n", None, 0),
+        (b"0,1\n1,2,3\n2,1e999\n3,x\n", None, 4),
+        (b"0,1\n1,2\n2,1e999\n3,x\n", None, 8),
+        (b"0,1\n\n , \n1,2\r\n2,x\r\n3,4\r\n", None, 14),
+        (b'0,1\n1,2\n"2\n",3\n', None, 8),
+        (b'0,1\n1,"2"3\n2,3\n', None, 4),
+        (b'0,1\n1,"" 2\n', None, 4),
+        (b'0,1\n1, "2"\n', None, 4),
+        (b'0,1\n1,"2\n', None, 4),
+        (b"0,1\n1,2\r3,4,5\r", None, 8),
+        # Rows of a width other than the one asked for.
+        (b"0,1\n1,2\n", 3, 0),
+        (b"0,1,2\n1,2\n", 3, 6),
+    ],
+)
+def test_stops_at_the_first_refused_row(text, width, stop):
+    table, at = parse_block(text, width)
+    assert at == stop
+    want, end = parse_block(text[:stop], width)
+    assert end == stop and _bits(table.ravel()) == _bits(want.ravel())
+    assert table.shape[0] == len([line for line in text[:stop].splitlines() if line.strip(b" ,")])
