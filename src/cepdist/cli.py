@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from contextlib import nullcontext
+from contextlib import ExitStack
 from functools import partial
 
 import numpy as np
@@ -92,20 +92,21 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     return load_config(path=args.config, overrides=overrides)
 
 
-def _emit(text: str, path: str | None) -> None:
-    _emit_parts([text], path)
-
-
-def _emit_parts(parts: list[str], path: str | None) -> None:
-    """Write the parts in order to the file, or to stdout without one."""
-    # A file name that is not UTF-8 reaches a record id as lone surrogates;
-    # the file gets the bytes they stand for.
-    opened = path is not None and open(
-        path, "w", encoding="utf-8", errors="surrogateescape", newline=""
-    )
-    with opened or nullcontext(sys.stdout) as fh:
-        for part in parts:
-            fh.write(part)
+def _emit(*outputs: tuple[str | None, list[str]]) -> None:
+    """Write each output's parts in order to its file, or to stdout for a
+    path of None. Every file is opened, in order, before any is written, so
+    a file that fails to open leaves those before it empty."""
+    with ExitStack() as stack:
+        # A file name that is not UTF-8 reaches a record id as lone
+        # surrogates; the file gets the bytes they stand for.
+        handles = [
+            sys.stdout if path is None else stack.enter_context(
+                open(path, "w", encoding="utf-8", errors="surrogateescape", newline="")
+            )
+            for path, _ in outputs
+        ]
+        for fh, (_, parts) in zip(handles, outputs):
+            fh.writelines(parts)
 
 
 def _read_record(path: str, paired: bool) -> Signal | tuple[Signal, Signal]:
@@ -175,7 +176,7 @@ def cmd_simulate(args: argparse.Namespace, config: RunConfig) -> int:
     # only once every range is formatted, so a failure writes nothing.
     parts = map_runs(lambda rows: pair_csv_rows(u, y, rows.start, rows.stop),
                      range(len(u)), len(u), parallel.FORK_MIN_ROWS)
-    _emit_parts([PAIR_CSV_HEADER, *parts], args.output)
+    _emit((args.output, [PAIR_CSV_HEADER, *parts]))
     return 0
 
 
@@ -200,7 +201,7 @@ def cmd_cepstrum(args: argparse.Namespace, config: RunConfig) -> int:
             else:
                 cepstrum = complex_cepstrum(record, config.fft_length, config.K)
     # Cepstra are emitted as tidy lag/value CSV, the plotting format.
-    _emit(format_cepstrum_csv(cepstrum), args.output)
+    _emit((args.output, [format_cepstrum_csv(cepstrum)]))
     return 0
 
 
@@ -221,7 +222,7 @@ def _distance_report(path_a: str, path_b: str, metric: str, config: RunConfig) -
 
 def cmd_distance(args: argparse.Namespace, config: RunConfig) -> int:
     report = _distance_report(args.file_a, args.file_b, args.metric, config)
-    _emit(canonical_json(report), args.output)
+    _emit((args.output, [canonical_json(report)]))
     return 0
 
 
@@ -267,17 +268,18 @@ def cmd_distmat(args: argparse.Namespace, config: RunConfig) -> int:
             "values": matrix.values,
             "failures": [list(f) for f in matrix.failures],
         }
-        _emit(canonical_json(report), args.output)
+        _emit((args.output, [canonical_json(report)]))
     else:
-        _emit(format_matrix_csv(matrix.ids, matrix.values), args.output)
+        _emit((args.output, [format_matrix_csv(matrix.ids, matrix.values)]))
     return 0
 
 
 def cmd_cluster(args: argparse.Namespace, config: RunConfig) -> int:
+    paths = [path for path in (args.output, args.matrix_out) if path is not None]
+    if len({os.path.realpath(path) for path in paths}) < len(paths):
+        raise ValidationError(f"-o and --matrix-out name the same file: {args.output}")
     matrix = _collection_matrix(args.paths, args.metric, config)
     result = agglomerative_cluster(matrix, args.k, args.linkage)
-    if args.matrix_out is not None:
-        _emit(format_matrix_csv(matrix.ids, matrix.values), args.matrix_out)
     report = {
         "schema_version": 1,
         "command": "cluster",
@@ -290,7 +292,10 @@ def cmd_cluster(args: argparse.Namespace, config: RunConfig) -> int:
         "excluded": [name for name, label in zip(matrix.ids, result.labels) if label < 0],
         "failures": [list(f) for f in matrix.failures],
     }
-    _emit(canonical_json(report), args.output)
+    outputs = [(args.output, [canonical_json(report)])]
+    if args.matrix_out is not None:
+        outputs.append((args.matrix_out, [format_matrix_csv(matrix.ids, matrix.values)]))
+    _emit(*outputs)
     return 0
 
 
@@ -322,7 +327,7 @@ def cmd_classify(args: argparse.Namespace, config: RunConfig) -> int:
         "order_tested": verdict.order_tested,
         "tolerance": verdict.tolerance,
     }
-    _emit(canonical_json(report), args.output)
+    _emit((args.output, [canonical_json(report)]))
     return 0
 
 
@@ -337,7 +342,7 @@ def cmd_verify(args: argparse.Namespace, config: RunConfig) -> int:
             else:
                 detail = f"value={check['value']} expected={check['expected']}"
             print(f"{status} {case['case']}.{check['name']} {detail}", file=sys.stderr)
-    _emit(canonical_json(report), args.output)
+    _emit((args.output, [canonical_json(report)]))
     return 0 if report["pass"] else EXIT_TOLERANCE
 
 

@@ -8,8 +8,9 @@ items (label -1) until no NaN cell is left.
 
 Every distance takes two steps: ``collection_features`` turns items into
 features, or the error that refused each one, and ``pair_report`` turns
-two features into a distance and the fields that qualify it. The cepstral
-cells of ``distance_matrix`` come from a batched kernel with the same bits.
+two features into a distance and the fields that qualify it. Every
+cepstral distance between records, a pair's or a matrix's, comes from one
+kernel, ``weighted_cepstral_matrix``.
 """
 
 from __future__ import annotations
@@ -22,12 +23,7 @@ import numpy as np
 from .config import LINKAGES, RunConfig
 from .errors import CepdistError, MixedPhaseUnsupported, ValidationError
 from .lti import Signal, same_period
-from .metrics import (
-    cosine_similarity,
-    euclidean_distance,
-    weighted_cepstral_distance,
-    weighted_cepstral_matrix,
-)
+from .metrics import cosine_similarity, euclidean_distance, weighted_cepstral_matrix
 from .phase import INDETERMINATE, MINIMUM_PHASE, classify_from_io
 from .spectral import power_cepstra
 from .subspace import hankel_columns, projected_bases, subspace_distance_from_bases
@@ -160,10 +156,10 @@ def distance_matrix_from_features(
     entry, since it has no distance to anything, itself included.
 
     The cepstral matrix is computed in one batch by
-    ``weighted_cepstral_matrix``, row by row, with cells bit-identical to
-    the ``value`` of ``pair_report`` and no tail bounds. The other metrics
-    take each cell's ``value`` from ``pair_report``, and a failed pair
-    makes only its own cell NaN.
+    ``weighted_cepstral_matrix``, row by row: the kernel of the ``value``
+    of ``pair_report``, whose cells do not depend on the batch. The other
+    metrics take each cell's ``value`` from ``pair_report``, and a failed
+    pair makes only its own cell NaN.
     """
     metric = resolve_metric(metric)
     n = len(features)
@@ -238,13 +234,15 @@ def collection_features(items: Sequence, metric: str, config: RunConfig) -> list
 def pair_report(metric: str, a, b) -> dict:
     """The distance between two items' features, as the fields of a report.
 
-    Every metric gives ``value``; ``cepstral`` adds the truncation ``order``
-    and ``tail_bound`` of the weighted cepstral distance, and ``cosine``
-    the ``similarity`` whose complement the value is.
+    Every metric gives ``value``; ``cepstral`` adds the truncation
+    ``order``, and ``cosine`` the ``similarity`` whose complement the value
+    is. The cepstral value is the cell of ``weighted_cepstral_matrix``, the
+    kernel of every record distance, so it equals the matrix cell of the
+    same two records bit for bit. Estimated cepstra carry no truncation
+    bound: only a model's roots bound the lags beyond ``order``.
     """
     if metric == "cepstral":
-        result = weighted_cepstral_distance(a, b)
-        return {"value": result.value, "order": result.order, "tail_bound": result.tail_bound}
+        return {"value": float(weighted_cepstral_matrix([a, b])[0, 1]), "order": a.order}
     if metric == "cosine":
         similarity = cosine_similarity(a, b)
         return {"value": 1.0 - similarity, "similarity": similarity}

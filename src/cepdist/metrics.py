@@ -22,22 +22,19 @@ from .errors import KindMismatch, LengthMismatch, ValidationError
 from .lti import TAU_MULT, Signal, ZeroPoleGain, range_exponent
 from .spectral import CepstrumSequence
 
-# Cap for the decay-rate estimate used in tail bounds of estimated cepstra.
-RHO_CAP = 0.999
-
 
 @dataclass(frozen=True)
 class WeightedCepstralResult:
     """A weighted cepstral distance (or norm) with its truncation bound.
 
-    ``value`` is the truncated sum; ``tail_bound`` bounds the mass beyond
-    lag ``order`` when root metadata is available, and is a decay-fit
-    estimate (not a guarantee) otherwise.
+    ``value`` is the truncated sum. ``tail_bound`` bounds the mass beyond
+    lag ``order`` for cepstra of models, from their root metadata; it is
+    None for estimated cepstra, whose lags alone bound nothing.
     """
 
     value: float
     order: int
-    tail_bound: float
+    tail_bound: float | None
 
 
 def _power_lags(c: CepstrumSequence) -> np.ndarray:
@@ -64,21 +61,14 @@ def _geometric_tail(amplitude: float, radius: float, order: int) -> float:
     return amplitude**2 * radius ** (2 * (order + 1)) / ((order + 1) * (1.0 - radius**2))
 
 
-def _tail_bound(delta: np.ndarray, c1: CepstrumSequence, c2: CepstrumSequence | None) -> float:
-    order = delta.size
-    radii = [c.root_radius for c in (c1, c2) if c is not None]
-    counts = [c.root_count for c in (c1, c2) if c is not None]
-    if all(r is not None for r in radii) and all(n is not None for n in counts):
-        return _geometric_tail(float(sum(counts)), max(radii), order)
-    # No model metadata: fit |delta_K| ~ M rho^K / K and bound the same way.
-    last = abs(float(delta[-1])) * order
-    if last == 0.0:
-        return 0.0
-    rho = min(last ** (1.0 / order), RHO_CAP)
-    k = np.arange(1, order + 1)
-    with np.errstate(over="ignore"):
-        amp = float(np.max(np.abs(delta) * k / rho**k))
-    return _geometric_tail(amp, rho, order)
+def _tail_bound(order: int, *cepstra: CepstrumSequence) -> float | None:
+    """The bound on the mass beyond lag ``order`` from the cepstra's root
+    metadata, or None when one of them has none."""
+    radii = [c.root_radius for c in cepstra]
+    counts = [c.root_count for c in cepstra]
+    if None in radii or None in counts:
+        return None
+    return _geometric_tail(float(sum(counts)), max(radii), order)
 
 
 def weighted_cepstral_distance(
@@ -95,7 +85,7 @@ def weighted_cepstral_distance(
     order = min(c1.order, c2.order)
     delta = _power_lags(c1)[:order] - _power_lags(c2)[:order]
     value = float(_weighted_square_sum(delta))
-    return WeightedCepstralResult(value, delta.size, _tail_bound(delta, c1, c2))
+    return WeightedCepstralResult(value, delta.size, _tail_bound(delta.size, c1, c2))
 
 
 def weighted_cepstral_matrix(cepstra: Sequence[CepstrumSequence]) -> np.ndarray:
@@ -126,7 +116,7 @@ def weighted_cepstral_norm(c: CepstrumSequence) -> WeightedCepstralResult:
     """Weighted cepstral distance from the all-pass class: sum of k * c(k)^2."""
     lags = _power_lags(c)
     value = float(_weighted_square_sum(lags))
-    return WeightedCepstralResult(value, lags.size, _tail_bound(lags, c, None))
+    return WeightedCepstralResult(value, lags.size, _tail_bound(lags.size, c))
 
 
 def _log_gram(a: np.ndarray, b: np.ndarray) -> float:

@@ -153,14 +153,19 @@ def _line_cuts(data: bytes, start: int, parts: int) -> list[int]:
     """Offsets that split the bytes from ``start`` on into ``parts`` line
     ranges of nearly equal size: ``start``, the start of the line at or
     after each k/parts of those bytes, and the length. ``start`` is taken
-    for a line start. A cut follows a line feed, which ends a line whatever
-    the line ends of the file, and no UTF-8 character holds one.
+    for a line start. A cut follows a line end, whatever the line ends of
+    the file: a line feed, or a CR that no line feed follows. No UTF-8
+    character holds either byte. A CR is looked for only before the next
+    line feed, so in an LF or CRLF file each cut scans at most one line
+    twice.
     """
     cuts = [start]
     for k in range(1, parts):
         cut = max(cuts[-1], start + (len(data) - start) * k // parts)
-        if cut > start and data[cut - 1 : cut] != b"\n":
-            cut = data.find(b"\n", cut) + 1 or len(data)
+        if cut > start:
+            lf = data.find(b"\n", cut - 1)
+            cr = data.find(b"\r", cut - 1, len(data) if lf < 0 else lf)
+            cut = cr + 1 if cr >= 0 and cr + 1 != lf else lf + 1 or len(data)
         cuts.append(cut)
     return cuts + [len(data)]
 

@@ -109,7 +109,7 @@ def test_distance_of_a_file_with_itself_is_zero(tmp_path, capsys):
     assert report["metric"] == "cepstral"
     assert abs(report["value"]) <= 1e-10
     assert report["order"] >= 1
-    assert report["tail_bound"] >= 0.0
+    assert "tail_bound" not in report
 
 
 def test_demo_signals_are_close_in_dynamics_but_orthogonal_in_samples(tmp_path, capsys):
@@ -475,6 +475,25 @@ def test_distance_value_is_the_distmat_cell(tmp_path, capsys, metric, paired):
     assert repr(value) == repr(matrix["values"][0][1]) == repr(matrix["values"][1][0])
 
 
+def test_cepstral_distance_is_its_cell_of_a_larger_distmat(tmp_path, capsys):
+    # distance and distmat take record distances from one kernel, whose
+    # cells do not depend on the other records of the matrix.
+    paths = _two_records(tmp_path, paired=False)
+    for seed, length in ((2, 1024), (3, 4096)):
+        u, y = white_record(ZeroPoleGain([0.6], [-0.4], 1.0), length, seed)
+        paths.append(str(tmp_path / f"record{seed}.csv"))
+        Path(paths[-1]).write_text(format_signal_csv(y))
+    assert main(["distmat", *paths, "--metric", "cepstral"]) == 0
+    matrix = json.loads(capsys.readouterr().out)["values"]
+    for i in range(len(paths)):
+        for j in range(len(paths)):
+            assert main(["distance", paths[i], paths[j], "--metric", "cepstral"]) == 0
+            report = json.loads(capsys.readouterr().out)
+            fields = ["command", "inputs", "metric", "order", "schema_version", "value"]
+            assert sorted(report) == fields
+            assert report["value"].hex() == float(matrix[i][j]).hex()
+
+
 def test_distance_refuses_a_signal_with_a_pair_as_distmat_does(tmp_path, capsys):
     paths = {name: tmp_path / f"{name}.csv" for name in ("signal", "other", "pair")}
     for name, pole, seed in (("signal", 0.6, 0), ("other", 0.2, 2)):
@@ -715,10 +734,31 @@ def test_an_empty_output_path_fails_to_open(tmp_path, capsys, flag):
     for i in range(3):
         write_signal(tmp_path, f"s{i}.csv", rng.standard_normal(32))
     argv = ["cluster", str(tmp_path), "--metric", "euclidean", "--k", "2", flag, ""]
+    # Both outputs are opened before either is written, so a report that
+    # fails to open leaves no matrix file behind.
+    matrix_out = tmp_path / "m.csv"
+    if flag == "-o":
+        argv += ["--matrix-out", str(matrix_out)]
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: [Errno 2] No such file or directory: ''\n"
+    assert not matrix_out.exists()
+
+
+def test_cluster_refuses_one_file_for_both_outputs(tmp_path, capsys):
+    rng = np.random.default_rng(6)
+    for i in range(3):
+        write_signal(tmp_path, f"s{i}.csv", rng.standard_normal(32))
+    out = tmp_path / "out" / "both.csv"
+    out.parent.mkdir()
+    # Both outputs are opened before either is written, so one file cannot
+    # take both, however its two paths are spelled.
+    other = out.parent / ".." / "out" / out.name
+    argv = ["cluster", str(tmp_path), "--metric", "euclidean", "--k", "2"]
+    assert main([*argv, "-o", str(out), "--matrix-out", str(other)]) == 2
+    assert capsys.readouterr().err == f"error: -o and --matrix-out name the same file: {out}\n"
+    assert not out.exists()
 
 
 def _write_good_and_broken(tmp_path, names):

@@ -747,8 +747,13 @@ def _read_split(monkeypatch, path, parts):
 
 
 def _line_starts(data):
-    """Every offset at which a line of the bytes starts, and their length."""
-    return sorted({0, len(data), *(k + 1 for k, byte in enumerate(data) if byte == 10)})
+    """Every offset at which a line of the bytes starts, and their length.
+    A line ends in a line feed, or in a CR that no line feed follows."""
+    ends = [
+        k for k, byte in enumerate(data)
+        if byte == 10 or byte == 13 and data[k + 1 : k + 2] != b"\n"
+    ]
+    return sorted({0, len(data), *(k + 1 for k in ends)})
 
 
 # Quotes around a cell free of commas and quotes, as the row-wise parse
@@ -921,6 +926,28 @@ def test_every_worker_count_parses_the_same_blocks(tmp_path, monkeypatch):
         assert b"".join(one) == data[sigio._data_start(data, str(path))[0] :]
         for workers in (2, 3):
             assert blocks_read(path, workers) == (one, workers), (path.name, workers)
+
+
+def test_a_lone_cr_file_is_cut_into_the_blocks_of_the_lf_file(tmp_path, monkeypatch):
+    # Blocks are cut at line starts whatever the line end, so a lone-CR file
+    # is not parsed as one block: it is cut where its LF copy is.
+    rows = "t,value\n" + "".join(f"{k},{k % 7 - 3.5}\n" for k in range(300))
+    parse_block = sigio.numtext.parse_block
+    monkeypatch.setattr(sigio, "PARSE_BLOCK_BYTES", 256)
+    reads = []
+    for text in (rows, rows.replace("\n", "\r")):
+        path = tmp_path / f"record{len(reads)}.csv"
+        path.write_bytes(text.encode())
+        sizes = []
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                sigio.numtext, "parse_block",
+                lambda block, width: sizes.append(len(block)) or parse_block(block, width),
+            )
+            signal = read_signal_csv(str(path))
+        reads.append((sizes, signal.samples.tobytes(), signal.sample_period))
+    assert len(reads[0][0]) > 1
+    assert reads[1] == reads[0]
 
 
 # Cells, separators and characters that end or might end a line, for the

@@ -13,6 +13,7 @@ from cepdist import (
     CepstrumSequence,
     KindMismatch,
     LengthMismatch,
+    RunConfig,
     Signal,
     ValidationError,
     ZeroPoleGain,
@@ -29,7 +30,8 @@ from cepdist import (
     weighted_cepstral_norm,
 )
 from cepdist.metrics import weighted_cepstral_matrix
-from conftest import draw_roots, random_any_phase, random_min_phase
+from cepdist.spectral import power_cepstra
+from conftest import draw_roots, random_any_phase, random_min_phase, white_record
 
 POLE_HALF = ZeroPoleGain([0.5], [], 1.0)
 POLE_NINE = ZeroPoleGain([0.9], [], 1.0)
@@ -285,7 +287,7 @@ def test_series_converges_to_the_closed_form_from_below(seed):
 @pytest.mark.parametrize("radius", [0.99, 0.999, 0.9999, 0.99999])
 def test_a_model_tail_bound_covers_a_slow_pole(radius):
     # A model's root radius is exact, so its bound holds however slow the
-    # decay; only a decay fit of an estimated cepstrum is capped.
+    # decay; an estimated cepstrum has no roots and gets no bound at all.
     zpk = ZeroPoleGain([radius], [], 1.0)
     result = weighted_cepstral_norm(power_cepstrum_from_zpk(zpk, 256))
     assert closed_form_norm(zpk) - result.value <= result.tail_bound
@@ -297,6 +299,19 @@ def test_a_model_distance_tail_bound_covers_a_slow_pole():
         power_cepstrum_from_zpk(first, 256), power_cepstrum_from_zpk(second, 256)
     )
     assert closed_form_norm(cascade(first, second)) - result.value <= result.tail_bound
+
+
+@pytest.mark.parametrize("paired", [True, False])
+def test_estimated_cepstra_carry_no_tail_bound(paired):
+    # The lags of an estimate bound nothing beyond its order: only a model's
+    # roots do, so a distance or norm with an estimated side has no bound.
+    records = [white_record(zpk, 1024, 1) for zpk in (POLE_HALF, POLE_NINE)]
+    first, second = power_cepstra(records if paired else [y for _, y in records], RunConfig())
+    model = power_cepstrum_from_zpk(POLE_HALF, first.order)
+    assert weighted_cepstral_distance(first, second).tail_bound is None
+    assert weighted_cepstral_distance(first, model).tail_bound is None
+    assert weighted_cepstral_norm(first).tail_bound is None
+    assert weighted_cepstral_distance(model, model).tail_bound is not None
 
 
 def test_euclidean_distance_basics():
