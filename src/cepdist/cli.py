@@ -5,12 +5,15 @@ Every verb reads the same layered configuration (defaults, config file,
 CEPDIST_* environment, flags), writes deterministic output (canonical JSON
 or fixed-format CSV), and maps failures to the exit-code contract:
 0 success, 2 invalid input, 3 tolerance failure, 4 phase-gate refusal.
+A verb's handler returns its exit code and its outputs; ``main`` writes
+them all through ``_emit``.
 """
 
 from __future__ import annotations
 
 import argparse
 import os
+import stat
 import sys
 from contextlib import ExitStack
 from functools import partial
@@ -34,6 +37,7 @@ from .config import CONFIG_KEYS, LINKAGES, RunConfig, load_config
 from .errors import (
     CepdistError,
     EXIT_TOLERANCE,
+    EXIT_VALIDATION,
     UnstableSimulation,
     ValidationError,
     naming,
@@ -59,6 +63,7 @@ from .sigio import (
     pair_csv_rows,
     read_model_json,
     read_signal_csv,
+    report,
 )
 from .spectral import (
     complex_cepstrum,
@@ -94,17 +99,22 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
 
 def _emit(*outputs: tuple[str | None, list[str]]) -> None:
     """Write each output's parts in order to its file, or to stdout for a
-    path of None. Every file is opened, in order, before any is written, so
-    a file that fails to open leaves those before it empty."""
+    path of None. Every file is opened, in order, without truncating it;
+    only once all are open are the regular files among them emptied, so a
+    file that fails to open leaves every file as it was. Other files, such
+    as /dev/null, which cannot be truncated, are written as they are."""
     with ExitStack() as stack:
         # A file name that is not UTF-8 reaches a record id as lone
         # surrogates; the file gets the bytes they stand for.
         handles = [
             sys.stdout if path is None else stack.enter_context(
-                open(path, "w", encoding="utf-8", errors="surrogateescape", newline="")
+                open(path, "a", encoding="utf-8", errors="surrogateescape", newline="")
             )
             for path, _ in outputs
         ]
+        for fh in handles:
+            if fh is not sys.stdout and stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                fh.truncate(0)
         for fh, (_, parts) in zip(handles, outputs):
             fh.writelines(parts)
 
@@ -115,7 +125,8 @@ def _read_record(path: str, paired: bool) -> Signal | tuple[Signal, Signal]:
     record = read_signal_csv(path)
     if isinstance(record, tuple) != paired:
         expected = "a t,u,y pair" if paired else "a t,value signal"
-        raise ValidationError(f"{path}: expected {expected} file")
+        with naming(path):
+            raise ValidationError(f"expected {expected} file")
     return record
 
 
@@ -148,7 +159,7 @@ def _read_roots(path: str) -> ZeroPoleGain:
         return roots_from_state_space(model)
 
 
-def cmd_simulate(args: argparse.Namespace, config: RunConfig) -> int:
+def cmd_simulate(args: argparse.Namespace, config: RunConfig) -> tuple[int, list]:
     model = read_model_json(args.model)
     state_space = model if isinstance(model, StateSpaceModel) else state_space_from_roots(model)
     if spectral_radius(state_space) >= 1.0 - EPS_CIRCLE:
@@ -176,11 +187,10 @@ def cmd_simulate(args: argparse.Namespace, config: RunConfig) -> int:
     # only once every range is formatted, so a failure writes nothing.
     parts = map_runs(lambda rows: pair_csv_rows(u, y, rows.start, rows.stop),
                      range(len(u)), len(u), parallel.FORK_MIN_ROWS)
-    _emit((args.output, [PAIR_CSV_HEADER, *parts]))
-    return 0
+    return 0, [(args.output, [PAIR_CSV_HEADER, *parts])]
 
 
-def cmd_cepstrum(args: argparse.Namespace, config: RunConfig) -> int:
+def cmd_cepstrum(args: argparse.Namespace, config: RunConfig) -> tuple[int, list]:
     if (args.signal is None) == (args.model is None):
         raise ValidationError("give exactly one of a signal file or --model")
     if args.model is not None:
@@ -201,29 +211,20 @@ def cmd_cepstrum(args: argparse.Namespace, config: RunConfig) -> int:
             else:
                 cepstrum = complex_cepstrum(record, config.fft_length, config.K)
     # Cepstra are emitted as tidy lag/value CSV, the plotting format.
-    _emit((args.output, [format_cepstrum_csv(cepstrum)]))
-    return 0
+    return 0, [(args.output, [format_cepstrum_csv(cepstrum)])]
 
 
-def _distance_report(path_a: str, path_b: str, metric: str, config: RunConfig) -> dict:
-    metric = resolve_metric(metric)
-    paths = [path_a, path_b]
+def cmd_distance(args: argparse.Namespace, config: RunConfig) -> tuple[int, list]:
+    metric = resolve_metric(args.metric)
+    paths = [args.file_a, args.file_b]
     paired, periods, features = _read_features(paths, metric, config)
     check_collection(paired, periods, paths, metric)
     _raise_refusal(paths, features)
-    return {
-        "schema_version": 1,
-        "command": "distance",
+    return 0, [(args.output, [canonical_json(report("distance", {
         "metric": metric,
-        "inputs": [os.path.basename(path_a), os.path.basename(path_b)],
+        "inputs": [os.path.basename(path) for path in paths],
         **pair_report(metric, *features),
-    }
-
-
-def cmd_distance(args: argparse.Namespace, config: RunConfig) -> int:
-    report = _distance_report(args.file_a, args.file_b, args.metric, config)
-    _emit((args.output, [canonical_json(report)]))
-    return 0
+    }))])]
 
 
 def _collection_matrix(paths: list[str], metric: str, config: RunConfig) -> DistanceMatrix:
@@ -255,34 +256,29 @@ def _collection_matrix(paths: list[str], metric: str, config: RunConfig) -> Dist
     return distance_matrix_from_features(features, metric, ids)
 
 
-def cmd_distmat(args: argparse.Namespace, config: RunConfig) -> int:
+def cmd_distmat(args: argparse.Namespace, config: RunConfig) -> tuple[int, list]:
     matrix = _collection_matrix(args.paths, args.metric, config)
     for id_a, id_b, reason in matrix.failures:
         print(f"warning: {id_a} vs {id_b}: {reason}", file=sys.stderr)
     if config.output_format == "json":
-        report = {
-            "schema_version": 1,
-            "command": "distmat",
+        text = canonical_json(report("distmat", {
             "metric": matrix.metric,
             "ids": list(matrix.ids),
             "values": matrix.values,
             "failures": [list(f) for f in matrix.failures],
-        }
-        _emit((args.output, [canonical_json(report)]))
+        }))
     else:
-        _emit((args.output, [format_matrix_csv(matrix.ids, matrix.values)]))
-    return 0
+        text = format_matrix_csv(matrix.ids, matrix.values)
+    return 0, [(args.output, [text])]
 
 
-def cmd_cluster(args: argparse.Namespace, config: RunConfig) -> int:
+def cmd_cluster(args: argparse.Namespace, config: RunConfig) -> tuple[int, list]:
     paths = [path for path in (args.output, args.matrix_out) if path is not None]
     if len({os.path.realpath(path) for path in paths}) < len(paths):
         raise ValidationError(f"-o and --matrix-out name the same file: {args.output}")
     matrix = _collection_matrix(args.paths, args.metric, config)
     result = agglomerative_cluster(matrix, args.k, args.linkage)
-    report = {
-        "schema_version": 1,
-        "command": "cluster",
+    clusters = report("cluster", {
         "metric": matrix.metric,
         "linkage": result.linkage,
         "k": args.k,
@@ -291,15 +287,14 @@ def cmd_cluster(args: argparse.Namespace, config: RunConfig) -> int:
         "merge_heights": list(result.merge_heights),
         "excluded": [name for name, label in zip(matrix.ids, result.labels) if label < 0],
         "failures": [list(f) for f in matrix.failures],
-    }
-    outputs = [(args.output, [canonical_json(report)])]
+    })
+    outputs = [(args.output, [canonical_json(clusters)])]
     if args.matrix_out is not None:
         outputs.append((args.matrix_out, [format_matrix_csv(matrix.ids, matrix.values)]))
-    _emit(*outputs)
-    return 0
+    return 0, outputs
 
 
-def cmd_classify(args: argparse.Namespace, config: RunConfig) -> int:
+def cmd_classify(args: argparse.Namespace, config: RunConfig) -> tuple[int, list]:
     sources = [bool(args.files), args.model is not None]
     if sum(sources) != 1:
         raise ValidationError("give either signal file(s) or --model")
@@ -317,24 +312,20 @@ def cmd_classify(args: argparse.Namespace, config: RunConfig) -> int:
         origin = ",".join(os.path.basename(path) for path in args.files)
     else:
         raise ValidationError("classify takes one pair file or two single-signal files")
-    report = {
-        "schema_version": 1,
-        "command": "classify",
+    return 0, [(args.output, [canonical_json(report("classify", {
         "input": origin,
         "verdict": verdict.kind,
         "positive_energy": verdict.positive_energy,
         "negative_energy": verdict.negative_energy,
         "order_tested": verdict.order_tested,
         "tolerance": verdict.tolerance,
-    }
-    _emit((args.output, [canonical_json(report)]))
-    return 0
+    }))])]
 
 
-def cmd_verify(args: argparse.Namespace, config: RunConfig) -> int:
+def cmd_verify(args: argparse.Namespace, config: RunConfig) -> tuple[int, list]:
     cases = None if args.case == "all" else (args.case,)
-    report = run_verify(config, cases)
-    for case in report["cases"]:
+    checks = run_verify(config, cases)
+    for case in checks["cases"]:
         for check in case["checks"]:
             status = "PASS" if check["pass"] else "FAIL"
             if "bound" in check:
@@ -342,8 +333,8 @@ def cmd_verify(args: argparse.Namespace, config: RunConfig) -> int:
             else:
                 detail = f"value={check['value']} expected={check['expected']}"
             print(f"{status} {case['case']}.{check['name']} {detail}", file=sys.stderr)
-    _emit((args.output, [canonical_json(report)]))
-    return 0 if report["pass"] else EXIT_TOLERANCE
+    code = 0 if checks["pass"] else EXIT_TOLERANCE
+    return code, [(args.output, [canonical_json(checks)])]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -419,13 +410,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         config = _resolve_config(args)
-        return args.handler(args, config)
-    except CepdistError as exc:
+        code, outputs = args.handler(args, config)
+        _emit(*outputs)
+        return code
+    except (CepdistError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return exc.exit_code
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return exc.exit_code if isinstance(exc, CepdistError) else EXIT_VALIDATION
 
 
 def entry() -> None:

@@ -15,7 +15,7 @@ import os
 from dataclasses import dataclass, fields
 from typing import Mapping, get_args, get_type_hints
 
-from .errors import ConfigError
+from .errors import ConfigError, naming
 
 ENV_PREFIX = "CEPDIST_"
 SPECTRUM_METHODS = ("welch", "periodogram")
@@ -105,7 +105,8 @@ def _parse_config_file(path: str) -> dict:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         byte = exc.object[exc.start]
-        raise ConfigError(f"{path}: not UTF-8 text (byte 0x{byte:02x})") from exc
+        with naming(path):
+            raise ConfigError(f"not UTF-8 text (byte 0x{byte:02x})") from exc
     for lineno, line in enumerate(lines, start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:

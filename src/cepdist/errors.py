@@ -104,8 +104,9 @@ class UnstableSimulation(PhaseGateRefusal):
 
 @contextmanager
 def naming(path: str):
-    """Prefix a refusal raised inside with the name of its file. Wrap only
-    work on a file's contents, not its reading, whose refusals name it."""
+    """Prefix a refusal raised inside with the name of its file, as every
+    refusal of a file's contents is. Wrap the work on the contents, not the
+    opening of the file, whose refusals name it in their own words."""
     try:
         yield
     except CepdistError as exc:

@@ -4,8 +4,10 @@ Signals travel as CSV with a header, either ``t,value`` for one signal or
 ``t,u,y`` for an input/output pair; the time column must be uniformly
 spaced. Models travel as JSON, either state-space ``{"A","B","C","D"}`` or
 root form ``{"poles","zeros","gain"}`` where each root is a real number or
-a ``[re, im]`` pair. Report JSON is canonical: sorted keys, two-space
-indent, trailing newline, no timestamps, NaN encoded as null.
+a ``[re, im]`` pair. A refusal of a file's contents names the file through
+``errors.naming``. Every report is stamped by ``report``, and its JSON is
+canonical: sorted keys, two-space indent, trailing newline, no timestamps,
+NaN encoded as null.
 
 Signal rows have one grammar, read by one parser, ``numtext.parse_block``,
 PARSE_BLOCK_BYTES of lines at a time: each value is Python's ``float`` of
@@ -71,8 +73,6 @@ PARSE_BLOCK_BYTES = 1 << 16
 _BLANKS = numtext.BLANKS.decode("ascii")
 # A cell in double quotes, with blanks after them.
 _QUOTED = re.compile(f'"([^"]*)"[{_BLANKS}]*')
-# The number of a cell, as numtext.parse_block reads it.
-_NUMBER = re.compile(r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
 # A byte that is not UTF-8, as the "surrogateescape" error handler decodes it.
 _UNDECODED = re.compile("[\udc80-\udcff]")
 
@@ -84,32 +84,33 @@ def _cell_text(cell: str) -> str:
     return (quoted[1] if quoted else cell).strip(_BLANKS)
 
 
-def _undecoded(row: str, number: int, path: str) -> ValidationError | None:
+def _undecoded(row: str, number: int) -> ValidationError | None:
     """The error for a row that holds a byte that is not UTF-8, if it does."""
     if found := _UNDECODED.search(row):
         byte = ord(found.group()) - 0xDC00
-        return ValidationError(f"{path}: row {number}: not UTF-8 text (byte 0x{byte:02x})")
+        return ValidationError(f"row {number}: not UTF-8 text (byte 0x{byte:02x})")
     return None
 
 
-def _row_error(line: bytes, width: int, number: int, path: str) -> ValidationError:
+def _row_error(line: bytes, width: int, number: int) -> ValidationError:
     """The error for a row, without its line end, that ``numtext.parse_block``
     refuses: a byte that is not UTF-8, else a width other than ``width``,
-    else the first cell that is not a number of the grammar or not finite."""
+    else the first cell that is not finite or that ``numtext.parse_block``
+    does not read as one number."""
     row = line.decode("utf-8", "surrogateescape")
-    if undecoded := _undecoded(row, number, path):
+    if undecoded := _undecoded(row, number):
         return undecoded
     cells = row.split(",")
     if len(cells) != width:
-        return ValidationError(f"{path}: row {number}: expected {width} cells, got {len(cells)}")
-    for text in map(_cell_text, cells):
+        return ValidationError(f"row {number}: expected {width} cells, got {len(cells)}")
+    for cell, text in zip(cells, map(_cell_text, cells)):
         try:
             finite = math.isfinite(float(text))
         except ValueError:
             finite = True
-        if not finite or not _NUMBER.fullmatch(text):
+        if not finite or len(numtext.parse_block(cell.encode(), 1)[0]) != 1:
             what = "a number" if finite else "a finite number"
-            return ValidationError(f"{path}: row {number}: {text!r} is not {what}")
+            return ValidationError(f"row {number}: {text!r} is not {what}")
     raise AssertionError("the row is one of the grammar")
 
 
@@ -123,7 +124,7 @@ def _is_header(cells: list[str]) -> bool:
     return False
 
 
-def _data_start(data: bytes, path: str) -> tuple[int, int, int]:
+def _data_start(data: bytes) -> tuple[int, int, int]:
     """The offset of the first data row in a file's bytes, its row number
     (2 after a header, else 1) and its number of cells, 2 or 3. A header
     that is not UTF-8 text is refused, read as the "surrogateescape" error
@@ -138,15 +139,15 @@ def _data_start(data: bytes, path: str) -> tuple[int, int, int]:
             if first_row == 2 or not _is_header(cells):
                 if len(cells) not in (2, 3):
                     raise ValidationError(
-                        f"{path}: expected 2 (t,value) or 3 (t,u,y) columns, got {len(cells)}"
+                        f"expected 2 (t,value) or 3 (t,u,y) columns, got {len(cells)}"
                     )
                 return offset, first_row, len(cells)
-            if undecoded := _undecoded(row, 1, path):
+            if undecoded := _undecoded(row, 1):
                 raise undecoded
             first_row = 2
         offset += len(line.encode())
     what = "a header but no data" if first_row > 1 else "no data"
-    raise ValidationError(f"{path}: file contains {what}")
+    raise ValidationError(f"file contains {what}")
 
 
 def _line_cuts(data: bytes, start: int, parts: int) -> list[int]:
@@ -170,7 +171,7 @@ def _line_cuts(data: bytes, start: int, parts: int) -> list[int]:
     return cuts + [len(data)]
 
 
-def _read_table(data: bytes, path: str) -> tuple[np.ndarray, int]:
+def _read_table(data: bytes) -> tuple[np.ndarray, int]:
     """All data rows of a signal file's bytes, and the row number of the
     first; the first refused row is named by ``_row_error``.
 
@@ -178,7 +179,7 @@ def _read_table(data: bytes, path: str) -> tuple[np.ndarray, int]:
     PARSE_BLOCK_BYTES, parsed in one contiguous run per worker
     (``parallel.map_runs``), so every worker count parses the same blocks.
     """
-    start, first_row, width = _data_start(data, path)
+    start, first_row, width = _data_start(data)
     cuts = _line_cuts(data, start, -(-(len(data) - start) // PARSE_BLOCK_BYTES))
     view = memoryview(data)
     blocks = [view[a:b] for a, b in zip(cuts, cuts[1:])]
@@ -192,22 +193,22 @@ def _read_table(data: bytes, path: str) -> tuple[np.ndarray, int]:
         tables.append(table)
         row += len(table)
         if stop < len(block):
-            raise _row_error(bytes(block[stop:]).splitlines()[0], width, row, path)
+            raise _row_error(bytes(block[stop:]).splitlines()[0], width, row)
     return np.concatenate(tables), first_row
 
 
-def _sample_period(times: np.ndarray, first_row: int, path: str) -> float:
+def _sample_period(times: np.ndarray, first_row: int) -> float:
     if times.size < 2:
         return 1.0
     steps = np.diff(times)
     dt = float(steps[0])
     if dt <= 0.0:
-        raise ValidationError(f"{path}: time column must be strictly increasing")
+        raise ValidationError("time column must be strictly increasing")
     off = np.abs(steps - dt) > TIME_JITTER_RTOL * max(abs(dt), 1e-12)
     if off.any():
         idx = int(np.argmax(off))
         raise ValidationError(
-            f"{path}: row {first_row + idx + 1}: non-uniform time step {float(steps[idx])} "
+            f"row {first_row + idx + 1}: non-uniform time step {float(steps[idx])} "
             f"(expected {dt})"
         )
     return dt
@@ -228,11 +229,12 @@ def read_signal_csv(path: str) -> Signal | tuple[Signal, Signal]:
     try:
         with open(path, "rb") as fh:
             data = fh.read()
-        table, first_row = _read_table(data, path)
     except OSError as exc:
         raise ValidationError(f"cannot read signal file {path}: {exc}") from exc
-    times, *columns = (np.ascontiguousarray(column) for column in table.T)
-    period = _sample_period(times, first_row, path)
+    with naming(path):
+        table, first_row = _read_table(data)
+        times, *columns = (np.ascontiguousarray(column) for column in table.T)
+        period = _sample_period(times, first_row)
     if len(columns) == 1:
         return Signal(columns[0], period)
     return Signal(columns[0], period), Signal(columns[1], period)
@@ -358,36 +360,36 @@ def read_model_json(path: str) -> StateSpaceModel | ZeroPoleGain:
     Every entry must be a JSON number: a string or boolean is refused.
     """
     try:
-        with open(path, "r", encoding="utf-8-sig") as fh:
-            data = json.load(fh)
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise ValidationError(f"cannot read model file {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        byte = exc.object[exc.start]
-        raise ValidationError(f"{path}: not UTF-8 text (byte 0x{byte:02x})") from exc
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{path}: invalid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ValidationError(f"{path}: model file must hold a JSON object")
-    state_keys = {"A", "B", "C", "D"}
-    root_keys = {"poles", "zeros", "gain"}
-    try:
-        with naming(path):
-            if state_keys <= set(data):
-                a = np.asarray(check_numbers(data["A"], "A", 2), dtype=float)
+    with naming(path):
+        try:
+            model = json.load(io.TextIOWrapper(io.BytesIO(data), "utf-8-sig"))
+        except UnicodeDecodeError as exc:
+            byte = exc.object[exc.start]
+            raise ValidationError(f"not UTF-8 text (byte 0x{byte:02x})") from exc
+        except json.JSONDecodeError as exc:
+            raise ValidationError(f"invalid JSON: {exc}") from exc
+        if not isinstance(model, dict):
+            raise ValidationError("model file must hold a JSON object")
+        try:
+            if {"A", "B", "C", "D"} <= set(model):
+                a = np.asarray(check_numbers(model["A"], "A", 2), dtype=float)
                 if a.size == 0:
                     a = np.zeros((0, 0))
-                return StateSpaceModel(a, data["B"], data["C"], data["D"])
-            if root_keys <= set(data):
-                poles, zeros = ([_parse_root(r, key) for r in data[key]]
-                                if isinstance(data[key], list) else data[key]
+                return StateSpaceModel(a, model["B"], model["C"], model["D"])
+            if {"poles", "zeros", "gain"} <= set(model):
+                poles, zeros = ([_parse_root(r, key) for r in model[key]]
+                                if isinstance(model[key], list) else model[key]
                                 for key in ("poles", "zeros"))
-                return ZeroPoleGain(poles, zeros, data["gain"])
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError(f"{path}: malformed model: {exc}") from exc
-    raise ValidationError(
-        f"{path}: model needs keys A,B,C,D (state space) or poles,zeros,gain (root form)"
-    )
+                return ZeroPoleGain(poles, zeros, model["gain"])
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValidationError(f"malformed model: {exc}") from exc
+        raise ValidationError(
+            "model needs keys A,B,C,D (state space) or poles,zeros,gain (root form)"
+        )
 
 
 def _plain(obj):
@@ -409,6 +411,12 @@ def _plain(obj):
     if obj is None or isinstance(obj, str):
         return obj
     raise ValidationError(f"cannot serialize {type(obj).__name__} into a report")
+
+
+def report(command: str, fields: dict) -> dict:
+    """The report of a command: its fields, stamped with the envelope that
+    every report carries, ``schema_version`` and ``command``."""
+    return {"schema_version": 1, "command": command, **fields}
 
 
 def canonical_json(obj) -> str:

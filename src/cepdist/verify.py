@@ -30,6 +30,7 @@ from .metrics import (
     weighted_cepstral_norm,
 )
 from .phase import MAXIMUM_PHASE, MINIMUM_PHASE, MIXED_PHASE, classify, classify_from_io
+from .sigio import report
 from .spectral import (
     complex_cepstrum_from_response,
     complex_cepstrum_from_zpk,
@@ -282,9 +283,7 @@ def run_verify(config: RunConfig, cases: tuple[str, ...] | None = None) -> dict:
     results = [{"case": name, **_CASE_RUNNERS[name](config)} for name in names]
     for result in results:
         result["pass"] = all(check["pass"] for check in result["checks"])
-    return {
-        "schema_version": 1,
-        "command": "verify",
+    return report("verify", {
         "config": {
             "K": config.K,
             "K_test": config.K_test,
@@ -296,4 +295,4 @@ def run_verify(config: RunConfig, cases: tuple[str, ...] | None = None) -> dict:
         },
         "cases": results,
         "pass": all(r["pass"] for r in results),
-    }
+    })

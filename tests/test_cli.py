@@ -761,6 +761,31 @@ def test_cluster_refuses_one_file_for_both_outputs(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_an_output_that_fails_to_open_leaves_an_existing_file_as_it_was(tmp_path, capsys):
+    rng = np.random.default_rng(6)
+    for i in range(3):
+        write_signal(tmp_path, f"s{i}.csv", rng.standard_normal(32))
+    argv = ["cluster", str(tmp_path), "--metric", "euclidean", "--k", "2"]
+    assert main(argv) == 0
+    report = capsys.readouterr().out
+    # Every output is opened before any is emptied, so the report file,
+    # which opens, keeps its bytes when the matrix file fails to open.
+    out = tmp_path / "r.json"
+    out.write_bytes(b"keep")
+    missing = tmp_path / "nodir" / "m.csv"
+    assert main([*argv, "-o", str(out), "--matrix-out", str(missing)]) == 2
+    error = f"error: [Errno 2] No such file or directory: '{missing}'\n"
+    assert capsys.readouterr() == ("", error)
+    assert out.read_bytes() == b"keep"
+    # A file longer than the report is emptied before the report is written.
+    out.write_text("x" * (2 * len(report)))
+    assert main([*argv, "-o", str(out)]) == 0
+    assert out.read_text() == report
+    # A device is written as it is: /dev/null cannot be truncated.
+    assert main([*argv, "-o", os.devnull]) == 0
+    assert capsys.readouterr() == ("", "")
+
+
 def _write_good_and_broken(tmp_path, names):
     """The t,u,y files of ``conftest.good_and_broken``, a name that starts
     with "b" marking a record with an all-zero output."""
