@@ -45,7 +45,6 @@ from .errors import (
 from .lti import (
     EPS_CIRCLE,
     Signal,
-    StateSpaceModel,
     ZeroPoleGain,
     check_pair,
     roots_from_state_space,
@@ -161,13 +160,16 @@ def _read_roots(path: str) -> ZeroPoleGain:
 
 def cmd_simulate(args: argparse.Namespace, config: RunConfig) -> tuple[int, list]:
     model = read_model_json(args.model)
-    state_space = model if isinstance(model, StateSpaceModel) else state_space_from_roots(model)
-    if spectral_radius(state_space) >= 1.0 - EPS_CIRCLE:
+    from_roots = isinstance(model, ZeroPoleGain)
+    # A root-form model is gated by its poles; a state-space file brings its own A.
+    unstable = model.unstable_poles if from_roots else spectral_radius(model) >= 1.0 - EPS_CIRCLE
+    if unstable:
         raise UnstableSimulation(
             "model has a pole on or outside the unit circle; time-domain simulation "
             "would diverge. Work from frequency-domain samples instead "
             "(cepstrum --model, or the verify max-phase case)."
         )
+    state_space = state_space_from_roots(model) if from_roots else model
     if args.input in GENERATED_INPUTS:
         n = args.length
         if n < 1:
@@ -272,9 +274,19 @@ def cmd_distmat(args: argparse.Namespace, config: RunConfig) -> tuple[int, list]
     return 0, [(args.output, [text])]
 
 
+def _same_file(first: str, second: str) -> bool:
+    """Whether two paths name one file: by device and inode where both
+    exist, so hard links count, and by their resolved paths otherwise."""
+    try:
+        return os.path.samefile(first, second)
+    except OSError:
+        return os.path.realpath(first) == os.path.realpath(second)
+
+
 def cmd_cluster(args: argparse.Namespace, config: RunConfig) -> tuple[int, list]:
-    paths = [path for path in (args.output, args.matrix_out) if path is not None]
-    if len({os.path.realpath(path) for path in paths}) < len(paths):
+    if args.output is not None and args.matrix_out is not None and _same_file(
+        args.output, args.matrix_out
+    ):
         raise ValidationError(f"-o and --matrix-out name the same file: {args.output}")
     matrix = _collection_matrix(args.paths, args.metric, config)
     result = agglomerative_cluster(matrix, args.k, args.linkage)

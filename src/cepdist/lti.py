@@ -28,6 +28,7 @@ from .errors import (
     NotInvertible,
     SimulationOverflow,
     UnitCircleRoot,
+    UnstableSimulation,
     ValidationError,
 )
 
@@ -47,8 +48,10 @@ NOISE_SCALE = 2.0 ** -0.5
 # of SIM_BLOCK Python iterations.
 SIM_BLOCK = 64
 # Largest entry of a power A^j within one step of that recursion. A step's
-# rounding grows with these powers, which grow large for the companion
-# realization of repeated or clustered poles; past this the step is shortened.
+# rounding grows with these powers; past this the step is shortened. They
+# grow large only for a state-space file's own A, such as a companion form
+# of repeated or clustered poles: no power of the A that
+# ``state_space_from_roots`` builds has an entry above 1.
 SIM_GROWTH = 32.0
 # A record whose largest magnitude lies outside [1 / SAFE_PEAK, SAFE_PEAK] is
 # scaled by a power of two before it is transformed: the squares that
@@ -385,30 +388,106 @@ def roots_from_state_space(model: StateSpaceModel) -> ZeroPoleGain:
     return ZeroPoleGain(poles, zeros, gain=model.D)
 
 
+def output_normal(roots: Sequence[complex]) -> tuple[np.ndarray, np.ndarray]:
+    """(A, c) of a real cascade of lossless sections, one per real root and
+    one per conjugate pair of a conjugate-closed root list inside the unit
+    circle; roots within TAU_MULT of the real axis count as real.
+
+    A^T A + c^T c = I, so the observability Gramian is the identity and no
+    power of A has an entry above 1 in magnitude. The observability range
+    is the (confluent, for repeated roots) Vandermonde range of the roots
+    (De Cock & De Moor 2002). A real root r is the reflection
+    [[r, s], [s, -r]], s = sqrt(1 - r^2). A pair r, conj(r) is a normalized
+    lattice section (Gray & Markel 1975): the reflection by
+    k1 = -2 Re r / (1 + |r|^2) in the plane of its two states times the one
+    by k2 = -|r|^2 in the plane of its first state and its input/output.
+    Each section reads the output of those before it, so A is lower
+    triangular apart from one 2x2 diagonal block per pair.
+    """
+    # Sorted by imaginary part, a pair's upper root comes first and its
+    # partner, of negative imaginary part, among the last: dropping as many
+    # of the last as there are pairs keeps one state per root, even where a
+    # partner lies within TAU_MULT of the real axis.
+    ordered = sorted((complex(r) for r in roots), key=lambda r: -r.imag)
+    pairs = sum(r.imag > TAU_MULT for r in ordered)
+    n = len(ordered)
+    a = np.zeros((n, n))
+    c = np.zeros(n)
+    start = 0
+    for i, r in enumerate(ordered[: n - pairs]):
+        if i < pairs:
+            k1, k2 = -2.0 * r.real / (1.0 + abs(r) ** 2), -abs(r) ** 2
+            s1, s2 = math.sqrt(1.0 - k1 * k1), math.sqrt(1.0 - k2 * k2)
+            section = np.array([[k1 * k2, s1, k1 * s2], [s1 * k2, -k1, s1 * s2], [s2, 0.0, -k2]])
+        else:
+            s = math.sqrt(1.0 - r.real**2)
+            section = np.array([[r.real, s], [s, -r.real]])
+        # States first, the section's input/output last.
+        end = start + len(section) - 1
+        a[start:end, :start] = np.outer(section[:-1, -1], c[:start])
+        a[start:end, start:end] = section[:-1, :-1]
+        c[:start] *= section[-1, -1]
+        c[start:end] = section[-1, :-1]
+        start = end
+    return a, c
+
+
+def solve_stein(left: np.ndarray, right: np.ndarray, const: np.ndarray) -> np.ndarray:
+    """X with X = left @ X @ right + const, for ``right`` lower triangular
+    apart from 2x2 diagonal blocks (marked by a nonzero entry just above the
+    diagonal) and every product of an eigenvalue of ``left`` with one of
+    ``right`` off 1.
+
+    Column block J of X depends only on the blocks after it, so the blocks
+    are solved one at a time from the last, each as one dense system of
+    order n or 2n: at most m solves in O(n^2 + nm) memory, where the
+    nm x nm system of the whole equation takes O(n^2 m^2).
+    """
+    n, m = const.shape
+    x = np.zeros(const.shape, dtype=np.result_type(left, right, const))
+    stop = m
+    while stop:
+        start = stop - 2 if stop > 1 and right[stop - 2, stop - 1] != 0 else stop - 1
+        block = right[start:stop, start:stop]
+        rhs = const[:, start:stop] + left @ (x[:, stop:] @ right[stop:, start:stop])
+        # Column-major vec(left @ X_J @ block) = kron(block^T, left) vec(X_J).
+        system = np.eye(n * len(block)) - np.kron(block.T, left)
+        x[:, start:stop] = np.linalg.solve(system, rhs.T.ravel()).reshape(-1, n).T
+        stop = start
+    return x
+
+
 def state_space_from_roots(zpk: ZeroPoleGain) -> StateSpaceModel:
-    """Controllable canonical realization of a root-form model."""
-    poles = zpk.poles
-    zeros = zpk.zeros
-    p, q = len(poles), len(zeros)
+    """The output-normal realization of a root-form model whose poles lie
+    inside the unit circle: the only realization of roots in the package.
+
+    (A, C) is ``output_normal`` of the poles, so no power of A has an entry
+    above 1 and ``simulate`` keeps whole blocks; D is the gain. B carries
+    the zeros. The cascade of first-order sections (z - z_i) / (z - p_i),
+    with the zeros padded by roots at the origin, is realized as (F, 1, h, 1):
+    F lower triangular with the poles on its diagonal, and the input
+    entering every state. The cross Gramian X = A^T X F + C^T h maps its
+    Markov parameters onto the pole range, which holds them, so
+    B = gain * Re(X 1). Raises ``UnstableSimulation`` for a pole outside the
+    circle, where no output-normal form exists, and ``ValidationError`` for
+    more zeros than poles.
+    """
+    poles = np.asarray(zpk.poles, dtype=complex)
+    p, q = len(zpk.poles), len(zpk.zeros)
     if q > p:
         raise ValidationError(
             f"cannot realize {q} zeros with only {p} poles; add poles or drop zeros"
         )
-    a_coeffs = np.real(np.atleast_1d(np.poly(poles)))
-    b_coeffs = zpk.gain * np.real(np.atleast_1d(np.poly(zeros)))
-    b_coeffs = np.concatenate([b_coeffs, np.zeros(p - q)])
-    n = p
-    if n == 0:
-        return StateSpaceModel(np.zeros((0, 0)), np.zeros(0), np.zeros(0), zpk.gain)
-    a_mat = np.zeros((n, n))
-    a_mat[0, :] = -a_coeffs[1:]
-    if n > 1:
-        a_mat[1:, :-1] = np.eye(n - 1)
-    b_vec = np.zeros(n)
-    b_vec[0] = 1.0
-    d = b_coeffs[0]
-    c_vec = b_coeffs[1:] - d * a_coeffs[1:]
-    return StateSpaceModel(a_mat, b_vec, c_vec, d)
+    if zpk.unstable_poles:
+        raise UnstableSimulation(
+            f"pole {zpk.unstable_poles[0]} lies outside the unit circle; "
+            "a model with an unstable pole has no output-normal realization"
+        )
+    a, c = output_normal(zpk.poles)
+    step = poles - np.concatenate([zpk.zeros, np.zeros(p - q)])
+    sections = np.diag(poles) + np.tril(np.broadcast_to(step, (p, p)), -1)
+    cross = solve_stein(a.T, sections, np.outer(c, step))
+    return StateSpaceModel(a, zpk.gain * cross.sum(axis=1).real, c, zpk.gain)
 
 
 def spectral_radius(model: StateSpaceModel) -> float:

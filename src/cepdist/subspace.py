@@ -3,9 +3,11 @@
 The norm of a stable minimum phase model equals minus the log of the
 product of squared cosines of the principal angles between its pole and
 zero observability ranges, the ranges of Vandermonde matrices with
-infinitely many rows. For a known model they come exactly from Gramians
-(De Cock & De Moor 2002), after padding the shorter root list with roots
-at the origin, which leave the norm unchanged. The same angles can be
+infinitely many rows. For a known model they come exactly from the cross
+Gramian of the output-normal realizations of the two root lists (De Cock &
+De Moor 2002; ``lti.output_normal``), after padding the shorter list with
+roots at the origin, which leave the norm unchanged; ``lti.solve_stein``
+solves it one column block at a time. The same angles can be
 reached from input/output data alone: Hankel matrices of the output with
 the input's row space projected out (and vice versa, which is the inverse
 system's Hankel picture) span the corresponding ranges. Both projections
@@ -35,7 +37,7 @@ from .errors import (
     RankDeficient,
     ValidationError,
 )
-from .lti import Signal, ZeroPoleGain, check_pair, range_exponent
+from .lti import Signal, ZeroPoleGain, check_pair, output_normal, range_exponent, solve_stein
 from .metrics import cascade
 from .spectral import next_pow2
 
@@ -71,37 +73,16 @@ def _norm_from_cosines(cosines: np.ndarray) -> float:
     return total
 
 
-def _output_normal(roots: Sequence[complex]) -> tuple[np.ndarray, np.ndarray]:
-    """(A, c) of a cascade of unitary all-pass sections [[r, s], [s, -conj r]],
-    s = sqrt(1 - |r|^2), one per root: its observability range is the
-    (confluent, for repeated roots) Vandermonde range of the roots, and
-    A^H A + c^H c = I, so its observability Gramian is the identity."""
-    n = len(roots)
-    a = np.zeros((n, n), dtype=complex)
-    c = np.zeros(n, dtype=complex)
-    for j, r in enumerate(roots):
-        s = np.sqrt(1.0 - abs(r) ** 2)
-        # Section j reads the output of sections 0..j-1, fed through by -conj(r).
-        a[j, :j] = s * c[:j]
-        a[j, j] = r
-        c[:j] *= -np.conj(r)
-        c[j] = s
-    return a, c
-
-
 def _range_cosines(poles: Sequence[complex], zeros: Sequence[complex]) -> np.ndarray:
     """Cosines, descending, of the principal angles between the infinite
-    observability ranges of two root lists inside the unit circle, the
-    shorter padded with roots at the origin: the singular values of the
-    cross Gramian W = A_p^H W A_z + c_p^H c_z of their ``_output_normal``
-    realizations."""
+    observability ranges of two conjugate-closed root lists inside the unit
+    circle, the shorter padded with roots at the origin: the singular values
+    of the cross Gramian W = A_p^T W A_z + c_p^T c_z of their
+    ``output_normal`` realizations, whose Gramians are the identity."""
     n = max(len(poles), len(zeros))
-    a_p, c_p = _output_normal(tuple(poles) + (0.0,) * (n - len(poles)))
-    a_z, c_z = _output_normal(tuple(zeros) + (0.0,) * (n - len(zeros)))
-    # Row-major vec(A_p^H W A_z) = kron(A_p^H, A_z^T) vec(W).
-    stein = np.eye(n * n) - np.kron(a_p.conj().T, a_z.T)
-    cross = np.linalg.solve(stein, np.outer(c_p.conj(), c_z).ravel()).reshape(n, n)
-    return _cosines(cross)
+    a_p, c_p = output_normal(tuple(poles) + (0.0,) * (n - len(poles)))
+    a_z, c_z = output_normal(tuple(zeros) + (0.0,) * (n - len(zeros)))
+    return _cosines(solve_stein(a_p.T, a_z, np.outer(c_p, c_z)))
 
 
 def subspace_norm_from_model(zpk: ZeroPoleGain) -> float:

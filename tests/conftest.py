@@ -84,17 +84,36 @@ def random_any_phase(rng: np.random.Generator, max_each: int = 4) -> ZeroPoleGai
 def random_balanced_min_phase(rng: np.random.Generator, max_each: int = 4) -> ZeroPoleGain:
     """Minimum phase with zero count equal to or one below the pole count.
 
-    The controllable-canonical round trip pads missing zeros at the origin.
-    A gap of m >= 2 makes an m-fold origin zero, which ``eigvals``
-    returns perturbed by about eps^(1/m): over 2000 seeds up to 6.1e-5, past
-    the 1e-8 to which the round-trip tests compare roots, though the norms
-    of the recovered roots stay within 3.3e-14. Generators whose roots must
-    survive the round trip stay in this band.
+    The round trip through ``state_space_from_roots`` and
+    ``roots_from_state_space`` pads missing zeros at the origin. A gap of
+    m >= 2 makes an m-fold origin zero, which ``eigvals`` returns perturbed
+    by about eps^(1/m), past the 1e-8 to which the round-trip tests compare
+    roots. Generators whose roots must survive the round trip stay in this
+    band.
     """
     n_poles = int(rng.integers(1, max_each + 1))
     n_zeros = n_poles - int(rng.integers(0, 2))
     gain = float(rng.uniform(0.5, 2.0))
     return ZeroPoleGain(draw_roots(rng, n_poles), draw_roots(rng, n_zeros), gain)
+
+
+def companion_realization(zpk: ZeroPoleGain) -> StateSpaceModel:
+    """The controllable canonical (companion) realization of a root-form
+    model with no more zeros than poles, from the polynomial coefficients
+    of its roots. The powers of its A grow large for repeated or clustered
+    poles, as a state-space file's own A may; the library realizes roots in
+    output-normal form instead."""
+    a_coeffs = np.real(np.atleast_1d(np.poly(zpk.poles)))
+    b_coeffs = zpk.gain * np.real(np.atleast_1d(np.poly(zpk.zeros)))
+    n = len(zpk.poles)
+    b_coeffs = np.concatenate([b_coeffs, np.zeros(n - len(zpk.zeros))])
+    a_mat = np.zeros((n, n))
+    a_mat[:1, :] = -a_coeffs[1:]
+    a_mat[1:, :-1] = np.eye(n - 1)
+    b_vec = np.zeros(n)
+    b_vec[:1] = 1.0
+    d = b_coeffs[0]
+    return StateSpaceModel(a_mat, b_vec, b_coeffs[1:] - d * a_coeffs[1:], d)
 
 
 def expected_phase_kind(zpk: ZeroPoleGain) -> str:
@@ -138,7 +157,7 @@ def random_simulable(rng: np.random.Generator, want_mixed: bool) -> ZeroPoleGain
 
     Minimum phase when want_mixed is false, otherwise stable poles plus at
     least one maximum phase zero. Zero counts never exceed pole counts, so
-    the canonical realization exists.
+    ``state_space_from_roots`` realizes it.
     """
     while True:
         poles = draw_roots(rng, int(rng.integers(1, 4)))

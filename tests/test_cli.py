@@ -1,6 +1,7 @@
 """End-to-end CLI behavior through main(), plus one real subprocess run."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -31,7 +32,7 @@ from cepdist import (
 from cepdist import cli, parallel, sigio
 from cepdist.cli import main
 from cepdist.sigio import CSV_CHUNK_ROWS
-from conftest import good_and_broken, white_record
+from conftest import companion_realization, good_and_broken, white_record
 
 MIN_PHASE_MODEL = {"poles": [0.9, 0.7, 0.4], "zeros": [0.8, 0.6, 0.0], "gain": 1.0}
 MAX_PHASE_MODEL = {
@@ -44,7 +45,7 @@ IDENTITY_MODEL = {"A": [[0.0]], "B": [0.0], "C": [0.0], "D": 1.0}
 # The all-pole AR(3) model with poles 0.5, 0.3 and 0.2, in root form and as
 # its companion realization, whose zeros are a triple zero at the origin.
 AR3_ROOT_MODEL = {"poles": [0.5, 0.3, 0.2], "zeros": [], "gain": 1.0}
-_AR3 = state_space_from_roots(ZeroPoleGain([0.5, 0.3, 0.2], [], 1.0))
+_AR3 = companion_realization(ZeroPoleGain([0.5, 0.3, 0.2], [], 1.0))
 AR3_STATE_MODEL = {"A": _AR3.A.tolist(), "B": _AR3.B.tolist(), "C": _AR3.C.tolist(), "D": _AR3.D}
 DOUBLE_POLE_MODEL = {"poles": [0.9, 0.9], "zeros": [0.2], "gain": 1}
 
@@ -311,6 +312,20 @@ def test_classify_a_state_space_file_with_a_triple_origin_zero(tmp_path, capsys)
     model = write_json(tmp_path, "ar3_state.json", AR3_STATE_MODEL)
     assert main(["classify", "--model", model]) == 0
     assert json.loads(capsys.readouterr().out)["verdict"] == "MinimumPhaseStable"
+
+
+def test_simulate_an_eightfold_pole(tmp_path, capsys):
+    # The companion form of (z - 0.99)^8 has eigenvalues of modulus up to
+    # 1.009, and the model was refused as unstable; its roots are read now.
+    model = write_json(tmp_path, "eightfold.json", {"poles": [0.99] * 8, "zeros": [], "gain": 1})
+    argv = ["simulate", "--model", model, "--input", "impulse", "--length", "400"]
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "t,u,y"
+    y = np.array([float(line.split(",")[2]) for line in lines[1:]])
+    n = np.arange(400)
+    want = np.array([math.comb(i + 7, 7) for i in n], dtype=float) * 0.99**n
+    assert np.max(np.abs(y - want)) <= 1e-12 * np.max(want)
 
 
 def test_simulate_and_classify_a_double_pole_model(tmp_path, capsys):
@@ -759,6 +774,23 @@ def test_cluster_refuses_one_file_for_both_outputs(tmp_path, capsys):
     assert main([*argv, "-o", str(out), "--matrix-out", str(other)]) == 2
     assert capsys.readouterr().err == f"error: -o and --matrix-out name the same file: {out}\n"
     assert not out.exists()
+
+
+def test_cluster_refuses_two_hard_links_to_one_file(tmp_path, capsys):
+    rng = np.random.default_rng(6)
+    for i in range(3):
+        write_signal(tmp_path, f"s{i}.csv", rng.standard_normal(32))
+    out = tmp_path / "out" / "r.json"
+    out.parent.mkdir()
+    out.write_bytes(b"keep")
+    link = out.parent / "h.csv"
+    os.link(out, link)
+    # Two existing paths name one file when they share a device and inode,
+    # whatever their resolved paths.
+    argv = ["cluster", str(tmp_path), "--metric", "euclidean", "--k", "2"]
+    assert main([*argv, "-o", str(out), "--matrix-out", str(link)]) == 2
+    assert capsys.readouterr() == ("", f"error: -o and --matrix-out name the same file: {out}\n")
+    assert out.read_bytes() == b"keep"
 
 
 def test_an_output_that_fails_to_open_leaves_an_existing_file_as_it_was(tmp_path, capsys):

@@ -1,4 +1,7 @@
-"""State-space simulation, inversion, root extraction, and the demo signals."""
+"""State-space simulation, realization, inversion, root extraction, and the
+demo signals."""
+
+import math
 
 import numpy as np
 import pytest
@@ -12,6 +15,7 @@ from cepdist import (
     SimulationOverflow,
     StateSpaceModel,
     UnitCircleRoot,
+    UnstableSimulation,
     ValidationError,
     ZeroPoleGain,
     closed_form_norm,
@@ -27,8 +31,8 @@ from cepdist import (
     state_space_from_roots,
     subspace_norm_from_model,
 )
-from cepdist.lti import SIM_BLOCK
-from conftest import draw_roots, random_balanced_min_phase
+from cepdist.lti import SIM_BLOCK, SIM_GROWTH, _power_peaks, output_normal, solve_stein
+from conftest import companion_realization, draw_roots, random_balanced_min_phase, random_min_phase
 
 GRID_64 = 2.0 * np.pi * np.arange(64) / 64
 
@@ -80,8 +84,9 @@ def _reference_simulate(model, input_signal, initial_state=None):
 
 
 def _stable_model(rng, order):
-    """A seeded stable model: a controllable canonical realization, turned
-    into a dense one by a random orthogonal change of state coordinates."""
+    """A seeded stable model: an output-normal realization of random roots,
+    turned into a dense one by a random orthogonal change of state
+    coordinates."""
     if order == 0:
         return StateSpaceModel(np.zeros((0, 0)), np.zeros(0), np.zeros(0), rng.standard_normal())
     gain = 1.0 + rng.random()
@@ -172,11 +177,93 @@ def _cascade_of_first_order(poles, u):
 def test_clustered_poles_simulate_without_amplified_rounding(poles):
     # The companion realization of clustered poles has powers A^j with
     # entries in the thousands within a 64-sample step; stepping through
-    # them lost up to 4.5e-2 of the output.
+    # them lost up to 4.5e-2 of the output. A state-space file may bring
+    # such an A, so ``simulate`` shortens its steps.
+    model = companion_realization(ZeroPoleGain(poles, [], 1.0))
+    assert _power_peaks(model.A, SIM_BLOCK)[-1] > SIM_GROWTH
     u = np.random.default_rng(0).standard_normal(3000)
     want = _cascade_of_first_order(poles, u)
-    got = simulate(state_space_from_roots(ZeroPoleGain(poles, [], 1.0)), Signal(u)).samples
+    got = simulate(model, Signal(u)).samples
     assert np.max(np.abs(got - want)) <= 1e-7 * np.max(np.abs(want))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("pole, bound", [(0.99, 1e-12), (0.999, 1e-8)])
+@pytest.mark.parametrize("fold", range(1, 9))
+def test_repeated_poles_give_the_binomial_impulse_response(pole, bound, fold):
+    # 1 / (1 - p/z)^k has the impulse response C(n + k - 1, k - 1) p^n. The
+    # coefficients of (z - p)^k lose a k-fold root to about eps^(1/k); the
+    # realization never forms them.
+    model = state_space_from_roots(ZeroPoleGain([pole] * fold, [], 1.0))
+    assert _power_peaks(model.A, SIM_BLOCK)[-1] <= 1.0
+    n = np.arange(400)
+    want = np.array([math.comb(i + fold - 1, fold - 1) for i in n], dtype=float) * pole**n
+    got = simulate(model, impulse(400)).samples
+    assert np.max(np.abs(got - want)) <= bound * np.max(want)
+
+
+@pytest.mark.parametrize("multiplicity", [2, 3, 4])
+def test_repeated_conjugate_pairs_give_the_root_form_response(multiplicity):
+    pair = [0.9 * np.exp(0.6j), 0.9 * np.exp(-0.6j)]
+    zeros = [0.7 * np.exp(2.1j), 0.7 * np.exp(-2.1j)] * (multiplicity - 1) + [-1.4, 0.3]
+    zpk = ZeroPoleGain(pair * multiplicity + [0.5], zeros, -1.7)
+    model = state_space_from_roots(zpk)
+    want = frequency_response(zpk, GRID_64)
+    got = frequency_response_state_space(model, GRID_64)
+    assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
+
+
+@given(st.integers(0, 10**6))
+def test_realized_powers_never_grow(seed):
+    # A^T A + C^T C = I, so every power of A is a contraction and
+    # ``simulate`` keeps whole blocks for every root-form model.
+    zpk = random_min_phase(np.random.default_rng(seed), max_each=6)
+    if len(zpk.zeros) <= len(zpk.poles):
+        model = state_space_from_roots(zpk)
+        gram = model.A.T @ model.A + np.outer(model.C, model.C)
+        assert np.max(np.abs(gram - np.eye(model.order))) <= 1e-15 * max(1, model.order)
+        assert _power_peaks(model.A, SIM_BLOCK)[-1] <= 1.0
+
+
+def _kronecker_stein(left, right, const):
+    """Oracle: X = left X right + const as one nm x nm system, row-major
+    vec(left X right) = kron(left, right^T) vec(X). Returns X and the
+    1-norm condition number of the system."""
+    n, m = const.shape
+    system = np.eye(n * m) - np.kron(left, right.T)
+    inverse = np.linalg.inv(system)
+    condition = np.linalg.norm(system, 1) * np.linalg.norm(inverse, 1)
+    return (inverse @ const.ravel()).reshape(n, m), condition
+
+
+@pytest.mark.parametrize("sides", [(1, 1), (3, 5), (8, 2), (30, 30), (40, 33)])
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_stein_solver_matches_the_kronecker_oracle(sides, kind):
+    rng = np.random.default_rng(sides)
+    n, m = sides
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    left = 0.97 * q
+    if kind == "real":
+        # The cascade of roots with conjugate pairs: 2x2 diagonal blocks.
+        right, _ = output_normal(draw_roots(rng, m))
+        const = rng.standard_normal((n, m))
+    else:
+        # The cascade of first-order sections (z - z_i) / (z - p_i) that
+        # ``state_space_from_roots`` solves against: lower triangular.
+        poles, zeros = np.array(draw_roots(rng, m)), np.array(draw_roots(rng, m))
+        right = np.diag(poles) + np.tril(np.broadcast_to(poles - zeros, (m, m)), -1)
+        const = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
+    want, condition = _kronecker_stein(left, right, const)
+    got = solve_stein(left, right, const)
+    # Both solves round at about eps times the condition of the system,
+    # which for the first-order cascade of 30 random roots reached 1e4-5e6.
+    assert np.max(np.abs(got - want)) <= EPS * condition * np.max(np.abs(want))
+
+
+def test_state_space_refuses_an_unstable_pole():
+    # No output-normal form exists for a pole outside the circle.
+    with pytest.raises(UnstableSimulation, match="outside the unit circle"):
+        state_space_from_roots(ZeroPoleGain([0.5, 2.5], [0.1], 1.0))
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -278,7 +365,7 @@ def test_roots_accept_repeated_pole():
     assert np.max(np.abs(response - 1.0)) <= 1e-7
 
 
-def test_repeated_pole_survives_the_companion_round_trip():
+def test_repeated_pole_survives_the_realization_round_trip():
     zpk = ZeroPoleGain([0.5, 0.5], [0.2], 1.0)
     recovered = roots_from_state_space(state_space_from_roots(zpk))
     assert np.allclose(recovered.poles, [0.5, 0.5], atol=1e-7)

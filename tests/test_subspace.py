@@ -396,6 +396,30 @@ def test_model_norm_of_a_slow_pole(radius):
     assert abs(value - closed) <= 1e-11 * closed
 
 
+@pytest.mark.parametrize("count", [20, 60])
+@pytest.mark.parametrize("outside", [False, True])
+def test_model_norm_of_many_roots(count, outside):
+    # The cross Gramian is solved one column block at a time; at 60 roots a
+    # side the n^2 x n^2 system it replaced took seconds and 200 MB.
+    rng = np.random.default_rng([count, outside])
+    zpk = ZeroPoleGain(draw_roots(rng, count, outside), draw_roots(rng, count, outside), 1.3)
+    value = subspace_norm_from_model(zpk)
+    closed = closed_form_norm(zpk)
+    # As in ``test_routes_take_repeated_roots``: n eps of absolute rounding
+    # per cosine, which -log(c^2) turns into 2 n eps / c.
+    cosines = _range_cosines(zpk.folded_poles(), zpk.folded_zeros())
+    rounding = 2.0 * cosines.size * np.finfo(float).eps * np.sum(1.0 / cosines)
+    assert abs(value - closed) <= 1e-12 * abs(closed) + rounding
+
+
+def test_model_norm_of_a_pair_that_folds_across_the_real_axis_tolerance():
+    # The zeros pair within TAU_MULT * |r| = 1.1e-8 of conjugates. Reflected
+    # into the disc, one lies 9.9e-9 from the real axis, within TAU_MULT,
+    # and its partner 1.2e-8: the realization must still give both a state.
+    zpk = ZeroPoleGain([2.0, 3.0], [1.1 + 1.2e-8j, 1.1 - 1.5e-8j], 1.0)
+    assert abs(subspace_norm_from_model(zpk) - closed_form_norm(zpk)) <= 1e-13
+
+
 def _real_or_pair(magnitude, angle):
     if angle == 0.0:
         return [complex(magnitude)]
